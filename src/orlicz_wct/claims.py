@@ -9,7 +9,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-__all__ = ["ClaimResult", "CLAIM_REGISTRY", "EXPERIMENT_CLAIMS", "merge_claims"]
+__all__ = [
+    "ClaimResult",
+    "CLAIM_REGISTRY",
+    "EXPERIMENT_CLAIMS",
+    "make_claim",
+    "merge_claims",
+]
 
 
 @dataclass
@@ -161,6 +167,19 @@ EXPERIMENT_CLAIMS: dict[str, tuple[str, ...]] = {
     ),
     "boundedness": ("operator_norm_bound",),
 }
+
+
+def make_claim(claim_id, hypothesis, status, residual=None, detail=None, fp=None):
+    """One report row for a registered claim id, anchored from the registry."""
+    return ClaimResult(
+        claim_id=claim_id,
+        anchor=CLAIM_REGISTRY[claim_id],
+        hypothesis=hypothesis,
+        status=status,
+        residual=residual,
+        detail=detail,
+        fingerprint=fp or {},
+    )
 
 
 def merge_claims(rows: list[ClaimResult]) -> ClaimResult:

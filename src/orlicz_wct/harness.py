@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .claims import CLAIM_REGISTRY, EXPERIMENT_CLAIMS, ClaimResult, merge_claims
+from .claims import EXPERIMENT_CLAIMS, ClaimResult, make_claim, merge_claims
 from .condexp import CondExp, check_condexp_laws, estimate_gch_constant
 from .measure import FiniteMeasureSpace, Partition, ess_sup
 from .orlicz import OrliczContext, luxemburg_norms
@@ -385,18 +385,6 @@ class VerificationReport:
         }
 
 
-def _claim(claim_id, hypothesis, status, residual=None, detail=None, fp=None):
-    return ClaimResult(
-        claim_id=claim_id,
-        anchor=CLAIM_REGISTRY[claim_id],
-        hypothesis=hypothesis,
-        status=status,
-        residual=residual,
-        detail=detail,
-        fingerprint=fp or {},
-    )
-
-
 def _max_abs(a) -> float:
     return float(np.max(np.abs(a), initial=0.0))
 
@@ -410,7 +398,7 @@ def _iterate_claims(t: WctOperator, comparison_tol: float, fp: dict):
         worst = max(worst, _max_abs(direct - closed) / scale)
     ok = worst <= max(comparison_tol, 1e-9)
     return [
-        _claim(
+        make_claim(
             "iterate_closed_form",
             "none",
             "pass" if ok else "fail",
@@ -463,7 +451,7 @@ def _cesaro_claims(t: WctOperator, comparison_tol: float, fp: dict):
         )
     for cid, res in worst.items():
         rows.append(
-            _claim(
+            make_claim(
                 cid,
                 "none",
                 "pass" if res <= max(comparison_tol, 1e-10) else "fail",
@@ -516,7 +504,7 @@ def _power_bounded_claims(s: Scenario, t: WctOperator, seed: int, fp: dict):
         else:
             detail = "criterion false but the violating blocks do not grow"
     rows = [
-        _claim(
+        make_claim(
             "power_bounded_criterion",
             "none",
             "pass" if ok else "fail",
@@ -524,7 +512,7 @@ def _power_bounded_claims(s: Scenario, t: WctOperator, seed: int, fp: dict):
             detail=detail,
             fp=fp,
         ),
-        _claim(
+        make_claim(
             "symbol_power_sequence",
             "none",
             "pass" if rep.horizon_equivalence_ok else "fail",
@@ -538,16 +526,18 @@ def _power_bounded_claims(s: Scenario, t: WctOperator, seed: int, fp: dict):
 
 def _condexp_claims(s: Scenario, seed: int, trials: int, fp: dict):
     e = CondExp(s.space, s.partition)
-    report = check_condexp_laws(e, s.phi, trials=trials, tol=1e-9, seed=seed)
+    report = check_condexp_laws(
+        e, s.phi, trials=trials, tol=s.tolerances["comparison"], seed=seed
+    )
     rows = []
     for name, law in report.laws.items():
         if law.passed is None:
             rows.append(
-                _claim(name, "not_met", "not_checked", detail=law.note, fp=fp)
+                make_claim(name, "not_met", "not_checked", detail=law.note, fp=fp)
             )
         else:
             rows.append(
-                _claim(
+                make_claim(
                     name,
                     "none",
                     "pass" if law.passed else "fail",
@@ -567,7 +557,7 @@ def _boundedness_claims(s: Scenario, t: WctOperator, seed: int, fp: dict):
     c_emp = estimate_gch_constant(e, s.phi, psi, samples=200, seed=seed)
     if c_emp <= 0:
         return [
-            _claim(
+            make_claim(
                 "operator_norm_bound",
                 "not_met",
                 "not_checked",
@@ -585,7 +575,7 @@ def _boundedness_claims(s: Scenario, t: WctOperator, seed: int, fp: dict):
     worst = float(np.max(ratios, initial=0.0))
     ok = worst <= bound + 1e-6
     return [
-        _claim(
+        make_claim(
             "operator_norm_bound",
             "none",
             "pass" if ok else "fail",

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .claims import CLAIM_REGISTRY, ClaimResult
+from .claims import ClaimResult, make_claim
 from .measure import support
 from .orlicz import OrliczContext
 from .wct import (
@@ -252,18 +252,6 @@ def subspace_intersection(a: SubspaceBasis, b: SubspaceBasis) -> SubspaceBasis:
     return SubspaceBasis(q[:, :target], tol)
 
 
-def _claim(claim_id, hypothesis, status, residual=None, detail=None, fp=None):
-    return ClaimResult(
-        claim_id=claim_id,
-        anchor=CLAIM_REGISTRY[claim_id],
-        hypothesis=hypothesis,
-        status=status,
-        residual=residual,
-        detail=detail,
-        fingerprint=fp or {},
-    )
-
-
 def _decreasing_to_zero(residuals: list[float], floor: float) -> bool:
     """True when a sequence of residuals behaves like C/n along doubling n."""
     if residuals[-1] <= floor:
@@ -303,7 +291,7 @@ def verify_structure_theorems(
     ascent = ascent_of(m, 8, tol)
     ok = ascent is not None and ascent <= 2
     rows.append(
-        _claim(
+        make_claim(
             "ascent_bound",
             "none",
             "pass" if ok else "fail",
@@ -313,7 +301,7 @@ def verify_structure_theorems(
     )
     chain_ok = all(null_dims[2] == null_dims[2 + j] for j in range(1, 5))
     rows.append(
-        _claim(
+        make_claim(
             "null_chain_stabilization",
             "none",
             "pass" if chain_ok else "fail",
@@ -330,7 +318,7 @@ def verify_structure_theorems(
         descent = descent_of(m, 8, tol)
         ok = descent is not None and descent <= 2
         rows.append(
-            _claim(
+            make_claim(
                 "descent_bound",
                 hyp_b,
                 "pass" if ok else "fail",
@@ -340,7 +328,7 @@ def verify_structure_theorems(
         )
         range_ok = all(ranks[2 + j] == ranks[2] for j in range(1, 5))
         rows.append(
-            _claim(
+            make_claim(
                 "range_chain_stabilization",
                 hyp_b,
                 "pass" if range_ok else "fail",
@@ -349,8 +337,10 @@ def verify_structure_theorems(
             )
         )
     else:
-        rows.append(_claim("descent_bound", hyp_b, "not_checked", fp=fp))
-        rows.append(_claim("range_chain_stabilization", hyp_b, "not_checked", fp=fp))
+        rows.append(make_claim("descent_bound", hyp_b, "not_checked", fp=fp))
+        rows.append(
+            make_claim("range_chain_stabilization", hyp_b, "not_checked", fp=fp)
+        )
 
     # intersections and sums
     smax = float(np.linalg.norm(m, 2))
@@ -374,7 +364,7 @@ def verify_structure_theorems(
         worst = max(worst, d)
         inter_ok = inter_ok and d == 0
     rows.append(
-        _claim(
+        make_claim(
             "range_square_null_intersection",
             "none",
             "pass" if inter_ok else "fail",
@@ -389,7 +379,7 @@ def verify_structure_theorems(
             rng_n, _ = power_bases(nn)
             sum_ok = sum_ok and subspace_sum(rng_n, null2).dim == n
         rows.append(
-            _claim(
+            make_claim(
                 "range_plus_null_square",
                 hyp_b,
                 "pass" if sum_ok else "fail",
@@ -397,7 +387,7 @@ def verify_structure_theorems(
             )
         )
     else:
-        rows.append(_claim("range_plus_null_square", hyp_b, "not_checked", fp=fp))
+        rows.append(make_claim("range_plus_null_square", hyp_b, "not_checked", fp=fp))
 
     # the symbol-weighted operator is the square in closed form, so its rank
     # cut uses the power-2 noise floor
@@ -409,7 +399,7 @@ def verify_structure_theorems(
     ns = SubspaceBasis(vh_mh[rank_mh:].T.copy(), tol)
     ok = subspace_sum(rs, ns).dim == n
     rows.append(
-        _claim(
+        make_claim(
             "symbol_operator_decomposition",
             "none",
             "pass" if ok else "fail",
@@ -428,7 +418,7 @@ def verify_structure_theorems(
     if criterion_holds:
         a1 = ascent_of(imt, 8, tol)
         rows.append(
-            _claim(
+            make_claim(
                 "one_minus_t_ascent",
                 hyp_c,
                 "pass" if a1 is not None and a1 <= 1 else "fail",
@@ -438,7 +428,7 @@ def verify_structure_theorems(
         )
         a2 = ascent_of(adj, 8, tol)
         rows.append(
-            _claim(
+            make_claim(
                 "one_minus_t_adjoint_ascent",
                 hyp_c,
                 "pass" if a2 is not None and a2 <= 1 else "fail",
@@ -447,15 +437,17 @@ def verify_structure_theorems(
             )
         )
     else:
-        rows.append(_claim("one_minus_t_ascent", hyp_c, "not_checked", fp=fp))
-        rows.append(_claim("one_minus_t_adjoint_ascent", hyp_c, "not_checked", fp=fp))
+        rows.append(make_claim("one_minus_t_ascent", hyp_c, "not_checked", fp=fp))
+        rows.append(
+            make_claim("one_minus_t_adjoint_ascent", hyp_c, "not_checked", fp=fp)
+        )
 
     # dense sum surrogate: equality with the whole space
     d_sum = subspace_sum(r2, null2).dim
     d_int = subspace_intersection(r2, null2).dim
     ok = d_sum == n and d_int == 0
     rows.append(
-        _claim(
+        make_claim(
             "square_sum_dense",
             "none",
             "pass" if ok else "fail",
@@ -473,7 +465,7 @@ def verify_structure_theorems(
             and subspace_intersection(rng_imt, nul_imt).dim == 0
         )
         rows.append(
-            _claim(
+            make_claim(
                 "one_minus_t_direct_sum",
                 hyp_c,
                 "pass" if ok else "fail",
@@ -482,7 +474,7 @@ def verify_structure_theorems(
             )
         )
     else:
-        rows.append(_claim("one_minus_t_direct_sum", hyp_c, "not_checked", fp=fp))
+        rows.append(make_claim("one_minus_t_direct_sum", hyp_c, "not_checked", fp=fp))
 
     # ergodic chain
     if criterion_holds:
@@ -500,7 +492,7 @@ def verify_structure_theorems(
             solve_ok = False
         invertible = solve_ok
         rows.append(
-            _claim(
+            make_claim(
                 "ergodic_invertibility",
                 hyp_c,
                 "pass" if invertible == full_rank else "fail",
@@ -525,7 +517,7 @@ def verify_structure_theorems(
             scale = float(np.max(np.abs(target)))
             ok = _decreasing_to_zero(res, 1e-12 * (1.0 + scale))
             rows.append(
-                _claim(
+                make_claim(
                     "ergodic_bn_convergence",
                     hyp_c,
                     "pass" if ok else "fail",
@@ -536,7 +528,7 @@ def verify_structure_theorems(
             )
         else:
             rows.append(
-                _claim(
+                make_claim(
                     "ergodic_bn_convergence",
                     hyp_c,
                     "not_checked",
@@ -562,7 +554,7 @@ def verify_structure_theorems(
             ok = inv_res <= tol and _decreasing_to_zero(res, 1e-12 * (1.0 + scale))
             residual = inv_res
         rows.append(
-            _claim(
+            make_claim(
                 "ergodic_cesaro_limit",
                 hyp_c,
                 "pass" if ok else "fail",
@@ -574,6 +566,6 @@ def verify_structure_theorems(
         )
     else:
         for cid in ("ergodic_invertibility", "ergodic_bn_convergence", "ergodic_cesaro_limit"):
-            rows.append(_claim(cid, hyp_c, "not_checked", fp=fp))
+            rows.append(make_claim(cid, hyp_c, "not_checked", fp=fp))
 
     return rows

@@ -2,9 +2,15 @@
 
 A Young function here is an even convex evaluator with phi(0) = 0 that may
 take the value +inf beyond ``b_phi``. Evaluation is vectorized over numpy
-arrays. The conjugate of a scaled power has a closed form; every other
-conjugate is computed numerically by maximizing x*|y| - phi(x), which is
-concave in x for fixed y.
+arrays.
+
+Power laws phi(x) = c|x|^p (``power_scaled`` is c = 1/p, ``power_plain`` is
+c = 1) are exact: their generalized inverse is (y/c)^(1/p) and, for p > 1,
+their conjugate is again a power law c'|y|^q with q = p/(p-1), whose inverse
+is exact too. Every other gauge (``exp_type``, ``deadzone``, ``capped``,
+p = 1 powers, user-built evaluators) is numeric: its conjugate maximizes
+x*|y| - phi(x), which is concave in x for fixed y, and its inverse bisects.
+The numeric routes also serve as independent oracles for the exact ones.
 """
 
 from __future__ import annotations
@@ -33,7 +39,9 @@ class YoungFunction:
     """Even convex gauge with phi(0) = 0, audited on a grid at construction.
 
     ``inverse_hint``, when set, computes the generalized inverse directly;
-    numeric conjugates use it to avoid bisecting over their own maximizer.
+    power laws use it for their closed form, and numeric conjugates to avoid
+    bisecting over their own maximizer. ``_power`` is the pair (c, p) of a
+    power law phi(x) = c|x|^p, set by the factories and None otherwise.
     """
 
     def __init__(self, kind, params, fn, a_phi=0.0, b_phi=np.inf, inverse_hint=None):
@@ -43,6 +51,7 @@ class YoungFunction:
         self.a_phi = float(a_phi)
         self.b_phi = float(b_phi)
         self._inverse_hint = inverse_hint
+        self._power = None
         if not self.b_phi > 0:
             raise ValueError("b_phi must be > 0")
         if self.a_phi < 0:
@@ -93,18 +102,29 @@ class YoungFunction:
                     raise ValueError("b_phi inconsistent: not left-continuous")
 
 
+def _power_law(kind: str, params, c: float, p: float, fn) -> YoungFunction:
+    """The gauge c|x|^p evaluated by ``fn``, with its exact inverse attached.
+
+    Each caller passes its own ``fn`` so the evaluator keeps that factory's
+    rounding (``x**p / p`` and ``(1/p) * x**p`` differ in the last bits).
+    """
+    phi = YoungFunction(kind, params, fn, inverse_hint=lambda y: (y / c) ** (1.0 / p))
+    phi._power = (c, p)
+    return phi
+
+
 def power_scaled(p: float) -> YoungFunction:
     """phi(x) = |x|^p / p for p >= 1."""
     if p < 1:
         raise ValueError("power_scaled requires p >= 1")
-    return YoungFunction("power_scaled", (p,), lambda x: x**p / p)
+    return _power_law("power_scaled", (p,), 1.0 / p, p, lambda x: x**p / p)
 
 
 def power_plain(p: float) -> YoungFunction:
     """phi(x) = |x|^p for p >= 1."""
     if p < 1:
         raise ValueError("power_plain requires p >= 1")
-    return YoungFunction("power_plain", (p,), lambda x: x**p)
+    return _power_law("power_plain", (p,), 1.0, p, lambda x: x**p)
 
 
 def exp_type() -> YoungFunction:
@@ -223,17 +243,24 @@ def complementary(
 ) -> YoungFunction:
     """Conjugate in the sense of Young: psi(y) = sup{x|y| - phi(x) : x >= 0}.
 
-    Scaled powers with p > 1 conjugate in closed form to the dual exponent;
-    everything else gets a numeric conjugate whose maximization is capped at
+    Power laws c|x|^p with p > 1 conjugate exactly to c'|y|^q with
+    q = p/(p-1) and c' = (p-1)/p * (c*p)^(-1/(p-1)); ``power_scaled(p)``
+    gives ``power_scaled(q)`` and ``power_plain(p)`` gives
+    (p-1) p^(-q) |y|^q. Both carry their exact inverse. Everything else,
+    p = 1 included, gets a numeric conjugate whose maximization is capped at
     ``grid_max`` (an approximation only in the far tail).
     """
     if grid_max <= 0:
         raise ValueError("grid_max must be positive")
     if grid_n < 100:
         raise ValueError("grid_n must be at least 100")
-    if phi.kind == "power_scaled" and phi.params[0] > 1:
-        p = phi.params[0]
-        return power_scaled(p / (p - 1.0))
+    if phi._power is not None and phi._power[1] > 1:
+        c, p = phi._power
+        q = p / (p - 1.0)
+        if phi.kind == "power_scaled":
+            return power_scaled(q)
+        c_q = (p - 1.0) / p * (c * p) ** (-1.0 / (p - 1.0))
+        return _power_law("power_law", (c_q, q), c_q, q, lambda y: c_q * y**q)
 
     def fn(x):
         return _conjugate_eval(phi, x, grid_max, grid_n)
@@ -251,10 +278,13 @@ def complementary(
 
 
 def generalized_inverse(phi: YoungFunction, y, tol: float = 1e-10):
-    """inf{x >= 0 : phi(x) > y}, by bisection on the nondecreasing evaluator.
+    """inf{x >= 0 : phi(x) > y}; +inf inputs map to +inf.
 
-    Returns +inf when phi never exceeds y within the bracket cap. Accepts
-    scalars or arrays; +inf inputs map to +inf.
+    Gauges with an inverse hint (power laws and their conjugates exactly,
+    numeric conjugates through their slope identity) answer through it, and
+    ``tol`` does not apply. Every other gauge bisects its nondecreasing
+    evaluator to ``tol`` and returns +inf when phi never exceeds y within
+    the bracket cap. Accepts scalars or arrays.
     """
     if tol <= 0:
         raise ValueError("tol must be > 0")

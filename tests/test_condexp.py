@@ -6,7 +6,9 @@ from orlicz_wct import (
     FiniteMeasureSpace,
     OrliczContext,
     Partition,
+    YoungFunction,
     check_condexp_laws,
+    complementary,
     cond_exp,
     deadzone,
     estimate_gch_constant,
@@ -163,6 +165,22 @@ class TestGchConstant:
             estimate_gch_constant(
                 e_one_block, power_scaled(2), power_scaled(3), samples=10
             )
+
+    def test_rejects_scaled_conjugate(self, e_one_block):
+        # 2 psi dominates psi, so Young's inequality still holds; only the
+        # comparison with the numerically maximized conjugate can catch it
+        phi = power_plain(1.5)
+        psi = complementary(phi)
+        doubled = YoungFunction("doubled", (), lambda y: 2.0 * psi(y))
+        with pytest.raises(ValueError, match="conjugate audit failed"):
+            estimate_gch_constant(e_one_block, phi, doubled, samples=10)
+
+    def test_accepts_exact_conjugate_beyond_the_search_cap(self, e_one_block):
+        # for p = 1.1 the maximizer behind psi(100) lies near 1e20, beyond
+        # any search cap; the capped numeric value only bounds psi from below
+        phi = power_scaled(1.1)
+        c = estimate_gch_constant(e_one_block, phi, complementary(phi), samples=10)
+        assert c > 0.0
 
     def test_report_detail(self, e_one_block):
         value, detail = gch_constant_report(

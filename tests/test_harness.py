@@ -155,6 +155,23 @@ class TestRunVerification:
         report = run_verification(s, seed=0)
         assert [r.claim_id for r in report.entries] == ["iterate_closed_form"]
 
+    def test_comparison_tolerance_reaches_condexp_laws(self, r1_scenario_dict):
+        # block averaging rounds differently on the two sides of the pull-out
+        # law, leaving residuals near 1e-16: inside the default tolerance,
+        # outside a declared 1e-30
+        def pullout(tolerances):
+            data = dict(
+                r1_scenario_dict, experiments=["condexp_laws"], tolerances=tolerances
+            )
+            report = run_verification(scenario_from_dict(data), seed=0)
+            by_id = {r.claim_id: r for r in report.entries}
+            return by_id["condexp_product_pullout"]
+
+        assert pullout({}).status == "pass"
+        tight = pullout({"comparison": 1e-30})
+        assert tight.status == "fail"
+        assert 0.0 < tight.residual <= 1e-9
+
     def test_anchor_strings_from_registry(self, r1_scenario_dict):
         s = scenario_from_dict(r1_scenario_dict)
         report = run_verification(s, seed=0)

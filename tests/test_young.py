@@ -12,6 +12,7 @@ from orlicz_wct import (
     power_plain,
     power_scaled,
 )
+from orlicz_wct.young import _conjugate_eval
 
 CATALOG = [
     power_scaled(2),
@@ -68,9 +69,10 @@ class TestComplementary:
         psi = complementary(deadzone())
         assert psi(0.5) == pytest.approx(oracle, abs=1e-8)
 
-    def test_numeric_conjugate_of_power_plain(self):
-        # oracle: dense maximization of x*y - x^2, maximum y^2/4 at x = y/2
-        psi = complementary(power_plain(2))
+    def test_numeric_conjugate_of_non_catalog_square(self):
+        # oracle: dense maximization of x*y - x^2, maximum y^2/4 at x = y/2;
+        # a gauge built outside the catalog has no closed form to fall back on
+        psi = complementary(YoungFunction("square", (), lambda x: x**2))
         assert psi.kind == "numeric_conjugate"
         for y in (0.5, 1.0, 3.0, 10.0):
             xs = np.linspace(0.0, 4.0 * y, 200001)
@@ -84,12 +86,29 @@ class TestComplementary:
         np.testing.assert_allclose(back(xs), phi(xs), rtol=1e-6)
 
     def test_numeric_biconjugation(self):
-        # numeric route: conjugate of the numeric conjugate of power_plain(2)
-        # must come back to x^2 on a grid
-        phi = power_plain(2)
+        # numeric route: conjugate of the numeric conjugate of a non-catalog
+        # square must come back to x^2 on a grid
+        phi = YoungFunction("square", (), lambda x: x**2)
         back = complementary(complementary(phi))
+        assert back.kind == "numeric_conjugate"
         xs = np.logspace(-2, 2, 25)
         np.testing.assert_allclose(back(xs), phi(xs), rtol=1e-6, atol=1e-9)
+
+    @pytest.mark.parametrize("factory", [power_scaled, power_plain])
+    @pytest.mark.parametrize("p", [1.25, 1.5, 2.0, 3.0, 4.0])
+    def test_power_closed_form_against_numeric_conjugate(self, factory, p):
+        # oracle: the numeric maximization, with a search cap past every
+        # maximizer on the grid and the ternary search run to exhaustion
+        phi = factory(p)
+        ys = np.logspace(-6, 6, 49)
+        oracle = _conjugate_eval(phi, ys, grid_max=1e30, grid_n=129, xtol=0.0)
+        psi = complementary(phi)
+        assert psi.kind != "numeric_conjugate"
+        np.testing.assert_allclose(psi(ys), oracle, rtol=1e-9, atol=0.0)
+
+    def test_p_one_stays_numeric(self):
+        assert complementary(power_plain(1)).kind == "numeric_conjugate"
+        assert complementary(power_scaled(1)).kind == "numeric_conjugate"
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError, match="grid_n"):
@@ -147,6 +166,35 @@ class TestGeneralizedInverse:
         xs = rng.uniform(1e-3, 20.0, 1000)
         back = generalized_inverse(phi, phi(xs))
         np.testing.assert_allclose(back, xs, rtol=1e-8, atol=1e-8)
+
+
+class TestClosedFormInverse:
+    @pytest.mark.parametrize("conjugate", [False, True], ids=["phi", "psi"])
+    @pytest.mark.parametrize("factory", [power_scaled, power_plain])
+    @pytest.mark.parametrize("p", [1.25, 1.5, 2.0, 3.0, 4.0])
+    def test_against_bisection(self, p, factory, conjugate):
+        # oracle: bisection on a gauge with the same evaluator and no hint
+        phi = complementary(factory(p)) if conjugate else factory(p)
+        bare = YoungFunction("bare", (), phi._fn)
+        ys = np.logspace(-6, 6, 49)
+        oracle = generalized_inverse(bare, ys, tol=1e-15)
+        np.testing.assert_allclose(
+            generalized_inverse(phi, ys), oracle, rtol=1e-9, atol=0.0
+        )
+
+    @pytest.mark.parametrize("factory", [power_scaled, power_plain])
+    def test_finite_beyond_the_bisection_bracket(self, factory):
+        phi = factory(2.0)
+        y = float(phi(1e15)) * 1e4
+        assert np.isinf(generalized_inverse(YoungFunction("bare", (), phi._fn), y))
+        inv = generalized_inverse(phi, y)
+        assert inv == pytest.approx(1e17, rel=1e-12)
+        assert phi(inv) == pytest.approx(y, rel=1e-12)
+
+    def test_zero_and_inf(self):
+        psi = complementary(power_plain(1.5))
+        out = generalized_inverse(psi, np.array([0.0, np.inf]))
+        assert out[0] == 0.0 and np.isinf(out[1])
 
 
 class TestGrowthConditions:
