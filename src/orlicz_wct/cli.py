@@ -7,6 +7,7 @@ runs can pin reproducibility without editing command lines.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -46,7 +47,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--tol-norm",
         type=float,
         default=None,
-        help="override norm bisection tolerance",
+        help="override norm bisection tolerance (norm subcommand only)",
     )
     common.add_argument(
         "--format", choices=("json", "text"), default="text", help="output format"
@@ -99,17 +100,7 @@ def _apply_overrides(scenario, args):
         tolerances["rank"] = args.tol_rank
     if args.tol_norm is not None:
         tolerances["norm_bisection"] = args.tol_norm
-    return type(scenario)(
-        space=scenario.space,
-        partition=scenario.partition,
-        u=scenario.u,
-        w=scenario.w,
-        phi=scenario.phi,
-        tolerances=tolerances,
-        experiments=scenario.experiments,
-        profile=scenario.profile,
-        seed=scenario.seed,
-    )
+    return dataclasses.replace(scenario, tolerances=tolerances)
 
 
 def _emit(payload: dict, fmt: str) -> None:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import datetime as _dt
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -648,18 +648,14 @@ def run_verification(
             profile=profile,
             tol=scenario.tolerances["rank"],
         )
-        child = Scenario(
-            space=child.space,
-            partition=child.partition,
-            u=child.u,
-            w=child.w,
-            phi=child.phi,
+        # keep the seed of the draw that was accepted, so the fingerprint
+        # rebuilds the instance that ran even after a redraw
+        child = replace(
+            child,
             tolerances=scenario.tolerances,
             experiments=tuple(
                 g for g in scenario.experiments if g in _FAST_GROUPS
             ),
-            profile=profile,
-            seed=child_seed,
         )
         child_fp = child.fingerprint()
         for row in _scenario_claims(child, child_seed, child_fp):

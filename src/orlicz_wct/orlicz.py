@@ -1,4 +1,12 @@
-"""Modulars, Luxemburg norms, and Orlicz-space membership on atomic spaces."""
+"""Modulars, Luxemburg norms, and Orlicz-space membership on atomic spaces.
+
+Luxemburg norms of power laws phi(x) = c|x|^p are exact: the modular is
+p-homogeneous, so N(f) = (c * sum |f_i|^p mu_i)^(1/p). It is computed in one
+pass and rounded up an ulp at a time until modular(f/N) <= 1 holds in
+floating point. Every other gauge bisects k -> modular(f/k) to a relative
+tolerance ``tol``, which governs that route only. The bisection also serves
+as the independent oracle for the exact route in the tests.
+"""
 
 from __future__ import annotations
 
@@ -34,17 +42,79 @@ def modular(ctx: OrliczContext, f) -> float:
     return float(ctx.phi(f) @ ctx.space.weights)
 
 
-def _modular_cols(ctx: OrliczContext, cols: np.ndarray) -> np.ndarray:
-    """Modular of every column of an (n_atoms, m) array."""
-    return ctx.phi(cols).T @ ctx.space.weights
+def _row_modulars(ctx: OrliczContext, rows: np.ndarray) -> np.ndarray:
+    """Modular of every row of a C-contiguous (m, n_atoms) array.
+
+    Each row is summed by its own dot product, exactly as ``modular`` sums
+    one function, so a bound checked here holds for ``modular`` bit for bit.
+    """
+    return (ctx.phi(rows)[:, None, :] @ ctx.space.weights[:, None])[:, 0, 0]
+
+
+def _power_law_norms(
+    ctx: OrliczContext, rows: np.ndarray, sup: np.ndarray, tol: float
+) -> np.ndarray:
+    """Exact norms for phi = c|x|^p, whose modular is p-homogeneous.
+
+    N(f) = s * modular(f/s)^(1/p) for any s > 0; s = max|f| keeps the
+    evaluation clear of overflow and underflow. A check pass then raises k
+    by an ulp wherever rounding left modular(f/k) above 1 (or NaN, from a
+    k that underflowed to 0). Rows still not at most 1 after 16 ulps are
+    bisected instead; only weights near the ends of the float range, where
+    the evaluator loses accuracy, get there.
+    """
+    p = ctx.phi._power[1]
+    k = sup * _row_modulars(ctx, rows / sup[:, None]) ** (1.0 / p)
+    over = ~(_row_modulars(ctx, rows / k[:, None]) <= 1.0)
+    for _ in range(16):
+        if not over.any():
+            return k
+        k[over] = np.nextafter(k[over], np.inf)
+        over = ~(_row_modulars(ctx, rows / k[:, None]) <= 1.0)
+    k[over] = _bisected_norms(ctx, rows[over], sup[over], tol)
+    return k
+
+
+def _bisected_norms(
+    ctx: OrliczContext, rows: np.ndarray, sup: np.ndarray, tol: float
+) -> np.ndarray:
+    """Norms of nonzero rows by bisection on k -> modular(f/k)."""
+    tiny = np.finfo(float).tiny
+    hi = sup.copy()
+    lo = np.maximum(1e-15 * sup, tiny)
+    for _ in range(200):
+        grow = _row_modulars(ctx, rows / hi[:, None]) > 1.0
+        if not grow.any():
+            break
+        hi[grow] *= 2.0
+    for _ in range(200):
+        # never shrink into subnormals: a bracket floor of `tiny` already
+        # certifies a norm of zero at working precision
+        shrink = (_row_modulars(ctx, rows / lo[:, None]) <= 1.0) & (lo > tiny)
+        if not shrink.any():
+            break
+        lo[shrink] *= 0.5
+    for _ in range(200):
+        if not np.any(hi - lo > tol * hi):
+            break
+        mid = 0.5 * (lo + hi)
+        small = _row_modulars(ctx, rows / mid[:, None]) <= 1.0
+        hi = np.where(small, mid, hi)
+        lo = np.where(small, lo, mid)
+    return hi
 
 
 def luxemburg_norms(ctx: OrliczContext, cols, tol: float = 1e-10) -> np.ndarray:
     """Luxemburg norm of every column of an (n_atoms, m) array.
 
-    Bisection on k over the nonincreasing map k -> modular(f/k), bracketing
-    until modular(f/k_hi) <= 1 <= modular(f/k_lo), then narrowing to relative
-    tolerance ``tol``. The returned k satisfies modular(f/k) <= 1.
+    Power laws phi = c|x|^p (``YoungFunction._power`` set) are exact: the
+    norm is (c * sum |f_i|^p mu_i)^(1/p), computed in one pass and then
+    raised by an ulp at a time until modular(f/k) <= 1 holds in floating
+    point, so it sits within a few ulps of the true norm and ``tol`` does
+    not apply. Every other gauge bisects the nonincreasing map
+    k -> modular(f/k), bracketing until modular(f/k_hi) <= 1 <= modular(f/k_lo),
+    then narrowing to relative tolerance ``tol``. Either way the returned k
+    satisfies modular(f/k) <= 1, and zero columns map to 0.
     """
     if tol <= 0:
         raise ValueError("tol must be > 0")
@@ -58,30 +128,9 @@ def luxemburg_norms(ctx: OrliczContext, cols, tol: float = 1e-10) -> np.ndarray:
     active = sup > 0.0
     if not active.any():
         return out
-    tiny = np.finfo(float).tiny
-    f = cols[:, active]
-    hi = sup[active].copy()
-    lo = np.maximum(1e-15 * sup[active], tiny)
-    for _ in range(200):
-        grow = _modular_cols(ctx, f / hi[None, :]) > 1.0
-        if not grow.any():
-            break
-        hi[grow] *= 2.0
-    for _ in range(200):
-        # never shrink into subnormals: a bracket floor of `tiny` already
-        # certifies a norm of zero at working precision
-        shrink = (_modular_cols(ctx, f / lo[None, :]) <= 1.0) & (lo > tiny)
-        if not shrink.any():
-            break
-        lo[shrink] *= 0.5
-    for _ in range(200):
-        if not np.any(hi - lo > tol * hi):
-            break
-        mid = 0.5 * (lo + hi)
-        small = _modular_cols(ctx, f / mid[None, :]) <= 1.0
-        hi = np.where(small, mid, hi)
-        lo = np.where(small, lo, mid)
-    out[active] = hi
+    rows = np.ascontiguousarray(cols[:, active].T)
+    route = _bisected_norms if ctx.phi._power is None else _power_law_norms
+    out[active] = route(ctx, rows, sup[active], tol)
     return out
 
 

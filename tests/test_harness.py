@@ -172,6 +172,37 @@ class TestRunVerification:
         assert tight.status == "fail"
         assert 0.0 < tight.residual <= 1e-9
 
+    def test_failing_fingerprint_rebuilds_a_redrawn_instance(
+        self, r1_scenario_dict, monkeypatch
+    ):
+        # at seed 2 the first random instance (seed 200006) is ill
+        # conditioned and redrawn; fail the iterate claim on every random
+        # instance so the report points at that one
+        import orlicz_wct.harness as harness
+
+        ran = []
+
+        def failing_iterate_claims(t, comparison_tol, fp):
+            ran.append(t)
+            status = "pass" if "instances" in fp else "fail"
+            return [harness.make_claim("iterate_closed_form", "none", status, fp=fp)]
+
+        monkeypatch.setattr(harness, "_iterate_claims", failing_iterate_claims)
+        data = dict(r1_scenario_dict, experiments=["iterate_formula"])
+        report = run_verification(scenario_from_dict(data), seed=2, instances=1)
+        (row,) = report.entries
+        assert row.status == "fail"
+        fp = row.fingerprint
+        assert fp["seed"] != 2 * 100003
+        rebuilt = generate_random_instance(
+            fp["seed"], fp["n_atoms"], fp["n_blocks"], fp["profile"]
+        ).operator()
+        child = ran[1]
+        np.testing.assert_array_equal(rebuilt.u, child.u)
+        np.testing.assert_array_equal(rebuilt.w, child.w)
+        np.testing.assert_array_equal(rebuilt.space.weights, child.space.weights)
+        assert rebuilt.e.partition == child.e.partition
+
     def test_anchor_strings_from_registry(self, r1_scenario_dict):
         s = scenario_from_dict(r1_scenario_dict)
         report = run_verification(s, seed=0)

@@ -6,7 +6,9 @@ from hypothesis import strategies as st
 from orlicz_wct import (
     FiniteMeasureSpace,
     OrliczContext,
+    YoungFunction,
     capped,
+    complementary,
     deadzone,
     exp_type,
     in_orlicz_space,
@@ -16,6 +18,11 @@ from orlicz_wct import (
     power_plain,
     power_scaled,
 )
+
+
+def _bare(phi):
+    """Same evaluator without the power-law pair, so norms bisect."""
+    return YoungFunction("bare", phi.params, phi._fn)
 
 
 @pytest.fixture
@@ -105,18 +112,22 @@ class TestLuxemburgNorm:
                 assert modular(ctx, f / norm) <= 1.0 + 1e-8
 
     def test_lebesgue_consistency(self):
-        # for phi = |x|^p the norm is the weighted p-norm
+        # for phi = |x|^p the norm is the weighted p-norm, on the closed-form
+        # route of the catalog gauge and on the bisection route of a
+        # hint-less gauge with the same evaluator
         rng = np.random.default_rng(5)
         for p in (1.5, 2.0, 3.0):
             space = FiniteMeasureSpace.from_weights(rng.uniform(0.2, 2.0, 8))
-            ctx = OrliczContext(space, power_plain(p))
+            phi = power_plain(p)
+            ctxs = [OrliczContext(space, phi), OrliczContext(space, _bare(phi))]
             for _ in range(30):
                 f = rng.uniform(-3, 3, 8)
                 oracle = float(
                     np.sum(np.abs(f) ** p * space.weights) ** (1.0 / p)
                 )
-                got = luxemburg_norm(ctx, f)
-                assert got == pytest.approx(oracle, abs=1e-9 * (1 + oracle))
+                for ctx in ctxs:
+                    got = luxemburg_norm(ctx, f)
+                    assert got == pytest.approx(oracle, abs=1e-9 * (1 + oracle))
 
     def test_monotone_in_absolute_value(self):
         rng = np.random.default_rng(6)
@@ -135,6 +146,72 @@ class TestLuxemburgNorm:
     def test_non_finite_rejected(self, ctx_pp2):
         with pytest.raises(ValueError, match="finite"):
             luxemburg_norm(ctx_pp2, [np.inf, 1.0])
+
+
+class TestPowerLawNorms:
+    """Closed-form norms of power laws against bisection on the same evaluator."""
+
+    SCALES = (1e-150, 1e-8, 1.0, 1e8, 1e150)
+
+    def _cols(self, rng, n_atoms):
+        cols = []
+        for scale in self.SCALES:
+            block = scale * rng.uniform(-3.0, 3.0, (n_atoms, 12))
+            block[rng.random(block.shape) < 0.2] = 0.0
+            block[:, 0] = 0.0
+            cols.append(block)
+        return np.hstack(cols)
+
+    def _gauges(self):
+        for p in (1.0, 1.25, 1.5, 2.0, 3.0, 4.0):
+            for phi in (power_scaled(p), power_plain(p)):
+                yield phi
+                if p > 1:
+                    yield complementary(phi)
+
+    def test_matches_bisection_and_keeps_the_unit_ball(self):
+        rng = np.random.default_rng(11)
+        for phi in self._gauges():
+            assert phi._power is not None, phi
+            space = FiniteMeasureSpace.from_weights(rng.uniform(0.2, 2.0, 9))
+            cols = self._cols(rng, space.n_atoms)
+            ctx = OrliczContext(space, phi)
+            exact = luxemburg_norms(ctx, cols)
+            bisected = luxemburg_norms(OrliczContext(space, _bare(phi)), cols)
+            np.testing.assert_array_equal(exact == 0.0, bisected == 0.0)
+            np.testing.assert_array_equal(exact == 0.0, ~cols.any(axis=0))
+            live = exact > 0.0
+            gap = np.abs(exact[live] - bisected[live]) / bisected[live]
+            assert gap.max() <= 2e-10, (phi, gap.max())
+            # the closed form itself: a few ulps from the weighted p-norm
+            c, p = phi._power
+            f = cols[:, live]
+            s = np.abs(f).max(axis=0)
+            direct = s * (c * space.weights @ np.abs(f / s) ** p) ** (1.0 / p)
+            np.testing.assert_allclose(exact[live], direct, rtol=1e-13)
+            for j in np.flatnonzero(live):
+                assert modular(ctx, cols[:, j] / exact[j]) <= 1.0, (phi, j)
+
+    def test_subnormal_weights_fall_back_to_bisection(self):
+        # the evaluator loses precision with weights this small, so the
+        # closed form stays above modular 1 for more than 16 ulps; those
+        # columns get exactly what the bisection route returns (this checks
+        # the route taken and that it terminates, not the value)
+        cases = [
+            ([1e-320, 5e-321, 1e-319], [[1.0, 0.5], [-2.0, 0.0], [0.5, 3.0]]),
+            # the modular at f/max|f| rounds to 0, so the closed form gives
+            # k = 0 and modular(f/k) is NaN; that too must fall back
+            ([5e-324, 5e-324], [[1.0], [0.0]]),
+        ]
+        for weights, f in cases:
+            space = FiniteMeasureSpace.from_weights(weights)
+            for phi in (power_plain(2), power_scaled(2)):
+                exact = luxemburg_norms(OrliczContext(space, phi), np.array(f))
+                bisected = luxemburg_norms(
+                    OrliczContext(space, _bare(phi)), np.array(f)
+                )
+                np.testing.assert_array_equal(exact, bisected)
+                assert np.all(exact > 0.0), (weights, phi, exact)
 
 
 class TestMembership:
