@@ -36,7 +36,11 @@ _MODES = ("direct", "closed_form")
 
 @dataclass(frozen=True)
 class WctOperator:
-    """The operator f -> w * E(u * f) with cached symbol h = E(u * w)."""
+    """The operator f -> w * E(u * f) with cached symbol h = E(u * w).
+
+    The dense matrix is built once, here, and stored read-only; ``matrix_of``
+    hands out that one array.
+    """
 
     u: np.ndarray
     w: np.ndarray
@@ -48,6 +52,9 @@ class WctOperator:
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "w", w)
         object.__setattr__(self, "h", cond_exp(self.e, u * w))
+        m = (w[:, None] * self.e.matrix) * u[None, :]
+        m.flags.writeable = False
+        object.__setattr__(self, "_matrix", m)
 
     @property
     def space(self):
@@ -66,8 +73,11 @@ def apply(t: WctOperator, f) -> np.ndarray:
 
 
 def matrix_of(t: WctOperator) -> np.ndarray:
-    """Dense matrix whose columns are the images of atom indicators."""
-    return (t.w[:, None] * t.e.matrix) * t.u[None, :]
+    """Dense matrix whose columns are the images of atom indicators.
+
+    The operator's cached read-only array: the same object on every call.
+    """
+    return t._matrix
 
 
 def _check_mode(mode: str):

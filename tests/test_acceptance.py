@@ -47,7 +47,7 @@ from orlicz_wct import (
     support,
 )
 from orlicz_wct.harness import PROFILES, Scenario, generate_well_conditioned_instance
-from orlicz_wct.subspace import _power_ranks
+from orlicz_wct.subspace import _rank_scan
 
 RANK_TOL = 1e-8
 
@@ -96,7 +96,7 @@ def test_criterion_01_ascent_bound():
         s = draw(1_000 + i, PROFILES[i % len(PROFILES)])
         m = matrix_of(s.operator())
         n = m.shape[0]
-        ranks = _power_ranks(m, 6, RANK_TOL)
+        ranks = _rank_scan(m, RANK_TOL, np.linalg.svd, 6)[0][:7]
         dims = [n - r for r in ranks]
         ascent = next(k for k in range(6) if dims[k] == dims[k + 1])
         assert ascent <= 2, (s.fingerprint(), dims)
@@ -135,7 +135,7 @@ def test_criterion_03_descent_bound(bounded_away_instances):
     """Descent <= 2 and range-chain stabilization when |h| >= 1e-6 on S(h)."""
     for s, t in bounded_away_instances:
         m = matrix_of(t)
-        ranks = _power_ranks(m, 6, RANK_TOL)
+        ranks = _rank_scan(m, RANK_TOL, np.linalg.svd, 6)[0][:7]
         descent = next(k for k in range(6) if ranks[k] == ranks[k + 1])
         assert descent <= 2, (s.fingerprint(), ranks)
         assert all(ranks[2 + j] == ranks[2] for j in range(1, 5)), (

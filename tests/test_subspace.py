@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from orlicz_wct import (
     subspace_sum,
     verify_structure_theorems,
 )
-from orlicz_wct.harness import generate_well_conditioned_instance
+from orlicz_wct.harness import PROFILES, generate_well_conditioned_instance
 from orlicz_wct.subspace import powers_well_conditioned
 
 from conftest import random_operator
@@ -91,13 +93,13 @@ class TestAscentDescent:
         assert descent_of(shift, k_max=3) is None
 
     def test_chain_monotone_and_stabilizes(self):
-        from orlicz_wct.subspace import _power_ranks
+        from orlicz_wct.subspace import _rank_scan
 
         for seed in range(40):
             t = random_operator(seed, well_conditioned=True)
             m = matrix_of(t)
             n = m.shape[0]
-            ranks = _power_ranks(m, 8, 1e-8)
+            ranks = _rank_scan(m, 1e-8, np.linalg.svd, 8)[0][:9]
             dims = [n - r for r in ranks]
             assert all(a <= b for a, b in zip(dims, dims[1:]))
             stable_at = None
@@ -215,6 +217,67 @@ class TestStructureTheorems:
             rows = verify_structure_theorems(t, s.context(), seed=i)
             bad = [r for r in rows if r.status == "fail"]
             assert not bad, [(r.claim_id, r.detail) for r in bad]
+
+
+class TestFactorOnce:
+    """The structure pass forms each factorization once and reports the same
+    chains as the standalone scans and a hand-written power loop."""
+
+    def test_no_svd_repeats_within_one_pass(self, monkeypatch, r1, r3):
+        keys = []
+        real = np.linalg.svd
+
+        def spy(a, full_matrices=True, compute_uv=True, hermitian=False):
+            a = np.asarray(a)
+            keys.append((a.tobytes(), a.shape, compute_uv, full_matrices))
+            return real(a, full_matrices, compute_uv, hermitian)
+
+        monkeypatch.setattr(np.linalg, "svd", spy)
+        # np.linalg.norm(., 2) calls the svd bound in its own module
+        monkeypatch.setitem(getattr(real, "__wrapped__", real).__globals__, "svd", spy)
+        operators = [r1, r3] + [
+            generate_well_conditioned_instance(40 + i, 9, 3, profile).operator()
+            for i, profile in enumerate(PROFILES)
+        ]
+        for t in operators:
+            keys.clear()
+            verify_structure_theorems(t, OrliczContext(t.space, power_scaled(2)))
+            assert keys
+            repeats = {k[1:] for k in keys if keys.count(k) > 1}
+            assert not repeats, (t.h, repeats)
+
+    @staticmethod
+    def _loop_ranks(m, tol=1e-8, k_max=6):
+        # reference: rank of each sequential power at its power-scaled cut
+        smax = float(np.linalg.svd(m, compute_uv=False)[0])
+        ranks, power = [m.shape[0]], np.eye(m.shape[0])
+        for k in range(1, k_max + 1):
+            power = power @ m
+            s = np.linalg.svd(power, compute_uv=False)
+            cut = max(tol * s[0], 1e-11 * smax**k if smax > 0 else 0.0)
+            ranks.append(int(np.sum(s > cut)))
+        return ranks
+
+    def test_rows_match_standalone_scans(self):
+        for seed in range(50):
+            t = random_operator(seed, well_conditioned=True)
+            m = matrix_of(t)
+            n = m.shape[0]
+            rows = by_id(verify_structure_theorems(t, OrliczContext(t.space, power_scaled(2))))
+            ranks = self._loop_ranks(m)
+            detail = rows["ascent_bound"].detail
+            assert f"ascent={ascent_of(m)}," in detail
+            assert f"kernel dims {[n - r for r in ranks]}" in detail
+            assert rows["null_chain_stabilization"].detail == (
+                f"kernel dims {[n - r for r in ranks]}"
+            )
+            if rows["descent_bound"].status != "not_checked":
+                detail = rows["descent_bound"].detail
+                assert f"descent={descent_of(m)}," in detail
+                assert f"range dims {ranks}," in detail
+                assert rows["range_chain_stabilization"].detail == f"range dims {ranks}"
+            stable = next(k for k in range(6) if ranks[k] == ranks[k + 1])
+            assert re.search(rf"ascent={stable}\b", rows["ascent_bound"].detail)
 
 
 class TestConditioning:

@@ -74,6 +74,17 @@ class TestMatrix:
         t = WctOperator([1.0, 1.0], [0.0, 0.0], e_one_block)
         np.testing.assert_allclose(matrix_of(t), np.zeros((2, 2)))
 
+    def test_matrix_is_cached_and_read_only(self):
+        for seed in range(10):
+            t = random_operator(seed)
+            m = matrix_of(t)
+            assert matrix_of(t) is m
+            assert not m.flags.writeable
+            expected = (t.w[:, None] * t.e.matrix) * t.u[None, :]
+            assert m.tobytes() == expected.tobytes()
+            with pytest.raises(ValueError, match="read-only"):
+                m[0, 0] = 1.0
+
     def test_matrix_matches_apply(self):
         rng = np.random.default_rng(1)
         for seed in range(20):
