@@ -65,12 +65,14 @@ def _power_law_norms(
     """
     p = ctx.phi._power[1]
     k = sup * _row_modulars(ctx, rows / sup[:, None]) ** (1.0 / p)
-    over = ~(_row_modulars(ctx, rows / k[:, None]) <= 1.0)
-    for _ in range(16):
-        if not over.any():
-            return k
-        k[over] = np.nextafter(k[over], np.inf)
+    # a k that underflowed to 0 gives inf or NaN here, which fails the check
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         over = ~(_row_modulars(ctx, rows / k[:, None]) <= 1.0)
+        for _ in range(16):
+            if not over.any():
+                return k
+            k[over] = np.nextafter(k[over], np.inf)
+            over = ~(_row_modulars(ctx, rows / k[:, None]) <= 1.0)
     k[over] = _bisected_norms(ctx, rows[over], sup[over], tol)
     return k
 
@@ -78,29 +80,36 @@ def _power_law_norms(
 def _bisected_norms(
     ctx: OrliczContext, rows: np.ndarray, sup: np.ndarray, tol: float
 ) -> np.ndarray:
-    """Norms of nonzero rows by bisection on k -> modular(f/k)."""
-    tiny = np.finfo(float).tiny
-    hi = sup.copy()
-    lo = np.maximum(1e-15 * sup, tiny)
-    for _ in range(200):
-        grow = _row_modulars(ctx, rows / hi[:, None]) > 1.0
-        if not grow.any():
+    """Norms of nonzero rows by bisection on k -> modular(f/k).
+
+    The bracket starts at max|f| and grows or shrinks by factors 2, 4, 16,
+    ..., 2^2048, so it holds the norm within a dozen steps wherever it lies
+    in the float range. Bisection on the geometric mean narrows it to
+    hi/lo <= 2, then arithmetic bisection to relative width tol.
+    """
+    big, least = np.finfo(float).max, np.finfo(float).smallest_subnormal
+
+    def fits(k):
+        # f/k overflows for tiny k, and the modular of an inf is inf
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _row_modulars(ctx, rows / k[:, None]) <= 1.0
+
+    lo, hi = sup.copy(), sup.copy()
+    for j in range(12):
+        grow, shrink = ~fits(hi) & (hi < big), fits(lo) & (lo > least)
+        if not (grow.any() or shrink.any()):
             break
-        hi[grow] *= 2.0
-    for _ in range(200):
-        # never shrink into subnormals: a bracket floor of `tiny` already
-        # certifies a norm of zero at working precision
-        shrink = (_row_modulars(ctx, rows / lo[:, None]) <= 1.0) & (lo > tiny)
-        if not shrink.any():
-            break
-        lo[shrink] *= 0.5
+        with np.errstate(over="ignore", under="ignore"):
+            lo[grow], hi[grow] = hi[grow], np.minimum(np.ldexp(hi[grow], 1 << j), big)
+            hi[shrink] = lo[shrink]
+            lo[shrink] = np.maximum(np.ldexp(lo[shrink], -(1 << j)), least)
     for _ in range(200):
         if not np.any(hi - lo > tol * hi):
             break
-        mid = 0.5 * (lo + hi)
-        small = _row_modulars(ctx, rows / mid[:, None]) <= 1.0
-        hi = np.where(small, mid, hi)
-        lo = np.where(small, lo, mid)
+        geometric = np.sqrt(lo) * np.sqrt(hi)
+        mid = np.where(hi / 2.0 > lo, geometric, lo + 0.5 * (hi - lo))
+        small = fits(mid)
+        hi, lo = np.where(small, mid, hi), np.where(small, lo, mid)
     return hi
 
 

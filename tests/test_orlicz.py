@@ -214,6 +214,38 @@ class TestPowerLawNorms:
                 assert np.all(exact > 0.0), (weights, phi, exact)
 
 
+class TestBisectionBracket:
+    """Norms far from max|f|: the bisection bracket must reach them."""
+
+    F = np.array([1.0, -2.0, 0.5, 3.0])
+
+    def _norms(self, phi, weight):
+        space = FiniteMeasureSpace.from_weights([weight] * 4)
+        # with the pair, the exact route falls back to bisection at 1e300
+        for gauge in (_bare(phi), phi):
+            ctx = OrliczContext(space, gauge)
+            k = luxemburg_norm(ctx, self.F)
+            assert modular(ctx, self.F / k) <= 1.0, (weight, gauge.kind, k)
+            yield ctx, k
+
+    @pytest.mark.parametrize("weight", [1e300, 1e-300])
+    def test_matches_the_log_space_norm(self, weight):
+        for phi in (power_scaled(1.5), power_plain(2), power_plain(3)):
+            c, p = phi._power
+            log_sum = np.log(np.sum(np.abs(self.F) ** p)) + np.log(weight)
+            oracle = np.exp((np.log(c) + log_sum) / p)
+            for _, k in self._norms(phi, weight):
+                assert k == pytest.approx(oracle, rel=1e-9), (weight, phi.kind)
+
+    def test_subnormal_weights_reach_the_least_certified_k(self):
+        # near the true norm phi(f/k) is about 1/mu, which overflows, so no k
+        # within 1e-9 of it has modular(f/k) <= 1 in floating point; the
+        # bracket must still reach the least k that does, to tolerance
+        for phi in (power_scaled(1.5), power_plain(2)):
+            for ctx, k in self._norms(phi, 1e-320):
+                assert not modular(ctx, self.F / (k * (1.0 - 2e-10))) <= 1.0
+
+
 class TestMembership:
     def test_finite_space_always_member(self, ctx_pp2):
         assert in_orlicz_space(ctx_pp2, [1e6, 0.0])
