@@ -648,8 +648,8 @@ def run_verification(
             profile=profile,
             tol=scenario.tolerances["rank"],
         )
-        # keep the seed of the draw that was accepted, so the fingerprint
-        # rebuilds the instance that ran even after a redraw
+        # keep the seed of the draw that was accepted: the fingerprint then
+        # rebuilds the instance that ran, and its claims sample with it
         child = replace(
             child,
             tolerances=scenario.tolerances,
@@ -658,7 +658,7 @@ def run_verification(
             ),
         )
         child_fp = child.fingerprint()
-        for row in _scenario_claims(child, child_seed, child_fp):
+        for row in _scenario_claims(child, child.seed, child_fp):
             by_id.setdefault(row.claim_id, []).append(row)
     entries = [merge_claims(rows) for rows in by_id.values()]
     order = [

@@ -187,13 +187,23 @@ class TestRunVerification:
             status = "pass" if "instances" in fp else "fail"
             return [harness.make_claim("iterate_closed_form", "none", status, fp=fp)]
 
+        sampling_seeds = []
+        scenario_claims = harness._scenario_claims
+
+        def recording_scenario_claims(s, seed, fp, *args, **kwargs):
+            sampling_seeds.append(seed)
+            return scenario_claims(s, seed, fp, *args, **kwargs)
+
         monkeypatch.setattr(harness, "_iterate_claims", failing_iterate_claims)
+        monkeypatch.setattr(harness, "_scenario_claims", recording_scenario_claims)
         data = dict(r1_scenario_dict, experiments=["iterate_formula"])
         report = run_verification(scenario_from_dict(data), seed=2, instances=1)
         (row,) = report.entries
         assert row.status == "fail"
         fp = row.fingerprint
-        assert fp["seed"] != 2 * 100003
+        assert fp["seed"] == 215844 != 2 * 100003
+        # the redrawn instance's claims sample with the seed that rebuilds it
+        assert sampling_seeds == [2, fp["seed"]]
         rebuilt = generate_random_instance(
             fp["seed"], fp["n_atoms"], fp["n_blocks"], fp["profile"]
         ).operator()
