@@ -122,12 +122,12 @@ def _range_and_null(matrix: np.ndarray, tol: float, svd):
 
 def null_space(matrix: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> SubspaceBasis:
     """Orthonormal basis of the numerical kernel at relative tolerance tol."""
-    return _range_and_null(matrix, tol, _svd_once())[1]
+    return _range_and_null(matrix, tol, np.linalg.svd)[1]
 
 
 def range_space(matrix: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> SubspaceBasis:
     """Orthonormal basis of the column space at relative tolerance tol."""
-    return _range_and_null(matrix, tol, _svd_once())[0]
+    return _range_and_null(matrix, tol, np.linalg.svd)[0]
 
 
 _NOISE_COEFF = 1e-11
@@ -260,7 +260,7 @@ def _sum(a: SubspaceBasis, b: SubspaceBasis, svd) -> SubspaceBasis:
 def subspace_intersection(a: SubspaceBasis, b: SubspaceBasis) -> SubspaceBasis:
     """Basis of span(a) meet span(b), sized so that the dimension identity
     dim(a&b) = dim a + dim b - dim(a+b) holds exactly at tolerance."""
-    return _intersection(a, b, _svd_once())
+    return _intersection(a, b, np.linalg.svd)
 
 
 def _intersection(a: SubspaceBasis, b: SubspaceBasis, svd) -> SubspaceBasis:
