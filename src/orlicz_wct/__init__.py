@@ -33,13 +33,10 @@ from .measure import (
     FiniteMeasureSpace,
     Partition,
     ess_sup,
-    integrate,
-    is_partition_measurable,
     support,
 )
 from .orlicz import (
     OrliczContext,
-    in_orlicz_space,
     luxemburg_norm,
     luxemburg_norms,
     modular,
@@ -62,7 +59,6 @@ from .wct import (
     cesaro_mean,
     iterate,
     matrix_of,
-    norm_estimate,
     pairing_adjoint,
     power_bounded_report,
 )
@@ -112,16 +108,12 @@ __all__ = [
     "gch_constant_report",
     "generalized_inverse",
     "generate_random_instance",
-    "in_orlicz_space",
-    "integrate",
-    "is_partition_measurable",
     "iterate",
     "load_scenario",
     "luxemburg_norm",
     "luxemburg_norms",
     "matrix_of",
     "modular",
-    "norm_estimate",
     "null_space",
     "pairing_adjoint",
     "power_bounded_report",

@@ -7,7 +7,7 @@ anchor string describing what the claim asserts. Reports are lists of
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 __all__ = [
     "ClaimResult",
@@ -29,15 +29,7 @@ class ClaimResult:
     fingerprint: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "claim_id": self.claim_id,
-            "anchor": self.anchor,
-            "hypothesis": self.hypothesis,
-            "status": self.status,
-            "residual": self.residual,
-            "detail": self.detail,
-            "fingerprint": self.fingerprint,
-        }
+        return asdict(self)
 
 
 CLAIM_REGISTRY: dict[str, str] = {

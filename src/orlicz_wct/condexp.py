@@ -83,10 +83,6 @@ class CondExpLawReport:
     trials: int
     seed: int
 
-    @property
-    def all_passed(self) -> bool:
-        return all(r.passed is not False for r in self.laws.values())
-
 
 def _draw(rng: np.random.Generator, n: int) -> np.ndarray:
     # magnitudes below 1e-2 round to exact zeros: near-threshold values are a

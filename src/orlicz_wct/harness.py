@@ -9,9 +9,12 @@ Scenario JSON schema (all atom indices 0-based)::
       "u": [1.0, 1.0],
       "w": [0.5, 0.5],
       "young": {"kind": "power_scaled", "p": 2},
-      "tolerances": {"rank": 1e-8, "norm_bisection": 1e-10, "comparison": 1e-9},
+      "tolerances": {"rank": 1e-8, "comparison": 1e-9},
       "experiments": ["structure", "condexp_laws", ...]
     }
+
+Tolerances are optional finite numbers > 0; a name other than rank and
+comparison, such as the retired ``norm_bisection``, is refused.
 
 Report JSON keys per claim: claim_id, anchor, hypothesis, status, residual,
 detail, fingerprint. A claim whose hypothesis is not met never affects the
@@ -34,6 +37,7 @@ from .orlicz import OrliczContext, luxemburg_norms
 from .subspace import powers_well_conditioned, verify_structure_theorems
 from .wct import (
     WctOperator,
+    apply,
     b_n_operator,
     bound_constant,
     cesaro_mean,
@@ -44,6 +48,7 @@ from .wct import (
 from .young import (
     YoungFunction,
     capped,
+    complementary,
     deadzone,
     exp_type,
     power_plain,
@@ -75,7 +80,7 @@ class ValidationError(ScenarioError):
     """Structurally valid JSON violating a scenario invariant."""
 
 
-DEFAULT_TOLERANCES = {"rank": 1e-8, "norm_bisection": 1e-10, "comparison": 1e-9}
+DEFAULT_TOLERANCES = {"rank": 1e-8, "comparison": 1e-9}
 DEFAULT_EXPERIMENTS = (
     "structure",
     "condexp_laws",
@@ -91,6 +96,10 @@ PROFILES = (
     "expanding_h",
     "sparse_support",
 )
+# draws per random instance before generation gives up
+_ATTEMPTS = 120
+# random draws shared by the conditional-expectation laws
+_CONDEXP_TRIALS = 200
 
 _YOUNG_FACTORIES = {
     "power_scaled": power_scaled,
@@ -157,6 +166,19 @@ class Scenario:
         return fp
 
 
+def _finite(name: str, vals, ndim: int) -> np.ndarray:
+    """vals as a finite float array with ndim axes, or a ValidationError
+    naming the field."""
+    try:
+        arr = np.asarray(vals, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{name} must hold numbers only") from exc
+    if arr.ndim != ndim or not np.all(np.isfinite(arr)):
+        shape = "a finite number" if ndim == 0 else "a flat list of finite numbers"
+        raise ValidationError(f"{name} must be {shape}")
+    return arr
+
+
 def scenario_from_dict(data: dict) -> Scenario:
     if not isinstance(data, dict):
         raise ValidationError("scenario must be a JSON object")
@@ -166,8 +188,8 @@ def scenario_from_dict(data: dict) -> Scenario:
     atoms = data["atoms"]
     if not isinstance(atoms, list) or not atoms:
         raise ValidationError("atoms must be a non-empty list of weights")
-    weights = np.asarray(atoms, dtype=float)
-    if not np.all(np.isfinite(weights)) or np.any(weights <= 0):
+    weights = _finite("atoms", atoms, 1)
+    if np.any(weights <= 0):
         raise ValidationError("atom weight must be > 0")
     space = FiniteMeasureSpace.from_weights(weights)
 
@@ -183,23 +205,23 @@ def scenario_from_dict(data: dict) -> Scenario:
         vals = data[name]
         if not isinstance(vals, list) or len(vals) != space.n_atoms:
             raise ValidationError(f"{name} must have one value per atom")
-        arr = np.asarray(vals, dtype=float)
-        if not np.all(np.isfinite(arr)):
-            raise ValidationError(f"{name} must be finite-valued")
-        return arr
+        return _finite(name, vals, 1)
 
     u = values("u")
     w = values("w")
     phi = young_from_spec(data["young"])
 
     tolerances = dict(DEFAULT_TOLERANCES)
-    for key, val in (data.get("tolerances") or {}).items():
+    declared = data.get("tolerances") or {}
+    if not isinstance(declared, dict):
+        raise ValidationError("tolerances must be an object of named numbers")
+    for key, val in declared.items():
         if key not in DEFAULT_TOLERANCES:
             raise ValidationError(f"unknown tolerance name: {key!r}")
-        val = float(val)
+        val = _finite(f"tolerance {key!r}", val, 0)
         if val <= 0:
             raise ValidationError(f"tolerance {key!r} must be > 0")
-        tolerances[key] = val
+        tolerances[key] = float(val)
 
     experiments = tuple(data.get("experiments") or DEFAULT_EXPERIMENTS)
     for name in experiments:
@@ -344,12 +366,12 @@ def generate_well_conditioned_instance(
     n_blocks: int,
     profile: str = "generic",
     tol: float = 1e-8,
-    attempts: int = 120,
 ) -> Scenario:
-    """generate_random_instance, re-drawing while any operator power carries
-    a singular value too close to its rank threshold to classify."""
+    """generate_random_instance, re-drawing (at most _ATTEMPTS times) while
+    any operator power carries a singular value too close to its rank
+    threshold to classify."""
     scenario = generate_random_instance(seed, n_atoms, n_blocks, profile)
-    for j in range(1, attempts + 1):
+    for j in range(1, _ATTEMPTS + 1):
         t = scenario.operator()
         if powers_well_conditioned(matrix_of(t), 7, tol, symbol=t.h):
             return scenario
@@ -357,7 +379,7 @@ def generate_well_conditioned_instance(
             seed + 7919 * j, n_atoms, n_blocks, profile
         )
     raise RuntimeError(
-        f"no well-conditioned instance within {attempts} draws from seed {seed}"
+        f"no well-conditioned instance within {_ATTEMPTS} draws from seed {seed}"
     )
 
 
@@ -369,12 +391,8 @@ class VerificationReport:
     generated_at: str
 
     @property
-    def failed(self) -> list[ClaimResult]:
-        return [r for r in self.entries if r.status == "fail"]
-
-    @property
     def exit_status(self) -> int:
-        return 1 if self.failed else 0
+        return 1 if any(r.status == "fail" for r in self.entries) else 0
 
     def to_dict(self) -> dict:
         return {
@@ -412,7 +430,6 @@ def _iterate_claims(t: WctOperator, comparison_tol: float, fp: dict):
 def _cesaro_claims(t: WctOperator, comparison_tol: float, fp: dict):
     eye = np.eye(t.space.n_atoms)
     m = matrix_of(t)
-    rows = []
     worst = {
         "cesaro_closed_form": 0.0,
         "remainder_closed_form": 0.0,
@@ -449,24 +466,20 @@ def _cesaro_claims(t: WctOperator, comparison_tol: float, fp: dict):
             worst["remainder_factorization_identity"],
             rel(eye - a_direct - (eye - m) @ b_direct, b_direct),
         )
-    for cid, res in worst.items():
-        rows.append(
-            make_claim(
-                cid,
-                "none",
-                "pass" if res <= max(comparison_tol, 1e-10) else "fail",
-                residual=res,
-                detail="relative max-entry residual over n in {2,3,5,8,13,20}",
-                fp=fp,
-            )
+    return [
+        make_claim(
+            cid,
+            "none",
+            "pass" if res <= max(comparison_tol, 1e-10) else "fail",
+            residual=res,
+            detail="relative max-entry residual over n in {2,3,5,8,13,20}",
+            fp=fp,
         )
-    return rows
+        for cid, res in worst.items()
+    ]
 
 
 def _power_bounded_claims(s: Scenario, t: WctOperator, seed: int, fp: dict):
-    from .wct import apply
-    from .young import complementary
-
     psi = complementary(s.phi)
     rep = power_bounded_report(t, s.phi, psi, n_max=20, samples=32, seed=seed)
     if rep.criterion_holds:
@@ -503,7 +516,7 @@ def _power_bounded_claims(s: Scenario, t: WctOperator, seed: int, fp: dict):
             )
         else:
             detail = "criterion false but the violating blocks do not grow"
-    rows = [
+    return [
         make_claim(
             "power_bounded_criterion",
             "none",
@@ -521,13 +534,11 @@ def _power_bounded_claims(s: Scenario, t: WctOperator, seed: int, fp: dict):
             fp=fp,
         ),
     ]
-    return rows
 
 
-def _condexp_claims(s: Scenario, seed: int, trials: int, fp: dict):
-    e = CondExp(s.space, s.partition)
+def _condexp_claims(s: Scenario, t: WctOperator, seed: int, fp: dict):
     report = check_condexp_laws(
-        e, s.phi, trials=trials, tol=s.tolerances["comparison"], seed=seed
+        t.e, s.phi, trials=_CONDEXP_TRIALS, tol=s.tolerances["comparison"], seed=seed
     )
     rows = []
     for name, law in report.laws.items():
@@ -550,11 +561,8 @@ def _condexp_claims(s: Scenario, seed: int, trials: int, fp: dict):
 
 
 def _boundedness_claims(s: Scenario, t: WctOperator, seed: int, fp: dict):
-    from .young import complementary
-
     psi = complementary(s.phi)
-    e = CondExp(s.space, s.partition)
-    c_emp = estimate_gch_constant(e, s.phi, psi, samples=200, seed=seed)
+    c_emp = estimate_gch_constant(t.e, s.phi, psi, samples=200, seed=seed)
     if c_emp <= 0:
         return [
             make_claim(
@@ -587,9 +595,7 @@ def _boundedness_claims(s: Scenario, t: WctOperator, seed: int, fp: dict):
     ]
 
 
-def _scenario_claims(
-    s: Scenario, seed: int, fp: dict, trials: int = 200
-) -> list[ClaimResult]:
+def _scenario_claims(s: Scenario, seed: int, fp: dict) -> list[ClaimResult]:
     t = s.operator()
     ctx = s.context()
     rows: list[ClaimResult] = []
@@ -603,7 +609,7 @@ def _scenario_claims(
                 )
             )
         elif name == "condexp_laws":
-            rows.extend(_condexp_claims(s, seed, trials, fp))
+            rows.extend(_condexp_claims(s, t, seed, fp))
         elif name == "power_bounded":
             rows.extend(_power_bounded_claims(s, t, seed, fp))
         elif name == "iterate_formula":

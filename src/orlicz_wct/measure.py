@@ -16,9 +16,7 @@ __all__ = [
     "FiniteMeasureSpace",
     "Partition",
     "support",
-    "integrate",
     "ess_sup",
-    "is_partition_measurable",
 ]
 
 
@@ -70,14 +68,20 @@ class FiniteMeasureSpace:
 class Partition:
     """Nonempty, pairwise-disjoint blocks of atom indices covering a space.
 
-    Block indices are 0-based. Disjointness is checked before index range so
-    that a repeated index is always reported as a disjointness violation.
+    Block indices are 0-based integers. Disjointness is checked before index
+    range so that a repeated index is always reported as a disjointness
+    violation.
     """
 
     blocks: tuple[tuple[int, ...], ...]
     n_atoms: int
 
     def __post_init__(self):
+        for b in self.blocks:
+            for i in b:
+                # int() would truncate 1.7 and parse "0"; neither is an index
+                if isinstance(i, bool) or not isinstance(i, (int, np.integer)):
+                    raise ValueError(f"block index must be an integer, got {i!r}")
         blocks = tuple(tuple(int(i) for i in b) for b in self.blocks)
         object.__setattr__(self, "blocks", blocks)
         if any(len(b) == 0 for b in blocks):
@@ -129,14 +133,6 @@ def support(f, eps: float | None = None) -> set[int]:
     return set(np.flatnonzero(np.abs(f) > eps).tolist())
 
 
-def integrate(f, space: FiniteMeasureSpace) -> float:
-    """Weighted sum of f over the atoms."""
-    f = space.function(f)
-    if not np.all(np.isfinite(f)):
-        raise ValueError("non-integrable value")
-    return float(f @ space.weights)
-
-
 def ess_sup(f) -> float:
     """Essential supremum of |f|; on atomic spaces this is plain max|f|."""
     f = np.asarray(f, dtype=float)
@@ -144,14 +140,3 @@ def ess_sup(f) -> float:
         raise ValueError("ess_sup requires finite values")
     return float(np.max(np.abs(f), initial=0.0))
 
-
-def is_partition_measurable(f, partition: Partition, tol: float = 1e-10) -> bool:
-    """True when f is constant on every block up to ``tol``."""
-    if tol < 0:
-        raise ValueError("tol must be >= 0")
-    f = np.asarray(f, dtype=float)
-    for idx in partition.index_arrays:
-        vals = f[idx]
-        if (np.max(vals) - np.min(vals)) / 2.0 > tol:
-            return False
-    return True

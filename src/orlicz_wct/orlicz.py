@@ -1,11 +1,12 @@
-"""Modulars, Luxemburg norms, and Orlicz-space membership on atomic spaces.
+"""Modulars and Luxemburg norms on atomic spaces.
 
 Luxemburg norms of power laws phi(x) = c|x|^p are exact: the modular is
 p-homogeneous, so N(f) = (c * sum |f_i|^p mu_i)^(1/p). It is computed in one
 pass and rounded up an ulp at a time until modular(f/N) <= 1 holds in
-floating point. Every other gauge bisects k -> modular(f/k) to a relative
-tolerance ``tol``, which governs that route only. The bisection also serves
-as the independent oracle for the exact route in the tests.
+floating point. Every other gauge bisects k -> modular(f/k) to the fixed
+relative tolerance ``_BISECTION_TOL`` = 1e-10, which governs that route
+only. The bisection also serves as the independent oracle for the exact
+route in the tests.
 """
 
 from __future__ import annotations
@@ -22,8 +23,10 @@ __all__ = [
     "modular",
     "luxemburg_norm",
     "luxemburg_norms",
-    "in_orlicz_space",
 ]
+
+# relative width at which the bisection route stops
+_BISECTION_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -52,7 +55,7 @@ def _row_modulars(ctx: OrliczContext, rows: np.ndarray) -> np.ndarray:
 
 
 def _power_law_norms(
-    ctx: OrliczContext, rows: np.ndarray, sup: np.ndarray, tol: float
+    ctx: OrliczContext, rows: np.ndarray, sup: np.ndarray
 ) -> np.ndarray:
     """Exact norms for phi = c|x|^p, whose modular is p-homogeneous.
 
@@ -73,19 +76,19 @@ def _power_law_norms(
                 return k
             k[over] = np.nextafter(k[over], np.inf)
             over = ~(_row_modulars(ctx, rows / k[:, None]) <= 1.0)
-    k[over] = _bisected_norms(ctx, rows[over], sup[over], tol)
+    k[over] = _bisected_norms(ctx, rows[over], sup[over])
     return k
 
 
 def _bisected_norms(
-    ctx: OrliczContext, rows: np.ndarray, sup: np.ndarray, tol: float
+    ctx: OrliczContext, rows: np.ndarray, sup: np.ndarray
 ) -> np.ndarray:
     """Norms of nonzero rows by bisection on k -> modular(f/k).
 
     The bracket starts at max|f| and grows or shrinks by factors 2, 4, 16,
     ..., 2^2048, so it holds the norm within a dozen steps wherever it lies
     in the float range. Bisection on the geometric mean narrows it to
-    hi/lo <= 2, then arithmetic bisection to relative width tol.
+    hi/lo <= 2, then arithmetic bisection to relative width 1e-10.
     """
     big, least = np.finfo(float).max, np.finfo(float).smallest_subnormal
 
@@ -104,7 +107,7 @@ def _bisected_norms(
             hi[shrink] = lo[shrink]
             lo[shrink] = np.maximum(np.ldexp(lo[shrink], -(1 << j)), least)
     for _ in range(200):
-        if not np.any(hi - lo > tol * hi):
+        if not np.any(hi - lo > _BISECTION_TOL * hi):
             break
         geometric = np.sqrt(lo) * np.sqrt(hi)
         mid = np.where(hi / 2.0 > lo, geometric, lo + 0.5 * (hi - lo))
@@ -113,20 +116,18 @@ def _bisected_norms(
     return hi
 
 
-def luxemburg_norms(ctx: OrliczContext, cols, tol: float = 1e-10) -> np.ndarray:
+def luxemburg_norms(ctx: OrliczContext, cols) -> np.ndarray:
     """Luxemburg norm of every column of an (n_atoms, m) array.
 
     Power laws phi = c|x|^p (``YoungFunction._power`` set) are exact: the
     norm is (c * sum |f_i|^p mu_i)^(1/p), computed in one pass and then
     raised by an ulp at a time until modular(f/k) <= 1 holds in floating
-    point, so it sits within a few ulps of the true norm and ``tol`` does
-    not apply. Every other gauge bisects the nonincreasing map
-    k -> modular(f/k), bracketing until modular(f/k_hi) <= 1 <= modular(f/k_lo),
-    then narrowing to relative tolerance ``tol``. Either way the returned k
-    satisfies modular(f/k) <= 1, and zero columns map to 0.
+    point, so it sits within a few ulps of the true norm. Every other gauge
+    bisects the nonincreasing map k -> modular(f/k), bracketing until
+    modular(f/k_hi) <= 1 <= modular(f/k_lo), then narrowing to relative
+    tolerance 1e-10. Either way the returned k satisfies modular(f/k) <= 1,
+    and zero columns map to 0.
     """
-    if tol <= 0:
-        raise ValueError("tol must be > 0")
     cols = np.asarray(cols, dtype=float)
     if cols.ndim != 2 or cols.shape[0] != ctx.space.n_atoms:
         raise ValueError("cols must have shape (n_atoms, m)")
@@ -139,21 +140,12 @@ def luxemburg_norms(ctx: OrliczContext, cols, tol: float = 1e-10) -> np.ndarray:
         return out
     rows = np.ascontiguousarray(cols[:, active].T)
     route = _bisected_norms if ctx.phi._power is None else _power_law_norms
-    out[active] = route(ctx, rows, sup[active], tol)
+    out[active] = route(ctx, rows, sup[active])
     return out
 
 
-def luxemburg_norm(ctx: OrliczContext, f, tol: float = 1e-10) -> float:
+def luxemburg_norm(ctx: OrliczContext, f) -> float:
     """N_phi(f) = inf{k > 0 : modular(f/k) <= 1}; 0 for the zero function."""
     f = np.asarray(f, dtype=float)
-    return float(luxemburg_norms(ctx, f[:, None], tol)[0])
+    return float(luxemburg_norms(ctx, f[:, None])[0])
 
-
-def in_orlicz_space(ctx: OrliczContext, f) -> bool:
-    """Membership test; on finite atomic spaces this is plain finiteness.
-
-    Some k > 0 always scales a finite-valued f below b_phi, and b_phi > 0 by
-    construction, so the modular of k*f is finite.
-    """
-    f = np.asarray(f, dtype=float)
-    return bool(np.all(np.isfinite(f)))

@@ -77,11 +77,6 @@ class SubspaceBasis:
     def dim(self) -> int:
         return self.vectors.shape[1]
 
-    def contains(self, vec, tol: float = 1e-8) -> bool:
-        vec = np.asarray(vec, dtype=float)
-        resid = vec - self.vectors @ (self.vectors.T @ vec)
-        return float(np.linalg.norm(resid)) <= tol * (1.0 + np.linalg.norm(vec))
-
 
 def _svd_once():
     """np.linalg.svd that factors each input once per mode. A repeat, keyed
@@ -175,22 +170,25 @@ def _rank_scan(
             return ranks, stable
 
 
+# a singular value within this factor of its rank threshold is unclassifiable
+_BAND = 30.0
+
+
 def powers_well_conditioned(
     matrix: np.ndarray,
     k_max: int = 8,
     tol: float = DEFAULT_RANK_TOL,
-    band: float = 30.0,
     symbol=None,
 ) -> bool:
     """False when the rank of some power cannot be classified with confidence.
 
     Two tests. Locally, no singular value of any power may sit within a
-    factor ``band`` of its rank threshold. Structurally (when the block
+    factor ``_BAND`` = 30 of its rank threshold. Structurally (when the block
     ``symbol`` h of the operator is supplied): powers beyond the square are
     the square rescaled by h, so the smallest genuine singular value of the
     k-th power is at least min|h on S(h)|^(k-2) times the smallest retained
     singular value of the square; that floor must clear each threshold by
-    ``band``. The second test catches tiny-but-nonzero symbol entries whose
+    ``_BAND``. The second test catches tiny-but-nonzero symbol entries whose
     k-th powers would sink below the cut while looking confidently zero.
     Random suites re-draw flagged instances.
     """
@@ -200,7 +198,7 @@ def powers_well_conditioned(
     spectra = _power_spectra(matrix, tol, _svd_once())
     for k, s, thr in itertools.islice(spectra, k_max):
         thresholds.append(thr)
-        if thr > 0 and np.any((s > thr / band) & (s <= thr * band)):
+        if thr > 0 and np.any((s > thr / _BAND) & (s <= thr * _BAND)):
             return False
         if k == 2:
             above = s[s > thr]
@@ -213,7 +211,7 @@ def powers_well_conditioned(
             h_min = float(np.min(np.abs(h[supp])))
             for k in range(3, k_max + 1):
                 floor = h_min ** (k - 2) * retained_min_sq
-                if floor <= band * thresholds[k - 1]:
+                if floor <= _BAND * thresholds[k - 1]:
                     return False
     return True
 
@@ -286,14 +284,18 @@ def _decreasing_to_zero(residuals: list[float], floor: float) -> bool:
     )
 
 
+# descent hypothesis: |h| >= _DELTA on the support of h
+_DELTA = 1e-10
+# random probe functions and the least horizon of the ergodic rows
+_N_PROBES = 100
+_N_CESARO = 200
+
+
 def verify_structure_theorems(
     t: WctOperator,
     ctx: OrliczContext,
     tol: float = DEFAULT_RANK_TOL,
     seed: int = 0,
-    n_random: int = 100,
-    n_cesaro: int = 200,
-    delta: float = 1e-10,
     fingerprint: dict | None = None,
 ) -> list[ClaimResult]:
     """One pass/fail row per structural claim, each under its own hypothesis.
@@ -339,14 +341,14 @@ def verify_structure_theorems(
 
     # descent under "symbol bounded away from zero on its support"
     h_supp = sorted(support(t.h, 1e-12))
-    bounded_away = (not h_supp) or min(abs(t.h[i]) for i in h_supp) >= delta
+    bounded_away = (not h_supp) or min(abs(t.h[i]) for i in h_supp) >= _DELTA
     hyp_b = "met" if bounded_away else "not_met"
     if bounded_away:
         claim(
             "descent_bound",
             hyp_b,
             ascent is not None and ascent <= 2,
-            detail=f"descent={ascent}, range dims {ranks}, delta={delta:g}",
+            detail=f"descent={ascent}, range dims {ranks}, delta={_DELTA:g}",
         )
         claim(
             "range_chain_stabilization",
@@ -455,11 +457,11 @@ def verify_structure_theorems(
         f"full range at tolerance={full_rank}",
     )
     rng = np.random.default_rng(seed)
-    fs = rng.uniform(-1.0, 1.0, (n, n_random))
+    fs = rng.uniform(-1.0, 1.0, (n, _N_PROBES))
     # the 1/n regime starts past the mixing time of the symbol, so the
     # checkpoint horizon stretches when |h| approaches 1
     h_top = float(np.max(np.abs(t.h), initial=0.0))
-    n_eff = int(min(1e5, max(n_cesaro, 40.0 / max(1e-4, 1.0 - min(h_top, 1.0)))))
+    n_eff = int(min(1e5, max(_N_CESARO, 40.0 / max(1e-4, 1.0 - min(h_top, 1.0)))))
     horizons = (n_eff // 4, n_eff // 2, n_eff)
     if invertible:
         target = np.linalg.solve(imt, fs)

@@ -27,7 +27,6 @@ __all__ = [
     "bound_constant",
     "power_bounded_report",
     "PowerBoundedReport",
-    "norm_estimate",
     "pairing_adjoint",
 ]
 
@@ -253,64 +252,3 @@ def power_bounded_report(
         seed=seed,
     )
 
-
-def norm_estimate(
-    matrix: np.ndarray, ctx: OrliczContext, samples: int, seed: int = 0
-) -> float:
-    """Lower bound for the operator norm on the Orlicz space.
-
-    Max of N_phi(M f)/N_phi(f) over atom indicators and random samples,
-    refined by coordinate ascent from the best sample. There is no closed
-    form for general gauges, so this is an estimate by construction.
-    """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    matrix = np.asarray(matrix, dtype=float)
-    n = ctx.space.n_atoms
-    rng = np.random.default_rng(seed)
-    cols = np.hstack([np.eye(n), rng.uniform(-1.0, 1.0, (n, samples))])
-    base = luxemburg_norms(ctx, cols)
-    keep = base > 0
-    cols, base = cols[:, keep], base[keep]
-    ratios = luxemburg_norms(ctx, matrix @ cols) / base
-    best_idx = int(np.argmax(ratios))
-    best = float(ratios[best_idx])
-    f = cols[:, best_idx].copy()
-
-    def ratio(vec):
-        nf = luxemburg_norms(ctx, vec[:, None])[0]
-        if nf == 0.0:
-            return 0.0
-        return float(luxemburg_norms(ctx, (matrix @ vec)[:, None])[0] / nf)
-
-    for _ in range(3):
-        improved = False
-        top = float(np.max(np.abs(f)))
-        if top == 0.0:
-            break
-        f = f / top
-        for i in range(n):
-            saved = f[i]
-            lo, hi = -4.0, 4.0
-            for _ in range(48):
-                m1 = lo + (hi - lo) / 3.0
-                m2 = hi - (hi - lo) / 3.0
-                f[i] = m1
-                v1 = ratio(f)
-                f[i] = m2
-                v2 = ratio(f)
-                if v1 < v2:
-                    lo = m1
-                else:
-                    hi = m2
-            f[i] = 0.5 * (lo + hi)
-            val_new = ratio(f)
-            f[i] = saved
-            if val_new > ratio(f):
-                f[i] = 0.5 * (lo + hi)
-            if val_new > best + 1e-12:
-                best = val_new
-                improved = True
-        if not improved:
-            break
-    return best

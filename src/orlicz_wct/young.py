@@ -33,6 +33,10 @@ __all__ = [
 ]
 
 _BRACKET_CAP = 1e15
+# numeric conjugates maximize over [0, min(b_phi, _GRID_MAX)], seeded by a
+# log grid of _GRID_N points
+_GRID_MAX = 1e9
+_GRID_N = 129
 
 
 class YoungFunction:
@@ -238,9 +242,7 @@ def _first_positive(fn, cap: float) -> float:
     return float(hi)
 
 
-def complementary(
-    phi: YoungFunction, grid_max: float = 1e9, grid_n: int = 129
-) -> YoungFunction:
+def complementary(phi: YoungFunction) -> YoungFunction:
     """Conjugate in the sense of Young: psi(y) = sup{x|y| - phi(x) : x >= 0}.
 
     Power laws c|x|^p with p > 1 conjugate exactly to c'|y|^q with
@@ -248,12 +250,8 @@ def complementary(
     gives ``power_scaled(q)`` and ``power_plain(p)`` gives
     (p-1) p^(-q) |y|^q. Both carry their exact inverse. Everything else,
     p = 1 included, gets a numeric conjugate whose maximization is capped at
-    ``grid_max`` (an approximation only in the far tail).
+    ``_GRID_MAX`` = 1e9 (an approximation only in the far tail).
     """
-    if grid_max <= 0:
-        raise ValueError("grid_max must be positive")
-    if grid_n < 100:
-        raise ValueError("grid_n must be at least 100")
     if phi._power is not None and phi._power[1] > 1:
         c, p = phi._power
         q = p / (p - 1.0)
@@ -263,17 +261,17 @@ def complementary(
         return _power_law("power_law", (c_q, q), c_q, q, lambda y: c_q * y**q)
 
     def fn(x):
-        return _conjugate_eval(phi, x, grid_max, grid_n)
+        return _conjugate_eval(phi, x, _GRID_MAX, _GRID_N)
 
-    a = _first_positive(lambda xs: _conjugate_eval(phi, xs, grid_max, grid_n), np.inf)
+    a = _first_positive(fn, np.inf)
     if a < 1e-8:
         a = 0.0
     return YoungFunction(
         "numeric_conjugate",
-        (grid_max, grid_n),
+        (_GRID_MAX, _GRID_N),
         fn,
         a_phi=a,
-        inverse_hint=lambda t: _conjugate_inverse(phi, t, grid_max, grid_n, a),
+        inverse_hint=lambda t: _conjugate_inverse(phi, t, _GRID_MAX, _GRID_N, a),
     )
 
 

@@ -71,7 +71,7 @@ class TestAscent:
         payload = json.loads(out)
         assert payload["ascent"] == 2
         assert payload["descent"] == 2
-        assert payload["claims"]["ascent_bound"] == "pass"
+        assert payload["claims"] == {"ascent_bound": "pass"}
 
 
 class TestCesaro:
@@ -128,6 +128,24 @@ class TestVerify:
         assert code == 2
         assert "--function" in err
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("atoms", [1.0, "heavy"]),
+            ("blocks", [[0, 1.7]]),
+            ("tolerances", {"rank": float("nan")}),
+        ],
+    )
+    def test_invalid_scenario_value_exits_2(
+        self, capsys, tmp_path, r1_scenario_dict, field, value
+    ):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(dict(r1_scenario_dict, **{field: value})))
+        code, out, err = run_cli(capsys, "verify", "--scenario", str(bad))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_wrong_length_function_exits_2(self, capsys, scenario_path):
         code, _, err = run_cli(
             capsys, "norm", "--scenario", scenario_path, "--function", "[1, 2, 3]"
@@ -181,9 +199,14 @@ class TestFlags:
             scenario_path,
             "--function",
             "[1, 1]",
-            "--tol-norm",
-            "1e-12",
             "--tol-rank",
             "1e-9",
         )
         assert code == 0
+
+    def test_retired_tol_norm_flag_rejected(self, capsys, scenario_path):
+        argv = ["norm", "--scenario", scenario_path, "--function", "[1, 1]"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--tol-norm", "1e-12"])
+        assert exc.value.code == 2
+        assert "--tol-norm" in capsys.readouterr().err

@@ -76,6 +76,64 @@ class TestLoadScenario:
         with pytest.raises(ValidationError, match="must be > 0"):
             scenario_from_dict(bad)
 
+    def test_nan_tolerance_rejected(self, r1_scenario_dict):
+        bad = dict(r1_scenario_dict, tolerances={"rank": float("nan")})
+        with pytest.raises(ValidationError, match="'rank' must be a finite number"):
+            scenario_from_dict(bad)
+
+    def test_infinite_tolerance_rejected(self, tmp_path, r1_scenario_dict):
+        # JSON's Infinity would let every comparison pass
+        path = tmp_path / "inf.json"
+        path.write_text(
+            json.dumps(dict(r1_scenario_dict, tolerances={"comparison": 1.0}))
+            .replace('"comparison": 1.0', '"comparison": Infinity')
+        )
+        with pytest.raises(ValidationError, match="'comparison' must be a finite"):
+            load_scenario(path)
+
+    def test_non_numeric_tolerance_rejected(self, r1_scenario_dict):
+        bad = dict(r1_scenario_dict, tolerances={"comparison": "tight"})
+        with pytest.raises(ValidationError, match="'comparison' must hold numbers"):
+            scenario_from_dict(bad)
+
+    def test_tolerances_must_be_an_object(self, r1_scenario_dict):
+        bad = dict(r1_scenario_dict, tolerances=[1e-8])
+        with pytest.raises(ValidationError, match="tolerances must be an object"):
+            scenario_from_dict(bad)
+
+    def test_retired_norm_bisection_tolerance_rejected(self, r1_scenario_dict):
+        bad = dict(r1_scenario_dict, tolerances={"norm_bisection": 1e-10})
+        with pytest.raises(
+            ValidationError, match="unknown tolerance name: 'norm_bisection'"
+        ):
+            scenario_from_dict(bad)
+
+    def test_fractional_block_index_rejected(self, r1_scenario_dict):
+        bad = dict(r1_scenario_dict, blocks=[[0, 1.7]])
+        with pytest.raises(ValidationError, match="block index must be an integer"):
+            scenario_from_dict(bad)
+
+    def test_string_block_index_rejected(self, r1_scenario_dict):
+        bad = dict(r1_scenario_dict, blocks=[["0", 1]])
+        with pytest.raises(ValidationError, match="block index must be an integer"):
+            scenario_from_dict(bad)
+
+    def test_non_numeric_atoms_rejected(self, r1_scenario_dict):
+        bad = dict(r1_scenario_dict, atoms=[1.0, "heavy"])
+        with pytest.raises(ValidationError, match="atoms must hold numbers"):
+            scenario_from_dict(bad)
+
+    def test_nested_atoms_rejected(self, r1_scenario_dict):
+        bad = dict(r1_scenario_dict, atoms=[[1.0], [3.0]])
+        with pytest.raises(ValidationError, match="atoms must be a flat list"):
+            scenario_from_dict(bad)
+
+    @pytest.mark.parametrize("field", ["u", "w"])
+    def test_non_numeric_values_rejected(self, r1_scenario_dict, field):
+        bad = dict(r1_scenario_dict, **{field: [1.0, {"x": 1}]})
+        with pytest.raises(ValidationError, match=f"{field} must hold numbers"):
+            scenario_from_dict(bad)
+
     def test_young_params_list_form(self, r1_scenario_dict):
         spec = dict(r1_scenario_dict, young={"kind": "power_scaled", "params": [3]})
         s = scenario_from_dict(spec)
@@ -252,13 +310,16 @@ class TestEmitReport:
             "fingerprint",
         }
 
-    def test_determinism_apart_from_timestamp(self, r1_scenario_dict):
+    @pytest.mark.parametrize("instances", [0, 20])
+    def test_determinism_apart_from_timestamp(self, r1_scenario_dict, instances):
         s = scenario_from_dict(r1_scenario_dict)
-        a = json.loads(emit_report(run_verification(s, seed=5), format="json"))
-        b = json.loads(emit_report(run_verification(s, seed=5), format="json"))
-        a.pop("generated_at")
-        b.pop("generated_at")
-        assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+        texts = []
+        for _ in range(2):
+            report = run_verification(s, seed=5, instances=instances)
+            parsed = json.loads(emit_report(report, format="json"))
+            parsed.pop("generated_at")
+            texts.append(json.dumps(parsed, sort_keys=True))
+        assert texts[0] == texts[1]
 
     def test_text_table(self, r1_scenario_dict):
         s = scenario_from_dict(r1_scenario_dict)

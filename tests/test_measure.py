@@ -1,16 +1,7 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from orlicz_wct import (
-    FiniteMeasureSpace,
-    Partition,
-    ess_sup,
-    integrate,
-    is_partition_measurable,
-    support,
-)
+from orlicz_wct import FiniteMeasureSpace, Partition, ess_sup, support
 
 
 class TestFiniteMeasureSpace:
@@ -86,36 +77,6 @@ class TestSupport:
         assert s | (set(range(4)) - s) == set(range(4))
 
 
-class TestIntegrate:
-    def test_weighted_sum(self, r2_space):
-        assert integrate([4.0, 0.0], r2_space) == pytest.approx(4.0)
-
-    def test_constant_times_total_mass(self, r2_space):
-        assert integrate([1.0, 1.0], r2_space) == pytest.approx(4.0)
-
-    def test_signed(self, two_atom_space):
-        assert integrate([-2.0, 1.0], two_atom_space) == pytest.approx(-1.0)
-
-    def test_non_finite_rejected(self, two_atom_space):
-        with pytest.raises(ValueError, match="non-integrable value"):
-            integrate([np.inf, 0.0], two_atom_space)
-
-    @settings(max_examples=50, deadline=None)
-    @given(
-        a=st.floats(-10, 10),
-        b=st.floats(-10, 10),
-        seed=st.integers(0, 2**16),
-    )
-    def test_linearity(self, a, b, seed):
-        rng = np.random.default_rng(seed)
-        space = FiniteMeasureSpace.from_weights(rng.uniform(0.1, 3.0, 6))
-        f = rng.uniform(-5, 5, 6)
-        g = rng.uniform(-5, 5, 6)
-        lhs = integrate(a * f + b * g, space)
-        rhs = a * integrate(f, space) + b * integrate(g, space)
-        assert lhs == pytest.approx(rhs, abs=1e-12 * (1 + abs(rhs)))
-
-
 class TestEssSup:
     def test_examples(self):
         assert ess_sup([1.0, -3.0]) == 3.0
@@ -129,17 +90,3 @@ class TestEssSup:
             g = rng.uniform(-2, 2, 8)
             assert ess_sup(f * g) <= ess_sup(f) * ess_sup(g) + 1e-12
 
-
-class TestPartitionMeasurable:
-    def test_constant_on_single_block(self, one_block):
-        assert is_partition_measurable([5.0, 5.0], one_block)
-
-    def test_non_constant(self, one_block):
-        assert not is_partition_measurable([1.0, 2.0], one_block)
-
-    def test_finest_partition_accepts_everything(self):
-        assert is_partition_measurable([1.0, 2.0], Partition.finest(2))
-
-    def test_tolerance(self, one_block):
-        assert is_partition_measurable([1.0, 1.0 + 1e-12], one_block, tol=1e-10)
-        assert not is_partition_measurable([1.0, 1.1], one_block, tol=1e-3)

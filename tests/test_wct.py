@@ -17,7 +17,6 @@ from orlicz_wct import (
     iterate,
     luxemburg_norms,
     matrix_of,
-    norm_estimate,
     pairing_adjoint,
     power_bounded_report,
     power_scaled,
@@ -55,11 +54,10 @@ class TestApply:
         np.testing.assert_allclose(r3.h, [0.5, 0.5])
 
     def test_symbol_is_blockwise_constant(self):
-        from orlicz_wct import is_partition_measurable
-
         for seed in range(20):
             t = random_operator(seed)
-            assert is_partition_measurable(t.h, t.e.partition, tol=1e-12)
+            for idx in t.e.partition.index_arrays:
+                assert np.ptp(t.h[idx]) <= 2e-12, (seed, idx)
 
 
 class TestMatrix:
@@ -250,26 +248,6 @@ class TestPowerBoundedReport:
         phi = power_scaled(2)
         with pytest.raises(ValueError):
             power_bounded_report(r3, phi, complementary(phi), n_max=1)
-
-
-class TestNormEstimate:
-    def test_zero_operator(self, two_atom_space):
-        ctx = OrliczContext(two_atom_space, power_scaled(2))
-        assert norm_estimate(np.zeros((2, 2)), ctx, samples=10) == 0.0
-
-    def test_identity_operator(self, two_atom_space):
-        ctx = OrliczContext(two_atom_space, power_scaled(2))
-        assert norm_estimate(np.eye(2), ctx, samples=10) == pytest.approx(
-            1.0, abs=1e-9
-        )
-
-    def test_diagonal_spectral_oracle(self, two_atom_space):
-        # oracle: exact operator norm of diag(3, 1) on weighted l2 is 3
-        from orlicz_wct import power_plain
-
-        ctx = OrliczContext(two_atom_space, power_plain(2))
-        got = norm_estimate(np.diag([3.0, 1.0]), ctx, samples=20, seed=0)
-        assert got == pytest.approx(3.0, abs=1e-6)
 
 
 class TestStructuralInvariants:

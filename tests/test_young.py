@@ -110,12 +110,6 @@ class TestComplementary:
         assert complementary(power_plain(1)).kind == "numeric_conjugate"
         assert complementary(power_scaled(1)).kind == "numeric_conjugate"
 
-    def test_parameter_validation(self):
-        with pytest.raises(ValueError, match="grid_n"):
-            complementary(power_plain(2), grid_n=50)
-        with pytest.raises(ValueError, match="grid_max"):
-            complementary(power_plain(2), grid_max=0.0)
-
 
 class TestGeneralizedInverse:
     def test_strict_inverse_of_square(self):
