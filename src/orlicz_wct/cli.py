@@ -27,7 +27,7 @@ from .harness import (
 )
 from .orlicz import luxemburg_norm, modular
 from .subspace import ascent_of
-from .wct import b_n_operator, cesaro_mean, iterate, matrix_of
+from .wct import _direct_sums, b_n_operator, cesaro_mean, iterate, matrix_of
 from .young import complementary
 
 
@@ -171,13 +171,17 @@ def _cmd_cesaro(args) -> int:
     eye = np.eye(scenario.space.n_atoms)
     m = matrix_of(t)
     modes = ("direct", "closed_form") if args.mode == "both" else (args.mode,)
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    a_walk, b_walk = _direct_sums(t, (n, n + 1), (n,) if n >= 2 else ())
+    a_n, a_next = a_walk[n], a_walk[n + 1]
     payload: dict = {"n": n}
     for mode in modes:
-        payload[f"a_n_{mode}"] = cesaro_mean(t, n, mode).tolist()
+        direct = mode == "direct"
+        payload[f"a_n_{mode}"] = (a_n if direct else cesaro_mean(t, n, mode)).tolist()
         if n >= 2:
-            payload[f"b_n_{mode}"] = b_n_operator(t, n, mode).tolist()
-    a_n = cesaro_mean(t, n, "direct")
-    a_next = cesaro_mean(t, n + 1, "direct")
+            b_n = b_walk[n] if direct else b_n_operator(t, n, mode)
+            payload[f"b_n_{mode}"] = b_n.tolist()
     tn = iterate(t, n, "direct")
     payload["residuals"] = {
         "power_over_n_identity": float(
@@ -188,9 +192,8 @@ def _cmd_cesaro(args) -> int:
         ),
     }
     if n >= 2:
-        b_n = b_n_operator(t, n, "direct")
         payload["residuals"]["remainder_factorization_identity"] = float(
-            np.max(np.abs(eye - a_n - (eye - m) @ b_n))
+            np.max(np.abs(eye - a_n - (eye - m) @ b_walk[n]))
         )
     if args.format == "json":
         print(json.dumps(payload, sort_keys=True, indent=2))

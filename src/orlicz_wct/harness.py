@@ -37,6 +37,7 @@ from .orlicz import OrliczContext, luxemburg_norms
 from .subspace import powers_well_conditioned, verify_structure_theorems
 from .wct import (
     WctOperator,
+    _direct_sums,
     apply,
     b_n_operator,
     bound_constant,
@@ -114,12 +115,14 @@ def young_from_spec(spec: dict) -> YoungFunction:
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ValidationError("young must be an object with a 'kind' field")
     kind = spec["kind"]
-    factory = _YOUNG_FACTORIES.get(kind)
+    factory = _YOUNG_FACTORIES.get(kind) if isinstance(kind, str) else None
     if factory is None:
         raise ValidationError(f"unknown young function kind: {kind!r}")
     params = spec.get("params")
     if params is None and "p" in spec:
         params = [spec["p"]]
+    if not isinstance(params, (list, tuple, type(None))):
+        raise ValidationError("young params must be a list of numbers")
     params = list(params or [])
     try:
         return factory(*params)
@@ -223,7 +226,12 @@ def scenario_from_dict(data: dict) -> Scenario:
             raise ValidationError(f"tolerance {key!r} must be > 0")
         tolerances[key] = float(val)
 
-    experiments = tuple(data.get("experiments") or DEFAULT_EXPERIMENTS)
+    experiments = data.get("experiments") or DEFAULT_EXPERIMENTS
+    if not isinstance(experiments, (list, tuple)) or not all(
+        isinstance(name, str) for name in experiments
+    ):
+        raise ValidationError("experiments must be a list of experiment names")
+    experiments = tuple(experiments)
     for name in experiments:
         if name not in EXPERIMENT_CLAIMS:
             raise ValidationError(f"unknown experiment name: {name!r}")
@@ -441,18 +449,21 @@ def _cesaro_claims(t: WctOperator, comparison_tol: float, fp: dict):
     def rel(diff, scale) -> float:
         return _max_abs(diff) / (1.0 + _max_abs(scale))
 
-    for n in (2, 3, 5, 8, 13, 20):
-        a_direct = cesaro_mean(t, n, "direct")
+    horizons = (2, 3, 5, 8, 13, 20)
+    nexts = tuple(n + 1 for n in horizons)
+    a_walk, b_walk = _direct_sums(t, horizons + nexts, horizons)
+    for n in horizons:
+        a_direct = a_walk[n]
         a_closed = cesaro_mean(t, n, "closed_form")
         worst["cesaro_closed_form"] = max(
             worst["cesaro_closed_form"], rel(a_direct - a_closed, a_direct)
         )
-        b_direct = b_n_operator(t, n, "direct")
+        b_direct = b_walk[n]
         b_closed = b_n_operator(t, n, "closed_form")
         worst["remainder_closed_form"] = max(
             worst["remainder_closed_form"], rel(b_direct - b_closed, b_direct)
         )
-        a_next = cesaro_mean(t, n + 1, "direct")
+        a_next = a_walk[n + 1]
         tn = iterate(t, n, "direct")
         worst["power_over_n_identity"] = max(
             worst["power_over_n_identity"],

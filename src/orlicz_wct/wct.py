@@ -3,7 +3,10 @@ Cesaro means, norm bounds, and power-boundedness diagnostics.
 
 Every closed form below factors through the cached symbol h = E(u*w): the
 n-th power multiplies the operator by h^(n-1), and the Cesaro data are
-geometric sums in h.
+geometric sums in h, accumulated with numpy in blocks of a fixed number of
+powers, so that their memory does not grow with n. The direct Cesaro and
+remainder routes share one walk I, T, T^2, ... of sequential products, which
+serves every requested n at once.
 """
 
 from __future__ import annotations
@@ -95,56 +98,98 @@ def iterate(t: WctOperator, n: int, mode: str = "closed_form") -> np.ndarray:
     return (t.h ** (n - 1))[:, None] * m
 
 
+def _direct_sums(t: WctOperator, a_ns=(), b_ns=()) -> tuple[dict, dict]:
+    """A_n for each n in a_ns and B_n for each n in b_ns, by one walk.
+
+    The walk forms P_0 = I, P_(k+1) = P_k @ M once, up to the largest power
+    any result needs. A_n sums P_0, ..., P_(n-1) onto zeros; B_n adds
+    (n-1-k) P_k onto (n-1) I for k = 1, ..., n-2. Each result gets the
+    additions of its own per-n loop in the same order, so it equals that
+    loop bit for bit.
+    """
+    m = matrix_of(t)
+    eye = np.eye(t.space.n_atoms)
+    top = max([n - 1 for n in a_ns] + [n - 2 for n in b_ns])
+    total = np.zeros_like(eye)
+    b_acc = {n: (n - 1) * eye for n in b_ns}
+    a_out = {}
+    power = eye
+    for k in range(top + 1):
+        if k:
+            power = power @ m
+            for n, acc in b_acc.items():
+                if k <= n - 2:
+                    acc += (n - 1 - k) * power
+        total += power
+        if k + 1 in a_ns:
+            a_out[k + 1] = total / (k + 1)
+    return a_out, {n: acc / n for n, acc in b_acc.items()}
+
+
+_BLOCK = 512
+
+
+def _power_sum(h: np.ndarray, n_terms: int, weighted: bool) -> np.ndarray:
+    """sum of c_j h^j over j < n_terms, c_j = n_terms - j if weighted else 1.
+
+    h^j is the running product 1 * h * ... * h, and the terms are added onto
+    zeros in order of j, so the result equals that loop bit for bit. The
+    terms are formed _BLOCK powers at a time, carrying the next power and
+    the partial sum from block to block, so memory does not grow with n_terms.
+    """
+    total = np.zeros_like(h)
+    hpow = np.ones_like(h)
+    for start in range(0, n_terms, _BLOCK):
+        size = min(_BLOCK, n_terms - start)
+        terms = np.repeat(hpow[:, None], size, axis=1)
+        # a product that h maps to itself (0, inf, or a subnormal that
+        # rounds back) stays put; multiplying it again only costs time, as
+        # subnormal products are slow, so only the moving rows are multiplied
+        moving = hpow * h != hpow
+        rows = slice(None) if moving.all() else moving
+        terms[rows, 1:] = h[rows, None]
+        terms[rows] = np.multiply.accumulate(terms[rows], axis=1)
+        hpow = terms[:, -1] * h
+        if weighted:
+            terms *= np.arange(n_terms - start, n_terms - start - size, -1.0)
+        terms[:, 0] = total + terms[:, 0]
+        total = np.add.accumulate(terms, axis=1)[:, -1]
+    return total
+
+
 def cesaro_mean(t: WctOperator, n: int, mode: str = "closed_form") -> np.ndarray:
-    """(I + T + ... + T^(n-1)) / n; the closed form uses v_n = sum h^i, i < n-1."""
+    """(I + T + ... + T^(n-1)) / n.
+
+    Direct: one walk of sequential products (``_direct_sums``). Closed form:
+    (I + diag(v_n) T) / n with v_n = sum h^i over i < n-1, accumulated by
+    ``_power_sum``.
+    """
     _check_mode(mode)
     if n < 1:
         raise ValueError("n must be >= 1")
-    dim = t.space.n_atoms
-    eye = np.eye(dim)
     if mode == "direct":
-        acc = np.zeros((dim, dim))
-        power = eye
-        m = matrix_of(t)
-        for _ in range(n):
-            acc += power
-            power = power @ m
-        return acc / n
+        return _direct_sums(t, a_ns=(n,))[0][n]
+    eye = np.eye(t.space.n_atoms)
     if n == 1:
         return eye
-    v_n = np.zeros(dim)
-    hpow = np.ones(dim)
-    for _ in range(n - 1):
-        v_n += hpow
-        hpow *= t.h
+    v_n = _power_sum(t.h, n - 1, weighted=False)
     return (eye + v_n[:, None] * matrix_of(t)) / n
 
 
 def b_n_operator(t: WctOperator, n: int, mode: str = "closed_form") -> np.ndarray:
     """(T^(n-2) + 2 T^(n-3) + ... + (n-2) T + (n-1) I) / n for n >= 2.
 
-    Closed form: (diag(w_n) T + (n-1) I)/n with w_n = sum over i of
-    (n-i-1) h^(i-1), i from 1 to n-2.
+    Direct: one walk of sequential products (``_direct_sums``). Closed form:
+    (diag(w_n) T + (n-1) I)/n with w_n = sum over i of (n-i-1) h^(i-1),
+    i from 1 to n-2, accumulated by ``_power_sum``.
     """
     _check_mode(mode)
     if n < 2:
         raise ValueError("n must be >= 2")
-    dim = t.space.n_atoms
-    eye = np.eye(dim)
     if mode == "direct":
-        m = matrix_of(t)
-        acc = (n - 1) * eye
-        power = eye
-        for k in range(1, n - 1):
-            power = power @ m
-            acc += (n - 1 - k) * power
-        return acc / n
-    w_n = np.zeros(dim)
-    hpow = np.ones(dim)
-    for i in range(1, n - 1):
-        w_n += (n - i - 1) * hpow
-        hpow *= t.h
-    return (w_n[:, None] * matrix_of(t) + (n - 1) * eye) / n
+        return _direct_sums(t, b_ns=(n,))[1][n]
+    w_n = _power_sum(t.h, n - 2, weighted=True)
+    return (w_n[:, None] * matrix_of(t) + (n - 1) * np.eye(t.space.n_atoms)) / n
 
 
 def bound_constant(

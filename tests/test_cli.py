@@ -114,6 +114,24 @@ class TestVerify:
         payload = json.loads(out_path.read_text())
         assert {r["status"] for r in payload["entries"]} <= {"pass", "not_checked"}
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_capped_gauge_runs_without_warnings(
+        self, capsys, tmp_path, r1_scenario_dict
+    ):
+        # the capped gauge is infinite past its cap, so the Jensen gap meets
+        # inf - inf and the Hoelder ratios 0 * inf; both are filtered out and
+        # neither may warn
+        spec = dict(r1_scenario_dict, w=[0.5, 0.5], young={"kind": "capped"})
+        path = tmp_path / "r3_capped.json"
+        path.write_text(json.dumps(spec))
+        code, out, _ = run_cli(
+            capsys, "verify", "--scenario", str(path), "--instances", "0",
+            "--seed", "2", "--format", "json",
+        )
+        assert code == 0
+        statuses = {r["status"] for r in json.loads(out)["entries"]}
+        assert statuses <= {"pass", "not_checked"}
+
     def test_malformed_scenario_exits_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{nope")

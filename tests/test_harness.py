@@ -134,6 +134,26 @@ class TestLoadScenario:
         with pytest.raises(ValidationError, match=f"{field} must hold numbers"):
             scenario_from_dict(bad)
 
+    def test_experiments_not_a_list_rejected(self, r1_scenario_dict):
+        bad = dict(r1_scenario_dict, experiments=5)
+        with pytest.raises(ValidationError, match="experiments must be a list"):
+            scenario_from_dict(bad)
+
+    def test_nested_experiment_name_rejected(self, r1_scenario_dict):
+        bad = dict(r1_scenario_dict, experiments=[["x"]])
+        with pytest.raises(ValidationError, match="experiments must be a list"):
+            scenario_from_dict(bad)
+
+    def test_list_young_kind_rejected(self, r1_scenario_dict):
+        bad = dict(r1_scenario_dict, young={"kind": ["x"]})
+        with pytest.raises(ValidationError, match="unknown young function kind"):
+            scenario_from_dict(bad)
+
+    def test_scalar_young_params_rejected(self, r1_scenario_dict):
+        bad = dict(r1_scenario_dict, young={"kind": "power_scaled", "params": 3})
+        with pytest.raises(ValidationError, match="young params must be a list"):
+            scenario_from_dict(bad)
+
     def test_young_params_list_form(self, r1_scenario_dict):
         spec = dict(r1_scenario_dict, young={"kind": "power_scaled", "params": [3]})
         s = scenario_from_dict(spec)

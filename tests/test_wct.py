@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,9 @@ from orlicz_wct import (
     complementary,
     support,
 )
+
+from orlicz_wct import wct
+from orlicz_wct.harness import PROFILES, generate_random_instance
 
 from conftest import random_operator
 
@@ -180,6 +185,137 @@ class TestRemainderOperator:
     def test_validation(self, r3):
         with pytest.raises(ValueError):
             b_n_operator(r3, 1)
+
+
+# Verbatim copies of the per-n loops that the single walk and the blockwise
+# accumulations replace; the routes below must equal them bit for bit.
+def _loop_cesaro_direct(t, n):
+    dim = t.space.n_atoms
+    eye = np.eye(dim)
+    acc = np.zeros((dim, dim))
+    power = eye
+    m = matrix_of(t)
+    for _ in range(n):
+        acc += power
+        power = power @ m
+    return acc / n
+
+
+def _loop_b_n_direct(t, n):
+    dim = t.space.n_atoms
+    eye = np.eye(dim)
+    m = matrix_of(t)
+    acc = (n - 1) * eye
+    power = eye
+    for k in range(1, n - 1):
+        power = power @ m
+        acc += (n - 1 - k) * power
+    return acc / n
+
+
+def _loop_v_n(h, n):
+    v_n = np.zeros(h.size)
+    hpow = np.ones(h.size)
+    for _ in range(n - 1):
+        v_n += hpow
+        hpow *= h
+    return v_n
+
+
+def _loop_w_n(h, n):
+    w_n = np.zeros(h.size)
+    hpow = np.ones(h.size)
+    for i in range(1, n - 1):
+        w_n += (n - i - 1) * hpow
+        hpow *= h
+    return w_n
+
+
+def _loop_cesaro_closed(t, n):
+    eye = np.eye(t.space.n_atoms)
+    if n == 1:
+        return eye
+    return (eye + _loop_v_n(t.h, n)[:, None] * matrix_of(t)) / n
+
+
+def _loop_b_n_closed(t, n):
+    eye = np.eye(t.space.n_atoms)
+    return (_loop_w_n(t.h, n)[:, None] * matrix_of(t) + (n - 1) * eye) / n
+
+
+def _same_bits(a, b):
+    """Equal values, NaN where NaN, and the same sign on every zero."""
+    return np.array_equal(a, b, equal_nan=True) and np.array_equal(
+        np.signbit(a), np.signbit(b)
+    )
+
+
+def _instance(i):
+    n_atoms = 2 + (5 * i) % 63
+    n_blocks = 1 + (3 * i) % n_atoms
+    profile = PROFILES[i % len(PROFILES)]
+    return generate_random_instance(1000 + i, n_atoms, n_blocks, profile).operator()
+
+
+class TestSinglePassRoutes:
+    def test_closed_forms_equal_the_loops_bit_for_bit(self):
+        # 200 instances, 40 per profile, 2 to 64 atoms; the expanding
+        # profile overflows to inf (and inf - inf) at the long horizons
+        sizes = set()
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i in range(200):
+                t = _instance(i)
+                sizes.add(t.space.n_atoms)
+                for n in (1, 2, 3, 5, 20, 200, 2001):
+                    got = cesaro_mean(t, n, "closed_form")
+                    assert _same_bits(got, _loop_cesaro_closed(t, n)), (i, n)
+                    if n >= 2:
+                        got = b_n_operator(t, n, "closed_form")
+                        assert _same_bits(got, _loop_b_n_closed(t, n)), (i, n)
+        assert min(sizes) == 2 and max(sizes) == 64
+
+    def test_power_sum_at_fixed_points_and_block_edges(self):
+        # 0, inf and subnormal powers that h maps to themselves, sign-flipping
+        # zeros and infinities, and horizons on either side of a block edge
+        h = np.array([0.0, -0.0, 0.3, -0.3, 0.6, -0.6, 0.999, -1.0, 1.0,
+                      1.5, -1.5, 2.0, 5e-324, -5e-324, 0.5, -0.5])
+        block = wct._BLOCK
+        with np.errstate(over="ignore", invalid="ignore"):
+            for n in (2, block, block + 1, block + 2, 2 * block + 1, 3000):
+                assert _same_bits(wct._power_sum(h, n - 1, False), _loop_v_n(h, n))
+                assert _same_bits(wct._power_sum(h, n - 2, True), _loop_w_n(h, n))
+
+    def test_walk_equals_the_per_n_loops_bit_for_bit(self):
+        ns = (2, 3, 5, 8, 13, 20)
+        for i in range(0, 200, 7):
+            t = _instance(i)
+            a_walk, b_walk = wct._direct_sums(
+                t, (1,) + ns + tuple(n + 1 for n in ns), ns
+            )
+            for n in (1,) + ns:
+                assert _same_bits(a_walk[n], _loop_cesaro_direct(t, n)), (i, n)
+            for n in ns:
+                assert _same_bits(a_walk[n + 1], _loop_cesaro_direct(t, n + 1))
+                assert _same_bits(b_walk[n], _loop_b_n_direct(t, n)), (i, n)
+                assert _same_bits(b_n_operator(t, n, "direct"), b_walk[n])
+            assert _same_bits(cesaro_mean(t, 13, "direct"), a_walk[13])
+
+    def test_closed_form_memory_does_not_grow_with_n(self):
+        t = generate_random_instance(3, 64, 8, "contracting_h").operator()
+
+        def peak(n):
+            tracemalloc.start()
+            try:
+                cesaro_mean(t, n, "closed_form")
+                b_n_operator(t, n, "closed_form")
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        short, long = peak(4 * wct._BLOCK), peak(100_000)
+        # one (n, 64) array of powers would take 51.2 MB at n = 100_000
+        assert long <= 2_000_000
+        assert long <= short + 64 * 1024
 
 
 class TestBoundConstant:
