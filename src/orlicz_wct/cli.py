@@ -17,6 +17,7 @@ import numpy as np
 from . import __version__
 from .condexp import CondExp, gch_constant_report
 from .harness import (
+    MAX_RANDOM_ATOMS,
     PROFILES,
     ScenarioError,
     emit_report,
@@ -29,6 +30,22 @@ from .orlicz import luxemburg_norm, modular
 from .subspace import ascent_of
 from .wct import _direct_sums, b_n_operator, cesaro_mean, iterate, matrix_of
 from .young import complementary
+
+
+def _int_in(low: int, high: int | None = None):
+    """argparse type: an integer in [low, high], rejected at parse time with
+    exit 2 and a message naming the flag."""
+
+    def int_in(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be <= {high}, got {value}")
+        return value
+
+    int_in.__name__ = "int"
+    return int_in
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -60,29 +77,29 @@ def _build_parser() -> argparse.ArgumentParser:
         "gch", parents=[common], help="empirical conditional Hoelder constant"
     )
     p.add_argument("--scenario", required=True)
-    p.add_argument("--samples", type=int, default=200)
+    p.add_argument("--samples", type=_int_in(1), default=200)
 
     p = sub.add_parser(
         "ascent", parents=[common], help="ascent/descent of the scenario operator"
     )
     p.add_argument("--scenario", required=True)
-    p.add_argument("--k-max", type=int, default=8)
+    p.add_argument("--k-max", type=_int_in(1), default=8)
 
     p = sub.add_parser(
         "cesaro", parents=[common], help="Cesaro mean, remainder operator, residuals"
     )
     p.add_argument("--scenario", required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int_in(1), required=True)
     p.add_argument("--mode", choices=("direct", "closed_form", "both"), default="both")
 
     p = sub.add_parser("verify", parents=[common], help="full verification suite")
     p.add_argument("--scenario", required=True)
-    p.add_argument("--instances", type=int, default=0)
+    p.add_argument("--instances", type=_int_in(0), default=0)
     p.add_argument("--output", default=None, help="also write the report here")
 
     p = sub.add_parser("random", parents=[common], help="generate a random scenario")
-    p.add_argument("--n-atoms", type=int, default=8)
-    p.add_argument("--n-blocks", type=int, default=3)
+    p.add_argument("--n-atoms", type=_int_in(1, MAX_RANDOM_ATOMS), default=8)
+    p.add_argument("--n-blocks", type=_int_in(1), default=3)
     p.add_argument("--profile", choices=PROFILES, default="generic")
     p.add_argument("--output", default=None, help="write the scenario here")
     return parser
@@ -171,8 +188,6 @@ def _cmd_cesaro(args) -> int:
     eye = np.eye(scenario.space.n_atoms)
     m = matrix_of(t)
     modes = ("direct", "closed_form") if args.mode == "both" else (args.mode,)
-    if n < 1:
-        raise ValueError("n must be >= 1")
     a_walk, b_walk = _direct_sums(t, (n, n + 1), (n,) if n >= 2 else ())
     a_n, a_next = a_walk[n], a_walk[n + 1]
     payload: dict = {"n": n}
@@ -241,6 +256,8 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    if args.command == "random" and args.n_blocks > args.n_atoms:
+        _build_parser().error("argument --n-blocks: must be <= --n-atoms")
     env_seed = os.environ.get("ORLICZ_WCT_SEED")
     if env_seed is not None:
         try:

@@ -97,6 +97,8 @@ PROFILES = (
     "expanding_h",
     "sparse_support",
 )
+# atom cap of generate_random_instance, whose checks are dense
+MAX_RANDOM_ATOMS = 64
 # draws per random instance before generation gives up
 _ATTEMPTS = 120
 # random draws shared by the conditional-expectation laws
@@ -294,8 +296,8 @@ def generate_random_instance(
     construction (contracting_h rescales w blockwise so sup|h| <= 0.9,
     expanding_h so min h >= 1.1, nilpotent_h orthogonalizes w against u on
     every block, sparse_support zeroes w outside a small atom set)."""
-    if not 1 <= n_blocks <= n_atoms <= 64:
-        raise ValueError("require 1 <= n_blocks <= n_atoms <= 64")
+    if not 1 <= n_blocks <= n_atoms <= MAX_RANDOM_ATOMS:
+        raise ValueError(f"require 1 <= n_blocks <= n_atoms <= {MAX_RANDOM_ATOMS}")
     if profile not in PROFILES:
         raise ValueError(f"unknown profile: {profile!r}")
     rng = np.random.default_rng(seed)

@@ -1,10 +1,13 @@
 """Rank-revealing subspace computations and the structure-theorem checks.
 
-A structure pass factors each distinct matrix once per SVD mode: one
-singular-value scan over the sequential powers of a matrix gives its 2-norm,
-the ranks of its powers, its ascent and its descent, and one full SVD gives
-both its range and its null space. The operator's dense matrix is its cached
-read-only array. Power chains use thresholds tied to the realized largest
+A structure pass factors each distinct matrix once per SVD mode. One walk of
+the sequential powers M, M^2, ... factors M^k with singular vectors for
+k <= 4 and by singular values after that; each gives the rank of M^k (so the
+chains, the ascent and the descent) and, for k <= 4, its range and kernel
+bases at the same cut. h*T and I - T get one full SVD each, I - T and its
+adjoint one singular-value scan each. Sums and intersections inside the pass
+are rank counts: singular values of stacked bases, and dim(a & b) = dim a +
+dim b - dim(a + b). Power chains use thresholds tied to the realized largest
 singular value of each power with a noise floor that scales like the base
 norm to the k-th power, so kernel detection stays stable whether iterates
 grow or decay. "Dense" statements are read as subspace equality with the
@@ -16,7 +19,6 @@ a Hilbert space; every claim that uses an adjoint records that choice.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import itertools
 from dataclasses import dataclass
@@ -79,9 +81,10 @@ class SubspaceBasis:
 
 
 def _svd_once():
-    """np.linalg.svd that factors each input once per mode. A repeat, keyed
-    by a digest of the input's bytes, gets the arrays of the first call,
-    which callers must not write to."""
+    """np.linalg.svd that factors each input of a structure pass (powers,
+    h*T, I - T, stacked bases) once per mode. A repeat, keyed by a digest of
+    the input's bytes, gets the arrays of the first call, which callers must
+    not write to."""
     memo = {}
 
     def svd(a, full_matrices=True, compute_uv=True):
@@ -95,15 +98,9 @@ def _svd_once():
     return svd
 
 
-def _bases(matrix: np.ndarray, tol: float, svd, cut):
-    """Range and null-space bases of matrix from one SVD; the singular values
-    s above cut(s) make up the rank."""
-    u, s, vh = svd(matrix)
-    rank = int(np.sum(s > cut(s)))
-    return (
-        SubspaceBasis(u[:, :rank].copy(), tol),
-        SubspaceBasis(vh[rank:].T.copy(), tol),
-    )
+def _split(u: np.ndarray, vh: np.ndarray, rank: int):
+    """Range and null-space columns of a matrix with SVD (u, ., vh)."""
+    return u[:, :rank], vh[rank:].T
 
 
 def _range_and_null(matrix: np.ndarray, tol: float, svd):
@@ -112,7 +109,9 @@ def _range_and_null(matrix: np.ndarray, tol: float, svd):
         raise ValueError("tol must be > 0")
     matrix = np.asarray(matrix, dtype=float)
     smax = float(svd(matrix, compute_uv=False)[0]) if matrix.size else 0.0
-    return _bases(matrix, tol, svd, lambda s: tol * smax if smax > 0 else tol)
+    u, s, vh = svd(matrix)
+    rank = int(np.sum(s > (tol * smax if smax > 0 else tol)))
+    return tuple(SubspaceBasis(c.copy(), tol) for c in _split(u, vh, rank))
 
 
 def null_space(matrix: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> SubspaceBasis:
@@ -140,34 +139,42 @@ def _power_threshold(sing: np.ndarray, base_norm: float, k: int, tol: float) -> 
     return max(tol * realized, floor)
 
 
-def _power_spectra(matrix: np.ndarray, tol: float, svd):
-    """(k, singular values, rank threshold) of matrix^k for k = 1, 2, ...,
-    formed by sequential multiplication."""
-    smax = float(svd(matrix, compute_uv=False)[0])
-    power = np.eye(matrix.shape[0])
+def _power_spectra(matrix: np.ndarray, tol: float, svd, n_full: int = 0):
+    """(k, singular values, rank threshold, u, vh) of matrix^k for k = 1, 2,
+    ..., formed by sequential multiplication from matrix itself. Powers up to
+    n_full are factored with their singular vectors, later ones by singular
+    values alone (u and vh are None); every threshold takes its base norm
+    from the first power."""
+    power = matrix
     for k in itertools.count(1):
+        factors = svd(power, compute_uv=k <= n_full)
+        u, s, vh = factors if k <= n_full else (None, factors, None)
+        if k == 1:
+            base = float(s[0])
+        yield k, s, _power_threshold(s, base, k, tol), u, vh
         power = power @ matrix
-        s = svd(power, compute_uv=False)
-        yield k, s, _power_threshold(s, smax, k, tol)
 
 
 def _rank_scan(
-    matrix: np.ndarray, tol: float, svd, k_min: int = 0, k_max: int = 8
-) -> tuple[list[int], int | None]:
-    """Ranks of matrix^k for k = 0, 1, ... at power-scaled thresholds, and the
-    first k <= k_max with rank(M^k) = rank(M^(k+1)), or None.
+    matrix: np.ndarray, tol: float, svd, k_min: int = 0, k_max: int = 8, n_full: int = 0
+) -> tuple[list[int], int | None, dict]:
+    """Ranks of matrix^k for k = 0, 1, ... at power-scaled thresholds, the
+    first k <= k_max with rank(M^k) = rank(M^(k+1)), or None, and the range
+    and null-space columns of M^k at the same cut for k = 1, ..., n_full.
 
-    The scan always reaches k_min, then goes on, at most to k_max + 1, only
-    until that k is found.
+    The scan always reaches max(k_min, n_full), then goes on, at most to
+    k_max + 1, only until that k is found.
     """
     matrix = np.asarray(matrix, dtype=float)
-    ranks, stable = [matrix.shape[0]], None
-    for k, s, thr in _power_spectra(matrix, tol, svd):
+    ranks, stable, bases = [matrix.shape[0]], None, {}
+    for k, s, thr, u, vh in _power_spectra(matrix, tol, svd, n_full):
         ranks.append(int(np.sum(s > thr)))
+        if u is not None:
+            bases[k] = _split(u, vh, ranks[-1])
         if stable is None and k <= k_max + 1 and ranks[-1] == ranks[-2]:
             stable = k - 1
-        if k >= k_min and (stable is not None or k > k_max):
-            return ranks, stable
+        if k >= max(k_min, n_full) and (stable is not None or k > k_max):
+            return ranks, stable, bases
 
 
 # a singular value within this factor of its rank threshold is unclassifiable
@@ -195,8 +202,8 @@ def powers_well_conditioned(
     matrix = np.asarray(matrix, dtype=float)
     thresholds = []
     retained_min_sq = None
-    spectra = _power_spectra(matrix, tol, _svd_once())
-    for k, s, thr in itertools.islice(spectra, k_max):
+    spectra = _power_spectra(matrix, tol, np.linalg.svd)
+    for k, s, thr, _, _ in itertools.islice(spectra, k_max):
         thresholds.append(thr)
         if thr > 0 and np.any((s > thr / _BAND) & (s <= thr * _BAND)):
             return False
@@ -225,7 +232,7 @@ def ascent_of(matrix: np.ndarray, k_max: int = 8, tol: float = DEFAULT_RANK_TOL)
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    return _rank_scan(matrix, tol, _svd_once(), 0, k_max)[1]
+    return _rank_scan(matrix, tol, np.linalg.svd, 0, k_max)[1]
 
 
 def descent_of(matrix: np.ndarray, k_max: int = 8, tol: float = DEFAULT_RANK_TOL):
@@ -237,40 +244,33 @@ def descent_of(matrix: np.ndarray, k_max: int = 8, tol: float = DEFAULT_RANK_TOL
     return ascent_of(matrix, k_max, tol)
 
 
+def _sum_rank(s: np.ndarray, tol: float) -> int:
+    """Dimension of a subspace sum from the singular values s of the stacked
+    orthonormal bases: the count above tol times the largest (tol if 0)."""
+    return int(np.sum(s > (tol * s[0] if s[0] > 0 else tol)))
+
+
 def subspace_sum(a: SubspaceBasis, b: SubspaceBasis) -> SubspaceBasis:
     """Orthonormal basis of span(a) + span(b) at the coarser tolerance."""
-    return _sum(a, b, np.linalg.svd)
-
-
-def _sum(a: SubspaceBasis, b: SubspaceBasis, svd) -> SubspaceBasis:
     if a.ambient != b.ambient:
         raise ValueError("dimension mismatch")
     tol = max(a.tol, b.tol)
     cols = np.hstack([a.vectors, b.vectors])
     if cols.shape[1] == 0:
         return SubspaceBasis(cols, tol)
-    u, s, _ = svd(cols, full_matrices=False)
-    thr = tol * s[0] if s[0] > 0 else tol
-    rank = int(np.sum(s > thr))
-    return SubspaceBasis(u[:, :rank].copy(), tol)
+    u, s, _ = np.linalg.svd(cols, full_matrices=False)
+    return SubspaceBasis(u[:, : _sum_rank(s, tol)].copy(), tol)
 
 
 def subspace_intersection(a: SubspaceBasis, b: SubspaceBasis) -> SubspaceBasis:
     """Basis of span(a) meet span(b), sized so that the dimension identity
     dim(a&b) = dim a + dim b - dim(a+b) holds exactly at tolerance."""
-    return _intersection(a, b, np.linalg.svd)
-
-
-def _intersection(a: SubspaceBasis, b: SubspaceBasis, svd) -> SubspaceBasis:
-    if a.ambient != b.ambient:
-        raise ValueError("dimension mismatch")
     tol = max(a.tol, b.tol)
-    target = a.dim + b.dim - _sum(a, b, svd).dim
+    target = a.dim + b.dim - subspace_sum(a, b).dim
     if target <= 0:
         return SubspaceBasis(np.zeros((a.ambient, 0)), tol)
-    u, s, _ = svd(a.vectors.T @ b.vectors)
-    directions = a.vectors @ u[:, :target]
-    q, _ = np.linalg.qr(directions)
+    u, _, _ = np.linalg.svd(a.vectors.T @ b.vectors)
+    q, _ = np.linalg.qr(a.vectors @ u[:, :target])
     return SubspaceBasis(q[:, :target], tol)
 
 
@@ -316,14 +316,13 @@ def verify_structure_theorems(
     def skip(hyp: str, *cids: str, **extra):
         rows.extend(make_claim(c, hyp, "not_checked", fp=fp, **extra) for c in cids)
 
-    # every factorization below is formed once per input and mode; one scan
-    # gives the chains to k = 6 and the ascent, which is also the descent by
-    # rank-nullity
+    # every factorization below is formed once per input and mode; one walk
+    # of sequential powers gives the chains to k = 6, the ascent (also the
+    # descent, by rank-nullity) and the range and kernel of M^k, k <= 4
     svd = _svd_once()
-    ranks, ascent = _rank_scan(m, tol, svd, 6)
+    ranks, ascent, powers = _rank_scan(m, tol, svd, 6, n_full=4)
     ranks = ranks[:7]
     null_dims = [n - r for r in ranks]
-    smax = float(svd(m, compute_uv=False)[0])
 
     # ascent and the kernel chain
     claim(
@@ -359,37 +358,35 @@ def verify_structure_theorems(
     else:
         skip(hyp_b, "descent_bound", "range_chain_stabilization")
 
-    # intersections and sums
-    def bases(a: np.ndarray, k: int) -> tuple[SubspaceBasis, SubspaceBasis]:
-        # range and kernel of a at the rank cut of the k-th power of m
-        return _bases(a, tol, svd, lambda s: _power_threshold(s, smax, k, tol))
+    # sums and intersections enter only through their dimensions: a sum's is
+    # a rank count of the stacked bases, an intersection's follows from
+    # dim(a & b) = dim a + dim b - dim(a + b)
+    def sum_dim(a: np.ndarray, b: np.ndarray) -> int:
+        cols = np.hstack([a, b])
+        return _sum_rank(svd(cols, compute_uv=False), tol) if cols.shape[1] else 0
 
-    power_bases = functools.cache(lambda k: bases(np.linalg.matrix_power(m, k), k))
-    r2, null2 = power_bases(2)
-    sum2 = _sum(r2, null2, svd)
-    int2 = _intersection(r2, null2, svd)
-    dims = [
-        (int2 if k == 2 else _intersection(r2, power_bases(k)[1], svd)).dim
-        for k in range(1, 5)
-    ]
+    def meet_dim(a: np.ndarray, b: np.ndarray) -> int:
+        return max(0, a.shape[1] + b.shape[1] - sum_dim(a, b))
+
+    r2, null2 = powers[2]
+    dims = [meet_dim(r2, powers[k][1]) for k in range(1, 5)]
     worst = float(max(dims))
     claim("range_square_null_intersection", "none", worst == 0, residual=worst)
     if bounded_away:
-        sums = [
-            sum2 if k == 2 else _sum(power_bases(k)[0], null2, svd) for k in range(1, 5)
-        ]
-        claim("range_plus_null_square", hyp_b, all(b.dim == n for b in sums))
+        ok = all(sum_dim(powers[k][0], null2) == n for k in range(1, 5))
+        claim("range_plus_null_square", hyp_b, ok)
     else:
         skip(hyp_b, "range_plus_null_square")
 
     # the symbol-weighted operator is the square in closed form, so its rank
-    # cut uses the power-2 noise floor
-    rs, ns = bases(t.h[:, None] * m, 2)
-    claim("symbol_operator_decomposition", "none", _sum(rs, ns, svd).dim == n)
+    # cut uses the power-2 noise floor of the first power's norm
+    u, s, vh = svd(t.h[:, None] * m)
+    cut = _power_threshold(s, float(svd(m)[1][0]), 2, tol)
+    rs, ns = _split(u, vh, int(np.sum(s > cut)))
+    claim("symbol_operator_decomposition", "none", sum_dim(rs, ns) == n)
 
     # claims under the strict contraction criterion
-    psi = complementary(ctx.phi)
-    crit = criterion_support(t, ctx.phi, psi)
+    crit = criterion_support(t, ctx.phi, complementary(ctx.phi))
     criterion_holds = all(abs(t.h[i]) < 1.0 for i in sorted(crit))
     hyp_c = "met" if criterion_holds else "not_met"
     imt = np.eye(n) - m
@@ -409,11 +406,12 @@ def verify_structure_theorems(
         skip(hyp_c, "one_minus_t_ascent", "one_minus_t_adjoint_ascent")
 
     # dense sum surrogate: equality with the whole space
+    sum2 = sum_dim(r2, null2)
     claim(
         "square_sum_dense",
         "none",
-        sum2.dim == n and int2.dim == 0,
-        detail=f"dim sum={sum2.dim}, dim intersection={int2.dim} "
+        sum2 == n and dims[1] == 0,
+        detail=f"dim sum={sum2}, dim intersection={dims[1]} "
         "(density read as equality in finite dimensions)",
     )
 
@@ -431,7 +429,7 @@ def verify_structure_theorems(
         "one_minus_t_direct_sum",
         hyp_c,
         rng_imt.dim + nul_imt.dim == n
-        and _intersection(rng_imt, nul_imt, svd).dim == 0,
+        and meet_dim(rng_imt.vectors, nul_imt.vectors) == 0,
         detail=f"dims {rng_imt.dim}+{nul_imt.dim} of {n}",
     )
 

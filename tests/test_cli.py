@@ -228,3 +228,30 @@ class TestFlags:
             main(argv + ["--tol-norm", "1e-12"])
         assert exc.value.code == 2
         assert "--tol-norm" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            pytest.param(["cesaro", "--n", "0"], "--n", id="cesaro-n"),
+            pytest.param(["ascent", "--k-max", "0"], "--k-max", id="ascent-k-max"),
+            pytest.param(["gch", "--samples", "0"], "--samples", id="gch-samples"),
+            pytest.param(
+                ["verify", "--instances", "-1"], "--instances", id="verify-instances"
+            ),
+            pytest.param(["random", "--n-atoms", "0"], "--n-atoms", id="n-atoms-0"),
+            pytest.param(["random", "--n-atoms", "65"], "--n-atoms", id="n-atoms-65"),
+            pytest.param(["random", "--n-blocks", "0"], "--n-blocks", id="n-blocks-0"),
+            pytest.param(
+                ["random", "--n-atoms", "3", "--n-blocks", "4"],
+                "--n-blocks",
+                id="n-blocks-above-n-atoms",
+            ),
+        ],
+    )
+    def test_out_of_range_integer_rejected(self, capsys, scenario_path, argv, flag):
+        if argv[0] != "random":
+            argv = argv[:1] + ["--scenario", scenario_path] + argv[1:]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"argument {flag}: must be" in capsys.readouterr().err
