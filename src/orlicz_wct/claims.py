@@ -3,11 +3,13 @@
 Every verifiable statement the suite checks has exactly one claim id and one
 anchor string describing what the claim asserts. Reports are lists of
 ``ClaimResult`` rows; a row whose hypothesis failed is never an error.
+Every row is built by ``make_claim``, with an empty fingerprint that the
+harness stamps with the instance that ran.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 __all__ = [
     "ClaimResult",
@@ -27,9 +29,6 @@ class ClaimResult:
     residual: float | None = None
     detail: str | None = None
     fingerprint: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 CLAIM_REGISTRY: dict[str, str] = {
@@ -161,16 +160,17 @@ EXPERIMENT_CLAIMS: dict[str, tuple[str, ...]] = {
 }
 
 
-def make_claim(claim_id, hypothesis, status, residual=None, detail=None, fp=None):
-    """One report row for a registered claim id, anchored from the registry."""
+def make_claim(claim_id, hypothesis, ok, residual=None, detail=None):
+    """One report row for a registered claim id, anchored from the registry;
+    ok True, False or None (hypothesis not met) sets the status to "pass",
+    "fail" or "not_checked"."""
     return ClaimResult(
         claim_id=claim_id,
         anchor=CLAIM_REGISTRY[claim_id],
         hypothesis=hypothesis,
-        status=status,
+        status="not_checked" if ok is None else "pass" if ok else "fail",
         residual=residual,
         detail=detail,
-        fingerprint=fp or {},
     )
 
 

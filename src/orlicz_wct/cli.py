@@ -15,6 +15,7 @@ import sys
 import numpy as np
 
 from . import __version__
+from .claims import make_claim
 from .condexp import CondExp, gch_constant_report
 from .harness import (
     MAX_RANDOM_ATOMS,
@@ -48,6 +49,18 @@ def _int_in(low: int, high: int | None = None):
     return int_in
 
 
+def _positive_float(text: str) -> float:
+    """argparse type: a finite number > 0, rejected at parse time with exit 2
+    and a message naming the flag."""
+    value = float(text)
+    if not 0 < value < np.inf:
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text}")
+    return value
+
+
+_positive_float.__name__ = "float"
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="orlicz-wct",
@@ -58,7 +71,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="master seed")
     common.add_argument(
-        "--tol-rank", type=float, default=None, help="override rank tolerance"
+        "--tol-rank", type=_positive_float, default=None, help="override rank tolerance"
     )
     common.add_argument(
         "--format", choices=("json", "text"), default="text", help="output format"
@@ -169,16 +182,17 @@ def _cmd_ascent(args) -> int:
     m = matrix_of(t)
     tol = scenario.tolerances["rank"]
     a = ascent_of(m, k_max=args.k_max, tol=tol)
+    ok = a is not None and a <= 2
     # by rank-nullity the kernel and range chains of a square matrix
     # stabilize together, so the descent is the ascent
     stable = a if a is not None else f"exceeds k_max={args.k_max}"
     payload = {
         "ascent": stable,
         "descent": stable,
-        "claims": {"ascent_bound": "pass" if a is not None and a <= 2 else "fail"},
+        "claims": {"ascent_bound": make_claim("ascent_bound", "none", ok).status},
     }
     _emit(payload, args.format)
-    return 0 if all(v == "pass" for v in payload["claims"].values()) else 1
+    return 0 if ok else 1
 
 
 def _cmd_cesaro(args) -> int:
@@ -228,7 +242,11 @@ def _cmd_cesaro(args) -> int:
 def _cmd_verify(args) -> int:
     scenario = _apply_overrides(load_scenario(args.scenario), args)
     report = run_verification(scenario, seed=args.seed, instances=args.instances)
-    print(emit_report(report, format=args.format, path=args.output))
+    try:
+        text = emit_report(report, format=args.format, path=args.output)
+    except OSError as exc:
+        raise ScenarioError(f"cannot write --output: {exc}") from exc
+    print(text)
     return report.exit_status
 
 
@@ -238,8 +256,11 @@ def _cmd_random(args) -> int:
     )
     text = json.dumps(scenario_to_dict(scenario), sort_keys=True, indent=2)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise ScenarioError(f"cannot write --output: {exc}") from exc
     print(text)
     return 0
 

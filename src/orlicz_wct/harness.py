@@ -18,14 +18,17 @@ comparison, such as the retired ``norm_bisection``, is refused.
 
 Report JSON keys per claim: claim_id, anchor, hypothesis, status, residual,
 detail, fingerprint. A claim whose hypothesis is not met never affects the
-exit status.
+exit status. Each experiment group is one entry of ``_GROUPS``, a function of
+(scenario, operator, sampling seed); the harness stamps the fingerprint of
+the instance that ran onto every row, and library calls such as
+``verify_structure_theorems`` return rows whose fingerprint is ``{}``.
 """
 
 from __future__ import annotations
 
 import datetime as _dt
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -74,7 +77,8 @@ __all__ = [
 
 
 class ScenarioError(ValueError):
-    """Malformed scenario file (bad JSON)."""
+    """Input a command cannot use, such as a scenario file that is missing,
+    not UTF-8 or not JSON, or an --output path that cannot be written."""
 
 
 class ValidationError(ScenarioError):
@@ -82,14 +86,8 @@ class ValidationError(ScenarioError):
 
 
 DEFAULT_TOLERANCES = {"rank": 1e-8, "comparison": 1e-9}
-DEFAULT_EXPERIMENTS = (
-    "structure",
-    "condexp_laws",
-    "power_bounded",
-    "iterate_formula",
-    "cesaro_identities",
-    "boundedness",
-)
+# every experiment group, in registry order
+DEFAULT_EXPERIMENTS = tuple(EXPERIMENT_CLAIMS)
 PROFILES = (
     "generic",
     "nilpotent_h",
@@ -270,8 +268,11 @@ def scenario_to_dict(s: Scenario) -> dict:
 
 def load_scenario(path) -> Scenario:
     """Parse and validate a scenario file, with actionable error messages."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ScenarioError(f"cannot read scenario file: {exc}") from exc
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -405,94 +406,63 @@ class VerificationReport:
         return 1 if any(r.status == "fail" for r in self.entries) else 0
 
     def to_dict(self) -> dict:
-        return {
-            "entries": [r.to_dict() for r in self.entries],
-            "fingerprint": self.fingerprint,
-            "version": self.version,
-            "generated_at": self.generated_at,
-        }
+        return asdict(self)
 
 
 def _max_abs(a) -> float:
     return float(np.max(np.abs(a), initial=0.0))
 
 
-def _iterate_claims(t: WctOperator, comparison_tol: float, fp: dict):
+def _structure_claims(s: Scenario, t: WctOperator, seed: int):
+    tol = s.tolerances["rank"]
+    return verify_structure_theorems(t, s.context(), tol=tol, seed=seed)
+
+
+def _iterate_claims(s: Scenario, t: WctOperator, seed: int):
     worst = 0.0
     for n in range(1, 7):
         direct = iterate(t, n, "direct")
         closed = iterate(t, n, "closed_form")
         scale = 1.0 + _max_abs(direct)
         worst = max(worst, _max_abs(direct - closed) / scale)
-    ok = worst <= max(comparison_tol, 1e-9)
-    return [
-        make_claim(
-            "iterate_closed_form",
-            "none",
-            "pass" if ok else "fail",
-            residual=worst,
-            detail="relative max-entry gap over powers 1..6",
-            fp=fp,
-        )
-    ]
+    ok = worst <= max(s.tolerances["comparison"], 1e-9)
+    detail = "relative max-entry gap over powers 1..6"
+    return [make_claim("iterate_closed_form", "none", ok, worst, detail)]
 
 
-def _cesaro_claims(t: WctOperator, comparison_tol: float, fp: dict):
+def _cesaro_claims(s: Scenario, t: WctOperator, seed: int):
     eye = np.eye(t.space.n_atoms)
     m = matrix_of(t)
-    worst = {
-        "cesaro_closed_form": 0.0,
-        "remainder_closed_form": 0.0,
-        "power_over_n_identity": 0.0,
-        "telescoping_identity": 0.0,
-        "remainder_factorization_identity": 0.0,
-    }
+    worst = dict.fromkeys(EXPERIMENT_CLAIMS["cesaro_identities"], 0.0)
 
-    def rel(diff, scale) -> float:
-        return _max_abs(diff) / (1.0 + _max_abs(scale))
+    def gap(cid: str, diff, scale) -> None:
+        worst[cid] = max(worst[cid], _max_abs(diff) / (1.0 + _max_abs(scale)))
 
     horizons = (2, 3, 5, 8, 13, 20)
     nexts = tuple(n + 1 for n in horizons)
     a_walk, b_walk = _direct_sums(t, horizons + nexts, horizons)
     for n in horizons:
-        a_direct = a_walk[n]
-        a_closed = cesaro_mean(t, n, "closed_form")
-        worst["cesaro_closed_form"] = max(
-            worst["cesaro_closed_form"], rel(a_direct - a_closed, a_direct)
-        )
-        b_direct = b_walk[n]
-        b_closed = b_n_operator(t, n, "closed_form")
-        worst["remainder_closed_form"] = max(
-            worst["remainder_closed_form"], rel(b_direct - b_closed, b_direct)
-        )
-        a_next = a_walk[n + 1]
+        a_n, b_n, a_next = a_walk[n], b_walk[n], a_walk[n + 1]
+        gap("cesaro_closed_form", a_n - cesaro_mean(t, n, "closed_form"), a_n)
+        gap("remainder_closed_form", b_n - b_n_operator(t, n, "closed_form"), b_n)
         tn = iterate(t, n, "direct")
-        worst["power_over_n_identity"] = max(
-            worst["power_over_n_identity"],
-            rel(tn / n - ((n + 1) / n) * a_next + a_direct, tn / n),
-        )
-        worst["telescoping_identity"] = max(
-            worst["telescoping_identity"],
-            rel((eye - m) @ a_direct - (eye - tn) / n, tn / n),
-        )
-        worst["remainder_factorization_identity"] = max(
-            worst["remainder_factorization_identity"],
-            rel(eye - a_direct - (eye - m) @ b_direct, b_direct),
-        )
+        gap("power_over_n_identity", tn / n - ((n + 1) / n) * a_next + a_n, tn / n)
+        gap("telescoping_identity", (eye - m) @ a_n - (eye - tn) / n, tn / n)
+        gap("remainder_factorization_identity", eye - a_n - (eye - m) @ b_n, b_n)
+    bound = max(s.tolerances["comparison"], 1e-10)
     return [
         make_claim(
             cid,
             "none",
-            "pass" if res <= max(comparison_tol, 1e-10) else "fail",
+            res <= bound,
             residual=res,
             detail="relative max-entry residual over n in {2,3,5,8,13,20}",
-            fp=fp,
         )
         for cid, res in worst.items()
     ]
 
 
-def _power_bounded_claims(s: Scenario, t: WctOperator, seed: int, fp: dict):
+def _power_bounded_claims(s: Scenario, t: WctOperator, seed: int):
     psi = complementary(s.phi)
     rep = power_bounded_report(t, s.phi, psi, n_max=20, samples=32, seed=seed)
     if rep.criterion_holds:
@@ -531,61 +501,41 @@ def _power_bounded_claims(s: Scenario, t: WctOperator, seed: int, fp: dict):
             detail = "criterion false but the violating blocks do not grow"
     return [
         make_claim(
-            "power_bounded_criterion",
-            "none",
-            "pass" if ok else "fail",
-            residual=rep.sup_norm_estimate,
-            detail=detail,
-            fp=fp,
+            "power_bounded_criterion", "none", ok, rep.sup_norm_estimate, detail
         ),
         make_claim(
             "symbol_power_sequence",
             "none",
-            "pass" if rep.horizon_equivalence_ok else "fail",
+            rep.horizon_equivalence_ok,
             residual=rep.h_sup,
             detail=f"sup|h|={rep.h_sup:.6g}, bounded over horizon={rep.horizon_bounded}",
-            fp=fp,
         ),
     ]
 
 
-def _condexp_claims(s: Scenario, t: WctOperator, seed: int, fp: dict):
+def _condexp_claims(s: Scenario, t: WctOperator, seed: int):
     report = check_condexp_laws(
         t.e, s.phi, trials=_CONDEXP_TRIALS, tol=s.tolerances["comparison"], seed=seed
     )
-    rows = []
-    for name, law in report.laws.items():
-        if law.passed is None:
-            rows.append(
-                make_claim(name, "not_met", "not_checked", detail=law.note, fp=fp)
-            )
-        else:
-            rows.append(
-                make_claim(
-                    name,
-                    "none",
-                    "pass" if law.passed else "fail",
-                    residual=law.max_residual,
-                    detail=None if law.passed else json.dumps(law.counterexample),
-                    fp=fp,
-                )
-            )
-    return rows
+    # a law whose own hypothesis fails has passed=None, no residual and a note
+    return [
+        make_claim(
+            name,
+            "not_met" if law.passed is None else "none",
+            law.passed,
+            residual=None if law.passed is None else law.max_residual,
+            detail=json.dumps(law.counterexample) if law.passed is False else law.note,
+        )
+        for name, law in report.laws.items()
+    ]
 
 
-def _boundedness_claims(s: Scenario, t: WctOperator, seed: int, fp: dict):
+def _boundedness_claims(s: Scenario, t: WctOperator, seed: int):
     psi = complementary(s.phi)
     c_emp = estimate_gch_constant(t.e, s.phi, psi, samples=200, seed=seed)
     if c_emp <= 0:
-        return [
-            make_claim(
-                "operator_norm_bound",
-                "not_met",
-                "not_checked",
-                detail="empirical constant is zero (degenerate instance)",
-                fp=fp,
-            )
-        ]
+        detail = "empirical constant is zero (degenerate instance)"
+        return [make_claim("operator_norm_bound", "not_met", None, detail=detail)]
     bound = bound_constant(t, s.phi, psi, c_emp)
     ctx = s.context()
     rng = np.random.default_rng(seed)
@@ -594,43 +544,35 @@ def _boundedness_claims(s: Scenario, t: WctOperator, seed: int, fp: dict):
     keep = base > 0
     ratios = luxemburg_norms(ctx, matrix_of(t) @ fs[:, keep]) / base[keep]
     worst = float(np.max(ratios, initial=0.0))
-    ok = worst <= bound + 1e-6
     return [
         make_claim(
             "operator_norm_bound",
             "none",
-            "pass" if ok else "fail",
+            worst <= bound + 1e-6,
             residual=worst - bound,
             detail=f"max ratio {worst:.6g} vs C*M = {bound:.6g} "
             f"(C empirical, self-consistency check)",
-            fp=fp,
         )
     ]
 
 
+# experiment group -> its rows for (scenario, operator, sampling seed)
+_GROUPS = {
+    "structure": _structure_claims,
+    "condexp_laws": _condexp_claims,
+    "power_bounded": _power_bounded_claims,
+    "iterate_formula": _iterate_claims,
+    "cesaro_identities": _cesaro_claims,
+    "boundedness": _boundedness_claims,
+}
+
+
 def _scenario_claims(s: Scenario, seed: int, fp: dict) -> list[ClaimResult]:
+    """The rows of every group the scenario asks for, each stamped with fp."""
     t = s.operator()
-    ctx = s.context()
-    rows: list[ClaimResult] = []
-    rank_tol = s.tolerances["rank"]
-    cmp_tol = s.tolerances["comparison"]
-    for name in s.experiments:
-        if name == "structure":
-            rows.extend(
-                verify_structure_theorems(
-                    t, ctx, tol=rank_tol, seed=seed, fingerprint=fp
-                )
-            )
-        elif name == "condexp_laws":
-            rows.extend(_condexp_claims(s, t, seed, fp))
-        elif name == "power_bounded":
-            rows.extend(_power_bounded_claims(s, t, seed, fp))
-        elif name == "iterate_formula":
-            rows.extend(_iterate_claims(t, cmp_tol, fp))
-        elif name == "cesaro_identities":
-            rows.extend(_cesaro_claims(t, cmp_tol, fp))
-        elif name == "boundedness":
-            rows.extend(_boundedness_claims(s, t, seed, fp))
+    rows = [row for name in s.experiments for row in _GROUPS[name](s, t, seed)]
+    for row in rows:
+        row.fingerprint = fp
     return rows
 
 
@@ -648,12 +590,8 @@ def run_verification(
     boundedness) run on the primary scenario only. Per-claim rows aggregate
     across instances; the first failing instance's fingerprint is reported.
     """
-    fp = scenario.fingerprint()
-    fp["seed"] = seed
-    fp["instances"] = instances
-    by_id: dict[str, list[ClaimResult]] = {}
-    for row in _scenario_claims(scenario, seed, dict(fp)):
-        by_id.setdefault(row.claim_id, []).append(row)
+    fp = {**scenario.fingerprint(), "seed": seed, "instances": instances}
+    rows = _scenario_claims(scenario, seed, dict(fp))
     for i in range(instances):
         child_seed = seed * 100003 + i
         profile = PROFILES[i % len(PROFILES)]
@@ -676,16 +614,15 @@ def run_verification(
                 g for g in scenario.experiments if g in _FAST_GROUPS
             ),
         )
-        child_fp = child.fingerprint()
-        for row in _scenario_claims(child, child.seed, child_fp):
-            by_id.setdefault(row.claim_id, []).append(row)
-    entries = [merge_claims(rows) for rows in by_id.values()]
-    order = [
-        cid for group in scenario.experiments for cid in EXPERIMENT_CLAIMS[group]
-    ]
-    entries.sort(key=lambda r: order.index(r.claim_id))
+        rows += _scenario_claims(child, child.seed, child.fingerprint())
+    # one entry per claim id, in group order
+    by_id = {
+        cid: [] for group in scenario.experiments for cid in EXPERIMENT_CLAIMS[group]
+    }
+    for row in rows:
+        by_id[row.claim_id].append(row)
     return VerificationReport(
-        entries=entries,
+        entries=[merge_claims(same) for same in by_id.values()],
         fingerprint=fp,
         version=__version__,
         generated_at=_dt.datetime.now(_dt.timezone.utc).isoformat(),

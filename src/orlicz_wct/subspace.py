@@ -296,25 +296,21 @@ def verify_structure_theorems(
     ctx: OrliczContext,
     tol: float = DEFAULT_RANK_TOL,
     seed: int = 0,
-    fingerprint: dict | None = None,
 ) -> list[ClaimResult]:
     """One pass/fail row per structural claim, each under its own hypothesis.
 
     Claims about I - T and density use the bilinear pairing adjoint; rows
-    report "not_checked" when their hypothesis fails, never an error.
+    report "not_checked" when their hypothesis fails, never an error. The
+    rows come in registry order and carry an empty fingerprint.
     """
     if tol <= 0:
         raise ValueError("tol must be > 0")
-    fp = dict(fingerprint or {})
+    return list(_structure_rows(t, ctx, tol, seed))
+
+
+def _structure_rows(t: WctOperator, ctx: OrliczContext, tol: float, seed: int):
     m = matrix_of(t)
     n = t.space.n_atoms
-    rows: list[ClaimResult] = []
-
-    def claim(cid: str, hyp: str, ok: bool, **extra):
-        rows.append(make_claim(cid, hyp, "pass" if ok else "fail", fp=fp, **extra))
-
-    def skip(hyp: str, *cids: str, **extra):
-        rows.extend(make_claim(c, hyp, "not_checked", fp=fp, **extra) for c in cids)
 
     # every factorization below is formed once per input and mode; one walk
     # of sequential powers gives the chains to k = 6, the ascent (also the
@@ -325,13 +321,13 @@ def verify_structure_theorems(
     null_dims = [n - r for r in ranks]
 
     # ascent and the kernel chain
-    claim(
+    yield make_claim(
         "ascent_bound",
         "none",
         ascent is not None and ascent <= 2,
         detail=f"ascent={ascent}, kernel dims {null_dims}",
     )
-    claim(
+    yield make_claim(
         "null_chain_stabilization",
         "none",
         all(null_dims[2] == null_dims[2 + j] for j in range(1, 5)),
@@ -343,20 +339,21 @@ def verify_structure_theorems(
     bounded_away = (not h_supp) or min(abs(t.h[i]) for i in h_supp) >= _DELTA
     hyp_b = "met" if bounded_away else "not_met"
     if bounded_away:
-        claim(
+        yield make_claim(
             "descent_bound",
             hyp_b,
             ascent is not None and ascent <= 2,
             detail=f"descent={ascent}, range dims {ranks}, delta={_DELTA:g}",
         )
-        claim(
+        yield make_claim(
             "range_chain_stabilization",
             hyp_b,
             all(ranks[2 + j] == ranks[2] for j in range(1, 5)),
             detail=f"range dims {ranks}",
         )
     else:
-        skip(hyp_b, "descent_bound", "range_chain_stabilization")
+        for cid in ("descent_bound", "range_chain_stabilization"):
+            yield make_claim(cid, hyp_b, None)
 
     # sums and intersections enter only through their dimensions: a sum's is
     # a rank count of the stacked bases, an intersection's follows from
@@ -371,19 +368,20 @@ def verify_structure_theorems(
     r2, null2 = powers[2]
     dims = [meet_dim(r2, powers[k][1]) for k in range(1, 5)]
     worst = float(max(dims))
-    claim("range_square_null_intersection", "none", worst == 0, residual=worst)
+    yield make_claim(
+        "range_square_null_intersection", "none", worst == 0, residual=worst
+    )
+    ok = None
     if bounded_away:
         ok = all(sum_dim(powers[k][0], null2) == n for k in range(1, 5))
-        claim("range_plus_null_square", hyp_b, ok)
-    else:
-        skip(hyp_b, "range_plus_null_square")
+    yield make_claim("range_plus_null_square", hyp_b, ok)
 
     # the symbol-weighted operator is the square in closed form, so its rank
     # cut uses the power-2 noise floor of the first power's norm
     u, s, vh = svd(t.h[:, None] * m)
     cut = _power_threshold(s, float(svd(m)[1][0]), 2, tol)
     rs, ns = _split(u, vh, int(np.sum(s > cut)))
-    claim("symbol_operator_decomposition", "none", sum_dim(rs, ns) == n)
+    yield make_claim("symbol_operator_decomposition", "none", sum_dim(rs, ns) == n)
 
     # claims under the strict contraction criterion
     crit = criterion_support(t, ctx.phi, complementary(ctx.phi))
@@ -393,21 +391,22 @@ def verify_structure_theorems(
     if criterion_holds:
         a1 = _rank_scan(imt, tol, svd)[1]
         ok = a1 is not None and a1 <= 1
-        claim("one_minus_t_ascent", hyp_c, ok, detail=f"ascent={a1}")
+        yield make_claim("one_minus_t_ascent", hyp_c, ok, detail=f"ascent={a1}")
         adj = pairing_adjoint(imt, t.space.weights)
         a2 = _rank_scan(adj, tol, svd)[1]
-        claim(
+        yield make_claim(
             "one_minus_t_adjoint_ascent",
             hyp_c,
             a2 is not None and a2 <= 1,
             detail=f"ascent={a2} (bilinear pairing adjoint)",
         )
     else:
-        skip(hyp_c, "one_minus_t_ascent", "one_minus_t_adjoint_ascent")
+        for cid in ("one_minus_t_ascent", "one_minus_t_adjoint_ascent"):
+            yield make_claim(cid, hyp_c, None)
 
     # dense sum surrogate: equality with the whole space
     sum2 = sum_dim(r2, null2)
-    claim(
+    yield make_claim(
         "square_sum_dense",
         "none",
         sum2 == n and dims[1] == 0,
@@ -416,16 +415,16 @@ def verify_structure_theorems(
     )
 
     if not criterion_holds:
-        skip(
-            hyp_c,
+        for cid in (
             "one_minus_t_direct_sum",
             "ergodic_invertibility",
             "ergodic_bn_convergence",
             "ergodic_cesaro_limit",
-        )
-        return rows
+        ):
+            yield make_claim(cid, hyp_c, None)
+        return
     rng_imt, nul_imt = _range_and_null(imt, tol, svd)
-    claim(
+    yield make_claim(
         "one_minus_t_direct_sum",
         hyp_c,
         rng_imt.dim + nul_imt.dim == n
@@ -446,7 +445,7 @@ def verify_structure_theorems(
         )
     except np.linalg.LinAlgError:
         invertible = False
-    claim(
+    yield make_claim(
         "ergodic_invertibility",
         hyp_c,
         invertible == full_rank,
@@ -468,7 +467,7 @@ def verify_structure_theorems(
             for k in horizons
         ]
         scale = float(np.max(np.abs(target)))
-        claim(
+        yield make_claim(
             "ergodic_bn_convergence",
             hyp_c,
             _decreasing_to_zero(res, 1e-12 * (1.0 + scale)),
@@ -476,7 +475,9 @@ def verify_structure_theorems(
             detail=f"sup residuals at n={n_eff // 4},{n_eff // 2},{n_eff}: {res}",
         )
     else:
-        skip(hyp_c, "ergodic_bn_convergence", detail="I - T numerically singular")
+        yield make_claim(
+            "ergodic_bn_convergence", hyp_c, None, detail="I - T numerically singular"
+        )
     # Cesaro limit: project onto null(I - T) along range(I - T)
     basis = np.hstack([rng_imt.vectors, nul_imt.vectors])
     ok = False
@@ -492,11 +493,10 @@ def verify_structure_theorems(
         scale = float(np.max(np.abs(fs)))
         ok = inv_res <= tol and _decreasing_to_zero(res, 1e-12 * (1.0 + scale))
         residual = inv_res
-    claim(
+    yield make_claim(
         "ergodic_cesaro_limit",
         hyp_c,
         ok,
         residual=residual,
         detail="limit taken as the projection onto null(I-T) along range(I-T)",
     )
-    return rows

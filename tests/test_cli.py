@@ -164,6 +164,35 @@ class TestVerify:
         assert out == ""
         assert err.startswith("error: ") and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "content", [None, b"\xff\xfe{}"], ids=["missing", "not-utf8"]
+    )
+    def test_unreadable_scenario_exits_2(self, capsys, tmp_path, content):
+        path = tmp_path / "scenario.json"
+        if content is not None:
+            path.write_bytes(content)
+        code, out, err = run_cli(capsys, "verify", "--scenario", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: cannot read scenario file")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["verify", "random"])
+    @pytest.mark.parametrize(
+        "target", ["missing_dir/out.json", "."], ids=["no-dir", "is-dir"]
+    )
+    def test_unwritable_output_exits_2(
+        self, capsys, tmp_path, scenario_path, command, target
+    ):
+        argv = [command, "--output", str(tmp_path / target)]
+        if command == "verify":
+            argv += ["--scenario", scenario_path]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and str(tmp_path) in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_wrong_length_function_exits_2(self, capsys, scenario_path):
         code, _, err = run_cli(
             capsys, "norm", "--scenario", scenario_path, "--function", "[1, 2, 3]"
@@ -255,3 +284,14 @@ class TestFlags:
             main(argv)
         assert exc.value.code == 2
         assert f"argument {flag}: must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["verify", "ascent"])
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+    def test_tol_rank_must_be_finite_and_positive(
+        self, capsys, scenario_path, command, value
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--scenario", scenario_path, "--tol-rank", value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument --tol-rank: must be a finite number > 0, got {value}" in err

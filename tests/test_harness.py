@@ -5,6 +5,7 @@ import pytest
 
 from orlicz_wct import (
     CLAIM_REGISTRY,
+    OrliczContext,
     ScenarioError,
     ValidationError,
     VerificationReport,
@@ -15,12 +16,15 @@ from orlicz_wct import (
     ess_sup,
     generate_random_instance,
     load_scenario,
+    power_scaled,
     run_verification,
     scenario_from_dict,
     scenario_to_dict,
     support,
+    verify_structure_theorems,
 )
-from orlicz_wct.claims import EXPERIMENT_CLAIMS, merge_claims
+from orlicz_wct import harness
+from orlicz_wct.claims import EXPERIMENT_CLAIMS, make_claim, merge_claims
 
 
 class TestLoadScenario:
@@ -256,14 +260,12 @@ class TestRunVerification:
         # at seed 2 the first random instance (seed 200006) is ill
         # conditioned and redrawn; fail the iterate claim on every random
         # instance so the report points at that one
-        import orlicz_wct.harness as harness
-
         ran = []
 
-        def failing_iterate_claims(t, comparison_tol, fp):
+        def failing_iterate_claims(s, t, seed):
             ran.append(t)
-            status = "pass" if "instances" in fp else "fail"
-            return [harness.make_claim("iterate_closed_form", "none", status, fp=fp)]
+            ok = s.profile is None
+            return [harness.make_claim("iterate_closed_form", "none", ok)]
 
         sampling_seeds = []
         scenario_claims = harness._scenario_claims
@@ -272,7 +274,7 @@ class TestRunVerification:
             sampling_seeds.append(seed)
             return scenario_claims(s, seed, fp, *args, **kwargs)
 
-        monkeypatch.setattr(harness, "_iterate_claims", failing_iterate_claims)
+        monkeypatch.setitem(harness._GROUPS, "iterate_formula", failing_iterate_claims)
         monkeypatch.setattr(harness, "_scenario_claims", recording_scenario_claims)
         data = dict(r1_scenario_dict, experiments=["iterate_formula"])
         report = run_verification(scenario_from_dict(data), seed=2, instances=1)
@@ -433,3 +435,57 @@ class TestMergeClaims:
         )
         with pytest.raises(ValueError):
             merge_claims([self._row("pass"), other])
+
+
+class TestClaimRows:
+    """Every row is built by make_claim; only the harness stamps fingerprints."""
+
+    @pytest.mark.parametrize(
+        "ok, status",
+        [
+            (True, "pass"),
+            (False, "fail"),
+            (None, "not_checked"),
+            (np.True_, "pass"),
+            (np.False_, "fail"),
+        ],
+    )
+    def test_make_claim_sets_status_from_ok(self, ok, status):
+        row = make_claim("descent_bound", "met", ok, residual=0.5, detail="why")
+        assert row.status == status
+        assert row.anchor == CLAIM_REGISTRY["descent_bound"]
+        assert (row.hypothesis, row.residual, row.detail) == ("met", 0.5, "why")
+        assert row.fingerprint == {}
+
+    def test_scenario_claims_stamps_every_row(self, r1_scenario_dict):
+        s = scenario_from_dict(r1_scenario_dict)
+        assert s.experiments == tuple(EXPERIMENT_CLAIMS)
+        fp = {"n_atoms": 2, "n_blocks": 1, "seed": 5, "instances": 0}
+        rows = harness._scenario_claims(s, 5, fp)
+        assert sorted(r.claim_id for r in rows) == sorted(CLAIM_REGISTRY)
+        assert all(r.fingerprint is fp for r in rows)
+
+    def test_group_table_covers_every_experiment(self):
+        assert harness._GROUPS.keys() == EXPERIMENT_CLAIMS.keys()
+
+    @pytest.mark.parametrize("group", list(EXPERIMENT_CLAIMS))
+    @pytest.mark.parametrize(
+        "w",
+        [[1.0, -1.0], [0.5, 0.5], [2.0, 2.0]],
+        ids=["nilpotent", "contracting", "expanding"],
+    )
+    def test_each_group_yields_exactly_its_claim_ids(
+        self, r1_scenario_dict, group, w
+    ):
+        # nilpotent, contracting and expanding symbols reach both the met and
+        # the not-met branches of the hypothesis-gated rows
+        s = scenario_from_dict(dict(r1_scenario_dict, w=w))
+        rows = harness._GROUPS[group](s, s.operator(), 0)
+        assert [r.claim_id for r in rows] == list(EXPERIMENT_CLAIMS[group])
+        assert all(r.fingerprint == {} for r in rows)
+
+    def test_standalone_structure_pass_leaves_fingerprints_empty(self, r3, r4):
+        for t in (r3, r4):
+            rows = verify_structure_theorems(t, OrliczContext(t.space, power_scaled(2)))
+            assert [r.claim_id for r in rows] == list(EXPERIMENT_CLAIMS["structure"])
+            assert all(r.fingerprint == {} for r in rows)
