@@ -1,7 +1,9 @@
 """Command line front end: norm, gch, ascent, cesaro, verify, random.
 
-The environment variable ORLICZ_WCT_SEED overrides --seed everywhere so CI
-runs can pin reproducibility without editing command lines.
+Each subcommand takes only the flags its path reads: --seed belongs to
+verify, gch and random, --tol-rank to verify and ascent. The environment
+variable ORLICZ_WCT_SEED overrides --seed wherever it exists, so CI runs can
+pin reproducibility without editing command lines.
 """
 
 from __future__ import annotations
@@ -69,12 +71,14 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="master seed")
-    common.add_argument(
-        "--tol-rank", type=_positive_float, default=None, help="override rank tolerance"
-    )
     common.add_argument(
         "--format", choices=("json", "text"), default="text", help="output format"
+    )
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=0, help="master seed")
+    ranked = argparse.ArgumentParser(add_help=False)
+    ranked.add_argument(
+        "--tol-rank", type=_positive_float, default=None, help="override rank tolerance"
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -87,13 +91,15 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser(
-        "gch", parents=[common], help="empirical conditional Hoelder constant"
+        "gch", parents=[common, seeded], help="empirical conditional Hoelder constant"
     )
     p.add_argument("--scenario", required=True)
     p.add_argument("--samples", type=_int_in(1), default=200)
 
     p = sub.add_parser(
-        "ascent", parents=[common], help="ascent/descent of the scenario operator"
+        "ascent",
+        parents=[common, ranked],
+        help="ascent/descent of the scenario operator",
     )
     p.add_argument("--scenario", required=True)
     p.add_argument("--k-max", type=_int_in(1), default=8)
@@ -105,12 +111,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_int_in(1), required=True)
     p.add_argument("--mode", choices=("direct", "closed_form", "both"), default="both")
 
-    p = sub.add_parser("verify", parents=[common], help="full verification suite")
+    p = sub.add_parser(
+        "verify", parents=[common, seeded, ranked], help="full verification suite"
+    )
     p.add_argument("--scenario", required=True)
     p.add_argument("--instances", type=_int_in(0), default=0)
     p.add_argument("--output", default=None, help="also write the report here")
 
-    p = sub.add_parser("random", parents=[common], help="generate a random scenario")
+    p = sub.add_parser(
+        "random", parents=[common, seeded], help="generate a random scenario"
+    )
     p.add_argument("--n-atoms", type=_int_in(1, MAX_RANDOM_ATOMS), default=8)
     p.add_argument("--n-blocks", type=_int_in(1), default=3)
     p.add_argument("--profile", choices=PROFILES, default="generic")
@@ -134,7 +144,7 @@ def _emit(payload: dict, fmt: str) -> None:
 
 
 def _cmd_norm(args) -> int:
-    scenario = _apply_overrides(load_scenario(args.scenario), args)
+    scenario = load_scenario(args.scenario)
     if args.function == "u":
         f = scenario.u
     elif args.function == "w":
@@ -161,7 +171,7 @@ def _cmd_norm(args) -> int:
 
 
 def _cmd_gch(args) -> int:
-    scenario = _apply_overrides(load_scenario(args.scenario), args)
+    scenario = load_scenario(args.scenario)
     e = CondExp(scenario.space, scenario.partition)
     psi = complementary(scenario.phi)
     value, detail = gch_constant_report(
@@ -196,7 +206,7 @@ def _cmd_ascent(args) -> int:
 
 
 def _cmd_cesaro(args) -> int:
-    scenario = _apply_overrides(load_scenario(args.scenario), args)
+    scenario = load_scenario(args.scenario)
     t = scenario.operator()
     n = args.n
     eye = np.eye(scenario.space.n_atoms)
@@ -280,7 +290,7 @@ def main(argv=None) -> int:
     if args.command == "random" and args.n_blocks > args.n_atoms:
         _build_parser().error("argument --n-blocks: must be <= --n-atoms")
     env_seed = os.environ.get("ORLICZ_WCT_SEED")
-    if env_seed is not None:
+    if env_seed is not None and hasattr(args, "seed"):
         try:
             args.seed = int(env_seed)
         except ValueError:

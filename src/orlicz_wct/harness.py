@@ -232,9 +232,11 @@ def scenario_from_dict(data: dict) -> Scenario:
     ):
         raise ValidationError("experiments must be a list of experiment names")
     experiments = tuple(experiments)
-    for name in experiments:
+    for i, name in enumerate(experiments):
         if name not in EXPERIMENT_CLAIMS:
             raise ValidationError(f"unknown experiment name: {name!r}")
+        if name in experiments[:i]:
+            raise ValidationError(f"repeated experiment name: {name!r}")
 
     return Scenario(
         space=space,

@@ -240,16 +240,39 @@ class TestRandom:
 class TestFlags:
     def test_tol_overrides_accepted(self, capsys, scenario_path):
         code, _, _ = run_cli(
-            capsys,
-            "norm",
-            "--scenario",
-            scenario_path,
-            "--function",
-            "[1, 1]",
-            "--tol-rank",
-            "1e-9",
+            capsys, "ascent", "--scenario", scenario_path, "--tol-rank", "1e-9"
         )
         assert code == 0
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            pytest.param(["norm", "--function", "[1, 1]"], "--tol-rank", id="norm-tol"),
+            pytest.param(["gch", "--samples", "5"], "--tol-rank", id="gch-tol"),
+            pytest.param(["cesaro", "--n", "2"], "--tol-rank", id="cesaro-tol"),
+            pytest.param(["norm", "--function", "[1, 1]"], "--seed", id="norm-seed"),
+            pytest.param(["ascent"], "--seed", id="ascent-seed"),
+            pytest.param(["cesaro", "--n", "2"], "--seed", id="cesaro-seed"),
+        ],
+    )
+    def test_flag_outside_its_subcommands_rejected(
+        self, capsys, scenario_path, argv, flag
+    ):
+        value = "1e-9" if flag == "--tol-rank" else "3"
+        argv = argv[:1] + ["--scenario", scenario_path] + argv[1:] + [flag, value]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+
+    def test_env_seed_leaves_unseeded_subcommands_alone(
+        self, capsys, monkeypatch, scenario_path
+    ):
+        argv = ["norm", "--scenario", scenario_path, "--function", "[1, 1]"]
+        _, expected, _ = run_cli(capsys, *argv)
+        monkeypatch.setenv("ORLICZ_WCT_SEED", "123")
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (0, expected, "")
 
     def test_retired_tol_norm_flag_rejected(self, capsys, scenario_path):
         argv = ["norm", "--scenario", scenario_path, "--function", "[1, 1]"]

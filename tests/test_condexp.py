@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -18,8 +20,57 @@ from orlicz_wct import (
     power_scaled,
     support,
 )
+from orlicz_wct import condexp
+from orlicz_wct.condexp import LawResult, _draw
+from orlicz_wct.harness import load_scenario
+from orlicz_wct.young import capped
 
 from conftest import random_operator
+
+EPS = np.finfo(float).eps
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+
+
+def loop_cond_exp(e, f):
+    """Oracle: one weighted dot product per block, as the expectation was
+    first written."""
+    f = np.asarray(f, dtype=float)
+    out = np.empty_like(f)
+    w = e.space.weights
+    for idx in e.partition.index_arrays:
+        out[idx] = (w[idx] @ f[idx]) / float(w[idx].sum())
+    return out
+
+
+def loop_matrix(e):
+    n = e.space.n_atoms
+    out = np.zeros((n, n))
+    for idx in e.partition.index_arrays:
+        w = e.space.weights[idx]
+        out[np.ix_(idx, idx)] = w[None, :] / float(w.sum())
+    return out
+
+
+def interleaved_partition(rng, n):
+    """Random blocks of a random permutation, each listed unsorted."""
+    k = int(rng.integers(1, n + 1))
+    cuts = np.sort(rng.choice(np.arange(1, n), k - 1, replace=False)) if k > 1 else []
+    return Partition(tuple(tuple(b.tolist()) for b in np.split(rng.permutation(n), cuts)), n)
+
+
+def oracle_partitions():
+    rng = np.random.default_rng(11)
+    out = []
+    for i in range(40):
+        n = int(rng.integers(1, 65))
+        partition = (
+            Partition.single_block(n) if i % 8 == 0
+            else Partition.finest(n) if i % 8 == 1
+            else interleaved_partition(rng, n)
+        )
+        space = FiniteMeasureSpace.from_weights(10.0 ** rng.uniform(-3.0, 3.0, n))
+        out.append((CondExp(space, partition), rng))
+    return out
 
 
 @pytest.fixture
@@ -93,6 +144,42 @@ class TestCondExp:
             CondExp(r2_space, Partition.single_block(3))
 
 
+class TestCondExpOracle:
+    """The vectorized expectation against the per-block loop.
+
+    Sums in another order agree to a few ulps of E|f|, the scale of the
+    summands; the dense matrix divides the same quotients, so it is equal.
+    """
+
+    @pytest.mark.parametrize("m", [None, 1, 7])
+    def test_matches_per_block_loop(self, m):
+        for e, rng in oracle_partitions():
+            n = e.space.n_atoms
+            f = rng.uniform(-3.0, 3.0, n if m is None else (n, m))
+            got = cond_exp(e, f)
+            assert got.shape == f.shape
+            cols = f.reshape(n, -1)
+            want = np.stack([loop_cond_exp(e, c) for c in cols.T], axis=1)
+            scale = np.stack([loop_cond_exp(e, np.abs(c)) for c in cols.T], axis=1)
+            assert np.all(np.abs(got.reshape(n, -1) - want) <= 8 * EPS * scale)
+
+    def test_nonfinite_entries_stay_in_their_block(self):
+        for e, rng in oracle_partitions():
+            n = e.space.n_atoms
+            f = rng.uniform(0.0, 3.0, (n, 3))
+            f[rng.integers(n), 0] = np.inf
+            f[rng.integers(n), 2] = np.nan
+            got, want = cond_exp(e, f), np.stack([loop_cond_exp(e, c) for c in f.T], 1)
+            np.testing.assert_array_equal(np.isfinite(got), np.isfinite(want))
+            np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
+            finite = np.isfinite(want)
+            np.testing.assert_allclose(got[finite], want[finite], rtol=8 * EPS)
+
+    def test_matrix_equals_loop_construction(self):
+        for e, _ in oracle_partitions():
+            assert np.array_equal(e.matrix, loop_matrix(e))
+
+
 class TestLaws:
     def test_jensen_hand_example(self, e_one_block):
         # E(1,3) = (2,2); squares: (4,4) <= E(1,9) = (5,5)
@@ -127,6 +214,152 @@ class TestLaws:
     def test_trials_validated(self, e_one_block):
         with pytest.raises(ValueError):
             check_condexp_laws(e_one_block, power_scaled(2), trials=0)
+
+
+def laws_by_trial(e, phi, trials, tol, seed):
+    """Reference: the law suite as one loop over the trials, each drawing f
+    and then g's block values."""
+    rng = np.random.default_rng(seed)
+    n = e.space.n_atoms
+    ctx = OrliczContext(e.space, phi)
+    names = (
+        "condexp_product_pullout",
+        "condexp_jensen",
+        "condexp_positivity",
+        "condexp_support_monotone",
+        "condexp_support_transfer",
+        "condexp_norm_contraction",
+    )
+    results = {name: LawResult(True, 0.0) for name in names}
+    if phi.a_phi > 0:
+        results["condexp_support_transfer"] = LawResult(
+            None, 0.0, note="requires a gauge vanishing only at zero"
+        )
+
+    def fail(name, residual, **ce):
+        if results[name].passed:
+            results[name] = LawResult(
+                False, float(residual), {k: np.asarray(v).tolist() for k, v in ce.items()}
+            )
+
+    def bump(name, residual):
+        res = results[name]
+        if res.passed:
+            res.max_residual = max(res.max_residual, float(residual))
+
+    for _ in range(trials):
+        f = _draw(rng, n)
+        g_blocks = rng.uniform(-3.0, 3.0, e.partition.n_blocks)
+        g = np.empty(n)
+        for val, idx in zip(g_blocks, e.partition.index_arrays):
+            g[idx] = val
+
+        r = float(np.max(np.abs(cond_exp(e, f * g) - cond_exp(e, f) * g)))
+        bump("condexp_product_pullout", r)
+        if r > tol:
+            fail("condexp_product_pullout", r, f=f, g=g)
+
+        ef = cond_exp(e, f)
+        with np.errstate(invalid="ignore"):
+            gap = phi(ef) - cond_exp(e, phi(f))
+        r = float(np.max(gap[np.isfinite(gap)], initial=-np.inf))
+        bump("condexp_jensen", max(r, 0.0))
+        if r > tol:
+            fail("condexp_jensen", r, f=f)
+
+        fa = np.abs(f)
+        efa = cond_exp(e, fa)
+        bump("condexp_positivity", max(float(-np.min(efa, initial=0.0)), 0.0))
+        if np.min(efa) < -tol:
+            fail("condexp_positivity", -np.min(efa), f=fa)
+
+        if not support(fa, 1e-10) <= support(efa, 1e-10):
+            fail("condexp_support_monotone", 1.0, f=fa)
+
+        if results["condexp_support_transfer"].passed is not None:
+            if support(efa, 1e-10) != support(cond_exp(e, phi(fa)), 1e-10):
+                fail("condexp_support_transfer", 1.0, f=fa)
+
+        n_f = luxemburg_norm(ctx, f)
+        n_ef = luxemburg_norm(ctx, ef)
+        bump("condexp_norm_contraction", max(n_ef - n_f, 0.0))
+        if n_ef > n_f + tol:
+            fail("condexp_norm_contraction", n_ef - n_f, f=f)
+    return results
+
+
+def law_spaces():
+    spaces = [
+        (name, load_scenario(SCENARIOS / f"{name}.json").operator().e)
+        for name in ("r1_nilpotent", "r3_contracting", "r4_expanding")
+    ]
+    spaces += [(f"random{seed}", random_operator(seed).e) for seed in (0, 3, 5)]
+    space = FiniteMeasureSpace.from_weights([0.5, 2.0, 1.0, 3.0])
+    return spaces + [("finest4", CondExp(space, Partition.finest(4)))]
+
+
+# a gauge so small that E(phi|f|) falls under the support threshold while
+# E|f| does not: the support-transfer law fails on its first nonzero draw
+TINY = YoungFunction("tiny", (), lambda x: 1e-14 * x * x)
+
+
+class TestBatchedLaws:
+    """The batched suite against the loop over trials.
+
+    Passing residuals are rounding errors of operands up to |fg| <= 9, and
+    the batch sums them in another order, so they agree to a few ulps of
+    that scale rather than of the residual. The bisection route (every
+    gauge but a power law) stops a batch of norms once its widest column is
+    within 1e-10, so there the norm residuals agree to that tolerance.
+    """
+
+    @pytest.mark.parametrize(
+        "phi", [power_scaled(2), deadzone(), capped(), TINY], ids=lambda p: p.kind
+    )
+    @pytest.mark.parametrize("trials", [1, 16])
+    @pytest.mark.parametrize("tol", [1e-9, -0.25, -1.0])
+    def test_agrees_with_the_trial_loop(self, phi, trials, tol):
+        for label, e in law_spaces():
+            got = check_condexp_laws(e, phi, trials=trials, tol=tol, seed=4).laws
+            want = laws_by_trial(e, phi, trials, tol, seed=4)
+            assert list(got) == list(want)
+            for name, law in want.items():
+                where = (label, name)
+                assert got[name].passed is law.passed, where
+                assert got[name].counterexample == law.counterexample, where
+                assert got[name].note == law.note, where
+                bisected = name == "condexp_norm_contraction" and phi._power is None
+                atol = 1e-9 if bisected else 1e-13
+                assert got[name].max_residual == pytest.approx(
+                    law.max_residual, rel=0.0, abs=atol
+                ), where
+
+    def test_negative_tolerance_fails_on_trial_zero(self):
+        e = random_operator(3).e
+        report = check_condexp_laws(e, power_scaled(2), trials=30, tol=-1.0, seed=2)
+        f = _draw(np.random.default_rng(2), e.space.n_atoms)
+        law = report.laws["condexp_product_pullout"]
+        assert law.passed is False
+        assert law.counterexample["f"] == f.tolist()
+
+    def test_tiny_gauge_fails_support_transfer(self):
+        report = check_condexp_laws(random_operator(0).e, TINY, trials=5, seed=0)
+        assert report.laws["condexp_support_transfer"].passed is False
+        assert report.laws["condexp_support_transfer"].max_residual == 1.0
+
+    @pytest.mark.parametrize("trials", [1, 200])
+    def test_fixed_call_counts(self, monkeypatch, trials):
+        calls = {"cond_exp": 0, "luxemburg_norms": 0}
+        for name in calls:
+            original = getattr(condexp, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(condexp, name, counted)
+        check_condexp_laws(random_operator(1).e, power_scaled(2), trials=trials)
+        assert calls == {"cond_exp": 5, "luxemburg_norms": 2}
 
 
 class TestGchConstant:

@@ -143,6 +143,13 @@ class TestLoadScenario:
         with pytest.raises(ValidationError, match="experiments must be a list"):
             scenario_from_dict(bad)
 
+    def test_repeated_experiment_name_rejected(self, r1_scenario_dict):
+        bad = dict(r1_scenario_dict, experiments=["iterate_formula", "iterate_formula"])
+        with pytest.raises(
+            ValidationError, match="repeated experiment name: 'iterate_formula'"
+        ):
+            scenario_from_dict(bad)
+
     def test_nested_experiment_name_rejected(self, r1_scenario_dict):
         bad = dict(r1_scenario_dict, experiments=[["x"]])
         with pytest.raises(ValidationError, match="experiments must be a list"):
