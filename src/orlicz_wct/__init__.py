@@ -61,6 +61,7 @@ from .wct import (
     matrix_of,
     pairing_adjoint,
     power_bounded_report,
+    power_walk,
 )
 from .young import (
     YoungFunction,
@@ -119,6 +120,7 @@ __all__ = [
     "power_bounded_report",
     "power_plain",
     "power_scaled",
+    "power_walk",
     "range_space",
     "run_verification",
     "scenario_from_dict",

@@ -1,7 +1,8 @@
 """Command line front end: norm, gch, ascent, cesaro, verify, random.
 
 Each subcommand takes only the flags its path reads: --seed belongs to
-verify, gch and random, --tol-rank to verify and ascent. The environment
+verify, gch and random, --tol-rank to verify and ascent, and --format to all
+but random, which always prints the scenario as JSON. The environment
 variable ORLICZ_WCT_SEED overrides --seed wherever it exists, so CI runs can
 pin reproducibility without editing command lines.
 """
@@ -31,7 +32,7 @@ from .harness import (
 )
 from .orlicz import luxemburg_norm, modular
 from .subspace import ascent_of
-from .wct import _direct_sums, b_n_operator, cesaro_mean, iterate, matrix_of
+from .wct import b_n_operator, cesaro_mean, matrix_of, power_walk
 from .young import complementary
 
 
@@ -118,9 +119,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instances", type=_int_in(0), default=0)
     p.add_argument("--output", default=None, help="also write the report here")
 
-    p = sub.add_parser(
-        "random", parents=[common, seeded], help="generate a random scenario"
-    )
+    p = sub.add_parser("random", parents=[seeded], help="generate a random scenario")
     p.add_argument("--n-atoms", type=_int_in(1, MAX_RANDOM_ATOMS), default=8)
     p.add_argument("--n-blocks", type=_int_in(1), default=3)
     p.add_argument("--profile", choices=PROFILES, default="generic")
@@ -212,16 +211,15 @@ def _cmd_cesaro(args) -> int:
     eye = np.eye(scenario.space.n_atoms)
     m = matrix_of(t)
     modes = ("direct", "closed_form") if args.mode == "both" else (args.mode,)
-    a_walk, b_walk = _direct_sums(t, (n, n + 1), (n,) if n >= 2 else ())
-    a_n, a_next = a_walk[n], a_walk[n + 1]
+    a_walk, b_walk, t_walk = power_walk(t, (n, n + 1), (n,) if n >= 2 else (), (n,))
+    a_n, a_next, tn = a_walk[n], a_walk[n + 1], t_walk[n]
     payload: dict = {"n": n}
     for mode in modes:
         direct = mode == "direct"
-        payload[f"a_n_{mode}"] = (a_n if direct else cesaro_mean(t, n, mode)).tolist()
+        payload[f"a_n_{mode}"] = (a_n if direct else cesaro_mean(t, n)).tolist()
         if n >= 2:
-            b_n = b_walk[n] if direct else b_n_operator(t, n, mode)
+            b_n = b_walk[n] if direct else b_n_operator(t, n)
             payload[f"b_n_{mode}"] = b_n.tolist()
-    tn = iterate(t, n, "direct")
     payload["residuals"] = {
         "power_over_n_identity": float(
             np.max(np.abs(tn / n - ((n + 1) / n) * a_next + a_n))

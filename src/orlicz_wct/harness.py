@@ -40,7 +40,6 @@ from .orlicz import OrliczContext, luxemburg_norms
 from .subspace import powers_well_conditioned, verify_structure_theorems
 from .wct import (
     WctOperator,
-    _direct_sums,
     apply,
     b_n_operator,
     bound_constant,
@@ -48,6 +47,7 @@ from .wct import (
     iterate,
     matrix_of,
     power_bounded_report,
+    power_walk,
 )
 from .young import (
     YoungFunction,
@@ -422,9 +422,9 @@ def _structure_claims(s: Scenario, t: WctOperator, seed: int):
 
 def _iterate_claims(s: Scenario, t: WctOperator, seed: int):
     worst = 0.0
-    for n in range(1, 7):
-        direct = iterate(t, n, "direct")
-        closed = iterate(t, n, "closed_form")
+    powers = power_walk(t, t_ns=range(1, 7))[2]
+    for n, direct in powers.items():
+        closed = iterate(t, n)
         scale = 1.0 + _max_abs(direct)
         worst = max(worst, _max_abs(direct - closed) / scale)
     ok = worst <= max(s.tolerances["comparison"], 1e-9)
@@ -442,12 +442,11 @@ def _cesaro_claims(s: Scenario, t: WctOperator, seed: int):
 
     horizons = (2, 3, 5, 8, 13, 20)
     nexts = tuple(n + 1 for n in horizons)
-    a_walk, b_walk = _direct_sums(t, horizons + nexts, horizons)
+    a_walk, b_walk, t_walk = power_walk(t, horizons + nexts, horizons, horizons)
     for n in horizons:
-        a_n, b_n, a_next = a_walk[n], b_walk[n], a_walk[n + 1]
-        gap("cesaro_closed_form", a_n - cesaro_mean(t, n, "closed_form"), a_n)
-        gap("remainder_closed_form", b_n - b_n_operator(t, n, "closed_form"), b_n)
-        tn = iterate(t, n, "direct")
+        a_n, b_n, a_next, tn = a_walk[n], b_walk[n], a_walk[n + 1], t_walk[n]
+        gap("cesaro_closed_form", a_n - cesaro_mean(t, n), a_n)
+        gap("remainder_closed_form", b_n - b_n_operator(t, n), b_n)
         gap("power_over_n_identity", tn / n - ((n + 1) / n) * a_next + a_n, tn / n)
         gap("telescoping_identity", (eye - m) @ a_n - (eye - tn) / n, tn / n)
         gap("remainder_factorization_identity", eye - a_n - (eye - m) @ b_n, b_n)

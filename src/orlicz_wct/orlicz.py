@@ -88,14 +88,16 @@ def _bisected_norms(
     The bracket starts at max|f| and grows or shrinks by factors 2, 4, 16,
     ..., 2^2048, so it holds the norm within a dozen steps wherever it lies
     in the float range. Bisection on the geometric mean narrows it to
-    hi/lo <= 2, then arithmetic bisection to relative width 1e-10.
+    hi/lo <= 2, then arithmetic bisection to relative width 1e-10. Each row
+    stops at its own width, so its norm does not depend on the other rows
+    of the call.
     """
     big, least = np.finfo(float).max, np.finfo(float).smallest_subnormal
 
-    def fits(k):
+    def fits(k, live=slice(None)):
         # f/k overflows for tiny k, and the modular of an inf is inf
         with np.errstate(over="ignore", invalid="ignore"):
-            return _row_modulars(ctx, rows / k[:, None]) <= 1.0
+            return _row_modulars(ctx, rows[live] / k[:, None]) <= 1.0
 
     lo, hi = sup.copy(), sup.copy()
     for j in range(12):
@@ -107,12 +109,14 @@ def _bisected_norms(
             hi[shrink] = lo[shrink]
             lo[shrink] = np.maximum(np.ldexp(lo[shrink], -(1 << j)), least)
     for _ in range(200):
-        if not np.any(hi - lo > _BISECTION_TOL * hi):
+        live = np.flatnonzero(hi - lo > _BISECTION_TOL * hi)
+        if not live.size:
             break
-        geometric = np.sqrt(lo) * np.sqrt(hi)
-        mid = np.where(hi / 2.0 > lo, geometric, lo + 0.5 * (hi - lo))
-        small = fits(mid)
-        hi, lo = np.where(small, mid, hi), np.where(small, lo, mid)
+        low, high = lo[live], hi[live]
+        geometric = np.sqrt(low) * np.sqrt(high)
+        mid = np.where(high / 2.0 > low, geometric, low + 0.5 * (high - low))
+        small = fits(mid, live)
+        hi[live], lo[live] = np.where(small, mid, high), np.where(small, low, mid)
     return hi
 
 

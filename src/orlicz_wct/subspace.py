@@ -32,7 +32,7 @@ from .wct import (
     WctOperator,
     b_n_operator,
     cesaro_mean,
-    criterion_support,
+    contraction_criterion,
     matrix_of,
     pairing_adjoint,
 )
@@ -384,8 +384,7 @@ def _structure_rows(t: WctOperator, ctx: OrliczContext, tol: float, seed: int):
     yield make_claim("symbol_operator_decomposition", "none", sum_dim(rs, ns) == n)
 
     # claims under the strict contraction criterion
-    crit = criterion_support(t, ctx.phi, complementary(ctx.phi))
-    criterion_holds = all(abs(t.h[i]) < 1.0 for i in sorted(crit))
+    criterion_holds = contraction_criterion(t, ctx.phi, complementary(ctx.phi))[1]
     hyp_c = "met" if criterion_holds else "not_met"
     imt = np.eye(n) - m
     if criterion_holds:
@@ -463,7 +462,7 @@ def _structure_rows(t: WctOperator, ctx: OrliczContext, tol: float, seed: int):
     if invertible:
         target = np.linalg.solve(imt, fs)
         res = [
-            float(np.max(np.abs(b_n_operator(t, k, "closed_form") @ fs - target)))
+            float(np.max(np.abs(b_n_operator(t, k) @ fs - target)))
             for k in horizons
         ]
         scale = float(np.max(np.abs(target)))
@@ -487,7 +486,7 @@ def _structure_rows(t: WctOperator, ctx: OrliczContext, tol: float, seed: int):
         limit = nul_imt.vectors @ coeff[rng_imt.dim :]
         inv_res = float(np.max(np.abs(m @ limit - limit), initial=0.0))
         res = [
-            float(np.max(np.abs(cesaro_mean(t, k, "closed_form") @ fs - limit)))
+            float(np.max(np.abs(cesaro_mean(t, k) @ fs - limit)))
             for k in horizons
         ]
         scale = float(np.max(np.abs(fs)))

@@ -4,9 +4,11 @@ Cesaro means, norm bounds, and power-boundedness diagnostics.
 Every closed form below factors through the cached symbol h = E(u*w): the
 n-th power multiplies the operator by h^(n-1), and the Cesaro data are
 geometric sums in h, accumulated with numpy in blocks of a fixed number of
-powers, so that their memory does not grow with n. The direct Cesaro and
-remainder routes share one walk I, T, T^2, ... of sequential products, which
-serves every requested n at once.
+powers, so that their memory does not grow with n. The one direct route is
+``power_walk``: a single walk I, T, T^2, ... of sequential products that
+serves T^n, A_n and B_n for every requested n at once, and against which the
+closed forms are checked. ``contraction_criterion`` alone decides the strict
+contraction criterion |h| < 1 on the criterion support.
 """
 
 from __future__ import annotations
@@ -27,13 +29,17 @@ __all__ = [
     "iterate",
     "cesaro_mean",
     "b_n_operator",
+    "power_walk",
     "bound_constant",
+    "contraction_criterion",
     "power_bounded_report",
     "PowerBoundedReport",
     "pairing_adjoint",
 ]
 
-_MODES = ("direct", "closed_form")
+# absolute threshold of the criterion support: an atom is in it when both
+# inverted averaged gauges exceed this value there
+_SUPPORT_EPS = 1e-10
 
 
 @dataclass(frozen=True)
@@ -82,37 +88,34 @@ def matrix_of(t: WctOperator) -> np.ndarray:
     return t._matrix
 
 
-def _check_mode(mode: str):
-    if mode not in _MODES:
-        raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
-
-
-def iterate(t: WctOperator, n: int, mode: str = "closed_form") -> np.ndarray:
-    """Matrix of the n-th power, by repeated multiplication or via the symbol."""
-    _check_mode(mode)
+def iterate(t: WctOperator, n: int) -> np.ndarray:
+    """Matrix of the n-th power in closed form: diag(h^(n-1)) times T."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    m = matrix_of(t)
-    if mode == "direct":
-        return np.linalg.matrix_power(m, n)
-    return (t.h ** (n - 1))[:, None] * m
+    return (t.h ** (n - 1))[:, None] * matrix_of(t)
 
 
-def _direct_sums(t: WctOperator, a_ns=(), b_ns=()) -> tuple[dict, dict]:
-    """A_n for each n in a_ns and B_n for each n in b_ns, by one walk.
+def power_walk(
+    t: WctOperator, a_ns=(), b_ns=(), t_ns=()
+) -> tuple[dict, dict, dict]:
+    """A_n for n in a_ns, B_n for n in b_ns and T^n for n in t_ns, by one walk.
 
     The walk forms P_0 = I, P_(k+1) = P_k @ M once, up to the largest power
-    any result needs. A_n sums P_0, ..., P_(n-1) onto zeros; B_n adds
-    (n-1-k) P_k onto (n-1) I for k = 1, ..., n-2. Each result gets the
-    additions of its own per-n loop in the same order, so it equals that
-    loop bit for bit.
+    any result needs; T^n is P_n. A_n sums P_0, ..., P_(n-1) onto zeros;
+    B_n adds (n-1-k) P_k onto (n-1) I for k = 1, ..., n-2. Each result gets
+    the products and additions of its own per-n loop in the same order, so
+    it equals that loop bit for bit.
     """
+    if min(a_ns, default=1) < 1 or min(t_ns, default=1) < 1:
+        raise ValueError("A_n and T^n need n >= 1")
+    if min(b_ns, default=2) < 2:
+        raise ValueError("B_n needs n >= 2")
     m = matrix_of(t)
     eye = np.eye(t.space.n_atoms)
-    top = max([n - 1 for n in a_ns] + [n - 2 for n in b_ns])
+    top = max([n - 1 for n in a_ns] + [n - 2 for n in b_ns] + list(t_ns))
     total = np.zeros_like(eye)
     b_acc = {n: (n - 1) * eye for n in b_ns}
-    a_out = {}
+    a_out, t_out = {}, {}
     power = eye
     for k in range(top + 1):
         if k:
@@ -120,10 +123,12 @@ def _direct_sums(t: WctOperator, a_ns=(), b_ns=()) -> tuple[dict, dict]:
             for n, acc in b_acc.items():
                 if k <= n - 2:
                     acc += (n - 1 - k) * power
+            if k in t_ns:
+                t_out[k] = power
         total += power
         if k + 1 in a_ns:
             a_out[k + 1] = total / (k + 1)
-    return a_out, {n: acc / n for n, acc in b_acc.items()}
+    return a_out, {n: acc / n for n, acc in b_acc.items()}, t_out
 
 
 _BLOCK = 512
@@ -157,18 +162,11 @@ def _power_sum(h: np.ndarray, n_terms: int, weighted: bool) -> np.ndarray:
     return total
 
 
-def cesaro_mean(t: WctOperator, n: int, mode: str = "closed_form") -> np.ndarray:
-    """(I + T + ... + T^(n-1)) / n.
-
-    Direct: one walk of sequential products (``_direct_sums``). Closed form:
-    (I + diag(v_n) T) / n with v_n = sum h^i over i < n-1, accumulated by
-    ``_power_sum``.
-    """
-    _check_mode(mode)
+def cesaro_mean(t: WctOperator, n: int) -> np.ndarray:
+    """(I + T + ... + T^(n-1)) / n in closed form: (I + diag(v_n) T) / n with
+    v_n = sum h^i over i < n-1, accumulated by ``_power_sum``."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if mode == "direct":
-        return _direct_sums(t, a_ns=(n,))[0][n]
     eye = np.eye(t.space.n_atoms)
     if n == 1:
         return eye
@@ -176,18 +174,12 @@ def cesaro_mean(t: WctOperator, n: int, mode: str = "closed_form") -> np.ndarray
     return (eye + v_n[:, None] * matrix_of(t)) / n
 
 
-def b_n_operator(t: WctOperator, n: int, mode: str = "closed_form") -> np.ndarray:
-    """(T^(n-2) + 2 T^(n-3) + ... + (n-2) T + (n-1) I) / n for n >= 2.
-
-    Direct: one walk of sequential products (``_direct_sums``). Closed form:
-    (diag(w_n) T + (n-1) I)/n with w_n = sum over i of (n-i-1) h^(i-1),
-    i from 1 to n-2, accumulated by ``_power_sum``.
-    """
-    _check_mode(mode)
+def b_n_operator(t: WctOperator, n: int) -> np.ndarray:
+    """(T^(n-2) + 2 T^(n-3) + ... + (n-2) T + (n-1) I) / n for n >= 2, in
+    closed form: (diag(w_n) T + (n-1) I)/n with w_n = sum over i of
+    (n-i-1) h^(i-1), i from 1 to n-2, accumulated by ``_power_sum``."""
     if n < 2:
         raise ValueError("n must be >= 2")
-    if mode == "direct":
-        return _direct_sums(t, b_ns=(n,))[1][n]
     w_n = _power_sum(t.h, n - 2, weighted=True)
     return (w_n[:, None] * matrix_of(t) + (n - 1) * np.eye(t.space.n_atoms)) / n
 
@@ -214,13 +206,19 @@ def pairing_adjoint(matrix: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return (matrix.T * weights[None, :]) / weights[:, None]
 
 
-def criterion_support(
-    t: WctOperator, phi: YoungFunction, psi: YoungFunction, eps: float = 1e-10
-) -> set[int]:
-    """Atoms in S(phi_inv(E(phi|w|))) intersected with S(psi_inv(E(psi|u|)))."""
+def contraction_criterion(
+    t: WctOperator, phi: YoungFunction, psi: YoungFunction
+) -> tuple[list[int], bool]:
+    """The criterion support and whether the strict contraction criterion
+    |h| < 1 holds on it.
+
+    The support is the sorted list of atoms in S(phi_inv(E(phi|w|)))
+    intersected with S(psi_inv(E(psi|u|))).
+    """
     sw = generalized_inverse(phi, cond_exp(t.e, phi(np.abs(t.w))))
     su = generalized_inverse(psi, cond_exp(t.e, psi(np.abs(t.u))))
-    return support(sw, eps) & support(su, eps)
+    crit = sorted(support(sw, _SUPPORT_EPS) & support(su, _SUPPORT_EPS))
+    return crit, all(abs(t.h[i]) < 1.0 for i in crit)
 
 
 @dataclass
@@ -258,9 +256,7 @@ def power_bounded_report(
     """
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
-    crit = criterion_support(t, phi, psi)
-    crit_idx = sorted(crit)
-    criterion_holds = all(abs(t.h[i]) < 1.0 for i in crit_idx)
+    crit_idx, criterion_holds = contraction_criterion(t, phi, psi)
     h_sup = ess_sup(t.h)
 
     rng = np.random.default_rng(seed)

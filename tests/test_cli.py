@@ -253,13 +253,16 @@ class TestFlags:
             pytest.param(["norm", "--function", "[1, 1]"], "--seed", id="norm-seed"),
             pytest.param(["ascent"], "--seed", id="ascent-seed"),
             pytest.param(["cesaro", "--n", "2"], "--seed", id="cesaro-seed"),
+            pytest.param(["random", "--n-atoms", "3"], "--format", id="random-format"),
         ],
     )
     def test_flag_outside_its_subcommands_rejected(
         self, capsys, scenario_path, argv, flag
     ):
-        value = "1e-9" if flag == "--tol-rank" else "3"
-        argv = argv[:1] + ["--scenario", scenario_path] + argv[1:] + [flag, value]
+        value = {"--tol-rank": "1e-9", "--format": "json"}.get(flag, "3")
+        if argv[0] != "random":
+            argv = argv[:1] + ["--scenario", scenario_path] + argv[1:]
+        argv = argv + [flag, value]
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2

@@ -74,6 +74,13 @@ class TestLuxemburgNorm:
         batch = luxemburg_norms(ctx_ps2, cols)
         singles = [luxemburg_norm(ctx_ps2, cols[:, j]) for j in range(20)]
         np.testing.assert_allclose(batch, singles, rtol=1e-12)
+        # bisected gauges: a column's norm does not depend on its batch
+        space = FiniteMeasureSpace.from_weights(rng.uniform(0.5, 2.0, 6))
+        cols = rng.uniform(-3, 3, (6, 200)) * rng.uniform(0.01, 100, 200)
+        for phi in (deadzone(), exp_type(), capped()):
+            ctx = OrliczContext(space, phi)
+            singles = [luxemburg_norm(ctx, cols[:, j]) for j in range(200)]
+            np.testing.assert_array_equal(luxemburg_norms(ctx, cols), singles)
 
     @settings(max_examples=40, deadline=None)
     @given(scale=st.floats(-8, 8), seed=st.integers(0, 2**16))

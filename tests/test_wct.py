@@ -22,6 +22,7 @@ from orlicz_wct import (
     pairing_adjoint,
     power_bounded_report,
     power_scaled,
+    power_walk,
     complementary,
     support,
 )
@@ -104,71 +105,69 @@ class TestIterate:
         # oracle: direct squaring of [[1/2,1/2],[-1/2,-1/2]] is the zero matrix
         oracle = np.linalg.matrix_power(matrix_of(r1), 2)
         np.testing.assert_allclose(oracle, np.zeros((2, 2)), atol=1e-15)
-        np.testing.assert_allclose(
-            iterate(r1, 2, "closed_form"), oracle, atol=1e-15
-        )
+        np.testing.assert_allclose(iterate(r1, 2), oracle, atol=1e-15)
 
     def test_first_power_both_modes(self, r3):
-        np.testing.assert_allclose(iterate(r3, 1, "direct"), matrix_of(r3))
-        np.testing.assert_allclose(iterate(r3, 1, "closed_form"), matrix_of(r3))
+        np.testing.assert_allclose(power_walk(r3, t_ns=(1,))[2][1], matrix_of(r3))
+        np.testing.assert_allclose(iterate(r3, 1), matrix_of(r3))
 
     def test_r3_cube(self, r3):
         # oracle: direct cubing; the square halves the matrix, so the cube
         # scales it by 1/4
         oracle = np.linalg.matrix_power(matrix_of(r3), 3)
         np.testing.assert_allclose(oracle, 0.25 * matrix_of(r3), atol=1e-15)
-        np.testing.assert_allclose(iterate(r3, 3, "closed_form"), oracle, atol=1e-14)
+        np.testing.assert_allclose(iterate(r3, 3), oracle, atol=1e-14)
 
     def test_modes_agree_on_random_instances(self):
         for seed in range(100):
             t = random_operator(seed)
             for n in range(1, 7):
-                direct = iterate(t, n, "direct")
-                closed = iterate(t, n, "closed_form")
+                direct = np.linalg.matrix_power(matrix_of(t), n)
+                closed = iterate(t, n)
                 scale = 1.0 + np.max(np.abs(direct))
                 assert np.max(np.abs(direct - closed)) <= 1e-9 * scale
 
     def test_validation(self, r3):
         with pytest.raises(ValueError):
             iterate(r3, 0)
-        with pytest.raises(ValueError, match="mode"):
-            iterate(r3, 1, "fast")
+        with pytest.raises(ValueError):
+            power_walk(r3, t_ns=(0,))
 
 
 class TestCesaroMean:
     def test_first_mean_is_identity(self, r4):
-        np.testing.assert_allclose(cesaro_mean(r4, 1, "closed_form"), np.eye(2))
-        np.testing.assert_allclose(cesaro_mean(r4, 1, "direct"), np.eye(2))
+        np.testing.assert_allclose(cesaro_mean(r4, 1), np.eye(2))
+        np.testing.assert_allclose(power_walk(r4, a_ns=(1,))[0][1], np.eye(2))
 
     def test_r3_third_mean(self, r3):
         # oracle: (I + T + T^2)/3 with T^2 = T/2, i.e. (I + 1.5 T)/3
         m = matrix_of(r3)
         oracle = (np.eye(2) + m + np.linalg.matrix_power(m, 2)) / 3.0
         np.testing.assert_allclose(oracle, (np.eye(2) + 1.5 * m) / 3.0, atol=1e-15)
-        np.testing.assert_allclose(cesaro_mean(r3, 3, "closed_form"), oracle, atol=1e-14)
+        np.testing.assert_allclose(cesaro_mean(r3, 3), oracle, atol=1e-14)
 
     def test_r1_second_mean(self, r1):
         oracle = (np.eye(2) + matrix_of(r1)) / 2.0
-        np.testing.assert_allclose(cesaro_mean(r1, 2, "closed_form"), oracle)
-        np.testing.assert_allclose(cesaro_mean(r1, 2, "direct"), oracle)
+        np.testing.assert_allclose(cesaro_mean(r1, 2), oracle)
+        np.testing.assert_allclose(power_walk(r1, a_ns=(2,))[0][2], oracle)
 
 
 class TestRemainderOperator:
     def test_n2_is_half_identity(self, r3):
-        np.testing.assert_allclose(b_n_operator(r3, 2, "closed_form"), np.eye(2) / 2)
-        np.testing.assert_allclose(b_n_operator(r3, 2, "direct"), np.eye(2) / 2)
+        np.testing.assert_allclose(b_n_operator(r3, 2), np.eye(2) / 2)
+        np.testing.assert_allclose(power_walk(r3, b_ns=(2,))[1][2], np.eye(2) / 2)
 
     def test_r3_fourth(self, r3):
         # oracle: (T^2 + 2T + 3I)/4 with T^2 = T/2, i.e. (2.5 T + 3 I)/4
         m = matrix_of(r3)
         oracle = (np.linalg.matrix_power(m, 2) + 2 * m + 3 * np.eye(2)) / 4.0
         np.testing.assert_allclose(oracle, (2.5 * m + 3 * np.eye(2)) / 4.0, atol=1e-15)
-        np.testing.assert_allclose(b_n_operator(r3, 4, "closed_form"), oracle, atol=1e-14)
+        np.testing.assert_allclose(b_n_operator(r3, 4), oracle, atol=1e-14)
 
     def test_telescoping_identity_exact(self, r1):
         # (I - T) A_n = (I - T^n)/n, here with n = 5
         m = matrix_of(r1)
-        lhs = (np.eye(2) - m) @ cesaro_mean(r1, 5, "direct")
+        lhs = (np.eye(2) - m) @ power_walk(r1, a_ns=(5,))[0][5]
         rhs = (np.eye(2) - np.linalg.matrix_power(m, 5)) / 5.0
         np.testing.assert_allclose(lhs, rhs, atol=1e-15)
 
@@ -176,15 +175,18 @@ class TestRemainderOperator:
         for seed in range(25):
             t = random_operator(seed)
             n_dim = t.space.n_atoms
+            a_walk, b_walk, _ = power_walk(t, (2, 3, 7), (2, 3, 7))
             for n in (2, 3, 7):
-                lhs = np.eye(n_dim) - cesaro_mean(t, n, "direct")
-                rhs = (np.eye(n_dim) - matrix_of(t)) @ b_n_operator(t, n, "direct")
+                lhs = np.eye(n_dim) - a_walk[n]
+                rhs = (np.eye(n_dim) - matrix_of(t)) @ b_walk[n]
                 scale = 1.0 + np.max(np.abs(rhs))
                 assert np.max(np.abs(lhs - rhs)) <= 1e-10 * scale
 
     def test_validation(self, r3):
         with pytest.raises(ValueError):
             b_n_operator(r3, 1)
+        with pytest.raises(ValueError):
+            power_walk(r3, b_ns=(1,))
 
 
 # Verbatim copies of the per-n loops that the single walk and the blockwise
@@ -199,6 +201,13 @@ def _loop_cesaro_direct(t, n):
         acc += power
         power = power @ m
     return acc / n
+
+
+def _loop_power_direct(t, n):
+    power = np.eye(t.space.n_atoms)
+    for _ in range(n):
+        power = power @ matrix_of(t)
+    return power
 
 
 def _loop_b_n_direct(t, n):
@@ -267,10 +276,10 @@ class TestSinglePassRoutes:
                 t = _instance(i)
                 sizes.add(t.space.n_atoms)
                 for n in (1, 2, 3, 5, 20, 200, 2001):
-                    got = cesaro_mean(t, n, "closed_form")
+                    got = cesaro_mean(t, n)
                     assert _same_bits(got, _loop_cesaro_closed(t, n)), (i, n)
                     if n >= 2:
-                        got = b_n_operator(t, n, "closed_form")
+                        got = b_n_operator(t, n)
                         assert _same_bits(got, _loop_b_n_closed(t, n)), (i, n)
         assert min(sizes) == 2 and max(sizes) == 64
 
@@ -289,16 +298,18 @@ class TestSinglePassRoutes:
         ns = (2, 3, 5, 8, 13, 20)
         for i in range(0, 200, 7):
             t = _instance(i)
-            a_walk, b_walk = wct._direct_sums(
-                t, (1,) + ns + tuple(n + 1 for n in ns), ns
+            a_walk, b_walk, t_walk = power_walk(
+                t, (1,) + ns + tuple(n + 1 for n in ns), ns, (1,) + ns
             )
             for n in (1,) + ns:
                 assert _same_bits(a_walk[n], _loop_cesaro_direct(t, n)), (i, n)
+                assert _same_bits(t_walk[n], _loop_power_direct(t, n)), (i, n)
             for n in ns:
                 assert _same_bits(a_walk[n + 1], _loop_cesaro_direct(t, n + 1))
                 assert _same_bits(b_walk[n], _loop_b_n_direct(t, n)), (i, n)
-                assert _same_bits(b_n_operator(t, n, "direct"), b_walk[n])
-            assert _same_bits(cesaro_mean(t, 13, "direct"), a_walk[13])
+                assert _same_bits(power_walk(t, b_ns=(n,))[1][n], b_walk[n])
+                assert _same_bits(power_walk(t, t_ns=(n,))[2][n], t_walk[n])
+            assert _same_bits(power_walk(t, a_ns=(13,))[0][13], a_walk[13])
 
     def test_closed_form_memory_does_not_grow_with_n(self):
         t = generate_random_instance(3, 64, 8, "contracting_h").operator()
@@ -306,8 +317,8 @@ class TestSinglePassRoutes:
         def peak(n):
             tracemalloc.start()
             try:
-                cesaro_mean(t, n, "closed_form")
-                b_n_operator(t, n, "closed_form")
+                cesaro_mean(t, n)
+                b_n_operator(t, n)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
