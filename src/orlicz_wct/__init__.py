@@ -57,6 +57,7 @@ from .wct import (
     b_n_operator,
     bound_constant,
     cesaro_mean,
+    exact_norm_powers,
     iterate,
     matrix_of,
     pairing_adjoint,
@@ -105,6 +106,7 @@ __all__ = [
     "emit_report",
     "ess_sup",
     "estimate_gch_constant",
+    "exact_norm_powers",
     "exp_type",
     "gch_constant_report",
     "generalized_inverse",

@@ -26,6 +26,7 @@ from .harness import (
     ScenarioError,
     emit_report,
     generate_random_instance,
+    identity_residuals,
     load_scenario,
     run_verification,
     scenario_to_dict,
@@ -208,30 +209,17 @@ def _cmd_cesaro(args) -> int:
     scenario = load_scenario(args.scenario)
     t = scenario.operator()
     n = args.n
-    eye = np.eye(scenario.space.n_atoms)
-    m = matrix_of(t)
     modes = ("direct", "closed_form") if args.mode == "both" else (args.mode,)
-    a_walk, b_walk, t_walk = power_walk(t, (n, n + 1), (n,) if n >= 2 else (), (n,))
-    a_n, a_next, tn = a_walk[n], a_walk[n + 1], t_walk[n]
+    walk = power_walk(t, (n, n + 1), (n,) if n >= 2 else (), (n,))
+    a_walk, b_walk = walk[0], walk[1]
     payload: dict = {"n": n}
     for mode in modes:
         direct = mode == "direct"
-        payload[f"a_n_{mode}"] = (a_n if direct else cesaro_mean(t, n)).tolist()
+        payload[f"a_n_{mode}"] = (a_walk[n] if direct else cesaro_mean(t, n)).tolist()
         if n >= 2:
             b_n = b_walk[n] if direct else b_n_operator(t, n)
             payload[f"b_n_{mode}"] = b_n.tolist()
-    payload["residuals"] = {
-        "power_over_n_identity": float(
-            np.max(np.abs(tn / n - ((n + 1) / n) * a_next + a_n))
-        ),
-        "telescoping_identity": float(
-            np.max(np.abs((eye - m) @ a_n - (eye - tn) / n))
-        ),
-    }
-    if n >= 2:
-        payload["residuals"]["remainder_factorization_identity"] = float(
-            np.max(np.abs(eye - a_n - (eye - m) @ b_walk[n]))
-        )
+    payload["residuals"] = identity_residuals(t, walk, (n,))[n]
     if args.format == "json":
         print(json.dumps(payload, sort_keys=True, indent=2))
     else:

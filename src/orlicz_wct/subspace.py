@@ -296,19 +296,24 @@ def verify_structure_theorems(
     ctx: OrliczContext,
     tol: float = DEFAULT_RANK_TOL,
     seed: int = 0,
+    criterion: tuple[list[int], bool] | None = None,
 ) -> list[ClaimResult]:
     """One pass/fail row per structural claim, each under its own hypothesis.
 
     Claims about I - T and density use the bilinear pairing adjoint; rows
     report "not_checked" when their hypothesis fails, never an error. The
-    rows come in registry order and carry an empty fingerprint.
+    rows come in registry order and carry an empty fingerprint. A caller
+    that already holds ``contraction_criterion(t, ctx.phi, psi)`` for the
+    conjugate psi passes it as ``criterion``; otherwise the pass computes it.
     """
     if tol <= 0:
         raise ValueError("tol must be > 0")
-    return list(_structure_rows(t, ctx, tol, seed))
+    if criterion is None:
+        criterion = contraction_criterion(t, ctx.phi, complementary(ctx.phi))
+    return list(_structure_rows(t, tol, seed, criterion[1]))
 
 
-def _structure_rows(t: WctOperator, ctx: OrliczContext, tol: float, seed: int):
+def _structure_rows(t: WctOperator, tol: float, seed: int, criterion_holds: bool):
     m = matrix_of(t)
     n = t.space.n_atoms
 
@@ -384,7 +389,6 @@ def _structure_rows(t: WctOperator, ctx: OrliczContext, tol: float, seed: int):
     yield make_claim("symbol_operator_decomposition", "none", sum_dim(rs, ns) == n)
 
     # claims under the strict contraction criterion
-    criterion_holds = contraction_criterion(t, ctx.phi, complementary(ctx.phi))[1]
     hyp_c = "met" if criterion_holds else "not_met"
     imt = np.eye(n) - m
     if criterion_holds:

@@ -9,6 +9,13 @@ powers, so that their memory does not grow with n. The one direct route is
 serves T^n, A_n and B_n for every requested n at once, and against which the
 closed forms are checked. ``contraction_criterion`` alone decides the strict
 contraction criterion |h| < 1 on the criterion support.
+
+On a power law phi = c|x|^p with p > 1 the operator norms are exact: each
+block piece T_B = (w 1_B)(u mu 1_B)^T / mu(B) has rank one, the pieces have
+disjoint supports and the Luxemburg norm is c^(1/p) times the L^p(mu) norm,
+so ||T^n|| = max_B |h_B|^(n-1) (E_B|w|^p)^(1/p) (E_B|u|^q)^(1/q) with
+q = p/(p-1) (``exact_norm_powers``). ``power_bounded_report`` samples norm
+ratios only for the other gauges.
 """
 
 from __future__ import annotations
@@ -32,6 +39,7 @@ __all__ = [
     "power_walk",
     "bound_constant",
     "contraction_criterion",
+    "exact_norm_powers",
     "power_bounded_report",
     "PowerBoundedReport",
     "pairing_adjoint",
@@ -221,6 +229,42 @@ def contraction_criterion(
     return crit, all(abs(t.h[i]) < 1.0 for i in crit)
 
 
+def exact_norm_powers(
+    t: WctOperator, phi: YoungFunction, n_max: int
+) -> list[float] | None:
+    """[||T^n|| on L^phi for n = 1..n_max] when phi = c|x|^p with p > 1,
+    and None for every other gauge.
+
+    The norm of the block piece T_B is the L^p norm of w 1_B times the L^q
+    norm of u 1_B / mu(B), which is (E_B|w|^p)^(1/p) (E_B|u|^q)^(1/q): the
+    powers of mu(B) cancel, and so does c. T^n is h^(n-1) T, and the pieces
+    have disjoint supports, so ||T^n|| is the largest |h_B|^(n-1) times the
+    norm of T_B. Two conditional expectations give every block norm.
+    """
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
+    if phi._power is None or phi._power[1] <= 1:
+        return None
+    p = phi._power[1]
+    q = p / (p - 1.0)
+    block = (
+        cond_exp(t.e, np.abs(t.w) ** p) ** (1.0 / p)
+        * cond_exp(t.e, np.abs(t.u) ** q) ** (1.0 / q)
+    )
+    # only blocks with a nonzero piece count: elsewhere h = 0 as well, and
+    # an overflowing |h|^(n-1) must not meet a zero norm
+    live = block > 0
+    if not live.any():
+        return [0.0] * n_max
+    block, h = block[live], np.abs(t.h[live])
+    norms, hpow = [], np.ones_like(h)
+    with np.errstate(over="ignore"):
+        for _ in range(n_max):
+            norms.append(float(np.max(hpow * block)))
+            hpow = hpow * h
+    return norms
+
+
 @dataclass
 class PowerBoundedReport:
     criterion_holds: bool
@@ -233,9 +277,11 @@ class PowerBoundedReport:
     n_max: int
     samples: int
     seed: int
+    exact: bool
     note: str = (
         "the symbol norm sequence is read as sup norms of symbol powers; "
-        "norm estimates use one shared sample set across all powers"
+        "norm estimates are exact block norms for power-law gauges and "
+        "otherwise use one shared sample set across all powers"
     )
 
 
@@ -246,34 +292,30 @@ def power_bounded_report(
     n_max: int,
     samples: int = 64,
     seed: int = 0,
+    criterion: tuple[list[int], bool] | None = None,
 ) -> PowerBoundedReport:
-    """Strict-contraction criterion plus horizon norm estimates.
+    """Strict-contraction criterion plus horizon norms of the powers.
 
     The criterion asks |h| < 1 on the joint support of the inverted averaged
-    gauges of |w| and |u|. Norm estimates for all powers share one sample set
-    so that the horizon comparison inherits the pointwise domination
+    gauges of |w| and |u|; a caller that already holds
+    ``contraction_criterion(t, phi, psi)`` passes it as ``criterion``. The
+    norms are ``exact_norm_powers`` wherever that is not None (then
+    ``exact`` is set and ``samples`` and ``seed`` go unused). Other gauges
+    get sampled lower estimates: all powers share one sample set, so the
+    horizon comparison inherits the pointwise domination
     |T^n f| <= ||h||_inf^(n-1) |T f| without estimator noise.
     """
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
-    crit_idx, criterion_holds = contraction_criterion(t, phi, psi)
+    if criterion is None:
+        criterion = contraction_criterion(t, phi, psi)
+    crit_idx, criterion_holds = criterion
     h_sup = ess_sup(t.h)
 
-    rng = np.random.default_rng(seed)
-    n = t.space.n_atoms
-    cols = np.hstack([np.eye(n), rng.uniform(-1.0, 1.0, (n, samples))])
-    ctx = OrliczContext(t.space, phi)
-    base = luxemburg_norms(ctx, cols)
-    keep = base > 0
-    cols, base = cols[:, keep], base[keep]
-    m = matrix_of(t)
-    images = []
-    image = cols
-    for _ in range(n_max):
-        image = m @ image
-        images.append(image)
-    stacked_norms = luxemburg_norms(ctx, np.hstack(images)).reshape(n_max, -1)
-    estimates = [float(v) for v in np.max(stacked_norms / base[None, :], axis=1)]
+    estimates = exact_norm_powers(t, phi, n_max)
+    exact = estimates is not None
+    if not exact:
+        estimates = _sampled_norm_powers(t, phi, n_max, samples, seed)
     sup_norm = max(estimates)
 
     hpow_sup = [h_sup**k for k in range(1, n_max + 1)]
@@ -291,5 +333,27 @@ def power_bounded_report(
         n_max=n_max,
         samples=samples,
         seed=seed,
+        exact=exact,
     )
 
+
+def _sampled_norm_powers(
+    t: WctOperator, phi: YoungFunction, n_max: int, samples: int, seed: int
+) -> list[float]:
+    """Largest N(T^n f)/N(f), n = 1..n_max, over the atom indicators and
+    ``samples`` uniform draws: lower estimates of the operator norms."""
+    rng = np.random.default_rng(seed)
+    n = t.space.n_atoms
+    cols = np.hstack([np.eye(n), rng.uniform(-1.0, 1.0, (n, samples))])
+    ctx = OrliczContext(t.space, phi)
+    base = luxemburg_norms(ctx, cols)
+    keep = base > 0
+    cols, base = cols[:, keep], base[keep]
+    m = matrix_of(t)
+    images = []
+    image = cols
+    for _ in range(n_max):
+        image = m @ image
+        images.append(image)
+    stacked_norms = luxemburg_norms(ctx, np.hstack(images)).reshape(n_max, -1)
+    return [float(v) for v in np.max(stacked_norms / base[None, :], axis=1)]

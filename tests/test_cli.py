@@ -96,6 +96,24 @@ class TestCesaro:
         assert all(v <= 1e-12 for v in payload["residuals"].values())
         assert "a_n_direct" in payload and "b_n_closed_form" in payload
 
+    def test_residuals_are_relative_like_verify(self, capsys, tmp_path):
+        # an expanding random symbol: absolute gaps reach 1e-7 at n = 20
+        path = str(tmp_path / "rand.json")
+        run_cli(capsys, "random", "--seed", "2", "--n-atoms", "12",
+                "--n-blocks", "3", "--output", path)
+        code, out, _ = run_cli(
+            capsys, "cesaro", "--scenario", path, "--n", "20", "--format", "json"
+        )
+        assert code == 0
+        residuals = json.loads(out)["residuals"]
+        assert len(residuals) == 3
+        assert all(v <= 1e-10 for v in residuals.values()), residuals
+        # verify takes the worst over horizons that include n = 20
+        code, out, _ = run_cli(capsys, "verify", "--scenario", path, "--format", "json")
+        by_id = {e["claim_id"]: e for e in json.loads(out)["entries"]}
+        for cid, value in residuals.items():
+            assert value <= by_id[cid]["residual"], cid
+
 
 class TestVerify:
     def test_exit_zero_and_report_written(self, capsys, tmp_path, scenario_path):

@@ -1,4 +1,8 @@
+import contextlib
+import io
 import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +27,7 @@ from orlicz_wct import (
     support,
     verify_structure_theorems,
 )
-from orlicz_wct import harness
+from orlicz_wct import cli, harness
 from orlicz_wct.claims import EXPERIMENT_CLAIMS, make_claim, merge_claims
 
 
@@ -236,6 +240,28 @@ class TestRunVerification:
         report = run_verification(s, seed=0, instances=5)
         ids = [r.claim_id for r in report.entries]
         assert len(ids) == len(set(ids))
+
+    def test_criterion_and_conjugate_built_once_per_instance(self, monkeypatch):
+        # every orlicz_wct binding of the two functions is wrapped, so a call
+        # through any module counts; r3 plus 20 instances is 21 instances
+        counts = {"contraction_criterion": 0, "complementary": 0}
+        modules = [m for k, m in sys.modules.items() if k.startswith("orlicz_wct")]
+        for name in counts:
+            for module in modules:
+                if hasattr(module, name):
+                    original = getattr(module, name)
+
+                    def spy(*args, _name=name, _original=original, **kwargs):
+                        counts[_name] += 1
+                        return _original(*args, **kwargs)
+
+                    monkeypatch.setattr(module, name, spy)
+        path = Path(__file__).resolve().parents[1] / "scenarios" / "r3_contracting.json"
+        argv = ["verify", "--scenario", str(path), "--instances", "20", "--seed", "1"]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv) == 0
+        assert counts["contraction_criterion"] == 21
+        assert counts["complementary"] <= 22
 
     def test_experiment_subset(self, r1_scenario_dict):
         s = scenario_from_dict(

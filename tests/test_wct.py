@@ -15,19 +15,22 @@ from orlicz_wct import (
     cesaro_mean,
     cond_exp,
     estimate_gch_constant,
+    exact_norm_powers,
     generalized_inverse,
     iterate,
     luxemburg_norms,
     matrix_of,
     pairing_adjoint,
     power_bounded_report,
+    power_plain,
     power_scaled,
     power_walk,
     complementary,
     support,
 )
+from orlicz_wct.young import capped, deadzone, exp_type
 
-from orlicz_wct import wct
+from orlicz_wct import harness, wct
 from orlicz_wct.harness import PROFILES, generate_random_instance
 
 from conftest import random_operator
@@ -395,6 +398,119 @@ class TestPowerBoundedReport:
         phi = power_scaled(2)
         with pytest.raises(ValueError):
             power_bounded_report(r3, phi, complementary(phi), n_max=1)
+
+
+def _exact_norm_cases(count=100):
+    """Seeded operators of 2-64 atoms; every third one has zeros sprinkled
+    into u and w, so some block pieces vanish."""
+    for seed in range(count):
+        t = random_operator(500 + seed, n_atoms=2 + (seed * 31) % 63)
+        if seed % 3 == 0:
+            rng = np.random.default_rng(seed)
+            n = t.space.n_atoms
+            u = np.where(rng.random(n) < 0.3, 0.0, t.u)
+            w = np.where(rng.random(n) < 0.3, 0.0, t.w)
+            t = WctOperator(u, w, t.e)
+        yield seed, t
+
+
+def _within_slack(value, bound):
+    return value <= bound + harness._EXACT_SLACK * abs(bound)
+
+
+_POWER_GAUGES = [
+    factory(p) for factory in (power_scaled, power_plain) for p in (1.5, 2.0, 3.0)
+]
+
+
+class TestExactNormPowers:
+    """exact_norm_powers against independent routes: the weighted spectral
+    norm (p = 2), sampled ratios, a Hoelder extremal and the bound M."""
+
+    def test_p2_equals_the_weighted_spectral_norm(self):
+        for seed, t in _exact_norm_cases():
+            root = np.sqrt(t.space.weights)
+            for phi in (power_scaled(2), power_plain(2)):
+                got = exact_norm_powers(t, phi, 4)
+                for n, value in enumerate(got, start=1):
+                    weighted = root[:, None] * iterate(t, n) / root[None, :]
+                    ref = np.linalg.norm(weighted, 2)
+                    assert abs(value - ref) <= 1e-12 * max(value, ref), (seed, n)
+
+    def test_sampled_ratios_never_exceed_it(self):
+        for seed, t in _exact_norm_cases():
+            for phi in _POWER_GAUGES:
+                got = exact_norm_powers(t, phi, 3)
+                sampled = wct._sampled_norm_powers(t, phi, 3, samples=16, seed=seed)
+                for value, ratio in zip(got, sampled):
+                    assert _within_slack(ratio, value), (seed, phi, ratio, value)
+
+    def test_hoelder_extremal_on_the_best_block_attains_it(self):
+        checked = 0
+        for seed, t in _exact_norm_cases():
+            for phi in _POWER_GAUGES:
+                norm = exact_norm_powers(t, phi, 1)[0]
+                if norm == 0.0:
+                    continue
+                p = phi._power[1]
+                q = p / (p - 1.0)
+                ctx = OrliczContext(t.space, phi)
+                # the block of the largest piece: its norm is the L^p norm of
+                # w there times the L^q norm of u over the block mass
+                pieces = []
+                for idx in t.e.partition.index_arrays:
+                    mu = t.space.weights[idx]
+                    pieces.append(
+                        (mu @ np.abs(t.w[idx]) ** p) ** (1 / p)
+                        * (mu @ np.abs(t.u[idx]) ** q) ** (1 / q)
+                        / mu.sum()
+                    )
+                best = t.e.partition.index_arrays[int(np.argmax(pieces))]
+                # equality in Hoelder's inequality for sum u f mu on the block
+                f = np.zeros(t.space.n_atoms)
+                f[best] = np.sign(t.u[best]) * np.abs(t.u[best]) ** (q - 1.0)
+                cols = np.stack([f, apply(t, f)], axis=1)
+                base, image = luxemburg_norms(ctx, cols)
+                assert abs(image / base - norm) <= 1e-12 * norm, (seed, phi)
+                checked += 1
+        assert checked >= 500
+
+    def test_norm_is_at_most_the_weight_bound(self):
+        for seed, t in _exact_norm_cases():
+            for phi in _POWER_GAUGES:
+                norm = exact_norm_powers(t, phi, 1)[0]
+                bound = bound_constant(t, phi, complementary(phi), 1.0)
+                assert _within_slack(norm, bound), (seed, phi, norm, bound)
+
+    def test_scenarios_reach_the_weight_bound(self, r1, r3, r4):
+        phi = power_scaled(2)
+        for t, norm in ((r1, 1.0), (r3, 0.5), (r4, 2.0)):
+            got = exact_norm_powers(t, phi, 3)
+            assert got[0] == pytest.approx(norm, rel=1e-15)
+            assert bound_constant(t, phi, complementary(phi), 1.0) == pytest.approx(
+                norm, rel=1e-12
+            )
+        assert exact_norm_powers(r4, phi, 3)[2] == pytest.approx(8.0, rel=1e-15)
+
+    def test_zero_operator(self, e_one_block):
+        t = WctOperator([0.0, 0.0], [1.0, 2.0], e_one_block)
+        assert exact_norm_powers(t, power_plain(3), 4) == [0.0] * 4
+
+    @pytest.mark.parametrize(
+        "phi",
+        [exp_type(), deadzone(), capped(), power_scaled(1), power_plain(1)],
+        ids=["exp_type", "deadzone", "capped", "power_scaled_1", "power_plain_1"],
+    )
+    def test_other_gauges_get_none(self, r3, phi):
+        assert exact_norm_powers(r3, phi, 5) is None
+        rep = power_bounded_report(r3, phi, complementary(phi), n_max=3)
+        assert not rep.exact
+
+    def test_report_takes_the_exact_route_for_power_laws(self, r4):
+        phi = power_plain(1.5)
+        rep = power_bounded_report(r4, phi, complementary(phi), n_max=5)
+        assert rep.exact
+        assert rep.norm_estimates == exact_norm_powers(r4, phi, 5)
 
 
 class TestStructuralInvariants:
