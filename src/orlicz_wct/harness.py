@@ -689,7 +689,10 @@ def run_verification(
             tol=scenario.tolerances["rank"],
         )
         # keep the seed of the draw that was accepted: the fingerprint then
-        # rebuilds the instance that ran, and its claims sample with it
+        # rebuilds the instance that ran, and its claims sample with it. The
+        # new settings touch no input of the operator, so the accepted
+        # draw's operator carries over instead of being rebuilt
+        operator = child.operator()
         child = replace(
             child,
             tolerances=scenario.tolerances,
@@ -697,6 +700,7 @@ def run_verification(
                 g for g in scenario.experiments if g in _FAST_GROUPS
             ),
         )
+        vars(child)["_operator"] = operator
         rows += _scenario_claims(child, child.seed, child.fingerprint())
     # one entry per claim id, in group order
     by_id = {

@@ -1,13 +1,15 @@
 """Rank-revealing subspace computations and the structure-theorem checks.
 
-A structure pass factors each distinct matrix once per SVD mode. One walk of
-the sequential powers M, M^2, ... factors M^k with singular vectors for
-k <= 4 and by singular values after that; each gives the rank of M^k (so the
-chains, the ascent and the descent) and, for k <= 4, its range and kernel
-bases at the same cut. h*T and I - T get one full SVD each, I - T and its
-adjoint one singular-value scan each. Sums and intersections inside the pass
-are rank counts: singular values of stacked bases, and dim(a & b) = dim a +
-dim b - dim(a + b). Power chains use thresholds tied to the realized largest
+T has rank r at most its block count, so the structure pass works in its
+range. One dense SVD of M = matrix_of(T), cut at the rounding level n*eps*s0,
+gives Q = orth([U_r, V_r]) with d <= 2r columns and the d x d core
+C = Q^T M Q; the other n - d directions lie in the kernel of every power of
+M, and I - T and its pairing adjoint compress alike (a matrix under 32 atoms
+or with 2r >= n is its own core). Every power spectrum, rank chain, range and
+kernel basis, sum and intersection of the pass is taken on the core, with the
+trivial directions added analytically; only the ergodic rows factor the dense
+I - T. Sums are rank counts of stacked bases, and dim(a & b) = dim a + dim b
+- dim(a + b). Power chains use thresholds tied to the realized largest
 singular value of each power with a noise floor that scales like the base
 norm to the k-th power, so kernel detection stays stable whether iterates
 grow or decay. "Dense" statements are read as subspace equality with the
@@ -19,7 +21,6 @@ a Hilbert space; every claim that uses an adjoint records that choice.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 from dataclasses import dataclass
 
@@ -80,48 +81,30 @@ class SubspaceBasis:
         return self.vectors.shape[1]
 
 
-def _svd_once():
-    """np.linalg.svd that factors each input of a structure pass (powers,
-    h*T, I - T, stacked bases) once per mode. A repeat, keyed by a digest of
-    the input's bytes, gets the arrays of the first call, which callers must
-    not write to."""
-    memo = {}
-
-    def svd(a, full_matrices=True, compute_uv=True):
-        a = np.ascontiguousarray(a, dtype=float)
-        digest = hashlib.sha1(a, usedforsecurity=False).digest()
-        key = (digest, a.shape, full_matrices, compute_uv)
-        if key not in memo:
-            memo[key] = np.linalg.svd(a, full_matrices, compute_uv)
-        return memo[key]
-
-    return svd
+def _relative_cut(top: float, tol: float) -> float:
+    """tol times the largest singular value top, or tol when top is 0."""
+    return tol * top if top > 0 else tol
 
 
-def _split(u: np.ndarray, vh: np.ndarray, rank: int):
-    """Range and null-space columns of a matrix with SVD (u, ., vh)."""
-    return u[:, :rank], vh[rank:].T
-
-
-def _range_and_null(matrix: np.ndarray, tol: float, svd):
+def _range_and_null(matrix: np.ndarray, tol: float):
     """Range and null-space bases, cut at tol times the 2-norm."""
     if tol <= 0:
         raise ValueError("tol must be > 0")
     matrix = np.asarray(matrix, dtype=float)
-    smax = float(svd(matrix, compute_uv=False)[0]) if matrix.size else 0.0
-    u, s, vh = svd(matrix)
-    rank = int(np.sum(s > (tol * smax if smax > 0 else tol)))
-    return tuple(SubspaceBasis(c.copy(), tol) for c in _split(u, vh, rank))
+    smax = float(np.linalg.svd(matrix, compute_uv=False)[0]) if matrix.size else 0.0
+    u, s, vh = np.linalg.svd(matrix)
+    rank = int(np.sum(s > _relative_cut(smax, tol)))
+    return tuple(SubspaceBasis(c.copy(), tol) for c in (u[:, :rank], vh[rank:].T))
 
 
 def null_space(matrix: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> SubspaceBasis:
     """Orthonormal basis of the numerical kernel at relative tolerance tol."""
-    return _range_and_null(matrix, tol, np.linalg.svd)[1]
+    return _range_and_null(matrix, tol)[1]
 
 
 def range_space(matrix: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> SubspaceBasis:
     """Orthonormal basis of the column space at relative tolerance tol."""
-    return _range_and_null(matrix, tol, np.linalg.svd)[0]
+    return _range_and_null(matrix, tol)[0]
 
 
 _NOISE_COEFF = 1e-11
@@ -134,47 +117,132 @@ def _power_threshold(sing: np.ndarray, base_norm: float, k: int, tol: float) -> 
     float-noise floor of computing the power (which scales like base^k), so
     kernel detection stays stable whether iterates grow or decay.
     """
-    realized = float(sing[0]) if sing.size else 0.0
+    realized = float(np.max(sing, initial=0.0))
     floor = _NOISE_COEFF * base_norm**k if base_norm > 0 else 0.0
     return max(tol * realized, floor)
 
 
-def _power_spectra(matrix: np.ndarray, tol: float, svd, n_full: int = 0):
-    """(k, singular values, rank threshold, u, vh) of matrix^k for k = 1, 2,
-    ..., formed by sequential multiplication from matrix itself. Powers up to
-    n_full are factored with their singular vectors, later ones by singular
-    values alone (u and vh are None); every threshold takes its base norm
-    from the first power."""
-    power = matrix
+def _sum_rank(s: np.ndarray, tol: float) -> int:
+    """Dimension of a subspace sum from the singular values s of the stacked
+    orthonormal bases: the count above tol times the largest (tol if 0)."""
+    return int(np.sum(s > _relative_cut(float(np.max(s, initial=0.0)), tol)))
+
+
+@dataclass(frozen=True)
+class _Core:
+    """A = Q c Q^T + alpha (I - Q Q^T) on n atoms, for a d x d core c and n x d
+    orthonormal q (None when c is A itself). The k-th power is
+    Q c^k Q^T + alpha^k (I - Q Q^T), so its spectrum is that of c^k plus
+    n - d trivial values |alpha|^k. ``first`` is the SVD of c when the caller
+    already holds it.
+
+    A subspace is a pair (columns in the coordinates of Q, whether the n - d
+    trivial directions belong to it)."""
+
+    c: np.ndarray
+    alpha: float
+    n: int
+    q: np.ndarray | None = None
+    first: tuple | None = None
+
+    @property
+    def trivial(self) -> int:
+        return self.n - self.c.shape[0]
+
+    def split(self, spectrum: np.ndarray, u: np.ndarray, vh: np.ndarray, k: int, cut):
+        """Range and kernel of A^k at cut, from its spectrum and the SVD
+        (u, ., vh) of c^k."""
+        on = bool(abs(self.alpha) ** k > cut)
+        rank = int(np.sum(spectrum > cut)) - self.trivial * on
+        return (u[:, :rank], on), (vh[rank:].T, not on)
+
+    def dim(self, sub) -> int:
+        return sub[0].shape[1] + self.trivial * sub[1]
+
+    def sum_dim(self, a, b, tol: float) -> int:
+        """dim(a + b) by the rank of the stacked bases at tol; the trivial
+        directions of both stack to [I, I], whose nonzero singular values are
+        sqrt(2). A basis beside an empty one keeps its own dimension."""
+        if not self.dim(a) or not self.dim(b):
+            return self.dim(a) + self.dim(b)
+        cols = np.hstack([a[0], b[0]])
+        s = np.linalg.svd(cols, compute_uv=False)
+        ones = np.full(self.trivial * (a[1] or b[1]), np.sqrt(a[1] + b[1]))
+        return _sum_rank(np.concatenate([s, ones]), tol)
+
+
+def _compress(a: np.ndarray, alpha: float, q: np.ndarray | None, first=None) -> _Core:
+    """The core c = q^T a q of a = alpha*I + x y^T (up to rounding) for q the
+    thin-QR factor of [x, y]. Without q, a is its own core and ``first``, its
+    SVD when the caller holds it, seeds the power walk."""
+    if q is None:
+        return _Core(a, alpha, a.shape[0], None, first)
+    return _Core(q.T @ a @ q, alpha, a.shape[0], q)
+
+
+# below this many atoms the dense powers cost less than compressing them
+_CORE_MIN_ATOMS = 32
+
+
+def _core_of(matrix: np.ndarray):
+    """The core of a matrix, and the leading vectors U_r and V_r of its one
+    dense SVD: the r singular values above the rounding cut n*eps*s0 (at
+    least one). A matrix of fewer than _CORE_MIN_ATOMS rows is its own core,
+    with no SVD taken here (U_r and V_r are None), and so is one with
+    2r >= n."""
+    matrix = np.asarray(matrix, dtype=float)
+    n = matrix.shape[0]
+    if n < _CORE_MIN_ATOMS:
+        return _Core(matrix, 0.0, n), None, None
+    u, s, vh = factors = np.linalg.svd(matrix)
+    r = max(1, int(np.sum(s > n * np.finfo(float).eps * s[0])))
+    ur, vr = u[:, :r], vh[:r].T
+    q = None if 2 * r >= n else np.linalg.qr(np.hstack([ur, vr]))[0]
+    return _compress(matrix, 0.0, q, factors), ur, vr
+
+
+def _power_spectra(core: _Core, tol: float, n_full: int = 0):
+    """(k, spectrum, rank threshold, u, vh) of A^k for k = 1, 2, ..., formed
+    by sequential multiplication of the core. Powers up to n_full are
+    factored with their singular vectors (u and vh of c^k), later ones by
+    singular values alone (u and vh are None); every threshold takes its base
+    norm from the first power. A power equal to the one before reuses its
+    factors, since every later power equals it too."""
+    power, last = core.c, None
     for k in itertools.count(1):
-        factors = svd(power, compute_uv=k <= n_full)
-        u, s, vh = factors if k <= n_full else (None, factors, None)
+        if k == 1 and core.first is not None:
+            u, s, vh = core.first
+        elif last is None or not (power == last).all():
+            factors = np.linalg.svd(power, compute_uv=k <= n_full)
+            u, s, vh = factors if k <= n_full else (None, factors, None)
+        if k > n_full:
+            u = vh = None
+        spectrum = np.concatenate([s, np.full(core.trivial, abs(core.alpha) ** k)])
         if k == 1:
-            base = float(s[0])
-        yield k, s, _power_threshold(s, base, k, tol), u, vh
-        power = power @ matrix
+            base = float(np.max(spectrum, initial=0.0))
+        yield k, spectrum, _power_threshold(spectrum, base, k, tol), u, vh
+        last, power = power, power @ core.c
 
 
 def _rank_scan(
-    matrix: np.ndarray, tol: float, svd, k_min: int = 0, k_max: int = 8, n_full: int = 0
+    core: _Core, tol: float, k_min: int = 0, k_max: int = 8, n_full: int = 0
 ) -> tuple[list[int], int | None, dict]:
-    """Ranks of matrix^k for k = 0, 1, ... at power-scaled thresholds, the
-    first k <= k_max with rank(M^k) = rank(M^(k+1)), or None, and the range
-    and null-space columns of M^k at the same cut for k = 1, ..., n_full.
+    """Ranks of A^k for k = 0, 1, ... at power-scaled thresholds, the first
+    k <= k_max with rank(A^k) = rank(A^(k+1)), or None, and for k = 1, ...,
+    n_full the (spectrum, threshold, u, vh) of A^k.
 
     The scan always reaches max(k_min, n_full), then goes on, at most to
     k_max + 1, only until that k is found.
     """
-    matrix = np.asarray(matrix, dtype=float)
-    ranks, stable, bases = [matrix.shape[0]], None, {}
-    for k, s, thr, u, vh in _power_spectra(matrix, tol, svd, n_full):
+    ranks, stable, factors = [core.n], None, {}
+    for k, s, thr, u, vh in _power_spectra(core, tol, n_full):
         ranks.append(int(np.sum(s > thr)))
         if u is not None:
-            bases[k] = _split(u, vh, ranks[-1])
+            factors[k] = (s, thr, u, vh)
         if stable is None and k <= k_max + 1 and ranks[-1] == ranks[-2]:
             stable = k - 1
         if k >= max(k_min, n_full) and (stable is not None or k > k_max):
-            return ranks, stable, bases
+            return ranks, stable, factors
 
 
 # a singular value within this factor of its rank threshold is unclassifiable
@@ -199,17 +267,16 @@ def powers_well_conditioned(
     k-th powers would sink below the cut while looking confidently zero.
     Random suites re-draw flagged instances.
     """
-    matrix = np.asarray(matrix, dtype=float)
     thresholds = []
     retained_min_sq = None
-    spectra = _power_spectra(matrix, tol, np.linalg.svd)
+    spectra = _power_spectra(_core_of(matrix)[0], tol)
     for k, s, thr, _, _ in itertools.islice(spectra, k_max):
         thresholds.append(thr)
         if thr > 0 and np.any((s > thr / _BAND) & (s <= thr * _BAND)):
             return False
         if k == 2:
             above = s[s > thr]
-            retained_min_sq = float(above[-1]) if above.size else None
+            retained_min_sq = float(above.min()) if above.size else None
     if symbol is not None:
         h = np.asarray(symbol, dtype=float)
         h_top = float(np.max(np.abs(h), initial=0.0))
@@ -232,7 +299,7 @@ def ascent_of(matrix: np.ndarray, k_max: int = 8, tol: float = DEFAULT_RANK_TOL)
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    return _rank_scan(matrix, tol, np.linalg.svd, 0, k_max)[1]
+    return _rank_scan(_core_of(matrix)[0], tol, 0, k_max)[1]
 
 
 def descent_of(matrix: np.ndarray, k_max: int = 8, tol: float = DEFAULT_RANK_TOL):
@@ -242,12 +309,6 @@ def descent_of(matrix: np.ndarray, k_max: int = 8, tol: float = DEFAULT_RANK_TOL
     square matrix, so this is the ascent scan.
     """
     return ascent_of(matrix, k_max, tol)
-
-
-def _sum_rank(s: np.ndarray, tol: float) -> int:
-    """Dimension of a subspace sum from the singular values s of the stacked
-    orthonormal bases: the count above tol times the largest (tol if 0)."""
-    return int(np.sum(s > (tol * s[0] if s[0] > 0 else tol)))
 
 
 def subspace_sum(a: SubspaceBasis, b: SubspaceBasis) -> SubspaceBasis:
@@ -272,6 +333,7 @@ def subspace_intersection(a: SubspaceBasis, b: SubspaceBasis) -> SubspaceBasis:
     u, _, _ = np.linalg.svd(a.vectors.T @ b.vectors)
     q, _ = np.linalg.qr(a.vectors @ u[:, :target])
     return SubspaceBasis(q[:, :target], tol)
+
 
 
 def _decreasing_to_zero(residuals: list[float], floor: float) -> bool:
@@ -317,13 +379,14 @@ def _structure_rows(t: WctOperator, tol: float, seed: int, criterion_holds: bool
     m = matrix_of(t)
     n = t.space.n_atoms
 
-    # every factorization below is formed once per input and mode; one walk
-    # of sequential powers gives the chains to k = 6, the ascent (also the
-    # descent, by rank-nullity) and the range and kernel of M^k, k <= 4
-    svd = _svd_once()
-    ranks, ascent, powers = _rank_scan(m, tol, svd, 6, n_full=4)
+    # one walk of sequential powers of the core of M gives the chains to
+    # k = 6, the ascent (also the descent, by rank-nullity) and the range and
+    # kernel of M^k, k <= 4
+    core, ur, vr = _core_of(m)
+    ranks, ascent, factors = _rank_scan(core, tol, 6, n_full=4)
     ranks = ranks[:7]
     null_dims = [n - r for r in ranks]
+    powers = {k: core.split(s, u, vh, k, thr) for k, (s, thr, u, vh) in factors.items()}
 
     # ascent and the kernel chain
     yield make_claim(
@@ -362,16 +425,21 @@ def _structure_rows(t: WctOperator, tol: float, seed: int, criterion_holds: bool
 
     # sums and intersections enter only through their dimensions: a sum's is
     # a rank count of the stacked bases, an intersection's follows from
-    # dim(a & b) = dim a + dim b - dim(a + b)
-    def sum_dim(a: np.ndarray, b: np.ndarray) -> int:
-        cols = np.hstack([a, b])
-        return _sum_rank(svd(cols, compute_uv=False), tol) if cols.shape[1] else 0
+    # dim(a & b) = dim a + dim b - dim(a + b). Powers that share singular
+    # vectors (a rank-one M) stack equal bases, which are factored once.
+    sums = {}
 
-    def meet_dim(a: np.ndarray, b: np.ndarray) -> int:
-        return max(0, a.shape[1] + b.shape[1] - sum_dim(a, b))
+    def sum_dim(a, b) -> int:
+        key = (a[0].tobytes(), a[1], b[0].tobytes(), b[1])
+        if key not in sums:
+            sums[key] = core.sum_dim(a, b, tol)
+        return sums[key]
 
     r2, null2 = powers[2]
-    dims = [meet_dim(r2, powers[k][1]) for k in range(1, 5)]
+    dims = [
+        core.dim(r2) + core.dim(powers[k][1]) - sum_dim(r2, powers[k][1])
+        for k in range(1, 5)
+    ]
     worst = float(max(dims))
     yield make_claim(
         "range_square_null_intersection", "none", worst == 0, residual=worst
@@ -381,22 +449,32 @@ def _structure_rows(t: WctOperator, tol: float, seed: int, criterion_holds: bool
         ok = all(sum_dim(powers[k][0], null2) == n for k in range(1, 5))
     yield make_claim("range_plus_null_square", hyp_b, ok)
 
-    # the symbol-weighted operator is the square in closed form, so its rank
-    # cut uses the power-2 noise floor of the first power's norm
-    u, s, vh = svd(t.h[:, None] * m)
-    cut = _power_threshold(s, float(svd(m)[1][0]), 2, tol)
-    rs, ns = _split(u, vh, int(np.sum(s > cut)))
-    yield make_claim("symbol_operator_decomposition", "none", sum_dim(rs, ns) == n)
+    # h*T = T^2 in closed form (h is constant on blocks), so its range and
+    # kernel at the power-2 cut are those of M^2
+    sum2 = sum_dim(r2, null2)
+    yield make_claim("symbol_operator_decomposition", "none", sum2 == n)
 
-    # claims under the strict contraction criterion
+    # claims under the strict contraction criterion; the ergodic rows factor
+    # the dense I - T, and its core starts from that SVD when it is its own
     hyp_c = "met" if criterion_holds else "not_met"
-    imt = np.eye(n) - m
     if criterion_holds:
-        a1 = _rank_scan(imt, tol, svd)[1]
+        imt = np.eye(n) - m
+        s_imt = np.linalg.svd(imt, compute_uv=False)
+        dense_imt = np.linalg.svd(imt)
+        imt_core = _compress(imt, 1.0, core.q, dense_imt)
+        _, a1, first = _rank_scan(imt_core, tol, n_full=1)
         ok = a1 is not None and a1 <= 1
         yield make_claim("one_minus_t_ascent", hyp_c, ok, detail=f"ascent={a1}")
-        adj = pairing_adjoint(imt, t.space.weights)
-        a2 = _rank_scan(adj, tol, svd)[1]
+        # an I - T that is its own pairing adjoint shares its scan; the
+        # adjoint is compressed exactly when M is
+        w = t.space.weights
+        adj = pairing_adjoint(imt, w)
+        a2 = a1
+        if not np.array_equal(adj, imt):
+            q = core.q
+            if q is not None:
+                q = np.linalg.qr(np.hstack([vr / w[:, None], ur * w[:, None]]))[0]
+            a2 = _rank_scan(_compress(adj, 1.0, q), tol)[1]
         yield make_claim(
             "one_minus_t_adjoint_ascent",
             hyp_c,
@@ -408,7 +486,6 @@ def _structure_rows(t: WctOperator, tol: float, seed: int, criterion_holds: bool
             yield make_claim(cid, hyp_c, None)
 
     # dense sum surrogate: equality with the whole space
-    sum2 = sum_dim(r2, null2)
     yield make_claim(
         "square_sum_dense",
         "none",
@@ -426,17 +503,19 @@ def _structure_rows(t: WctOperator, tol: float, seed: int, criterion_holds: bool
         ):
             yield make_claim(cid, hyp_c, None)
         return
-    rng_imt, nul_imt = _range_and_null(imt, tol, svd)
+    s1, _, u1, vh1 = first[1]
+    rng_imt, nul_imt = imt_core.split(
+        s1, u1, vh1, 1, _relative_cut(float(np.max(s1)), tol)
+    )
+    dim_r, dim_n = imt_core.dim(rng_imt), imt_core.dim(nul_imt)
     yield make_claim(
         "one_minus_t_direct_sum",
         hyp_c,
-        rng_imt.dim + nul_imt.dim == n
-        and meet_dim(rng_imt.vectors, nul_imt.vectors) == 0,
-        detail=f"dims {rng_imt.dim}+{nul_imt.dim} of {n}",
+        dim_r + dim_n == n and imt_core.sum_dim(rng_imt, nul_imt, tol) == n,
+        detail=f"dims {dim_r}+{dim_n} of {n}",
     )
 
     # ergodic chain
-    s_imt = svd(imt, compute_uv=False)
     full_rank = bool(s_imt[-1] > tol * s_imt[0]) if s_imt[0] > 0 else False
     # independent route: a linear solve either reproduces the right-hand
     # side or it does not
@@ -481,25 +560,19 @@ def _structure_rows(t: WctOperator, tol: float, seed: int, criterion_holds: bool
         yield make_claim(
             "ergodic_bn_convergence", hyp_c, None, detail="I - T numerically singular"
         )
-    # Cesaro limit: project onto null(I - T) along range(I - T)
-    basis = np.hstack([rng_imt.vectors, nul_imt.vectors])
-    ok = False
-    residual = None
-    if basis.shape[1] == n:
-        coeff = np.linalg.solve(basis, fs)
-        limit = nul_imt.vectors @ coeff[rng_imt.dim :]
-        inv_res = float(np.max(np.abs(m @ limit - limit), initial=0.0))
-        res = [
-            float(np.max(np.abs(cesaro_mean(t, k) @ fs - limit)))
-            for k in horizons
-        ]
-        scale = float(np.max(np.abs(fs)))
-        ok = inv_res <= tol and _decreasing_to_zero(res, 1e-12 * (1.0 + scale))
-        residual = inv_res
+    # Cesaro limit: project onto null(I - T) along range(I - T), split from
+    # the dense SVD at tol times the norm
+    u, s, vh = dense_imt
+    rank = int(np.sum(s > _relative_cut(s_imt[0], tol)))
+    coeff = np.linalg.solve(np.hstack([u[:, :rank], vh[rank:].T]), fs)
+    limit = vh[rank:].T @ coeff[rank:]
+    inv_res = float(np.max(np.abs(m @ limit - limit), initial=0.0))
+    res = [float(np.max(np.abs(cesaro_mean(t, k) @ fs - limit))) for k in horizons]
+    scale = float(np.max(np.abs(fs)))
     yield make_claim(
         "ergodic_cesaro_limit",
         hyp_c,
-        ok,
-        residual=residual,
+        inv_res <= tol and _decreasing_to_zero(res, 1e-12 * (1.0 + scale)),
+        residual=inv_res,
         detail="limit taken as the projection onto null(I-T) along range(I-T)",
     )

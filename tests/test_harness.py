@@ -263,6 +263,30 @@ class TestRunVerification:
         assert counts["contraction_criterion"] == 21
         assert counts["complementary"] <= 22
 
+    def test_each_accepted_draw_builds_its_operator_once(self, monkeypatch):
+        # the primary scenario and every random draw build one operator each;
+        # the accepted draw's copy with the suite's settings reuses its own
+        counts = {"operators": 0, "draws": 0}
+        built = harness.Scenario.__dict__["_operator"]
+        build, draw = built.func, harness.generate_random_instance
+
+        def spy_build(scenario):
+            counts["operators"] += 1
+            return build(scenario)
+
+        def spy_draw(*args, **kwargs):
+            counts["draws"] += 1
+            return draw(*args, **kwargs)
+
+        monkeypatch.setattr(built, "func", spy_build)
+        monkeypatch.setattr(harness, "generate_random_instance", spy_draw)
+        path = Path(__file__).resolve().parents[1] / "scenarios" / "r3_contracting.json"
+        argv = ["verify", "--scenario", str(path), "--instances", "20", "--seed", "1"]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv) == 0
+        assert counts["draws"] >= 20
+        assert counts["operators"] == counts["draws"] + 1
+
     def test_experiment_subset(self, r1_scenario_dict):
         s = scenario_from_dict(
             dict(r1_scenario_dict, experiments=["iterate_formula"])

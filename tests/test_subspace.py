@@ -1,3 +1,7 @@
+import functools
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -14,8 +18,19 @@ from orlicz_wct import (
     subspace_sum,
     verify_structure_theorems,
 )
-from orlicz_wct.harness import PROFILES, generate_well_conditioned_instance
-from orlicz_wct.subspace import powers_well_conditioned
+from orlicz_wct.harness import (
+    PROFILES,
+    generate_well_conditioned_instance,
+    scenario_from_dict,
+)
+from orlicz_wct import subspace
+from orlicz_wct.subspace import (
+    _compress,
+    _core_of,
+    _power_spectra,
+    _rank_scan,
+    powers_well_conditioned,
+)
 from orlicz_wct.wct import contraction_criterion, pairing_adjoint
 from orlicz_wct.young import complementary
 
@@ -93,13 +108,11 @@ class TestAscentDescent:
         assert descent_of(shift, k_max=3) is None
 
     def test_chain_monotone_and_stabilizes(self):
-        from orlicz_wct.subspace import _rank_scan
-
         for seed in range(40):
             t = random_operator(seed, well_conditioned=True)
             m = matrix_of(t)
             n = m.shape[0]
-            ranks = _rank_scan(m, 1e-8, np.linalg.svd, 8)[0][:9]
+            ranks = _rank_scan(_core_of(m)[0], 1e-8, 8)[0][:9]
             dims = [n - r for r in ranks]
             assert all(a <= b for a, b in zip(dims, dims[1:]))
             stable_at = None
@@ -292,9 +305,12 @@ class TestFactorOnce:
             assert f"ascent={stable}," in rows["ascent_bound"].detail
 
 
-    def test_factors_each_power_once_with_vectors(self, monkeypatch):
-        # one 64-atom contracting instance: vectors are computed only for
-        # powers 1-4, h*T and I - T; stacked bases give singular values only
+    def test_one_dense_svd_of_m_and_the_rest_on_the_core(self, monkeypatch):
+        # one 64-atom, 8-block contracting instance: M has rank r = 8, so the
+        # core has 2r = 16 dimensions. Only M (once, with vectors) and the
+        # ergodic rows' I - T (values, then vectors) are factored densely;
+        # powers 1-4 of the core and the first power of I - T's core carry
+        # vectors, and every other SVD acts on at most 16 rows
         t = generate_well_conditioned_instance(11, 64, 8, "contracting_h").operator()
         real = np.linalg.svd
         calls = []
@@ -307,8 +323,224 @@ class TestFactorOnce:
         ctx = OrliczContext(t.space, power_scaled(2))
         rows = by_id(verify_structure_theorems(t, ctx))
         assert rows["one_minus_t_direct_sum"].hypothesis == "met"
-        assert [shape for shape, uv in calls if uv] == [(64, 64)] * 6
-        assert len(calls) <= 19
+        dense = [call for call in calls if call[0][0] > 16]
+        assert calls[0] == ((64, 64), True)
+        assert dense == [((64, 64), True), ((64, 64), False), ((64, 64), True)]
+        assert [shape for shape, uv in calls if uv and shape[0] <= 16] == [(16, 16)] * 5
+
+
+def _dense_chain(a, tol, k_max=6):
+    """Reference for the core: rank of each sequential dense power of a at
+    its power threshold, and the range and kernel columns of the first four,
+    from np.linalg.svd of the powers themselves."""
+    n = a.shape[0]
+    base = float(np.linalg.svd(a, compute_uv=False)[0])
+    ranks, bases, power = [n], {}, np.eye(n)
+    for k in range(1, k_max + 1):
+        power = power @ a
+        u, s, vh = np.linalg.svd(power)
+        cut = max(tol * s[0], 1e-11 * base**k if base > 0 else 0.0)
+        ranks.append(int(np.sum(s > cut)))
+        if k <= 4:
+            bases[k] = (u[:, : ranks[-1]], vh[ranks[-1] :].T)
+    return ranks, bases
+
+
+def _dense_sum(a, b, tol):
+    cols = np.hstack([a, b])
+    if not cols.shape[1]:
+        return 0
+    s = np.linalg.svd(cols, compute_uv=False)
+    return int(np.sum(s > (tol * s[0] if s[0] > 0 else tol)))
+
+
+def _dense_well_conditioned(m, k_max, tol, symbol=None):
+    """powers_well_conditioned rebuilt on dense powers."""
+    base = float(np.linalg.svd(m, compute_uv=False)[0])
+    thresholds, retained, power = [], None, np.eye(m.shape[0])
+    for k in range(1, k_max + 1):
+        power = power @ m
+        s = np.linalg.svd(power, compute_uv=False)
+        thr = max(tol * s[0], 1e-11 * base**k if base > 0 else 0.0)
+        thresholds.append(thr)
+        if thr > 0 and np.any((s > thr / 30) & (s <= thr * 30)):
+            return False
+        if k == 2:
+            retained = float(s[s > thr][-1]) if np.any(s > thr) else None
+    if symbol is not None and retained is not None:
+        h = np.abs(np.asarray(symbol, dtype=float))
+        on = h > 1e-12 * (1.0 + h.max())
+        if on.any():
+            return all(
+                h[on].min() ** (k - 2) * retained > 30 * thresholds[k - 1]
+                for k in range(3, k_max + 1)
+            )
+    return True
+
+
+def _straddles(a, tol):
+    # a singular value of some power within a factor 2 of its cut, far wider
+    # than the rounding gap between the routes: the case says nothing
+    base = float(np.linalg.svd(a, compute_uv=False)[0])
+    power = np.eye(a.shape[0])
+    for k in range(1, 7):
+        power = power @ a
+        s = np.linalg.svd(power, compute_uv=False)
+        cut = max(tol * s[0], 1e-11 * base**k if base > 0 else 0.0)
+        if cut > 0 and np.any((s > cut / 2) & (s <= cut * 2)):
+            return True
+    return False
+
+
+@functools.lru_cache(maxsize=None)
+def _general_matrices():
+    """(name, matrix, weights): zero, identity, n = 1, full rank, low rank,
+    nilpotent low rank, and two planted blocks. Low-rank cases have 2r < n,
+    so they compress."""
+    rng = np.random.default_rng(13)
+    out = [("one", rng.standard_normal((1, 1))), ("one_zero", np.zeros((1, 1)))]
+    out += [(f"zero{n}", np.zeros((n, n))) for n in (2, 5, 40)]
+    out += [(f"eye{n}", np.eye(n)) for n in (2, 5, 40)]
+    for i in range(20):
+        n = int(rng.integers(2, 41))
+        out.append((f"full{i}", rng.standard_normal((n, n)) / np.sqrt(n)))
+    for i in range(45):
+        n = int(rng.integers(6, 49))
+        r = int(rng.integers(1, n // 3 + 1))
+        x, y = rng.standard_normal((n, r)), rng.standard_normal((n, r))
+        if i % 4 == 3:
+            # y orthogonal to the columns of x: the square vanishes
+            qx = np.linalg.qr(x)[0]
+            y -= qx @ (qx.T @ y)
+        out.append((f"low{i}", 10.0 ** rng.uniform(-3, 3) * x @ y.T / n))
+    # a planted singular value between the rounding cut n*eps*s0 and
+    # tol*s0 (1e-9 against 1e-8), outside the span of the leading pair: it
+    # sits in the rank band of the first power, so only a core that keeps it
+    # sees the band; from 32 atoms on the public scans compress too
+    for i in range(4):
+        n = 20 + 6 * i
+        frame = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        block = np.zeros((n, n))
+        block[0, 1] = 1.0
+        block[2, 3] = block[3, 2] = 1e-9
+        out.append((f"planted{i}", frame @ block @ frame.T))
+    # I - M with core spectrum 0.1: the trivial value 1 is the largest
+    # singular value of every power, and at tol 0.25 it alone puts the cut
+    # above 0.1^k
+    for i in range(4):
+        n = 8 + 8 * i
+        frame = np.linalg.qr(rng.standard_normal((n, n)))[0][:, :2]
+        out.append((f"psd{i}", 0.9 * frame @ frame.T))
+    return [(name, m, rng.uniform(0.5, 2.0, m.shape[0])) for name, m in out]
+
+
+@functools.lru_cache(maxsize=None)
+def _wct_matrices():
+    rng = np.random.default_rng(21)
+    out = []
+    for i in range(90):
+        n_atoms = int(rng.integers(2, 65))
+        n_blocks = int(rng.integers(1, min(n_atoms, 12) + 1))
+        s = generate_well_conditioned_instance(
+            900 + i, n_atoms, n_blocks, PROFILES[i % len(PROFILES)]
+        )
+        t = s.operator()
+        out.append((f"wct{i}", matrix_of(t), t.space.weights, t.h))
+    return out
+
+
+@pytest.fixture
+def compress_all(monkeypatch):
+    # compress from one atom on, so small matrices take the core route too
+    monkeypatch.setattr(subspace, "_CORE_MIN_ATOMS", 1)
+
+
+class TestCoreAgainstDensePowers:
+    """The compressed route (the core of M, of I - M and of its pairing
+    adjoint) against sequential dense powers: the same ranks for powers 1-6
+    and the same sums of every range and kernel of powers 1-4, at the default
+    and a coarse tolerance; ascent_of and powers_well_conditioned against
+    dense rebuilds, which compress from 32 atoms on."""
+
+    @staticmethod
+    def _cores(m, w):
+        core, ur, vr = _core_of(m)
+        imt = np.eye(m.shape[0]) - m
+        q = core.q
+        if q is not None:
+            q = np.linalg.qr(np.hstack([vr / w[:, None], ur * w[:, None]]))[0]
+        return [
+            (m, core),
+            (imt, _compress(imt, 1.0, core.q)),
+            (pairing_adjoint(imt, w), _compress(pairing_adjoint(imt, w), 1.0, q)),
+        ]
+
+    def _check(self, name, m, w, tol):
+        checked = 0
+        for a, core in self._cores(m, w):
+            if _straddles(a, tol):
+                continue
+            want, dense = _dense_chain(a, tol)
+            ranks, _, factors = _rank_scan(core, tol, 6, n_full=4)
+            assert ranks[:7] == want, (name, tol)
+            subs = {
+                k: core.split(s, u, vh, k, thr) for k, (s, thr, u, vh) in factors.items()
+            }
+            for j in range(1, 5):
+                assert core.dim(subs[j][0]) == dense[j][0].shape[1], (name, j)
+                for k in range(1, 5):
+                    got = core.sum_dim(subs[j][0], subs[k][1], tol)
+                    assert got == _dense_sum(dense[j][0], dense[k][1], tol), (
+                        name, tol, j, k,
+                    )
+            checked += 1
+        return checked
+
+    # (tolerance, least count of the 3 * 81 or 3 * 90 chains that no
+    # singular value straddles): coarse cuts straddle more often
+    @pytest.mark.parametrize("tol, least", [(1e-8, 210), (0.25, 100)])
+    def test_general_matrices(self, compress_all, tol, least):
+        cases = _general_matrices()
+        assert sum(self._check(name, m, w, tol) for name, m, w in cases) >= least
+
+    @pytest.mark.parametrize("tol, least", [(1e-8, 250), (1e-3, 130), (0.25, 20)])
+    def test_wct_instances(self, compress_all, tol, least):
+        cases = _wct_matrices()
+        assert sum(self._check(name, m, w, tol) for name, m, w, _ in cases) >= least
+
+    def test_wide_instance(self):
+        sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
+        import workloads
+
+        t = scenario_from_dict(workloads.wide_scenario_dict(1)).operator()
+        m = matrix_of(t)
+        assert _core_of(m)[0].c.shape == (64, 64)
+        assert self._check("wide256", m, t.space.weights, 1e-8) == 3
+        assert powers_well_conditioned(m, 7, symbol=t.h)
+        assert ascent_of(m) == 1
+
+    def test_planted_value_is_kept(self, compress_all):
+        for name, m, _ in _general_matrices():
+            if name.startswith("planted"):
+                s = next(_power_spectra(_core_of(m)[0], 1e-8))[1]
+                assert np.any(np.abs(s - 1e-9) < 1e-15), name
+                assert not powers_well_conditioned(m, 7)
+                assert not _dense_well_conditioned(m, 7, 1e-8)
+
+    def test_public_scans_match_dense_rebuilds(self):
+        # ascent_of and powers_well_conditioned compress from 32 atoms on
+        cases = [(name, m, None) for name, m, _ in _general_matrices()]
+        cases += [(name, m, h) for name, m, _, h in _wct_matrices()]
+        compressed = 0
+        for name, m, h in cases:
+            want = _dense_well_conditioned(m, 7, 1e-8, h)
+            assert powers_well_conditioned(m, 7, 1e-8, symbol=h) == want, name
+            ranks, _ = _dense_chain(m, 1e-8, 9)
+            ascent = next((k for k in range(9) if ranks[k] == ranks[k + 1]), None)
+            if want:
+                assert ascent_of(m) == ascent, name
+            compressed += _core_of(m)[0].q is not None
+        assert compressed >= 40
 
 
 class TestConditioning:
