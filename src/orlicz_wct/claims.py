@@ -123,8 +123,9 @@ _CLAIM_TABLE: dict[str, dict[str, str]] = {
     },
     "boundedness": {
         "operator_norm_bound": (
-            "sampled norm ratios stay below the empirical pairing constant times "
-            "the weight bound"
+            "the operator norm is at most the pairing constant times the weight "
+            "bound: exactly ||T|| <= 1 * M for power-law gauges, sampled norm "
+            "ratios against the empirical constant otherwise"
         ),
     },
 }
