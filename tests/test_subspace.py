@@ -270,18 +270,6 @@ class TestFactorOnce:
             repeats = {k[1:] for k in keys if keys.count(k) > 1}
             assert not repeats, (t.h, repeats)
 
-    @staticmethod
-    def _loop_ranks(m, tol=1e-8, k_max=6):
-        # reference: rank of each sequential power at its power-scaled cut
-        smax = float(np.linalg.svd(m, compute_uv=False)[0])
-        ranks, power = [m.shape[0]], np.eye(m.shape[0])
-        for k in range(1, k_max + 1):
-            power = power @ m
-            s = np.linalg.svd(power, compute_uv=False)
-            cut = max(tol * s[0], 1e-11 * smax**k if smax > 0 else 0.0)
-            ranks.append(int(np.sum(s > cut)))
-        return ranks
-
     def test_rows_match_standalone_scans(self):
         for seed in range(50):
             t = random_operator(seed, well_conditioned=True)
@@ -289,7 +277,7 @@ class TestFactorOnce:
             n = m.shape[0]
             ctx = OrliczContext(t.space, power_scaled(2))
             rows = by_id(verify_structure_theorems(t, ctx))
-            ranks = self._loop_ranks(m)
+            ranks = _dense_chain(m, 1e-8)[0]
             detail = rows["ascent_bound"].detail
             assert f"ascent={ascent_of(m)}," in detail
             assert f"kernel dims {[n - r for r in ranks]}" in detail
@@ -331,19 +319,22 @@ class TestFactorOnce:
 
 def _dense_chain(a, tol, k_max=6):
     """Reference for the core: rank of each sequential dense power of a at
-    its power threshold, and the range and kernel columns of the first four,
-    from np.linalg.svd of the powers themselves."""
+    its power threshold, the range and kernel columns of the first four,
+    from np.linalg.svd of the powers themselves, and whether a singular
+    value sits within a factor 2 of its cut. That band is far wider than the
+    rounding gap between the routes, so such a case says nothing."""
     n = a.shape[0]
     base = float(np.linalg.svd(a, compute_uv=False)[0])
-    ranks, bases, power = [n], {}, np.eye(n)
+    ranks, bases, straddles, power = [n], {}, False, np.eye(n)
     for k in range(1, k_max + 1):
         power = power @ a
         u, s, vh = np.linalg.svd(power)
         cut = max(tol * s[0], 1e-11 * base**k if base > 0 else 0.0)
         ranks.append(int(np.sum(s > cut)))
+        straddles |= cut > 0 and bool(np.any((s > cut / 2) & (s <= cut * 2)))
         if k <= 4:
             bases[k] = (u[:, : ranks[-1]], vh[ranks[-1] :].T)
-    return ranks, bases
+    return ranks, bases, straddles
 
 
 def _dense_sum(a, b, tol):
@@ -376,20 +367,6 @@ def _dense_well_conditioned(m, k_max, tol, symbol=None):
                 for k in range(3, k_max + 1)
             )
     return True
-
-
-def _straddles(a, tol):
-    # a singular value of some power within a factor 2 of its cut, far wider
-    # than the rounding gap between the routes: the case says nothing
-    base = float(np.linalg.svd(a, compute_uv=False)[0])
-    power = np.eye(a.shape[0])
-    for k in range(1, 7):
-        power = power @ a
-        s = np.linalg.svd(power, compute_uv=False)
-        cut = max(tol * s[0], 1e-11 * base**k if base > 0 else 0.0)
-        if cut > 0 and np.any((s > cut / 2) & (s <= cut * 2)):
-            return True
-    return False
 
 
 @functools.lru_cache(maxsize=None)
@@ -478,13 +455,14 @@ class TestCoreAgainstDensePowers:
     def _check(self, name, m, w, tol):
         checked = 0
         for a, core in self._cores(m, w):
-            if _straddles(a, tol):
+            want, dense, straddles = _dense_chain(a, tol)
+            if straddles:
                 continue
-            want, dense = _dense_chain(a, tol)
             ranks, _, factors = _rank_scan(core, tol, 6, n_full=4)
             assert ranks[:7] == want, (name, tol)
             subs = {
-                k: core.split(s, u, vh, k, thr) for k, (s, thr, u, vh) in factors.items()
+                k: core.split(s, u, vh, k, thr)
+                for k, (s, thr, u, vh) in factors.items()
             }
             for j in range(1, 5):
                 assert core.dim(subs[j][0]) == dense[j][0].shape[1], (name, j)
@@ -535,7 +513,7 @@ class TestCoreAgainstDensePowers:
         for name, m, h in cases:
             want = _dense_well_conditioned(m, 7, 1e-8, h)
             assert powers_well_conditioned(m, 7, 1e-8, symbol=h) == want, name
-            ranks, _ = _dense_chain(m, 1e-8, 9)
+            ranks = _dense_chain(m, 1e-8, 9)[0]
             ascent = next((k for k in range(9) if ranks[k] == ranks[k + 1]), None)
             if want:
                 assert ascent_of(m) == ascent, name
