@@ -162,11 +162,9 @@ class _Core:
     def sum_dim(self, a, b, tol: float) -> int:
         """dim(a + b) by the rank of the stacked bases at tol; the trivial
         directions of both stack to [I, I], whose nonzero singular values are
-        sqrt(2). A basis beside an empty one keeps its own dimension."""
-        if not self.dim(a) or not self.dim(b):
-            return self.dim(a) + self.dim(b)
+        sqrt(2)."""
         cols = np.hstack([a[0], b[0]])
-        s = np.linalg.svd(cols, compute_uv=False)
+        s = np.linalg.svd(cols, compute_uv=False) if cols.size else np.zeros(0)
         ones = np.full(self.trivial * (a[1] or b[1]), np.sqrt(a[1] + b[1]))
         return _sum_rank(np.concatenate([s, ones]), tol)
 
