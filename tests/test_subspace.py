@@ -1,5 +1,4 @@
 import functools
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -372,8 +371,9 @@ def _dense_well_conditioned(m, k_max, tol, symbol=None):
 @functools.lru_cache(maxsize=None)
 def _general_matrices():
     """(name, matrix, weights): zero, identity, n = 1, full rank, low rank,
-    nilpotent low rank, and two planted blocks. Low-rank cases have 2r < n,
-    so they compress."""
+    nilpotent low rank, a planted small singular value, and an M whose I - M
+    has the trivial value as its largest. Low-rank cases have 2r < n, so
+    they compress."""
     rng = np.random.default_rng(13)
     out = [("one", rng.standard_normal((1, 1))), ("one_zero", np.zeros((1, 1)))]
     out += [(f"zero{n}", np.zeros((n, n))) for n in (2, 5, 40)]
@@ -443,13 +443,14 @@ class TestCoreAgainstDensePowers:
     def _cores(m, w):
         core, ur, vr = _core_of(m)
         imt = np.eye(m.shape[0]) - m
+        adj = pairing_adjoint(imt, w)
         q = core.q
         if q is not None:
             q = np.linalg.qr(np.hstack([vr / w[:, None], ur * w[:, None]]))[0]
         return [
             (m, core),
             (imt, _compress(imt, 1.0, core.q)),
-            (pairing_adjoint(imt, w), _compress(pairing_adjoint(imt, w), 1.0, q)),
+            (adj, _compress(adj, 1.0, q)),
         ]
 
     def _check(self, name, m, w, tol):
@@ -486,8 +487,8 @@ class TestCoreAgainstDensePowers:
         cases = _wct_matrices()
         assert sum(self._check(name, m, w, tol) for name, m, w, _ in cases) >= least
 
-    def test_wide_instance(self):
-        sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
+    def test_wide_instance(self, monkeypatch):
+        monkeypatch.syspath_prepend(Path(__file__).resolve().parents[1] / "benchmarks")
         import workloads
 
         t = scenario_from_dict(workloads.wide_scenario_dict(1)).operator()
