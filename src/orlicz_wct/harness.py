@@ -412,7 +412,7 @@ def generate_well_conditioned_instance(
 ) -> Scenario:
     """generate_random_instance, re-drawing (at most _ATTEMPTS times) while
     any operator power carries a singular value too close to its rank
-    threshold to classify."""
+    threshold to classify; ScenarioError when every draw does."""
     scenario = generate_random_instance(seed, n_atoms, n_blocks, profile)
     for j in range(1, _ATTEMPTS + 1):
         t = scenario.operator()
@@ -421,8 +421,9 @@ def generate_well_conditioned_instance(
         scenario = generate_random_instance(
             seed + 7919 * j, n_atoms, n_blocks, profile
         )
-    raise RuntimeError(
-        f"no well-conditioned instance within {_ATTEMPTS} draws from seed {seed}"
+    raise ScenarioError(
+        f"no well-conditioned instance within {_ATTEMPTS} draws from seed "
+        f"{seed} at rank tolerance {tol:g}"
     )
 
 

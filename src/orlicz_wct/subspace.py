@@ -7,13 +7,14 @@ C = Q^T M Q; the other n - d directions lie in the kernel of every power of
 M, and I - T and its pairing adjoint compress alike (a matrix under 32 atoms
 or with 2r >= n is its own core). Every power spectrum, rank chain, range and
 kernel basis, sum and intersection of the pass is taken on the core, with the
-trivial directions added analytically; only the ergodic rows factor the dense
-I - T. Sums are rank counts of stacked bases, and dim(a & b) = dim a + dim b
-- dim(a + b). Power chains use thresholds tied to the realized largest
-singular value of each power with a noise floor that scales like the base
-norm to the k-th power, so kernel detection stays stable whether iterates
-grow or decay. "Dense" statements are read as subspace equality with the
-whole space, the only faithful finite-dimensional interpretation.
+trivial directions added analytically; every I - T row reads the one split
+of the first power of I - T's core. Sums are rank counts of stacked bases,
+and dim(a & b) = dim a + dim b - dim(a + b). Power chains use thresholds tied
+to the realized largest singular value of each power with a noise floor that
+scales like the base norm to the k-th power, so kernel detection stays
+stable whether iterates grow or decay. "Dense" statements are read as
+subspace equality with the whole space, the only faithful
+finite-dimensional interpretation.
 Orthogonal-complement arguments are realized through the bilinear pairing
 sum f_i g_i mu_i and its adjoint, because the ambient space is generally not
 a Hilbert space; every claim that uses an adjoint records that choice.
@@ -90,10 +91,8 @@ def _range_and_null(matrix: np.ndarray, tol: float):
     """Range and null-space bases, cut at tol times the 2-norm."""
     if tol <= 0:
         raise ValueError("tol must be > 0")
-    matrix = np.asarray(matrix, dtype=float)
-    smax = float(np.linalg.svd(matrix, compute_uv=False)[0]) if matrix.size else 0.0
-    u, s, vh = np.linalg.svd(matrix)
-    rank = int(np.sum(s > _relative_cut(smax, tol)))
+    u, s, vh = np.linalg.svd(np.asarray(matrix, dtype=float))
+    rank = _sum_rank(s, tol)
     return tuple(SubspaceBasis(c.copy(), tol) for c in (u[:, :rank], vh[rank:].T))
 
 
@@ -123,8 +122,8 @@ def _power_threshold(sing: np.ndarray, base_norm: float, k: int, tol: float) -> 
 
 
 def _sum_rank(s: np.ndarray, tol: float) -> int:
-    """Dimension of a subspace sum from the singular values s of the stacked
-    orthonormal bases: the count above tol times the largest (tol if 0)."""
+    """The count of singular values s above tol times the largest (tol if 0):
+    a matrix's rank, or a subspace sum's dimension from its stacked bases."""
     return int(np.sum(s > _relative_cut(float(np.max(s, initial=0.0)), tol)))
 
 
@@ -452,14 +451,12 @@ def _structure_rows(t: WctOperator, tol: float, seed: int, criterion_holds: bool
     sum2 = sum_dim(r2, null2)
     yield make_claim("symbol_operator_decomposition", "none", sum2 == n)
 
-    # claims under the strict contraction criterion; the ergodic rows factor
-    # the dense I - T, and its core starts from that SVD when it is its own
+    # claims under the strict contraction criterion; the first power of
+    # I - T's core is its one factorization
     hyp_c = "met" if criterion_holds else "not_met"
     if criterion_holds:
         imt = np.eye(n) - m
-        s_imt = np.linalg.svd(imt, compute_uv=False)
-        dense_imt = np.linalg.svd(imt)
-        imt_core = _compress(imt, 1.0, core.q, dense_imt)
+        imt_core = _compress(imt, 1.0, core.q)
         _, a1, first = _rank_scan(imt_core, tol, n_full=1)
         ok = a1 is not None and a1 <= 1
         yield make_claim("one_minus_t_ascent", hyp_c, ok, detail=f"ascent={a1}")
@@ -502,9 +499,8 @@ def _structure_rows(t: WctOperator, tol: float, seed: int, criterion_holds: bool
             yield make_claim(cid, hyp_c, None)
         return
     s1, _, u1, vh1 = first[1]
-    rng_imt, nul_imt = imt_core.split(
-        s1, u1, vh1, 1, _relative_cut(float(np.max(s1)), tol)
-    )
+    top = float(np.max(s1))
+    rng_imt, nul_imt = imt_core.split(s1, u1, vh1, 1, _relative_cut(top, tol))
     dim_r, dim_n = imt_core.dim(rng_imt), imt_core.dim(nul_imt)
     yield make_claim(
         "one_minus_t_direct_sum",
@@ -513,8 +509,8 @@ def _structure_rows(t: WctOperator, tol: float, seed: int, criterion_holds: bool
         detail=f"dims {dim_r}+{dim_n} of {n}",
     )
 
-    # ergodic chain
-    full_rank = bool(s_imt[-1] > tol * s_imt[0]) if s_imt[0] > 0 else False
+    # ergodic chain: full range when the split leaves no kernel
+    full_rank = dim_n == 0
     # independent route: a linear solve either reproduces the right-hand
     # side or it does not
     probe = np.random.default_rng(seed ^ 0x5EED).uniform(-1.0, 1.0, n)
@@ -529,7 +525,7 @@ def _structure_rows(t: WctOperator, tol: float, seed: int, criterion_holds: bool
         "ergodic_invertibility",
         hyp_c,
         invertible == full_rank,
-        residual=float(s_imt[-1] / s_imt[0]) if s_imt[0] > 0 else 0.0,
+        residual=float(np.min(s1)) / top if top > 0 else 0.0,
         detail=f"solve route invertible={invertible}, "
         f"full range at tolerance={full_rank}",
     )
@@ -558,12 +554,15 @@ def _structure_rows(t: WctOperator, tol: float, seed: int, criterion_holds: bool
         yield make_claim(
             "ergodic_bn_convergence", hyp_c, None, detail="I - T numerically singular"
         )
-    # Cesaro limit: project onto null(I - T) along range(I - T), split from
-    # the dense SVD at tol times the norm
-    u, s, vh = dense_imt
-    rank = int(np.sum(s > _relative_cut(s_imt[0], tol)))
-    coeff = np.linalg.solve(np.hstack([u[:, :rank], vh[rank:].T]), fs)
-    limit = vh[rank:].T @ coeff[rank:]
+    # Cesaro limit: project onto null(I - T) along range(I - T) in the core's
+    # coordinates, then lift; the trivial part (I - QQ^T) f joins the kernel
+    # when the cut reaches the trivial value 1
+    (r_c, _), (n_c, trivial_null) = rng_imt, nul_imt
+    q = imt_core.q
+    f_c = fs if q is None else q.T @ fs
+    limit = n_c @ np.linalg.solve(np.hstack([r_c, n_c]), f_c)[r_c.shape[1] :]
+    if q is not None:
+        limit = q @ limit + (fs - q @ f_c if trivial_null else 0.0)
     inv_res = float(np.max(np.abs(m @ limit - limit), initial=0.0))
     res = [float(np.max(np.abs(cesaro_mean(t, k) @ fs - limit))) for k in horizons]
     scale = float(np.max(np.abs(fs)))

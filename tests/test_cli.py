@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -210,6 +211,22 @@ class TestVerify:
         assert out == ""
         assert err.startswith("error: ") and str(tmp_path) in err
         assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_undrawable_random_suite_exits_2(self, capsys):
+        # at rank tolerance 1e-3 instance 25 of this suite finds no
+        # well-conditioned draw; that is an input the suite cannot serve,
+        # not a failed claim
+        path = Path(__file__).resolve().parents[1] / "scenarios" / "r3_contracting.json"
+        code, out, err = run_cli(
+            capsys, "verify", "--scenario", str(path), "--instances", "50",
+            "--seed", "3", "--tol-rank", "1e-3",
+        )
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "error: no well-conditioned instance within 120 draws from seed "
+            "300034 at rank tolerance 0.001\n"
+        )
 
     def test_wrong_length_function_exits_2(self, capsys, scenario_path):
         code, _, err = run_cli(
