@@ -33,7 +33,7 @@ from .harness import (
 )
 from .orlicz import luxemburg_norm, modular
 from .subspace import ascent_of
-from .wct import b_n_operator, cesaro_mean, matrix_of, power_walk
+from .wct import BlockWalk, b_n_operator, cesaro_mean, matrix_of
 from .young import complementary
 
 
@@ -53,16 +53,19 @@ def _int_in(low: int, high: int | None = None):
     return int_in
 
 
-def _positive_float(text: str) -> float:
-    """argparse type: a finite number > 0, rejected at parse time with exit 2
-    and a message naming the flag."""
+def _rank_tolerance(text: str) -> float:
+    """argparse type: a rank tolerance, a finite number in (0, 1), rejected
+    at parse time with exit 2 and a message naming the flag. At 1 or more
+    the relative cut reads every subspace sum as 0-dimensional."""
     value = float(text)
     if not 0 < value < np.inf:
         raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text}")
+    if value >= 1:
+        raise argparse.ArgumentTypeError(f"must be < 1, got {text}")
     return value
 
 
-_positive_float.__name__ = "float"
+_rank_tolerance.__name__ = "float"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -80,7 +83,10 @@ def _build_parser() -> argparse.ArgumentParser:
     seeded.add_argument("--seed", type=int, default=0, help="master seed")
     ranked = argparse.ArgumentParser(add_help=False)
     ranked.add_argument(
-        "--tol-rank", type=_positive_float, default=None, help="override rank tolerance"
+        "--tol-rank",
+        type=_rank_tolerance,
+        default=None,
+        help="override rank tolerance, in (0, 1)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -210,16 +216,16 @@ def _cmd_cesaro(args) -> int:
     t = scenario.operator()
     n = args.n
     modes = ("direct", "closed_form") if args.mode == "both" else (args.mode,)
-    walk = power_walk(t, (n, n + 1), (n,) if n >= 2 else (), (n,))
-    a_walk, b_walk = walk[0], walk[1]
+    walk = BlockWalk(t, (n, n + 1), (n,) if n >= 2 else (), (n,))
     payload: dict = {"n": n}
     for mode in modes:
         direct = mode == "direct"
-        payload[f"a_n_{mode}"] = (a_walk[n] if direct else cesaro_mean(t, n)).tolist()
+        a_n = walk.unpack(walk.a[n]) if direct else cesaro_mean(t, n)
+        payload[f"a_n_{mode}"] = a_n.tolist()
         if n >= 2:
-            b_n = b_walk[n] if direct else b_n_operator(t, n)
+            b_n = walk.unpack(walk.b[n]) if direct else b_n_operator(t, n)
             payload[f"b_n_{mode}"] = b_n.tolist()
-    payload["residuals"] = identity_residuals(t, walk, (n,))[n]
+    payload["residuals"] = identity_residuals(walk, (n,))[n]
     if args.format == "json":
         print(json.dumps(payload, sort_keys=True, indent=2))
     else:

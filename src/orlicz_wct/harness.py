@@ -13,8 +13,10 @@ Scenario JSON schema (all atom indices 0-based)::
       "experiments": ["structure", "condexp_laws", ...]
     }
 
-Tolerances are optional finite numbers > 0; a name other than rank and
-comparison, such as the retired ``norm_bisection``, is refused.
+Tolerances are optional finite numbers > 0, and rank is also below 1 (a
+relative cut of 1 or more reads every subspace sum as 0-dimensional); a name
+other than rank and comparison, such as the retired ``norm_bisection``, is
+refused.
 
 Report JSON keys per claim: claim_id, anchor, hypothesis, status, residual,
 detail, fingerprint. A claim whose hypothesis is not met never affects the
@@ -46,8 +48,9 @@ from .claims import EXPERIMENT_CLAIMS, ClaimResult, make_claim, merge_claims
 from .condexp import CondExp, check_condexp_laws, estimate_gch_constant
 from .measure import FiniteMeasureSpace, Partition, ess_sup
 from .orlicz import OrliczContext, luxemburg_norms
-from .subspace import powers_well_conditioned, verify_structure_theorems
+from .subspace import block_powers_well_conditioned, verify_structure_theorems
 from .wct import (
+    BlockWalk,
     WctOperator,
     b_n_operator,
     bound_constant,
@@ -57,7 +60,6 @@ from .wct import (
     iterate,
     matrix_of,
     power_bounded_report,
-    power_walk,
 )
 from .young import (
     YoungFunction,
@@ -112,6 +114,10 @@ MAX_RANDOM_ATOMS = 64
 _ATTEMPTS = 120
 # random draws shared by the conditional-expectation laws
 _CONDEXP_TRIALS = 200
+# the powers of the iterate group and the horizons of the Cesaro group, all
+# read from one walk to T^20
+_ITERATE_POWERS = (1, 2, 3, 4, 5, 6)
+_CESARO_HORIZONS = (2, 3, 5, 8, 13, 20)
 # relative slack of the comparisons between exact norms: r1, r3 and r4 reach
 # ||T|| = M, and the two sides round differently
 _EXACT_SLACK = 1e-12
@@ -184,6 +190,16 @@ class Scenario:
         """``contraction_criterion`` of the operator for phi and its conjugate."""
         return contraction_criterion(self.operator(), self.phi, self.conjugate)
 
+    @cached_property
+    def walk(self) -> BlockWalk:
+        """The one walk of the operator's powers that the iterate and Cesaro
+        groups share: T^1..T^6, and A_n, A_(n+1), B_n and T^n at every
+        Cesaro horizon n."""
+        h = _CESARO_HORIZONS
+        return BlockWalk(
+            self.operator(), h + tuple(n + 1 for n in h), h, _ITERATE_POWERS + h
+        )
+
     def context(self) -> OrliczContext:
         return OrliczContext(self.space, self.phi)
 
@@ -254,6 +270,8 @@ def scenario_from_dict(data: dict) -> Scenario:
         val = _finite(f"tolerance {key!r}", val, 0)
         if val <= 0:
             raise ValidationError(f"tolerance {key!r} must be > 0")
+        if key == "rank" and val >= 1:
+            raise ValidationError("tolerance 'rank' must be < 1")
         tolerances[key] = float(val)
 
     experiments = data.get("experiments") or DEFAULT_EXPERIMENTS
@@ -412,11 +430,11 @@ def generate_well_conditioned_instance(
 ) -> Scenario:
     """generate_random_instance, re-drawing (at most _ATTEMPTS times) while
     any operator power carries a singular value too close to its rank
-    threshold to classify; ScenarioError when every draw does."""
+    threshold to classify, read from the block spectrum with no SVD;
+    ScenarioError when every draw does."""
     scenario = generate_random_instance(seed, n_atoms, n_blocks, profile)
     for j in range(1, _ATTEMPTS + 1):
-        t = scenario.operator()
-        if powers_well_conditioned(matrix_of(t), 7, tol, symbol=t.h):
+        if block_powers_well_conditioned(scenario.operator(), 7, tol):
             return scenario
         scenario = generate_random_instance(
             seed + 7919 * j, n_atoms, n_blocks, profile
@@ -456,32 +474,34 @@ def _relative_gap(diff, scale) -> float:
     return _max_abs(diff) / (1.0 + _max_abs(scale))
 
 
-def identity_residuals(t: WctOperator, walk: tuple, ns) -> dict[int, dict]:
-    """The Cesaro identity residuals at every n in ns, from one ``power_walk``.
+def identity_residuals(walk: BlockWalk, ns) -> dict[int, dict]:
+    """The Cesaro identity residuals at every n in ns, from one ``BlockWalk``.
 
-    walk is the walk's (A, B, T) dicts; they hold A_n, A_(n+1) and T^n, and
-    B_n when n >= 2. Each residual is a max-entry gap relative to
-    1 + max|scale|, with T^n/n the scale of the power-over-n and telescoping
-    identities and B_n that of the remainder factorization, so expanding
-    symbols do not read as failures. The remainder entry is present only
-    when B_n is. The Cesaro group and ``orlicz-wct cesaro`` both report
-    these values.
+    The walk holds A_n, A_(n+1) and T^n, and B_n when n >= 2. Each residual
+    is a max-entry gap relative to 1 + max|scale|, with T^n/n the scale of
+    the power-over-n and telescoping identities and B_n that of the
+    remainder factorization, so expanding symbols do not read as failures.
+    Every matrix involved vanishes off the partition's blocks, so the gaps
+    are taken on the packed blocks, and the products block by block. The
+    remainder entry is present only when B_n is. The Cesaro group and
+    ``orlicz-wct cesaro`` both report these values.
     """
-    a_walk, b_walk, t_walk = walk
-    eye = np.eye(t.space.n_atoms)
-    imt = eye - matrix_of(t)
+    eye = walk.eye
+    imt = eye - walk.m
     out = {}
     for n in ns:
-        a_n, tn = a_walk[n], t_walk[n]
+        a_n, tn = walk.a[n], walk.t[n]
         out[n] = {
             "power_over_n_identity": _relative_gap(
-                tn / n - ((n + 1) / n) * a_walk[n + 1] + a_n, tn / n
+                tn / n - ((n + 1) / n) * walk.a[n + 1] + a_n, tn / n
             ),
-            "telescoping_identity": _relative_gap(imt @ a_n - (eye - tn) / n, tn / n),
+            "telescoping_identity": _relative_gap(
+                walk.matmul(imt, a_n) - (eye - tn) / n, tn / n
+            ),
         }
-        if n in b_walk:
+        if n in walk.b:
             out[n]["remainder_factorization_identity"] = _relative_gap(
-                eye - a_n - imt @ b_walk[n], b_walk[n]
+                eye - a_n - walk.matmul(imt, walk.b[n]), walk.b[n]
             )
     return out
 
@@ -494,10 +514,11 @@ def _structure_claims(s: Scenario, t: WctOperator, seed: int):
 
 
 def _iterate_claims(s: Scenario, t: WctOperator, seed: int):
+    walk = s.walk
     worst = 0.0
-    powers = power_walk(t, t_ns=range(1, 7))[2]
-    for n, direct in powers.items():
-        worst = max(worst, _relative_gap(direct - iterate(t, n), direct))
+    for n in _ITERATE_POWERS:
+        direct = walk.t[n]
+        worst = max(worst, _relative_gap(direct - iterate(t, n, walk), direct))
     ok = worst <= max(s.tolerances["comparison"], 1e-9)
     detail = "relative max-entry gap over powers 1..6"
     return [make_claim("iterate_closed_form", "none", ok, worst, detail)]
@@ -505,14 +526,14 @@ def _iterate_claims(s: Scenario, t: WctOperator, seed: int):
 
 def _cesaro_claims(s: Scenario, t: WctOperator, seed: int):
     worst = dict.fromkeys(EXPERIMENT_CLAIMS["cesaro_identities"], 0.0)
-    horizons = (2, 3, 5, 8, 13, 20)
-    nexts = tuple(n + 1 for n in horizons)
-    walk = power_walk(t, horizons + nexts, horizons, horizons)
-    for n, residuals in identity_residuals(t, walk, horizons).items():
-        a_n, b_n = walk[0][n], walk[1][n]
-        residuals["cesaro_closed_form"] = _relative_gap(a_n - cesaro_mean(t, n), a_n)
+    walk = s.walk
+    for n, residuals in identity_residuals(walk, _CESARO_HORIZONS).items():
+        a_n, b_n = walk.a[n], walk.b[n]
+        residuals["cesaro_closed_form"] = _relative_gap(
+            a_n - cesaro_mean(t, n, walk), a_n
+        )
         residuals["remainder_closed_form"] = _relative_gap(
-            b_n - b_n_operator(t, n), b_n
+            b_n - b_n_operator(t, n, walk), b_n
         )
         for cid, res in residuals.items():
             worst[cid] = max(worst[cid], res)

@@ -31,8 +31,10 @@ from .claims import ClaimResult, make_claim
 from .measure import support
 from .orlicz import OrliczContext
 from .wct import (
+    _CORE_MIN_ATOMS,
     WctOperator,
     b_n_operator,
+    block_spectrum,
     cesaro_mean,
     contraction_criterion,
     matrix_of,
@@ -177,10 +179,6 @@ def _compress(a: np.ndarray, alpha: float, q: np.ndarray | None, first=None) -> 
     return _Core(q.T @ a @ q, alpha, a.shape[0], q)
 
 
-# below this many atoms the dense powers cost less than compressing them
-_CORE_MIN_ATOMS = 32
-
-
 def _core_of(matrix: np.ndarray):
     """The core of a matrix, and the leading vectors U_r and V_r of its one
     dense SVD: the r singular values above the rounding cut n*eps*s0 (at
@@ -262,12 +260,40 @@ def powers_well_conditioned(
     singular value of the square; that floor must clear each threshold by
     ``_BAND``. The second test catches tiny-but-nonzero symbol entries whose
     k-th powers would sink below the cut while looking confidently zero.
-    Random suites re-draw flagged instances.
+    The spectra here are the dense ones, by SVD;
+    ``block_powers_well_conditioned`` applies the same rule to the block
+    spectrum of an operator.
     """
+    spectra = _power_spectra(_core_of(matrix)[0], tol)
+    triples = ((k, s, thr) for k, s, thr, _, _ in spectra)
+    return _well_conditioned(triples, k_max, symbol)
+
+
+def block_powers_well_conditioned(
+    t: WctOperator, k_max: int = 8, tol: float = DEFAULT_RANK_TOL
+) -> bool:
+    """``powers_well_conditioned(matrix_of(t), k_max, tol, symbol=t.h)``
+    with no SVD: the nonzero singular values of T^k are sigma_B |h_B|^(k-1)
+    (``block_spectrum``), and the zeros it leaves out never meet a band or a
+    floor. Random suites re-draw the instances it flags."""
+    sigma, h_block = block_spectrum(t)
+
+    def spectra():
+        for k in itertools.count(1):
+            s = sigma * np.abs(h_block) ** (k - 1)
+            if k == 1:
+                base = float(np.max(s, initial=0.0))
+            yield k, s, _power_threshold(s, base, k, tol)
+
+    return _well_conditioned(spectra(), k_max, t.h)
+
+
+def _well_conditioned(spectra, k_max: int, symbol) -> bool:
+    """The rule of ``powers_well_conditioned`` on the (k, spectrum, rank
+    threshold) of the powers k = 1, 2, ..., k_max."""
     thresholds = []
     retained_min_sq = None
-    spectra = _power_spectra(_core_of(matrix)[0], tol)
-    for k, s, thr, _, _ in itertools.islice(spectra, k_max):
+    for k, s, thr in itertools.islice(spectra, k_max):
         thresholds.append(thr)
         if thr > 0 and np.any((s > thr / _BAND) & (s <= thr * _BAND)):
             return False

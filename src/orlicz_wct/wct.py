@@ -5,10 +5,19 @@ Every closed form below factors through the cached symbol h = E(u*w): the
 n-th power multiplies the operator by h^(n-1), and the Cesaro data are
 geometric sums in h, accumulated with numpy in blocks of a fixed number of
 powers, so that their memory does not grow with n. The one direct route is
-``power_walk``: a single walk I, T, T^2, ... of sequential products that
+``BlockWalk``: a single walk I, T, T^2, ... of sequential products that
 serves T^n, A_n and B_n for every requested n at once, and against which the
-closed forms are checked. ``contraction_criterion`` alone decides the strict
-contraction criterion |h| < 1 on the criterion support.
+closed forms are checked (``power_walk`` returns its results as n x n
+arrays). The matrix is block diagonal in the partition's atom order, and so
+is everything the walk and the closed forms produce, so from
+_CORE_MIN_ATOMS = 32 atoms on they are held as packed diagonal blocks and
+every product is taken block by block, at a cost of sum n_B^3 in place of
+n^3. ``contraction_criterion`` alone decides the strict contraction
+criterion |h| < 1 on the criterion support.
+
+The same block structure gives the singular values of every power in closed
+form: T^k has sigma_B |h_B|^(k-1) on each block and zeros elsewhere
+(``block_spectrum``).
 
 On a power law phi = c|x|^p with p > 1 the operator norms are exact: each
 block piece T_B = (w 1_B)(u mu 1_B)^T / mu(B) has rank one, the pieces have
@@ -20,6 +29,7 @@ ratios only for the other gauges.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +47,8 @@ __all__ = [
     "cesaro_mean",
     "b_n_operator",
     "power_walk",
+    "BlockWalk",
+    "block_spectrum",
     "bound_constant",
     "contraction_criterion",
     "exact_norm_powers",
@@ -48,6 +60,9 @@ __all__ = [
 # absolute threshold of the criterion support: an atom is in it when both
 # inverted averaged gauges exceed this value there
 _SUPPORT_EPS = 1e-10
+# below this many atoms one dense product costs less than a loop over the
+# partition's blocks: the power walk and the structure pass stay dense there
+_CORE_MIN_ATOMS = 32
 
 
 @dataclass(frozen=True)
@@ -96,47 +111,123 @@ def matrix_of(t: WctOperator) -> np.ndarray:
     return t._matrix
 
 
-def iterate(t: WctOperator, n: int) -> np.ndarray:
-    """Matrix of the n-th power in closed form: diag(h^(n-1)) times T."""
+def _closed_form_terms(t: WctOperator, walk):
+    """I, M and the spreading of an atom vector over the rows of M that the
+    closed forms combine: n x n arrays, or packed on the blocks of walk."""
+    if walk is None:
+        return np.eye(t.space.n_atoms), matrix_of(t), lambda v: v[:, None]
+    return walk.eye, walk.m, walk.rows
+
+
+def iterate(t: WctOperator, n: int, walk=None) -> np.ndarray:
+    """Matrix of the n-th power in closed form: diag(h^(n-1)) times T,
+    packed on the blocks of ``walk`` when a BlockWalk is given."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return (t.h ** (n - 1))[:, None] * matrix_of(t)
+    _, m, rows = _closed_form_terms(t, walk)
+    return rows(t.h ** (n - 1)) * m
+
+
+class BlockWalk:
+    """A_n for n in a_ns, B_n for n in b_ns and T^n for n in t_ns, by one walk,
+    held on the diagonal blocks of M = matrix_of(t).
+
+    M vanishes off the partition's blocks, and so do I, every power, A_n, B_n
+    and every sum or product of them: each such matrix is held packed, as one
+    flat array of its diagonal blocks, each row by row, the blocks ordered by
+    size. ``pack`` and ``unpack`` convert from and to n x n arrays in atom
+    order; ``matmul`` multiplies the blocks of each size as one stack, at a
+    cost of sum n_B^3 in place of n^3; elementwise arithmetic and maxima act
+    on the packed arrays as they are, and ``rows`` spreads an atom vector
+    over the rows of a packed matrix. Below _CORE_MIN_ATOMS atoms the one
+    block is the whole matrix in atom order, so the products are the dense
+    ones.
+
+    The walk forms P_0 = I, P_(k+1) = P_k @ M once, up to the largest power
+    any result needs; T^n is P_n. A_n sums P_0, ..., P_(n-1) onto zeros;
+    B_n adds (n-1-k) P_k onto (n-1) I for k = 1, ..., n-2. Each result gets
+    the products and additions of its own per-n loop, run on each block, in
+    the same order, so it equals that loop bit for bit.
+    """
+
+    def __init__(self, t: WctOperator, a_ns=(), b_ns=(), t_ns=()):
+        if min(a_ns, default=1) < 1 or min(t_ns, default=1) < 1:
+            raise ValueError("A_n and T^n need n >= 1")
+        if min(b_ns, default=2) < 2:
+            raise ValueError("B_n needs n >= 2")
+        n = self.n = t.space.n_atoms
+        if n < _CORE_MIN_ATOMS:
+            blocks, self._pos = [np.arange(n)], None
+        else:
+            blocks = sorted(t.e.partition.index_arrays, key=len)
+            self._pos = np.concatenate([(i[:, None] * n + i).ravel() for i in blocks])
+        self._rows = np.concatenate([np.repeat(i, i.size) for i in blocks])
+        # (start, stop, count, size) of each run of equal-size blocks
+        self._runs, stop = [], 0
+        for size, same in itertools.groupby(len(i) for i in blocks):
+            count = len(list(same))
+            self._runs.append((stop, stop + count * size * size, count, size))
+            stop += count * size * size
+        self.m = self.pack(matrix_of(t))
+        self.eye = self.pack(np.eye(n))
+
+        top = max([k - 1 for k in a_ns] + [k - 2 for k in b_ns] + list(t_ns))
+        total = np.zeros_like(self.eye)
+        b_acc = {k: (k - 1) * self.eye for k in b_ns}
+        self.a, self.t = {}, {}
+        power = self.eye
+        for k in range(top + 1):
+            if k:
+                power = self.matmul(power, self.m)
+                for j, acc in b_acc.items():
+                    if k <= j - 2:
+                        acc += (j - 1 - k) * power
+                if k in t_ns:
+                    self.t[k] = power
+            total += power
+            if k + 1 in a_ns:
+                self.a[k + 1] = total / (k + 1)
+        self.b = {k: acc / k for k, acc in b_acc.items()}
+
+    def pack(self, dense: np.ndarray) -> np.ndarray:
+        """The diagonal blocks of an n x n array, packed."""
+        flat = dense.ravel()
+        return flat if self._pos is None else flat[self._pos]
+
+    def unpack(self, packed: np.ndarray) -> np.ndarray:
+        """The n x n array in atom order, with exact zeros off the blocks."""
+        if self._pos is None:
+            return packed.reshape(self.n, self.n)
+        out = np.zeros(self.n * self.n)
+        out[self._pos] = packed
+        return out.reshape(self.n, self.n)
+
+    def rows(self, v: np.ndarray) -> np.ndarray:
+        """v[i] at every packed entry of row i: diag(v) X is rows(v) * X."""
+        return v[self._rows]
+
+    def matmul(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """The packed product of packed x and y, one stack per block size."""
+        out = np.empty_like(x)
+        for start, stop, count, size in self._runs:
+            shape = (count, size, size)
+            np.matmul(
+                x[start:stop].reshape(shape),
+                y[start:stop].reshape(shape),
+                out=out[start:stop].reshape(shape),
+            )
+        return out
 
 
 def power_walk(
     t: WctOperator, a_ns=(), b_ns=(), t_ns=()
 ) -> tuple[dict, dict, dict]:
-    """A_n for n in a_ns, B_n for n in b_ns and T^n for n in t_ns, by one walk.
-
-    The walk forms P_0 = I, P_(k+1) = P_k @ M once, up to the largest power
-    any result needs; T^n is P_n. A_n sums P_0, ..., P_(n-1) onto zeros;
-    B_n adds (n-1-k) P_k onto (n-1) I for k = 1, ..., n-2. Each result gets
-    the products and additions of its own per-n loop in the same order, so
-    it equals that loop bit for bit.
-    """
-    if min(a_ns, default=1) < 1 or min(t_ns, default=1) < 1:
-        raise ValueError("A_n and T^n need n >= 1")
-    if min(b_ns, default=2) < 2:
-        raise ValueError("B_n needs n >= 2")
-    m = matrix_of(t)
-    eye = np.eye(t.space.n_atoms)
-    top = max([n - 1 for n in a_ns] + [n - 2 for n in b_ns] + list(t_ns))
-    total = np.zeros_like(eye)
-    b_acc = {n: (n - 1) * eye for n in b_ns}
-    a_out, t_out = {}, {}
-    power = eye
-    for k in range(top + 1):
-        if k:
-            power = power @ m
-            for n, acc in b_acc.items():
-                if k <= n - 2:
-                    acc += (n - 1 - k) * power
-            if k in t_ns:
-                t_out[k] = power
-        total += power
-        if k + 1 in a_ns:
-            a_out[k + 1] = total / (k + 1)
-    return a_out, {n: acc / n for n, acc in b_acc.items()}, t_out
+    """The results of ``BlockWalk(t, a_ns, b_ns, t_ns)`` as n x n arrays in
+    atom order, with exact zeros off the blocks."""
+    walk = BlockWalk(t, a_ns, b_ns, t_ns)
+    return tuple(
+        {k: walk.unpack(x) for k, x in d.items()} for d in (walk.a, walk.b, walk.t)
+    )
 
 
 _BLOCK = 512
@@ -170,26 +261,49 @@ def _power_sum(h: np.ndarray, n_terms: int, weighted: bool) -> np.ndarray:
     return total
 
 
-def cesaro_mean(t: WctOperator, n: int) -> np.ndarray:
+def cesaro_mean(t: WctOperator, n: int, walk=None) -> np.ndarray:
     """(I + T + ... + T^(n-1)) / n in closed form: (I + diag(v_n) T) / n with
-    v_n = sum h^i over i < n-1, accumulated by ``_power_sum``."""
+    v_n = sum h^i over i < n-1, accumulated by ``_power_sum``; packed on the
+    blocks of ``walk`` when a BlockWalk is given."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    eye = np.eye(t.space.n_atoms)
+    eye, m, rows = _closed_form_terms(t, walk)
     if n == 1:
-        return eye
+        return eye.copy()
     v_n = _power_sum(t.h, n - 1, weighted=False)
-    return (eye + v_n[:, None] * matrix_of(t)) / n
+    return (eye + rows(v_n) * m) / n
 
 
-def b_n_operator(t: WctOperator, n: int) -> np.ndarray:
+def b_n_operator(t: WctOperator, n: int, walk=None) -> np.ndarray:
     """(T^(n-2) + 2 T^(n-3) + ... + (n-2) T + (n-1) I) / n for n >= 2, in
     closed form: (diag(w_n) T + (n-1) I)/n with w_n = sum over i of
-    (n-i-1) h^(i-1), i from 1 to n-2, accumulated by ``_power_sum``."""
+    (n-i-1) h^(i-1), i from 1 to n-2, accumulated by ``_power_sum``; packed
+    on the blocks of ``walk`` when a BlockWalk is given."""
     if n < 2:
         raise ValueError("n must be >= 2")
+    eye, m, rows = _closed_form_terms(t, walk)
     w_n = _power_sum(t.h, n - 2, weighted=True)
-    return (w_n[:, None] * matrix_of(t) + (n - 1) * np.eye(t.space.n_atoms)) / n
+    return (rows(w_n) * m + (n - 1) * eye) / n
+
+
+def block_spectrum(t: WctOperator) -> tuple[np.ndarray, np.ndarray]:
+    """(sigma_B, h_B), one entry per block: T^k has the singular values
+    sigma_B |h_B|^(k-1) and n - (number of blocks) zeros.
+
+    T = sum_B (w 1_B)(u mu 1_B)^T / mu(B), and the pieces have disjoint
+    left and right supports, so each is one singular triple with
+    sigma_B = ||w|_B||_2 ||(u mu)|_B||_2 / mu(B); T^k = h^(k-1) T scales
+    the piece on B by h_B^(k-1).
+    """
+    e = t.e
+    labels, masses = e._labels, e._block_masses
+    size = masses.size
+    w_norm = np.sqrt(np.bincount(labels, t.w * t.w, minlength=size))
+    um = t.u * e.space.weights
+    um_norm = np.sqrt(np.bincount(labels, um * um, minlength=size))
+    h_block = np.empty(size)
+    h_block[labels] = t.h
+    return w_norm * um_norm / masses, h_block
 
 
 def bound_constant(

@@ -356,3 +356,30 @@ class TestFlags:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert f"argument --tol-rank: must be a finite number > 0, got {value}" in err
+
+    # a relative cut of 1 or more reads every subspace sum as 0-dimensional,
+    # so r3 failed 7 structure rows and verify exited 1, the failed-claim code
+    @pytest.mark.parametrize("command", ["verify", "ascent"])
+    @pytest.mark.parametrize("value", ["1", "1.0", "2.5", "1e300"])
+    def test_tol_rank_must_be_below_one(self, capsys, scenario_path, command, value):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--scenario", scenario_path, "--tol-rank", value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument --tol-rank: must be < 1, got {value}" in err
+        assert err.count("error:") == 1
+
+    def test_tol_rank_just_below_one_accepted(self, capsys, r3_path):
+        code, _, err = run_cli(capsys, "verify", "--scenario", r3_path,
+                               "--tol-rank", "0.99")
+        assert code in (0, 1) and err == ""
+
+    def test_rank_tolerance_field_of_one_exits_2(
+        self, capsys, tmp_path, r1_scenario_dict
+    ):
+        path = tmp_path / "rank1.json"
+        path.write_text(json.dumps(dict(r1_scenario_dict, tolerances={"rank": 1})))
+        for command in ("verify", "ascent"):
+            code, out, err = run_cli(capsys, command, "--scenario", str(path))
+            assert code == 2 and out == ""
+            assert err == "error: tolerance 'rank' must be < 1\n"

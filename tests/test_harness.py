@@ -27,7 +27,7 @@ from orlicz_wct import (
     support,
     verify_structure_theorems,
 )
-from orlicz_wct import cli, harness
+from orlicz_wct import cli, harness, wct
 from orlicz_wct.claims import EXPERIMENT_CLAIMS, make_claim, merge_claims
 
 
@@ -83,6 +83,16 @@ class TestLoadScenario:
         bad = dict(r1_scenario_dict, tolerances={"rank": -1.0})
         with pytest.raises(ValidationError, match="must be > 0"):
             scenario_from_dict(bad)
+
+    @pytest.mark.parametrize("value", [1, 1.0, 3.5])
+    def test_rank_tolerance_of_one_or_more_rejected(self, r1_scenario_dict, value):
+        bad = dict(r1_scenario_dict, tolerances={"rank": value})
+        with pytest.raises(ValidationError, match="tolerance 'rank' must be < 1"):
+            scenario_from_dict(bad)
+
+    def test_comparison_tolerance_is_not_capped_at_one(self, r1_scenario_dict):
+        s = scenario_from_dict(dict(r1_scenario_dict, tolerances={"comparison": 2.0}))
+        assert s.tolerances == {"rank": 1e-8, "comparison": 2.0}
 
     def test_nan_tolerance_rejected(self, r1_scenario_dict):
         bad = dict(r1_scenario_dict, tolerances={"rank": float("nan")})
@@ -369,6 +379,97 @@ class TestRunVerification:
             )
             a = ascent_of(matrix_of(s.operator()))
             assert a is not None and a <= 2, s.fingerprint()
+
+
+class _MatmulSpy(np.ndarray):
+    """An array that records the operand shapes of every matmul it takes part
+    in, by ``@`` or ``np.matmul``, and passes itself on to ufunc results."""
+
+    shapes: list = []
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            _MatmulSpy.shapes.append(tuple(np.shape(x) for x in inputs))
+
+        def plain(arrays):
+            return tuple(
+                a.view(np.ndarray) if isinstance(a, _MatmulSpy) else a for a in arrays
+            )
+
+        if "out" in kwargs:
+            kwargs["out"] = plain(kwargs["out"])
+        result = getattr(ufunc, method)(*plain(inputs), **kwargs)
+        if "out" not in kwargs and isinstance(result, np.ndarray):
+            return result.view(_MatmulSpy)
+        return result
+
+
+def _wide256(monkeypatch, seed=1):
+    monkeypatch.syspath_prepend(Path(__file__).resolve().parents[1] / "benchmarks")
+    import workloads
+
+    return scenario_from_dict(workloads.wide_scenario_dict(seed))
+
+
+def _group_products(s):
+    """Operand shapes of every matmul the iterate and Cesaro groups take on
+    a matrix derived from M = matrix_of(t)."""
+    t = s.operator()
+    object.__setattr__(t, "_matrix", t._matrix.view(_MatmulSpy))
+    _MatmulSpy.shapes = []
+    rows = harness._iterate_claims(s, t, 1) + harness._cesaro_claims(s, t, 1)
+    assert all(r.status == "pass" for r in rows)
+    return _MatmulSpy.shapes
+
+
+class TestIterateAndCesaroGroups:
+    """The two groups read one walk per operator, held on the diagonal
+    blocks of M, and make no n x n product from 32 atoms on."""
+
+    def test_wide256_groups_make_no_dense_product(self, monkeypatch):
+        s = _wide256(monkeypatch)
+        n = s.space.n_atoms
+        shapes = _group_products(s)
+        sizes = sorted(len(b) for b in s.partition.blocks)
+        # 20 walk products and 12 identity products, each one stack per
+        # distinct block size; the largest block is 33 atoms
+        assert len(shapes) == 32 * len(set(sizes))
+        assert max(shape[-1] for pair in shapes for shape in pair) == sizes[-1]
+        assert all(pair[0][-2:] != (n, n) for pair in shapes)
+        # the spy does see dense products: the same groups below the size rule
+        monkeypatch.setattr(wct, "_CORE_MIN_ATOMS", n + 1)
+        dense = _group_products(_wide256(monkeypatch))
+        assert len(dense) == 32
+        assert all(pair == ((1, n, n), (1, n, n)) for pair in dense)
+
+    def test_one_walk_per_operator(self, monkeypatch):
+        walks = []
+        init = wct.BlockWalk.__init__
+
+        def spy(self, t, *args):
+            walks.append(t)
+            init(self, t, *args)
+
+        monkeypatch.setattr(wct.BlockWalk, "__init__", spy)
+        s = _wide256(monkeypatch)
+        run_verification(s, seed=1)
+        assert len(walks) == 1 and walks[0] is s.operator()
+        # r3 and 20 random instances: one walk each
+        walks.clear()
+        path = Path(__file__).resolve().parents[1] / "scenarios" / "r3_contracting.json"
+        run_verification(load_scenario(path), seed=1, instances=20)
+        assert len(walks) == len({id(t) for t in walks}) == 21
+
+    def test_iterate_powers_are_the_first_products_of_the_cesaro_walk(self):
+        s = scenario_from_dict(
+            {"atoms": [1.0, 1.0], "blocks": [[0, 1]], "u": [1.0, 1.0],
+             "w": [0.5, 0.5], "young": {"kind": "power_scaled", "p": 2}}
+        )
+        walk = s.walk
+        assert sorted(walk.t) == [1, 2, 3, 4, 5, 6, 8, 13, 20]
+        assert sorted(walk.b) == [2, 3, 5, 8, 13, 20]
+        assert sorted(walk.a) == [2, 3, 4, 5, 6, 8, 9, 13, 14, 20, 21]
+        assert s.walk is walk
 
 
 class TestEmitReport:

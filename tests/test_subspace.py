@@ -19,15 +19,17 @@ from orlicz_wct import (
 )
 from orlicz_wct.harness import (
     PROFILES,
+    generate_random_instance,
     generate_well_conditioned_instance,
     scenario_from_dict,
 )
-from orlicz_wct import subspace
+from orlicz_wct import harness, subspace
 from orlicz_wct.subspace import (
     _compress,
     _core_of,
     _power_spectra,
     _rank_scan,
+    block_powers_well_conditioned,
     powers_well_conditioned,
 )
 from orlicz_wct.wct import contraction_criterion, pairing_adjoint
@@ -543,6 +545,67 @@ class TestConditioning:
         m = np.diag([1.0, 5e-9])
         assert not powers_well_conditioned(m, k_max=1, tol=1e-8)
         assert powers_well_conditioned(np.diag([1.0, 0.5]), k_max=4, tol=1e-8)
+
+    @pytest.mark.parametrize("tol", [1e-8, 1e-3, 0.25])
+    def test_block_spectrum_decides_like_the_dense_route(self, tol):
+        # 300 draws of 2-64 atoms over the five profiles at each tolerance;
+        # both decisions occur, and from 32 atoms on the dense route works
+        # on the core of M
+        rng = np.random.default_rng(17)
+        decisions, large = set(), 0
+        for i in range(300):
+            n_atoms = int(rng.integers(2, 65))
+            n_blocks = int(rng.integers(1, n_atoms + 1))
+            s = generate_random_instance(7000 + i, n_atoms, n_blocks, PROFILES[i % 5])
+            t = s.operator()
+            want = powers_well_conditioned(matrix_of(t), 7, tol, symbol=t.h)
+            assert block_powers_well_conditioned(t, 7, tol) == want, (i, tol)
+            decisions.add(want)
+            large += n_atoms >= 32
+        assert decisions == {True, False} and large >= 100
+
+    @pytest.mark.parametrize(
+        "h_small, want",
+        [(0.5, True), (1e-3, False), (1e-20, True), (0.0, True)],
+    )
+    def test_block_spectrum_on_a_small_symbol(self, h_small, want):
+        # one block's symbol sinks its higher powers: 1e-3 ** 5 against the
+        # 1e-11 noise floor is the h_min floor test; 1e-20 lies below the
+        # support of h and reads as zero, as does an exact zero
+        mu = np.array([1.0, 2.0, 1.5, 0.5, 1.0])
+        data = {
+            "atoms": mu.tolist(), "blocks": [[0, 3], [1, 2, 4]],
+            "u": [1.0, 0.5, 2.0, 1.0, 1.0], "w": [0.6, 1.0, 1.0, 0.6, 1.0],
+            "young": {"kind": "power_scaled", "p": 2},
+        }
+        t = scenario_from_dict(data).operator()
+        w = np.asarray(data["w"])
+        w[[0, 3]] *= h_small / t.h[0]
+        t = scenario_from_dict(dict(data, w=w.tolist())).operator()
+        dense = powers_well_conditioned(matrix_of(t), 7, 1e-8, symbol=t.h)
+        assert block_powers_well_conditioned(t, 7, 1e-8) == dense == want
+
+    def test_draw_loop_takes_no_svd(self, monkeypatch):
+        def no_svd(*args, **kwargs):
+            raise AssertionError("an SVD in the draw loop")
+
+        draws = []
+        draw = harness.generate_random_instance
+
+        def spy_draw(*args):
+            draws.append(args)
+            return draw(*args)
+
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        monkeypatch.setattr(harness, "generate_random_instance", spy_draw)
+        # the sizes of random suites, 2-12 atoms: 74 draws for 60 instances,
+        # so some draws were flagged and redrawn
+        for i in range(60):
+            n_atoms = 2 + i % 11
+            n_blocks = 1 + (7 * i) % n_atoms
+            profile = PROFILES[i % 5]
+            generate_well_conditioned_instance(300 + i, n_atoms, n_blocks, profile)
+        assert len(draws) > 60
 
 
 def _cut_bases(p, base, k, tol):

@@ -1,7 +1,10 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orlicz_wct import (
     CondExp,
@@ -28,10 +31,11 @@ from orlicz_wct import (
     complementary,
     support,
 )
+from orlicz_wct.wct import block_spectrum
 from orlicz_wct.young import capped, deadzone, exp_type
 
 from orlicz_wct import harness, wct
-from orlicz_wct.harness import PROFILES, generate_random_instance
+from orlicz_wct.harness import PROFILES, Scenario, generate_random_instance
 
 from conftest import random_operator
 
@@ -193,36 +197,48 @@ class TestRemainderOperator:
 
 
 # Verbatim copies of the per-n loops that the single walk and the blockwise
-# accumulations replace; the routes below must equal them bit for bit.
-def _loop_cesaro_direct(t, n):
-    dim = t.space.n_atoms
+# accumulations replace; the routes below must equal them bit for bit. The
+# direct loops take the matrix they walk: from wct._CORE_MIN_ATOMS atoms on,
+# ``_on_blocks`` runs them on each diagonal block of M, as the walk does.
+def _loop_cesaro_direct(m, n):
+    dim = m.shape[0]
     eye = np.eye(dim)
     acc = np.zeros((dim, dim))
     power = eye
-    m = matrix_of(t)
     for _ in range(n):
         acc += power
         power = power @ m
     return acc / n
 
 
-def _loop_power_direct(t, n):
-    power = np.eye(t.space.n_atoms)
+def _loop_power_direct(m, n):
+    power = np.eye(m.shape[0])
     for _ in range(n):
-        power = power @ matrix_of(t)
+        power = power @ m
     return power
 
 
-def _loop_b_n_direct(t, n):
-    dim = t.space.n_atoms
+def _loop_b_n_direct(m, n):
+    dim = m.shape[0]
     eye = np.eye(dim)
-    m = matrix_of(t)
     acc = (n - 1) * eye
     power = eye
     for k in range(1, n - 1):
         power = power @ m
         acc += (n - 1 - k) * power
     return acc / n
+
+
+def _on_blocks(loop, t, n):
+    """loop(M, n) below wct._CORE_MIN_ATOMS atoms; from there on, loop on
+    each diagonal block of M, placed in atom order with zeros elsewhere."""
+    m = matrix_of(t)
+    if t.space.n_atoms < wct._CORE_MIN_ATOMS:
+        return loop(m, n)
+    out = np.zeros_like(m)
+    for idx in t.e.partition.index_arrays:
+        out[np.ix_(idx, idx)] = loop(m[np.ix_(idx, idx)], n)
+    return out
 
 
 def _loop_v_n(h, n):
@@ -299,20 +315,26 @@ class TestSinglePassRoutes:
 
     def test_walk_equals_the_per_n_loops_bit_for_bit(self):
         ns = (2, 3, 5, 8, 13, 20)
+        sizes = set()
         for i in range(0, 200, 7):
             t = _instance(i)
+            sizes.add(t.space.n_atoms)
             a_walk, b_walk, t_walk = power_walk(
                 t, (1,) + ns + tuple(n + 1 for n in ns), ns, (1,) + ns
             )
             for n in (1,) + ns:
-                assert _same_bits(a_walk[n], _loop_cesaro_direct(t, n)), (i, n)
-                assert _same_bits(t_walk[n], _loop_power_direct(t, n)), (i, n)
+                want = _on_blocks(_loop_cesaro_direct, t, n)
+                assert _same_bits(a_walk[n], want), (i, n)
+                assert _same_bits(t_walk[n], _on_blocks(_loop_power_direct, t, n))
             for n in ns:
-                assert _same_bits(a_walk[n + 1], _loop_cesaro_direct(t, n + 1))
-                assert _same_bits(b_walk[n], _loop_b_n_direct(t, n)), (i, n)
+                want = _on_blocks(_loop_cesaro_direct, t, n + 1)
+                assert _same_bits(a_walk[n + 1], want), (i, n)
+                assert _same_bits(b_walk[n], _on_blocks(_loop_b_n_direct, t, n))
                 assert _same_bits(power_walk(t, b_ns=(n,))[1][n], b_walk[n])
                 assert _same_bits(power_walk(t, t_ns=(n,))[2][n], t_walk[n])
             assert _same_bits(power_walk(t, a_ns=(13,))[0][13], a_walk[13])
+        # both routes: dense below wct._CORE_MIN_ATOMS atoms, blockwise above
+        assert min(sizes) < wct._CORE_MIN_ATOMS <= max(sizes)
 
     def test_closed_form_memory_does_not_grow_with_n(self):
         t = generate_random_instance(3, 64, 8, "contracting_h").operator()
@@ -330,6 +352,153 @@ class TestSinglePassRoutes:
         # one (n, 64) array of powers would take 51.2 MB at n = 100_000
         assert long <= 2_000_000
         assert long <= short + 64 * 1024
+
+
+# A fixed, derandomized example budget: Tier-1 stays deterministic, and the
+# two tests below draw 40 operators each (about 3 s together).
+_WALK_EXAMPLES = settings(
+    max_examples=40, derandomize=True, deadline=None, database=None
+)
+_NS = (2, 3, 5, 8, 13, 20)
+
+
+@st.composite
+def _block_operators(draw, huge=st.just(1.0)):
+    """Scenarios on 32-96 atoms, at or above the size rule, with all
+    singletons, one whole-space block, blocks listed out of order with
+    unsorted indices, or one block of n - k atoms; u and w with scattered
+    zeros, and w rescaled per block, by at most a factor 4, towards a draw
+    of h_B in [-h_top, h_top]. A larger factor makes the block's terms
+    cancel, and the rounding of both routes then outgrows the claim bounds.
+    ``huge`` then scales w on every other block, to overflow the powers."""
+    n = draw(st.integers(32, 96))
+    kind = draw(st.sampled_from(["singletons", "whole", "shuffled", "skewed"]))
+    zeros = draw(st.sampled_from([0.0, 0.2, 0.5]))
+    top = draw(st.sampled_from([0.5, 1.0, 1.5]))
+    factor = draw(huge)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    perm = rng.permutation(n).tolist()
+    if kind == "singletons":
+        blocks = [[i] for i in perm]
+    elif kind == "whole":
+        blocks = [perm]
+    elif kind == "shuffled":
+        cuts = np.sort(rng.choice(np.arange(1, n), int(rng.integers(1, n // 2))))
+        blocks = [c.tolist() for c in np.split(np.array(perm), cuts) if c.size]
+    else:
+        k = draw(st.integers(1, 8))
+        blocks = [perm[k:]] + [[i] for i in perm[:k]]
+    rng.shuffle(blocks)
+    mu = rng.uniform(0.5, 2.0, n)
+    u = rng.uniform(-2.0, 2.0, n)
+    w = rng.uniform(-2.0, 2.0, n)
+    u[rng.random(n) < zeros] = 0.0
+    w[rng.random(n) < zeros] = 0.0
+    for idx in blocks:
+        h_b = (mu[idx] * u[idx] * w[idx]).sum() / mu[idx].sum()
+        if h_b != 0.0:
+            w[idx] *= np.clip(rng.uniform(-top, top) / h_b, -4.0, 4.0)
+    for idx in blocks[::2]:
+        w[idx] *= factor
+    space = FiniteMeasureSpace.from_weights(mu)
+    partition = Partition(tuple(tuple(b) for b in blocks), n)
+    return Scenario(space, partition, u, w, power_scaled(2.0))
+
+
+def _group_rows(s):
+    t = s.operator()
+    rows = harness._iterate_claims(s, t, 0) + harness._cesaro_claims(s, t, 0)
+    return {r.claim_id: (r.status, r.residual) for r in rows}
+
+
+def _dense_route_rows(s):
+    """The iterate and Cesaro rows of a fresh copy of s, walked densely."""
+    with mock.patch.object(wct, "_CORE_MIN_ATOMS", s.space.n_atoms + 1):
+        fresh = Scenario(s.space, s.partition, s.u, s.w, s.phi)
+        return _group_rows(fresh)
+
+
+class TestBlockWalkAgainstDenseWalk:
+    """The per-block walk (32 atoms and up) against a dense sequential walk
+    on the same operators, and the iterate and Cesaro rows of both routes."""
+
+    @_WALK_EXAMPLES
+    @given(_block_operators())
+    def test_walk_and_residuals(self, s):
+        t = s.operator()
+        m = matrix_of(t)
+        n_atoms = t.space.n_atoms
+        ns = _NS + tuple(n + 1 for n in _NS)
+        a_walk, b_walk, t_walk = power_walk(t, ns, _NS, (1, 4, 6) + _NS)
+        pairs = [(a_walk[n], _loop_cesaro_direct(m, n)) for n in ns]
+        pairs += [(b_walk[n], _loop_b_n_direct(m, n)) for n in _NS]
+        pairs += [(t_walk[n], _loop_power_direct(m, n)) for n in t_walk]
+        # the block products are often bit-equal to the dense ones (they add
+        # the same nonzero terms in the same order), but BLAS does not
+        # promise it; the stated tolerance is the classical rounding bound of
+        # 21 products of order n, n * 21 * eps * max_k max |M|^k (the worst
+        # gap seen over 600 draws was 0.2% of it)
+        power, scale = np.eye(n_atoms), 0.0
+        for _ in range(21):
+            power = power @ np.abs(m)
+            scale = max(scale, float(power.max()))
+        bound = n_atoms * 21 * np.finfo(float).eps * (1.0 + scale)
+        off = t.e._labels[:, None] != t.e._labels
+        for got, want in pairs:
+            assert np.max(np.abs(got - want)) <= bound
+            assert not np.any(got[off])
+        # every iterate and Cesaro residual, against the dense route's: the
+        # worst gap seen over 600 draws was 1.4e-15
+        block, dense = _group_rows(s), _dense_route_rows(s)
+        assert block.keys() == dense.keys()
+        for cid, (status, residual) in block.items():
+            assert status == dense[cid][0] == "pass", cid
+            assert residual == pytest.approx(dense[cid][1], rel=0, abs=1e-13)
+
+    @_WALK_EXAMPLES
+    @given(_block_operators(huge=st.sampled_from([1e30, 1e80, 1e200])))
+    def test_overflowing_walk_keeps_the_dense_statuses(self, s):
+        # T^20 overflows to inf (or inf - inf = NaN) within the scaled
+        # blocks, and the dense products turn inf * 0 into NaN off them; the
+        # block walk keeps exact zeros there. Both routes read inf or NaN in
+        # the same rows, so every status agrees; a finite residual of a
+        # failing row is rounding of overflowing terms, which need not agree
+        t = s.operator()
+        with np.errstate(over="ignore", invalid="ignore"):
+            block_t20 = power_walk(t, t_ns=(20,))[2][20]
+            with mock.patch.object(wct, "_CORE_MIN_ATOMS", t.space.n_atoms + 1):
+                dense_t20 = power_walk(t, t_ns=(20,))[2][20]
+            block, dense = _group_rows(s), _dense_route_rows(s)
+        off = t.e._labels[:, None] != t.e._labels
+        assert not np.isfinite(block_t20).all() and not np.any(block_t20[off])
+        if off.any():
+            assert np.isnan(dense_t20[off]).any()
+        for cid, (status, residual) in block.items():
+            assert status == dense[cid][0], cid
+            if status == "pass":
+                assert residual == pytest.approx(dense[cid][1], rel=0, abs=1e-13)
+
+
+class TestBlockSpectrum:
+    def test_matches_the_svd_of_every_power(self):
+        # 100 instances of 2-64 atoms over the five profiles, powers 1-7:
+        # sigma_B |h_B|^(k-1) and n - (number of blocks) zeros; the gaps are
+        # rounding of the powers and of the SVD (worst seen 5.6e-15 of
+        # ||M||^k)
+        for i in range(0, 200, 2):
+            t = _instance(i)
+            n = t.space.n_atoms
+            sigma, h = block_spectrum(t)
+            assert sigma.shape == h.shape == (t.e.partition.n_blocks,)
+            m = matrix_of(t)
+            base = np.linalg.svd(m, compute_uv=False)[0]
+            power = np.eye(n)
+            for k in range(1, 8):
+                power = power @ m
+                want = np.linalg.svd(power, compute_uv=False)
+                got = np.concatenate([sigma * np.abs(h) ** (k - 1), np.zeros(n)])
+                got = np.sort(got)[::-1][:n]
+                assert np.max(np.abs(got - want)) <= 1e-13 * base**k, (i, k)
 
 
 class TestBoundConstant:
