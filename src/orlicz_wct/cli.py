@@ -33,7 +33,7 @@ from .harness import (
 )
 from .orlicz import luxemburg_norm, modular
 from .subspace import ascent_of
-from .wct import BlockWalk, b_n_operator, cesaro_mean, matrix_of
+from .wct import BlockWalk, b_n_operator, cesaro_mean
 from .young import complementary
 
 
@@ -194,10 +194,9 @@ def _cmd_gch(args) -> int:
 
 def _cmd_ascent(args) -> int:
     scenario = _apply_overrides(load_scenario(args.scenario), args)
-    t = scenario.operator()
-    m = matrix_of(t)
     tol = scenario.tolerances["rank"]
-    a = ascent_of(m, k_max=args.k_max, tol=tol)
+    # the per-block rank chain of verify's ascent_bound row
+    a = ascent_of(scenario.operator(), k_max=args.k_max, tol=tol)
     ok = a is not None and a <= 2
     # by rank-nullity the kernel and range chains of a square matrix
     # stabilize together, so the descent is the ascent

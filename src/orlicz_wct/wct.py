@@ -61,7 +61,7 @@ __all__ = [
 # inverted averaged gauges exceed this value there
 _SUPPORT_EPS = 1e-10
 # below this many atoms one dense product costs less than a loop over the
-# partition's blocks: the power walk and the structure pass stay dense there
+# partition's blocks: the power walk stays dense there
 _CORE_MIN_ATOMS = 32
 
 

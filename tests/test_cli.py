@@ -74,6 +74,33 @@ class TestAscent:
         assert payload["descent"] == 2
         assert payload["claims"] == {"ascent_bound": "pass"}
 
+    @pytest.mark.parametrize("tol", ["1e-8", "0.25"])
+    def test_agrees_with_the_verify_row(self, capsys, tmp_path, monkeypatch, tol):
+        # ascent and verify's ascent_bound read one per-block rank chain: on
+        # r1, r3, r4 and the 256-atom wide256 seed-1 scenario they print the
+        # same ascent and status
+        root = Path(__file__).resolve().parents[1]
+        monkeypatch.syspath_prepend(root / "benchmarks")
+        import workloads
+
+        wide = tmp_path / "wide256.json"
+        wide.write_text(json.dumps(workloads.wide_scenario_dict(1)))
+        names = ("r1_nilpotent", "r3_contracting", "r4_expanding")
+        ascents = []
+        for path in [root / "scenarios" / f"{name}.json" for name in names] + [wide]:
+            argv = ("--scenario", str(path), "--tol-rank", tol, "--format", "json")
+            _, out, _ = run_cli(capsys, "ascent", *argv)
+            payload = json.loads(out)
+            _, out, _ = run_cli(capsys, "verify", *argv)
+            row = next(
+                e for e in json.loads(out)["entries"] if e["claim_id"] == "ascent_bound"
+            )
+            ascent = payload["ascent"] if isinstance(payload["ascent"], int) else None
+            assert row["detail"].startswith(f"ascent={ascent},"), (path, tol)
+            assert row["status"] == payload["claims"]["ascent_bound"]
+            ascents.append(ascent)
+        assert ascents == ([2, 1, 1, 1] if tol == "1e-8" else [2, 1, 1, 5])
+
 
 class TestCesaro:
     def test_residuals_tiny(self, capsys, r3_path):

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import sys
@@ -470,6 +471,20 @@ class TestIterateAndCesaroGroups:
         assert sorted(walk.b) == [2, 3, 5, 8, 13, 20]
         assert sorted(walk.a) == [2, 3, 4, 5, 6, 8, 9, 13, 14, 20, 21]
         assert s.walk is walk
+
+    def test_overflowing_powers_are_not_checked(self):
+        # a 40-atom contracting draw with w scaled by 1e100: T^4 is inf
+        # already and its gaps NaN, so no row may pass on a folded maximum
+        # that dropped them
+        s = generate_random_instance(3, 40, 5, "contracting_h")
+        s = dataclasses.replace(s, w=s.w * 1e100)
+        t = s.operator()
+        with np.errstate(over="ignore", invalid="ignore"):
+            rows = harness._iterate_claims(s, t, 0) + harness._cesaro_claims(s, t, 0)
+        assert len(rows) == 6
+        for row in rows:
+            assert row.status == "not_checked" and row.residual is None, row
+            assert "overflow" in row.detail
 
 
 class TestEmitReport:
