@@ -27,7 +27,6 @@ a Hilbert space; every claim that uses an adjoint records that choice.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 
@@ -38,6 +37,7 @@ from .measure import support
 from .orlicz import OrliczContext
 from .wct import (
     WctOperator,
+    _block_frame,
     b_n_operator,
     block_spectrum,
     cesaro_mean,
@@ -335,20 +335,6 @@ def verify_structure_theorems(
     return list(_structure_rows(t, tol, seed, criterion[1]))
 
 
-def _frame(t: WctOperator, x: np.ndarray, y: np.ndarray, pair: np.ndarray):
-    """For the block pieces x_B y_B^T / mu(B): rho_B = ||x_B|| ||y'_B|| / mu(B),
-    where y'_B is the part of y_B orthogonal to x_B, and per atom the unit
-    vectors e1 along x_B and e2 along y'_B. A vector that vanishes on a block
-    gives zeros there, and a block outside ``pair`` (one atom) has no y'_B."""
-    labels, masses = t.e._labels, t.e._block_masses
-    sums = functools.partial(np.bincount, labels, minlength=masses.size)
-    xx = sums(x * x)
-    yp = (y - (sums(x * y) / np.where(xx > 0, xx, 1.0))[labels] * x) * pair[labels]
-    xn, yn = np.sqrt(xx), np.sqrt(sums(yp * yp))
-    e1, e2 = (v / np.where(vn > 0, vn, 1.0)[labels] for v, vn in ((x, xn), (yp, yn)))
-    return xn * yn / masses, e1, e2
-
-
 def _structure_rows(t: WctOperator, tol: float, seed: int, criterion_holds: bool):
     m = matrix_of(t)
     n = t.space.n_atoms
@@ -359,7 +345,7 @@ def _structure_rows(t: WctOperator, tol: float, seed: int, criterion_holds: bool
     # the basis (e1, e2) of each block's core; rho_B comes from the part of
     # (u mu)_B orthogonal to w_B, free of the cancellation in
     # sigma_B^2 - h_B^2 when the two are nearly parallel
-    rho, e1, e2 = _frame(t, t.w, t.u * mu, pair)
+    _, rho, e1, e2 = _block_frame(t.e, t.w, t.u * mu)
 
     # a block is live in T^k while sigma_B |h_B|^(k-1) clears the power
     # threshold; the live counts for k <= 9 give the chains to k = 6 and the
@@ -449,7 +435,7 @@ def _structure_rows(t: WctOperator, tol: float, seed: int, criterion_holds: bool
     # place of rho_B; one stacked SVD factors powers 1-9 of both
     hyp_c = "met" if criterion_holds else "not_met"
     if criterion_holds:
-        rho_adj = _frame(t, t.u, t.w * mu, pair)[0]
+        rho_adj = _block_frame(t.e, t.u, t.w * mu)[1]
         p = (1.0 - h_block)[:, None] ** np.arange(10)
         cores = np.zeros((2, sigma.size, 9, 2, 2))
         cores[..., 0, 0] = p[:, 1:]

@@ -29,6 +29,7 @@ ratios only for the other gauges.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -295,15 +296,35 @@ def block_spectrum(t: WctOperator) -> tuple[np.ndarray, np.ndarray]:
     sigma_B = ||w|_B||_2 ||(u mu)|_B||_2 / mu(B); T^k = h^(k-1) T scales
     the piece on B by h_B^(k-1).
     """
-    e = t.e
+    h_block = np.empty(t.e._block_masses.size)
+    h_block[t.e._labels] = t.h
+    return _block_frame(t.e, t.w, t.u * t.space.weights)[0], h_block
+
+
+def _block_frame(e: CondExp, x: np.ndarray, y: np.ndarray):
+    """(sigma_B, rho_B, e1, e2) of the block pieces x_B y_B^T / mu(B):
+    sigma_B = ||x_B|| ||y_B|| / mu(B) and rho_B = ||x_B|| ||y'_B|| / mu(B),
+    where y'_B is the part of y_B orthogonal to x_B, and per atom the unit
+    vectors e1 along x_B and e2 along y'_B. Each block is first divided by
+    its largest entry, so that sums of squares neither underflow nor
+    overflow (|v| below 1e-154 squares to 0). A vector that vanishes on a
+    block gives zeros there, and a one-atom block has no y'_B."""
     labels, masses = e._labels, e._block_masses
-    size = masses.size
-    w_norm = np.sqrt(np.bincount(labels, t.w * t.w, minlength=size))
-    um = t.u * e.space.weights
-    um_norm = np.sqrt(np.bincount(labels, um * um, minlength=size))
-    h_block = np.empty(size)
-    h_block[labels] = t.h
-    return w_norm * um_norm / masses, h_block
+    sums = functools.partial(np.bincount, labels, minlength=masses.size)
+
+    def scaled(v):
+        top = np.zeros(masses.size)
+        np.maximum.at(top, labels, np.abs(v))
+        return v / np.where(top > 0, top, 1.0)[labels], top
+
+    (x, x_top), (y, y_top) = scaled(x), scaled(y)
+    xx = sums(x * x)
+    coef = sums(x * y) / np.where(xx > 0, xx, 1.0)
+    yp = (y - coef[labels] * x) * (sums() > 1)[labels]
+    xn, yn, pn = np.sqrt(xx), np.sqrt(sums(y * y)), np.sqrt(sums(yp * yp))
+    e1, e2 = (v / np.where(vn > 0, vn, 1.0)[labels] for v, vn in ((x, xn), (yp, pn)))
+    scale = x_top * xn * y_top / masses
+    return scale * yn, scale * pn, e1, e2
 
 
 def bound_constant(

@@ -12,6 +12,7 @@ from orlicz_wct import (
     OrliczContext,
     Partition,
     SubspaceBasis,
+    WctOperator,
     ascent_of,
     descent_of,
     matrix_of,
@@ -817,6 +818,15 @@ class TestPassAgainstPublicRoutes:
             )
             for tol in (1e-8, 0.25):
                 self._check(s.operator(), s.context(), tol, i)
+
+    def test_tiny_weights(self):
+        # w * 1e-200 squares to 0, so block norms are taken on each block's
+        # entries over its largest one: T keeps its rank, as in the dense
+        # reference, and T^2 underflows to 0 on both routes
+        s = generate_well_conditioned_instance(5, 12, 3, "contracting_h")
+        t = WctOperator(s.u, s.w * 1e-200, s.operator().e)
+        got = self._check(t, s.context(), 1e-8, 0)
+        assert got["ascent_bound"][2].startswith("ascent=2, kernel dims [0, 9, 12,")
 
     def test_compressed_instance_with_trivial_kernel(self):
         # a 48-atom instance of 8 blocks of 2 or more atoms (2 x 2 cores, 16

@@ -503,6 +503,16 @@ class TestBlockSpectrum:
                 got = np.sort(got)[::-1][:n]
                 assert np.max(np.abs(got - want)) <= 1e-13 * base**k, (i, k)
 
+    @pytest.mark.parametrize("scale", [1e-200, 1e160])
+    def test_scales_with_w_beyond_the_range_of_squares(self, scale):
+        # |w| * 1e-200 squares to 0 and |w| * 1e160 to inf; sigma_B is
+        # linear in w
+        for i in range(0, 40, 2):
+            t = _instance(i)
+            scaled = WctOperator(t.u, t.w * scale, t.e)
+            got = block_spectrum(scaled)[0]
+            np.testing.assert_allclose(got, block_spectrum(t)[0] * scale, rtol=1e-14)
+
 
 class TestBoundConstant:
     def test_zero_u_gives_zero(self, e_one_block):
