@@ -295,6 +295,37 @@ class TestFactorOnce:
             stable = next(k for k in range(6) if ranks[k] == ranks[k + 1])
             assert f"ascent={stable}," in rows["ascent_bound"].detail
 
+    def test_no_svd_repeats_within_one_pass(self, monkeypatch, r1, r3):
+        keys = []
+        real = np.linalg.svd
+
+        def spy(a, full_matrices=True, compute_uv=True, hermitian=False):
+            a = np.asarray(a)
+            keys.append((a.tobytes(), a.shape, compute_uv, full_matrices))
+            return real(a, full_matrices, compute_uv, hermitian)
+
+        monkeypatch.setattr(np.linalg, "svd", spy)
+        # np.linalg.norm(., 2) calls the svd bound in its own module
+        monkeypatch.setitem(getattr(real, "__wrapped__", real).__globals__, "svd", spy)
+        operators = [r1, r3] + [
+            generate_well_conditioned_instance(40 + i, 9, 3, profile).operator()
+            for i, profile in enumerate(PROFILES)
+        ]
+        factored = 0
+        for t in operators:
+            keys.clear()
+            rows = by_id(
+                verify_structure_theorems(t, OrliczContext(t.space, power_scaled(2)))
+            )
+            # the pass factors I - T (one stacked SVD of its 2 x 2 cores)
+            # exactly when the contraction criterion holds
+            met = rows["one_minus_t_direct_sum"].hypothesis == "met"
+            assert bool(keys) == met, (t.h, len(keys))
+            factored += met
+            repeats = {k[1:] for k in keys if keys.count(k) > 1}
+            assert not repeats, (t.h, repeats)
+            assert len(keys) <= 1
+        assert factored >= 2
 
     def test_no_svd_of_more_than_two_rows_in_verify(self, monkeypatch):
         # every SVD that run_verification takes, on r1, r3, r4 (with ten
