@@ -571,16 +571,10 @@ def _power_bounded_claims(s: Scenario, t: WctOperator, seed: int):
             f"n=1 estimate {n1:.6g}"
         )
     else:
-        # growth witness per violating atom i with T e_i != 0: T e_i lives on
-        # one block, where h is constant, and the Luxemburg norm is
-        # homogeneous, so N(h^(n-1) T e_i) / N(T e_i) = |h_i|^(n-1) exactly
-        carried = np.any(matrix_of(t) != 0.0, axis=0)
-        witnesses = [
-            abs(t.h[i]) ** (rep.n_max - 1)
-            for i in rep.criterion_support
-            if abs(t.h[i]) >= 1.0 and carried[i]
-        ]
-        top = max(witnesses, default=0.0)
+        # growth witness |h_i|^(n-1) = N(h^(n-1) T e_i) / N(T e_i): a violating
+        # block lies whole in the support and has u_j w_j != 0, so T e_j != 0
+        h_crit = np.abs(t.h[rep.criterion_support])
+        top = float(np.max(h_crit[h_crit >= 1.0] ** (rep.n_max - 1), initial=0.0))
         ok = top >= 1.0 - 1e-9
         if top >= 2.0:
             detail = "criterion false, growth confirmed"

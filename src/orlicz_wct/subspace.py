@@ -2,20 +2,20 @@
 
 On a partition T is the direct sum of rank-one blocks
 T_B = w_B (u mu)_B^T / mu(B), so every range, kernel, sum and intersection
-of the structure pass is a per-block fact. In the basis (w_B/||w_B||, the
-unit part of (u mu)_B orthogonal to w_B) T_B is the 2 x 2 core
-[[h_B, rho_B], [0, 0]] with rho_B = sqrt(sigma_B^2 - h_B^2) and sigma_B, h_B
-from ``block_spectrum``; a one-atom block's core is [h_B], and every other
-direction is trivial, with value 0 for T and 1 for I - T. The pass reads the
-rank chains of T from sigma_B |h_B|^(k-1), the sums of ranges and kernels
-from the closed-form singular values of their stacked bases, and the chains
-of I - T and its pairing adjoint, the I - T split and the Cesaro projection
-from one stacked SVD of 2 x 2 cores. Sums count the singular values of
-stacked orthonormal bases above tol times the largest, and
-dim(a & b) = dim a + dim b - dim(a + b). Power chains use thresholds tied
-to the realized largest singular value of each power with a noise floor that
-scales like the base norm to the k-th power, so kernel detection stays
-stable whether iterates grow or decay. ``ascent_of`` and
+of the structure pass is a per-block fact, read from the operator's
+``BlockRecord``. With (u mu)'_B the part of (u mu)_B orthogonal to w_B, in
+the basis (w_B/||w_B||, (u mu)'_B/||(u mu)'_B||) T_B is the 2 x 2 core
+[[h_B, rho_B], [0, 0]] with rho_B = ||w_B|| ||(u mu)'_B|| / mu(B); a
+one-atom block's core is [h_B], and every other direction is trivial,
+with value 0 for T and 1 for I - T. The pass reads the rank chains of T from sigma_B |h_B|^(k-1), the sums of ranges
+and kernels from the closed-form singular values of their stacked bases,
+and the chains of I - T and its pairing adjoint, the I - T split and the
+Cesaro projection from one stacked SVD of 2 x 2 cores. Sums count the
+singular values of stacked orthonormal bases above tol times the largest,
+and dim(a & b) = dim a + dim b - dim(a + b). Power chains use thresholds
+tied to the realized largest singular value of each power with a noise
+floor that scales like the base norm to the k-th power, so kernel
+detection stays stable whether iterates grow or decay. ``ascent_of`` and
 ``powers_well_conditioned`` keep a dense route for bare matrices: one SVD
 of M compresses it to a core of at most 2r dimensions for r = rank M.
 "Dense" statements are read as subspace equality with the whole space, the
@@ -37,9 +37,9 @@ from .measure import support
 from .orlicz import OrliczContext
 from .wct import (
     WctOperator,
+    BlockRecord,
     _block_frame,
     b_n_operator,
-    block_spectrum,
     cesaro_mean,
     contraction_criterion,
     matrix_of,
@@ -158,10 +158,10 @@ def _dense_spectra(matrix: np.ndarray):
         power = power @ core
 
 
-def _block_spectra(sigma: np.ndarray, h_block: np.ndarray):
+def _block_spectra(rec: BlockRecord):
     """The nonzero singular values of T^k, k = 1, 2, ...: sigma_B |h_B|^(k-1)
-    per block, from ``block_spectrum``, with no SVD."""
-    return (sigma * np.abs(h_block) ** (k - 1) for k in itertools.count(1))
+    per block, from the operator's ``BlockRecord``, with no SVD."""
+    return (rec.sigma * np.abs(rec.h) ** (k - 1) for k in itertools.count(1))
 
 
 # a singular value within this factor of its rank threshold is unclassifiable
@@ -196,9 +196,9 @@ def block_powers_well_conditioned(
 ) -> bool:
     """``powers_well_conditioned(matrix_of(t), k_max, tol, symbol=t.h)``
     with no SVD: the nonzero singular values of T^k are sigma_B |h_B|^(k-1)
-    (``block_spectrum``), and the zeros it leaves out never meet a band or a
-    floor. Random suites re-draw the instances it flags."""
-    spectra = _block_spectra(*block_spectrum(t))
+    (``WctOperator.block_record``), and the zeros it leaves out never meet a
+    band or a floor. Random suites re-draw the instances it flags."""
+    spectra = _block_spectra(t.block_record)
     return _well_conditioned(_thresholded(spectra, tol), k_max, t.h)
 
 
@@ -256,7 +256,7 @@ def ascent_of(a, k_max: int = 8, tol: float = DEFAULT_RANK_TOL):
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     if isinstance(a, WctOperator):
-        n, spectra = a.space.n_atoms, _block_spectra(*block_spectrum(a))
+        n, spectra = a.space.n_atoms, _block_spectra(a.block_record)
     else:
         n, spectra = np.shape(a)[0], _dense_spectra(a)
     return _ascent(n, _ranks(spectra, tol), k_max)
@@ -338,19 +338,13 @@ def verify_structure_theorems(
 def _structure_rows(t: WctOperator, tol: float, seed: int, criterion_holds: bool):
     m = matrix_of(t)
     n = t.space.n_atoms
-    labels, mu = t.e._labels, t.space.weights
-    sigma, h_block = block_spectrum(t)
-    sizes = np.bincount(labels, minlength=sigma.size)
-    pair = sizes > 1
-    # the basis (e1, e2) of each block's core; rho_B comes from the part of
-    # (u mu)_B orthogonal to w_B, free of the cancellation in
-    # sigma_B^2 - h_B^2 when the two are nearly parallel
-    _, rho, e1, e2 = _block_frame(t.e, t.w, t.u * mu)
+    rec = t.block_record
+    sigma, h_block, rho, pair = rec.sigma, rec.h, rec.rho, rec.sizes > 1
 
     # a block is live in T^k while sigma_B |h_B|^(k-1) clears the power
     # threshold; the live counts for k <= 9 give the chains to k = 6 and the
     # ascent (also the descent, by rank-nullity)
-    chain = itertools.islice(_thresholded(_block_spectra(sigma, h_block), tol), 9)
+    chain = itertools.islice(_thresholded(_block_spectra(rec), tol), 9)
     live = [s > thr for _, s, thr in chain]
     ranks = [n] + [int(np.sum(on)) for on in live]
     ascent = _ascent(n, ranks[1:], 8)
@@ -435,7 +429,7 @@ def _structure_rows(t: WctOperator, tol: float, seed: int, criterion_holds: bool
     # place of rho_B; one stacked SVD factors powers 1-9 of both
     hyp_c = "met" if criterion_holds else "not_met"
     if criterion_holds:
-        rho_adj = _block_frame(t.e, t.u, t.w * mu)[1]
+        rho_adj = _block_frame(t.e, t.h, t.u, t.w * t.space.weights).rho
         p = (1.0 - h_block)[:, None] ** np.arange(10)
         cores = np.zeros((2, sigma.size, 9, 2, 2))
         cores[..., 0, 0] = p[:, 1:]
@@ -443,7 +437,7 @@ def _structure_rows(t: WctOperator, tol: float, seed: int, criterion_holds: bool
         cores[..., 0, 1] = -gamma * np.stack([rho, rho_adj])[..., None]
         cores[..., 1, 1] = pair[:, None]
         u, s, vh = np.linalg.svd(cores)
-        trivial = np.ones(n - int(np.sum(np.minimum(sizes, 2))))
+        trivial = np.ones(n - int(np.sum(np.minimum(rec.sizes, 2))))
 
         def spectra(op: int):
             for k in range(9):
@@ -556,13 +550,13 @@ def _structure_rows(t: WctOperator, tol: float, seed: int, criterion_holds: bool
     proj = np.where(~above[:, 0, None, None], np.eye(2), 0.0)
     along = np.stack([-u1[:, 1], u1[:, 0]], axis=1)[mixed] / det[mixed, None]
     proj[mixed] = v2[mixed, :, None] * along[:, None, :]
-    frame = np.stack([e1, e2], axis=1)
+    frame = np.stack([rec.e1, rec.e2], axis=1)
     cols = 2 * _N_PROBES
-    bins = (labels[:, None] * cols + np.arange(cols)).ravel()
+    bins = (rec.labels[:, None] * cols + np.arange(cols)).ravel()
     coords = frame[:, :, None] * fs[:, None, :]
     coords = np.bincount(bins, coords.ravel(), minlength=sigma.size * cols)
     coords = (proj - trivial_null * np.eye(2)) @ coords.reshape(-1, 2, _N_PROBES)
-    limit = np.einsum("ij,ijk->ik", frame, coords[labels]) + trivial_null * fs
+    limit = np.einsum("ij,ijk->ik", frame, coords[rec.labels]) + trivial_null * fs
     inv_res = float(np.max(np.abs(m @ limit - limit), initial=0.0))
     res = [float(np.max(np.abs(cesaro_mean(t, k) @ fs - limit))) for k in horizons]
     scale = float(np.max(np.abs(fs)))

@@ -16,8 +16,8 @@ n^3. ``contraction_criterion`` alone decides the strict contraction
 criterion |h| < 1 on the criterion support.
 
 The same block structure gives the singular values of every power in closed
-form: T^k has sigma_B |h_B|^(k-1) on each block and zeros elsewhere
-(``block_spectrum``).
+form: T^k has sigma_B |h_B|^(k-1) on each block and zeros elsewhere, read
+from the operator's one ``BlockRecord`` (``WctOperator.block_record``).
 
 On a power law phi = c|x|^p with p > 1 the operator norms are exact: each
 block piece T_B = (w 1_B)(u mu 1_B)^T / mu(B) has rank one, the pieces have
@@ -49,7 +49,7 @@ __all__ = [
     "b_n_operator",
     "power_walk",
     "BlockWalk",
-    "block_spectrum",
+    "BlockRecord",
     "bound_constant",
     "contraction_criterion",
     "exact_norm_powers",
@@ -91,6 +91,11 @@ class WctOperator:
     @property
     def space(self):
         return self.e.space
+
+    @functools.cached_property
+    def block_record(self) -> BlockRecord:
+        """The ``BlockRecord`` of T, built on first use and then shared."""
+        return _block_frame(self.e, self.h, self.w, self.u * self.space.weights)
 
     def __call__(self, f):
         return apply(self, f)
@@ -287,28 +292,32 @@ def b_n_operator(t: WctOperator, n: int, walk=None) -> np.ndarray:
     return (rows(w_n) * m + (n - 1) * eye) / n
 
 
-def block_spectrum(t: WctOperator) -> tuple[np.ndarray, np.ndarray]:
-    """(sigma_B, h_B), one entry per block: T^k has the singular values
-    sigma_B |h_B|^(k-1) and n - (number of blocks) zeros.
+@dataclass(frozen=True)
+class BlockRecord:
+    """Per-block facts of pieces x_B y_B^T / mu(B) with symbol h, as in
+    T = sum_B w_B (u mu)_B^T / mu(B): per atom its block (``labels``) and the
+    unit vectors e1 along x_B and e2 along y'_B, the part of y_B orthogonal
+    to x_B (zero where a vector vanishes); per block its size, h_B,
+    sigma_B = ||x_B|| ||y_B|| / mu(B) and rho_B = ||x_B|| ||y'_B|| / mu(B).
+    In (e1, e2) the piece is [[h_B, rho_B], [0, 0]], or [h_B] on one atom,
+    and T^k has the singular values sigma_B |h_B|^(k-1). Read-only."""
 
-    T = sum_B (w 1_B)(u mu 1_B)^T / mu(B), and the pieces have disjoint
-    left and right supports, so each is one singular triple with
-    sigma_B = ||w|_B||_2 ||(u mu)|_B||_2 / mu(B); T^k = h^(k-1) T scales
-    the piece on B by h_B^(k-1).
-    """
-    h_block = np.empty(t.e._block_masses.size)
-    h_block[t.e._labels] = t.h
-    return _block_frame(t.e, t.w, t.u * t.space.weights)[0], h_block
+    labels: np.ndarray
+    sizes: np.ndarray
+    h: np.ndarray
+    sigma: np.ndarray
+    rho: np.ndarray
+    e1: np.ndarray
+    e2: np.ndarray
+
+    def __post_init__(self):
+        for value in vars(self).values():
+            value.flags.writeable = False
 
 
-def _block_frame(e: CondExp, x: np.ndarray, y: np.ndarray):
-    """(sigma_B, rho_B, e1, e2) of the block pieces x_B y_B^T / mu(B):
-    sigma_B = ||x_B|| ||y_B|| / mu(B) and rho_B = ||x_B|| ||y'_B|| / mu(B),
-    where y'_B is the part of y_B orthogonal to x_B, and per atom the unit
-    vectors e1 along x_B and e2 along y'_B. Each block is first divided by
-    its largest entry, so that sums of squares neither underflow nor
-    overflow (|v| below 1e-154 squares to 0). A vector that vanishes on a
-    block gives zeros there, and a one-atom block has no y'_B."""
+def _block_frame(e: CondExp, h: np.ndarray, x: np.ndarray, y: np.ndarray):
+    """The ``BlockRecord`` of x_B y_B^T / mu(B) with symbol h. Each block is
+    scaled by its largest entry, so no sum of squares underflows or overflows."""
     labels, masses = e._labels, e._block_masses
     sums = functools.partial(np.bincount, labels, minlength=masses.size)
 
@@ -318,13 +327,15 @@ def _block_frame(e: CondExp, x: np.ndarray, y: np.ndarray):
         return v / np.where(top > 0, top, 1.0)[labels], top
 
     (x, x_top), (y, y_top) = scaled(x), scaled(y)
+    h_block, sizes = np.empty(masses.size), sums()
+    h_block[labels] = h
     xx = sums(x * x)
     coef = sums(x * y) / np.where(xx > 0, xx, 1.0)
-    yp = (y - coef[labels] * x) * (sums() > 1)[labels]
+    yp = (y - coef[labels] * x) * (sizes > 1)[labels]
     xn, yn, pn = np.sqrt(xx), np.sqrt(sums(y * y)), np.sqrt(sums(yp * yp))
     e1, e2 = (v / np.where(vn > 0, vn, 1.0)[labels] for v, vn in ((x, xn), (yp, pn)))
     scale = x_top * xn * y_top / masses
-    return scale * yn, scale * pn, e1, e2
+    return BlockRecord(labels.view(), sizes, h_block, scale * yn, scale * pn, e1, e2)
 
 
 def bound_constant(

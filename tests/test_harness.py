@@ -28,7 +28,7 @@ from orlicz_wct import (
     support,
     verify_structure_theorems,
 )
-from orlicz_wct import cli, harness, wct
+from orlicz_wct import cli, harness, subspace, wct
 from orlicz_wct.claims import EXPERIMENT_CLAIMS, make_claim, merge_claims
 
 
@@ -297,6 +297,35 @@ class TestRunVerification:
             assert cli.main(argv) == 0
         assert counts["draws"] >= 20
         assert counts["operators"] == counts["draws"] + 1
+
+    def test_one_block_frame_per_operator(self, monkeypatch):
+        # r3 with 200 instances at seed 1 builds 308 operators: r3 and 307
+        # draws. Each gets one (w, u mu) frame, its block record, which the
+        # draw filter and the accepted draw's structure pass both read; the
+        # adjoint's (u, w mu) frame is taken once per pass that meets the
+        # contraction criterion
+        operators, frames = [], []
+        post_init, frame = wct.WctOperator.__post_init__, wct._block_frame
+
+        def spy_post_init(t):
+            post_init(t)
+            operators.append(t)
+
+        def spy_frame(*args):
+            frames.append(args[-2])  # x of the pieces x_B y_B^T / mu(B)
+            return frame(*args)
+
+        monkeypatch.setattr(wct.WctOperator, "__post_init__", spy_post_init)
+        for module in (wct, subspace):
+            monkeypatch.setattr(module, "_block_frame", spy_frame)
+        path = Path(__file__).resolve().parents[1] / "scenarios" / "r3_contracting.json"
+        report = run_verification(load_scenario(path), seed=1, instances=200)
+        assert report.exit_status == 0
+        forward = [sum(x is t.w for x in frames) for t in operators]
+        adjoint = [sum(x is t.u for x in frames) for t in operators]
+        assert len(operators) == 308 and set(forward) == {1}
+        assert set(adjoint) == {0, 1} and sum(adjoint) == 130
+        assert len(frames) == 438
 
     def test_experiment_subset(self, r1_scenario_dict):
         s = scenario_from_dict(

@@ -41,7 +41,7 @@ from orlicz_wct.subspace import (
     block_powers_well_conditioned,
     powers_well_conditioned,
 )
-from orlicz_wct.wct import block_spectrum, contraction_criterion, pairing_adjoint
+from orlicz_wct.wct import contraction_criterion, pairing_adjoint
 from orlicz_wct.young import complementary
 
 from conftest import random_operator
@@ -136,7 +136,7 @@ class TestAscentDescent:
         for seed in range(40):
             t = random_operator(seed, well_conditioned=True)
             n = t.space.n_atoms
-            spectra = _block_spectra(*block_spectrum(t))
+            spectra = _block_spectra(t.block_record)
             ranks = [n] + list(itertools.islice(_ranks(spectra, 1e-8), 8))
             dims = [n - r for r in ranks]
             assert all(a <= b for a, b in zip(dims, dims[1:]))

@@ -31,7 +31,6 @@ from orlicz_wct import (
     complementary,
     support,
 )
-from orlicz_wct.wct import block_spectrum
 from orlicz_wct.young import capped, deadzone, exp_type
 
 from orlicz_wct import harness, wct
@@ -485,13 +484,14 @@ class TestBlockWalkAgainstDenseWalk:
 class TestBlockSpectrum:
     def test_matches_the_svd_of_every_power(self):
         # 100 instances of 2-64 atoms over the five profiles, powers 1-7:
-        # sigma_B |h_B|^(k-1) and n - (number of blocks) zeros; the gaps are
-        # rounding of the powers and of the SVD (worst seen 5.6e-15 of
-        # ||M||^k)
+        # sigma_B |h_B|^(k-1) from the block record and n - (number of
+        # blocks) zeros; the gaps are rounding of the powers and of the SVD
+        # (worst seen 5.6e-15 of ||M||^k)
         for i in range(0, 200, 2):
             t = _instance(i)
             n = t.space.n_atoms
-            sigma, h = block_spectrum(t)
+            rec = t.block_record
+            sigma, h = rec.sigma, rec.h
             assert sigma.shape == h.shape == (t.e.partition.n_blocks,)
             m = matrix_of(t)
             base = np.linalg.svd(m, compute_uv=False)[0]
@@ -510,8 +510,32 @@ class TestBlockSpectrum:
         for i in range(0, 40, 2):
             t = _instance(i)
             scaled = WctOperator(t.u, t.w * scale, t.e)
-            got = block_spectrum(scaled)[0]
-            np.testing.assert_allclose(got, block_spectrum(t)[0] * scale, rtol=1e-14)
+            got = scaled.block_record.sigma
+            np.testing.assert_allclose(got, t.block_record.sigma * scale, rtol=1e-14)
+
+    def test_record_matches_the_partition_and_the_symbol(self):
+        # labels and sizes are the partition's; h_B spread over the atoms by
+        # the labels is the operator's symbol bit for bit
+        for i in range(0, 200, 2):
+            t = _instance(i)
+            rec = t.block_record
+            for b, idx in enumerate(t.e.partition.index_arrays):
+                assert np.all(rec.labels[idx] == b), i
+                assert rec.sizes[b] == idx.size, i
+            assert np.array_equal(rec.h[rec.labels], t.h), i
+            assert rec.e1.shape == rec.e2.shape == (t.space.n_atoms,)
+
+    def test_record_is_built_once_and_read_only(self):
+        t = _instance(0)
+        with mock.patch.object(wct, "_block_frame", wraps=wct._block_frame) as spy:
+            rec = t.block_record
+            assert t.block_record is rec
+        assert spy.call_count == 1
+        for name in ("labels", "sizes", "h", "sigma", "rho", "e1", "e2"):
+            with pytest.raises(ValueError):
+                getattr(rec, name)[0] = 0
+        with pytest.raises(AttributeError):
+            rec.h = np.zeros(1)
 
 
 class TestBoundConstant:
