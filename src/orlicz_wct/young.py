@@ -148,23 +148,17 @@ def capped() -> YoungFunction:
     )
 
 
-def _conjugate_eval(phi: YoungFunction, y, grid_max: float, grid_n: int, xtol=1e-10):
-    """max over x in [0, min(b_phi, grid_max)] of x*|y| - phi(x).
+def _grid_ternary_min(objective, seeds: np.ndarray, xtol: float):
+    """(x, least grid value) per column of a unimodal objective(x), which
+    takes x of shape (grid, 1) and (columns,) and treats NaN as +inf.
 
-    Grid seeding brackets the maximizer of the concave objective; ternary
-    search refines the bracket to ``xtol``.
+    The least grid value and its two neighbours bracket the minimizer;
+    ternary search refines the bracket to ``xtol``, and x is its midpoint.
     """
-    y = np.abs(np.asarray(y, dtype=float))
-    shape = y.shape
-    y = np.atleast_1d(y).ravel()
-    cap = min(phi.b_phi, grid_max)
-    seeds = np.concatenate(
-        [[0.0], np.logspace(-8, np.log10(cap), grid_n - 1)]
-    )
-    with np.errstate(invalid="ignore"):
-        obj = seeds[:, None] * y[None, :] - phi(seeds)[:, None]
-    obj = np.where(np.isnan(obj), -np.inf, obj)
-    best = np.argmax(obj, axis=0)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        obj = objective(seeds[:, None])
+    obj = np.where(np.isnan(obj), np.inf, obj)
+    best = np.argmin(obj, axis=0)
     lo = seeds[np.maximum(best - 1, 0)]
     hi = seeds[np.minimum(best + 1, seeds.size - 1)]
     for _ in range(300):
@@ -173,12 +167,22 @@ def _conjugate_eval(phi: YoungFunction, y, grid_max: float, grid_n: int, xtol=1e
             break
         m1 = lo + width / 3.0
         m2 = hi - width / 3.0
-        f1 = m1 * y - phi(m1)
-        f2 = m2 * y - phi(m2)
-        take = f1 < f2
+        with np.errstate(invalid="ignore"):
+            take = objective(m1) > objective(m2)
         lo = np.where(take, m1, lo)
         hi = np.where(take, hi, m2)
-    x = 0.5 * (lo + hi)
+    return 0.5 * (lo + hi), np.min(obj, axis=0)
+
+
+def _conjugate_eval(phi: YoungFunction, y, grid_max: float, grid_n: int, xtol=1e-10):
+    """max over x in [0, min(b_phi, grid_max)] of x*|y| - phi(x), which is
+    concave in x: ``_grid_ternary_min`` of its negation, phi(x) - x*|y|."""
+    y = np.abs(np.asarray(y, dtype=float))
+    shape = y.shape
+    y = np.atleast_1d(y).ravel()
+    cap = min(phi.b_phi, grid_max)
+    seeds = np.concatenate([[0.0], np.logspace(-8, np.log10(cap), grid_n - 1)])
+    x, _ = _grid_ternary_min(lambda x: phi(x) - x * y, seeds, xtol)
     val = np.maximum(x * y - phi(x), 0.0)
     return val.reshape(shape) if shape else float(val[0])
 
@@ -194,29 +198,10 @@ def _conjugate_inverse(phi: YoungFunction, t, grid_max: float, grid_n: int, a_co
     t = np.asarray(t, dtype=float)
     shape = t.shape
     t = np.atleast_1d(t).ravel().astype(float)
-    cap = min(phi.b_phi, grid_max)
-    seeds = np.logspace(-8, np.log10(cap), grid_n)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        obj = (t[None, :] + phi(seeds)[:, None]) / seeds[:, None]
-    obj = np.where(np.isnan(obj), np.inf, obj)
-    best = np.argmin(obj, axis=0)
-    lo = seeds[np.maximum(best - 1, 0)]
-    hi = seeds[np.minimum(best + 1, seeds.size - 1)]
-    for _ in range(300):
-        width = hi - lo
-        if np.all(width <= 1e-10 * (1.0 + hi)):
-            break
-        m1 = lo + width / 3.0
-        m2 = hi - width / 3.0
-        with np.errstate(invalid="ignore"):
-            f1 = (t + phi(m1)) / m1
-            f2 = (t + phi(m2)) / m2
-        take = f1 > f2
-        lo = np.where(take, m1, lo)
-        hi = np.where(take, hi, m2)
-    x = 0.5 * (lo + hi)
+    seeds = np.logspace(-8, np.log10(min(phi.b_phi, grid_max)), grid_n)
+    x, grid_min = _grid_ternary_min(lambda x: (t + phi(x)) / x, seeds, 1e-10)
     with np.errstate(invalid="ignore"):
-        val = np.minimum((t + phi(x)) / x, np.min(obj, axis=0))
+        val = np.minimum((t + phi(x)) / x, grid_min)
     val = np.where(t == 0.0, a_conj, val)
     val = np.where(np.isinf(t), np.inf, val)
     return val.reshape(shape) if shape else val
