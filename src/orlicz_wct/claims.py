@@ -19,6 +19,7 @@ __all__ = [
     "EXPERIMENT_CLAIMS",
     "make_claim",
     "merge_claims",
+    "overflow_claim",
 ]
 
 
@@ -151,6 +152,14 @@ def make_claim(claim_id, hypothesis, ok, residual=None, detail=None):
         residual=residual,
         detail=detail,
     )
+
+
+def overflow_claim(claim_id, hypothesis="none"):
+    """The not_checked row, with no residual, of a claim that reads a value
+    which is not finite because a power overflowed: no bound holds on inf,
+    and a NaN decides nothing."""
+    detail = "not checked: a power overflowed, so a residual is not finite"
+    return make_claim(claim_id, hypothesis, None, detail=detail)
 
 
 def merge_claims(rows: list[ClaimResult]) -> ClaimResult:

@@ -44,7 +44,13 @@ from functools import cached_property
 import numpy as np
 
 from . import __version__
-from .claims import EXPERIMENT_CLAIMS, ClaimResult, make_claim, merge_claims
+from .claims import (
+    EXPERIMENT_CLAIMS,
+    ClaimResult,
+    make_claim,
+    merge_claims,
+    overflow_claim,
+)
 from .condexp import CondExp, check_condexp_laws, estimate_gch_constant
 from .measure import FiniteMeasureSpace, Partition, ess_sup
 from .orlicz import OrliczContext, luxemburg_norms
@@ -518,18 +524,23 @@ def _folded_claim(cid: str, residuals: list[float], bound: float, detail: str):
     power that overflowed) makes it not_checked with no residual: Python's
     max would drop a NaN, and no bound holds on inf."""
     if not np.isfinite(residuals).all():
-        detail = "not checked: a power overflowed, so a residual is not finite"
-        return make_claim(cid, "none", None, detail=detail)
+        return overflow_claim(cid)
     worst = max(residuals)
     return make_claim(cid, "none", worst <= bound, worst, detail)
 
 
+# an overflowing power walks on as inf and NaN, and the iterate and Cesaro
+# groups fold what that leaves into not_checked rows (``_folded_claim``)
+_OVERFLOW_WALKS_ON = {"over": "ignore", "invalid": "ignore"}
+
+
 def _iterate_claims(s: Scenario, t: WctOperator, seed: int):
-    walk = s.walk
-    residuals = [
-        _relative_gap(walk.t[n] - iterate(t, n, walk), walk.t[n])
-        for n in _ITERATE_POWERS
-    ]
+    with np.errstate(**_OVERFLOW_WALKS_ON):
+        walk = s.walk
+        residuals = [
+            _relative_gap(walk.t[n] - iterate(t, n, walk), walk.t[n])
+            for n in _ITERATE_POWERS
+        ]
     bound = max(s.tolerances["comparison"], 1e-9)
     detail = "relative max-entry gap over powers 1..6"
     return [_folded_claim("iterate_closed_form", residuals, bound, detail)]
@@ -537,17 +548,18 @@ def _iterate_claims(s: Scenario, t: WctOperator, seed: int):
 
 def _cesaro_claims(s: Scenario, t: WctOperator, seed: int):
     folded = {cid: [] for cid in EXPERIMENT_CLAIMS["cesaro_identities"]}
-    walk = s.walk
-    for n, residuals in identity_residuals(walk, _CESARO_HORIZONS).items():
-        a_n, b_n = walk.a[n], walk.b[n]
-        residuals["cesaro_closed_form"] = _relative_gap(
-            a_n - cesaro_mean(t, n, walk), a_n
-        )
-        residuals["remainder_closed_form"] = _relative_gap(
-            b_n - b_n_operator(t, n, walk), b_n
-        )
-        for cid, res in residuals.items():
-            folded[cid].append(res)
+    with np.errstate(**_OVERFLOW_WALKS_ON):
+        walk = s.walk
+        for n, residuals in identity_residuals(walk, _CESARO_HORIZONS).items():
+            a_n, b_n = walk.a[n], walk.b[n]
+            residuals["cesaro_closed_form"] = _relative_gap(
+                a_n - cesaro_mean(t, n, walk), a_n
+            )
+            residuals["remainder_closed_form"] = _relative_gap(
+                b_n - b_n_operator(t, n, walk), b_n
+            )
+            for cid, res in residuals.items():
+                folded[cid].append(res)
     bound = max(s.tolerances["comparison"], 1e-10)
     detail = "relative max-entry residual over n in {2,3,5,8,13,20}"
     return [_folded_claim(cid, res, bound, detail) for cid, res in folded.items()]
@@ -574,7 +586,8 @@ def _power_bounded_claims(s: Scenario, t: WctOperator, seed: int):
         # growth witness |h_i|^(n-1) = N(h^(n-1) T e_i) / N(T e_i): a violating
         # block lies whole in the support and has u_j w_j != 0, so T e_j != 0
         h_crit = np.abs(t.h[rep.criterion_support])
-        top = float(np.max(h_crit[h_crit >= 1.0] ** (rep.n_max - 1), initial=0.0))
+        with np.errstate(over="ignore"):
+            top = float(np.max(h_crit[h_crit >= 1.0] ** (rep.n_max - 1), initial=0.0))
         ok = top >= 1.0 - 1e-9
         if top >= 2.0:
             detail = "criterion false, growth confirmed"
@@ -585,10 +598,13 @@ def _power_bounded_claims(s: Scenario, t: WctOperator, seed: int):
             )
         else:
             detail = "criterion false but the violating blocks do not grow"
+    criterion_row = make_claim(
+        "power_bounded_criterion", "none", ok, rep.sup_norm_estimate, detail
+    )
+    if not np.isfinite(rep.norm_estimates).all():
+        criterion_row = overflow_claim("power_bounded_criterion")
     return [
-        make_claim(
-            "power_bounded_criterion", "none", ok, rep.sup_norm_estimate, detail
-        ),
+        criterion_row,
         make_claim(
             "symbol_power_sequence",
             "none",
@@ -623,6 +639,8 @@ def _boundedness_claims(s: Scenario, t: WctOperator, seed: int):
         # power laws: the conditional Hoelder constant is exactly 1 and the
         # operator norm is exact, so the bound is checked as an inequality
         m_const = bound_constant(t, s.phi, psi, 1.0)
+        if not np.isfinite([norms[0], m_const]).all():
+            return [overflow_claim("operator_norm_bound")]
         tight = f"{norms[0] / m_const:.6g}" if m_const > 0 else "- (M = 0)"
         return [
             make_claim(

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .claims import ClaimResult, make_claim
+from .claims import ClaimResult, make_claim, overflow_claim
 from .measure import support
 from .orlicz import OrliczContext
 from .wct import (
@@ -123,7 +123,8 @@ def _power_threshold(sing: np.ndarray, base_norm: float, k: int, tol: float) -> 
     kernel detection stays stable whether iterates grow or decay.
     """
     realized = float(np.max(sing, initial=0.0))
-    floor = _NOISE_COEFF * base_norm**k if base_norm > 0 else 0.0
+    with np.errstate(over="ignore"):
+        floor = _NOISE_COEFF * np.float64(base_norm) ** k if base_norm > 0 else 0.0
     return max(tol * realized, floor)
 
 
@@ -160,8 +161,12 @@ def _dense_spectra(matrix: np.ndarray):
 
 def _block_spectra(rec: BlockRecord):
     """The nonzero singular values of T^k, k = 1, 2, ...: sigma_B |h_B|^(k-1)
-    per block, from the operator's ``BlockRecord``, with no SVD."""
-    return (rec.sigma * np.abs(rec.h) ** (k - 1) for k in itertools.count(1))
+    per block, from the operator's ``BlockRecord``, with no SVD; a power
+    that overflows holds inf."""
+    for k in itertools.count(1):
+        with np.errstate(over="ignore"):
+            spectrum = rec.sigma * np.abs(rec.h) ** (k - 1)
+        yield spectrum
 
 
 # a singular value within this factor of its rank threshold is unclassifiable
@@ -344,23 +349,35 @@ def _structure_rows(t: WctOperator, tol: float, seed: int, criterion_holds: bool
     # a block is live in T^k while sigma_B |h_B|^(k-1) clears the power
     # threshold; the live counts for k <= 9 give the chains to k = 6 and the
     # ascent (also the descent, by rank-nullity)
-    chain = itertools.islice(_thresholded(_block_spectra(rec), tol), 9)
+    chain = list(itertools.islice(_thresholded(_block_spectra(rec), tol), 9))
     live = [s > thr for _, s, thr in chain]
     ranks = [n] + [int(np.sum(on)) for on in live]
     ascent = _ascent(n, ranks[1:], 8)
     ranks = ranks[:7]
     null_dims = [n - r for r in ranks]
+    # powers 1..reached have a finite spectrum and threshold; a row that
+    # reads a later power, which overflowed, is not checked
+    finite = [np.isfinite(thr) and np.isfinite(s).all() for _, s, thr in chain]
+    reached = (finite + [False]).index(False)
+
+    def claim(cid: str, hyp: str, k: int, ok, **kwargs):
+        """The row of a claim that reads powers 1..k of T."""
+        if ok is not None and k > reached:
+            return overflow_claim(cid, hyp)
+        return make_claim(cid, hyp, ok, **kwargs)
 
     # ascent and the kernel chain
-    yield make_claim(
+    yield claim(
         "ascent_bound",
         "none",
+        9,
         ascent is not None and ascent <= 2,
         detail=f"ascent={ascent}, kernel dims {null_dims}",
     )
-    yield make_claim(
+    yield claim(
         "null_chain_stabilization",
         "none",
+        6,
         all(null_dims[2] == null_dims[2 + j] for j in range(1, 5)),
         detail=f"kernel dims {null_dims}",
     )
@@ -370,15 +387,17 @@ def _structure_rows(t: WctOperator, tol: float, seed: int, criterion_holds: bool
     bounded_away = (not h_supp) or min(abs(t.h[i]) for i in h_supp) >= _DELTA
     hyp_b = "met" if bounded_away else "not_met"
     if bounded_away:
-        yield make_claim(
+        yield claim(
             "descent_bound",
             hyp_b,
+            9,
             ascent is not None and ascent <= 2,
             detail=f"descent={ascent}, range dims {ranks}, delta={_DELTA:g}",
         )
-        yield make_claim(
+        yield claim(
             "range_chain_stabilization",
             hyp_b,
+            6,
             all(ranks[2 + j] == ranks[2] for j in range(1, 5)),
             detail=f"range dims {ranks}",
         )
@@ -410,18 +429,18 @@ def _structure_rows(t: WctOperator, tol: float, seed: int, criterion_holds: bool
 
     dims = [ranks[2] + null_dims[k] - sum_dim(2, k) for k in range(1, 5)]
     worst = float(max(dims))
-    yield make_claim(
-        "range_square_null_intersection", "none", worst == 0, residual=worst
+    yield claim(
+        "range_square_null_intersection", "none", 4, worst == 0, residual=worst
     )
     ok = None
     if bounded_away:
         ok = all(sum_dim(k, 2) == n for k in range(1, 5))
-    yield make_claim("range_plus_null_square", hyp_b, ok)
+    yield claim("range_plus_null_square", hyp_b, 4, ok)
 
     # h*T = T^2 in closed form (h is constant on blocks), so its range and
     # kernel at the power-2 cut are those of T^2
     sum2 = sum_dim(2, 2)
-    yield make_claim("symbol_operator_decomposition", "none", sum2 == n)
+    yield claim("symbol_operator_decomposition", "none", 2, sum2 == n)
 
     # claims under the strict contraction criterion. (I - T_B)^k is the core
     # [[(1-h_B)^k, -gamma_k rho_B], [0, 1]] with gamma_k = sum_{i<k} (1-h_B)^i,
@@ -457,9 +476,10 @@ def _structure_rows(t: WctOperator, tol: float, seed: int, criterion_holds: bool
             yield make_claim(cid, hyp_c, None)
 
     # dense sum surrogate: equality with the whole space
-    yield make_claim(
+    yield claim(
         "square_sum_dense",
         "none",
+        2,
         sum2 == n and dims[1] == 0,
         detail=f"dim sum={sum2}, dim intersection={dims[1]} "
         "(density read as equality in finite dimensions)",

@@ -393,18 +393,20 @@ def exact_norm_powers(
         return None
     p = phi._power[1]
     q = p / (p - 1.0)
-    block = (
-        cond_exp(t.e, np.abs(t.w) ** p) ** (1.0 / p)
-        * cond_exp(t.e, np.abs(t.u) ** q) ** (1.0 / q)
-    )
-    # only blocks with a nonzero piece count: elsewhere h = 0 as well, and
-    # an overflowing |h|^(n-1) must not meet a zero norm
-    live = block > 0
-    if not live.any():
-        return [0.0] * n_max
-    block, h = block[live], np.abs(t.h[live])
-    norms, hpow = [], np.ones_like(h)
-    with np.errstate(over="ignore"):
+    # |w|^p, and so a norm, may overflow to inf (inf * 0 is NaN): the
+    # callers read a non-finite norm as an overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        block = (
+            cond_exp(t.e, np.abs(t.w) ** p) ** (1.0 / p)
+            * cond_exp(t.e, np.abs(t.u) ** q) ** (1.0 / q)
+        )
+        # only blocks with a nonzero piece count: elsewhere h = 0 as well,
+        # and an overflowing |h|^(n-1) must not meet a zero norm
+        live = block > 0
+        if not live.any():
+            return [0.0] * n_max
+        block, h = block[live], np.abs(t.h[live])
+        norms, hpow = [], np.ones_like(h)
         for _ in range(n_max):
             norms.append(float(np.max(hpow * block)))
             hpow = hpow * h
@@ -464,7 +466,8 @@ def power_bounded_report(
         estimates = _sampled_norm_powers(t, phi, n_max, samples, seed)
     sup_norm = max(estimates)
 
-    hpow_sup = [h_sup**k for k in range(1, n_max + 1)]
+    with np.errstate(over="ignore"):
+        hpow_sup = [np.float64(h_sup) ** k for k in range(1, n_max + 1)]
     horizon_bounded = max(hpow_sup) <= 1.0 + 1e-9
     horizon_equivalence_ok = horizon_bounded == (h_sup <= 1.0 + 1e-12)
 

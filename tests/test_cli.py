@@ -263,6 +263,50 @@ class TestVerify:
         assert "shape" in err
 
 
+
+class TestOverflowingWeights:
+    # w scaled far beyond the range of its powers, on r3 and on the wide256
+    # benchmark instance of seed 1: T^4 overflows at 1e100, and |w|^2 in the
+    # exact norm at 1e160. A row that reads an overflowed power, threshold
+    # or norm is not_checked with no residual, and the report is written
+    OVERFLOW = "not checked: a power overflowed, so a residual is not finite"
+
+    @pytest.mark.parametrize("scale", [1e100, 1e160])
+    @pytest.mark.parametrize("name", ["r3", "wide256"])
+    def test_exit_zero_with_a_json_report(
+        self, capsys, tmp_path, monkeypatch, name, scale
+    ):
+        root = Path(__file__).resolve().parents[1]
+        if name == "r3":
+            data = json.loads((root / "scenarios" / "r3_contracting.json").read_text())
+        else:
+            monkeypatch.syspath_prepend(str(root / "benchmarks"))
+            import workloads
+
+            data = workloads.wide_scenario_dict(1)
+        data["w"] = [x * scale for x in data["w"]]
+        path = tmp_path / "scaled.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run_cli(
+            capsys, "verify", "--scenario", str(path), "--format", "json"
+        )
+        assert (code, err) == (0, "")
+        rows = {r["claim_id"]: r for r in json.loads(out)["entries"]}
+        overflowed = {c for c, r in rows.items() if r["detail"] == self.OVERFLOW}
+        want = {"ascent_bound", "power_bounded_criterion", "iterate_closed_form"}
+        assert want <= overflowed
+        for cid in overflowed:
+            assert rows[cid]["status"] == "not_checked", cid
+            assert rows[cid]["residual"] is None, cid
+        assert "fail" not in {r["status"] for r in rows.values()}
+        if name == "r3" and scale == 1e100:
+            # these two rows read only T and T^2, which stay finite
+            for cid in ("symbol_operator_decomposition", "square_sum_dense"):
+                assert rows[cid]["status"] == "pass", cid
+        if name == "r3" and scale == 1e160:
+            assert "operator_norm_bound" in overflowed
+
+
 class TestRandom:
     def test_writes_valid_scenario(self, capsys, tmp_path):
         out_path = tmp_path / "scenario.json"
