@@ -606,6 +606,48 @@ class TestPowerBoundedReport:
             power_bounded_report(r3, phi, complementary(phi), n_max=1)
 
 
+
+@st.composite
+def _draws_with_zeros_in_u(draw):
+    """A random instance of each profile, 2-24 atoms, with zeros scattered
+    into u (up to half the atoms), w enlarged up to 4-fold so that more
+    blocks reach |h_B| >= 1, and its own power law or a non-power gauge."""
+    profile = draw(st.sampled_from(PROFILES))
+    n_atoms = draw(st.integers(2, 24))
+    n_blocks = draw(st.integers(1, n_atoms))
+    seed = draw(st.integers(0, 2**20))
+    s = generate_random_instance(seed, n_atoms, n_blocks, profile)
+    rng = np.random.default_rng(seed)
+    u = np.where(rng.random(n_atoms) < draw(st.sampled_from([0.2, 0.5])), 0.0, s.u)
+    w = s.w * draw(st.sampled_from([1.0, 4.0]))
+    gauge = draw(st.sampled_from([None, exp_type, deadzone, capped]))
+    phi = s.phi if gauge is None else gauge()
+    return WctOperator(u, w, s.operator().e), phi
+
+
+class TestGrowthWitnessFacts:
+    """The growth witness of power_bounded_criterion takes |h_i|^(n-1) at
+    every violating atom of the criterion support, with no check that
+    T e_i != 0. That gives the same largest witness because of two facts."""
+
+    @settings(max_examples=60, derandomize=True, deadline=None, database=None)
+    @given(_draws_with_zeros_in_u())
+    def test_support_is_whole_blocks_and_violating_blocks_carry_t(self, draw):
+        t, phi = draw
+        crit, _ = wct.contraction_criterion(t, phi, complementary(phi))
+        inside = np.zeros(t.space.n_atoms, dtype=bool)
+        inside[crit] = True
+        carried = np.any(matrix_of(t) != 0.0, axis=0)
+        for idx in t.e.partition.index_arrays:
+            # both inverted gauges are block-constant, so the support holds
+            # every atom of a block or none
+            assert inside[idx].all() or not inside[idx].any()
+            # |h_B| >= 1 needs u_j w_j != 0 at some atom j, whose column of T
+            # is then nonzero
+            if inside[idx[0]] and abs(t.h[idx[0]]) >= 1.0:
+                assert carried[idx].any()
+
+
 def _exact_norm_cases(count=100):
     """Seeded operators of 2-64 atoms; every third one has zeros sprinkled
     into u and w, so some block pieces vanish."""
