@@ -7,15 +7,16 @@ of the structure pass is a per-block fact, read from the operator's
 the basis (w_B/||w_B||, (u mu)'_B/||(u mu)'_B||) T_B is the 2 x 2 core
 [[h_B, rho_B], [0, 0]] with rho_B = ||w_B|| ||(u mu)'_B|| / mu(B); a
 one-atom block's core is [h_B], and every other direction is trivial,
-with value 0 for T and 1 for I - T. The pass reads the rank chains of T from sigma_B |h_B|^(k-1), the sums of ranges
-and kernels from the closed-form singular values of their stacked bases,
-and the chains of I - T and its pairing adjoint, the I - T split and the
-Cesaro projection from one stacked SVD of 2 x 2 cores. Sums count the
-singular values of stacked orthonormal bases above tol times the largest,
-and dim(a & b) = dim a + dim b - dim(a + b). Power chains use thresholds
-tied to the realized largest singular value of each power with a noise
-floor that scales like the base norm to the k-th power, so kernel
-detection stays stable whether iterates grow or decay. ``ascent_of`` and
+with value 0 for T and 1 for I - T. The pass reads the rank chains of T
+from sigma_B |h_B|^(k-1), the sums of ranges and kernels from the
+closed-form singular values of their stacked bases, and the chains of
+I - T and its pairing adjoint, the I - T split and the Cesaro projection
+from one stacked SVD of 2 x 2 cores. Sums count the singular values of
+stacked orthonormal bases above tol times the largest, and
+dim(a & b) = dim a + dim b - dim(a + b). Power chains use thresholds tied
+to the realized largest singular value of each power with a noise floor that
+scales like the base norm to the k-th power, so kernel detection stays
+stable whether iterates grow or decay. ``ascent_of`` and
 ``powers_well_conditioned`` keep a dense route for bare matrices: one SVD
 of M compresses it to a core of at most 2r dimensions for r = rank M.
 "Dense" statements are read as subspace equality with the whole space, the
