@@ -124,8 +124,10 @@ def _power_threshold(sing: np.ndarray, base_norm: float, k: int, tol: float) -> 
     kernel detection stays stable whether iterates grow or decay.
     """
     realized = float(np.max(sing, initial=0.0))
-    with np.errstate(over="ignore"):
-        floor = _NOISE_COEFF * np.float64(base_norm) ** k if base_norm > 0 else 0.0
+    try:
+        floor = _NOISE_COEFF * base_norm**k if base_norm > 0 else 0.0
+    except OverflowError:  # base_norm**k is beyond the float range
+        floor = np.inf
     return max(tol * realized, floor)
 
 
@@ -160,14 +162,12 @@ def _dense_spectra(matrix: np.ndarray):
         power = power @ core
 
 
-def _block_spectra(rec: BlockRecord):
-    """The nonzero singular values of T^k, k = 1, 2, ...: sigma_B |h_B|^(k-1)
+def _block_spectra(rec: BlockRecord, count: int) -> list[np.ndarray]:
+    """The nonzero singular values of T^k, k = 1..count: sigma_B |h_B|^(k-1)
     per block, from the operator's ``BlockRecord``, with no SVD; a power
     that overflows holds inf."""
-    for k in itertools.count(1):
-        with np.errstate(over="ignore"):
-            spectrum = rec.sigma * np.abs(rec.h) ** (k - 1)
-        yield spectrum
+    with np.errstate(over="ignore"):
+        return [rec.sigma * np.abs(rec.h) ** k for k in range(count)]
 
 
 # a singular value within this factor of its rank threshold is unclassifiable
@@ -204,7 +204,7 @@ def block_powers_well_conditioned(
     with no SVD: the nonzero singular values of T^k are sigma_B |h_B|^(k-1)
     (``WctOperator.block_record``), and the zeros it leaves out never meet a
     band or a floor. Random suites re-draw the instances it flags."""
-    spectra = _block_spectra(t.block_record)
+    spectra = _block_spectra(t.block_record, k_max)
     return _well_conditioned(_thresholded(spectra, tol), k_max, t.h)
 
 
@@ -262,7 +262,7 @@ def ascent_of(a, k_max: int = 8, tol: float = DEFAULT_RANK_TOL):
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     if isinstance(a, WctOperator):
-        n, spectra = a.space.n_atoms, _block_spectra(a.block_record)
+        n, spectra = a.space.n_atoms, _block_spectra(a.block_record, k_max + 1)
     else:
         n, spectra = np.shape(a)[0], _dense_spectra(a)
     return _ascent(n, _ranks(spectra, tol), k_max)
@@ -350,7 +350,7 @@ def _structure_rows(t: WctOperator, tol: float, seed: int, criterion_holds: bool
     # a block is live in T^k while sigma_B |h_B|^(k-1) clears the power
     # threshold; the live counts for k <= 9 give the chains to k = 6 and the
     # ascent (also the descent, by rank-nullity)
-    chain = list(itertools.islice(_thresholded(_block_spectra(rec), tol), 9))
+    chain = list(_thresholded(_block_spectra(rec, 9), tol))
     live = [s > thr for _, s, thr in chain]
     ranks = [n] + [int(np.sum(on)) for on in live]
     ascent = _ascent(n, ranks[1:], 8)

@@ -136,7 +136,7 @@ class TestAscentDescent:
         for seed in range(40):
             t = random_operator(seed, well_conditioned=True)
             n = t.space.n_atoms
-            spectra = _block_spectra(t.block_record)
+            spectra = _block_spectra(t.block_record, 8)
             ranks = [n] + list(itertools.islice(_ranks(spectra, 1e-8), 8))
             dims = [n - r for r in ranks]
             assert all(a <= b for a, b in zip(dims, dims[1:]))
