@@ -14,7 +14,6 @@ from .condexp import (
     CondExp,
     check_condexp_laws,
     cond_exp,
-    estimate_gch_constant,
     gch_constant_report,
 )
 from .harness import (
@@ -42,13 +41,7 @@ from .orlicz import (
     modular,
 )
 from .subspace import (
-    SubspaceBasis,
     ascent_of,
-    descent_of,
-    null_space,
-    range_space,
-    subspace_intersection,
-    subspace_sum,
     verify_structure_theorems,
 )
 from .wct import (
@@ -60,14 +53,11 @@ from .wct import (
     exact_norm_powers,
     iterate,
     matrix_of,
-    pairing_adjoint,
     power_bounded_report,
-    power_walk,
 )
 from .young import (
     YoungFunction,
     capped,
-    check_growth_condition,
     complementary,
     deadzone,
     exp_type,
@@ -86,7 +76,6 @@ __all__ = [
     "Partition",
     "Scenario",
     "ScenarioError",
-    "SubspaceBasis",
     "ValidationError",
     "VerificationReport",
     "WctOperator",
@@ -98,14 +87,11 @@ __all__ = [
     "capped",
     "cesaro_mean",
     "check_condexp_laws",
-    "check_growth_condition",
     "complementary",
     "cond_exp",
     "deadzone",
-    "descent_of",
     "emit_report",
     "ess_sup",
-    "estimate_gch_constant",
     "exact_norm_powers",
     "exp_type",
     "gch_constant_report",
@@ -117,18 +103,12 @@ __all__ = [
     "luxemburg_norms",
     "matrix_of",
     "modular",
-    "null_space",
-    "pairing_adjoint",
     "power_bounded_report",
     "power_plain",
     "power_scaled",
-    "power_walk",
-    "range_space",
     "run_verification",
     "scenario_from_dict",
     "scenario_to_dict",
-    "subspace_intersection",
-    "subspace_sum",
     "support",
     "verify_structure_theorems",
 ]

@@ -27,7 +27,6 @@ __all__ = [
     "check_condexp_laws",
     "CondExpLawReport",
     "LawResult",
-    "estimate_gch_constant",
     "gch_constant_report",
 ]
 
@@ -304,13 +303,3 @@ def gch_constant_report(
     }
     return best, detail
 
-
-def estimate_gch_constant(
-    e: CondExp,
-    phi: YoungFunction,
-    psi: YoungFunction,
-    samples: int,
-    seed: int = 0,
-) -> float:
-    value, _ = gch_constant_report(e, phi, psi, samples, seed)
-    return value

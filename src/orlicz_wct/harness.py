@@ -51,7 +51,7 @@ from .claims import (
     merge_claims,
     overflow_claim,
 )
-from .condexp import CondExp, check_condexp_laws, estimate_gch_constant
+from .condexp import CondExp, check_condexp_laws, gch_constant_report
 from .measure import FiniteMeasureSpace, Partition, ess_sup
 from .orlicz import OrliczContext, luxemburg_norms
 from .subspace import block_powers_well_conditioned, verify_structure_theorems
@@ -650,7 +650,7 @@ def _boundedness_claims(s: Scenario, t: WctOperator, seed: int):
                 f"tightness ||T||/M = {tight} (exact block norm, C = 1)",
             )
         ]
-    c_emp = estimate_gch_constant(t.e, s.phi, psi, samples=200, seed=seed)
+    c_emp = gch_constant_report(t.e, s.phi, psi, samples=200, seed=seed)[0]
     if c_emp <= 0:
         detail = "empirical constant is zero (degenerate instance)"
         return [make_claim("operator_norm_bound", "not_met", None, detail=detail)]

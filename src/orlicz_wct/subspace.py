@@ -1,4 +1,4 @@
-"""Rank-revealing subspace computations and the structure-theorem checks.
+"""The structure-theorem checks, read from the per-block spectrum.
 
 On a partition T is the direct sum of rank-one blocks
 T_B = w_B (u mu)_B^T / mu(B), so every range, kernel, sum and intersection
@@ -16,9 +16,10 @@ stacked orthonormal bases above tol times the largest, and
 dim(a & b) = dim a + dim b - dim(a + b). Power chains use thresholds tied
 to the realized largest singular value of each power with a noise floor that
 scales like the base norm to the k-th power, so kernel detection stays
-stable whether iterates grow or decay. ``ascent_of`` and
-``powers_well_conditioned`` keep a dense route for bare matrices: one SVD
-of M compresses it to a core of at most 2r dimensions for r = rank M.
+stable whether iterates grow or decay. ``ascent_of`` takes an operator and
+reads the same chain. Only ``powers_well_conditioned`` keeps a dense route,
+for bare matrices: one SVD of M compresses it to a core of at most 2r
+dimensions for r = rank M.
 "Dense" statements are read as subspace equality with the whole space, the
 only faithful finite-dimensional interpretation.
 Orthogonal-complement arguments are realized through the bilinear pairing
@@ -29,7 +30,6 @@ a Hilbert space; every claim that uses an adjoint records that choice.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,69 +48,16 @@ from .wct import (
 from .young import complementary
 
 __all__ = [
-    "SubspaceBasis",
-    "null_space",
-    "range_space",
     "ascent_of",
-    "descent_of",
-    "subspace_sum",
-    "subspace_intersection",
     "verify_structure_theorems",
 ]
 
 DEFAULT_RANK_TOL = 1e-8
 
 
-@dataclass(frozen=True)
-class SubspaceBasis:
-    """Orthonormal columns spanning a subspace, plus the rank tolerance used."""
-
-    vectors: np.ndarray
-    tol: float
-
-    def __post_init__(self):
-        v = np.asarray(self.vectors, dtype=float)
-        if v.ndim != 2:
-            raise ValueError("vectors must be a 2-d array of columns")
-        object.__setattr__(self, "vectors", v)
-        if v.shape[1] > v.shape[0]:
-            raise ValueError("dimension exceeds the ambient atom count")
-        if v.shape[1] > 0:
-            gram = v.T @ v
-            if np.max(np.abs(gram - np.eye(v.shape[1]))) > 1e-10:
-                raise ValueError("vectors must be orthonormal")
-
-    @property
-    def ambient(self) -> int:
-        return self.vectors.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.vectors.shape[1]
-
-
 def _relative_cut(top: float, tol: float) -> float:
     """tol times the largest singular value top, or tol when top is 0."""
     return tol * top if top > 0 else tol
-
-
-def _range_and_null(matrix: np.ndarray, tol: float):
-    """Range and null-space bases, cut at tol times the 2-norm."""
-    if tol <= 0:
-        raise ValueError("tol must be > 0")
-    u, s, vh = np.linalg.svd(np.asarray(matrix, dtype=float))
-    rank = _sum_rank(s, tol)
-    return tuple(SubspaceBasis(c.copy(), tol) for c in (u[:, :rank], vh[rank:].T))
-
-
-def null_space(matrix: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> SubspaceBasis:
-    """Orthonormal basis of the numerical kernel at relative tolerance tol."""
-    return _range_and_null(matrix, tol)[1]
-
-
-def range_space(matrix: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> SubspaceBasis:
-    """Orthonormal basis of the column space at relative tolerance tol."""
-    return _range_and_null(matrix, tol)[0]
 
 
 _NOISE_COEFF = 1e-11
@@ -250,56 +197,18 @@ def _ascent(n: int, ranks, k_max: int):
         n = rank
 
 
-def ascent_of(a, k_max: int = 8, tol: float = DEFAULT_RANK_TOL):
-    """Smallest k with dim null(A^k) = dim null(A^(k+1)); None past k_max.
+def ascent_of(t: WctOperator, k_max: int = 8, tol: float = DEFAULT_RANK_TOL):
+    """Smallest k with dim null(T^k) = dim null(T^(k+1)); None past k_max.
 
-    A is a WctOperator, whose powers have the block spectrum (the chain of
-    the structure pass), or a bare matrix, whose powers are factored on its
-    core. Dimension equality decides subspace equality because the kernel
-    chain is nested; the scan stops at the first stabilization, so only the
-    powers up to that point are ever formed.
+    The powers have the block spectrum (the chain of the structure pass).
+    Dimension equality decides subspace equality because the kernel chain
+    is nested, and by rank-nullity the range chain stabilizes at the same
+    k, so this is also the descent.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    if isinstance(a, WctOperator):
-        n, spectra = a.space.n_atoms, _block_spectra(a.block_record, k_max + 1)
-    else:
-        n, spectra = np.shape(a)[0], _dense_spectra(a)
-    return _ascent(n, _ranks(spectra, tol), k_max)
-
-
-def descent_of(a, k_max: int = 8, tol: float = DEFAULT_RANK_TOL):
-    """Smallest k with dim range(A^k) = dim range(A^(k+1)); None past k_max.
-
-    Rank-nullity makes the kernel and range chains stabilize together on a
-    square matrix, so this is the ascent scan.
-    """
-    return ascent_of(a, k_max, tol)
-
-
-def subspace_sum(a: SubspaceBasis, b: SubspaceBasis) -> SubspaceBasis:
-    """Orthonormal basis of span(a) + span(b) at the coarser tolerance."""
-    if a.ambient != b.ambient:
-        raise ValueError("dimension mismatch")
-    tol = max(a.tol, b.tol)
-    cols = np.hstack([a.vectors, b.vectors])
-    if cols.shape[1] == 0:
-        return SubspaceBasis(cols, tol)
-    u, s, _ = np.linalg.svd(cols, full_matrices=False)
-    return SubspaceBasis(u[:, : _sum_rank(s, tol)].copy(), tol)
-
-
-def subspace_intersection(a: SubspaceBasis, b: SubspaceBasis) -> SubspaceBasis:
-    """Basis of span(a) meet span(b), sized so that the dimension identity
-    dim(a&b) = dim a + dim b - dim(a+b) holds exactly at tolerance."""
-    tol = max(a.tol, b.tol)
-    target = a.dim + b.dim - subspace_sum(a, b).dim
-    if target <= 0:
-        return SubspaceBasis(np.zeros((a.ambient, 0)), tol)
-    u, _, _ = np.linalg.svd(a.vectors.T @ b.vectors)
-    q, _ = np.linalg.qr(a.vectors @ u[:, :target])
-    return SubspaceBasis(q[:, :target], tol)
-
+    spectra = _block_spectra(t.block_record, k_max + 1)
+    return _ascent(t.space.n_atoms, _ranks(spectra, tol), k_max)
 
 
 def _decreasing_to_zero(residuals: list[float], floor: float) -> bool:

@@ -7,7 +7,7 @@ geometric sums in h, accumulated with numpy in blocks of a fixed number of
 powers, so that their memory does not grow with n. The one direct route is
 ``BlockWalk``: a single walk I, T, T^2, ... of sequential products that
 serves T^n, A_n and B_n for every requested n at once, and against which the
-closed forms are checked (``power_walk`` returns its results as n x n
+closed forms are checked (``BlockWalk.unpack`` returns its results as n x n
 arrays). The matrix is block diagonal in the partition's atom order, and so
 is everything the walk and the closed forms produce, so from
 _CORE_MIN_ATOMS = 32 atoms on they are held as packed diagonal blocks and
@@ -47,7 +47,6 @@ __all__ = [
     "iterate",
     "cesaro_mean",
     "b_n_operator",
-    "power_walk",
     "BlockWalk",
     "BlockRecord",
     "bound_constant",
@@ -55,7 +54,6 @@ __all__ = [
     "exact_norm_powers",
     "power_bounded_report",
     "PowerBoundedReport",
-    "pairing_adjoint",
 ]
 
 # absolute threshold of the criterion support: an atom is in it when both
@@ -225,17 +223,6 @@ class BlockWalk:
         return out
 
 
-def power_walk(
-    t: WctOperator, a_ns=(), b_ns=(), t_ns=()
-) -> tuple[dict, dict, dict]:
-    """The results of ``BlockWalk(t, a_ns, b_ns, t_ns)`` as n x n arrays in
-    atom order, with exact zeros off the blocks."""
-    walk = BlockWalk(t, a_ns, b_ns, t_ns)
-    return tuple(
-        {k: walk.unpack(x) for k, x in d.items()} for d in (walk.a, walk.b, walk.t)
-    )
-
-
 _BLOCK = 512
 
 
@@ -351,13 +338,6 @@ def bound_constant(
     weight = generalized_inverse(psi, cond_exp(t.e, psi(np.abs(t.u))))
     m_const = ess_sup(t.w * weight)
     return c_gch * m_const
-
-
-def pairing_adjoint(matrix: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Adjoint with respect to the bilinear pairing sum f_i g_i mu_i."""
-    matrix = np.asarray(matrix, dtype=float)
-    weights = np.asarray(weights, dtype=float)
-    return (matrix.T * weights[None, :]) / weights[:, None]
 
 
 def contraction_criterion(

@@ -1,4 +1,4 @@
-"""Young functions: catalog, conjugation, generalized inverses, growth checks.
+"""Young functions: catalog, conjugation and generalized inverses.
 
 A Young function here is an even convex evaluator with phi(0) = 0 that may
 take the value +inf beyond ``b_phi``. Evaluation is vectorized over numpy
@@ -11,11 +11,11 @@ is exact too. Every other gauge (``exp_type``, ``deadzone``, ``capped``,
 p = 1 powers, user-built evaluators) is numeric: its conjugate maximizes
 x*|y| - phi(x), which is concave in x for fixed y, and its inverse bisects.
 The numeric routes also serve as independent oracles for the exact ones.
+Growth conditions (Delta_2 and the product conditions) are not checked
+here: no claim of the suite rests on one.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,8 +28,6 @@ __all__ = [
     "capped",
     "complementary",
     "generalized_inverse",
-    "check_growth_condition",
-    "GrowthReport",
 ]
 
 _BRACKET_CAP = 1e15
@@ -303,109 +301,3 @@ def generalized_inverse(phi: YoungFunction, y, tol: float = 1e-10):
     res[solved] = lo[solved]
     return float(res[0]) if scalar else res
 
-
-@dataclass(frozen=True)
-class GrowthReport:
-    """Grid-certified finding for a growth condition or inequality.
-
-    ``witness_constant`` is the extremal constant observed on the grid; the
-    grid travels with the report so a failure can be replayed. Nothing here
-    is an asymptotic statement.
-    """
-
-    kind: str
-    holds_on_grid: bool
-    witness_constant: float | None
-    counterexample: tuple | None
-    grid: np.ndarray
-
-
-_GROWTH_KINDS = ("delta2", "delta_prime", "nabla_prime", "young_ineq", "inverse_product")
-
-
-def check_growth_condition(
-    kind: str,
-    phi: YoungFunction,
-    psi: YoungFunction | None = None,
-    x0: float = 0.0,
-    grid=None,
-    tol: float = 1e-8,
-) -> GrowthReport:
-    """Audit a doubling/product growth condition or a conjugate inequality.
-
-    ``delta2``: K = max phi(2x)/phi(x);   ``delta_prime``: c with
-    phi(xy) <= c phi(x) phi(y);   ``nabla_prime``: smallest grid b with
-    phi(bxy) >= phi(x) phi(y);   ``young_ineq``: xy <= phi(x)+psi(y);
-    ``inverse_product``: x < phi_inv(x) psi_inv(x) <= 2x.
-    """
-    if kind not in _GROWTH_KINDS:
-        raise ValueError(f"unknown growth condition kind: {kind!r}")
-    if grid is None:
-        grid = np.logspace(-3, 3, 61)
-    grid = np.asarray(grid, dtype=float)
-    pts = grid[grid >= x0]
-
-    if kind == "delta2":
-        v1 = phi(pts)
-        v2 = phi(2.0 * pts)
-        ratio = np.full(pts.shape, np.nan)
-        ok = v1 > 0
-        with np.errstate(invalid="ignore"):
-            ratio[ok] = v2[ok] / v1[ok]
-        bad = (~ok) & (v2 > 0)
-        if bad.any():
-            i = int(np.flatnonzero(bad)[0])
-            return GrowthReport(kind, False, float("inf"), (float(pts[i]),), grid)
-        k_const = float(np.nanmax(ratio)) if np.any(ok) else 0.0
-        return GrowthReport(kind, bool(np.isfinite(k_const)), k_const, None, grid)
-
-    if kind in ("delta_prime", "nabla_prime"):
-        x, y = np.meshgrid(pts, pts)
-        pxy = phi(x * y)
-        px, py = phi(x), phi(y)
-        prod = px * py
-        if kind == "delta_prime":
-            ok = prod > 0
-            with np.errstate(invalid="ignore", divide="ignore"):
-                ratio = np.where(ok, pxy / np.where(ok, prod, 1.0), np.nan)
-            if np.any(ok & np.isinf(pxy)):
-                i, j = np.argwhere(ok & np.isinf(pxy))[0]
-                return GrowthReport(
-                    kind, False, float("inf"), (float(x[i, j]), float(y[i, j])), grid
-                )
-            c = float(np.nanmax(ratio)) if np.any(ok) else 0.0
-            return GrowthReport(kind, bool(np.isfinite(c)), c, None, grid)
-        # nabla_prime: search the smallest b on a log grid that works everywhere
-        for b in np.logspace(-3, 3, 61):
-            lhs = phi(b * x * y)
-            if np.all(lhs >= prod * (1.0 - 1e-12)):
-                return GrowthReport(kind, True, float(b), None, grid)
-        return GrowthReport(kind, False, None, None, grid)
-
-    if psi is None:
-        raise ValueError(f"psi is required for kind {kind!r}")
-
-    if kind == "young_ineq":
-        x, y = np.meshgrid(pts, pts)
-        lhs = x * y
-        rhs = phi(x) + psi(y)
-        viol = lhs > rhs + tol * (1.0 + lhs)
-        if viol.any():
-            i, j = np.argwhere(viol)[0]
-            return GrowthReport(
-                kind, False, None, (float(x[i, j]), float(y[i, j])), grid
-            )
-        return GrowthReport(kind, True, None, None, grid)
-
-    # inverse_product
-    pinv = generalized_inverse(phi, pts, tol=1e-12)
-    qinv = generalized_inverse(psi, pts, tol=1e-12)
-    prod = pinv * qinv
-    lower_bad = prod <= pts * (1.0 - tol)
-    upper_bad = prod > 2.0 * pts * (1.0 + tol)
-    viol = lower_bad | upper_bad
-    if viol.any():
-        i = int(np.flatnonzero(viol)[0])
-        return GrowthReport(kind, False, None, (float(pts[i]), float(prod[i])), grid)
-    ratio = float(np.max(prod / pts)) if pts.size else None
-    return GrowthReport(kind, True, ratio, None, grid)

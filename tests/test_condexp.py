@@ -13,7 +13,6 @@ from orlicz_wct import (
     complementary,
     cond_exp,
     deadzone,
-    estimate_gch_constant,
     gch_constant_report,
     luxemburg_norm,
     power_plain,
@@ -368,7 +367,7 @@ class TestGchConstant:
         space = FiniteMeasureSpace.from_weights([1.0, 2.0, 0.5])
         e = CondExp(space, Partition.finest(3))
         phi = power_scaled(2)
-        c = estimate_gch_constant(e, phi, power_scaled(2), samples=100, seed=0)
+        c = gch_constant_report(e, phi, power_scaled(2), samples=100, seed=0)[0]
         assert c == pytest.approx(1.0, abs=1e-6)
 
     def test_single_block_against_enumeration_oracle(self, e_one_block):
@@ -388,14 +387,14 @@ class TestGchConstant:
                         if den > 1e-12:
                             oracle = max(oracle, num / den)
         assert oracle == pytest.approx(1.0, abs=1e-12)
-        est = estimate_gch_constant(e_one_block, phi, phi, samples=200, seed=1)
+        est = gch_constant_report(e_one_block, phi, phi, samples=200, seed=1)[0]
         assert 0.0 < est <= 2.0
         assert est <= oracle + 1e-6
         assert est >= 0.8 * oracle
 
     def test_rejects_non_conjugate_pair(self, e_one_block):
         with pytest.raises(ValueError, match="not complementary"):
-            estimate_gch_constant(
+            gch_constant_report(
                 e_one_block, power_scaled(2), power_scaled(3), samples=10
             )
 
@@ -406,13 +405,13 @@ class TestGchConstant:
         psi = complementary(phi)
         doubled = YoungFunction("doubled", (), lambda y: 2.0 * psi(y))
         with pytest.raises(ValueError, match="conjugate audit failed"):
-            estimate_gch_constant(e_one_block, phi, doubled, samples=10)
+            gch_constant_report(e_one_block, phi, doubled, samples=10)
 
     def test_accepts_exact_conjugate_beyond_the_search_cap(self, e_one_block):
         # for p = 1.1 the maximizer behind psi(100) lies near 1e20, beyond
         # any search cap; the capped numeric value only bounds psi from below
         phi = power_scaled(1.1)
-        c = estimate_gch_constant(e_one_block, phi, complementary(phi), samples=10)
+        c = gch_constant_report(e_one_block, phi, complementary(phi), samples=10)[0]
         assert c > 0.0
 
     def test_report_detail(self, e_one_block):
@@ -425,6 +424,6 @@ class TestGchConstant:
 
     def test_samples_validated(self, e_one_block):
         with pytest.raises(ValueError):
-            estimate_gch_constant(
+            gch_constant_report(
                 e_one_block, power_scaled(2), power_scaled(2), samples=0
             )

@@ -398,8 +398,10 @@ class TestRunVerification:
 
     def test_generic_instances_keep_ascent_bounded(self):
         # one hundred generic draws, every ascent at most two
-        from orlicz_wct import ascent_of, matrix_of
+        from orlicz_wct import matrix_of
         from orlicz_wct.harness import generate_well_conditioned_instance
+
+        from oracles import dense_ascent
 
         for i in range(100):
             sizes = np.random.default_rng(900 + i)
@@ -407,7 +409,7 @@ class TestRunVerification:
             s = generate_well_conditioned_instance(
                 900 + i, n_atoms, int(sizes.integers(1, n_atoms + 1)), "generic"
             )
-            a = ascent_of(matrix_of(s.operator()))
+            a = dense_ascent(matrix_of(s.operator()))
             assert a is not None and a <= 2, s.fingerprint()
 
 

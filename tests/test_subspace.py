@@ -8,19 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orlicz_wct import (
+    CondExp,
     FiniteMeasureSpace,
     OrliczContext,
     Partition,
-    SubspaceBasis,
     WctOperator,
     ascent_of,
-    descent_of,
     matrix_of,
-    null_space,
     power_scaled,
-    range_space,
-    subspace_intersection,
-    subspace_sum,
     verify_structure_theorems,
 )
 from orlicz_wct.harness import (
@@ -41,14 +36,21 @@ from orlicz_wct.subspace import (
     block_powers_well_conditioned,
     powers_well_conditioned,
 )
-from orlicz_wct.wct import contraction_criterion, pairing_adjoint
+from orlicz_wct.wct import contraction_criterion
 from orlicz_wct.young import complementary
 
 from conftest import random_operator
+from oracles import (
+    dense_ascent,
+    meet_dim,
+    pairing_adjoint,
+    range_null,
+    sum_dim,
+)
 
 
-def projector(basis: SubspaceBasis) -> np.ndarray:
-    return basis.vectors @ basis.vectors.T
+def projector(basis: np.ndarray) -> np.ndarray:
+    return basis @ basis.T
 
 
 def line(v) -> np.ndarray:
@@ -57,80 +59,61 @@ def line(v) -> np.ndarray:
 
 
 class TestBases:
+    """Known answers for the dense bases of tests/oracles.py, which the
+    differential tests below take as their reference."""
+
     def test_r1_null_space(self, r1):
         # oracle: solve (f1 + f2)/2 = 0, the line through (1, -1)
-        basis = null_space(matrix_of(r1))
-        assert basis.dim == 1
+        basis = range_null(matrix_of(r1), 1e-8)[1]
+        assert basis.shape[1] == 1
         np.testing.assert_allclose(projector(basis), line([1.0, -1.0]), atol=1e-12)
 
     def test_identity_has_trivial_kernel(self):
-        assert null_space(np.eye(4)).dim == 0
+        assert range_null(np.eye(4), 1e-8)[1].shape[1] == 0
 
     def test_zero_matrix_kernel_is_everything(self):
-        assert null_space(np.zeros((3, 3))).dim == 3
-        assert range_space(np.zeros((3, 3))).dim == 0
+        rng, null = range_null(np.zeros((3, 3)), 1e-8)
+        assert null.shape[1] == 3 and rng.shape[1] == 0
 
     def test_r1_range(self, r1):
         # oracle: both columns are multiples of (1, -1)
-        basis = range_space(matrix_of(r1))
-        assert basis.dim == 1
+        basis = range_null(matrix_of(r1), 1e-8)[0]
+        assert basis.shape[1] == 1
         np.testing.assert_allclose(projector(basis), line([1.0, -1.0]), atol=1e-12)
 
     def test_r3_range(self, r3):
-        basis = range_space(matrix_of(r3))
-        assert basis.dim == 1
+        basis = range_null(matrix_of(r3), 1e-8)[0]
+        assert basis.shape[1] == 1
         np.testing.assert_allclose(projector(basis), line([1.0, 1.0]), atol=1e-12)
 
     def test_rank_nullity(self):
         for seed in range(30):
             m = matrix_of(random_operator(seed))
-            n = m.shape[0]
-            assert null_space(m).dim + range_space(m).dim == n
-
-    def test_orthonormality_enforced(self):
-        with pytest.raises(ValueError, match="orthonormal"):
-            SubspaceBasis(np.array([[1.0, 1.0], [0.0, 1.0]]), 1e-8)
-        with pytest.raises(ValueError, match="ambient"):
-            SubspaceBasis(np.ones((1, 2)) / np.sqrt(2), 1e-8)
-
-    def test_tol_validated(self):
-        with pytest.raises(ValueError):
-            null_space(np.eye(2), tol=0.0)
-
-    def test_one_svd_per_call(self, monkeypatch):
-        real = np.linalg.svd
-        calls = []
-
-        def spy(*args, **kwargs):
-            calls.append(kwargs.get("compute_uv", True))
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "svd", spy)
-        m = matrix_of(random_operator(3))
-        for route in (null_space, range_space):
-            calls.clear()
-            route(m)
-            assert calls == [True], route.__name__
+            rng, null = range_null(m, 1e-8)
+            assert rng.shape[1] + null.shape[1] == m.shape[0]
 
 
 class TestAscentDescent:
     def test_r1_ascent_two(self, r1):
         # oracle: kernel dims 0, 1, 2, 2, ... because the square vanishes
-        assert ascent_of(matrix_of(r1)) == 2
-        assert descent_of(matrix_of(r1)) == 2
+        assert ascent_of(r1) == dense_ascent(matrix_of(r1)) == 2
 
     def test_r3_ascent_one(self, r3):
-        assert ascent_of(matrix_of(r3)) == 1
-        assert descent_of(matrix_of(r3)) == 1
+        assert ascent_of(r3) == dense_ascent(matrix_of(r3)) == 1
 
     def test_identity_ascent_zero(self):
-        assert ascent_of(np.eye(3)) == 0
-        assert descent_of(np.diag([1.0, 2.0, 3.0])) == 0
+        # T = I: one-atom blocks with u = w = 1
+        space = FiniteMeasureSpace.from_weights([1.0, 2.0, 0.5])
+        e = CondExp(space, Partition.finest(3))
+        assert ascent_of(WctOperator(np.ones(3), np.ones(3), e)) == 0
+        assert dense_ascent(np.eye(3)) == 0
+        assert dense_ascent(np.diag([1.0, 2.0, 3.0])) == 0
 
-    def test_exceeds_k_max(self):
+    def test_exceeds_k_max(self, r1):
+        # r1 has ascent 2, past k_max = 1
+        assert ascent_of(r1, k_max=1) is None
         shift = np.diag(np.ones(9), 1)  # nilpotent of index 10
-        assert ascent_of(shift, k_max=3) is None
-        assert descent_of(shift, k_max=3) is None
+        assert dense_ascent(shift, k_max=3) is None
 
     def test_chain_monotone_and_stabilizes(self):
         for seed in range(40):
@@ -149,69 +132,62 @@ class TestAscentDescent:
             assert all(d == dims[stable_at] for d in dims[stable_at:])
 
     def test_finite_ascent_descent_equal(self):
+        # the block ascent (also the descent, by rank-nullity) is finite and
+        # equals the ascent of the dense powers
         for seed in range(40):
-            m = matrix_of(random_operator(seed, well_conditioned=True))
-            a, d = ascent_of(m), descent_of(m)
-            assert a is not None and d is not None
-            assert a == d
+            t = random_operator(seed, well_conditioned=True)
+            a = ascent_of(t)
+            assert a is not None
+            assert a == dense_ascent(matrix_of(t))
 
 
 class TestSumsAndIntersections:
+    """Known answers for the dense sums and intersections of
+    tests/oracles.py."""
+
     def test_orthogonal_lines_span_plane(self):
-        a = SubspaceBasis(np.array([[1.0], [1.0]]) / np.sqrt(2), 1e-8)
-        b = SubspaceBasis(np.array([[1.0], [-1.0]]) / np.sqrt(2), 1e-8)
-        assert subspace_sum(a, b).dim == 2
-        assert subspace_intersection(a, b).dim == 0
+        a = np.array([[1.0], [1.0]]) / np.sqrt(2)
+        b = np.array([[1.0], [-1.0]]) / np.sqrt(2)
+        assert sum_dim(a, b, 1e-8) == 2
+        assert meet_dim(a, b, 1e-8) == 0
 
     def test_sum_idempotent(self):
-        v = SubspaceBasis(np.array([[1.0], [2.0]]) / np.sqrt(5), 1e-8)
-        assert subspace_sum(v, v).dim == 1
-        assert subspace_intersection(v, v).dim == 1
+        v = np.array([[1.0], [2.0]]) / np.sqrt(5)
+        assert sum_dim(v, v, 1e-8) == 1
+        assert meet_dim(v, v, 1e-8) == 1
 
     def test_sum_with_trivial(self):
-        v = SubspaceBasis(np.array([[1.0], [2.0]]) / np.sqrt(5), 1e-8)
-        zero = SubspaceBasis(np.zeros((2, 0)), 1e-8)
-        assert subspace_sum(v, zero).dim == 1
+        v = np.array([[1.0], [2.0]]) / np.sqrt(5)
+        assert sum_dim(v, np.zeros((2, 0)), 1e-8) == 1
 
     def test_r1_range_meets_kernel_on_the_diagonal_line(self, r1):
         # oracle: both subspaces equal the line through (1, -1); only the
         # square's range is barred from touching kernels
-        m = matrix_of(r1)
-        inter = subspace_intersection(range_space(m), null_space(m))
-        assert inter.dim == 1
-        np.testing.assert_allclose(projector(inter), line([1.0, -1.0]), atol=1e-10)
+        rng, null = range_null(matrix_of(r1), 1e-8)
+        assert meet_dim(rng, null, 1e-8) == 1
+        for basis in (rng, null):
+            np.testing.assert_allclose(projector(basis), line([1.0, -1.0]), atol=1e-10)
 
     def test_dimension_formula(self):
+        # against the principal angles: the intersection is where the cosines
+        # of the angles between the subspaces reach 1
         rng = np.random.default_rng(2)
         for _ in range(30):
             n = int(rng.integers(2, 8))
             qa, _ = np.linalg.qr(rng.standard_normal((n, int(rng.integers(1, n + 1)))))
             qb, _ = np.linalg.qr(rng.standard_normal((n, int(rng.integers(1, n + 1)))))
-            a = SubspaceBasis(qa, 1e-8)
-            b = SubspaceBasis(qb, 1e-8)
-            assert (
-                subspace_intersection(a, b).dim
-                == a.dim + b.dim - subspace_sum(a, b).dim
-            )
+            cosines = np.linalg.svd(qa.T @ qb, compute_uv=False)
+            assert meet_dim(qa, qb, 1e-8) == int(np.sum(cosines > 1.0 - 1e-8))
 
     def test_sum_cut_is_relative_to_the_largest_singular_value(self):
         # oracle: two lines with cos(angle) = 0.7 stack to singular values
         # sqrt(1.7) and sqrt(0.3); at tol 0.5 the smaller is under half the
         # larger (0.42) but above tol itself, so the lines merge
-        a = SubspaceBasis(np.array([[1.0], [0.0]]), 0.5)
-        b = SubspaceBasis(np.array([[0.7], [np.sqrt(0.51)]]), 0.5)
-        assert subspace_sum(a, b).dim == 1
-        assert subspace_intersection(a, b).dim == 1
-        fine = SubspaceBasis(b.vectors, 0.4)
-        assert subspace_sum(SubspaceBasis(a.vectors, 0.4), fine).dim == 2
-
-    def test_dimension_mismatch(self):
-        a = SubspaceBasis(np.eye(2), 1e-8)
-        b = SubspaceBasis(np.eye(3), 1e-8)
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            subspace_sum(a, b)
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            subspace_intersection(a, b)
+        a = np.array([[1.0], [0.0]])
+        b = np.array([[0.7], [np.sqrt(0.51)]])
+        assert sum_dim(a, b, 0.5) == 1
+        assert meet_dim(a, b, 0.5) == 1
+        assert sum_dim(a, b, 0.4) == 2
 
 
 def by_id(rows):
@@ -282,14 +258,14 @@ class TestFactorOnce:
             rows = by_id(verify_structure_theorems(t, ctx))
             ranks = _dense_chain(m, 1e-8)[0]
             detail = rows["ascent_bound"].detail
-            assert f"ascent={ascent_of(m)}," in detail
+            assert f"ascent={dense_ascent(m)}," in detail
             assert f"kernel dims {[n - r for r in ranks]}" in detail
             assert rows["null_chain_stabilization"].detail == (
                 f"kernel dims {[n - r for r in ranks]}"
             )
             if rows["descent_bound"].status != "not_checked":
                 detail = rows["descent_bound"].detail
-                assert f"descent={descent_of(m)}," in detail
+                assert f"descent={dense_ascent(m)}," in detail
                 assert f"range dims {ranks}," in detail
                 assert rows["range_chain_stabilization"].detail == f"range dims {ranks}"
             stable = next(k for k in range(6) if ranks[k] == ranks[k + 1])
@@ -478,8 +454,8 @@ class TestCoreAgainstDensePowers:
     """Both routes against sequential dense powers, at the default and a
     coarse tolerance: the compressed route of bare matrices (M, I - M and
     its pairing adjoint), and the structure pass's per-block chains of T,
-    I - T and the adjoint with the sums it forms; ascent_of and
-    powers_well_conditioned against dense rebuilds."""
+    I - T and the adjoint with the sums it forms; the dense ascent of
+    tests/oracles.py and powers_well_conditioned against dense rebuilds."""
 
     @staticmethod
     def _bare(m, w):
@@ -564,7 +540,7 @@ class TestCoreAgainstDensePowers:
         assert next(_dense_spectra(m)).shape == (64,)
         assert self._check_pass("wide256", t, 1e-8) == 3
         assert powers_well_conditioned(m, 7, symbol=t.h)
-        assert ascent_of(m) == ascent_of(t) == 1
+        assert dense_ascent(m) == ascent_of(t) == 1
 
     def test_planted_value_is_kept(self):
         for name, m, _ in _general_matrices():
@@ -583,7 +559,7 @@ class TestCoreAgainstDensePowers:
             ranks = _dense_chain(m, 1e-8, 9)[0]
             ascent = next((k for k in range(9) if ranks[k] == ranks[k + 1]), None)
             if want:
-                assert ascent_of(m) == ascent, name
+                assert dense_ascent(m) == ascent, name
 
 
 class TestConditioning:
@@ -659,17 +635,16 @@ def _cut_bases(p, base, k, tol):
     # 2-norm of p, never below 1e-11 times the k-th power of the base norm
     top = float(np.linalg.norm(p, 2))
     rel = max(tol, 1e-11 * base**k / top) if top > 0 else tol
-    bases = (range_space(p, rel), null_space(p, rel))
-    return [SubspaceBasis(b.vectors, tol) for b in bases]
+    return range_null(p, rel)
 
 
 def reference_rows(t, ctx, tol, seed):
     """claim id -> (hypothesis, status, detail, residual) of the structure
-    pass, rebuilt from public routes: bases of np.linalg.matrix_power at each
-    power's cut, subspace_sum, subspace_intersection and ascent_of. For the
-    two ergodic convergence rows, whose status comes from the horizon
-    heuristic, only the hypothesis and the invariance residual of the Cesaro
-    limit are rebuilt."""
+    pass, rebuilt from the dense routes of tests/oracles.py: bases of
+    np.linalg.matrix_power at each power's cut, sums and intersections of
+    those bases, and the dense ascent. For the two ergodic convergence rows,
+    whose status comes from the horizon heuristic, only the hypothesis and
+    the invariance residual of the Cesaro limit are rebuilt."""
     m = matrix_of(t)
     n, h = m.shape[0], t.h
     base = float(np.linalg.norm(m, 2))
@@ -680,10 +655,10 @@ def reference_rows(t, ctx, tol, seed):
     powers = {
         k: _cut_bases(np.linalg.matrix_power(m, k), base, k, tol) for k in range(1, 7)
     }
-    ranks = [n] + [powers[k][0].dim for k in range(1, 7)]
+    ranks = [n] + [powers[k][0].shape[1] for k in range(1, 7)]
     kernel = [n - r for r in ranks]
     r2, null2 = powers[2]
-    a = ascent_of(m, tol=tol)
+    a = dense_ascent(m, tol=tol)
     rows = {
         "ascent_bound": (
             "none",
@@ -700,11 +675,11 @@ def reference_rows(t, ctx, tol, seed):
     }
     on = np.abs(h) > 1e-12
     if not on.any() or np.min(np.abs(h[on])) >= 1e-10:
-        d = descent_of(m, tol=tol)
+        # the descent is the ascent, by rank-nullity
         rows["descent_bound"] = (
             "met",
-            status(d is not None and d <= 2),
-            f"descent={d}, range dims {ranks}, delta=1e-10",
+            status(a is not None and a <= 2),
+            f"descent={a}, range dims {ranks}, delta=1e-10",
             None,
         )
         rows["range_chain_stabilization"] = (
@@ -713,7 +688,7 @@ def reference_rows(t, ctx, tol, seed):
             f"range dims {ranks}",
             None,
         )
-        sums = [subspace_sum(powers[k][0], null2).dim for k in range(1, 5)]
+        sums = [sum_dim(powers[k][0], null2, tol) for k in range(1, 5)]
         rows["range_plus_null_square"] = ("met", status(sums == [n] * 4), None, None)
     else:
         for cid in (
@@ -722,17 +697,17 @@ def reference_rows(t, ctx, tol, seed):
             "range_plus_null_square",
         ):
             rows[cid] = ("not_met", "not_checked", None, None)
-    worst = float(max(subspace_intersection(r2, powers[k][1]).dim for k in range(1, 5)))
+    worst = float(max(meet_dim(r2, powers[k][1], tol) for k in range(1, 5)))
     rows["range_square_null_intersection"] = ("none", status(worst == 0), None, worst)
     rs, ns = _cut_bases(h[:, None] * m, base, 2, tol)
     rows["symbol_operator_decomposition"] = (
         "none",
-        status(subspace_sum(rs, ns).dim == n),
+        status(sum_dim(rs, ns, tol) == n),
         None,
         None,
     )
-    dim_sum = subspace_sum(r2, null2).dim
-    dim_meet = subspace_intersection(r2, null2).dim
+    dim_sum = sum_dim(r2, null2, tol)
+    dim_meet = meet_dim(r2, null2, tol)
     rows["square_sum_dense"] = (
         "none",
         status(dim_sum == n and dim_meet == 0),
@@ -752,11 +727,11 @@ def reference_rows(t, ctx, tol, seed):
         rows.update((cid, ("not_met", "not_checked", None, None)) for cid in ergodic)
         return rows
     imt = np.eye(n) - m
-    a1 = ascent_of(imt, tol=tol)
-    a2 = ascent_of(pairing_adjoint(imt, t.space.weights), tol=tol)
-    rng_imt, nul_imt = range_space(imt, tol), null_space(imt, tol)
-    direct = rng_imt.dim + nul_imt.dim == n
-    direct = direct and subspace_intersection(rng_imt, nul_imt).dim == 0
+    a1 = dense_ascent(imt, tol=tol)
+    a2 = dense_ascent(pairing_adjoint(imt, t.space.weights), tol=tol)
+    rng_imt, nul_imt = range_null(imt, tol)
+    dim_r = rng_imt.shape[1]
+    direct = dim_r + nul_imt.shape[1] == n and meet_dim(rng_imt, nul_imt, tol) == 0
     s = np.linalg.svd(imt, compute_uv=False)
     full_rank = bool(s[-1] > tol * s[0]) if s[0] > 0 else False
     probe = np.random.default_rng(seed ^ 0x5EED).uniform(-1.0, 1.0, n)
@@ -767,10 +742,10 @@ def reference_rows(t, ctx, tol, seed):
     except np.linalg.LinAlgError:
         invertible = False
     fs = np.random.default_rng(seed).uniform(-1.0, 1.0, (n, 100))
-    basis = np.hstack([rng_imt.vectors, nul_imt.vectors])
+    basis = np.hstack([rng_imt, nul_imt])
     limit_residual = None
     if basis.shape[1] == n:
-        limit = nul_imt.vectors @ np.linalg.solve(basis, fs)[rng_imt.dim :]
+        limit = nul_imt @ np.linalg.solve(basis, fs)[dim_r:]
         limit_residual = float(np.max(np.abs(m @ limit - limit), initial=0.0))
     rows.update(
         one_minus_t_ascent=(
@@ -788,7 +763,7 @@ def reference_rows(t, ctx, tol, seed):
         one_minus_t_direct_sum=(
             "met",
             status(direct),
-            f"dims {rng_imt.dim}+{nul_imt.dim} of {n}",
+            f"dims {dim_r}+{nul_imt.shape[1]} of {n}",
             None,
         ),
         ergodic_invertibility=(
@@ -804,7 +779,7 @@ def reference_rows(t, ctx, tol, seed):
 
 
 class TestPassAgainstPublicRoutes:
-    """Every structure row equals the one rebuilt from the public routes, at
+    """Every structure row equals the one rebuilt from the dense routes, at
     the default rank tolerance and at a coarse one, where a sum's cut
     relative to its largest singular value decides dimensions. The pass
     takes the residuals of ergodic_invertibility and ergodic_cesaro_limit

@@ -4,7 +4,6 @@ import pytest
 from orlicz_wct import (
     YoungFunction,
     capped,
-    check_growth_condition,
     complementary,
     deadzone,
     exp_type,
@@ -192,26 +191,10 @@ class TestClosedFormInverse:
 
 
 class TestGrowthConditions:
-    def test_doubling_constant_for_square(self):
-        # oracle: phi(2x)/phi(x) = 4 identically for x^2
-        report = check_growth_condition(
-            "delta2", power_plain(2), x0=0.0, grid=np.logspace(-3, 3, 61)
-        )
-        assert report.holds_on_grid
-        assert report.witness_constant == pytest.approx(4.0, abs=1e-9)
-
-    def test_deadzone_fails_doubling_globally(self):
-        report = check_growth_condition("delta2", deadzone(), x0=0.0)
-        assert not report.holds_on_grid
-
     def test_young_equality_at_conjugate_point(self):
         phi = power_scaled(2)
         psi = complementary(phi)
         # equality 1*1 = phi(1) + psi(1) = 1/2 + 1/2
-        report = check_growth_condition(
-            "young_ineq", phi, psi, grid=np.array([1.0])
-        )
-        assert report.holds_on_grid
         assert phi(1.0) + psi(1.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_inverse_product_at_two(self):
@@ -220,40 +203,15 @@ class TestGrowthConditions:
         # oracle: sqrt(2*2) * sqrt(2*2) = 4, inside (2, 4]
         prod = generalized_inverse(phi, 2.0) * generalized_inverse(psi, 2.0)
         assert prod == pytest.approx(4.0, abs=1e-8)
-        report = check_growth_condition(
-            "inverse_product", phi, psi, grid=np.array([2.0])
-        )
-        assert report.holds_on_grid
-
-    def test_product_condition_for_powers(self):
-        report = check_growth_condition("delta_prime", power_plain(2))
-        assert report.holds_on_grid
-        assert report.witness_constant == pytest.approx(1.0, rel=1e-9)
-
-    def test_lower_product_condition(self):
-        report = check_growth_condition("nabla_prime", power_plain(2))
-        assert report.holds_on_grid
-        assert report.witness_constant is not None
-
-    def test_psi_required(self):
-        with pytest.raises(ValueError, match="psi is required"):
-            check_growth_condition("young_ineq", power_plain(2))
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError, match="unknown growth condition"):
-            check_growth_condition("delta3", power_plain(2))
-
-    def test_report_carries_grid(self):
-        grid = np.logspace(-1, 1, 11)
-        report = check_growth_condition("delta2", power_plain(2), grid=grid)
-        np.testing.assert_array_equal(report.grid, grid)
+        assert 2.0 < prod <= 4.0 * (1.0 + 1e-8)
 
 
 @pytest.mark.parametrize("phi", CATALOG, ids=lambda p: p.kind + str(p.params))
 def test_inverse_product_sandwich_on_wide_grid(phi):
     """x < phi_inv(x) psi_inv(x) <= 2x on a log grid spanning twelve decades."""
     psi = complementary(phi)
-    report = check_growth_condition(
-        "inverse_product", phi, psi, grid=np.logspace(-6, 6, 97)
-    )
-    assert report.holds_on_grid, report.counterexample
+    grid = np.logspace(-6, 6, 97)
+    prod = generalized_inverse(phi, grid, tol=1e-12)
+    prod = prod * generalized_inverse(psi, grid, tol=1e-12)
+    inside = (prod > grid * (1.0 - 1e-8)) & (prod <= 2.0 * grid * (1.0 + 1e-8))
+    assert inside.all(), (grid[~inside], prod[~inside])
