@@ -167,7 +167,8 @@ def merge_claims(rows: list[ClaimResult]) -> ClaimResult:
 
     The merged row fails when any contributing row with a met hypothesis
     failed; its fingerprint points at the first failing instance, and its
-    residual is the worst one seen.
+    residual is the worst one seen. Its hypothesis is met when some row was
+    checked or had its hypothesis met.
     """
     if not rows:
         raise ValueError("cannot merge an empty claim list")
@@ -188,7 +189,9 @@ def merge_claims(rows: list[ClaimResult]) -> ClaimResult:
         detail = first.detail if len(rows) == 1 else None
     hypothesis = first.hypothesis
     if hypothesis != "none":
-        hypothesis = "met" if checked else "not_met"
+        # a row can be not_checked with its hypothesis met (an overflow)
+        met = checked or any(r.hypothesis == "met" for r in rows)
+        hypothesis = "met" if met else "not_met"
     n_checked = len(checked)
     note = f"checked on {n_checked} of {len(rows)} instances"
     return ClaimResult(

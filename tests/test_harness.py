@@ -630,6 +630,33 @@ class TestMergeClaims:
         assert merged.residual == 0.25
         assert "1 of 2" in merged.detail
 
+    def test_met_hypothesis_of_an_unchecked_row_stays_met(self):
+        # an overflow leaves a row not_checked although its hypothesis held
+        for rows in (
+            [self._row("not_checked", hypothesis="met")],
+            [
+                self._row("not_checked", hypothesis="not_met"),
+                self._row("not_checked", hypothesis="met"),
+            ],
+        ):
+            merged = merge_claims(rows)
+            assert (merged.status, merged.hypothesis) == ("not_checked", "met")
+
+    def test_overflowing_run_keeps_the_descent_hypothesis(self):
+        # r3 with w scaled by 1e100: the symbol (5e99) is bounded away from
+        # zero, but a power overflows, so the descent rows are not checked
+        path = Path(__file__).resolve().parents[1] / "scenarios" / "r3_contracting.json"
+        data = json.loads(path.read_text())
+        data["w"] = [x * 1e100 for x in data["w"]]
+        report = run_verification(scenario_from_dict(data), seed=0)
+        rows = {r.claim_id: r for r in report.entries}
+        for cid in (
+            "descent_bound",
+            "range_chain_stabilization",
+            "range_plus_null_square",
+        ):
+            assert (rows[cid].status, rows[cid].hypothesis) == ("not_checked", "met")
+
     def test_id_mismatch_rejected(self):
         other = ClaimResult(
             claim_id="descent_bound",
