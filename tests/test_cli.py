@@ -143,6 +143,32 @@ class TestCesaro:
             assert value <= by_id[cid]["residual"], cid
 
 
+    def test_overflowing_powers_give_strict_json(self, capsys, tmp_path):
+        # r3 with w scaled by 1e100: A_5 overflows to inf and every identity
+        # residual is NaN; they print as null and the residuals are not checked
+        root = Path(__file__).resolve().parents[1]
+        data = json.loads((root / "scenarios" / "r3_contracting.json").read_text())
+        data["w"] = [x * 1e100 for x in data["w"]]
+        path = tmp_path / "scaled.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run_cli(
+            capsys, "cesaro", "--scenario", str(path), "--n", "5", "--format", "json"
+        )
+        assert (code, err) == (0, "")
+        payload = json.loads(out, parse_constant=_reject_constant)
+        assert payload["a_n_direct"] == [[None, None], [None, None]]
+        assert set(payload["residuals"].values()) == {None}
+        detail = TestOverflowingWeights.OVERFLOW
+        assert payload["not_checked"] == dict.fromkeys(payload["residuals"], detail)
+        code, out, _ = run_cli(capsys, "cesaro", "--scenario", str(path), "--n", "5")
+        assert code == 0 and f"telescoping_identity: {detail}" in out
+
+
+def _reject_constant(name):
+    """json.loads hook: NaN and Infinity are not standard JSON."""
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
 class TestVerify:
     def test_exit_zero_and_report_written(self, capsys, tmp_path, scenario_path):
         out_path = tmp_path / "report.json"
