@@ -210,54 +210,45 @@ def _cmd_ascent(args) -> int:
     return 0 if ok else 1
 
 
-def _finite_or_none(matrix: np.ndarray) -> list:
-    """The rows of a matrix as lists, with each non-finite entry as None
-    (JSON null), so the output stays standard JSON."""
-    return [[v if np.isfinite(v) else None for v in row] for row in matrix.tolist()]
-
-
 def _cmd_cesaro(args) -> int:
     scenario = load_scenario(args.scenario)
     t = scenario.operator()
     n = args.n
     modes = ("direct", "closed_form") if args.mode == "both" else (args.mode,)
-    matrices = {}
+    payload: dict = {"n": n}
     # an overflowing power walks on as inf and NaN, as in verify's iterate
-    # and Cesaro groups; a residual that is not finite is not checked
+    # and Cesaro groups
     with np.errstate(over="ignore", invalid="ignore"):
         walk = BlockWalk(t, (n, n + 1), (n,) if n >= 2 else (), (n,))
         for mode in modes:
             direct = mode == "direct"
             a_n = walk.unpack(walk.a[n]) if direct else cesaro_mean(t, n)
-            matrices[f"a_n_{mode}"] = a_n
+            payload[f"a_n_{mode}"] = a_n
             if n >= 2:
                 b_n = walk.unpack(walk.b[n]) if direct else b_n_operator(t, n)
-                matrices[f"b_n_{mode}"] = b_n
+                payload[f"b_n_{mode}"] = b_n
         residuals = identity_residuals(walk, (n,))[n]
-    overflowed = {
-        cid: overflow_claim(cid).detail
-        for cid, value in residuals.items()
-        if not np.isfinite(value)
-    }
+    # a residual that is not finite is not checked, and JSON prints null
+    finite = {c: v for c, v in residuals.items() if np.isfinite(v)}
+    payload["residuals"] = {c: finite.get(c) for c in residuals}
+    skipped = {c: overflow_claim(c).detail for c in residuals if c not in finite}
+    if skipped:
+        payload["not_checked"] = skipped
     if args.format == "json":
-        payload: dict = {"n": n}
-        payload.update((key, _finite_or_none(m)) for key, m in matrices.items())
-        payload["residuals"] = {
-            cid: None if cid in overflowed else value for cid, value in residuals.items()
-        }
-        if overflowed:
-            payload["not_checked"] = overflowed
+        for key, value in payload.items():
+            if isinstance(value, np.ndarray):
+                payload[key] = np.where(np.isfinite(value), value, None).tolist()
         print(json.dumps(payload, sort_keys=True, indent=2, allow_nan=False))
     else:
         print(f"n = {n}")
         for mode in modes:
             print(f"A_n ({mode}):")
-            print(matrices[f"a_n_{mode}"])
+            print(payload[f"a_n_{mode}"])
             if n >= 2:
                 print(f"B_n ({mode}):")
-                print(matrices[f"b_n_{mode}"])
+                print(payload[f"b_n_{mode}"])
         for key, val in residuals.items():
-            print(f"{key}: {overflowed[key]}" if key in overflowed else f"{key}: {val:.3e}")
+            print(f"{key}: {skipped[key]}" if key in skipped else f"{key}: {val:.3e}")
     return 0
 
 

@@ -11,8 +11,6 @@ is exact too. Every other gauge (``exp_type``, ``deadzone``, ``capped``,
 p = 1 powers, user-built evaluators) is numeric: its conjugate maximizes
 x*|y| - phi(x), which is concave in x for fixed y, and its inverse bisects.
 The numeric routes also serve as independent oracles for the exact ones.
-Growth conditions (Delta_2 and the product conditions) are not checked
-here: no claim of the suite rests on one.
 """
 
 from __future__ import annotations
