@@ -2,9 +2,7 @@
 
 Each subcommand takes only the flags its path reads: --seed belongs to
 verify, gch and random, --tol-rank to verify and ascent, and --format to all
-but random, which always prints the scenario as JSON. The environment
-variable ORLICZ_WCT_SEED overrides --seed wherever it exists, so CI runs can
-pin reproducibility without editing command lines.
+but random, which always prints the scenario as JSON.
 """
 
 from __future__ import annotations
@@ -12,7 +10,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 
 import numpy as np
@@ -34,7 +31,6 @@ from .harness import (
 from .orlicz import luxemburg_norm, modular
 from .subspace import ascent_of
 from .wct import BlockWalk, b_n_operator, cesaro_mean
-from .young import complementary
 
 
 def _int_in(low: int, high: int | None = None):
@@ -179,10 +175,7 @@ def _cmd_norm(args) -> int:
 def _cmd_gch(args) -> int:
     scenario = load_scenario(args.scenario)
     e = CondExp(scenario.space, scenario.partition)
-    psi = complementary(scenario.phi)
-    value, detail = gch_constant_report(
-        e, scenario.phi, psi, samples=args.samples, seed=args.seed
-    )
+    value, detail = gch_constant_report(e, scenario.phi, args.samples, args.seed)
     _emit(detail if args.format == "json" else {
         "empirical_constant": value,
         "worst_f": detail["worst_f"],
@@ -195,19 +188,23 @@ def _cmd_gch(args) -> int:
 def _cmd_ascent(args) -> int:
     scenario = _apply_overrides(load_scenario(args.scenario), args)
     tol = scenario.tolerances["rank"]
-    # the per-block rank chain of verify's ascent_bound row
-    a = ascent_of(scenario.operator(), k_max=args.k_max, tol=tol)
-    ok = a is not None and a <= 2
-    # by rank-nullity the kernel and range chains of a square matrix
-    # stabilize together, so the descent is the ascent
-    stable = a if a is not None else f"exceeds k_max={args.k_max}"
-    payload = {
-        "ascent": stable,
-        "descent": stable,
-        "claims": {"ascent_bound": make_claim("ascent_bound", "none", ok).status},
-    }
+    # the per-block rank chain of verify's ascent_bound row, with its
+    # overflow cut: a power that overflowed leaves the bound not checked
+    try:
+        a = ascent_of(scenario.operator(), k_max=args.k_max, tol=tol)
+    except OverflowError:
+        row, stable = overflow_claim("ascent_bound"), None
+    else:
+        row = make_claim("ascent_bound", "none", a is not None and a <= 2)
+        # by rank-nullity the kernel and range chains of a square matrix
+        # stabilize together, so the descent is the ascent
+        stable = a if a is not None else f"exceeds k_max={args.k_max}"
+    payload = {"ascent": stable, "descent": stable}
+    payload["claims"] = {"ascent_bound": row.status}
+    if row.status == "not_checked":
+        payload["not_checked"] = {"ascent_bound": row.detail}
     _emit(payload, args.format)
-    return 0 if ok else 1
+    return 1 if row.status == "fail" else 0
 
 
 def _cmd_cesaro(args) -> int:
@@ -292,12 +289,6 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     if args.command == "random" and args.n_blocks > args.n_atoms:
         _build_parser().error("argument --n-blocks: must be <= --n-atoms")
-    env_seed = os.environ.get("ORLICZ_WCT_SEED")
-    if env_seed is not None and hasattr(args, "seed"):
-        try:
-            args.seed = int(env_seed)
-        except ValueError:
-            print(f"ignoring non-integer ORLICZ_WCT_SEED={env_seed!r}", file=sys.stderr)
     try:
         return _COMMANDS[args.command](args)
     except ScenarioError as exc:

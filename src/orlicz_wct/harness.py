@@ -24,8 +24,9 @@ exit status. Each experiment group is one entry of ``_GROUPS``, a function of
 (scenario, operator, sampling seed); the harness stamps the fingerprint of
 the instance that ran onto every row, and library calls such as
 ``verify_structure_theorems`` return rows whose fingerprint is ``{}``. A
-scenario builds its operator, its conjugate gauge and the contraction
-criterion once, and the groups share them.
+scenario builds its operator and the contraction criterion once, and the
+groups share them; the conjugate gauge is ``phi.conjugate``, which the gauge
+builds once.
 
 For power-law gauges (``exact_norm_powers`` is not None) the boundedness and
 power-boundedness rows use exact operator norms: ``operator_norm_bound`` is
@@ -70,7 +71,6 @@ from .wct import (
 from .young import (
     YoungFunction,
     capped,
-    complementary,
     deadzone,
     exp_type,
     power_plain,
@@ -178,8 +178,8 @@ class Scenario:
     profile: str | None = None
     seed: int | None = None
 
-    # the operator, the conjugate gauge and the contraction criterion are
-    # built once per scenario and shared by every experiment group
+    # the operator and the contraction criterion are built once per scenario
+    # and shared by every experiment group
     def operator(self) -> WctOperator:
         return self._operator
 
@@ -188,14 +188,9 @@ class Scenario:
         return WctOperator(self.u, self.w, CondExp(self.space, self.partition))
 
     @cached_property
-    def conjugate(self) -> YoungFunction:
-        """The complementary gauge of phi."""
-        return complementary(self.phi)
-
-    @cached_property
     def criterion(self) -> tuple[list[int], bool]:
-        """``contraction_criterion`` of the operator for phi and its conjugate."""
-        return contraction_criterion(self.operator(), self.phi, self.conjugate)
+        """``contraction_criterion`` of the operator for phi."""
+        return contraction_criterion(self.operator(), self.phi)
 
     @cached_property
     def walk(self) -> BlockWalk:
@@ -514,10 +509,8 @@ def identity_residuals(walk: BlockWalk, ns) -> dict[int, dict]:
 
 
 def _structure_claims(s: Scenario, t: WctOperator, seed: int):
-    tol = s.tolerances["rank"]
-    return verify_structure_theorems(
-        t, s.context(), tol=tol, seed=seed, criterion=s.criterion
-    )
+    tol, crit = s.tolerances["rank"], s.criterion
+    return verify_structure_theorems(t, s.phi, tol=tol, seed=seed, criterion=crit)
 
 
 def _folded_claim(cid: str, residuals: list[float], bound: float, detail: str):
@@ -539,7 +532,7 @@ def _iterate_claims(s: Scenario, t: WctOperator, seed: int):
             _relative_gap(walk.t[n] - iterate(t, n, walk), walk.t[n])
             for n in _ITERATE_POWERS
         ]
-    bound = max(s.tolerances["comparison"], 1e-9)
+    bound = s.tolerances["comparison"]
     detail = "relative max-entry gap over powers 1..6"
     return [_folded_claim("iterate_closed_form", residuals, bound, detail)]
 
@@ -558,14 +551,14 @@ def _cesaro_claims(s: Scenario, t: WctOperator, seed: int):
             )
             for cid, res in residuals.items():
                 folded[cid].append(res)
-    bound = max(s.tolerances["comparison"], 1e-10)
+    bound = s.tolerances["comparison"]
     detail = "relative max-entry residual over n in {2,3,5,8,13,20}"
     return [_folded_claim(cid, res, bound, detail) for cid, res in folded.items()]
 
 
 def _power_bounded_claims(s: Scenario, t: WctOperator, seed: int):
     rep = power_bounded_report(
-        t, s.phi, s.conjugate, n_max=20, samples=32, seed=seed, criterion=s.criterion
+        t, s.phi, n_max=20, samples=32, seed=seed, criterion=s.criterion
     )
     n1 = rep.norm_estimates[0]
     if rep.criterion_holds and rep.exact:
@@ -631,12 +624,11 @@ def _condexp_claims(s: Scenario, t: WctOperator, seed: int):
 
 
 def _boundedness_claims(s: Scenario, t: WctOperator, seed: int):
-    psi = s.conjugate
     norms = exact_norm_powers(t, s.phi, 1)
     if norms is not None:
         # power laws: the conditional Hoelder constant is exactly 1 and the
         # operator norm is exact, so the bound is checked as an inequality
-        m_const = bound_constant(t, s.phi, psi, 1.0)
+        m_const = bound_constant(t, s.phi, 1.0)
         if not np.isfinite([norms[0], m_const]).all():
             return [overflow_claim("operator_norm_bound")]
         tight = f"{norms[0] / m_const:.6g}" if m_const > 0 else "- (M = 0)"
@@ -650,11 +642,11 @@ def _boundedness_claims(s: Scenario, t: WctOperator, seed: int):
                 f"tightness ||T||/M = {tight} (exact block norm, C = 1)",
             )
         ]
-    c_emp = gch_constant_report(t.e, s.phi, psi, samples=200, seed=seed)[0]
+    c_emp = gch_constant_report(t.e, s.phi, samples=200, seed=seed)[0]
     if c_emp <= 0:
         detail = "empirical constant is zero (degenerate instance)"
         return [make_claim("operator_norm_bound", "not_met", None, detail=detail)]
-    bound = bound_constant(t, s.phi, psi, c_emp)
+    bound = bound_constant(t, s.phi, c_emp)
     ctx = s.context()
     rng = np.random.default_rng(seed)
     fs = rng.uniform(-3.0, 3.0, (s.space.n_atoms, 200))

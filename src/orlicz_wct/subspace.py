@@ -17,9 +17,9 @@ dim(a & b) = dim a + dim b - dim(a + b). Power chains use thresholds tied
 to the realized largest singular value of each power with a noise floor that
 scales like the base norm to the k-th power, so kernel detection stays
 stable whether iterates grow or decay. ``ascent_of`` takes an operator and
-reads the same chain. Only ``powers_well_conditioned`` keeps a dense route,
-for bare matrices: one SVD of M compresses it to a core of at most 2r
-dimensions for r = rank M.
+reads the same chain, with the same overflow cut. Only
+``powers_well_conditioned`` keeps a dense route, for bare matrices: one SVD
+of M compresses it to a core of at most 2r dimensions for r = rank M.
 "Dense" statements are read as subspace equality with the whole space, the
 only faithful finite-dimensional interpretation.
 Orthogonal-complement arguments are realized through the bilinear pairing
@@ -35,7 +35,6 @@ import numpy as np
 
 from .claims import ClaimResult, make_claim, overflow_claim
 from .measure import support
-from .orlicz import OrliczContext
 from .wct import (
     WctOperator,
     BlockRecord,
@@ -45,7 +44,7 @@ from .wct import (
     contraction_criterion,
     matrix_of,
 )
-from .young import complementary
+from .young import YoungFunction
 
 __all__ = [
     "ascent_of",
@@ -186,6 +185,15 @@ def _ranks(spectra, tol: float):
     return (int(np.sum(s > thr)) for _, s, thr in _thresholded(spectra, tol))
 
 
+def _rank_chain(rec: BlockRecord, count: int, tol: float):
+    """(live, reached) for T^k, k = 1..count: per power, the blocks with
+    sigma_B |h_B|^(k-1) above its threshold, and the count of leading powers
+    with a finite spectrum and threshold, past which nothing is checked."""
+    chain = list(_thresholded(_block_spectra(rec, count), tol))
+    finite = [np.isfinite(thr) and np.isfinite(s).all() for _, s, thr in chain]
+    return [s > thr for _, s, thr in chain], (finite + [False]).index(False)
+
+
 def _ascent(n: int, ranks, k_max: int):
     """The first k <= k_max with rank(A^k) = rank(A^(k+1)), or None, from
     rank(A^0) = n and the ranks of A^1, A^2, ..., read only as far as needed."""
@@ -203,12 +211,15 @@ def ascent_of(t: WctOperator, k_max: int = 8, tol: float = DEFAULT_RANK_TOL):
     The powers have the block spectrum (the chain of the structure pass).
     Dimension equality decides subspace equality because the kernel chain
     is nested, and by rank-nullity the range chain stabilizes at the same
-    k, so this is also the descent.
+    k, so this is also the descent. OverflowError when one of the powers
+    1..k_max+1 that the chain reads overflowed.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    spectra = _block_spectra(t.block_record, k_max + 1)
-    return _ascent(t.space.n_atoms, _ranks(spectra, tol), k_max)
+    live, reached = _rank_chain(t.block_record, k_max + 1, tol)
+    if reached <= k_max:
+        raise OverflowError(f"power {reached + 1} of the operator overflowed")
+    return _ascent(t.space.n_atoms, (int(np.sum(on)) for on in live), k_max)
 
 
 def _decreasing_to_zero(residuals: list[float], floor: float) -> bool:
@@ -230,7 +241,7 @@ _N_CESARO = 200
 
 def verify_structure_theorems(
     t: WctOperator,
-    ctx: OrliczContext,
+    phi: YoungFunction,
     tol: float = DEFAULT_RANK_TOL,
     seed: int = 0,
     criterion: tuple[list[int], bool] | None = None,
@@ -239,14 +250,15 @@ def verify_structure_theorems(
 
     Claims about I - T and density use the bilinear pairing adjoint; rows
     report "not_checked" when their hypothesis fails, never an error. The
-    rows come in registry order and carry an empty fingerprint. A caller
-    that already holds ``contraction_criterion(t, ctx.phi, psi)`` for the
-    conjugate psi passes it as ``criterion``; otherwise the pass computes it.
+    rows come in registry order and carry an empty fingerprint. The gauge
+    phi enters only through the criterion: a caller that already holds
+    ``contraction_criterion(t, phi)`` passes it as ``criterion``; otherwise
+    the pass computes it.
     """
     if tol <= 0:
         raise ValueError("tol must be > 0")
     if criterion is None:
-        criterion = contraction_criterion(t, ctx.phi, complementary(ctx.phi))
+        criterion = contraction_criterion(t, phi)
     return list(_structure_rows(t, tol, seed, criterion[1]))
 
 
@@ -256,19 +268,13 @@ def _structure_rows(t: WctOperator, tol: float, seed: int, criterion_holds: bool
     rec = t.block_record
     sigma, h_block, rho, pair = rec.sigma, rec.h, rec.rho, rec.sizes > 1
 
-    # a block is live in T^k while sigma_B |h_B|^(k-1) clears the power
-    # threshold; the live counts for k <= 9 give the chains to k = 6 and the
-    # ascent (also the descent, by rank-nullity)
-    chain = list(_thresholded(_block_spectra(rec, 9), tol))
-    live = [s > thr for _, s, thr in chain]
+    # the live counts for k <= 9 give the chains to k = 6 and the ascent
+    # (also the descent, by rank-nullity), as in ascent_of
+    live, reached = _rank_chain(rec, 9, tol)
     ranks = [n] + [int(np.sum(on)) for on in live]
     ascent = _ascent(n, ranks[1:], 8)
     ranks = ranks[:7]
     null_dims = [n - r for r in ranks]
-    # powers 1..reached have a finite spectrum and threshold; a row that
-    # reads a later power, which overflowed, is not checked
-    finite = [np.isfinite(thr) and np.isfinite(s).all() for _, s, thr in chain]
-    reached = (finite + [False]).index(False)
 
     def claim(cid: str, hyp: str, k: int, ok, **kwargs):
         """The row of a claim that reads powers 1..k of T."""

@@ -13,7 +13,9 @@ is everything the walk and the closed forms produce, so from
 _CORE_MIN_ATOMS = 32 atoms on they are held as packed diagonal blocks and
 every product is taken block by block, at a cost of sum n_B^3 in place of
 n^3. ``contraction_criterion`` alone decides the strict contraction
-criterion |h| < 1 on the criterion support.
+criterion |h| < 1 on the criterion support. It and ``bound_constant`` read a
+gauge phi together with its conjugate psi, and take phi alone: psi is
+``phi.conjugate``, built once per gauge.
 
 The same block structure gives the singular values of every power in closed
 form: T^k has sigma_B |h_B|^(k-1) on each block and zeros elsewhere, read
@@ -325,30 +327,28 @@ def _block_frame(e: CondExp, h: np.ndarray, x: np.ndarray, y: np.ndarray):
     return BlockRecord(labels.view(), sizes, h_block, scale * yn, scale * pn, e1, e2)
 
 
-def bound_constant(
-    t: WctOperator, phi: YoungFunction, psi: YoungFunction, c_gch: float
-) -> float:
-    """C * M with M = ess sup of |w| * psi_inv(E(psi(|u|))).
+def bound_constant(t: WctOperator, phi: YoungFunction, c_gch: float) -> float:
+    """C * M with M = ess sup of |w| * psi_inv(E(psi(|u|))), psi = phi.conjugate.
 
     Contract: N_phi(T f) <= C * M * N_phi(f) whenever c_gch bounds the
-    conditional Hoelder constant for this expectation and pair.
+    conditional Hoelder constant for this expectation, phi and psi.
     """
     if c_gch <= 0:
         raise ValueError("c_gch must be > 0")
+    psi = phi.conjugate
     weight = generalized_inverse(psi, cond_exp(t.e, psi(np.abs(t.u))))
     m_const = ess_sup(t.w * weight)
     return c_gch * m_const
 
 
-def contraction_criterion(
-    t: WctOperator, phi: YoungFunction, psi: YoungFunction
-) -> tuple[list[int], bool]:
+def contraction_criterion(t: WctOperator, phi: YoungFunction) -> tuple[list[int], bool]:
     """The criterion support and whether the strict contraction criterion
     |h| < 1 holds on it.
 
     The support is the sorted list of atoms in S(phi_inv(E(phi|w|)))
-    intersected with S(psi_inv(E(psi|u|))).
+    intersected with S(psi_inv(E(psi|u|))), psi = phi.conjugate.
     """
+    psi = phi.conjugate
     sw = generalized_inverse(phi, cond_exp(t.e, phi(np.abs(t.w))))
     su = generalized_inverse(psi, cond_exp(t.e, psi(np.abs(t.u))))
     crit = sorted(support(sw, _SUPPORT_EPS) & support(su, _SUPPORT_EPS))
@@ -403,20 +403,12 @@ class PowerBoundedReport:
     horizon_bounded: bool
     horizon_equivalence_ok: bool
     n_max: int
-    samples: int
-    seed: int
     exact: bool
-    note: str = (
-        "the symbol norm sequence is read as sup norms of symbol powers; "
-        "norm estimates are exact block norms for power-law gauges and "
-        "otherwise use one shared sample set across all powers"
-    )
 
 
 def power_bounded_report(
     t: WctOperator,
     phi: YoungFunction,
-    psi: YoungFunction,
     n_max: int,
     samples: int = 64,
     seed: int = 0,
@@ -426,7 +418,7 @@ def power_bounded_report(
 
     The criterion asks |h| < 1 on the joint support of the inverted averaged
     gauges of |w| and |u|; a caller that already holds
-    ``contraction_criterion(t, phi, psi)`` passes it as ``criterion``. The
+    ``contraction_criterion(t, phi)`` passes it as ``criterion``. The
     norms are ``exact_norm_powers`` wherever that is not None (then
     ``exact`` is set and ``samples`` and ``seed`` go unused). Other gauges
     get sampled lower estimates: all powers share one sample set, so the
@@ -436,7 +428,7 @@ def power_bounded_report(
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
     if criterion is None:
-        criterion = contraction_criterion(t, phi, psi)
+        criterion = contraction_criterion(t, phi)
     crit_idx, criterion_holds = criterion
     h_sup = ess_sup(t.h)
 
@@ -460,8 +452,6 @@ def power_bounded_report(
         horizon_bounded=bool(horizon_bounded),
         horizon_equivalence_ok=bool(horizon_equivalence_ok),
         n_max=n_max,
-        samples=samples,
-        seed=seed,
         exact=exact,
     )
 

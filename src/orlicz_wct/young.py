@@ -15,6 +15,8 @@ The numeric routes also serve as independent oracles for the exact ones.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 __all__ = [
@@ -66,6 +68,11 @@ class YoungFunction:
         if scalar:
             return float(out[0])
         return out
+
+    @cached_property
+    def conjugate(self) -> YoungFunction:
+        """``complementary(self)``, built on first use and then shared."""
+        return complementary(self)
 
     def __repr__(self):
         inner = ", ".join(repr(p) for p in self.params)

@@ -194,11 +194,10 @@ def test_criterion_05_norm_bound():
     for i in range(100):
         s = draw(5_000 + 13 * i, PROFILES[i % len(PROFILES)], max_atoms=12)
         t = s.operator()
-        psi = complementary(s.phi)
-        c_emp = gch_constant_report(t.e, s.phi, psi, samples=200, seed=i)[0]
+        c_emp = gch_constant_report(t.e, s.phi, samples=200, seed=i)[0]
         if c_emp == 0.0:
             continue  # operator is zero on every sampled pair
-        bound = bound_constant(t, s.phi, psi, c_emp) + 1e-6
+        bound = bound_constant(t, s.phi, c_emp) + 1e-6
         ctx = OrliczContext(s.space, s.phi)
         fs = rng.uniform(-3.0, 3.0, (s.space.n_atoms, 1000))
         base = luxemburg_norms(ctx, fs)
@@ -216,8 +215,7 @@ def test_criterion_06_power_boundedness():
     for i in range(30):
         s = draw(6_000 + i, "contracting_h", max_atoms=12)
         t = s.operator()
-        psi = complementary(s.phi)
-        rep = power_bounded_report(t, s.phi, psi, n_max=50, samples=32, seed=i)
+        rep = power_bounded_report(t, s.phi, n_max=50, samples=32, seed=i)
         assert rep.criterion_holds, s.fingerprint()
         assert rep.sup_norm_estimate <= rep.norm_estimates[0] + 1e-6, s.fingerprint()
         assert rep.horizon_equivalence_ok, s.fingerprint()
@@ -225,8 +223,7 @@ def test_criterion_06_power_boundedness():
     for i in range(30):
         s = draw(6_500 + i, "expanding_h", max_atoms=12)
         t = s.operator()
-        psi = complementary(s.phi)
-        rep = power_bounded_report(t, s.phi, psi, n_max=50, samples=32, seed=i)
+        rep = power_bounded_report(t, s.phi, n_max=50, samples=32, seed=i)
         assert not rep.criterion_holds, s.fingerprint()
         assert rep.norm_estimates[-1] >= 10.0 * rep.norm_estimates[0], s.fingerprint()
         assert rep.horizon_equivalence_ok, s.fingerprint()
@@ -234,8 +231,7 @@ def test_criterion_06_power_boundedness():
     for i in range(20):
         s = draw(6_800 + i, "generic", max_atoms=12)
         t = s.operator()
-        psi = complementary(s.phi)
-        rep = power_bounded_report(t, s.phi, psi, n_max=50, samples=16, seed=i)
+        rep = power_bounded_report(t, s.phi, n_max=50, samples=16, seed=i)
         assert rep.horizon_equivalence_ok, s.fingerprint()
         checked += 1
     ok(6, f"power-boundedness criterion and horizon growth on {checked} instances")

@@ -10,7 +10,6 @@ import pytest
 
 from orlicz_wct import (
     CLAIM_REGISTRY,
-    OrliczContext,
     ScenarioError,
     ValidationError,
     VerificationReport,
@@ -272,7 +271,7 @@ class TestRunVerification:
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main(argv) == 0
         assert counts["contraction_criterion"] == 21
-        assert counts["complementary"] <= 22
+        assert counts["complementary"] == 21
 
     def test_each_accepted_draw_builds_its_operator_once(self, monkeypatch):
         # the primary scenario and every random draw build one operator each;
@@ -350,6 +349,30 @@ class TestRunVerification:
         tight = pullout({"comparison": 1e-30})
         assert tight.status == "fail"
         assert 0.0 < tight.residual <= 1e-9
+
+    def test_comparison_tolerance_reaches_the_iterate_and_cesaro_groups(
+        self, monkeypatch
+    ):
+        # on the primary64 seed-1 scenario the closed forms and the identities
+        # leave rounding residuals of 7e-17 to 3e-16: inside the default
+        # tolerance, outside a declared 1e-18, which every row compares with
+        monkeypatch.syspath_prepend(Path(__file__).resolve().parents[1] / "benchmarks")
+        import workloads
+
+        groups = ["iterate_formula", "cesaro_identities"]
+
+        def rows(tolerances):
+            data = dict(
+                workloads.primary_scenario_dict(1),
+                experiments=groups,
+                tolerances=tolerances,
+            )
+            return run_verification(scenario_from_dict(data), seed=1).entries
+
+        assert {r.status for r in rows({})} == {"pass"}
+        tight = rows({"comparison": 1e-18})
+        assert len(tight) == 6
+        assert all(r.status == "fail" and 1e-18 < r.residual < 1e-9 for r in tight)
 
     def test_failing_fingerprint_rebuilds_a_redrawn_instance(
         self, r1_scenario_dict, monkeypatch
@@ -717,6 +740,6 @@ class TestClaimRows:
 
     def test_standalone_structure_pass_leaves_fingerprints_empty(self, r3, r4):
         for t in (r3, r4):
-            rows = verify_structure_theorems(t, OrliczContext(t.space, power_scaled(2)))
+            rows = verify_structure_theorems(t, power_scaled(2))
             assert [r.claim_id for r in rows] == list(EXPERIMENT_CLAIMS["structure"])
             assert all(r.fingerprint == {} for r in rows)

@@ -37,7 +37,6 @@ from orlicz_wct.subspace import (
     powers_well_conditioned,
 )
 from orlicz_wct.wct import contraction_criterion
-from orlicz_wct.young import complementary
 
 from conftest import random_operator
 from oracles import (
@@ -196,8 +195,7 @@ def by_id(rows):
 
 class TestStructureTheorems:
     def test_nilpotent_reference(self, r1):
-        ctx = OrliczContext(r1.space, power_scaled(2))
-        rows = by_id(verify_structure_theorems(r1, ctx))
+        rows = by_id(verify_structure_theorems(r1, power_scaled(2)))
         assert rows["ascent_bound"].status == "pass"
         assert "ascent=2" in rows["ascent_bound"].detail
         # the symbol vanishes identically, so the lower-bound hypothesis is
@@ -209,8 +207,7 @@ class TestStructureTheorems:
         assert all(r.status in ("pass", "not_checked") for r in rows.values())
 
     def test_contracting_reference(self, r3):
-        ctx = OrliczContext(r3.space, power_scaled(2))
-        rows = by_id(verify_structure_theorems(r3, ctx))
+        rows = by_id(verify_structure_theorems(r3, power_scaled(2)))
         assert all(r.status == "pass" for r in rows.values()), {
             k: (v.status, v.detail) for k, v in rows.items() if v.status != "pass"
         }
@@ -218,8 +215,7 @@ class TestStructureTheorems:
         assert rows["ergodic_cesaro_limit"].residual <= 1e-10
 
     def test_expanding_reference(self, r4):
-        ctx = OrliczContext(r4.space, power_scaled(2))
-        rows = by_id(verify_structure_theorems(r4, ctx))
+        rows = by_id(verify_structure_theorems(r4, power_scaled(2)))
         assert rows["ascent_bound"].status == "pass"
         assert "ascent=1" in rows["ascent_bound"].detail
         for cid in (
@@ -239,7 +235,7 @@ class TestStructureTheorems:
         ):
             s = generate_well_conditioned_instance(100 + i, 10, 3, profile)
             t = s.operator()
-            rows = verify_structure_theorems(t, s.context(), seed=i)
+            rows = verify_structure_theorems(t, s.phi, seed=i)
             bad = [r for r in rows if r.status == "fail"]
             assert not bad, [(r.claim_id, r.detail) for r in bad]
 
@@ -254,8 +250,7 @@ class TestFactorOnce:
             t = random_operator(seed, well_conditioned=True)
             m = matrix_of(t)
             n = m.shape[0]
-            ctx = OrliczContext(t.space, power_scaled(2))
-            rows = by_id(verify_structure_theorems(t, ctx))
+            rows = by_id(verify_structure_theorems(t, power_scaled(2)))
             ranks = _dense_chain(m, 1e-8)[0]
             detail = rows["ascent_bound"].detail
             assert f"ascent={dense_ascent(m)}," in detail
@@ -290,9 +285,7 @@ class TestFactorOnce:
         factored = 0
         for t in operators:
             keys.clear()
-            rows = by_id(
-                verify_structure_theorems(t, OrliczContext(t.space, power_scaled(2)))
-            )
+            rows = by_id(verify_structure_theorems(t, power_scaled(2)))
             # the pass factors I - T (one stacked SVD of its 2 x 2 cores)
             # exactly when the contraction criterion holds
             met = rows["one_minus_t_direct_sum"].hypothesis == "met"
@@ -723,7 +716,7 @@ def reference_rows(t, ctx, tol, seed):
         "ergodic_bn_convergence",
         "ergodic_cesaro_limit",
     )
-    if not contraction_criterion(t, ctx.phi, complementary(ctx.phi))[1]:
+    if not contraction_criterion(t, ctx.phi)[1]:
         rows.update((cid, ("not_met", "not_checked", None, None)) for cid in ergodic)
         return rows
     imt = np.eye(n) - m
@@ -791,7 +784,7 @@ class TestPassAgainstPublicRoutes:
     def _check(t, ctx, tol, seed):
         got = {
             r.claim_id: (r.hypothesis, r.status, r.detail, r.residual)
-            for r in verify_structure_theorems(t, ctx, tol=tol, seed=seed)
+            for r in verify_structure_theorems(t, ctx.phi, tol=tol, seed=seed)
         }
         want = reference_rows(t, ctx, tol, seed)
         assert got.keys() == want.keys()

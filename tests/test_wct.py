@@ -541,7 +541,7 @@ class TestBoundConstant:
     def test_zero_u_gives_zero(self, e_one_block):
         t = WctOperator([0.0, 0.0], [1.0, 1.0], e_one_block)
         phi = power_scaled(2)
-        assert bound_constant(t, phi, complementary(phi), 1.0) == 0.0
+        assert bound_constant(t, phi, 1.0) == 0.0
         np.testing.assert_allclose(matrix_of(t), np.zeros((2, 2)))
 
     def test_finest_partition_reduces_to_pointwise_product(self):
@@ -553,7 +553,7 @@ class TestBoundConstant:
         w = rng.uniform(-2, 2, 4)
         t = WctOperator(u, w, e)
         phi = power_scaled(2)
-        got = bound_constant(t, phi, complementary(phi), 1.0)
+        got = bound_constant(t, phi, 1.0)
         assert got == pytest.approx(float(np.max(np.abs(w * u))), rel=1e-8)
 
     def test_r3_value(self, r3):
@@ -564,18 +564,18 @@ class TestBoundConstant:
         ef = cond_exp(r3.e, psi(np.abs(r3.u)))
         np.testing.assert_allclose(ef, [0.5, 0.5])
         assert generalized_inverse(psi, 0.5) == pytest.approx(1.0, abs=1e-9)
-        assert bound_constant(r3, phi, psi, 1.0) == pytest.approx(0.5, abs=1e-9)
+        assert bound_constant(r3, phi, 1.0) == pytest.approx(0.5, abs=1e-9)
 
     def test_c_gch_validated(self, r3):
         phi = power_scaled(2)
         with pytest.raises(ValueError):
-            bound_constant(r3, phi, complementary(phi), 0.0)
+            bound_constant(r3, phi, 0.0)
 
 
 class TestPowerBoundedReport:
     def test_contracting_symbol(self, r3):
         phi = power_scaled(2)
-        rep = power_bounded_report(r3, phi, complementary(phi), n_max=10)
+        rep = power_bounded_report(r3, phi, n_max=10)
         assert rep.criterion_holds
         assert rep.h_sup == pytest.approx(0.5)
         # norms decay geometrically, so the sup is the first estimate
@@ -585,7 +585,7 @@ class TestPowerBoundedReport:
 
     def test_expanding_symbol(self, r4):
         phi = power_scaled(2)
-        rep = power_bounded_report(r4, phi, complementary(phi), n_max=10)
+        rep = power_bounded_report(r4, phi, n_max=10)
         assert not rep.criterion_holds
         assert rep.h_sup == pytest.approx(2.0)
         # closed-form iterates double per step
@@ -594,7 +594,7 @@ class TestPowerBoundedReport:
 
     def test_nilpotent_symbol(self, r1):
         phi = power_scaled(2)
-        rep = power_bounded_report(r1, phi, complementary(phi), n_max=6)
+        rep = power_bounded_report(r1, phi, n_max=6)
         assert rep.criterion_holds
         assert rep.norm_estimates[0] > 0
         assert all(v <= 1e-12 for v in rep.norm_estimates[1:])
@@ -602,7 +602,7 @@ class TestPowerBoundedReport:
     def test_validation(self, r3):
         phi = power_scaled(2)
         with pytest.raises(ValueError):
-            power_bounded_report(r3, phi, complementary(phi), n_max=1)
+            power_bounded_report(r3, phi, n_max=1)
 
 
 
@@ -633,7 +633,7 @@ class TestGrowthWitnessFacts:
     @given(_draws_with_zeros_in_u())
     def test_support_is_whole_blocks_and_violating_blocks_carry_t(self, draw):
         t, phi = draw
-        crit, _ = wct.contraction_criterion(t, phi, complementary(phi))
+        crit, _ = wct.contraction_criterion(t, phi)
         inside = np.zeros(t.space.n_atoms, dtype=bool)
         inside[crit] = True
         carried = np.any(matrix_of(t) != 0.0, axis=0)
@@ -726,7 +726,7 @@ class TestExactNormPowers:
         for seed, t in _exact_norm_cases():
             for phi in _POWER_GAUGES:
                 norm = exact_norm_powers(t, phi, 1)[0]
-                bound = bound_constant(t, phi, complementary(phi), 1.0)
+                bound = bound_constant(t, phi, 1.0)
                 assert _within_slack(norm, bound), (seed, phi, norm, bound)
 
     def test_scenarios_reach_the_weight_bound(self, r1, r3, r4):
@@ -734,7 +734,7 @@ class TestExactNormPowers:
         for t, norm in ((r1, 1.0), (r3, 0.5), (r4, 2.0)):
             got = exact_norm_powers(t, phi, 3)
             assert got[0] == pytest.approx(norm, rel=1e-15)
-            assert bound_constant(t, phi, complementary(phi), 1.0) == pytest.approx(
+            assert bound_constant(t, phi, 1.0) == pytest.approx(
                 norm, rel=1e-12
             )
         assert exact_norm_powers(r4, phi, 3)[2] == pytest.approx(8.0, rel=1e-15)
@@ -750,12 +750,12 @@ class TestExactNormPowers:
     )
     def test_other_gauges_get_none(self, r3, phi):
         assert exact_norm_powers(r3, phi, 5) is None
-        rep = power_bounded_report(r3, phi, complementary(phi), n_max=3)
+        rep = power_bounded_report(r3, phi, n_max=3)
         assert not rep.exact
 
     def test_report_takes_the_exact_route_for_power_laws(self, r4):
         phi = power_plain(1.5)
-        rep = power_bounded_report(r4, phi, complementary(phi), n_max=5)
+        rep = power_bounded_report(r4, phi, n_max=5)
         assert rep.exact
         assert rep.norm_estimates == exact_norm_powers(r4, phi, 5)
 
@@ -767,9 +767,8 @@ class TestStructuralInvariants:
         for seed in range(5):
             t = random_operator(seed)
             phi = power_scaled(2)
-            psi = complementary(phi)
-            c_emp = gch_constant_report(t.e, phi, psi, samples=150, seed=seed)[0]
-            bound = bound_constant(t, phi, psi, c_emp)
+            c_emp = gch_constant_report(t.e, phi, samples=150, seed=seed)[0]
+            bound = bound_constant(t, phi, c_emp)
             ctx = OrliczContext(t.space, phi)
             fs = rng.uniform(-3, 3, (t.space.n_atoms, 100))
             base = luxemburg_norms(ctx, fs)

@@ -11,6 +11,8 @@ from orlicz_wct import (
     power_plain,
     power_scaled,
 )
+from orlicz_wct import young
+from orlicz_wct.harness import young_from_spec, young_to_spec
 from orlicz_wct.young import _conjugate_eval
 
 CATALOG = [
@@ -55,6 +57,24 @@ class TestComplementary:
         psi = complementary(power_scaled(2))
         assert psi.kind == "power_scaled"
         assert psi(3.0) == pytest.approx(4.5, abs=1e-12)
+
+    @pytest.mark.parametrize("phi", CATALOG, ids=lambda p: p.kind + str(p.params))
+    def test_conjugate_attribute_is_built_once(self, phi, monkeypatch):
+        # a fresh gauge of the same kind: its first access builds the
+        # conjugate, through one complementary call, and later ones share it
+        fresh = young_from_spec(young_to_spec(phi))
+        calls = []
+
+        def counted(gauge):
+            calls.append(gauge)
+            return complementary(gauge)
+
+        monkeypatch.setattr(young, "complementary", counted)
+        psi = fresh.conjugate
+        assert fresh.conjugate is psi
+        assert calls == [fresh]
+        grid = np.concatenate([[0.0], np.logspace(-4, 4, 81)])
+        np.testing.assert_array_equal(psi(grid), complementary(phi)(grid))
 
     @pytest.mark.parametrize("phi", CATALOG, ids=lambda p: p.kind + str(p.params))
     def test_zero_at_zero(self, phi):
