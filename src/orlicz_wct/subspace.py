@@ -17,7 +17,8 @@ dim(a & b) = dim a + dim b - dim(a + b). Power chains use thresholds tied
 to the realized largest singular value of each power with a noise floor that
 scales like the base norm to the k-th power, so kernel detection stays
 stable whether iterates grow or decay. ``ascent_of`` takes an operator and
-reads the same chain, with the same overflow cut. Only
+reads the same chain, with the same overflow cut. The ergodic rows check the
+split by solves and products on the operator's ``BlockLayout``. Only
 ``powers_well_conditioned`` keeps a dense route, for bare matrices: one SVD
 of M compresses it to a core of at most 2r dimensions for r = rank M.
 "Dense" statements are read as subspace equality with the whole space, the
@@ -42,7 +43,6 @@ from .wct import (
     b_n_operator,
     cesaro_mean,
     contraction_criterion,
-    matrix_of,
 )
 from .young import YoungFunction
 
@@ -263,7 +263,6 @@ def verify_structure_theorems(
 
 
 def _structure_rows(t: WctOperator, tol: float, seed: int, criterion_holds: bool):
-    m = matrix_of(t)
     n = t.space.n_atoms
     rec = t.block_record
     sigma, h_block, rho, pair = rec.sigma, rec.h, rec.rho, rec.sizes > 1
@@ -436,14 +435,13 @@ def _structure_rows(t: WctOperator, tol: float, seed: int, criterion_holds: bool
     # ergodic chain: full range when the split leaves no kernel
     full_rank = dim_r == n
     # independent route: a linear solve either reproduces the right-hand
-    # side or it does not
-    imt = np.eye(n) - m
+    # side or it does not; solves and products go block by block
+    layout = t.block_layout
+    imt = layout.eye - layout.m
     probe = np.random.default_rng(seed ^ 0x5EED).uniform(-1.0, 1.0, n)
     try:
-        sol = np.linalg.solve(imt, probe)
-        invertible = bool(
-            np.max(np.abs(imt @ sol - probe)) <= 1e-6 * (1.0 + np.max(np.abs(probe)))
-        )
+        gap = np.max(np.abs(layout.apply(imt, layout.solve(imt, probe)) - probe))
+        invertible = bool(gap <= 1e-6 * (1.0 + np.max(np.abs(probe))))
     except np.linalg.LinAlgError:
         invertible = False
     yield make_claim(
@@ -461,12 +459,14 @@ def _structure_rows(t: WctOperator, tol: float, seed: int, criterion_holds: bool
     h_top = float(np.max(np.abs(t.h), initial=0.0))
     n_eff = int(min(1e5, max(_N_CESARO, 40.0 / max(1e-4, 1.0 - min(h_top, 1.0)))))
     horizons = (n_eff // 4, n_eff // 2, n_eff)
+
+    def sup_gap(x, want):
+        """max |x @ fs - want| for a packed x."""
+        return float(np.max(np.abs(layout.apply(x, fs) - want)))
+
     if invertible:
-        target = np.linalg.solve(imt, fs)
-        res = [
-            float(np.max(np.abs(b_n_operator(t, k) @ fs - target)))
-            for k in horizons
-        ]
+        target = layout.solve(imt, fs)
+        res = [sup_gap(b_n_operator(t, k, layout), target) for k in horizons]
         scale = float(np.max(np.abs(target)))
         yield make_claim(
             "ergodic_bn_convergence",
@@ -493,8 +493,8 @@ def _structure_rows(t: WctOperator, tol: float, seed: int, criterion_holds: bool
     coords = np.bincount(bins, coords.ravel(), minlength=sigma.size * cols)
     coords = (proj - trivial_null * np.eye(2)) @ coords.reshape(-1, 2, _N_PROBES)
     limit = np.einsum("ij,ijk->ik", frame, coords[rec.labels]) + trivial_null * fs
-    inv_res = float(np.max(np.abs(m @ limit - limit), initial=0.0))
-    res = [float(np.max(np.abs(cesaro_mean(t, k) @ fs - limit))) for k in horizons]
+    inv_res = float(np.max(np.abs(layout.apply(layout.m, limit) - limit), initial=0.0))
+    res = [sup_gap(cesaro_mean(t, k, layout), limit) for k in horizons]
     scale = float(np.max(np.abs(fs)))
     yield make_claim(
         "ergodic_cesaro_limit",

@@ -9,13 +9,13 @@ powers, so that their memory does not grow with n. The one direct route is
 serves T^n, A_n and B_n for every requested n at once, and against which the
 closed forms are checked (``BlockWalk.unpack`` returns its results as n x n
 arrays). The matrix is block diagonal in the partition's atom order, and so
-is everything the walk and the closed forms produce, so from
-_CORE_MIN_ATOMS = 32 atoms on they are held as packed diagonal blocks and
-every product is taken block by block, at a cost of sum n_B^3 in place of
-n^3. ``contraction_criterion`` alone decides the strict contraction
-criterion |h| < 1 on the criterion support. It and ``bound_constant`` read a
-gauge phi together with its conjugate psi, and take phi alone: psi is
-``phi.conjugate``, built once per gauge.
+is everything the walk, the closed forms and the solves with I - T produce,
+so from _CORE_MIN_ATOMS = 32 atoms on they are held packed on the
+operator's ``BlockLayout`` and every product and solve is taken block by
+block, at a cost of sum n_B^3 in place of n^3. ``contraction_criterion``
+alone decides the strict contraction criterion |h| < 1 on the criterion
+support. It and ``bound_constant`` read a gauge phi together with its
+conjugate psi, and take phi alone: psi is ``phi.conjugate``, built once.
 
 The same block structure gives the singular values of every power in closed
 form: T^k has sigma_B |h_B|^(k-1) on each block and zeros elsewhere, read
@@ -49,6 +49,7 @@ __all__ = [
     "iterate",
     "cesaro_mean",
     "b_n_operator",
+    "BlockLayout",
     "BlockWalk",
     "BlockRecord",
     "bound_constant",
@@ -70,8 +71,8 @@ _CORE_MIN_ATOMS = 32
 class WctOperator:
     """The operator f -> w * E(u * f) with cached symbol h = E(u * w).
 
-    The dense matrix is built once, here, and stored read-only; ``matrix_of``
-    hands out that one array.
+    The block record, the block layout and the read-only dense matrix that
+    ``matrix_of`` hands out are each built on first use and then shared.
     """
 
     u: np.ndarray
@@ -84,9 +85,6 @@ class WctOperator:
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "w", w)
         object.__setattr__(self, "h", cond_exp(self.e, u * w))
-        m = (w[:, None] * self.e.matrix) * u[None, :]
-        m.flags.writeable = False
-        object.__setattr__(self, "_matrix", m)
 
     @property
     def space(self):
@@ -96,6 +94,17 @@ class WctOperator:
     def block_record(self) -> BlockRecord:
         """The ``BlockRecord`` of T, built on first use and then shared."""
         return _block_frame(self.e, self.h, self.w, self.u * self.space.weights)
+
+    @functools.cached_property
+    def block_layout(self) -> BlockLayout:
+        """The ``BlockLayout`` of T, built on first use and then shared."""
+        return BlockLayout(self)
+
+    @functools.cached_property
+    def _matrix(self) -> np.ndarray:
+        m = (self.w[:, None] * self.e.matrix) * self.u[None, :]
+        m.flags.writeable = False
+        return m
 
     def __call__(self, f):
         return apply(self, f)
@@ -117,37 +126,100 @@ def matrix_of(t: WctOperator) -> np.ndarray:
     return t._matrix
 
 
-def _closed_form_terms(t: WctOperator, walk):
+def _closed_form_terms(t: WctOperator, layout):
     """I, M and the spreading of an atom vector over the rows of M that the
-    closed forms combine: n x n arrays, or packed on the blocks of walk."""
-    if walk is None:
+    closed forms combine: n x n arrays, or packed on ``layout``."""
+    if layout is None:
         return np.eye(t.space.n_atoms), matrix_of(t), lambda v: v[:, None]
-    return walk.eye, walk.m, walk.rows
+    return layout.eye, layout.m, layout.rows
 
 
-def iterate(t: WctOperator, n: int, walk=None) -> np.ndarray:
+def iterate(t: WctOperator, n: int, layout=None) -> np.ndarray:
     """Matrix of the n-th power in closed form: diag(h^(n-1)) times T,
-    packed on the blocks of ``walk`` when a BlockWalk is given."""
+    packed when a ``BlockLayout`` (such as a ``BlockWalk``) is given."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    _, m, rows = _closed_form_terms(t, walk)
+    _, m, rows = _closed_form_terms(t, layout)
     return rows(t.h ** (n - 1)) * m
 
 
-class BlockWalk:
-    """A_n for n in a_ns, B_n for n in b_ns and T^n for n in t_ns, by one walk,
-    held on the diagonal blocks of M = matrix_of(t).
+class BlockLayout:
+    """The diagonal blocks of T's partition, and arithmetic on them.
 
-    M vanishes off the partition's blocks, and so do I, every power, A_n, B_n
-    and every sum or product of them: each such matrix is held packed, as one
-    flat array of its diagonal blocks, each row by row, the blocks ordered by
-    size. ``pack`` and ``unpack`` convert from and to n x n arrays in atom
-    order; ``matmul`` multiplies the blocks of each size as one stack, at a
-    cost of sum n_B^3 in place of n^3; elementwise arithmetic and maxima act
-    on the packed arrays as they are, and ``rows`` spreads an atom vector
-    over the rows of a packed matrix. Below _CORE_MIN_ATOMS atoms the one
-    block is the whole matrix in atom order, so the products are the dense
-    ones.
+    M = matrix_of(t) vanishes off the blocks, and so do I, every power, A_n,
+    B_n, (I - T)^(-1) and their sums and products: each is held packed, one
+    flat array of its diagonal blocks, row by row, the blocks ordered by
+    size. ``m`` (formed entry by entry, with the bits of the dense product)
+    and ``eye`` are M and I so packed; ``unpack`` gives n x n arrays.
+    ``matmul`` multiplies packed matrices; ``apply`` takes x @ f and
+    ``solve`` solves x y = f (LinAlgError on a singular block) for f of shape
+    (n,) or (n, m). Each takes one stack per run of equal-size blocks, at a
+    cost of sum n_B^3 in place of n^3; below _CORE_MIN_ATOMS atoms the one
+    block is the whole matrix. ``rows`` spreads an atom vector over the rows.
+    """
+
+    def __init__(self, t: WctOperator):
+        n = self.n = t.space.n_atoms
+        blocks = sorted(t.e.partition.index_arrays, key=len)
+        blocks = [np.arange(n)] if n < _CORE_MIN_ATOMS else blocks
+        self._rows = np.concatenate([np.repeat(i, i.size) for i in blocks])
+        cols = np.concatenate([np.tile(i, i.size) for i in blocks])
+        self._pos = self._rows * n + cols
+        # (packed entries, atoms, count, size) of each run of equal-size blocks
+        self._runs, stop = [], 0
+        for size, same in itertools.groupby(blocks, key=len):
+            same = list(same)
+            entries = slice(stop, stop + len(same) * size * size)
+            self._runs.append((entries, np.concatenate(same), len(same), size))
+            stop = entries.stop
+        labels = t.e._labels
+        quotients = t.space.weights / t.e._block_masses[labels]
+        quotients = np.where(labels[self._rows] == labels[cols], quotients[cols], 0.0)
+        self.m = (t.w[self._rows] * quotients) * t.u[cols]
+        self.eye = (self._rows == cols).astype(float)
+
+    def unpack(self, packed: np.ndarray) -> np.ndarray:
+        """The n x n array in atom order, with exact zeros off the blocks."""
+        out = np.zeros(self.n * self.n)
+        out[self._pos] = packed
+        return out.reshape(self.n, self.n)
+
+    def rows(self, v: np.ndarray) -> np.ndarray:
+        """v[i] at every packed entry of row i: diag(v) X is rows(v) * X."""
+        return v[self._rows]
+
+    def matmul(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """The packed product of packed x and y, one stack per block size."""
+        out = np.empty_like(x)
+        for entries, _, count, size in self._runs:
+            shape = (count, size, size)
+            np.matmul(
+                x[entries].reshape(shape),
+                y[entries].reshape(shape),
+                out=out[entries].reshape(shape),
+            )
+        return out
+
+    def apply(self, x: np.ndarray, f) -> np.ndarray:
+        """x @ f for packed x."""
+        return self._on_runs(np.matmul, x, f)
+
+    def solve(self, x: np.ndarray, f) -> np.ndarray:
+        """np.linalg.solve(x, f) for packed x."""
+        return self._on_runs(np.linalg.solve, x, f)
+
+    def _on_runs(self, op, x, f):
+        f = np.asarray(f, dtype=float)
+        out = np.empty_like(f)
+        for entries, atoms, count, size in self._runs:
+            stack, rhs = x[entries].reshape(count, size, size), f[atoms]
+            out[atoms] = op(stack, rhs.reshape(count, size, -1)).reshape(rhs.shape)
+        return out
+
+
+class BlockWalk(BlockLayout):
+    """A_n for n in a_ns, B_n for n in b_ns and T^n for n in t_ns, by one walk,
+    packed on the operator's ``block_layout``, which it shares.
 
     The walk forms P_0 = I, P_(k+1) = P_k @ M once, up to the largest power
     any result needs; T^n is P_n. A_n sums P_0, ..., P_(n-1) onto zeros;
@@ -161,22 +233,7 @@ class BlockWalk:
             raise ValueError("A_n and T^n need n >= 1")
         if min(b_ns, default=2) < 2:
             raise ValueError("B_n needs n >= 2")
-        n = self.n = t.space.n_atoms
-        if n < _CORE_MIN_ATOMS:
-            blocks, self._pos = [np.arange(n)], None
-        else:
-            blocks = sorted(t.e.partition.index_arrays, key=len)
-            self._pos = np.concatenate([(i[:, None] * n + i).ravel() for i in blocks])
-        self._rows = np.concatenate([np.repeat(i, i.size) for i in blocks])
-        # (start, stop, count, size) of each run of equal-size blocks
-        self._runs, stop = [], 0
-        for size, same in itertools.groupby(len(i) for i in blocks):
-            count = len(list(same))
-            self._runs.append((stop, stop + count * size * size, count, size))
-            stop += count * size * size
-        self.m = self.pack(matrix_of(t))
-        self.eye = self.pack(np.eye(n))
-
+        vars(self).update(vars(t.block_layout))
         top = max([k - 1 for k in a_ns] + [k - 2 for k in b_ns] + list(t_ns))
         total = np.zeros_like(self.eye)
         b_acc = {k: (k - 1) * self.eye for k in b_ns}
@@ -194,35 +251,6 @@ class BlockWalk:
             if k + 1 in a_ns:
                 self.a[k + 1] = total / (k + 1)
         self.b = {k: acc / k for k, acc in b_acc.items()}
-
-    def pack(self, dense: np.ndarray) -> np.ndarray:
-        """The diagonal blocks of an n x n array, packed."""
-        flat = dense.ravel()
-        return flat if self._pos is None else flat[self._pos]
-
-    def unpack(self, packed: np.ndarray) -> np.ndarray:
-        """The n x n array in atom order, with exact zeros off the blocks."""
-        if self._pos is None:
-            return packed.reshape(self.n, self.n)
-        out = np.zeros(self.n * self.n)
-        out[self._pos] = packed
-        return out.reshape(self.n, self.n)
-
-    def rows(self, v: np.ndarray) -> np.ndarray:
-        """v[i] at every packed entry of row i: diag(v) X is rows(v) * X."""
-        return v[self._rows]
-
-    def matmul(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """The packed product of packed x and y, one stack per block size."""
-        out = np.empty_like(x)
-        for start, stop, count, size in self._runs:
-            shape = (count, size, size)
-            np.matmul(
-                x[start:stop].reshape(shape),
-                y[start:stop].reshape(shape),
-                out=out[start:stop].reshape(shape),
-            )
-        return out
 
 
 _BLOCK = 512
@@ -256,28 +284,29 @@ def _power_sum(h: np.ndarray, n_terms: int, weighted: bool) -> np.ndarray:
     return total
 
 
-def cesaro_mean(t: WctOperator, n: int, walk=None) -> np.ndarray:
+def cesaro_mean(t: WctOperator, n: int, layout=None) -> np.ndarray:
     """(I + T + ... + T^(n-1)) / n in closed form: (I + diag(v_n) T) / n with
-    v_n = sum h^i over i < n-1, accumulated by ``_power_sum``; packed on the
-    blocks of ``walk`` when a BlockWalk is given."""
+    v_n = sum h^i over i < n-1, accumulated by ``_power_sum`` once per block
+    (h is constant on blocks) and spread by the block labels; packed when a
+    ``BlockLayout`` is given."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    eye, m, rows = _closed_form_terms(t, walk)
+    eye, m, rows = _closed_form_terms(t, layout)
     if n == 1:
         return eye.copy()
-    v_n = _power_sum(t.h, n - 1, weighted=False)
+    v_n = _power_sum(t.block_record.h, n - 1, weighted=False)[t.block_record.labels]
     return (eye + rows(v_n) * m) / n
 
 
-def b_n_operator(t: WctOperator, n: int, walk=None) -> np.ndarray:
+def b_n_operator(t: WctOperator, n: int, layout=None) -> np.ndarray:
     """(T^(n-2) + 2 T^(n-3) + ... + (n-2) T + (n-1) I) / n for n >= 2, in
     closed form: (diag(w_n) T + (n-1) I)/n with w_n = sum over i of
-    (n-i-1) h^(i-1), i from 1 to n-2, accumulated by ``_power_sum``; packed
-    on the blocks of ``walk`` when a BlockWalk is given."""
+    (n-i-1) h^(i-1), i from 1 to n-2, accumulated by ``_power_sum`` once per
+    block; packed when a ``BlockLayout`` is given."""
     if n < 2:
         raise ValueError("n must be >= 2")
-    eye, m, rows = _closed_form_terms(t, walk)
-    w_n = _power_sum(t.h, n - 2, weighted=True)
+    eye, m, rows = _closed_form_terms(t, layout)
+    w_n = _power_sum(t.block_record.h, n - 2, weighted=True)[t.block_record.labels]
     return (rows(w_n) * m + (n - 1) * eye) / n
 
 

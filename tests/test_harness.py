@@ -468,10 +468,11 @@ def _wide256(monkeypatch, seed=1):
 
 def _group_products(s):
     """Operand shapes of every matmul the iterate and Cesaro groups take on
-    a matrix derived from M = matrix_of(t)."""
-    t = s.operator()
-    object.__setattr__(t, "_matrix", t._matrix.view(_MatmulSpy))
+    a matrix derived from M, as the operator's block layout packs it."""
+    layout = s.operator().block_layout
+    layout.m = layout.m.view(_MatmulSpy)
     _MatmulSpy.shapes = []
+    t = s.operator()
     rows = harness._iterate_claims(s, t, 1) + harness._cesaro_claims(s, t, 1)
     assert all(r.status == "pass" for r in rows)
     return _MatmulSpy.shapes
@@ -498,22 +499,32 @@ class TestIterateAndCesaroGroups:
         assert all(pair == ((1, n, n), (1, n, n)) for pair in dense)
 
     def test_one_walk_per_operator(self, monkeypatch):
-        walks = []
-        init = wct.BlockWalk.__init__
+        # one walk and one block layout per verified operator, shared by the
+        # walk and the structure pass; a rejected draw builds neither
+        walks, layouts = [], []
+        init, layout_init = wct.BlockWalk.__init__, wct.BlockLayout.__init__
 
         def spy(self, t, *args):
             walks.append(t)
             init(self, t, *args)
 
+        def spy_layout(self, t):
+            layouts.append(t)
+            layout_init(self, t)
+
         monkeypatch.setattr(wct.BlockWalk, "__init__", spy)
+        monkeypatch.setattr(wct.BlockLayout, "__init__", spy_layout)
         s = _wide256(monkeypatch)
         run_verification(s, seed=1)
         assert len(walks) == 1 and walks[0] is s.operator()
+        assert len(layouts) == 1 and layouts[0] is walks[0]
         # r3 and 20 random instances: one walk each
         walks.clear()
+        layouts.clear()
         path = Path(__file__).resolve().parents[1] / "scenarios" / "r3_contracting.json"
         run_verification(load_scenario(path), seed=1, instances=20)
         assert len(walks) == len({id(t) for t in walks}) == 21
+        assert [id(t) for t in layouts] == [id(t) for t in walks]
 
     def test_iterate_powers_are_the_first_products_of_the_cesaro_walk(self):
         s = scenario_from_dict(

@@ -333,6 +333,53 @@ class TestFactorOnce:
         assert shapes and all(len(a) >= 2 and max(a[-2:]) <= 2 for a in shapes)
         assert any(a[:-2] == (2, 32, 9) for a in shapes)
 
+    @pytest.mark.parametrize("n_atoms, n_blocks", [(256, 32), (64, 8)])
+    def test_no_dense_array_in_a_fast_groups_verify(
+        self, monkeypatch, n_atoms, n_blocks
+    ):
+        # a fast-groups verify of a wide instance (the wide256 workload at
+        # 256 atoms) never builds CondExp.matrix, so neither the operator's
+        # dense matrix, nor np.eye(n), and every solve and explicit matmul
+        # acts on stacks of the partition's blocks: no operand has more rows
+        # than the largest block
+        root = Path(__file__).resolve().parents[1]
+        monkeypatch.syspath_prepend(root / "benchmarks")
+        import workloads
+
+        s = scenario_from_dict(workloads.wide_scenario_dict(1, n_atoms, n_blocks))
+        largest = max(len(b) for b in s.partition.blocks)
+        builds, eyes, operands = [], [], {"solve": [], "matmul": []}
+        real_matrix, real_eye = CondExp.matrix.fget, np.eye
+
+        def spy_matrix(e):
+            builds.append(e)
+            return real_matrix(e)
+
+        def spy_eye(size, *args, **kwargs):
+            eyes.append(size)
+            return real_eye(size, *args, **kwargs)
+
+        def spy(name, real):
+            def call(*args, **kwargs):
+                operands[name].append([np.shape(a) for a in args])
+                return real(*args, **kwargs)
+
+            return call
+
+        monkeypatch.setattr(CondExp, "matrix", property(spy_matrix))
+        monkeypatch.setattr(np, "eye", spy_eye)
+        monkeypatch.setattr(np.linalg, "solve", spy("solve", np.linalg.solve))
+        monkeypatch.setattr(np, "matmul", spy("matmul", np.matmul))
+        report = run_verification(s, seed=1)
+        assert all(e.status == "pass" for e in report.entries)
+        assert len(builds) == 0 and max(eyes) <= largest
+        # the probe solve and the target solve: one stack per run of
+        # equal-size blocks each
+        runs = len({len(b) for b in s.partition.blocks})
+        assert len(operands["solve"]) == 2 * runs
+        shapes = [a for call in operands.values() for args in call for a in args]
+        assert max(a[-2] if len(a) > 1 else a[0] for a in shapes) == largest
+
 
 def _dense_chain(a, tol, k_max=6):
     """Reference for the core: rank of each sequential dense power of a at

@@ -361,8 +361,8 @@ _NS = (2, 3, 5, 8, 13, 20)
 
 
 @st.composite
-def _block_operators(draw, huge=st.just(1.0)):
-    """Scenarios on 32-96 atoms, at or above the size rule, with all
+def _block_operators(draw, huge=st.just(1.0), sizes=st.integers(32, 96)):
+    """Scenarios on ``sizes`` atoms (32-96, at or above the size rule), with all
     singletons, one whole-space block, blocks listed out of order with
     unsorted indices, or one block of n - k atoms; u and w with scattered
     zeros, and w rescaled per block, by at most a factor 4, towards a draw
@@ -370,7 +370,7 @@ def _block_operators(draw, huge=st.just(1.0)):
     cancel, and the rounding of both routes then outgrows the claim bounds.
     ``huge`` then scales w on every other block whose symbol is not zero,
     to overflow the powers (a zero symbol keeps T^20 = 0 on its block)."""
-    n = draw(st.integers(32, 96))
+    n = draw(sizes)
     kind = draw(st.sampled_from(["singletons", "whole", "shuffled", "skewed"]))
     zeros = draw(st.sampled_from([0.0, 0.2, 0.5]))
     top = draw(st.sampled_from([0.5, 1.0, 1.5]))
@@ -382,10 +382,11 @@ def _block_operators(draw, huge=st.just(1.0)):
     elif kind == "whole":
         blocks = [perm]
     elif kind == "shuffled":
-        cuts = np.sort(rng.choice(np.arange(1, n), int(rng.integers(1, n // 2))))
+        count = int(rng.integers(1, max(2, n // 2)))
+        cuts = np.sort(rng.choice(np.arange(1, n), count))
         blocks = [c.tolist() for c in np.split(np.array(perm), cuts) if c.size]
     else:
-        k = draw(st.integers(1, 8))
+        k = draw(st.integers(1, min(8, n - 1)))
         blocks = [perm[k:]] + [[i] for i in perm[:k]]
     rng.shuffle(blocks)
     mu = rng.uniform(0.5, 2.0, n)
@@ -466,8 +467,11 @@ class TestBlockWalkAgainstDenseWalk:
         t = s.operator()
         with np.errstate(over="ignore", invalid="ignore"):
             block_t20 = power_walk(t, t_ns=(20,))[2][20]
+            # the layout is cached per operator, so the dense walk needs a
+            # fresh operator built under the size rule
             with mock.patch.object(wct, "_CORE_MIN_ATOMS", t.space.n_atoms + 1):
-                dense_t20 = power_walk(t, t_ns=(20,))[2][20]
+                fresh = WctOperator(t.u, t.w, t.e)
+                dense_t20 = power_walk(fresh, t_ns=(20,))[2][20]
             block, dense = _group_rows(s), _dense_route_rows(s)
         off = t.e._labels[:, None] != t.e._labels
         assert not np.isfinite(block_t20).all() and not np.any(block_t20[off])
@@ -478,6 +482,91 @@ class TestBlockWalkAgainstDenseWalk:
             if status == "pass":
                 assert np.isfinite(residual), cid
                 assert residual == pytest.approx(dense[cid][1], rel=0, abs=1e-13)
+
+
+# atom counts on both sides of the size rule, and at its edge
+_LAYOUT_SIZES = st.sampled_from((2, 3, 8, 17, 31, 32, 33, 47, 64, 96))
+
+
+class TestBlockLayoutAgainstDense:
+    """``BlockLayout.apply`` and ``solve`` against ``@`` and np.linalg.solve
+    on the unpacked arrays, on 2-96 atoms, so on both sides of the size rule,
+    with (n,) and (n, m) right-hand sides."""
+
+    @_WALK_EXAMPLES
+    @given(_block_operators(sizes=_LAYOUT_SIZES), st.integers(0, 3))
+    def test_apply_and_solve(self, s, width):
+        t = s.operator()
+        layout, n = t.block_layout, t.space.n_atoms
+        # M entry by entry has the bits of the dense product on the blocks
+        on = t.e._labels[:, None] == t.e._labels
+        m = layout.unpack(layout.m)
+        assert _same_bits(m[on], matrix_of(t)[on]) and not m[~on].any()
+        assert np.array_equal(layout.unpack(layout.eye), np.eye(n))
+        rng = np.random.default_rng(n)
+        f = rng.uniform(-1.0, 1.0, (n, width) if width else n)
+        # blocks strictly diagonally dominant by at least 1, so every solve
+        # has a condition number below 2n + 1
+        x = rng.uniform(-1.0, 1.0, layout.eye.size) + (n + 1) * layout.eye
+        for packed in (x, layout.eye - layout.m):
+            got, want = layout.apply(packed, f), layout.unpack(packed) @ f
+            assert got.shape == f.shape
+            if n < wct._CORE_MIN_ATOMS:
+                assert _same_bits(got, want)
+            else:
+                # the same nonzero terms, summed in another order
+                scale = np.abs(layout.unpack(packed)) @ np.abs(f)
+                assert np.all(np.abs(got - want) <= n * np.finfo(float).eps * scale)
+        got, want = layout.solve(x, f), np.linalg.solve(layout.unpack(x), f)
+        assert got.shape == f.shape
+        if n < wct._CORE_MIN_ATOMS:
+            assert _same_bits(got, want)
+        else:
+            assert np.max(np.abs(got - want)) <= 1e-11 * (1.0 + np.max(np.abs(want)))
+            assert np.max(np.abs(layout.apply(x, got) - f)) <= 1e-12 * n
+
+    @_WALK_EXAMPLES
+    @given(_block_operators(sizes=_LAYOUT_SIZES), st.data())
+    def test_a_singular_block_fails_both_solves(self, s, data):
+        # I - T with one row zeroed is exactly singular on that atom's
+        # block, and elimination keeps the row zero: both routes raise, so
+        # the ergodic rows' solve route reads "not invertible" on both
+        t = s.operator()
+        layout, n = t.block_layout, t.space.n_atoms
+        x = layout.eye - layout.m
+        x[layout.rows(np.arange(n)) == data.draw(st.integers(0, n - 1))] = 0.0
+        f = np.ones(n)
+        with pytest.raises(np.linalg.LinAlgError):
+            layout.solve(x, f)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(layout.unpack(x), f)
+
+    def test_block_power_sums_equal_the_atom_sums_bit_for_bit(self):
+        # _power_sum acts elementwise, so one value per block spread by the
+        # labels is the per-atom sum, for symbols that are 0, +-1,
+        # subnormal, or overflow within the horizon
+        h = np.array([0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, 1e-310, 1e300,
+                      -1e300, 1.5, -2.0, 0.3, -0.7, 0.999, 1 - 2**-52])
+        labels = np.random.default_rng(0).permutation(np.arange(60) % h.size)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for n in (0, 1, 2, 7, wct._BLOCK, wct._BLOCK + 1, 1500):
+                for weighted in (False, True):
+                    per_block = wct._power_sum(h, n, weighted)[labels]
+                    per_atom = wct._power_sum(h[labels], n, weighted)
+                    assert _same_bits(per_block, per_atom), (n, weighted)
+        # the closed forms, packed on the layout, are the dense ones on the
+        # blocks, bit for bit, on both sides of the size rule (expanding
+        # symbols overflow by n = 600)
+        for i in range(0, 200, 9):
+            t = _instance(i)
+            layout = t.block_layout
+            on = t.e._labels[:, None] == t.e._labels
+            with np.errstate(over="ignore", invalid="ignore"):
+                for n in (2, 7, 600):
+                    a_n = layout.unpack(cesaro_mean(t, n, layout))
+                    assert _same_bits(a_n[on], cesaro_mean(t, n)[on])
+                    b_n = layout.unpack(b_n_operator(t, n, layout))
+                    assert _same_bits(b_n[on], b_n_operator(t, n)[on])
 
 
 class TestBlockSpectrum:
