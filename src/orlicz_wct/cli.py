@@ -216,7 +216,7 @@ def _cmd_cesaro(args) -> int:
     # an overflowing power walks on as inf and NaN, as in verify's iterate
     # and Cesaro groups
     with np.errstate(over="ignore", invalid="ignore"):
-        walk = BlockWalk(t, (n, n + 1), (n,) if n >= 2 else (), (n,))
+        walk = BlockWalk(t.block_layout, (n, n + 1), (n,) if n >= 2 else (), (n,))
         for mode in modes:
             direct = mode == "direct"
             a_n = walk.unpack(walk.a[n]) if direct else cesaro_mean(t, n)
@@ -225,6 +225,8 @@ def _cmd_cesaro(args) -> int:
                 b_n = walk.unpack(walk.b[n]) if direct else b_n_operator(t, n)
                 payload[f"b_n_{mode}"] = b_n
         residuals = identity_residuals(walk, (n,))[n]
+    # each residual holds one value, of the walk's one operator
+    residuals = {c: float(r[0]) for c, r in residuals.items()}
     # a residual that is not finite is not checked, and JSON prints null
     finite = {c: v for c, v in residuals.items() if np.isfinite(v)}
     payload["residuals"] = {c: finite.get(c) for c in residuals}

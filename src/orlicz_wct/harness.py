@@ -20,13 +20,19 @@ refused.
 
 Report JSON keys per claim: claim_id, anchor, hypothesis, status, residual,
 detail, fingerprint. A claim whose hypothesis is not met never affects the
-exit status. Each experiment group is one entry of ``_GROUPS``, a function of
-(scenario, operator, sampling seed); the harness stamps the fingerprint of
-the instance that ran onto every row, and library calls such as
-``verify_structure_theorems`` return rows whose fingerprint is ``{}``. A
-scenario builds its operator and the contraction criterion once, and the
-groups share them; the conjugate gauge is ``phi.conjugate``, which the gauge
-builds once.
+exit status. Each experiment group is one entry of ``_GROUPS``, a function
+of (scenario, operator, sampling seed) that returns the scenario's rows, or
+of ``_WALK_GROUPS``: the iterate and Cesaro groups, functions of a list of
+(block layout, comparison tolerance) runs, one per instance that asks for
+them, which walk once per instance size over the direct sum of the layouts
+and return the rows of each run. A verify call reads its instances one at a
+time and keeps of each only its operator's block layout, for the walk
+groups at the end. The harness stamps the fingerprint of the instance that
+ran onto every row, and library calls such as ``verify_structure_theorems``
+return rows whose fingerprint is ``{}``. A scenario builds its operator and
+the contraction criterion once (a random draw hands over the operator it
+built), and the groups share them; the conjugate gauge is
+``phi.conjugate``, which the gauge builds once.
 
 For power-law gauges (``exact_norm_powers`` is not None) the boundedness and
 power-boundedness rows use exact operator norms: ``operator_norm_bound`` is
@@ -38,6 +44,7 @@ other gauges keep the sampled estimates and the empirical constant.
 from __future__ import annotations
 
 import datetime as _dt
+import itertools
 import json
 from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
@@ -57,6 +64,7 @@ from .measure import FiniteMeasureSpace, Partition, ess_sup
 from .orlicz import OrliczContext, luxemburg_norms
 from .subspace import block_powers_well_conditioned, verify_structure_theorems
 from .wct import (
+    BlockLayout,
     BlockWalk,
     WctOperator,
     b_n_operator,
@@ -114,15 +122,15 @@ PROFILES = (
     "expanding_h",
     "sparse_support",
 )
-# atom cap of generate_random_instance: every draw builds the dense n x n
-# matrix, and draws of many blocks seldom pass the conditioning filter
+# atom cap of generate_random_instance: draws of many blocks seldom pass the
+# conditioning filter, which reads the block spectrum
 MAX_RANDOM_ATOMS = 64
 # draws per random instance before generation gives up
 _ATTEMPTS = 120
 # random draws shared by the conditional-expectation laws
 _CONDEXP_TRIALS = 200
-# the powers of the iterate group and the horizons of the Cesaro group, all
-# read from one walk to T^20
+# the powers of the iterate group, read from a walk to T^6, and the horizons
+# of the Cesaro group, read from a walk to T^20
 _ITERATE_POWERS = (1, 2, 3, 4, 5, 6)
 _CESARO_HORIZONS = (2, 3, 5, 8, 13, 20)
 # relative slack of the comparisons between exact norms: r1, r3 and r4 reach
@@ -192,16 +200,6 @@ class Scenario:
         """``contraction_criterion`` of the operator for phi."""
         return contraction_criterion(self.operator(), self.phi)
 
-    @cached_property
-    def walk(self) -> BlockWalk:
-        """The one walk of the operator's powers that the iterate and Cesaro
-        groups share: T^1..T^6, and A_n, A_(n+1), B_n and T^n at every
-        Cesaro horizon n."""
-        h = _CESARO_HORIZONS
-        return BlockWalk(
-            self.operator(), h + tuple(n + 1 for n in h), h, _ITERATE_POWERS + h
-        )
-
     def context(self) -> OrliczContext:
         return OrliczContext(self.space, self.phi)
 
@@ -215,6 +213,13 @@ class Scenario:
         if self.seed is not None:
             fp["seed"] = self.seed
         return fp
+
+
+def _with_operator(s: Scenario, t: WctOperator) -> Scenario:
+    """s holding t as its operator, which it then does not build: t must be
+    the operator of s's u, w, space and partition."""
+    vars(s)["_operator"] = t
+    return s
 
 
 def _finite(name: str, vals, ndim: int) -> np.ndarray:
@@ -348,7 +353,8 @@ def generate_random_instance(
     """Deterministic scenario per seed; profile post-conditions hold by
     construction (contracting_h rescales w blockwise so sup|h| <= 0.9,
     expanding_h so min h >= 1.1, nilpotent_h orthogonalizes w against u on
-    every block, sparse_support zeroes w outside a small atom set)."""
+    every block, sparse_support zeroes w outside a small atom set). The
+    scenario holds the operator that the draw builds."""
     if not 1 <= n_blocks <= n_atoms <= MAX_RANDOM_ATOMS:
         raise ValueError(f"require 1 <= n_blocks <= n_atoms <= {MAX_RANDOM_ATOMS}")
     if profile not in PROFILES:
@@ -404,6 +410,7 @@ def generate_random_instance(
         mask[keep] = True
         w[~mask] = 0.0
 
+    t = WctOperator(u, w, e)
     scenario = Scenario(
         space=space,
         partition=partition,
@@ -413,14 +420,13 @@ def generate_random_instance(
         profile=profile,
         seed=seed,
     )
-    h = e(u * w)
     if profile == "contracting_h":
-        assert ess_sup(h) <= 0.9 + 1e-12
+        assert ess_sup(t.h) <= 0.9 + 1e-12
     if profile == "expanding_h":
-        assert float(np.min(h)) >= 1.1 - 1e-12
+        assert float(np.min(t.h)) >= 1.1 - 1e-12
     if profile == "nilpotent_h":
-        assert ess_sup(h) <= 1e-10
-    return scenario
+        assert ess_sup(t.h) <= 1e-10
+    return _with_operator(scenario, t)
 
 
 def generate_well_conditioned_instance(
@@ -462,28 +468,26 @@ class VerificationReport:
         return asdict(self)
 
 
-def _max_abs(a) -> float:
-    return float(np.max(np.abs(a), initial=0.0))
-
-
 def _within(value: float, bound: float) -> bool:
     """value <= bound up to the relative slack _EXACT_SLACK."""
     return value <= bound + _EXACT_SLACK * abs(bound)
 
 
-def _relative_gap(diff, scale) -> float:
-    """max|diff| relative to 1 + max|scale|."""
-    return _max_abs(diff) / (1.0 + _max_abs(scale))
+def _relative_gap(layout: BlockLayout, diff, scale) -> np.ndarray:
+    """max|diff| relative to 1 + max|scale|, for each operator of the
+    layout's direct sum: diff and scale are packed on it."""
+    return layout.owner_max(diff) / (1.0 + layout.owner_max(scale))
 
 
 def identity_residuals(walk: BlockWalk, ns) -> dict[int, dict]:
-    """The Cesaro identity residuals at every n in ns, from one ``BlockWalk``.
+    """The Cesaro identity residuals at every n in ns, from one ``BlockWalk``,
+    each an array with one value per operator of the walk's direct sum.
 
     The walk holds A_n, A_(n+1) and T^n, and B_n when n >= 2. Each residual
     is a max-entry gap relative to 1 + max|scale|, with T^n/n the scale of
     the power-over-n and telescoping identities and B_n that of the
     remainder factorization, so expanding symbols do not read as failures.
-    Every matrix involved vanishes off the partition's blocks, so the gaps
+    Every matrix involved vanishes off the partitions' blocks, so the gaps
     are taken on the packed blocks, and the products block by block. The
     remainder entry is present only when B_n is. The Cesaro group and
     ``orlicz-wct cesaro`` both report these values.
@@ -495,15 +499,15 @@ def identity_residuals(walk: BlockWalk, ns) -> dict[int, dict]:
         a_n, tn = walk.a[n], walk.t[n]
         out[n] = {
             "power_over_n_identity": _relative_gap(
-                tn / n - ((n + 1) / n) * walk.a[n + 1] + a_n, tn / n
+                walk, tn / n - ((n + 1) / n) * walk.a[n + 1] + a_n, tn / n
             ),
             "telescoping_identity": _relative_gap(
-                walk.matmul(imt, a_n) - (eye - tn) / n, tn / n
+                walk, walk.matmul(imt, a_n) - (eye - tn) / n, tn / n
             ),
         }
         if n in walk.b:
             out[n]["remainder_factorization_identity"] = _relative_gap(
-                eye - a_n - walk.matmul(imt, walk.b[n]), walk.b[n]
+                walk, eye - a_n - walk.matmul(imt, walk.b[n]), walk.b[n]
             )
     return out
 
@@ -513,47 +517,77 @@ def _structure_claims(s: Scenario, t: WctOperator, seed: int):
     return verify_structure_theorems(t, s.phi, tol=tol, seed=seed, criterion=crit)
 
 
-def _folded_claim(cid: str, residuals: list[float], bound: float, detail: str):
+def _folded_claim(cid: str, residuals: np.ndarray, bound: float, detail: str):
     """The row of the worst of a claim's residuals. A non-finite residual (a
-    power that overflowed) makes it not_checked with no residual: Python's
-    max would drop a NaN, and no bound holds on inf."""
+    power that overflowed) makes it not_checked with no residual: no bound
+    holds on inf, and a NaN decides nothing."""
     if not np.isfinite(residuals).all():
         return overflow_claim(cid)
-    worst = max(residuals)
+    worst = float(np.max(residuals))
     return make_claim(cid, "none", worst <= bound, worst, detail)
 
 
-def _iterate_claims(s: Scenario, t: WctOperator, seed: int):
-    # an overflowing power walks on as inf and NaN, which the fold reads as
-    # not_checked; the Cesaro group does the same
+def _walks(runs, a_ns=(), b_ns=(), t_ns=()):
+    """(positions in runs, walk) for each instance size: one ``BlockWalk``
+    over the direct sum of the layouts of that many atoms, so that the
+    results of one size only are held at a time."""
+    by_size = {}
+    for i, (layout, _) in enumerate(runs):
+        by_size.setdefault(layout.n, []).append(i)
+    for index in by_size.values():
+        layout = BlockLayout.direct_sum(runs[i][0] for i in index)
+        yield index, BlockWalk(layout, a_ns, b_ns, t_ns)
+
+
+def _walk_claims(runs, residuals, detail, **ns):
+    """The rows of each (block layout, comparison tolerance) run from
+    ``residuals(walk)``, which gives for every claim id one array per power
+    or horizon, one value per operator of the walk. An overflowing power
+    walks on as inf and NaN, which the fold reads as not_checked."""
+    per_run = [None] * len(runs)
     with np.errstate(over="ignore", invalid="ignore"):
-        walk = s.walk
-        residuals = [
-            _relative_gap(walk.t[n] - iterate(t, n, walk), walk.t[n])
+        for index, walk in _walks(runs, **ns):
+            stacked = {cid: np.array(res) for cid, res in residuals(walk).items()}
+            for j, i in enumerate(index):
+                per_run[i] = {cid: res[:, j] for cid, res in stacked.items()}
+    return [
+        [_folded_claim(cid, res, tol, detail) for cid, res in folded.items()]
+        for (_, tol), folded in zip(runs, per_run)
+    ]
+
+
+def _iterate_claims(runs):
+    def residuals(walk):
+        gaps = [
+            _relative_gap(walk, walk.t[n] - iterate(walk, n), walk.t[n])
             for n in _ITERATE_POWERS
         ]
-    bound = s.tolerances["comparison"]
+        return {"iterate_closed_form": gaps}
+
     detail = "relative max-entry gap over powers 1..6"
-    return [_folded_claim("iterate_closed_form", residuals, bound, detail)]
+    return _walk_claims(runs, residuals, detail, t_ns=_ITERATE_POWERS)
 
 
-def _cesaro_claims(s: Scenario, t: WctOperator, seed: int):
-    folded = {cid: [] for cid in EXPERIMENT_CLAIMS["cesaro_identities"]}
-    with np.errstate(over="ignore", invalid="ignore"):
-        walk = s.walk
-        for n, residuals in identity_residuals(walk, _CESARO_HORIZONS).items():
+def _cesaro_claims(runs):
+    def residuals(walk):
+        folded = {cid: [] for cid in EXPERIMENT_CLAIMS["cesaro_identities"]}
+        for n, gaps in identity_residuals(walk, _CESARO_HORIZONS).items():
             a_n, b_n = walk.a[n], walk.b[n]
-            residuals["cesaro_closed_form"] = _relative_gap(
-                a_n - cesaro_mean(t, n, walk), a_n
+            gaps["cesaro_closed_form"] = _relative_gap(
+                walk, a_n - cesaro_mean(walk, n), a_n
             )
-            residuals["remainder_closed_form"] = _relative_gap(
-                b_n - b_n_operator(t, n, walk), b_n
+            gaps["remainder_closed_form"] = _relative_gap(
+                walk, b_n - b_n_operator(walk, n), b_n
             )
-            for cid, res in residuals.items():
-                folded[cid].append(res)
-    bound = s.tolerances["comparison"]
+            for cid, gap in gaps.items():
+                folded[cid].append(gap)
+        return folded
+
+    h = _CESARO_HORIZONS
     detail = "relative max-entry residual over n in {2,3,5,8,13,20}"
-    return [_folded_claim(cid, res, bound, detail) for cid, res in folded.items()]
+    return _walk_claims(
+        runs, residuals, detail, a_ns=h + tuple(n + 1 for n in h), b_ns=h, t_ns=h
+    )
 
 
 def _power_bounded_claims(s: Scenario, t: WctOperator, seed: int):
@@ -647,6 +681,8 @@ def _boundedness_claims(s: Scenario, t: WctOperator, seed: int):
         detail = "empirical constant is zero (degenerate instance)"
         return [make_claim("operator_norm_bound", "not_met", None, detail=detail)]
     bound = bound_constant(t, s.phi, c_emp)
+    if not np.isfinite(bound):
+        return [overflow_claim("operator_norm_bound")]
     ctx = s.context()
     rng = np.random.default_rng(seed)
     fs = rng.uniform(-3.0, 3.0, (s.space.n_atoms, 200))
@@ -671,37 +707,55 @@ _GROUPS = {
     "structure": _structure_claims,
     "condexp_laws": _condexp_claims,
     "power_bounded": _power_bounded_claims,
+    "boundedness": _boundedness_claims,
+}
+# experiment group -> the rows of each of a list of (block layout,
+# comparison tolerance) runs, from one walk per instance size
+_WALK_GROUPS = {
     "iterate_formula": _iterate_claims,
     "cesaro_identities": _cesaro_claims,
-    "boundedness": _boundedness_claims,
 }
 
 
-def _scenario_claims(s: Scenario, seed: int, fp: dict) -> list[ClaimResult]:
-    """The rows of every group the scenario asks for, each stamped with fp."""
-    t = s.operator()
-    rows = [row for name in s.experiments for row in _GROUPS[name](s, t, seed)]
-    for row in rows:
-        row.fingerprint = fp
+def _suite_claims(runs) -> list[ClaimResult]:
+    """The rows of every group that each run of (scenario, sampling seed,
+    fingerprint) asks for, each stamped with its run's fingerprint.
+
+    The runs are read one at a time: the groups of ``_GROUPS`` take each run
+    as it comes, and of a run that asks for a walk group only the block
+    layout of its operator is kept, so that the walk groups take every such
+    run at once, at the end, while the instances themselves are let go.
+    """
+    rows, walked = [], {}
+
+    def stamped(group_rows, fp):
+        for row in group_rows:
+            row.fingerprint = fp
+        return group_rows
+
+    for s, seed, fp in runs:
+        t = s.operator()
+        for name in s.experiments:
+            if name in _WALK_GROUPS:
+                run = (t.block_layout, s.tolerances["comparison"])
+                walked.setdefault(name, []).append((run, fp))
+            else:
+                rows += stamped(_GROUPS[name](s, t, seed), fp)
+    for name, asked in walked.items():
+        ran = _WALK_GROUPS[name]([run for run, _ in asked])
+        for (_, fp), group_rows in zip(asked, ran):
+            rows += stamped(group_rows, fp)
     return rows
 
 
 _FAST_GROUPS = ("structure", "power_bounded", "iterate_formula", "cesaro_identities")
 
 
-def run_verification(
-    scenario: Scenario, seed: int = 0, instances: int = 0
-) -> VerificationReport:
-    """Run every requested check on the scenario, optionally adding random
-    instances.
-
-    Random instances (profiles cycled deterministically from the seed) rerun
-    the fast experiment groups; the sampling-heavy groups (condexp_laws,
-    boundedness) run on the primary scenario only. Per-claim rows aggregate
-    across instances; the first failing instance's fingerprint is reported.
-    """
-    fp = {**scenario.fingerprint(), "seed": seed, "instances": instances}
-    rows = _scenario_claims(scenario, seed, dict(fp))
+def _random_instances(scenario: Scenario, seed: int, instances: int):
+    """(scenario, sampling seed, fingerprint) of each random instance of
+    ``run_verification``, drawn when it is asked for, with the tolerances
+    of scenario and those of its experiment groups that are fast."""
+    fast = tuple(g for g in scenario.experiments if g in _FAST_GROUPS)
     for i in range(instances):
         child_seed = seed * 100003 + i
         profile = PROFILES[i % len(PROFILES)]
@@ -720,15 +774,26 @@ def run_verification(
         # new settings touch no input of the operator, so the accepted
         # draw's operator carries over instead of being rebuilt
         operator = child.operator()
-        child = replace(
-            child,
-            tolerances=scenario.tolerances,
-            experiments=tuple(
-                g for g in scenario.experiments if g in _FAST_GROUPS
-            ),
-        )
-        vars(child)["_operator"] = operator
-        rows += _scenario_claims(child, child.seed, child.fingerprint())
+        child = replace(child, tolerances=scenario.tolerances, experiments=fast)
+        yield _with_operator(child, operator), child.seed, child.fingerprint()
+
+
+def run_verification(
+    scenario: Scenario, seed: int = 0, instances: int = 0
+) -> VerificationReport:
+    """Run every requested check on the scenario, optionally adding random
+    instances.
+
+    Random instances (profiles cycled deterministically from the seed) rerun
+    the fast experiment groups; the sampling-heavy groups (condexp_laws,
+    boundedness) run on the primary scenario only. Per-claim rows aggregate
+    across instances; the first failing instance's fingerprint is reported.
+    """
+    fp = {**scenario.fingerprint(), "seed": seed, "instances": instances}
+    primary = [(scenario, seed, dict(fp))]
+    rows = _suite_claims(
+        itertools.chain(primary, _random_instances(scenario, seed, instances))
+    )
     # one entry per claim id, in group order
     by_id = {
         cid: [] for group in scenario.experiments for cid in EXPERIMENT_CLAIMS[group]

@@ -466,7 +466,7 @@ def _structure_rows(t: WctOperator, tol: float, seed: int, criterion_holds: bool
 
     if invertible:
         target = layout.solve(imt, fs)
-        res = [sup_gap(b_n_operator(t, k, layout), target) for k in horizons]
+        res = [sup_gap(b_n_operator(layout, k), target) for k in horizons]
         scale = float(np.max(np.abs(target)))
         yield make_claim(
             "ergodic_bn_convergence",
@@ -494,7 +494,7 @@ def _structure_rows(t: WctOperator, tol: float, seed: int, criterion_holds: bool
     coords = (proj - trivial_null * np.eye(2)) @ coords.reshape(-1, 2, _N_PROBES)
     limit = np.einsum("ij,ijk->ik", frame, coords[rec.labels]) + trivial_null * fs
     inv_res = float(np.max(np.abs(layout.apply(layout.m, limit) - limit), initial=0.0))
-    res = [sup_gap(cesaro_mean(t, k, layout), limit) for k in horizons]
+    res = [sup_gap(cesaro_mean(layout, k), limit) for k in horizons]
     scale = float(np.max(np.abs(fs)))
     yield make_claim(
         "ergodic_cesaro_limit",

@@ -10,12 +10,15 @@ serves T^n, A_n and B_n for every requested n at once, and against which the
 closed forms are checked (``BlockWalk.unpack`` returns its results as n x n
 arrays). The matrix is block diagonal in the partition's atom order, and so
 is everything the walk, the closed forms and the solves with I - T produce,
-so from _CORE_MIN_ATOMS = 32 atoms on they are held packed on the
-operator's ``BlockLayout`` and every product and solve is taken block by
-block, at a cost of sum n_B^3 in place of n^3. ``contraction_criterion``
-alone decides the strict contraction criterion |h| < 1 on the criterion
-support. It and ``bound_constant`` read a gauge phi together with its
-conjugate psi, and take phi alone: psi is ``phi.conjugate``, built once.
+so they are held packed on a ``BlockLayout``, from _CORE_MIN_ATOMS = 32
+atoms on as the partition's blocks, and every product and solve is taken
+block by block, at a cost of sum n_B^3 in place of n^3. Its ``direct_sum``
+stacks the layouts of any number of operators, so that one walk and one
+pass of each closed form serve them all, and ``owner_max`` reads a
+max-entry residual of each. ``contraction_criterion`` alone decides the
+strict contraction criterion |h| < 1 on the criterion support. It and
+``bound_constant`` read a gauge phi together with its conjugate psi, and
+take phi alone: psi is ``phi.conjugate``, built once.
 
 The same block structure gives the singular values of every power in closed
 form: T^k has sigma_B |h_B|^(k-1) on each block and zeros elsewhere, read
@@ -126,25 +129,30 @@ def matrix_of(t: WctOperator) -> np.ndarray:
     return t._matrix
 
 
-def _closed_form_terms(t: WctOperator, layout):
-    """I, M and the spreading of an atom vector over the rows of M that the
-    closed forms combine: n x n arrays, or packed on ``layout``."""
-    if layout is None:
-        return np.eye(t.space.n_atoms), matrix_of(t), lambda v: v[:, None]
-    return layout.eye, layout.m, layout.rows
+def _closed_form_terms(t):
+    """I, M, the spreading of an atom vector over the rows of M, and the
+    symbol per atom, per partition block and each atom's block, that the
+    closed forms combine: n x n arrays for an operator, or packed for every
+    operator of a ``BlockLayout``'s direct sum."""
+    if isinstance(t, BlockLayout):
+        return t.eye, t.m, t.rows, t.h, t.block_h, t.labels
+    rec = t.block_record
+    eye = np.eye(t.space.n_atoms)
+    return eye, matrix_of(t), lambda v: v[:, None], t.h, rec.h, rec.labels
 
 
-def iterate(t: WctOperator, n: int, layout=None) -> np.ndarray:
-    """Matrix of the n-th power in closed form: diag(h^(n-1)) times T,
-    packed when a ``BlockLayout`` (such as a ``BlockWalk``) is given."""
+def iterate(t, n: int) -> np.ndarray:
+    """Matrix of the n-th power in closed form: diag(h^(n-1)) times T, for
+    an operator, or packed for a ``BlockLayout`` (such as a ``BlockWalk``)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    _, m, rows = _closed_form_terms(t, layout)
-    return rows(t.h ** (n - 1)) * m
+    _, m, rows, h, _, _ = _closed_form_terms(t)
+    return rows(h ** (n - 1)) * m
 
 
 class BlockLayout:
-    """The diagonal blocks of T's partition, and arithmetic on them.
+    """The diagonal blocks of an operator T's partition, or of a direct sum
+    T_0 + T_1 + ... of operators (``direct_sum``), and arithmetic on them.
 
     M = matrix_of(t) vanishes off the blocks, and so do I, every power, A_n,
     B_n, (I - T)^(-1) and their sums and products: each is held packed, one
@@ -156,37 +164,122 @@ class BlockLayout:
     (n,) or (n, m). Each takes one stack per run of equal-size blocks, at a
     cost of sum n_B^3 in place of n^3; below _CORE_MIN_ATOMS atoms the one
     block is the whole matrix. ``rows`` spreads an atom vector over the rows.
+    ``h``, ``block_h`` and ``labels`` are the symbol per atom and per block
+    of the partition, and the block of each atom, which the closed forms
+    read. A direct sum acts on the atoms of T_0, then on those of T_1, and
+    so on; each block records the operator that owns it, and ``owner_max``
+    reduces a packed array to one value per operator.
     """
 
     def __init__(self, t: WctOperator):
         n = self.n = t.space.n_atoms
         blocks = sorted(t.e.partition.index_arrays, key=len)
         blocks = [np.arange(n)] if n < _CORE_MIN_ATOMS else blocks
-        self._rows = np.concatenate([np.repeat(i, i.size) for i in blocks])
-        cols = np.concatenate([np.tile(i, i.size) for i in blocks])
-        self._pos = self._rows * n + cols
-        # (packed entries, atoms, count, size) of each run of equal-size blocks
-        self._runs, stop = [], 0
+        # (packed entries, atoms, count, size) of each run of equal-size
+        # blocks, and the operator that owns each of its blocks
+        self._runs, self._owners, stop = [], [], 0
         for size, same in itertools.groupby(blocks, key=len):
-            same = list(same)
-            entries = slice(stop, stop + len(same) * size * size)
-            self._runs.append((entries, np.concatenate(same), len(same), size))
+            atoms = np.concatenate(list(same))
+            entries = slice(stop, stop + atoms.size * size)
+            self._runs.append((entries, atoms, atoms.size // size, size))
+            self._owners.append(np.zeros(atoms.size // size, dtype=int))
             stop = entries.stop
-        labels = t.e._labels
-        quotients = t.space.weights / t.e._block_masses[labels]
-        quotients = np.where(labels[self._rows] == labels[cols], quotients[cols], 0.0)
+        self.n_operators = 1
+        self._rows, cols = self._entry_atoms()
+        rec = t.block_record
+        self.h, self.block_h, self.labels = t.h, rec.h, rec.labels
+        quotients = t.space.weights / t.e._block_masses[self.labels]
+        same_block = self.labels[self._rows] == self.labels[cols]
+        quotients = np.where(same_block, quotients[cols], 0.0)
         self.m = (t.w[self._rows] * quotients) * t.u[cols]
         self.eye = (self._rows == cols).astype(float)
 
+    @classmethod
+    def direct_sum(cls, layouts) -> BlockLayout:
+        """The layout of the direct sum of the layouts' operators, in order
+        (the one layout itself when there is one). Each block keeps its
+        packed entries, so the sum's M has the bits of each layout's M."""
+        layouts = tuple(layouts)
+        if len(layouts) == 1:
+            return layouts[0]
+
+        def starts(sizes):
+            return list(itertools.accumulate(sizes, initial=0))
+
+        atom0 = starts(x.n for x in layouts)
+        owner0 = starts(x.n_operators for x in layouts)
+        entry0 = starts(x.m.size for x in layouts)
+        def block_size(piece):
+            return piece[1][3]
+
+        # (layout, run, owners) of every run of every layout, by block size
+        pieces = sorted(
+            (
+                (k, run, owners)
+                for k, x in enumerate(layouts)
+                for run, owners in zip(x._runs, x._owners)
+            ),
+            key=block_size,
+        )
+        out = cls.__new__(cls)
+        out._runs, out._owners, order, stop = [], [], [], 0
+        for size, same in itertools.groupby(pieces, key=block_size):
+            same = list(same)
+            atoms = np.concatenate([run[1] + atom0[k] for k, run, _ in same])
+            entries = slice(stop, stop + atoms.size * size)
+            out._runs.append((entries, atoms, atoms.size // size, size))
+            out._owners.append(np.concatenate([o + owner0[k] for k, _, o in same]))
+            order += [
+                np.arange(run[0].start + entry0[k], run[0].stop + entry0[k])
+                for k, run, _ in same
+            ]
+            stop = entries.stop
+        order = np.concatenate(order)
+        out.n, out.n_operators = atom0[-1], owner0[-1]
+        out._rows = np.concatenate([x._rows + a for x, a in zip(layouts, atom0)])[order]
+        out.m = np.concatenate([x.m for x in layouts])[order]
+        out.eye = np.concatenate([x.eye for x in layouts])[order]
+        label0 = starts(x.block_h.size for x in layouts)
+        out.labels = np.concatenate([x.labels + b for x, b in zip(layouts, label0)])
+        out.h = np.concatenate([x.h for x in layouts])
+        out.block_h = np.concatenate([x.block_h for x in layouts])
+        return out
+
+    @functools.cached_property
+    def _owner_runs(self):
+        """The packed entries in owner order (a slice when they already
+        are, as for one operator) and where each owner's entries start."""
+        owner = np.concatenate([
+            owners.repeat(size * size)
+            for owners, (_, _, _, size) in zip(self._owners, self._runs)
+        ])
+        grouped = bool(np.all(owner[:-1] <= owner[1:]))
+        order = slice(None) if grouped else np.argsort(owner, kind="stable")
+        return order, np.searchsorted(owner[order], np.arange(self.n_operators))
+
+    def _entry_atoms(self) -> tuple[np.ndarray, np.ndarray]:
+        """The row atom and the column atom of every packed entry."""
+        grids = [atoms.reshape(count, size) for _, atoms, count, size in self._runs]
+        rows = [g[:, :, None].repeat(g.shape[1], axis=2).ravel() for g in grids]
+        cols = [g[:, None, :].repeat(g.shape[1], axis=1).ravel() for g in grids]
+        return np.concatenate(rows), np.concatenate(cols)
+
     def unpack(self, packed: np.ndarray) -> np.ndarray:
         """The n x n array in atom order, with exact zeros off the blocks."""
+        rows, cols = self._entry_atoms()
         out = np.zeros(self.n * self.n)
-        out[self._pos] = packed
+        out[rows * self.n + cols] = packed
         return out.reshape(self.n, self.n)
 
     def rows(self, v: np.ndarray) -> np.ndarray:
         """v[i] at every packed entry of row i: diag(v) X is rows(v) * X."""
         return v[self._rows]
+
+    def owner_max(self, x: np.ndarray) -> np.ndarray:
+        """max |x| over the packed entries of each operator, in operator
+        order; NaN for an operator with a NaN entry."""
+        order, starts = self._owner_runs
+        return np.maximum.reduceat(np.abs(x)[order], starts)
 
     def matmul(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """The packed product of packed x and y, one stack per block size."""
@@ -219,7 +312,8 @@ class BlockLayout:
 
 class BlockWalk(BlockLayout):
     """A_n for n in a_ns, B_n for n in b_ns and T^n for n in t_ns, by one walk,
-    packed on the operator's ``block_layout``, which it shares.
+    packed on ``layout``, which it shares: for every operator of the layout's
+    direct sum at once.
 
     The walk forms P_0 = I, P_(k+1) = P_k @ M once, up to the largest power
     any result needs; T^n is P_n. A_n sums P_0, ..., P_(n-1) onto zeros;
@@ -228,12 +322,12 @@ class BlockWalk(BlockLayout):
     the same order, so it equals that loop bit for bit.
     """
 
-    def __init__(self, t: WctOperator, a_ns=(), b_ns=(), t_ns=()):
+    def __init__(self, layout: BlockLayout, a_ns=(), b_ns=(), t_ns=()):
         if min(a_ns, default=1) < 1 or min(t_ns, default=1) < 1:
             raise ValueError("A_n and T^n need n >= 1")
         if min(b_ns, default=2) < 2:
             raise ValueError("B_n needs n >= 2")
-        vars(self).update(vars(t.block_layout))
+        vars(self).update(vars(layout))
         top = max([k - 1 for k in a_ns] + [k - 2 for k in b_ns] + list(t_ns))
         total = np.zeros_like(self.eye)
         b_acc = {k: (k - 1) * self.eye for k in b_ns}
@@ -250,7 +344,9 @@ class BlockWalk(BlockLayout):
             total += power
             if k + 1 in a_ns:
                 self.a[k + 1] = total / (k + 1)
-        self.b = {k: acc / k for k, acc in b_acc.items()}
+        for k, acc in b_acc.items():
+            acc /= k
+        self.b = b_acc
 
 
 _BLOCK = 512
@@ -284,29 +380,29 @@ def _power_sum(h: np.ndarray, n_terms: int, weighted: bool) -> np.ndarray:
     return total
 
 
-def cesaro_mean(t: WctOperator, n: int, layout=None) -> np.ndarray:
+def cesaro_mean(t, n: int) -> np.ndarray:
     """(I + T + ... + T^(n-1)) / n in closed form: (I + diag(v_n) T) / n with
     v_n = sum h^i over i < n-1, accumulated by ``_power_sum`` once per block
-    (h is constant on blocks) and spread by the block labels; packed when a
-    ``BlockLayout`` is given."""
+    (h is constant on blocks) and spread by the block labels; for an
+    operator, or packed for a ``BlockLayout``."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    eye, m, rows = _closed_form_terms(t, layout)
+    eye, m, rows, _, block_h, labels = _closed_form_terms(t)
     if n == 1:
         return eye.copy()
-    v_n = _power_sum(t.block_record.h, n - 1, weighted=False)[t.block_record.labels]
+    v_n = _power_sum(block_h, n - 1, weighted=False)[labels]
     return (eye + rows(v_n) * m) / n
 
 
-def b_n_operator(t: WctOperator, n: int, layout=None) -> np.ndarray:
+def b_n_operator(t, n: int) -> np.ndarray:
     """(T^(n-2) + 2 T^(n-3) + ... + (n-2) T + (n-1) I) / n for n >= 2, in
     closed form: (diag(w_n) T + (n-1) I)/n with w_n = sum over i of
     (n-i-1) h^(i-1), i from 1 to n-2, accumulated by ``_power_sum`` once per
-    block; packed when a ``BlockLayout`` is given."""
+    block; for an operator, or packed for a ``BlockLayout``."""
     if n < 2:
         raise ValueError("n must be >= 2")
-    eye, m, rows = _closed_form_terms(t, layout)
-    w_n = _power_sum(t.block_record.h, n - 2, weighted=True)[t.block_record.labels]
+    eye, m, rows, _, block_h, labels = _closed_form_terms(t)
+    w_n = _power_sum(block_h, n - 2, weighted=True)[labels]
     return (rows(w_n) * m + (n - 1) * eye) / n
 
 
@@ -360,14 +456,20 @@ def bound_constant(t: WctOperator, phi: YoungFunction, c_gch: float) -> float:
     """C * M with M = ess sup of |w| * psi_inv(E(psi(|u|))), psi = phi.conjugate.
 
     Contract: N_phi(T f) <= C * M * N_phi(f) whenever c_gch bounds the
-    conditional Hoelder constant for this expectation, phi and psi.
+    conditional Hoelder constant for this expectation, phi and psi. inf when
+    the weight overflows.
     """
     if c_gch <= 0:
         raise ValueError("c_gch must be > 0")
     psi = phi.conjugate
     weight = generalized_inverse(psi, cond_exp(t.e, psi(np.abs(t.u))))
-    m_const = ess_sup(t.w * weight)
-    return c_gch * m_const
+    # psi(|u|), and so the weight, may overflow to inf (inf * 0 is NaN): the
+    # bound is then inf, which the callers read as an overflow
+    with np.errstate(invalid="ignore"):
+        values = t.w * weight
+    if not np.isfinite(values).all():
+        return np.inf
+    return c_gch * ess_sup(values)
 
 
 def contraction_criterion(t: WctOperator, phi: YoungFunction) -> tuple[list[int], bool]:

@@ -55,9 +55,9 @@ def pairing_adjoint(matrix, weights):
 
 
 def power_walk(t, a_ns=(), b_ns=(), t_ns=()):
-    """The results of ``BlockWalk(t, a_ns, b_ns, t_ns)`` as n x n arrays in
-    atom order, with exact zeros off the blocks."""
-    walk = BlockWalk(t, a_ns, b_ns, t_ns)
+    """The results of ``BlockWalk(t.block_layout, a_ns, b_ns, t_ns)`` as
+    n x n arrays in atom order, with exact zeros off the blocks."""
+    walk = BlockWalk(t.block_layout, a_ns, b_ns, t_ns)
     return tuple(
         {k: walk.unpack(x) for k, x in d.items()} for d in (walk.a, walk.b, walk.t)
     )

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orlicz_wct import (
     CLAIM_REGISTRY,
@@ -29,6 +31,7 @@ from orlicz_wct import (
 )
 from orlicz_wct import cli, harness, subspace, wct
 from orlicz_wct.claims import EXPERIMENT_CLAIMS, make_claim, merge_claims
+from orlicz_wct.harness import DEFAULT_EXPERIMENTS, PROFILES
 
 
 class TestLoadScenario:
@@ -274,21 +277,29 @@ class TestRunVerification:
         assert counts["complementary"] == 21
 
     def test_each_accepted_draw_builds_its_operator_once(self, monkeypatch):
-        # the primary scenario and every random draw build one operator each;
-        # the accepted draw's copy with the suite's settings reuses its own
-        counts = {"operators": 0, "draws": 0}
-        built = harness.Scenario.__dict__["_operator"]
-        build, draw = built.func, harness.generate_random_instance
+        # the primary scenario and every random draw build one operator and
+        # one conditional expectation each: a draw hands the operator it
+        # built to its scenario, and the accepted draw's copy with the
+        # suite's settings reuses it
+        counts = {"operators": 0, "expectations": 0, "draws": 0}
+        post_init = wct.WctOperator.__post_init__
+        condexp_init = CondExp.__post_init__
+        draw = harness.generate_random_instance
 
-        def spy_build(scenario):
+        def spy_operator(t):
             counts["operators"] += 1
-            return build(scenario)
+            post_init(t)
+
+        def spy_condexp(e):
+            counts["expectations"] += 1
+            condexp_init(e)
 
         def spy_draw(*args, **kwargs):
             counts["draws"] += 1
             return draw(*args, **kwargs)
 
-        monkeypatch.setattr(built, "func", spy_build)
+        monkeypatch.setattr(wct.WctOperator, "__post_init__", spy_operator)
+        monkeypatch.setattr(CondExp, "__post_init__", spy_condexp)
         monkeypatch.setattr(harness, "generate_random_instance", spy_draw)
         path = Path(__file__).resolve().parents[1] / "scenarios" / "r3_contracting.json"
         argv = ["verify", "--scenario", str(path), "--instances", "20", "--seed", "1"]
@@ -296,6 +307,7 @@ class TestRunVerification:
             assert cli.main(argv) == 0
         assert counts["draws"] >= 20
         assert counts["operators"] == counts["draws"] + 1
+        assert counts["expectations"] == counts["draws"] + 1
 
     def test_one_block_frame_per_operator(self, monkeypatch):
         # r3 with 200 instances at seed 1 builds 308 operators: r3 and 307
@@ -380,22 +392,28 @@ class TestRunVerification:
         # at seed 2 the first random instance (seed 200006) is ill
         # conditioned and redrawn; fail the iterate claim on every random
         # instance so the report points at that one
-        ran = []
+        ran, walked, sampling_seeds = [], [], []
 
-        def failing_iterate_claims(s, t, seed):
-            ran.append(t)
-            ok = s.profile is None
-            return [harness.make_claim("iterate_closed_form", "none", ok)]
+        def failing_iterate_claims(runs):
+            walked.extend(layout for layout, _ in runs)
+            ok = [True] + [False] * (len(runs) - 1)
+            return [[harness.make_claim("iterate_closed_form", "none", x)] for x in ok]
 
-        sampling_seeds = []
-        scenario_claims = harness._scenario_claims
+        suite_claims = harness._suite_claims
 
-        def recording_scenario_claims(s, seed, fp, *args, **kwargs):
-            sampling_seeds.append(seed)
-            return scenario_claims(s, seed, fp, *args, **kwargs)
+        def recording_suite_claims(runs):
+            def recorded():
+                for s, seed, fp in runs:
+                    ran.append(s.operator())
+                    sampling_seeds.append(seed)
+                    yield s, seed, fp
 
-        monkeypatch.setitem(harness._GROUPS, "iterate_formula", failing_iterate_claims)
-        monkeypatch.setattr(harness, "_scenario_claims", recording_scenario_claims)
+            return suite_claims(recorded())
+
+        monkeypatch.setitem(
+            harness._WALK_GROUPS, "iterate_formula", failing_iterate_claims
+        )
+        monkeypatch.setattr(harness, "_suite_claims", recording_suite_claims)
         data = dict(r1_scenario_dict, experiments=["iterate_formula"])
         report = run_verification(scenario_from_dict(data), seed=2, instances=1)
         (row,) = report.entries
@@ -408,10 +426,40 @@ class TestRunVerification:
             fp["seed"], fp["n_atoms"], fp["n_blocks"], fp["profile"]
         ).operator()
         child = ran[1]
+        assert walked[1] is child.block_layout
         np.testing.assert_array_equal(rebuilt.u, child.u)
         np.testing.assert_array_equal(rebuilt.w, child.w)
         np.testing.assert_array_equal(rebuilt.space.weights, child.space.weights)
         assert rebuilt.e.partition == child.e.partition
+
+    @pytest.mark.parametrize(
+        "n_atoms, n_blocks, scale, young, groups",
+        [
+            (64, 8, 1e160, None, DEFAULT_EXPERIMENTS),
+            (8, 2, 1e306, {"kind": "exp_type"}, ("boundedness",)),
+        ],
+        ids=["exact_norm", "sampled_norm"],
+    )
+    def test_an_overflowing_weight_leaves_the_norm_bound_not_checked(
+        self, n_atoms, n_blocks, scale, young, groups
+    ):
+        # u * scale and w / scale leave the operator as it was, but psi(|u|)
+        # overflows, and so the weight in the bound constant: the constant
+        # is inf, the bound row is not checked and verify still reports.
+        # The 64-atom draw is the scenario of ``orlicz-wct random --seed 1
+        # --n-atoms 64 --n-blocks 8 --profile contracting_h``; exp_type
+        # takes the sampled route, whose conjugate overflows later
+        s = generate_random_instance(1, n_atoms, n_blocks, "contracting_h")
+        phi = s.phi if young is None else harness.young_from_spec(young)
+        s = dataclasses.replace(
+            s, u=s.u * scale, w=s.w / scale, phi=phi, experiments=groups
+        )
+        assert wct.bound_constant(s.operator(), s.phi, 1.0) == np.inf
+        report = run_verification(s, seed=0)
+        assert report.exit_status == 0
+        (row,) = [r for r in report.entries if r.claim_id == "operator_norm_bound"]
+        assert row.status == "not_checked" and row.residual is None
+        assert "overflow" in row.detail
 
     def test_anchor_strings_from_registry(self, r1_scenario_dict):
         s = scenario_from_dict(r1_scenario_dict)
@@ -466,76 +514,125 @@ def _wide256(monkeypatch, seed=1):
     return scenario_from_dict(workloads.wide_scenario_dict(seed))
 
 
+def _walk_run(s):
+    """The (block layout, comparison tolerance) run of s that the walk
+    groups take."""
+    return s.operator().block_layout, s.tolerances["comparison"]
+
+
 def _group_products(s):
     """Operand shapes of every matmul the iterate and Cesaro groups take on
     a matrix derived from M, as the operator's block layout packs it."""
     layout = s.operator().block_layout
     layout.m = layout.m.view(_MatmulSpy)
     _MatmulSpy.shapes = []
-    t = s.operator()
-    rows = harness._iterate_claims(s, t, 1) + harness._cesaro_claims(s, t, 1)
+    runs = [_walk_run(s)]
+    rows = harness._iterate_claims(runs)[0] + harness._cesaro_claims(runs)[0]
     assert all(r.status == "pass" for r in rows)
     return _MatmulSpy.shapes
 
 
 class TestIterateAndCesaroGroups:
-    """The two groups read one walk per operator, held on the diagonal
-    blocks of M, and make no n x n product from 32 atoms on."""
+    """Each group walks once per instance size, over the direct sum of the
+    operators of that size held on their diagonal blocks, and makes no
+    n x n product from 32 atoms on."""
 
     def test_wide256_groups_make_no_dense_product(self, monkeypatch):
         s = _wide256(monkeypatch)
         n = s.space.n_atoms
         shapes = _group_products(s)
         sizes = sorted(len(b) for b in s.partition.blocks)
-        # 20 walk products and 12 identity products, each one stack per
-        # distinct block size; the largest block is 33 atoms
-        assert len(shapes) == 32 * len(set(sizes))
+        # 6 products of the iterate walk, 20 of the Cesaro walk and 12
+        # identity products, each one stack per distinct block size; the
+        # largest block is 33 atoms
+        assert len(shapes) == 38 * len(set(sizes))
         assert max(shape[-1] for pair in shapes for shape in pair) == sizes[-1]
         assert all(pair[0][-2:] != (n, n) for pair in shapes)
         # the spy does see dense products: the same groups below the size rule
         monkeypatch.setattr(wct, "_CORE_MIN_ATOMS", n + 1)
         dense = _group_products(_wide256(monkeypatch))
-        assert len(dense) == 32
+        assert len(dense) == 38
         assert all(pair == ((1, n, n), (1, n, n)) for pair in dense)
 
-    def test_one_walk_per_operator(self, monkeypatch):
-        # one walk and one block layout per verified operator, shared by the
-        # walk and the structure pass; a rejected draw builds neither
-        walks, layouts = [], []
+    def test_one_walk_per_instance_size(self, monkeypatch):
+        # each group walks once per instance size, over the direct sum of
+        # the layouts of that size; every verified operator builds its own
+        # layout once, which its structure pass and its walks share, and a
+        # rejected draw builds none
+        walked, own, sums, accepted = [], [], [], []
         init, layout_init = wct.BlockWalk.__init__, wct.BlockLayout.__init__
+        direct_sum = wct.BlockLayout.direct_sum
+        draw = harness.generate_well_conditioned_instance
 
-        def spy(self, t, *args):
-            walks.append(t)
-            init(self, t, *args)
+        def spy(self, layout, *args):
+            walked.append(layout)
+            init(self, layout, *args)
 
         def spy_layout(self, t):
-            layouts.append(t)
+            own.append((self, t))
             layout_init(self, t)
+
+        def spy_sum(cls, layouts):
+            layouts = list(layouts)
+            sums.append((direct_sum(layouts), layouts))
+            return sums[-1][0]
+
+        def spy_draw(*args, **kwargs):
+            accepted.append(draw(*args, **kwargs))
+            return accepted[-1]
 
         monkeypatch.setattr(wct.BlockWalk, "__init__", spy)
         monkeypatch.setattr(wct.BlockLayout, "__init__", spy_layout)
+        monkeypatch.setattr(wct.BlockLayout, "direct_sum", classmethod(spy_sum))
+        monkeypatch.setattr(harness, "generate_well_conditioned_instance", spy_draw)
         s = _wide256(monkeypatch)
         run_verification(s, seed=1)
-        assert len(walks) == 1 and walks[0] is s.operator()
-        assert len(layouts) == 1 and layouts[0] is walks[0]
-        # r3 and 20 random instances: one walk each
-        walks.clear()
-        layouts.clear()
+        t = s.operator()
+        assert [x for _, x in own] == [t]
+        assert len(walked) == 2 and all(w is t.block_layout for w in walked)
+        # r3 and 20 random instances, of 8 sizes: 16 walks, two per size
+        walked.clear()
+        own.clear()
+        sums.clear()
         path = Path(__file__).resolve().parents[1] / "scenarios" / "r3_contracting.json"
-        run_verification(load_scenario(path), seed=1, instances=20)
-        assert len(walks) == len({id(t) for t in walks}) == 21
-        assert [id(t) for t in layouts] == [id(t) for t in walks]
+        r3 = load_scenario(path)
+        run_verification(r3, seed=1, instances=20)
+        ops = [r3.operator()] + [child.operator() for child in accepted]
+        assert [id(x) for _, x in own] == [id(op) for op in ops]
+        owner = {id(layout): [id(x)] for layout, x in own}
+        for layout, parts in sums:
+            owner[id(layout)] = [i for part in parts for i in owner[id(part)]]
+        by_size = {}
+        for op in ops:
+            by_size.setdefault(op.space.n_atoms, []).append(id(op))
+        assert len(walked) == 2 * len(by_size) == 16
+        assert [owner[id(w)] for w in walked] == 2 * list(by_size.values())
 
-    def test_iterate_powers_are_the_first_products_of_the_cesaro_walk(self):
-        s = scenario_from_dict(
-            {"atoms": [1.0, 1.0], "blocks": [[0, 1]], "u": [1.0, 1.0],
-             "w": [0.5, 0.5], "young": {"kind": "power_scaled", "p": 2}}
-        )
-        walk = s.walk
-        assert sorted(walk.t) == [1, 2, 3, 4, 5, 6, 8, 13, 20]
-        assert sorted(walk.b) == [2, 3, 5, 8, 13, 20]
-        assert sorted(walk.a) == [2, 3, 4, 5, 6, 8, 9, 13, 14, 20, 21]
-        assert s.walk is walk
+    def test_iterate_powers_are_the_first_products_of_the_cesaro_walk(
+        self, monkeypatch
+    ):
+        # the iterate group walks to T^6 and the Cesaro group to T^20, both
+        # by the products P_(k+1) = P_k @ M, so the powers they share have
+        # the same bits
+        walks = []
+        init = wct.BlockWalk.__init__
+
+        def spy(self, *args):
+            init(self, *args)
+            walks.append(self)
+
+        monkeypatch.setattr(wct.BlockWalk, "__init__", spy)
+        s = generate_random_instance(3, 40, 5, "contracting_h")
+        s = dataclasses.replace(s, experiments=("iterate_formula", "cesaro_identities"))
+        run_verification(s, seed=0)
+        powers, cesaro = walks
+        assert sorted(powers.t) == [1, 2, 3, 4, 5, 6]
+        assert not powers.a and not powers.b
+        assert sorted(cesaro.t) == [2, 3, 5, 8, 13, 20]
+        assert sorted(cesaro.b) == [2, 3, 5, 8, 13, 20]
+        assert sorted(cesaro.a) == [2, 3, 4, 5, 6, 8, 9, 13, 14, 20, 21]
+        for n in (2, 3, 5):
+            assert np.array_equal(powers.t[n], cesaro.t[n])
 
     def test_overflowing_powers_are_not_checked(self):
         # a 40-atom contracting draw with w scaled by 1e100: T^4 is inf
@@ -543,13 +640,102 @@ class TestIterateAndCesaroGroups:
         # that dropped them
         s = generate_random_instance(3, 40, 5, "contracting_h")
         s = dataclasses.replace(s, w=s.w * 1e100)
-        t = s.operator()
+        runs = [_walk_run(s)]
         with np.errstate(over="ignore", invalid="ignore"):
-            rows = harness._iterate_claims(s, t, 0) + harness._cesaro_claims(s, t, 0)
+            rows = harness._iterate_claims(runs)[0] + harness._cesaro_claims(runs)[0]
         assert len(rows) == 6
         for row in rows:
             assert row.status == "not_checked" and row.residual is None, row
             assert "overflow" in row.detail
+
+
+@st.composite
+def _stacked_batches(draw):
+    """Scenarios of 1 to 12 atoms over the five profiles, one of 40 atoms
+    and several blocks, and one whose w is scaled by 1e100, so that its
+    powers overflow, with the atom count of another instance: it shares
+    that instance's stacked walk. The order is shuffled."""
+    seeds = st.integers(0, 2**31 - 1)
+    sizes = draw(st.lists(st.integers(1, 12), min_size=6, max_size=14))
+    batch = []
+    for n in sizes:
+        profile = draw(st.sampled_from(PROFILES))
+        blocks = draw(st.integers(1, n))
+        batch.append(generate_random_instance(draw(seeds), n, blocks, profile))
+    blocks = draw(st.integers(3, 8))
+    batch.append(generate_random_instance(draw(seeds), 40, blocks, "generic"))
+    grown = generate_random_instance(draw(seeds), sizes[0], 1, "contracting_h")
+    batch.append(dataclasses.replace(grown, w=grown.w * 1e100))
+    order = draw(st.permutations(range(len(batch))))
+    return [batch[i] for i in order], order.index(len(batch) - 1)
+
+
+def _rows(batch):
+    """(claim id, status, residual, detail) of the iterate and Cesaro rows
+    of each scenario of the batch, walked together."""
+    runs = [_walk_run(s) for s in batch]
+    with np.errstate(over="ignore", invalid="ignore"):
+        both = zip(harness._iterate_claims(runs), harness._cesaro_claims(runs))
+    return [
+        [(r.claim_id, r.status, r.residual, r.detail) for r in a + b] for a, b in both
+    ]
+
+
+class TestStackedWalkGroups:
+    """The iterate and Cesaro groups over a batch of instances, stacked by
+    instance size, against each instance run alone."""
+
+    @settings(max_examples=40, derandomize=True, deadline=None, database=None)
+    @given(_stacked_batches())
+    def test_each_instance_reads_as_if_alone(self, drawn):
+        batch, grown = drawn
+        stacked = _rows(batch)
+        for s, rows in zip(batch, stacked):
+            # equal floats, and the residuals are never -0.0: bit for bit
+            assert rows == _rows([s])[0], s.fingerprint()
+        # the overflowing instance is not checked; its neighbours, one of
+        # them in the same walk, keep finite residuals: no NaN crosses
+        assert {status for _, status, _, _ in stacked[grown]} == {"not_checked"}
+        for i, rows in enumerate(stacked):
+            if i != grown:
+                assert all(np.isfinite(res) for _, _, res, _ in rows), i
+
+    @settings(max_examples=40, derandomize=True, deadline=None, database=None)
+    @given(_stacked_batches())
+    def test_one_walk_over_every_size_reads_as_if_alone(self, drawn):
+        # the whole batch in one layout: blocks of many sizes and owners
+        # interleave, and an owner's entries span several runs
+        batch, grown = drawn
+        ts = [s.operator() for s in batch]
+        ns = (2, 3, 5)
+        a_ns, t_ns = ns + tuple(n + 1 for n in ns), (1, 4) + ns
+
+        def gaps(walk):
+            out = harness.identity_residuals(walk, ns)
+            for n in t_ns:
+                closed = wct.iterate(walk, n)
+                gap = harness._relative_gap(walk, walk.t[n] - closed, walk.t[n])
+                out[-n] = {"iterate": gap}
+            for n in ns:
+                out[n]["cesaro"] = harness._relative_gap(
+                    walk, walk.a[n] - wct.cesaro_mean(walk, n), walk.a[n]
+                )
+                out[n]["remainder"] = harness._relative_gap(
+                    walk, walk.b[n] - wct.b_n_operator(walk, n), walk.b[n]
+                )
+            return out
+
+        with np.errstate(over="ignore", invalid="ignore"):
+            layout = wct.BlockLayout.direct_sum(t.block_layout for t in ts)
+            together = gaps(wct.BlockWalk(layout, a_ns, ns, t_ns))
+            for k, t in enumerate(ts):
+                alone = gaps(wct.BlockWalk(t.block_layout, a_ns, ns, t_ns))
+                for n, residuals in alone.items():
+                    for cid, res in residuals.items():
+                        got = together[n][cid][k]
+                        assert np.array_equal(got, res[0], equal_nan=True), (k, n, cid)
+                        if k != grown:
+                            assert np.isfinite(got), (k, n, cid)
 
 
 class TestEmitReport:
@@ -726,12 +912,14 @@ class TestClaimRows:
         s = scenario_from_dict(r1_scenario_dict)
         assert s.experiments == tuple(EXPERIMENT_CLAIMS)
         fp = {"n_atoms": 2, "n_blocks": 1, "seed": 5, "instances": 0}
-        rows = harness._scenario_claims(s, 5, fp)
+        rows = harness._suite_claims([(s, 5, fp)])
         assert sorted(r.claim_id for r in rows) == sorted(CLAIM_REGISTRY)
         assert all(r.fingerprint is fp for r in rows)
 
     def test_group_table_covers_every_experiment(self):
-        assert harness._GROUPS.keys() == EXPERIMENT_CLAIMS.keys()
+        groups = {**harness._GROUPS, **harness._WALK_GROUPS}
+        assert not harness._GROUPS.keys() & harness._WALK_GROUPS.keys()
+        assert groups.keys() == EXPERIMENT_CLAIMS.keys()
 
     @pytest.mark.parametrize("group", list(EXPERIMENT_CLAIMS))
     @pytest.mark.parametrize(
@@ -745,7 +933,10 @@ class TestClaimRows:
         # nilpotent, contracting and expanding symbols reach both the met and
         # the not-met branches of the hypothesis-gated rows
         s = scenario_from_dict(dict(r1_scenario_dict, w=w))
-        rows = harness._GROUPS[group](s, s.operator(), 0)
+        if group in harness._WALK_GROUPS:
+            (rows,) = harness._WALK_GROUPS[group]([_walk_run(s)])
+        else:
+            rows = harness._GROUPS[group](s, s.operator(), 0)
         assert [r.claim_id for r in rows] == list(EXPERIMENT_CLAIMS[group])
         assert all(r.fingerprint == {} for r in rows)
 

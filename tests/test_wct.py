@@ -406,8 +406,8 @@ def _block_operators(draw, huge=st.just(1.0), sizes=st.integers(32, 96)):
 
 
 def _group_rows(s):
-    t = s.operator()
-    rows = harness._iterate_claims(s, t, 0) + harness._cesaro_claims(s, t, 0)
+    runs = [(s.operator().block_layout, s.tolerances["comparison"])]
+    rows = harness._iterate_claims(runs)[0] + harness._cesaro_claims(runs)[0]
     return {r.claim_id: (r.status, r.residual) for r in rows}
 
 
@@ -563,9 +563,9 @@ class TestBlockLayoutAgainstDense:
             on = t.e._labels[:, None] == t.e._labels
             with np.errstate(over="ignore", invalid="ignore"):
                 for n in (2, 7, 600):
-                    a_n = layout.unpack(cesaro_mean(t, n, layout))
+                    a_n = layout.unpack(cesaro_mean(layout, n))
                     assert _same_bits(a_n[on], cesaro_mean(t, n)[on])
-                    b_n = layout.unpack(b_n_operator(t, n, layout))
+                    b_n = layout.unpack(b_n_operator(layout, n))
                     assert _same_bits(b_n[on], b_n_operator(t, n)[on])
 
 
