@@ -348,13 +348,19 @@ _YOUNG_ROTATION = (
 
 
 def generate_random_instance(
-    seed: int, n_atoms: int, n_blocks: int, profile: str = "generic"
+    seed: int,
+    n_atoms: int,
+    n_blocks: int,
+    profile: str = "generic",
+    gauges: dict | None = None,
 ) -> Scenario:
     """Deterministic scenario per seed; profile post-conditions hold by
     construction (contracting_h rescales w blockwise so sup|h| <= 0.9,
     expanding_h so min h >= 1.1, nilpotent_h orthogonalizes w against u on
     every block, sparse_support zeroes w outside a small atom set). The
-    scenario holds the operator that the draw builds."""
+    scenario holds the operator that the draw builds. Draws that are given
+    one ``gauges`` dict share the gauge of each rotation entry, and so the
+    conjugate it builds: the dict keeps each gauge a draw builds."""
     if not 1 <= n_blocks <= n_atoms <= MAX_RANDOM_ATOMS:
         raise ValueError(f"require 1 <= n_blocks <= n_atoms <= {MAX_RANDOM_ATOMS}")
     if profile not in PROFILES:
@@ -373,8 +379,11 @@ def generate_random_instance(
     space = FiniteMeasureSpace.from_weights(weights)
     e = CondExp(space, partition)
 
-    kind, p = _YOUNG_ROTATION[int(rng.integers(len(_YOUNG_ROTATION)))]
-    phi = _YOUNG_FACTORIES[kind](p)
+    entry = _YOUNG_ROTATION[int(rng.integers(len(_YOUNG_ROTATION)))]
+    gauges = {} if gauges is None else gauges
+    if entry not in gauges:
+        gauges[entry] = _YOUNG_FACTORIES[entry[0]](entry[1])
+    phi = gauges[entry]
 
     def sprinkle_zeros(vec, frac=0.15):
         vec[rng.random(vec.size) < frac] = 0.0
@@ -435,17 +444,19 @@ def generate_well_conditioned_instance(
     n_blocks: int,
     profile: str = "generic",
     tol: float = 1e-8,
+    gauges: dict | None = None,
 ) -> Scenario:
     """generate_random_instance, re-drawing (at most _ATTEMPTS times) while
     any operator power carries a singular value too close to its rank
     threshold to classify, read from the block spectrum with no SVD;
-    ScenarioError when every draw does."""
-    scenario = generate_random_instance(seed, n_atoms, n_blocks, profile)
+    ScenarioError when every draw does. Every draw shares ``gauges``."""
+    gauges = {} if gauges is None else gauges
+    scenario = generate_random_instance(seed, n_atoms, n_blocks, profile, gauges)
     for j in range(1, _ATTEMPTS + 1):
         if block_powers_well_conditioned(scenario.operator(), 7, tol):
             return scenario
         scenario = generate_random_instance(
-            seed + 7919 * j, n_atoms, n_blocks, profile
+            seed + 7919 * j, n_atoms, n_blocks, profile, gauges
         )
     raise ScenarioError(
         f"no well-conditioned instance within {_ATTEMPTS} draws from seed "
@@ -527,26 +538,20 @@ def _folded_claim(cid: str, residuals: np.ndarray, bound: float, detail: str):
     return make_claim(cid, "none", worst <= bound, worst, detail)
 
 
-def _walks(runs, a_ns=(), b_ns=(), t_ns=()):
-    """(positions in runs, walk) for each instance size: one ``BlockWalk``
-    over the direct sum of the layouts of that many atoms, so that the
-    results of one size only are held at a time."""
-    by_size = {}
-    for i, (layout, _) in enumerate(runs):
-        by_size.setdefault(layout.n, []).append(i)
-    for index in by_size.values():
-        layout = BlockLayout.direct_sum(runs[i][0] for i in index)
-        yield index, BlockWalk(layout, a_ns, b_ns, t_ns)
-
-
-def _walk_claims(runs, residuals, detail, **ns):
-    """The rows of each (block layout, comparison tolerance) run from
-    ``residuals(walk)``, which gives for every claim id one array per power
+def _walk_claims(runs, residuals, detail, a_ns=(), b_ns=(), t_ns=()):
+    """The rows of each (block layout, comparison tolerance) run, from one
+    ``BlockWalk`` per instance size over the direct sum of the layouts of
+    that many atoms, so that the results of one size only are held at a
+    time. ``residuals(walk)`` gives for every claim id one array per power
     or horizon, one value per operator of the walk. An overflowing power
     walks on as inf and NaN, which the fold reads as not_checked."""
-    per_run = [None] * len(runs)
+    by_size, per_run = {}, [None] * len(runs)
+    for i, (layout, _) in enumerate(runs):
+        by_size.setdefault(layout.n, []).append(i)
     with np.errstate(over="ignore", invalid="ignore"):
-        for index, walk in _walks(runs, **ns):
+        for index in by_size.values():
+            layout = BlockLayout.direct_sum(runs[i][0] for i in index)
+            walk = BlockWalk(layout, a_ns, b_ns, t_ns)
             stacked = {cid: np.array(res) for cid, res in residuals(walk).items()}
             for j, i in enumerate(index):
                 per_run[i] = {cid: res[:, j] for cid, res in stacked.items()}
@@ -756,6 +761,8 @@ def _random_instances(scenario: Scenario, seed: int, instances: int):
     ``run_verification``, drawn when it is asked for, with the tolerances
     of scenario and those of its experiment groups that are fast."""
     fast = tuple(g for g in scenario.experiments if g in _FAST_GROUPS)
+    # the gauges of the rotation, and their conjugates, built once per call
+    gauges = {}
     for i in range(instances):
         child_seed = seed * 100003 + i
         profile = PROFILES[i % len(PROFILES)]
@@ -768,6 +775,7 @@ def _random_instances(scenario: Scenario, seed: int, instances: int):
             n_blocks=n_blocks,
             profile=profile,
             tol=scenario.tolerances["rank"],
+            gauges=gauges,
         )
         # keep the seed of the draw that was accepted: the fingerprint then
         # rebuilds the instance that ran, and its claims sample with it. The

@@ -274,7 +274,9 @@ class TestRunVerification:
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main(argv) == 0
         assert counts["contraction_criterion"] == 21
-        assert counts["complementary"] == 21
+        # one conjugate per gauge: r3's, and one for each of the four gauges
+        # of the random rotation, which the draws of one call share
+        assert counts["complementary"] == 5
 
     def test_each_accepted_draw_builds_its_operator_once(self, monkeypatch):
         # the primary scenario and every random draw build one operator and
