@@ -22,14 +22,17 @@ Report JSON keys per claim: claim_id, anchor, hypothesis, status, residual,
 detail, fingerprint. A claim whose hypothesis is not met never affects the
 exit status. Each experiment group is one entry of ``_GROUPS``, a function
 of (scenario, operator, sampling seed) that returns the scenario's rows, or
-of ``_WALK_GROUPS``: the iterate and Cesaro groups, functions of a list of
-(block layout, comparison tolerance) runs, one per instance that asks for
-them, which walk once per instance size over the direct sum of the layouts
-and return the rows of each run. A verify call reads its instances one at a
-time and keeps of each only its operator's block layout, for the walk
-groups at the end. The harness stamps the fingerprint of the instance that
-ran onto every row, and library calls such as ``verify_structure_theorems``
-return rows whose fingerprint is ``{}``. A scenario builds its operator and
+of ``_BATCH_GROUPS``: the structure, iterate and Cesaro groups, functions
+of a list of runs, one per instance that asks for them, which take one
+stacked pass per instance size and return the rows of each run. The
+structure group's runs are the arguments of ``verify_structure_theorems``
+(operator, gauge, rank tolerance, sampling seed, criterion), which it calls
+in its batch form; the walk groups' runs are (block layout, comparison
+tolerance), which walk over the direct sum of the layouts. A verify call
+reads its instances one at a time and keeps of each only those runs, for
+the batch groups at the end. The harness stamps the fingerprint of the
+instance that ran onto every row, and library calls such as
+``verify_structure_theorems`` return rows whose fingerprint is ``{}``. A scenario builds its operator and
 the contraction criterion once (a random draw hands over the operator it
 built), and the groups share them; the conjugate gauge is
 ``phi.conjugate``, which the gauge builds once.
@@ -523,11 +526,6 @@ def identity_residuals(walk: BlockWalk, ns) -> dict[int, dict]:
     return out
 
 
-def _structure_claims(s: Scenario, t: WctOperator, seed: int):
-    tol, crit = s.tolerances["rank"], s.criterion
-    return verify_structure_theorems(t, s.phi, tol=tol, seed=seed, criterion=crit)
-
-
 def _folded_claim(cid: str, residuals: np.ndarray, bound: float, detail: str):
     """The row of the worst of a claim's residuals. A non-finite residual (a
     power that overflowed) makes it not_checked with no residual: no bound
@@ -538,23 +536,43 @@ def _folded_claim(cid: str, residuals: np.ndarray, bound: float, detail: str):
     return make_claim(cid, "none", worst <= bound, worst, detail)
 
 
+def _by_size(runs, size, batch) -> list:
+    """batch(runs) for the runs of each instance size (``size(run)``), so
+    that the stacked arrays of one size only are held at a time: one result
+    per run, in run order."""
+    by_size, per_run = {}, [None] * len(runs)
+    for i, run in enumerate(runs):
+        by_size.setdefault(size(run), []).append(i)
+    for index in by_size.values():
+        for i, result in zip(index, batch([runs[i] for i in index])):
+            per_run[i] = result
+    return per_run
+
+
+def _structure_claims(runs):
+    """The structure rows of each run of ``verify_structure_theorems``
+    arguments, from one batch call per instance size."""
+
+    def batch(runs):
+        return verify_structure_theorems(*zip(*runs))
+
+    return _by_size(runs, lambda run: run[0].space.n_atoms, batch)
+
+
 def _walk_claims(runs, residuals, detail, a_ns=(), b_ns=(), t_ns=()):
     """The rows of each (block layout, comparison tolerance) run, from one
     ``BlockWalk`` per instance size over the direct sum of the layouts of
-    that many atoms, so that the results of one size only are held at a
-    time. ``residuals(walk)`` gives for every claim id one array per power
-    or horizon, one value per operator of the walk. An overflowing power
-    walks on as inf and NaN, which the fold reads as not_checked."""
-    by_size, per_run = {}, [None] * len(runs)
-    for i, (layout, _) in enumerate(runs):
-        by_size.setdefault(layout.n, []).append(i)
+    that many atoms. ``residuals(walk)`` gives for every claim id one array
+    per power or horizon, one value per operator of the walk. An overflowing
+    power walks on as inf and NaN, which the fold reads as not_checked."""
+
+    def walked(batch):
+        walk = BlockWalk(BlockLayout.direct_sum(x for x, _ in batch), a_ns, b_ns, t_ns)
+        stacked = {cid: np.array(res) for cid, res in residuals(walk).items()}
+        return [{cid: res[:, j] for cid, res in stacked.items()} for j in range(len(batch))]
+
     with np.errstate(over="ignore", invalid="ignore"):
-        for index in by_size.values():
-            layout = BlockLayout.direct_sum(runs[i][0] for i in index)
-            walk = BlockWalk(layout, a_ns, b_ns, t_ns)
-            stacked = {cid: np.array(res) for cid, res in residuals(walk).items()}
-            for j, i in enumerate(index):
-                per_run[i] = {cid: res[:, j] for cid, res in stacked.items()}
+        per_run = _by_size(runs, lambda run: run[0].n, walked)
     return [
         [_folded_claim(cid, res, tol, detail) for cid, res in folded.items()]
         for (_, tol), folded in zip(runs, per_run)
@@ -707,18 +725,27 @@ def _boundedness_claims(s: Scenario, t: WctOperator, seed: int):
     ]
 
 
+def _structure_run(s: Scenario, t: WctOperator, seed: int):
+    return t, s.phi, s.tolerances["rank"], seed, s.criterion
+
+
+def _walk_run(s: Scenario, t: WctOperator, seed: int):
+    return t.block_layout, s.tolerances["comparison"]
+
+
 # experiment group -> its rows for (scenario, operator, sampling seed)
 _GROUPS = {
-    "structure": _structure_claims,
     "condexp_laws": _condexp_claims,
     "power_bounded": _power_bounded_claims,
     "boundedness": _boundedness_claims,
 }
-# experiment group -> the rows of each of a list of (block layout,
-# comparison tolerance) runs, from one walk per instance size
-_WALK_GROUPS = {
-    "iterate_formula": _iterate_claims,
-    "cesaro_identities": _cesaro_claims,
+# experiment group -> (the run it keeps of (scenario, operator, sampling
+# seed), the rows of each of a list of such runs, from one stacked pass per
+# instance size)
+_BATCH_GROUPS = {
+    "structure": (_structure_run, _structure_claims),
+    "iterate_formula": (_walk_run, _iterate_claims),
+    "cesaro_identities": (_walk_run, _cesaro_claims),
 }
 
 
@@ -727,11 +754,12 @@ def _suite_claims(runs) -> list[ClaimResult]:
     fingerprint) asks for, each stamped with its run's fingerprint.
 
     The runs are read one at a time: the groups of ``_GROUPS`` take each run
-    as it comes, and of a run that asks for a walk group only the block
-    layout of its operator is kept, so that the walk groups take every such
-    run at once, at the end, while the instances themselves are let go.
+    as it comes, and of a run that asks for a batch group only what that
+    group reads is kept (the operator, or its block layout), so that the
+    batch groups take every such run at once, at the end, while the
+    instances themselves are let go.
     """
-    rows, walked = [], {}
+    rows, kept = [], {}
 
     def stamped(group_rows, fp):
         for row in group_rows:
@@ -741,13 +769,13 @@ def _suite_claims(runs) -> list[ClaimResult]:
     for s, seed, fp in runs:
         t = s.operator()
         for name in s.experiments:
-            if name in _WALK_GROUPS:
-                run = (t.block_layout, s.tolerances["comparison"])
-                walked.setdefault(name, []).append((run, fp))
+            if name in _BATCH_GROUPS:
+                run = _BATCH_GROUPS[name][0](s, t, seed)
+                kept.setdefault(name, []).append((run, fp))
             else:
                 rows += stamped(_GROUPS[name](s, t, seed), fp)
-    for name, asked in walked.items():
-        ran = _WALK_GROUPS[name]([run for run, _ in asked])
+    for name, asked in kept.items():
+        ran = _BATCH_GROUPS[name][1]([run for run, _ in asked])
         for (_, fp), group_rows in zip(asked, ran):
             rows += stamped(group_rows, fp)
     return rows

@@ -18,11 +18,17 @@ to the realized largest singular value of each power with a noise floor that
 scales like the base norm to the k-th power, so kernel detection stays
 stable whether iterates grow or decay. ``ascent_of`` takes an operator and
 reads the same chain, with the same overflow cut. The ergodic rows check the
-split by solves and products on the operator's ``BlockLayout``. Only
-``powers_well_conditioned`` keeps a dense route, for bare matrices: one SVD
-of M compresses it to a core of at most 2r dimensions for r = rank M.
-"Dense" statements are read as subspace equality with the whole space, the
-only faithful finite-dimensional interpretation.
+split by solves and products on the operators' ``BlockLayout``.
+
+The pass is a batch: ``verify_structure_theorems`` takes one operator or a
+list of them, and runs over the direct sum of their block records and
+layouts; every per-operator quantity is a max, min or count over the
+operator's own segment of the stacked arrays, so each operator's rows equal
+its rows alone. ``ascent_of`` reads the same stacked chain for one
+operator. Only ``powers_well_conditioned`` keeps a dense route, for bare
+matrices: one SVD of M compresses it to a core of at most 2r dimensions for
+r = rank M. "Dense" statements are read as subspace equality with the whole
+space, the only faithful finite-dimensional interpretation.
 Orthogonal-complement arguments are realized through the bilinear pairing
 sum f_i g_i mu_i and its adjoint, because the ambient space is generally not
 a Hilbert space; every claim that uses an adjoint records that choice.
@@ -35,13 +41,12 @@ import itertools
 import numpy as np
 
 from .claims import ClaimResult, make_claim, overflow_claim
-from .measure import support
 from .wct import (
     WctOperator,
+    BlockLayout,
     BlockRecord,
     _block_frame,
-    b_n_operator,
-    cesaro_mean,
+    _power_sum,
     contraction_criterion,
 )
 from .young import YoungFunction
@@ -53,34 +58,28 @@ __all__ = [
 
 DEFAULT_RANK_TOL = 1e-8
 
-
-def _relative_cut(top: float, tol: float) -> float:
-    """tol times the largest singular value top, or tol when top is 0."""
-    return tol * top if top > 0 else tol
-
-
 _NOISE_COEFF = 1e-11
+
+
+def _noise_floor(base_norm: float, k: int) -> float:
+    """The float-noise floor of computing the k-th power of a matrix with
+    2-norm base_norm, which scales like base_norm^k (inf beyond the float
+    range, 0 for a norm that is not positive)."""
+    try:
+        return _NOISE_COEFF * base_norm**k if base_norm > 0 else 0.0
+    except OverflowError:  # base_norm**k is beyond the float range
+        return np.inf
 
 
 def _power_threshold(sing: np.ndarray, base_norm: float, k: int, tol: float) -> float:
     """Rank threshold for the k-th power of a matrix with 2-norm base_norm.
 
     Relative to the realized largest singular value, but never below the
-    float-noise floor of computing the power (which scales like base^k), so
-    kernel detection stays stable whether iterates grow or decay.
+    float-noise floor of computing the power, so kernel detection stays
+    stable whether iterates grow or decay.
     """
     realized = float(np.max(sing, initial=0.0))
-    try:
-        floor = _NOISE_COEFF * base_norm**k if base_norm > 0 else 0.0
-    except OverflowError:  # base_norm**k is beyond the float range
-        floor = np.inf
-    return max(tol * realized, floor)
-
-
-def _sum_rank(s: np.ndarray, tol: float) -> int:
-    """The count of singular values s above tol times the largest (tol if 0):
-    a matrix's rank, or a subspace sum's dimension from its stacked bases."""
-    return int(np.sum(s > _relative_cut(float(np.max(s, initial=0.0)), tol)))
+    return max(tol * realized, _noise_floor(base_norm, k))
 
 
 def _thresholded(spectra, tol: float):
@@ -185,15 +184,6 @@ def _ranks(spectra, tol: float):
     return (int(np.sum(s > thr)) for _, s, thr in _thresholded(spectra, tol))
 
 
-def _rank_chain(rec: BlockRecord, count: int, tol: float):
-    """(live, reached) for T^k, k = 1..count: per power, the blocks with
-    sigma_B |h_B|^(k-1) above its threshold, and the count of leading powers
-    with a finite spectrum and threshold, past which nothing is checked."""
-    chain = list(_thresholded(_block_spectra(rec, count), tol))
-    finite = [np.isfinite(thr) and np.isfinite(s).all() for _, s, thr in chain]
-    return [s > thr for _, s, thr in chain], (finite + [False]).index(False)
-
-
 def _ascent(n: int, ranks, k_max: int):
     """The first k <= k_max with rank(A^k) = rank(A^(k+1)), or None, from
     rank(A^0) = n and the ranks of A^1, A^2, ..., read only as far as needed."""
@@ -203,6 +193,51 @@ def _ascent(n: int, ranks, k_max: int):
         if k == k_max:
             return None
         n = rank
+
+
+def _owner_sum(x, starts) -> np.ndarray:
+    """The count (or integer sum) of x over each owner's segment of the
+    last axis."""
+    return np.add.reduceat(x, starts, axis=-1, dtype=int)
+
+
+def _owner_max(x, starts) -> np.ndarray:
+    """The largest x over each owner's segment of the last axis; NaN for a
+    segment that holds a NaN."""
+    return np.maximum.reduceat(x, starts, axis=-1)
+
+
+def _segment_owner(starts, size: int) -> np.ndarray:
+    """The owner of each of the size entries that the segments cover."""
+    return np.repeat(np.arange(starts.size), np.diff(starts, append=size))
+
+
+def _chain(spectra, starts, tol, ones=0):
+    """The rank chains of the powers A^1, A^2, ... of several operators.
+
+    ``spectra`` (..., power, value) holds the singular values of each power,
+    one segment of the last axis per operator from ``starts`` (zeros there
+    count nowhere), and each operator has ``ones`` further values 1; the
+    thresholds are those of ``_thresholded``, with per-operator ``tol``.
+    Returns whether each value clears its threshold, and per power and
+    operator the rank and whether the spectrum and the threshold are finite.
+    """
+    top = _owner_max(spectra, starts)
+    top = np.where(ones > 0, np.maximum(top, 1.0), top)
+    powers = range(1, top.shape[-2] + 1)
+    base = top[..., 0, :].reshape(-1, top.shape[-1]).tolist()
+    floor = [[_noise_floor(b, k) for b in row] for row in base for k in powers]
+    thr = np.maximum(tol * top, np.reshape(floor, top.shape))
+    live = spectra > thr[..., _segment_owner(starts, spectra.shape[-1])]
+    ranks = _owner_sum(live, starts) + ones * (thr < 1.0)
+    finite = np.logical_and.reduceat(np.isfinite(spectra), starts, axis=-1)
+    return live, ranks, finite & np.isfinite(thr)
+
+
+def _reached(finite) -> np.ndarray:
+    """The count of leading powers with a finite spectrum and threshold,
+    per operator, past which nothing is checked."""
+    return np.cumprod(finite, axis=-2).sum(axis=-2)
 
 
 def ascent_of(t: WctOperator, k_max: int = 8, tol: float = DEFAULT_RANK_TOL):
@@ -216,10 +251,12 @@ def ascent_of(t: WctOperator, k_max: int = 8, tol: float = DEFAULT_RANK_TOL):
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    live, reached = _rank_chain(t.block_record, k_max + 1, tol)
+    spectra = np.array(_block_spectra(t.block_record, k_max + 1))
+    _, ranks, finite = _chain(spectra, np.zeros(1, dtype=int), np.array([tol]))
+    reached = int(_reached(finite)[0])
     if reached <= k_max:
         raise OverflowError(f"power {reached + 1} of the operator overflowed")
-    return _ascent(t.space.n_atoms, (int(np.sum(on)) for on in live), k_max)
+    return _ascent(t.space.n_atoms, ranks[:, 0].tolist(), k_max)
 
 
 def _decreasing_to_zero(residuals: list[float], floor: float) -> bool:
@@ -237,6 +274,14 @@ _DELTA = 1e-10
 # random probe functions and the least horizon of the ergodic rows
 _N_PROBES = 100
 _N_CESARO = 200
+_CRITERION_CLAIMS = (
+    "one_minus_t_ascent",
+    "one_minus_t_adjoint_ascent",
+    "one_minus_t_direct_sum",
+    "ergodic_invertibility",
+    "ergodic_bn_convergence",
+    "ergodic_cesaro_limit",
+)
 
 
 def verify_structure_theorems(
@@ -254,23 +299,105 @@ def verify_structure_theorems(
     phi enters only through the criterion: a caller that already holds
     ``contraction_criterion(t, phi)`` passes it as ``criterion``; otherwise
     the pass computes it.
+
+    The batch form takes sequences in place of all five arguments, one
+    entry per operator, and returns the rows of each operator, from one
+    pass over the direct sum of their block records and one over that of
+    the block layouts of those whose criterion holds. Every array of the
+    pass grows with the number of operators, so callers hold a batch to
+    operators of one size.
     """
-    if tol <= 0:
-        raise ValueError("tol must be > 0")
-    if criterion is None:
-        criterion = contraction_criterion(t, phi)
-    return list(_structure_rows(t, tol, seed, criterion[1]))
+    if isinstance(t, WctOperator):
+        return verify_structure_theorems([t], [phi], [tol], [seed], [criterion])[0]
+    runs = []
+    for t_i, phi_i, tol_i, seed_i, crit_i in zip(t, phi, tol, seed, criterion, strict=True):
+        if tol_i <= 0:
+            raise ValueError("tol must be > 0")
+        if crit_i is None:
+            crit_i = contraction_criterion(t_i, phi_i)
+        runs.append((t_i, tol_i, seed_i, crit_i[1]))
+    return _structure_batch(runs)
 
 
-def _structure_rows(t: WctOperator, tol: float, seed: int, criterion_holds: bool):
-    n = t.space.n_atoms
-    rec = t.block_record
-    sigma, h_block, rho, pair = rec.sigma, rec.h, rec.rho, rec.sizes > 1
+class _Stack:
+    """The operators of a list of runs, stacked: the direct sum of their
+    block records, and per operator its atom count, its rank tolerance and
+    where its blocks start; ``owner`` gives the operator of each block."""
+
+    def __init__(self, runs):
+        self.ts = [run[0] for run in runs]
+        records = [t.block_record for t in self.ts]
+        self.rec = BlockRecord.direct_sum(records)
+        counts = np.array([r.sizes.size for r in records])
+        self.starts = np.cumsum(counts) - counts
+        self.owner = np.repeat(np.arange(len(runs)), counts)
+        self.n = np.array([t.space.n_atoms for t in self.ts])
+        self.tol = np.array([run[1] for run in runs], dtype=float)
+
+
+def _structure_batch(runs) -> list[list[ClaimResult]]:
+    """The rows of each run of (operator, rank tolerance, sampling seed,
+    whether the contraction criterion holds) in one stacked pass."""
+    st = _Stack(runs)
+    rec, starts, owner, n, tol = st.rec, st.starts, st.owner, st.n, st.tol
+    sigma, h_block, pair = rec.sigma, rec.h, rec.sizes > 1
 
     # the live counts for k <= 9 give the chains to k = 6 and the ascent
     # (also the descent, by rank-nullity), as in ascent_of
-    live, reached = _rank_chain(rec, 9, tol)
-    ranks = [n] + [int(np.sum(on)) for on in live]
+    live, ranks, finite = _chain(np.array(_block_spectra(rec, 9)), starts, tol)
+    ranks = np.vstack([n, ranks])
+
+    # sums and intersections enter only through their dimensions: a sum's
+    # counts the singular values of the stacked bases above tol times the
+    # largest, and dim(a & b) = dim a + dim b - dim(a + b). Where T^i is live
+    # on a block R(T^i) is span(e1), and N(T^j) is the whole block, or
+    # (u mu)_B^perp where T^j is live. Stacked, span(e1) and (u mu)_B^perp
+    # have sqrt(1 +- rho_B/sigma_B) and n_B - 2 ones (the small value as
+    # (|h_B|/sigma_B)/sqrt(1 + rho_B/sigma_B), free of cancellation),
+    # span(e1) and the block sqrt(2), 0 and n_B - 1 ones (a zero never
+    # counts), and any other stack is orthonormal: all ones. The sums of
+    # R(T^2) with N(T^k) and of R(T^k) with N(T^2), k = 1..4, at once
+    cos, sin = (
+        np.divide(v, sigma, out=np.zeros_like(sigma), where=sigma > 0)
+        for v in (rec.rho, np.abs(h_block))
+    )
+    root = np.sqrt(1.0 + cos)
+    small = sin / root
+    i, j = np.array([2, 2, 2, 2, 1, 3, 4]), np.array([1, 2, 3, 4, 2, 2, 2])
+    both, inside = live[i - 1] & live[j - 1] & pair, live[i - 1] & ~live[j - 1]
+    n_both, n_inside = _owner_sum(both, starts), _owner_sum(inside, starts)
+    ones = n + ranks[i] - ranks[j] - 2 * (n_both + n_inside)
+    top = _owner_max(np.where(both, np.maximum(root, small), 0.0), starts)
+    top = np.maximum(top, np.where(n_inside > 0, 2**0.5, 0.0))
+    top = np.maximum(top, np.where(ones > 0, 1.0, 0.0))
+    cut = np.where(top > 0, tol * top, tol)
+    sums = n_inside * (2**0.5 > cut) + ones * (1.0 > cut)
+    for value in (root, small):
+        sums += _owner_sum(both & (value > cut[:, owner]), starts)
+
+    # descent under "symbol bounded away from zero on its support"
+    weak = (np.abs(h_block) > 1e-12) & ~(np.abs(h_block) >= _DELTA)
+    bounded_away = _owner_sum(weak, starts) == 0
+
+    met = [o for o, run in enumerate(runs) if run[3]]
+    criterion = dict(zip(met, _criterion_rows([runs[o] for o in met]) if met else []))
+    per_owner = zip(
+        n.tolist(),
+        ranks.T.tolist(),
+        _reached(finite).tolist(),
+        bounded_away.tolist(),
+        sums.T.tolist(),
+    )
+    return [
+        list(_owner_rows(*facts, criterion.get(o))) for o, facts in enumerate(per_owner)
+    ]
+
+
+def _owner_rows(n, ranks, reached, bounded_away, sums, criterion):
+    """The rows of one operator from its facts in the stacked pass: its
+    ranks of T^0..T^9, how many powers are finite, its descent hypothesis,
+    the dimensions of R(T^2) + N(T^k) and of R(T^k) + N(T^2), k = 1..4, and
+    the rows under the contraction criterion (None when it fails)."""
     ascent = _ascent(n, ranks[1:], 8)
     ranks = ranks[:7]
     null_dims = [n - r for r in ranks]
@@ -297,9 +424,6 @@ def _structure_rows(t: WctOperator, tol: float, seed: int, criterion_holds: bool
         detail=f"kernel dims {null_dims}",
     )
 
-    # descent under "symbol bounded away from zero on its support"
-    h_supp = sorted(support(t.h, 1e-12))
-    bounded_away = (not h_supp) or min(abs(t.h[i]) for i in h_supp) >= _DELTA
     hyp_b = "met" if bounded_away else "not_met"
     if bounded_away:
         yield claim(
@@ -320,75 +444,25 @@ def _structure_rows(t: WctOperator, tol: float, seed: int, criterion_holds: bool
         for cid in ("descent_bound", "range_chain_stabilization"):
             yield make_claim(cid, hyp_b, None)
 
-    # sums and intersections enter only through their dimensions: a sum's
-    # counts the singular values of the stacked bases above tol times the
-    # largest, and dim(a & b) = dim a + dim b - dim(a + b). Where T^i is live
-    # on a block R(T^i) is span(e1), and N(T^j) is the whole block, or
-    # (u mu)_B^perp where T^j is live. Stacked, span(e1) and (u mu)_B^perp
-    # have sqrt(1 +- rho_B/sigma_B) and n_B - 2 ones (the small value as
-    # (|h_B|/sigma_B)/sqrt(1 + rho_B/sigma_B), free of cancellation),
-    # span(e1) and the block sqrt(2), 0 and n_B - 1 ones (a zero never
-    # counts), and any other stack is orthonormal: all ones
-    cos, sin = (
-        np.divide(v, sigma, out=np.zeros_like(sigma), where=sigma > 0)
-        for v in (rho, np.abs(h_block))
-    )
-    root = np.sqrt(1.0 + cos)
-
-    def sum_dim(i: int, j: int) -> int:
-        r, k = live[i - 1], live[j - 1]
-        both, inside = r & k & pair, r & ~k
-        ones = n + ranks[i] - ranks[j] - 2 * int(np.sum(both) + np.sum(inside))
-        values = [root[both], sin[both] / root[both], np.full(np.sum(inside), 2**0.5)]
-        return _sum_rank(np.concatenate(values + [np.ones(ones)]), tol)
-
-    dims = [ranks[2] + null_dims[k] - sum_dim(2, k) for k in range(1, 5)]
+    dims = [ranks[2] + null_dims[k] - sums[k - 1] for k in range(1, 5)]
     worst = float(max(dims))
     yield claim(
         "range_square_null_intersection", "none", 4, worst == 0, residual=worst
     )
     ok = None
     if bounded_away:
-        ok = all(sum_dim(k, 2) == n for k in range(1, 5))
+        ok = all(sums[k] == n for k in (4, 1, 5, 6))
     yield claim("range_plus_null_square", hyp_b, 4, ok)
 
     # h*T = T^2 in closed form (h is constant on blocks), so its range and
     # kernel at the power-2 cut are those of T^2
-    sum2 = sum_dim(2, 2)
+    sum2 = sums[1]
     yield claim("symbol_operator_decomposition", "none", 2, sum2 == n)
 
-    # claims under the strict contraction criterion. (I - T_B)^k is the core
-    # [[(1-h_B)^k, -gamma_k rho_B], [0, 1]] with gamma_k = sum_{i<k} (1-h_B)^i,
-    # and the pairing adjoint u E(w .) has rho'_B from u_B and (w mu)_B in
-    # place of rho_B; one stacked SVD factors powers 1-9 of both
-    hyp_c = "met" if criterion_holds else "not_met"
-    if criterion_holds:
-        rho_adj = _block_frame(t.e, t.h, t.u, t.w * t.space.weights).rho
-        p = (1.0 - h_block)[:, None] ** np.arange(10)
-        cores = np.zeros((2, sigma.size, 9, 2, 2))
-        cores[..., 0, 0] = p[:, 1:]
-        gamma = np.cumsum(p[:, :-1], axis=1)
-        cores[..., 0, 1] = -gamma * np.stack([rho, rho_adj])[..., None]
-        cores[..., 1, 1] = pair[:, None]
-        u, s, vh = np.linalg.svd(cores)
-        trivial = np.ones(n - int(np.sum(np.minimum(rec.sizes, 2))))
-
-        def spectra(op: int):
-            for k in range(9):
-                yield np.concatenate([s[op, :, k, 0], s[op, pair, k, 1], trivial])
-
-        a1, a2 = (_ascent(n, _ranks(spectra(op), tol), 8) for op in (0, 1))
-        ok = a1 is not None and a1 <= 1
-        yield make_claim("one_minus_t_ascent", hyp_c, ok, detail=f"ascent={a1}")
-        yield make_claim(
-            "one_minus_t_adjoint_ascent",
-            hyp_c,
-            a2 is not None and a2 <= 1,
-            detail=f"ascent={a2} (bilinear pairing adjoint)",
-        )
-    else:
-        for cid in ("one_minus_t_ascent", "one_minus_t_adjoint_ascent"):
-            yield make_claim(cid, hyp_c, None)
+    if criterion is None:
+        criterion = {cid: make_claim(cid, "not_met", None) for cid in _CRITERION_CLAIMS}
+    yield criterion["one_minus_t_ascent"]
+    yield criterion["one_minus_t_adjoint_ascent"]
 
     # dense sum surrogate: equality with the whole space
     yield claim(
@@ -399,86 +473,137 @@ def _structure_rows(t: WctOperator, tol: float, seed: int, criterion_holds: bool
         detail=f"dim sum={sum2}, dim intersection={dims[1]} "
         "(density read as equality in finite dimensions)",
     )
+    for cid in _CRITERION_CLAIMS[2:]:
+        yield criterion[cid]
 
-    if not criterion_holds:
-        for cid in (
-            "one_minus_t_direct_sum",
-            "ergodic_invertibility",
-            "ergodic_bn_convergence",
-            "ergodic_cesaro_limit",
-        ):
-            yield make_claim(cid, hyp_c, None)
-        return
+
+def _criterion_rows(runs) -> list[dict[str, ClaimResult]]:
+    """The rows under the strict contraction criterion (claim id -> row) of
+    each run, whose criterion holds.
+
+    (I - T_B)^k is the core [[(1-h_B)^k, -gamma_k rho_B], [0, 1]] with
+    gamma_k = sum_{i<k} (1-h_B)^i, and the pairing adjoint u E(w .) has
+    rho'_B from u_B and (w mu)_B in place of rho_B; one stacked SVD factors
+    powers 1-9 of both, for every block of every run. Solves and products
+    take the direct sum of the runs' block layouts; where a block is
+    singular, each run is taken alone.
+    """
+    st = _Stack(runs)
+    rec, starts, owner, n, tol, ts = st.rec, st.starts, st.owner, st.n, st.tol, st.ts
+    sigma, h_block, pair = rec.sigma, rec.h, rec.sizes > 1
+    u_cat, w_cat, h_cat, weights = (
+        np.concatenate(v)
+        for v in zip(*((t.u, t.w, t.h, t.space.weights) for t in ts))
+    )
+    masses = np.concatenate([t.e._block_masses for t in ts])
+    rho_adj = _block_frame(rec.labels, masses, h_cat, u_cat, w_cat * weights).rho
+    p = (1.0 - h_block)[:, None] ** np.arange(10)
+    cores = np.zeros((2, sigma.size, 9, 2, 2))
+    cores[..., 0, 0] = p[:, 1:]
+    gamma = np.cumsum(p[:, :-1], axis=1)
+    cores[..., 0, 1] = -gamma * np.stack([rec.rho, rho_adj])[..., None]
+    cores[..., 1, 1] = pair[:, None]
+    u, s, vh = np.linalg.svd(cores)
+    trivial = n - _owner_sum(np.minimum(rec.sizes, 2), starts)
+    # the spectra of I - T and the adjoint, per block the values of its
+    # core, the second a 0 (which counts nowhere) on a one-atom block
+    values = np.where(pair[:, None, None] | (np.arange(2) == 0), s, 0.0)
+    values = values.transpose(0, 2, 1, 3).reshape(2, 9, -1)
+    ascents = _chain(values, 2 * starts, tol, trivial)[1]
+
     # the split of I - T at its cut: a block's slot is in the range while
     # its singular value clears the cut, else in the kernel, and the trivial
     # directions join the kernel once the cut reaches 1. A mixed block has
     # range span(u1) and kernel span(v2), which stack to sqrt(1 +- |u1.v2|)
-    s1 = next(spectra(0))
-    top = float(np.max(s1))
-    cut = _relative_cut(top, tol)
-    above = s[0, :, 0] > cut
-    trivial_null = float(cut >= 1.0)
-    dim_r = int(np.sum(above[:, 0]) + np.sum(above[pair, 1]) + trivial.size * (cut < 1))
+    s1 = s[0, :, 0]
+    top = _owner_max(values[0, 0], 2 * starts)
+    top = np.where(trivial > 0, np.maximum(top, 1.0), top)
+    low = np.minimum(s1[:, 0], np.where(pair, s1[:, 1], np.inf))
+    low = np.minimum.reduceat(low, starts)
+    low = np.where(trivial > 0, np.minimum(low, 1.0), low)
+    cut = np.where(top > 0, tol * top, tol)
+    above = s1 > cut[owner, None]
+    trivial_null = (cut >= 1.0).astype(float)
+    dim_r = _owner_sum(above[:, 0], starts) + _owner_sum(above[:, 1] & pair, starts)
+    dim_r += trivial * (cut < 1)
     mixed = pair & above[:, 0] & ~above[:, 1]
     u1, v2 = u[0, :, 0, :, 0], vh[0, :, 0, 1]
-    cos1 = np.abs(np.sum(u1 * v2, axis=1))[mixed]
+    root = np.sqrt(1.0 + np.abs(np.sum(u1 * v2, axis=1)))
     det = u1[:, 0] * v2[:, 1] - u1[:, 1] * v2[:, 0]
-    stacked = [np.sqrt(1.0 + cos1), np.abs(det[mixed]) / np.sqrt(1.0 + cos1)]
-    stacked.append(np.ones(n - 2 * cos1.size))
-    yield make_claim(
-        "one_minus_t_direct_sum",
-        hyp_c,
-        _sum_rank(np.concatenate(stacked), tol) == n,
-        detail=f"dims {dim_r}+{n - dim_r} of {n}",
-    )
+    small = np.abs(det) / root
+    n_mixed = _owner_sum(mixed, starts)
+    top2 = _owner_max(np.where(mixed, np.maximum(root, small), 0.0), starts)
+    top2 = np.maximum(top2, np.where(n > 2 * n_mixed, 1.0, 0.0))
+    cut2 = np.where(top2 > 0, tol * top2, tol)
+    split = (n - 2 * n_mixed) * (1.0 > cut2)
+    for value in (root, small):
+        split += _owner_sum(mixed & (value > cut2[owner]), starts)
 
     # ergodic chain: full range when the split leaves no kernel
-    full_rank = dim_r == n
     # independent route: a linear solve either reproduces the right-hand
     # side or it does not; solves and products go block by block
-    layout = t.block_layout
+    layout = BlockLayout.direct_sum(t.block_layout for t in ts)
     imt = layout.eye - layout.m
-    probe = np.random.default_rng(seed ^ 0x5EED).uniform(-1.0, 1.0, n)
+    atom_starts = np.cumsum(n) - n
+    atom_owner = np.repeat(np.arange(len(ts)), n)
+
+    def owner_max(x):
+        """max |x| over the atoms (and columns) of each operator."""
+        x = np.abs(x)
+        return np.maximum.reduceat(x.max(axis=1) if x.ndim > 1 else x, atom_starts)
+
+    probe = np.concatenate([
+        np.random.default_rng(seed ^ 0x5EED).uniform(-1.0, 1.0, t.space.n_atoms)
+        for t, _, seed, _ in runs
+    ])
     try:
-        gap = np.max(np.abs(layout.apply(imt, layout.solve(imt, probe)) - probe))
-        invertible = bool(gap <= 1e-6 * (1.0 + np.max(np.abs(probe))))
+        gap = owner_max(layout.apply(imt, layout.solve(imt, probe)) - probe)
+        invertible = gap <= 1e-6 * (1.0 + owner_max(probe))
     except np.linalg.LinAlgError:
-        invertible = False
-    yield make_claim(
-        "ergodic_invertibility",
-        hyp_c,
-        invertible == full_rank,
-        residual=float(np.min(s1)) / top if top > 0 else 0.0,
-        detail=f"solve route invertible={invertible}, "
-        f"full range at tolerance={full_rank}",
-    )
-    rng = np.random.default_rng(seed)
-    fs = rng.uniform(-1.0, 1.0, (n, _N_PROBES))
+        if len(runs) > 1:
+            return [rows for run in runs for rows in _criterion_rows([run])]
+        invertible = np.zeros(1, dtype=bool)
+    fs = np.concatenate([
+        np.random.default_rng(seed).uniform(-1.0, 1.0, (t.space.n_atoms, _N_PROBES))
+        for t, _, seed, _ in runs
+    ])
     # the 1/n regime starts past the mixing time of the symbol, so the
     # checkpoint horizon stretches when |h| approaches 1
-    h_top = float(np.max(np.abs(t.h), initial=0.0))
-    n_eff = int(min(1e5, max(_N_CESARO, 40.0 / max(1e-4, 1.0 - min(h_top, 1.0)))))
-    horizons = (n_eff // 4, n_eff // 2, n_eff)
+    n_eff = [
+        int(min(1e5, max(_N_CESARO, 40.0 / max(1e-4, 1.0 - min(h_top, 1.0)))))
+        for h_top in _owner_max(np.abs(h_block), starts).tolist()
+    ]
+    horizons = np.array([(k // 4, k // 2, k) for k in n_eff])
 
-    def sup_gap(x, want):
-        """max |x @ fs - want| for a packed x."""
-        return float(np.max(np.abs(layout.apply(x, fs) - want)))
+    def closed_forms(on, terms, weighted):
+        """Per horizon and atom: 1/k and ``_power_sum`` of the atom's h_B
+        over terms(k) at the operator's k; one sum per distinct horizon."""
+        sums = np.zeros((3, h_block.size))
+        at_block = horizons[owner] * on[owner, None]
+        for k in np.unique(horizons[on]).tolist():
+            at = (at_block == k).T
+            full = np.zeros(h_block.size)
+            rows = at.any(axis=0)
+            full[rows] = _power_sum(h_block[rows], terms(k), weighted)
+            sums = np.where(at, full, sums)
+        return horizons.T[:, atom_owner], sums[:, rec.labels]
 
-    if invertible:
+    def sup_gaps(packed, want):
+        """max |x @ fs - want| per operator for each packed x."""
+        return np.array([owner_max(layout.apply(x, fs) - want) for x in packed]).T
+
+    bn_res = scale_bn = None
+    if invertible.any():
         target = layout.solve(imt, fs)
-        res = [sup_gap(b_n_operator(layout, k), target) for k in horizons]
-        scale = float(np.max(np.abs(target)))
-        yield make_claim(
-            "ergodic_bn_convergence",
-            hyp_c,
-            _decreasing_to_zero(res, 1e-12 * (1.0 + scale)),
-            residual=res[-1],
-            detail=f"sup residuals at n={n_eff // 4},{n_eff // 2},{n_eff}: {res}",
-        )
-    else:
-        yield make_claim(
-            "ergodic_bn_convergence", hyp_c, None, detail="I - T numerically singular"
-        )
+        target[~invertible[atom_owner]] = 0.0
+        k, w_n = closed_forms(invertible, lambda k: k - 2, True)
+        bn = [
+            (layout.rows(w) * layout.m + (layout.rows(kj) - 1.0) * layout.eye)
+            / layout.rows(kj)
+            for kj, w in zip(k.astype(float), w_n)
+        ]
+        bn_res, scale_bn = sup_gaps(bn, target).tolist(), owner_max(target).tolist()
+
     # Cesaro limit: project each block's core coordinates onto N(I - T)
     # along R(I - T) (nothing, everything, or onto v2 along u1 on a mixed
     # block), lift through (e1, e2), and add the trivial part of f when it
@@ -491,15 +616,70 @@ def _structure_rows(t: WctOperator, tol: float, seed: int, criterion_holds: bool
     bins = (rec.labels[:, None] * cols + np.arange(cols)).ravel()
     coords = frame[:, :, None] * fs[:, None, :]
     coords = np.bincount(bins, coords.ravel(), minlength=sigma.size * cols)
-    coords = (proj - trivial_null * np.eye(2)) @ coords.reshape(-1, 2, _N_PROBES)
-    limit = np.einsum("ij,ijk->ik", frame, coords[rec.labels]) + trivial_null * fs
-    inv_res = float(np.max(np.abs(layout.apply(layout.m, limit) - limit), initial=0.0))
-    res = [sup_gap(cesaro_mean(layout, k), limit) for k in horizons]
-    scale = float(np.max(np.abs(fs)))
-    yield make_claim(
-        "ergodic_cesaro_limit",
-        hyp_c,
-        inv_res <= tol and _decreasing_to_zero(res, 1e-12 * (1.0 + scale)),
-        residual=inv_res,
-        detail="limit taken as the projection onto null(I-T) along range(I-T)",
+    coords = (proj - trivial_null[owner, None, None] * np.eye(2)) @ coords.reshape(
+        -1, 2, _N_PROBES
     )
+    limit = np.einsum("ij,ijk->ik", frame, coords[rec.labels])
+    limit = limit + trivial_null[atom_owner, None] * fs
+    inv_res = owner_max(layout.apply(layout.m, limit) - limit).tolist()
+    k, v_n = closed_forms(np.ones(len(ts), dtype=bool), lambda k: k - 1, False)
+    cesaro = [
+        (layout.eye + layout.rows(v) * layout.m) / layout.rows(kj)
+        for kj, v in zip(k.astype(float), v_n)
+    ]
+    ces_res, scale_ces = sup_gaps(cesaro, limit).tolist(), owner_max(fs).tolist()
+
+    out = []
+    for o, (t, _, _, _) in enumerate(runs):
+        a1, a2 = (_ascent(int(n[o]), ranks[:, o].tolist(), 8) for ranks in ascents)
+        dims = f"dims {dim_r[o]}+{n[o] - dim_r[o]} of {n[o]}"
+        full_rank = bool(dim_r[o] == n[o])
+        top_o, low_o = float(top[o]), float(low[o])
+        rows = {
+            "one_minus_t_ascent": make_claim(
+                "one_minus_t_ascent", "met", a1 is not None and a1 <= 1,
+                detail=f"ascent={a1}",
+            ),
+            "one_minus_t_adjoint_ascent": make_claim(
+                "one_minus_t_adjoint_ascent", "met", a2 is not None and a2 <= 1,
+                detail=f"ascent={a2} (bilinear pairing adjoint)",
+            ),
+            "one_minus_t_direct_sum": make_claim(
+                "one_minus_t_direct_sum", "met", bool(split[o] == n[o]), detail=dims
+            ),
+            "ergodic_invertibility": make_claim(
+                "ergodic_invertibility",
+                "met",
+                bool(invertible[o]) == full_rank,
+                residual=low_o / top_o if top_o > 0 else 0.0,
+                detail=f"solve route invertible={bool(invertible[o])}, "
+                f"full range at tolerance={full_rank}",
+            ),
+        }
+        n_o = n_eff[o]
+        if invertible[o]:
+            res = bn_res[o]
+            rows["ergodic_bn_convergence"] = make_claim(
+                "ergodic_bn_convergence",
+                "met",
+                _decreasing_to_zero(res, 1e-12 * (1.0 + scale_bn[o])),
+                residual=res[-1],
+                detail=f"sup residuals at n={n_o // 4},{n_o // 2},{n_o}: {res}",
+            )
+        else:
+            rows["ergodic_bn_convergence"] = make_claim(
+                "ergodic_bn_convergence",
+                "met",
+                None,
+                detail="I - T numerically singular",
+            )
+        rows["ergodic_cesaro_limit"] = make_claim(
+            "ergodic_cesaro_limit",
+            "met",
+            inv_res[o] <= tol[o]
+            and _decreasing_to_zero(ces_res[o], 1e-12 * (1.0 + scale_ces[o])),
+            residual=inv_res[o],
+            detail="limit taken as the projection onto null(I-T) along range(I-T)",
+        )
+        out.append(rows)
+    return out

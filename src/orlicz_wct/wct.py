@@ -96,7 +96,10 @@ class WctOperator:
     @functools.cached_property
     def block_record(self) -> BlockRecord:
         """The ``BlockRecord`` of T, built on first use and then shared."""
-        return _block_frame(self.e, self.h, self.w, self.u * self.space.weights)
+        e = self.e
+        return _block_frame(
+            e._labels, e._block_masses, self.h, self.w, self.u * self.space.weights
+        )
 
     @functools.cached_property
     def block_layout(self) -> BlockLayout:
@@ -414,7 +417,8 @@ class BlockRecord:
     to x_B (zero where a vector vanishes); per block its size, h_B,
     sigma_B = ||x_B|| ||y_B|| / mu(B) and rho_B = ||x_B|| ||y'_B|| / mu(B).
     In (e1, e2) the piece is [[h_B, rho_B], [0, 0]], or [h_B] on one atom,
-    and T^k has the singular values sigma_B |h_B|^(k-1). Read-only."""
+    and T^k has the singular values sigma_B |h_B|^(k-1). Read-only.
+    ``direct_sum`` stacks the records of any number of operators."""
 
     labels: np.ndarray
     sizes: np.ndarray
@@ -428,11 +432,26 @@ class BlockRecord:
         for value in vars(self).values():
             value.flags.writeable = False
 
+    @classmethod
+    def direct_sum(cls, records) -> BlockRecord:
+        """The record of the direct sum of the records' operators, in order
+        (the one record itself when there is one): their blocks, then their
+        atoms, one after another."""
+        records = tuple(records)
+        if len(records) == 1:
+            return records[0]
+        first = itertools.accumulate((r.sizes.size for r in records), initial=0)
+        labels = np.concatenate([r.labels + b for r, b in zip(records, first)])
+        return cls(labels, *(
+            np.concatenate([getattr(r, name) for r in records])
+            for name in ("sizes", "h", "sigma", "rho", "e1", "e2")
+        ))
 
-def _block_frame(e: CondExp, h: np.ndarray, x: np.ndarray, y: np.ndarray):
-    """The ``BlockRecord`` of x_B y_B^T / mu(B) with symbol h. Each block is
-    scaled by its largest entry, so no sum of squares underflows or overflows."""
-    labels, masses = e._labels, e._block_masses
+
+def _block_frame(labels, masses, h: np.ndarray, x: np.ndarray, y: np.ndarray):
+    """The ``BlockRecord`` of x_B y_B^T / mu(B) with symbol h, for the block
+    of each atom and the mass of each block. Each block is scaled by its
+    largest entry, so no sum of squares underflows or overflows."""
     sums = functools.partial(np.bincount, labels, minlength=masses.size)
 
     def scaled(v):

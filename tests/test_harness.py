@@ -315,10 +315,12 @@ class TestRunVerification:
         # r3 with 200 instances at seed 1 builds 308 operators: r3 and 307
         # draws. Each gets one (w, u mu) frame, its block record, which the
         # draw filter and the accepted draw's structure pass both read; the
-        # adjoint's (u, w mu) frame is taken once per pass that meets the
-        # contraction criterion
-        operators, frames = [], []
+        # adjoint's (u, w mu) frame is taken once per stacked pass that meets
+        # the contraction criterion, over the u of the 130 operators that
+        # meet it, one after another
+        operators, frames, batches = [], [], []
         post_init, frame = wct.WctOperator.__post_init__, wct._block_frame
+        batch = subspace._structure_batch
 
         def spy_post_init(t):
             post_init(t)
@@ -328,17 +330,25 @@ class TestRunVerification:
             frames.append(args[-2])  # x of the pieces x_B y_B^T / mu(B)
             return frame(*args)
 
+        def spy_batch(runs):
+            batches.append([t for t, _, _, met in runs if met])
+            return batch(runs)
+
         monkeypatch.setattr(wct.WctOperator, "__post_init__", spy_post_init)
         for module in (wct, subspace):
             monkeypatch.setattr(module, "_block_frame", spy_frame)
+        monkeypatch.setattr(subspace, "_structure_batch", spy_batch)
         path = Path(__file__).resolve().parents[1] / "scenarios" / "r3_contracting.json"
         report = run_verification(load_scenario(path), seed=1, instances=200)
         assert report.exit_status == 0
         forward = [sum(x is t.w for x in frames) for t in operators]
-        adjoint = [sum(x is t.u for x in frames) for t in operators]
         assert len(operators) == 308 and set(forward) == {1}
-        assert set(adjoint) == {0, 1} and sum(adjoint) == 130
-        assert len(frames) == 438
+        adjoint = [x for x in frames if not any(x is t.w for t in operators)]
+        met = [ts for ts in batches if ts]
+        assert sum(len(ts) for ts in met) == 130
+        assert len(adjoint) == len(met) and len(frames) == 308 + len(met)
+        for x, ts in zip(adjoint, met):
+            assert np.array_equal(x, np.concatenate([t.u for t in ts]))
 
     def test_experiment_subset(self, r1_scenario_dict):
         s = scenario_from_dict(
@@ -413,7 +423,9 @@ class TestRunVerification:
             return suite_claims(recorded())
 
         monkeypatch.setitem(
-            harness._WALK_GROUPS, "iterate_formula", failing_iterate_claims
+            harness._BATCH_GROUPS,
+            "iterate_formula",
+            (harness._walk_run, failing_iterate_claims),
         )
         monkeypatch.setattr(harness, "_suite_claims", recording_suite_claims)
         data = dict(r1_scenario_dict, experiments=["iterate_formula"])
@@ -919,8 +931,8 @@ class TestClaimRows:
         assert all(r.fingerprint is fp for r in rows)
 
     def test_group_table_covers_every_experiment(self):
-        groups = {**harness._GROUPS, **harness._WALK_GROUPS}
-        assert not harness._GROUPS.keys() & harness._WALK_GROUPS.keys()
+        groups = {**harness._GROUPS, **harness._BATCH_GROUPS}
+        assert not harness._GROUPS.keys() & harness._BATCH_GROUPS.keys()
         assert groups.keys() == EXPERIMENT_CLAIMS.keys()
 
     @pytest.mark.parametrize("group", list(EXPERIMENT_CLAIMS))
@@ -935,8 +947,9 @@ class TestClaimRows:
         # nilpotent, contracting and expanding symbols reach both the met and
         # the not-met branches of the hypothesis-gated rows
         s = scenario_from_dict(dict(r1_scenario_dict, w=w))
-        if group in harness._WALK_GROUPS:
-            (rows,) = harness._WALK_GROUPS[group]([_walk_run(s)])
+        if group in harness._BATCH_GROUPS:
+            keep, batch = harness._BATCH_GROUPS[group]
+            (rows,) = batch([keep(s, s.operator(), 0)])
         else:
             rows = harness._GROUPS[group](s, s.operator(), 0)
         assert [r.claim_id for r in rows] == list(EXPERIMENT_CLAIMS[group])
