@@ -32,10 +32,10 @@ tolerance), which walk over the direct sum of the layouts. A verify call
 reads its instances one at a time and keeps of each only those runs, for
 the batch groups at the end. The harness stamps the fingerprint of the
 instance that ran onto every row, and library calls such as
-``verify_structure_theorems`` return rows whose fingerprint is ``{}``. A scenario builds its operator and
-the contraction criterion once (a random draw hands over the operator it
-built), and the groups share them; the conjugate gauge is
-``phi.conjugate``, which the gauge builds once.
+``verify_structure_theorems`` return rows whose fingerprint is ``{}``. A
+scenario builds its operator and the contraction criterion once (a random
+draw hands over the operator it built), and the groups share them; the
+conjugate gauge is ``phi.conjugate``, which the gauge builds once.
 
 For power-law gauges (``exact_norm_powers`` is not None) the boundedness and
 power-boundedness rows use exact operator norms: ``operator_norm_bound`` is
