@@ -220,7 +220,9 @@ def _chain(spectra, starts, tol, ones=0):
     count nowhere), and each operator has ``ones`` further values 1; the
     thresholds are those of ``_thresholded``, with per-operator ``tol``.
     Returns whether each value clears its threshold, and per power and
-    operator the rank and whether the spectrum and the threshold are finite.
+    operator the rank and whether the threshold is finite, which it is
+    exactly when the spectrum is: the largest value, which every threshold
+    reads, is inf or NaN as soon as one value is.
     """
     top = _owner_max(spectra, starts)
     top = np.where(ones > 0, np.maximum(top, 1.0), top)
@@ -230,8 +232,7 @@ def _chain(spectra, starts, tol, ones=0):
     thr = np.maximum(tol * top, np.reshape(floor, top.shape))
     live = spectra > thr[..., _segment_owner(starts, spectra.shape[-1])]
     ranks = _owner_sum(live, starts) + ones * (thr < 1.0)
-    finite = np.logical_and.reduceat(np.isfinite(spectra), starts, axis=-1)
-    return live, ranks, finite & np.isfinite(thr)
+    return live, ranks, np.isfinite(thr)
 
 
 def _reached(finite) -> np.ndarray:

@@ -157,8 +157,9 @@ def _grid_ternary_min(objective, seeds: np.ndarray, xtol: float):
 
     The least grid value and its two neighbours bracket the minimizer;
     ternary search refines the bracket to ``xtol``, and x is its midpoint.
+    The objective may overflow to inf, which only loses the comparison.
     """
-    with np.errstate(invalid="ignore", divide="ignore"):
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         obj = objective(seeds[:, None])
     obj = np.where(np.isnan(obj), np.inf, obj)
     best = np.argmin(obj, axis=0)
@@ -170,7 +171,7 @@ def _grid_ternary_min(objective, seeds: np.ndarray, xtol: float):
             break
         m1 = lo + width / 3.0
         m2 = hi - width / 3.0
-        with np.errstate(invalid="ignore"):
+        with np.errstate(invalid="ignore", over="ignore"):
             take = objective(m1) > objective(m2)
         lo = np.where(take, m1, lo)
         hi = np.where(take, hi, m2)
@@ -203,7 +204,7 @@ def _conjugate_inverse(phi: YoungFunction, t, grid_max: float, grid_n: int, a_co
     t = np.atleast_1d(t).ravel().astype(float)
     seeds = np.logspace(-8, np.log10(min(phi.b_phi, grid_max)), grid_n)
     x, grid_min = _grid_ternary_min(lambda x: (t + phi(x)) / x, seeds, 1e-10)
-    with np.errstate(invalid="ignore"):
+    with np.errstate(invalid="ignore", over="ignore"):
         val = np.minimum((t + phi(x)) / x, grid_min)
     val = np.where(t == 0.0, a_conj, val)
     val = np.where(np.isinf(t), np.inf, val)

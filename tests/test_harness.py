@@ -18,6 +18,8 @@ from orlicz_wct import (
     ClaimResult,
     cond_exp,
     CondExp,
+    FiniteMeasureSpace,
+    Partition,
     emit_report,
     ess_sup,
     generate_random_instance,
@@ -31,7 +33,7 @@ from orlicz_wct import (
 )
 from orlicz_wct import cli, harness, subspace, wct
 from orlicz_wct.claims import EXPERIMENT_CLAIMS, make_claim, merge_claims
-from orlicz_wct.harness import DEFAULT_EXPERIMENTS, PROFILES
+from orlicz_wct.harness import DEFAULT_EXPERIMENTS, PROFILES, Scenario
 
 
 class TestLoadScenario:
@@ -960,3 +962,124 @@ class TestClaimRows:
             rows = verify_structure_theorems(t, power_scaled(2))
             assert [r.claim_id for r in rows] == list(EXPERIMENT_CLAIMS["structure"])
             assert all(r.fingerprint == {} for r in rows)
+
+
+def _with_one_atom_blocks(s, extra):
+    """s with one more one-atom block per (mu, u, w) of extra."""
+    n = s.space.n_atoms
+    mu, u, w = (
+        np.concatenate([base, [block[i] for block in extra]])
+        for i, base in enumerate((s.space.weights, s.u, s.w))
+    )
+    blocks = s.partition.blocks + tuple((n + i,) for i in range(len(extra)))
+    space = FiniteMeasureSpace.from_weights(mu)
+    return Scenario(space, Partition(blocks, n + len(extra)), u, w, s.phi)
+
+
+# one-atom blocks (mu, u, w): h_B = 1 and h_B = -1 inside the criterion
+# support; h_B = 1 outside it (u_B below its 1e-10 cut), so I - T is
+# singular while the criterion can hold; h_B = -100 outside it, whose
+# remainder sums overflow, so its dense row of B_n holds inf * 0 = NaN
+_ONE_ATOM_BLOCKS = {
+    "plus_one": (1.3, 1.0, 1.0),
+    "minus_one": (0.7, 1.0, -1.0),
+    "singular": (1.1, 2.0**-40, 2.0**40),
+    "outside": (0.9, 1e-12, -1e14),
+}
+_RANK_TOLS = (1e-8, 1e-3, 0.25)
+
+
+@st.composite
+def _structure_batches(draw):
+    """Runs of ``verify_structure_theorems`` of 1 to 12 atoms over the five
+    profiles, each with its own rank tolerance and seed, some with all
+    blocks of one atom and some with a block of ``_ONE_ATOM_BLOCKS``; a
+    40-atom instance; a contracting one whose w is scaled by 1e100, so that
+    its powers overflow; and a contracting one with the "outside" block. The
+    order is shuffled; returns the runs and where the last two went."""
+    seeds = st.integers(0, 2**31 - 1)
+
+    def run(s):
+        return s.operator(), s.phi, draw(st.sampled_from(_RANK_TOLS)), draw(seeds), None
+
+    batch = []
+    for n in draw(st.lists(st.integers(1, 12), min_size=6, max_size=12)):
+        blocks = n if draw(st.booleans()) else draw(st.integers(1, n))
+        s = generate_random_instance(draw(seeds), n, blocks, draw(st.sampled_from(PROFILES)))
+        kind = draw(st.sampled_from([None, *_ONE_ATOM_BLOCKS]))
+        if kind is not None:
+            s = _with_one_atom_blocks(s, [_ONE_ATOM_BLOCKS[kind]])
+        batch.append(run(s))
+    n40 = generate_random_instance(draw(seeds), 40, draw(st.integers(3, 8)), "generic")
+    batch.append(run(n40))
+    grown = generate_random_instance(draw(seeds), draw(st.integers(1, 12)), 1, "contracting_h")
+    batch.append(run(dataclasses.replace(grown, w=grown.w * 1e100)))
+    outside = generate_random_instance(draw(seeds), draw(st.integers(2, 11)), 2, "contracting_h")
+    batch.append(run(_with_one_atom_blocks(outside, [_ONE_ATOM_BLOCKS["outside"]])))
+    order = draw(st.permutations(range(len(batch))))
+    return [batch[i] for i in order], order.index(len(batch) - 2), order.index(len(batch) - 1)
+
+
+def _row_bits(rows):
+    """Each row's fields, with the residual as its bytes: NaN equals NaN
+    and -0.0 differs from 0.0."""
+    return [
+        (r.claim_id, r.anchor, r.hypothesis, r.status, r.detail, r.fingerprint,
+         None if r.residual is None else np.float64(r.residual).tobytes())
+        for r in rows
+    ]
+
+
+class TestStackedStructurePass:
+    """The batch form of ``verify_structure_theorems`` (one pass over the
+    stacked block records of every operator) against each operator alone,
+    bit for bit: a max, min or count of one operator's segment that reads
+    another's, or all of them, moves some operator's rows. The instances
+    that overflow or hold a NaN read it as they do alone, so those runs
+    ignore floating-point warnings."""
+
+    @settings(max_examples=30, derandomize=True, deadline=None, database=None)
+    @given(_structure_batches())
+    def test_each_instance_reads_as_if_alone(self, drawn):
+        runs, grown, outside = drawn
+        with np.errstate(all="ignore"):
+            stacked = verify_structure_theorems(*zip(*runs))
+            for run, rows in zip(runs, stacked):
+                assert _row_bits(rows) == _row_bits(verify_structure_theorems(*run))
+        # w * 1e100: the chains read powers past the overflow
+        rows = {r.claim_id: r for r in stacked[grown]}
+        for cid in ("ascent_bound", "null_chain_stabilization", "descent_bound"):
+            assert rows[cid].status == "not_checked" and rows[cid].residual is None
+            assert "overflow" in rows[cid].detail
+        # the block outside the criterion support: B_n holds NaN on its row,
+        # and no reduction may drop it
+        rows = {r.claim_id: r for r in stacked[outside]}
+        assert rows["ergodic_bn_convergence"].status == "fail"
+        assert np.isnan(rows["ergodic_bn_convergence"].residual)
+
+    def test_near_one_symbol_fails_alike_in_a_batch(self):
+        # the 64-atom contracting draw with h_B = 1 - 1e-6 on its first
+        # block: its horizon stops at 1e5, ten times below the mixing time,
+        # so its two convergence rows fail, and fail alike among instances
+        # of the same and other sizes whose criterion holds
+        s = generate_random_instance(1, 64, 8, "contracting_h")
+        b = np.asarray(s.partition.blocks[0])
+        w = s.w.copy()
+        w[b] *= (1 - 1e-6) / s.operator().h[b[0]]
+        near = dataclasses.replace(s, w=w)
+        others = [
+            generate_random_instance(seed, n, 8, "contracting_h")
+            for seed, n in ((2, 64), (3, 64), (4, 40), (5, 8))
+        ]
+        batch = [others[0], near, *others[1:]]
+        runs = [(x.operator(), x.phi, 1e-8, i, None) for i, x in enumerate(batch)]
+        stacked = verify_structure_theorems(*zip(*runs))
+        for run, rows in zip(runs, stacked):
+            assert _row_bits(rows) == _row_bits(verify_structure_theorems(*run))
+        rows = {r.claim_id: r for r in stacked[1]}
+        assert rows["ergodic_invertibility"].status == "pass"
+        assert rows["ergodic_bn_convergence"].status == "fail"
+        assert rows["ergodic_bn_convergence"].residual > 1e5
+        assert rows["ergodic_cesaro_limit"].status == "fail"
+        for rows in stacked[:1] + stacked[2:]:
+            assert {r.status for r in rows[-4:]} == {"pass"}

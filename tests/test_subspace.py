@@ -27,7 +27,7 @@ from orlicz_wct.harness import (
     run_verification,
     scenario_from_dict,
 )
-from orlicz_wct import harness
+from orlicz_wct import harness, subspace
 from orlicz_wct.subspace import (
     _block_spectra,
     _dense_spectra,
@@ -294,6 +294,19 @@ class TestFactorOnce:
             assert not repeats, (t.h, repeats)
             assert len(keys) <= 1
         assert factored >= 2
+        # the batch form over all of them: one SVD, of the cores of every
+        # operator that meets the criterion
+        keys.clear()
+        k = len(operators)
+        phis = [power_scaled(2)] * k
+        batch = verify_structure_theorems(operators, phis, [1e-8] * k, [0] * k, [None] * k)
+        met = [
+            t for t, rows in zip(operators, batch)
+            if by_id(rows)["one_minus_t_direct_sum"].hypothesis == "met"
+        ]
+        assert len(met) == factored
+        blocks = sum(t.block_record.sizes.size for t in met)
+        assert [key[1] for key in keys] == [(2, blocks, 9, 2, 2)]
 
     def test_no_svd_of_more_than_two_rows_in_verify(self, monkeypatch):
         # every SVD that run_verification takes, on r1, r3, r4 (with ten
@@ -335,6 +348,57 @@ class TestFactorOnce:
         assert {svds for _, _, svds in calls} == {0, 1}
         assert shapes and all(len(a) >= 2 and max(a[-2:]) <= 2 for a in shapes)
         assert any(a[:-2] == (2, 32, 9) for a in shapes)
+
+    def test_one_core_svd_per_size_batch(self, monkeypatch):
+        # a verify of r3 with 20 random instances takes one structure pass
+        # per instance size; a pass whose batch holds instances that meet
+        # the contraction criterion factors all their cores in one SVD, and
+        # forms one _power_sum per distinct horizon and closed form
+        batches = []
+        real_batch, real_svd = subspace._structure_batch, np.linalg.svd
+        real_sum = subspace._power_sum
+
+        def spy_batch(runs):
+            batches.append({"runs": runs, "svd": [], "sums": [], "open": True})
+            try:
+                return real_batch(runs)
+            finally:
+                batches[-1]["open"] = False
+
+        def spy_svd(a, *args, **kwargs):
+            if batches and batches[-1]["open"]:
+                batches[-1]["svd"].append(np.shape(a))
+            return real_svd(a, *args, **kwargs)
+
+        def spy_sum(h, n_terms, weighted):
+            batches[-1]["sums"].append((n_terms, weighted))
+            return real_sum(h, n_terms, weighted)
+
+        monkeypatch.setattr(subspace, "_structure_batch", spy_batch)
+        monkeypatch.setattr(np.linalg, "svd", spy_svd)
+        monkeypatch.setattr(subspace, "_power_sum", spy_sum)
+        path = Path(__file__).resolve().parents[1] / "scenarios" / "r3_contracting.json"
+        assert run_verification(load_scenario(path), seed=1, instances=20).exit_status == 0
+        sizes = [{t.space.n_atoms for t, *_ in b["runs"]} for b in batches]
+        assert all(len(size) == 1 for size in sizes)
+        assert len({size.pop() for size in sizes}) == len(batches)
+        assert sum(len(b["runs"]) for b in batches) == 21
+        met_total = 0
+        for b in batches:
+            met = [t for t, _, _, holds in b["runs"] if holds]
+            met_total += len(met)
+            blocks = sum(t.block_record.sizes.size for t in met)
+            assert b["svd"] == ([(2, blocks, 9, 2, 2)] if met else [])
+            assert len(b["sums"]) == len(set(b["sums"]))
+            horizons = set()
+            for t in met:
+                h_top = float(np.max(np.abs(t.h)))
+                n_eff = int(min(1e5, max(200, 40.0 / max(1e-4, 1.0 - min(h_top, 1.0)))))
+                horizons |= {n_eff // 4, n_eff // 2, n_eff}
+            assert {k + 1 for k, weighted in b["sums"] if not weighted} == horizons
+            assert {k + 2 for k, weighted in b["sums"] if weighted} <= horizons
+        svds = sum(len(b["svd"]) for b in batches)
+        assert met_total > svds > 0
 
     @pytest.mark.parametrize("n_atoms, n_blocks", [(256, 32), (64, 8)])
     def test_no_dense_array_in_a_fast_groups_verify(

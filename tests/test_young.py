@@ -1,3 +1,6 @@
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 
@@ -12,7 +15,12 @@ from orlicz_wct import (
     power_scaled,
 )
 from orlicz_wct import young
-from orlicz_wct.harness import young_from_spec, young_to_spec
+from orlicz_wct.harness import (
+    generate_random_instance,
+    run_verification,
+    young_from_spec,
+    young_to_spec,
+)
 from orlicz_wct.young import _conjugate_eval
 
 CATALOG = [
@@ -128,6 +136,29 @@ class TestComplementary:
     def test_p_one_stays_numeric(self):
         assert complementary(power_plain(1)).kind == "numeric_conjugate"
         assert complementary(power_scaled(1)).kind == "numeric_conjugate"
+
+
+    def test_capped_conjugate_inverse_overflows_silently(self):
+        # u * 1e306 and w * 1e-306 leave the operator alone, but the capped
+        # gauge's numeric conjugate inverse meets arguments near 1e306, where
+        # its slope objective (t + phi(x)) / x overflows; the overflow only
+        # loses a comparison, so the bound row neither warns nor moves
+        s = generate_random_instance(1, 8, 2, "contracting_h")
+        s = dataclasses.replace(
+            s,
+            u=s.u * 1e306,
+            w=s.w * 1e-306,
+            phi=capped(),
+            experiments=("boundedness",),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (row,) = run_verification(s, seed=0).entries
+        assert (row.claim_id, row.status) == ("operator_norm_bound", "pass")
+        assert row.residual == -0.47150972996048224
+        assert row.detail == (
+            "max ratio 0.848941 vs C*M = 1.32045 (C empirical, self-consistency check)"
+        )
 
 
 class TestGeneralizedInverse:
