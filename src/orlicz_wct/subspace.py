@@ -219,10 +219,11 @@ def _chain(spectra, starts, tol, ones=0):
     one segment of the last axis per operator from ``starts`` (zeros there
     count nowhere), and each operator has ``ones`` further values 1; the
     thresholds are those of ``_thresholded``, with per-operator ``tol``.
-    Returns whether each value clears its threshold, and per power and
-    operator the rank and whether the threshold is finite, which it is
-    exactly when the spectrum is: the largest value, which every threshold
-    reads, is inf or NaN as soon as one value is.
+    Returns whether each value clears its threshold, the rank per power and
+    operator, and per operator the count of leading powers with a finite
+    threshold, past which nothing is checked: a threshold is finite exactly
+    when its spectrum is, as the largest value, which it reads, is inf or
+    NaN as soon as one value is.
     """
     top = _owner_max(spectra, starts)
     top = np.where(ones > 0, np.maximum(top, 1.0), top)
@@ -232,13 +233,7 @@ def _chain(spectra, starts, tol, ones=0):
     thr = np.maximum(tol * top, np.reshape(floor, top.shape))
     live = spectra > thr[..., _segment_owner(starts, spectra.shape[-1])]
     ranks = _owner_sum(live, starts) + ones * (thr < 1.0)
-    return live, ranks, np.isfinite(thr)
-
-
-def _reached(finite) -> np.ndarray:
-    """The count of leading powers with a finite spectrum and threshold,
-    per operator, past which nothing is checked."""
-    return np.cumprod(finite, axis=-2).sum(axis=-2)
+    return live, ranks, np.cumprod(np.isfinite(thr), axis=-2).sum(axis=-2)
 
 
 def ascent_of(t: WctOperator, k_max: int = 8, tol: float = DEFAULT_RANK_TOL):
@@ -253,8 +248,8 @@ def ascent_of(t: WctOperator, k_max: int = 8, tol: float = DEFAULT_RANK_TOL):
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     spectra = np.array(_block_spectra(t.block_record, k_max + 1))
-    _, ranks, finite = _chain(spectra, np.zeros(1, dtype=int), np.array([tol]))
-    reached = int(_reached(finite)[0])
+    _, ranks, reached = _chain(spectra, np.zeros(1, dtype=int), np.array([tol]))
+    reached = int(reached[0])
     if reached <= k_max:
         raise OverflowError(f"power {reached + 1} of the operator overflowed")
     return _ascent(t.space.n_atoms, ranks[:, 0].tolist(), k_max)
@@ -345,7 +340,7 @@ def _structure_batch(runs) -> list[list[ClaimResult]]:
 
     # the live counts for k <= 9 give the chains to k = 6 and the ascent
     # (also the descent, by rank-nullity), as in ascent_of
-    live, ranks, finite = _chain(np.array(_block_spectra(rec, 9)), starts, tol)
+    live, ranks, reached = _chain(np.array(_block_spectra(rec, 9)), starts, tol)
     ranks = np.vstack([n, ranks])
 
     # sums and intersections enter only through their dimensions: a sum's
@@ -385,7 +380,7 @@ def _structure_batch(runs) -> list[list[ClaimResult]]:
     per_owner = zip(
         n.tolist(),
         ranks.T.tolist(),
-        _reached(finite).tolist(),
+        reached.tolist(),
         bounded_away.tolist(),
         sums.T.tolist(),
     )
