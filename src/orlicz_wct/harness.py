@@ -539,19 +539,23 @@ def _folded_claim(cid: str, residuals: np.ndarray, bound: float, detail: str):
 def _by_size(runs, size, batch) -> list:
     """batch(runs) for the runs of each instance size (``size(run)``), so
     that the stacked arrays of one size only are held at a time: one result
-    per run, in run order."""
+    per run, in run order. ``runs`` is emptied, and the runs of each size
+    are let go once their batch ran."""
     by_size, per_run = {}, [None] * len(runs)
     for i, run in enumerate(runs):
-        by_size.setdefault(size(run), []).append(i)
-    for index in by_size.values():
-        for i, result in zip(index, batch([runs[i] for i in index])):
+        by_size.setdefault(size(run), []).append((i, run))
+    runs.clear()
+    for key in list(by_size):
+        index, taken = zip(*by_size.pop(key))
+        for i, result in zip(index, batch(list(taken))):
             per_run[i] = result
     return per_run
 
 
 def _structure_claims(runs):
     """The structure rows of each run of ``verify_structure_theorems``
-    arguments, from one batch call per instance size."""
+    arguments, from one batch call per instance size; ``runs`` is emptied,
+    so that the operators of each size are let go once their rows exist."""
 
     def batch(runs):
         return verify_structure_theorems(*zip(*runs))
@@ -572,7 +576,7 @@ def _walk_claims(runs, residuals, detail, a_ns=(), b_ns=(), t_ns=()):
         return [{cid: res[:, j] for cid, res in stacked.items()} for j in range(len(batch))]
 
     with np.errstate(over="ignore", invalid="ignore"):
-        per_run = _by_size(runs, lambda run: run[0].n, walked)
+        per_run = _by_size(list(runs), lambda run: run[0].n, walked)
     return [
         [_folded_claim(cid, res, tol, detail) for cid, res in folded.items()]
         for (_, tol), folded in zip(runs, per_run)
@@ -770,13 +774,16 @@ def _suite_claims(runs) -> list[ClaimResult]:
         t = s.operator()
         for name in s.experiments:
             if name in _BATCH_GROUPS:
-                run = _BATCH_GROUPS[name][0](s, t, seed)
-                kept.setdefault(name, []).append((run, fp))
+                group_runs, fps = kept.setdefault(name, ([], []))
+                group_runs.append(_BATCH_GROUPS[name][0](s, t, seed))
+                fps.append(fp)
             else:
                 rows += stamped(_GROUPS[name](s, t, seed), fp)
-    for name, asked in kept.items():
-        ran = _BATCH_GROUPS[name][1]([run for run, _ in asked])
-        for (_, fp), group_rows in zip(asked, ran):
+    # a group may empty its list of runs as it reads them, and each group's
+    # runs are let go before the next group runs
+    for name in list(kept):
+        group_runs, fps = kept.pop(name)
+        for fp, group_rows in zip(fps, _BATCH_GROUPS[name][1](group_runs)):
             rows += stamped(group_rows, fp)
     return rows
 

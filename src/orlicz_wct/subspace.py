@@ -270,6 +270,9 @@ _DELTA = 1e-10
 # random probe functions and the least horizon of the ergodic rows
 _N_PROBES = 100
 _N_CESARO = 200
+# the most atoms whose probe columns the ergodic rows hold at once, unless
+# one operator has more
+_PROBE_ATOMS = 64
 _CRITERION_CLAIMS = (
     "one_minus_t_ascent",
     "one_minus_t_adjoint_ascent",
@@ -535,34 +538,48 @@ def _criterion_rows(runs) -> list[dict[str, ClaimResult]]:
     for value in (root, small):
         split += _owner_sum(mixed & (value > cut2[owner]), starts)
 
-    # ergodic chain: full range when the split leaves no kernel
-    # independent route: a linear solve either reproduces the right-hand
-    # side or it does not; solves and products go block by block
-    layout = BlockLayout.direct_sum(t.block_layout for t in ts)
-    imt = layout.eye - layout.m
+    # ergodic chain: full range when the split leaves no kernel. The probe
+    # columns hold a row per atom, so solves and products go over runs of
+    # operators of at most _PROBE_ATOMS atoms in all (or one operator), on
+    # the direct sum of their block layouts, and each array is let go, or
+    # overwritten, once read
+    chunks, first, atoms = [], 0, 0
+    for o, size in enumerate(n.tolist()):
+        if atoms + size > _PROBE_ATOMS and o > first:
+            chunks.append(range(first, o))
+            first, atoms = o, 0
+        atoms += size
+    chunks.append(range(first, len(runs)))
     atom_starts = np.cumsum(n) - n
-    atom_owner = np.repeat(np.arange(len(ts)), n)
+    atom_bounds, block_bounds = np.append(atom_starts, n.sum()), np.append(starts, sigma.size)
+    atom_owner = np.repeat(np.arange(len(runs)), n)
+    layouts = [BlockLayout.direct_sum(ts[o].block_layout for o in c) for c in chunks]
+    imts = [layout.eye - layout.m for layout in layouts]
 
-    def owner_max(x):
-        """max |x| over the atoms (and columns) of each operator."""
-        x = np.abs(x)
-        return np.maximum.reduceat(x.max(axis=1) if x.ndim > 1 else x, atom_starts)
+    def owner_max(x, c):
+        """max |x| over the atoms (and columns) of each operator of the
+        chunk c; x is overwritten."""
+        x = np.abs(x, out=x)
+        x = x.max(axis=1) if x.ndim > 1 else x
+        return np.maximum.reduceat(x, atom_starts[c] - atom_starts[c.start])
 
-    probe = np.concatenate([
-        np.random.default_rng(seed ^ 0x5EED).uniform(-1.0, 1.0, t.space.n_atoms)
-        for t, _, seed, _ in runs
-    ])
-    try:
-        gap = owner_max(layout.apply(imt, layout.solve(imt, probe)) - probe)
-        invertible = gap <= 1e-6 * (1.0 + owner_max(probe))
-    except np.linalg.LinAlgError:
-        if len(runs) > 1:
-            return [rows for run in runs for rows in _criterion_rows([run])]
-        invertible = np.zeros(1, dtype=bool)
-    fs = np.concatenate([
-        np.random.default_rng(seed).uniform(-1.0, 1.0, (t.space.n_atoms, _N_PROBES))
-        for t, _, seed, _ in runs
-    ])
+    # independent route: a linear solve either reproduces the right-hand
+    # side or it does not
+    invertible = []
+    for c, layout, imt in zip(chunks, layouts, imts):
+        probe = np.concatenate([
+            np.random.default_rng(runs[o][2] ^ 0x5EED).uniform(-1.0, 1.0, n[o])
+            for o in c
+        ])
+        try:
+            gap = owner_max(layout.apply(imt, layout.solve(imt, probe)) - probe, c)
+        except np.linalg.LinAlgError:
+            if len(runs) > 1:
+                return [rows for run in runs for rows in _criterion_rows([run])]
+            invertible.append(False)
+            continue
+        invertible += (gap <= 1e-6 * (1.0 + owner_max(probe, c))).tolist()
+    invertible = np.array(invertible)
     # the 1/n regime starts past the mixing time of the symbol, so the
     # checkpoint horizon stretches when |h| approaches 1
     n_eff = [
@@ -572,33 +589,22 @@ def _criterion_rows(runs) -> list[dict[str, ClaimResult]]:
     horizons = np.array([(k // 4, k // 2, k) for k in n_eff])
 
     def closed_forms(on, terms, weighted):
-        """Per horizon and atom: 1/k and ``_power_sum`` of the atom's h_B
-        over terms(k) at the operator's k; one sum per distinct horizon."""
+        """Per horizon and atom, ``_power_sum`` of the atom's h_B over
+        terms(k) at its operator's k, for the operators ``on``; one sum per
+        distinct horizon."""
         sums = np.zeros((3, h_block.size))
         at_block = horizons[owner] * on[owner, None]
-        for k in np.unique(horizons[on]).tolist():
+        for k in sorted(set(horizons[on].ravel().tolist())):
             at = (at_block == k).T
             full = np.zeros(h_block.size)
             rows = at.any(axis=0)
             full[rows] = _power_sum(h_block[rows], terms(k), weighted)
             sums = np.where(at, full, sums)
-        return horizons.T[:, atom_owner], sums[:, rec.labels]
+        return sums[:, rec.labels]
 
-    def sup_gaps(packed, want):
-        """max |x @ fs - want| per operator for each packed x."""
-        return np.array([owner_max(layout.apply(x, fs) - want) for x in packed]).T
-
-    bn_res = scale_bn = None
-    if invertible.any():
-        target = layout.solve(imt, fs)
-        target[~invertible[atom_owner]] = 0.0
-        k, w_n = closed_forms(invertible, lambda k: k - 2, True)
-        bn = [
-            (layout.rows(w) * layout.m + (layout.rows(kj) - 1.0) * layout.eye)
-            / layout.rows(kj)
-            for kj, w in zip(k.astype(float), w_n)
-        ]
-        bn_res, scale_bn = sup_gaps(bn, target).tolist(), owner_max(target).tolist()
+    k_atoms = horizons.T[:, atom_owner].astype(float)
+    w_n = closed_forms(invertible, lambda k: k - 2, True)
+    v_n = closed_forms(np.ones(len(runs), dtype=bool), lambda k: k - 1, False)
 
     # Cesaro limit: project each block's core coordinates onto N(I - T)
     # along R(I - T) (nothing, everything, or onto v2 along u1 on a mixed
@@ -607,23 +613,60 @@ def _criterion_rows(runs) -> list[dict[str, ClaimResult]]:
     proj = np.where(~above[:, 0, None, None], np.eye(2), 0.0)
     along = np.stack([-u1[:, 1], u1[:, 0]], axis=1)[mixed] / det[mixed, None]
     proj[mixed] = v2[mixed, :, None] * along[:, None, :]
+    proj = proj - trivial_null[owner, None, None] * np.eye(2)
     frame = np.stack([rec.e1, rec.e2], axis=1)
     cols = 2 * _N_PROBES
-    bins = (rec.labels[:, None] * cols + np.arange(cols)).ravel()
-    coords = frame[:, :, None] * fs[:, None, :]
-    coords = np.bincount(bins, coords.ravel(), minlength=sigma.size * cols)
-    coords = (proj - trivial_null[owner, None, None] * np.eye(2)) @ coords.reshape(
-        -1, 2, _N_PROBES
-    )
-    limit = np.einsum("ij,ijk->ik", frame, coords[rec.labels])
-    limit = limit + trivial_null[atom_owner, None] * fs
-    inv_res = owner_max(layout.apply(layout.m, limit) - limit).tolist()
-    k, v_n = closed_forms(np.ones(len(ts), dtype=bool), lambda k: k - 1, False)
-    cesaro = [
-        (layout.eye + layout.rows(v) * layout.m) / layout.rows(kj)
-        for kj, v in zip(k.astype(float), v_n)
-    ]
-    ces_res, scale_ces = sup_gaps(cesaro, limit).tolist(), owner_max(fs).tolist()
+    bn_res, scale_bn, inv_res, ces_res, scale_ces = [], [], [], [], []
+    for c, layout, imt in zip(chunks, layouts, imts):
+        a = slice(atom_bounds[c.start], atom_bounds[c.stop])
+        b = slice(block_bounds[c.start], block_bounds[c.stop])
+        fs = np.concatenate([
+            np.random.default_rng(runs[o][2]).uniform(-1.0, 1.0, (n[o], _N_PROBES))
+            for o in c
+        ])
+
+        def sup_gaps(packed, want):
+            """max |x @ fs - want| per operator for each packed x."""
+            gaps = []
+            for x in packed:
+                image = layout.apply(x, fs)
+                gaps.append(owner_max(np.subtract(image, want, out=image), c))
+            return np.array(gaps).T.tolist()
+
+        on = invertible[c.start : c.stop]
+        if on.any():
+            target = layout.solve(imt, fs)
+            target[~on[atom_owner[a] - c.start]] = 0.0
+            bn = [
+                (layout.rows(w[a]) * layout.m + (layout.rows(k[a]) - 1.0) * layout.eye)
+                / layout.rows(k[a])
+                for k, w in zip(k_atoms, w_n)
+            ]
+            bn_res += sup_gaps(bn, target)
+            scale_bn += owner_max(target, c).tolist()
+            del target
+        else:
+            bn_res += [None] * len(c)
+            scale_bn += [None] * len(c)
+        labels = rec.labels[a] - b.start
+        coords = np.bincount(
+            (labels[:, None] * cols + np.arange(cols)).ravel(),
+            (frame[a, :, None] * fs[:, None, :]).ravel(),
+            minlength=(b.stop - b.start) * cols,
+        )
+        coords = proj[b] @ coords.reshape(-1, 2, _N_PROBES)
+        limit = np.einsum("ij,ijk->ik", frame[a], coords[labels])
+        del coords
+        limit += trivial_null[atom_owner[a], None] * fs
+        image = layout.apply(layout.m, limit)
+        inv_res += owner_max(np.subtract(image, limit, out=image), c).tolist()
+        del image
+        cesaro = [
+            (layout.eye + layout.rows(v[a]) * layout.m) / layout.rows(k[a])
+            for k, v in zip(k_atoms, v_n)
+        ]
+        ces_res += sup_gaps(cesaro, limit)
+        scale_ces += owner_max(fs, c).tolist()
 
     out = []
     for o, (t, _, _, _) in enumerate(runs):
