@@ -207,11 +207,6 @@ def _owner_max(x, starts) -> np.ndarray:
     return np.maximum.reduceat(x, starts, axis=-1)
 
 
-def _segment_owner(starts, size: int) -> np.ndarray:
-    """The owner of each of the size entries that the segments cover."""
-    return np.repeat(np.arange(starts.size), np.diff(starts, append=size))
-
-
 def _chain(spectra, starts, tol, ones=0):
     """The rank chains of the powers A^1, A^2, ... of several operators.
 
@@ -231,7 +226,8 @@ def _chain(spectra, starts, tol, ones=0):
     base = top[..., 0, :].reshape(-1, top.shape[-1]).tolist()
     floor = [[_noise_floor(b, k) for b in row] for row in base for k in powers]
     thr = np.maximum(tol * top, np.reshape(floor, top.shape))
-    live = spectra > thr[..., _segment_owner(starts, spectra.shape[-1])]
+    owner = np.repeat(np.arange(starts.size), np.diff(starts, append=spectra.shape[-1]))
+    live = spectra > thr[..., owner]
     ranks = _owner_sum(live, starts) + ones * (thr < 1.0)
     return live, ranks, np.cumprod(np.isfinite(thr), axis=-2).sum(axis=-2)
 
@@ -459,9 +455,8 @@ def _owner_rows(n, ranks, reached, bounded_away, sums, criterion):
     yield claim("symbol_operator_decomposition", "none", 2, sum2 == n)
 
     if criterion is None:
-        criterion = {cid: make_claim(cid, "not_met", None) for cid in _CRITERION_CLAIMS}
-    yield criterion["one_minus_t_ascent"]
-    yield criterion["one_minus_t_adjoint_ascent"]
+        criterion = [make_claim(cid, "not_met", None) for cid in _CRITERION_CLAIMS]
+    yield from criterion[:2]
 
     # dense sum surrogate: equality with the whole space
     yield claim(
@@ -472,13 +467,12 @@ def _owner_rows(n, ranks, reached, bounded_away, sums, criterion):
         detail=f"dim sum={sum2}, dim intersection={dims[1]} "
         "(density read as equality in finite dimensions)",
     )
-    for cid in _CRITERION_CLAIMS[2:]:
-        yield criterion[cid]
+    yield from criterion[2:]
 
 
-def _criterion_rows(runs) -> list[dict[str, ClaimResult]]:
-    """The rows under the strict contraction criterion (claim id -> row) of
-    each run, whose criterion holds.
+def _criterion_rows(runs) -> list[list[ClaimResult]]:
+    """The rows under the strict contraction criterion of each run, whose
+    criterion holds, in the order of ``_CRITERION_CLAIMS``.
 
     (I - T_B)^k is the core [[(1-h_B)^k, -gamma_k rho_B], [0, 1]] with
     gamma_k = sum_{i<k} (1-h_B)^i, and the pairing adjoint u E(w .) has
@@ -668,57 +662,49 @@ def _criterion_rows(runs) -> list[dict[str, ClaimResult]]:
         ces_res += sup_gaps(cesaro, limit)
         scale_ces += owner_max(fs, c).tolist()
 
+    def met(cid, ok, **kwargs):
+        return make_claim(cid, "met", ok, **kwargs)
+
     out = []
-    for o, (t, _, _, _) in enumerate(runs):
-        a1, a2 = (_ascent(int(n[o]), ranks[:, o].tolist(), 8) for ranks in ascents)
-        dims = f"dims {dim_r[o]}+{n[o] - dim_r[o]} of {n[o]}"
-        full_rank = bool(dim_r[o] == n[o])
-        top_o, low_o = float(top[o]), float(low[o])
-        rows = {
-            "one_minus_t_ascent": make_claim(
-                "one_minus_t_ascent", "met", a1 is not None and a1 <= 1,
-                detail=f"ascent={a1}",
-            ),
-            "one_minus_t_adjoint_ascent": make_claim(
-                "one_minus_t_adjoint_ascent", "met", a2 is not None and a2 <= 1,
+    for o, n_o in enumerate(n.tolist()):
+        a1, a2 = (_ascent(n_o, ranks[:, o].tolist(), 8) for ranks in ascents)
+        inv, full_rank, horizon = bool(invertible[o]), bool(dim_r[o] == n_o), n_eff[o]
+        floor = 1e-12 * (1.0 + scale_bn[o]) if inv else None
+        res = bn_res[o]
+        out.append([
+            met("one_minus_t_ascent", a1 is not None and a1 <= 1, detail=f"ascent={a1}"),
+            met(
+                "one_minus_t_adjoint_ascent",
+                a2 is not None and a2 <= 1,
                 detail=f"ascent={a2} (bilinear pairing adjoint)",
             ),
-            "one_minus_t_direct_sum": make_claim(
-                "one_minus_t_direct_sum", "met", bool(split[o] == n[o]), detail=dims
+            met(
+                "one_minus_t_direct_sum",
+                bool(split[o] == n_o),
+                detail=f"dims {dim_r[o]}+{n_o - dim_r[o]} of {n_o}",
             ),
-            "ergodic_invertibility": make_claim(
+            met(
                 "ergodic_invertibility",
-                "met",
-                bool(invertible[o]) == full_rank,
-                residual=low_o / top_o if top_o > 0 else 0.0,
-                detail=f"solve route invertible={bool(invertible[o])}, "
+                inv == full_rank,
+                residual=float(low[o]) / float(top[o]) if top[o] > 0 else 0.0,
+                detail=f"solve route invertible={inv}, "
                 f"full range at tolerance={full_rank}",
             ),
-        }
-        n_o = n_eff[o]
-        if invertible[o]:
-            res = bn_res[o]
-            rows["ergodic_bn_convergence"] = make_claim(
+            met(
                 "ergodic_bn_convergence",
-                "met",
-                _decreasing_to_zero(res, 1e-12 * (1.0 + scale_bn[o])),
+                _decreasing_to_zero(res, floor),
                 residual=res[-1],
-                detail=f"sup residuals at n={n_o // 4},{n_o // 2},{n_o}: {res}",
+                detail=f"sup residuals at n={horizon // 4},{horizon // 2},{horizon}: "
+                f"{res}",
             )
-        else:
-            rows["ergodic_bn_convergence"] = make_claim(
-                "ergodic_bn_convergence",
-                "met",
-                None,
-                detail="I - T numerically singular",
-            )
-        rows["ergodic_cesaro_limit"] = make_claim(
-            "ergodic_cesaro_limit",
-            "met",
-            inv_res[o] <= tol[o]
-            and _decreasing_to_zero(ces_res[o], 1e-12 * (1.0 + scale_ces[o])),
-            residual=inv_res[o],
-            detail="limit taken as the projection onto null(I-T) along range(I-T)",
-        )
-        out.append(rows)
+            if inv
+            else met("ergodic_bn_convergence", None, detail="I - T numerically singular"),
+            met(
+                "ergodic_cesaro_limit",
+                inv_res[o] <= tol[o]
+                and _decreasing_to_zero(ces_res[o], 1e-12 * (1.0 + scale_ces[o])),
+                residual=inv_res[o],
+                detail="limit taken as the projection onto null(I-T) along range(I-T)",
+            ),
+        ])
     return out
