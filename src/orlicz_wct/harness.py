@@ -573,7 +573,9 @@ def _walk_claims(runs, residuals, detail, a_ns=(), b_ns=(), t_ns=()):
     def walked(batch):
         walk = BlockWalk(BlockLayout.direct_sum(x for x, _ in batch), a_ns, b_ns, t_ns)
         stacked = {cid: np.array(res) for cid, res in residuals(walk).items()}
-        return [{cid: res[:, j] for cid, res in stacked.items()} for j in range(len(batch))]
+        return [
+            {cid: res[:, j] for cid, res in stacked.items()} for j in range(len(batch))
+        ]
 
     with np.errstate(over="ignore", invalid="ignore"):
         per_run = _by_size(list(runs), lambda run: run[0].n, walked)

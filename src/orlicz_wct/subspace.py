@@ -305,7 +305,9 @@ def verify_structure_theorems(
     if isinstance(t, WctOperator):
         return verify_structure_theorems([t], [phi], [tol], [seed], [criterion])[0]
     runs = []
-    for t_i, phi_i, tol_i, seed_i, crit_i in zip(t, phi, tol, seed, criterion, strict=True):
+    for t_i, phi_i, tol_i, seed_i, crit_i in zip(
+        t, phi, tol, seed, criterion, strict=True
+    ):
         if tol_i <= 0:
             raise ValueError("tol must be > 0")
         if crit_i is None:
@@ -545,7 +547,8 @@ def _criterion_rows(runs) -> list[list[ClaimResult]]:
         atoms += size
     chunks.append(range(first, len(runs)))
     atom_starts = np.cumsum(n) - n
-    atom_bounds, block_bounds = np.append(atom_starts, n.sum()), np.append(starts, sigma.size)
+    atom_bounds = np.append(atom_starts, n.sum())
+    block_bounds = np.append(starts, sigma.size)
     atom_owner = np.repeat(np.arange(len(runs)), n)
     layouts = [BlockLayout.direct_sum(ts[o].block_layout for o in c) for c in chunks]
     imts = [layout.eye - layout.m for layout in layouts]
@@ -672,7 +675,9 @@ def _criterion_rows(runs) -> list[list[ClaimResult]]:
         floor = 1e-12 * (1.0 + scale_bn[o]) if inv else None
         res = bn_res[o]
         out.append([
-            met("one_minus_t_ascent", a1 is not None and a1 <= 1, detail=f"ascent={a1}"),
+            met(
+                "one_minus_t_ascent", a1 is not None and a1 <= 1, detail=f"ascent={a1}"
+            ),
             met(
                 "one_minus_t_adjoint_ascent",
                 a2 is not None and a2 <= 1,
@@ -698,7 +703,9 @@ def _criterion_rows(runs) -> list[list[ClaimResult]]:
                 f"{res}",
             )
             if inv
-            else met("ergodic_bn_convergence", None, detail="I - T numerically singular"),
+            else met(
+                "ergodic_bn_convergence", None, detail="I - T numerically singular"
+            ),
             met(
                 "ergodic_cesaro_limit",
                 inv_res[o] <= tol[o]

@@ -1005,19 +1005,25 @@ def _structure_batches(draw):
     batch = []
     for n in draw(st.lists(st.integers(1, 12), min_size=6, max_size=12)):
         blocks = n if draw(st.booleans()) else draw(st.integers(1, n))
-        s = generate_random_instance(draw(seeds), n, blocks, draw(st.sampled_from(PROFILES)))
+        profile = draw(st.sampled_from(PROFILES))
+        s = generate_random_instance(draw(seeds), n, blocks, profile)
         kind = draw(st.sampled_from([None, *_ONE_ATOM_BLOCKS]))
         if kind is not None:
             s = _with_one_atom_blocks(s, [_ONE_ATOM_BLOCKS[kind]])
         batch.append(run(s))
     n40 = generate_random_instance(draw(seeds), 40, draw(st.integers(3, 8)), "generic")
     batch.append(run(n40))
-    grown = generate_random_instance(draw(seeds), draw(st.integers(1, 12)), 1, "contracting_h")
+    grown = generate_random_instance(
+        draw(seeds), draw(st.integers(1, 12)), 1, "contracting_h"
+    )
     batch.append(run(dataclasses.replace(grown, w=grown.w * 1e100)))
-    outside = generate_random_instance(draw(seeds), draw(st.integers(2, 11)), 2, "contracting_h")
+    outside = generate_random_instance(
+        draw(seeds), draw(st.integers(2, 11)), 2, "contracting_h"
+    )
     batch.append(run(_with_one_atom_blocks(outside, [_ONE_ATOM_BLOCKS["outside"]])))
     order = draw(st.permutations(range(len(batch))))
-    return [batch[i] for i in order], order.index(len(batch) - 2), order.index(len(batch) - 1)
+    where = order.index(len(batch) - 2), order.index(len(batch) - 1)
+    return [batch[i] for i in order], *where
 
 
 def _row_bits(rows):

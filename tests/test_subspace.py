@@ -299,7 +299,9 @@ class TestFactorOnce:
         keys.clear()
         k = len(operators)
         phis = [power_scaled(2)] * k
-        batch = verify_structure_theorems(operators, phis, [1e-8] * k, [0] * k, [None] * k)
+        batch = verify_structure_theorems(
+            operators, phis, [1e-8] * k, [0] * k, [None] * k
+        )
         met = [
             t for t, rows in zip(operators, batch)
             if by_id(rows)["one_minus_t_direct_sum"].hypothesis == "met"
@@ -378,7 +380,8 @@ class TestFactorOnce:
         monkeypatch.setattr(np.linalg, "svd", spy_svd)
         monkeypatch.setattr(subspace, "_power_sum", spy_sum)
         path = Path(__file__).resolve().parents[1] / "scenarios" / "r3_contracting.json"
-        assert run_verification(load_scenario(path), seed=1, instances=20).exit_status == 0
+        report = run_verification(load_scenario(path), seed=1, instances=20)
+        assert report.exit_status == 0
         sizes = [{t.space.n_atoms for t, *_ in b["runs"]} for b in batches]
         assert all(len(size) == 1 for size in sizes)
         assert len({size.pop() for size in sizes}) == len(batches)
