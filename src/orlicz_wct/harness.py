@@ -22,20 +22,24 @@ Report JSON keys per claim: claim_id, anchor, hypothesis, status, residual,
 detail, fingerprint. A claim whose hypothesis is not met never affects the
 exit status. Each experiment group is one entry of ``_GROUPS``, a function
 of (scenario, operator, sampling seed) that returns the scenario's rows, or
-of ``_BATCH_GROUPS``: the structure, iterate and Cesaro groups, functions
-of a list of runs, one per instance that asks for them, which take one
-stacked pass per instance size and return the rows of each run. The
-structure group's runs are the arguments of ``verify_structure_theorems``
-(operator, gauge, rank tolerance, sampling seed, criterion), which it calls
-in its batch form; the walk groups' runs are (block layout, comparison
+of ``_BATCH_GROUPS``: the power_bounded, structure, iterate and Cesaro
+groups, functions of a list of runs, one per instance that asks for them,
+which take stacked passes and return the rows of each run. The
+power_bounded group's runs (operator, gauge, sampling seed) go to the batch
+form of ``power_bounded_report``, one pass per gauge; the structure group's
+are the arguments of ``verify_structure_theorems`` (operator, gauge, rank
+tolerance, sampling seed, criterion), which it calls in its batch form once
+per instance size; the walk groups' runs are (block layout, comparison
 tolerance), which walk over the direct sum of the layouts. A verify call
 reads its instances one at a time and keeps of each only those runs, for
 the batch groups at the end. The harness stamps the fingerprint of the
 instance that ran onto every row, and library calls such as
 ``verify_structure_theorems`` return rows whose fingerprint is ``{}``. A
-scenario builds its operator and the contraction criterion once (a random
-draw hands over the operator it built), and the groups share them; the
-conjugate gauge is ``phi.conjugate``, which the gauge builds once.
+scenario builds its operator once (a random draw hands over the operator it
+built), and the groups share it; the operator keeps the contraction
+criterion under each gauge, which the power_bounded pass decides and the
+structure pass reads; the conjugate gauge is ``phi.conjugate``, which the
+gauge builds once.
 
 For power-law gauges (``exact_norm_powers`` is not None) the boundedness and
 power-boundedness rows use exact operator norms: ``operator_norm_bound`` is
@@ -73,7 +77,6 @@ from .wct import (
     b_n_operator,
     bound_constant,
     cesaro_mean,
-    contraction_criterion,
     exact_norm_powers,
     iterate,
     matrix_of,
@@ -189,19 +192,13 @@ class Scenario:
     profile: str | None = None
     seed: int | None = None
 
-    # the operator and the contraction criterion are built once per scenario
-    # and shared by every experiment group
+    # the operator is built once and shared by every experiment group
     def operator(self) -> WctOperator:
         return self._operator
 
     @cached_property
     def _operator(self) -> WctOperator:
         return WctOperator(self.u, self.w, CondExp(self.space, self.partition))
-
-    @cached_property
-    def criterion(self) -> tuple[list[int], bool]:
-        """``contraction_criterion`` of the operator for phi."""
-        return contraction_criterion(self.operator(), self.phi)
 
     def context(self) -> OrliczContext:
         return OrliczContext(self.space, self.phi)
@@ -432,12 +429,13 @@ def generate_random_instance(
         profile=profile,
         seed=seed,
     )
-    if profile == "contracting_h":
-        assert ess_sup(t.h) <= 0.9 + 1e-12
-    if profile == "expanding_h":
-        assert float(np.min(t.h)) >= 1.1 - 1e-12
-    if profile == "nilpotent_h":
-        assert ess_sup(t.h) <= 1e-10
+    holds = (
+        (profile != "contracting_h" or ess_sup(t.h) <= 0.9 + 1e-12)
+        and (profile != "expanding_h" or float(np.min(t.h)) >= 1.1 - 1e-12)
+        and (profile != "nilpotent_h" or ess_sup(t.h) <= 1e-10)
+    )
+    if not holds:
+        raise RuntimeError(f"the {profile} draw of seed {seed} breaks its bound on h")
     return _with_operator(scenario, t)
 
 
@@ -619,10 +617,16 @@ def _cesaro_claims(runs):
     )
 
 
-def _power_bounded_claims(s: Scenario, t: WctOperator, seed: int):
-    rep = power_bounded_report(
-        t, s.phi, n_max=20, samples=32, seed=seed, criterion=s.criterion
-    )
+def _power_bounded_claims(runs):
+    """The power_bounded rows of each (operator, gauge, sampling seed) run,
+    from the batch form of ``power_bounded_report``, one pass per gauge."""
+    ts, phis, seeds = zip(*runs)
+    reports = power_bounded_report(ts, phis, n_max=20, samples=32, seed=seeds)
+    return [_power_bounded_rows(t, rep) for t, rep in zip(ts, reports)]
+
+
+def _power_bounded_rows(t: WctOperator, rep):
+    """The two power_bounded rows of an operator's report."""
     n1 = rep.norm_estimates[0]
     if rep.criterion_holds and rep.exact:
         ok = _within(rep.sup_norm_estimate, n1)
@@ -731,8 +735,12 @@ def _boundedness_claims(s: Scenario, t: WctOperator, seed: int):
     ]
 
 
+def _power_bounded_run(s: Scenario, t: WctOperator, seed: int):
+    return t, s.phi, seed
+
+
 def _structure_run(s: Scenario, t: WctOperator, seed: int):
-    return t, s.phi, s.tolerances["rank"], seed, s.criterion
+    return t, s.phi, s.tolerances["rank"], seed, None
 
 
 def _walk_run(s: Scenario, t: WctOperator, seed: int):
@@ -742,13 +750,13 @@ def _walk_run(s: Scenario, t: WctOperator, seed: int):
 # experiment group -> its rows for (scenario, operator, sampling seed)
 _GROUPS = {
     "condexp_laws": _condexp_claims,
-    "power_bounded": _power_bounded_claims,
     "boundedness": _boundedness_claims,
 }
 # experiment group -> (the run it keeps of (scenario, operator, sampling
-# seed), the rows of each of a list of such runs, from one stacked pass per
-# instance size)
+# seed), the rows of each of a list of such runs), in the order the groups
+# run: power_bounded decides the criterion that the structure pass reads
 _BATCH_GROUPS = {
+    "power_bounded": (_power_bounded_run, _power_bounded_claims),
     "structure": (_structure_run, _structure_claims),
     "iterate_formula": (_walk_run, _iterate_claims),
     "cesaro_identities": (_walk_run, _cesaro_claims),
@@ -783,7 +791,7 @@ def _suite_claims(runs) -> list[ClaimResult]:
                 rows += stamped(_GROUPS[name](s, t, seed), fp)
     # a group may empty its list of runs as it reads them, and each group's
     # runs are let go before the next group runs
-    for name in list(kept):
+    for name in [name for name in _BATCH_GROUPS if name in kept]:
         group_runs, fps = kept.pop(name)
         for fp, group_rows in zip(fps, _BATCH_GROUPS[name][1](group_runs)):
             rows += stamped(group_rows, fp)

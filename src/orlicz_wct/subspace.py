@@ -45,6 +45,7 @@ from .wct import (
     WctOperator,
     BlockLayout,
     BlockRecord,
+    _Stacked,
     _block_frame,
     _power_sum,
     contraction_criterion,
@@ -61,35 +62,19 @@ DEFAULT_RANK_TOL = 1e-8
 _NOISE_COEFF = 1e-11
 
 
+def _power(x: float, k: int) -> float:
+    """x**k for a float x, inf beyond the float range."""
+    try:
+        return x**k
+    except OverflowError:
+        return np.inf
+
+
 def _noise_floor(base_norm: float, k: int) -> float:
     """The float-noise floor of computing the k-th power of a matrix with
     2-norm base_norm, which scales like base_norm^k (inf beyond the float
     range, 0 for a norm that is not positive)."""
-    try:
-        return _NOISE_COEFF * base_norm**k if base_norm > 0 else 0.0
-    except OverflowError:  # base_norm**k is beyond the float range
-        return np.inf
-
-
-def _power_threshold(sing: np.ndarray, base_norm: float, k: int, tol: float) -> float:
-    """Rank threshold for the k-th power of a matrix with 2-norm base_norm.
-
-    Relative to the realized largest singular value, but never below the
-    float-noise floor of computing the power, so kernel detection stays
-    stable whether iterates grow or decay.
-    """
-    realized = float(np.max(sing, initial=0.0))
-    return max(tol * realized, _noise_floor(base_norm, k))
-
-
-def _thresholded(spectra, tol: float):
-    """(k, spectrum, rank threshold) of A^k for k = 1, 2, ..., from the
-    singular values of each power; every threshold takes its base norm from
-    the first power."""
-    for k, s in enumerate(spectra, 1):
-        if k == 1:
-            base = float(np.max(s, initial=0.0))
-        yield k, s, _power_threshold(s, base, k, tol)
+    return _NOISE_COEFF * _power(base_norm, k) if base_norm > 0 else 0.0
 
 
 def _dense_spectra(matrix: np.ndarray):
@@ -139,7 +124,8 @@ def powers_well_conditioned(
     ``block_powers_well_conditioned`` applies the same rule to the block
     spectrum of an operator.
     """
-    return _well_conditioned(_thresholded(_dense_spectra(matrix), tol), k_max, symbol)
+    spectra = np.array(list(itertools.islice(_dense_spectra(matrix), k_max)))
+    return _well_conditioned(spectra, tol, symbol)
 
 
 def block_powers_well_conditioned(
@@ -149,39 +135,33 @@ def block_powers_well_conditioned(
     with no SVD: the nonzero singular values of T^k are sigma_B |h_B|^(k-1)
     (``WctOperator.block_record``), and the zeros it leaves out never meet a
     band or a floor. Random suites re-draw the instances it flags."""
-    spectra = _block_spectra(t.block_record, k_max)
-    return _well_conditioned(_thresholded(spectra, tol), k_max, t.h)
+    spectra = np.array(_block_spectra(t.block_record, k_max))
+    return _well_conditioned(spectra, tol, t.h)
 
 
-def _well_conditioned(spectra, k_max: int, symbol) -> bool:
-    """The rule of ``powers_well_conditioned`` on the (k, spectrum, rank
-    threshold) of the powers k = 1, 2, ..., k_max."""
-    thresholds = []
-    retained_min_sq = None
-    for k, s, thr in itertools.islice(spectra, k_max):
-        thresholds.append(thr)
-        if thr > 0 and np.any((s > thr / _BAND) & (s <= thr * _BAND)):
-            return False
-        if k == 2:
-            above = s[s > thr]
-            retained_min_sq = float(above.min()) if above.size else None
-    if symbol is not None:
-        h = np.asarray(symbol, dtype=float)
-        h_top = float(np.max(np.abs(h), initial=0.0))
-        supp = np.abs(h) > 1e-12 * (1.0 + h_top)
-        if supp.any() and retained_min_sq is not None:
-            h_min = float(np.min(np.abs(h[supp])))
-            for k in range(3, k_max + 1):
-                floor = h_min ** (k - 2) * retained_min_sq
-                if floor <= _BAND * thresholds[k - 1]:
-                    return False
-    return True
-
-
-def _ranks(spectra, tol: float):
-    """rank(A^k) for k = 1, 2, ...: the singular values above each power's
-    threshold."""
-    return (int(np.sum(s > thr)) for _, s, thr in _thresholded(spectra, tol))
+def _well_conditioned(spectra: np.ndarray, tol: float, symbol) -> bool:
+    """The rule of ``powers_well_conditioned`` on the singular values of the
+    powers 1..k_max, one row each, in one array pass: a power's threshold is
+    tol times its top value, at least its noise floor (base: the first
+    power's top); scalar powers are C's pow, which an array power is not."""
+    k_max = len(spectra)
+    if not k_max:
+        return True
+    realized = spectra.max(axis=1, initial=0.0)
+    floors = [_noise_floor(float(realized[0]), k) for k in range(1, k_max + 1)]
+    thr = np.maximum(tol * realized, floors)[:, None]
+    if np.any((thr > 0) & (spectra > thr / _BAND) & (spectra <= thr * _BAND)):
+        return False
+    if symbol is None or k_max < 3:
+        return True
+    above = spectra[1][spectra[1] > thr[1]]
+    h = np.abs(np.asarray(symbol, dtype=float))
+    supp = h > 1e-12 * (1.0 + float(np.max(h, initial=0.0)))
+    if not (above.size and supp.any()):
+        return True
+    h_min = float(np.min(h[supp]))
+    low = np.array([_power(h_min, k - 2) for k in range(3, k_max + 1)])
+    return not np.any(low * float(above.min()) <= _BAND * thr[2:, 0])
 
 
 def _ascent(n: int, ranks, k_max: int):
@@ -213,7 +193,7 @@ def _chain(spectra, starts, tol, ones=0):
     ``spectra`` (..., power, value) holds the singular values of each power,
     one segment of the last axis per operator from ``starts`` (zeros there
     count nowhere), and each operator has ``ones`` further values 1; the
-    thresholds are those of ``_thresholded``, with per-operator ``tol``.
+    thresholds are those of ``_well_conditioned``, with per-operator ``tol``.
     Returns whether each value clears its threshold, the rank per power and
     operator, and per operator the count of leading powers with a finite
     threshold, past which nothing is checked: a threshold is finite exactly
@@ -293,7 +273,7 @@ def verify_structure_theorems(
     rows come in registry order and carry an empty fingerprint. The gauge
     phi enters only through the criterion: a caller that already holds
     ``contraction_criterion(t, phi)`` passes it as ``criterion``; otherwise
-    the pass computes it.
+    the pass reads it from the operator, where it is decided once.
 
     The batch form takes sequences in place of all five arguments, one
     entry per operator, and returns the rows of each operator, from one
@@ -316,19 +296,16 @@ def verify_structure_theorems(
     return _structure_batch(runs)
 
 
-class _Stack:
-    """The operators of a list of runs, stacked: the direct sum of their
-    block records, and per operator its atom count, its rank tolerance and
-    where its blocks start; ``owner`` gives the operator of each block."""
+class _Stack(_Stacked):
+    """The operators of a list of runs, stacked (``_Stacked``), with the
+    direct sum of their block records and per operator its rank tolerance;
+    ``owner`` gives the operator of each block."""
 
     def __init__(self, runs):
-        self.ts = [run[0] for run in runs]
-        records = [t.block_record for t in self.ts]
-        self.rec = BlockRecord.direct_sum(records)
-        counts = np.array([r.sizes.size for r in records])
-        self.starts = np.cumsum(counts) - counts
+        super().__init__([run[0] for run in runs])
+        self.rec = BlockRecord.direct_sum(t.block_record for t in self.ts)
+        counts = np.diff(self.starts, append=self.masses.size)
         self.owner = np.repeat(np.arange(len(runs)), counts)
-        self.n = np.array([t.space.n_atoms for t in self.ts])
         self.tol = np.array([run[1] for run in runs], dtype=float)
 
 
@@ -486,12 +463,8 @@ def _criterion_rows(runs) -> list[list[ClaimResult]]:
     st = _Stack(runs)
     rec, starts, owner, n, tol, ts = st.rec, st.starts, st.owner, st.n, st.tol, st.ts
     sigma, h_block, pair = rec.sigma, rec.h, rec.sizes > 1
-    u_cat, w_cat, h_cat, weights = (
-        np.concatenate(v)
-        for v in zip(*((t.u, t.w, t.h, t.space.weights) for t in ts))
-    )
-    masses = np.concatenate([t.e._block_masses for t in ts])
-    rho_adj = _block_frame(rec.labels, masses, h_cat, u_cat, w_cat * weights).rho
+    y = st.w * st.weights
+    rho_adj = _block_frame(rec.labels, st.masses, h_block[rec.labels], st.u, y).rho
     p = (1.0 - h_block)[:, None] ** np.arange(10)
     cores = np.zeros((2, sigma.size, 9, 2, 2))
     cores[..., 0, 0] = p[:, 1:]

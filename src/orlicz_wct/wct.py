@@ -15,10 +15,10 @@ atoms on as the partition's blocks, and every product and solve is taken
 block by block, at a cost of sum n_B^3 in place of n^3. Its ``direct_sum``
 stacks the layouts of any number of operators, so that one walk and one
 pass of each closed form serve them all, and ``owner_max`` reads a
-max-entry residual of each. ``contraction_criterion`` alone decides the
-strict contraction criterion |h| < 1 on the criterion support. It and
-``bound_constant`` read a gauge phi together with its conjugate psi, and
-take phi alone: psi is ``phi.conjugate``, built once.
+max-entry residual of each. ``contraction_criterion`` decides the strict
+contraction criterion |h| < 1 on the criterion support once per operator
+and gauge. It and ``bound_constant`` read a gauge phi together with its
+conjugate psi, and take phi alone: psi is ``phi.conjugate``, built once.
 
 The same block structure gives the singular values of every power in closed
 form: T^k has sigma_B |h_B|^(k-1) on each block and zeros elsewhere, read
@@ -29,7 +29,8 @@ block piece T_B = (w 1_B)(u mu 1_B)^T / mu(B) has rank one, the pieces have
 disjoint supports and the Luxemburg norm is c^(1/p) times the L^p(mu) norm,
 so ||T^n|| = max_B |h_B|^(n-1) (E_B|w|^p)^(1/p) (E_B|u|^q)^(1/q) with
 q = p/(p-1) (``exact_norm_powers``). ``power_bounded_report`` samples norm
-ratios only for the other gauges.
+ratios only for the other gauges. Its batch form reads the criterion, sup|h|
+and the exact norms of many operators in one pass over their stacked blocks.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .condexp import CondExp, cond_exp
-from .measure import ess_sup, support
+from .measure import ess_sup
 from .orlicz import OrliczContext, luxemburg_norms
 from .young import YoungFunction, generalized_inverse
 
@@ -74,8 +75,9 @@ _CORE_MIN_ATOMS = 32
 class WctOperator:
     """The operator f -> w * E(u * f) with cached symbol h = E(u * w).
 
-    The block record, the block layout and the read-only dense matrix that
-    ``matrix_of`` hands out are each built on first use and then shared.
+    The block record, the block layout, the read-only dense matrix that
+    ``matrix_of`` hands out and the contraction criterion under each gauge
+    are each built on first use and then shared.
     """
 
     u: np.ndarray
@@ -88,6 +90,8 @@ class WctOperator:
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "w", w)
         object.__setattr__(self, "h", cond_exp(self.e, u * w))
+        # contraction_criterion under each gauge decided so far, by gauge
+        object.__setattr__(self, "_criteria", {})
 
     @property
     def space(self):
@@ -491,18 +495,101 @@ def bound_constant(t: WctOperator, phi: YoungFunction, c_gch: float) -> float:
     return c_gch * ess_sup(values)
 
 
+def _exact_p(phi: YoungFunction) -> float | None:
+    """p of a power law c|x|^p with p > 1, whose conjugate is a power law
+    too, both with closed-form inverses; None for every other gauge."""
+    return phi._power[1] if phi._power is not None and phi._power[1] > 1 else None
+
+
+def _by_gauge(phis) -> list[tuple[YoungFunction, list[int]]]:
+    """(gauge, indices) of the operators that one stacked pass takes: those
+    under one power-law gauge object with p > 1, and each other one alone,
+    as the bits of a numeric inverse depend on the whole array."""
+    groups = {}
+    for i, phi in enumerate(phis):
+        groups.setdefault(phi if _exact_p(phi) else -1 - i, (phi, []))[1].append(i)
+    return list(groups.values())
+
+
+class _Stacked:
+    """Operators one after another: per atom its block (numbered past those
+    of the operators before), weight, u and w; per block its mass and h;
+    where each operator's blocks start. ``average`` is E per block with the
+    sums of ``cond_exp``, atom by atom, so each has the operator's bits."""
+
+    def __init__(self, ts):
+        self.ts = ts
+        counts = np.array([t.e._block_masses.size for t in ts])
+        self.starts = np.cumsum(counts) - counts
+        self.n = np.array([t.space.n_atoms for t in ts])
+        self.labels = np.concatenate(
+            [t.e._labels + b for t, b in zip(ts, self.starts.tolist())]
+        )
+        self.masses = np.concatenate([t.e._block_masses for t in ts])
+        self.weights, self.u, self.w = (
+            np.concatenate(v) for v in zip(*((t.space.weights, t.u, t.w) for t in ts))
+        )
+        self.h = np.empty(self.masses.size)
+        self.h[self.labels] = np.concatenate([t.h for t in ts])
+
+    def average(self, f: np.ndarray) -> np.ndarray:
+        sums = np.bincount(self.labels, self.weights * f, minlength=self.masses.size)
+        return sums / self.masses
+
+
+def _decide(st: _Stacked, phi: YoungFunction) -> None:
+    """Records ``contraction_criterion`` under phi on every operator of st,
+    from one pass over their stacked blocks: the averaged gauges, and so
+    the support, are constant on blocks."""
+    psi = phi.conjugate
+    sw = generalized_inverse(phi, st.average(phi(np.abs(st.w))))
+    su = generalized_inverse(psi, st.average(psi(np.abs(st.u))))
+    inside = (np.abs(sw) > _SUPPORT_EPS) & (np.abs(su) > _SUPPORT_EPS)
+    broken = np.logical_or.reduceat(inside & ~(np.abs(st.h) < 1.0), st.starts)
+    atoms = np.flatnonzero(inside[st.labels])
+    first = np.cumsum(st.n) - st.n
+    local = (atoms - np.repeat(first, st.n)[atoms]).tolist()
+    ends = [0, *np.searchsorted(atoms, first + st.n).tolist()]
+    for t, a, b, bad in zip(st.ts, ends, ends[1:], broken.tolist()):
+        t._criteria[phi] = (local[a:b], not bad)
+
+
 def contraction_criterion(t: WctOperator, phi: YoungFunction) -> tuple[list[int], bool]:
     """The criterion support and whether the strict contraction criterion
     |h| < 1 holds on it.
 
     The support is the sorted list of atoms in S(phi_inv(E(phi|w|)))
-    intersected with S(psi_inv(E(psi|u|))), psi = phi.conjugate.
+    intersected with S(psi_inv(E(psi|u|))), psi = phi.conjugate. Decided
+    once per operator and gauge (``WctOperator``), here or by the pass of
+    ``power_bounded_report`` over many operators at once.
     """
-    psi = phi.conjugate
-    sw = generalized_inverse(phi, cond_exp(t.e, phi(np.abs(t.w))))
-    su = generalized_inverse(psi, cond_exp(t.e, psi(np.abs(t.u))))
-    crit = sorted(support(sw, _SUPPORT_EPS) & support(su, _SUPPORT_EPS))
-    return crit, all(abs(t.h[i]) < 1.0 for i in crit)
+    if phi not in t._criteria:
+        _decide(_Stacked([t]), phi)
+    return t._criteria[phi]
+
+
+def _exact_norms(st: _Stacked, phi: YoungFunction, n_max: int):
+    """``exact_norm_powers`` of every operator of st, one row each, or None
+    for a gauge it does not apply to."""
+    p = _exact_p(phi)
+    if p is None:
+        return None
+    q = p / (p - 1.0)
+    # |w|^p, and so a norm, may overflow to inf (inf * 0 is NaN): the
+    # callers read a non-finite norm as an overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        block = (
+            st.average(np.abs(st.w) ** p) ** (1.0 / p)
+            * st.average(np.abs(st.u) ** q) ** (1.0 / q)
+        )
+        # only blocks with a nonzero piece count: elsewhere h = 0 as well,
+        # and an overflowing |h|^(n-1) must not meet a zero norm
+        live = block > 0
+        # |h_B|^(n-1) as the running product 1 * |h_B| * ... * |h_B|
+        hpow = np.empty((n_max, block.size))
+        hpow[0], hpow[1:] = 1.0, np.where(live, np.abs(st.h), 0.0)
+        terms = np.multiply.accumulate(hpow, axis=0) * np.where(live, block, 0.0)
+    return np.maximum.reduceat(terms, st.starts, axis=1).T
 
 
 def exact_norm_powers(
@@ -519,28 +606,9 @@ def exact_norm_powers(
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    if phi._power is None or phi._power[1] <= 1:
+    if _exact_p(phi) is None:
         return None
-    p = phi._power[1]
-    q = p / (p - 1.0)
-    # |w|^p, and so a norm, may overflow to inf (inf * 0 is NaN): the
-    # callers read a non-finite norm as an overflow
-    with np.errstate(over="ignore", invalid="ignore"):
-        block = (
-            cond_exp(t.e, np.abs(t.w) ** p) ** (1.0 / p)
-            * cond_exp(t.e, np.abs(t.u) ** q) ** (1.0 / q)
-        )
-        # only blocks with a nonzero piece count: elsewhere h = 0 as well,
-        # and an overflowing |h|^(n-1) must not meet a zero norm
-        live = block > 0
-        if not live.any():
-            return [0.0] * n_max
-        block, h = block[live], np.abs(t.h[live])
-        norms, hpow = [], np.ones_like(h)
-        for _ in range(n_max):
-            norms.append(float(np.max(hpow * block)))
-            hpow = hpow * h
-    return norms
+    return _exact_norms(_Stacked([t]), phi, n_max)[0].tolist()
 
 
 @dataclass
@@ -562,47 +630,56 @@ def power_bounded_report(
     n_max: int,
     samples: int = 64,
     seed: int = 0,
-    criterion: tuple[list[int], bool] | None = None,
 ) -> PowerBoundedReport:
     """Strict-contraction criterion plus horizon norms of the powers.
 
     The criterion asks |h| < 1 on the joint support of the inverted averaged
-    gauges of |w| and |u|; a caller that already holds
-    ``contraction_criterion(t, phi)`` passes it as ``criterion``. The
-    norms are ``exact_norm_powers`` wherever that is not None (then
-    ``exact`` is set and ``samples`` and ``seed`` go unused). Other gauges
-    get sampled lower estimates: all powers share one sample set, so the
-    horizon comparison inherits the pointwise domination
-    |T^n f| <= ||h||_inf^(n-1) |T f| without estimator noise.
+    gauges of |w| and |u| (``contraction_criterion``, which this call
+    decides and records on the operator). The norms are
+    ``exact_norm_powers`` wherever that is not None (then ``exact`` is set
+    and ``samples`` and ``seed`` go unused). Other gauges get sampled lower
+    estimates: all powers share one sample set, so the horizon comparison
+    inherits the pointwise domination |T^n f| <= ||h||_inf^(n-1) |T f|
+    without estimator noise.
+
+    The batch form takes sequences for t, phi and seed and returns an
+    iterator over each operator's report, built as it is read: the
+    criterion, sup|h| and exact norms of all those under one gauge object
+    come from one pass over their stacked blocks (``_by_gauge``), with the
+    bits of each alone; sampled norms are taken one operator at a time.
     """
+    if isinstance(t, WctOperator):
+        return next(power_bounded_report([t], [phi], n_max, samples, [seed]))
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
-    if criterion is None:
-        criterion = contraction_criterion(t, phi)
-    crit_idx, criterion_holds = criterion
-    h_sup = ess_sup(t.h)
+    facts = [None] * len(t)
+    for gauge, idx in _by_gauge(phi):
+        st = _Stacked([t[i] for i in idx])
+        _decide(st, gauge)
+        h_sups = np.maximum.reduceat(np.abs(st.h), st.starts)
+        if not np.isfinite(h_sups).all():
+            raise ValueError("ess_sup requires finite values")
+        exact = _exact_norms(st, gauge, n_max)
+        for j, (i, h_sup) in enumerate(zip(idx, h_sups.tolist())):
+            norms = exact[j] if exact is not None else _sampled_norm_powers(
+                t[i], gauge, n_max, samples, seed[i]
+            )
+            facts[i] = gauge, h_sup, norms
+    return (_report(t[i], *facts[i], n_max) for i in range(len(t)))
 
-    estimates = exact_norm_powers(t, phi, n_max)
-    exact = estimates is not None
-    if not exact:
-        estimates = _sampled_norm_powers(t, phi, n_max, samples, seed)
-    sup_norm = max(estimates)
 
+def _report(t, phi, h_sup, norms, n_max) -> PowerBoundedReport:
+    """The report of T from its sup|h| and norms: a row of exact norms, or
+    a list of sampled ones."""
+    exact = isinstance(norms, np.ndarray)
+    norms = norms.tolist() if exact else norms
     with np.errstate(over="ignore"):
         hpow_sup = [np.float64(h_sup) ** k for k in range(1, n_max + 1)]
-    horizon_bounded = max(hpow_sup) <= 1.0 + 1e-9
-    horizon_equivalence_ok = horizon_bounded == (h_sup <= 1.0 + 1e-12)
-
+    bounded = bool(max(hpow_sup) <= 1.0 + 1e-9)
+    support, holds = t._criteria[phi]
     return PowerBoundedReport(
-        criterion_holds=bool(criterion_holds),
-        sup_norm_estimate=sup_norm,
-        h_sup=h_sup,
-        norm_estimates=estimates,
-        criterion_support=crit_idx,
-        horizon_bounded=bool(horizon_bounded),
-        horizon_equivalence_ok=bool(horizon_equivalence_ok),
-        n_max=n_max,
-        exact=exact,
+        holds, max(norms), h_sup, norms, support, bounded,
+        bounded == (h_sup <= 1.0 + 1e-12), n_max, exact,
     )
 
 

@@ -43,9 +43,8 @@ from orlicz_wct import (
     support,
 )
 from orlicz_wct.harness import PROFILES, Scenario, generate_well_conditioned_instance
-from orlicz_wct.subspace import _power_threshold
 
-from oracles import meet_dim, power_walk, range_null, sum_dim
+from oracles import meet_dim, power_threshold, power_walk, range_null, sum_dim
 
 RANK_TOL = 1e-8
 
@@ -71,7 +70,7 @@ def dense_ranks(m, k_max=6):
     for k in range(1, k_max + 1):
         power = power @ m
         sv = np.linalg.svd(power, compute_uv=False)
-        ranks.append(int(np.sum(sv > _power_threshold(sv, base, k, RANK_TOL))))
+        ranks.append(int(np.sum(sv > power_threshold(sv, base, k, RANK_TOL))))
     return ranks
 
 
@@ -166,7 +165,7 @@ def test_criterion_04_decompositions(bounded_away_instances):
         def bases(k):
             power = np.linalg.matrix_power(m, k)
             u, sv, vh = np.linalg.svd(power)
-            thr = _power_threshold(sv, smax, k, RANK_TOL)
+            thr = power_threshold(sv, smax, k, RANK_TOL)
             rank = int(np.sum(sv > thr))
             return u[:, :rank], vh[rank:].T
 
@@ -179,7 +178,7 @@ def test_criterion_04_decompositions(bounded_away_instances):
             assert sum_dim(rng_n, n2, RANK_TOL) == n, s.fingerprint()
         mh = t.h[:, None] * m
         u_mh, sv_mh, vh_mh = np.linalg.svd(mh)
-        thr = _power_threshold(sv_mh, smax, 2, RANK_TOL)
+        thr = power_threshold(sv_mh, smax, 2, RANK_TOL)
         rank = int(np.sum(sv_mh > thr))
         rs, ns = u_mh[:, :rank], vh_mh[rank:].T
         assert sum_dim(rs, ns, RANK_TOL) == n, s.fingerprint()

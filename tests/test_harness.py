@@ -2,6 +2,8 @@ import contextlib
 import dataclasses
 import io
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -22,6 +24,7 @@ from orlicz_wct import (
     Partition,
     emit_report,
     ess_sup,
+    exp_type,
     generate_random_instance,
     load_scenario,
     power_scaled,
@@ -34,6 +37,8 @@ from orlicz_wct import (
 from orlicz_wct import cli, harness, subspace, wct
 from orlicz_wct.claims import EXPERIMENT_CLAIMS, make_claim, merge_claims
 from orlicz_wct.harness import DEFAULT_EXPERIMENTS, PROFILES, Scenario
+
+from oracles import power_bounded_loop
 
 
 class TestLoadScenario:
@@ -219,6 +224,30 @@ class TestGenerator:
             s = generate_random_instance(seed, 12, 3, "sparse_support")
             assert len(support(s.w, 0.0)) <= max(1, 12 // 4)
 
+    def test_profile_bounds_are_checked_under_python_O(self):
+        # the bounds on h that each profile promises are checked by a raise,
+        # so they hold with asserts stripped: draws whose check reads
+        # sup|h| = 1 are refused
+        code = (
+            "import orlicz_wct.harness as h\n"
+            "h.ess_sup = lambda f: 1.0\n"
+            "for profile in ('contracting_h', 'nilpotent_h'):\n"
+            "    try:\n"
+            "        h.generate_random_instance(1, 4, 2, profile)\n"
+            "    except RuntimeError as exc:\n"
+            "        print(exc)\n"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", code],
+            env=env, capture_output=True, text=True, check=True,
+        ).stdout.splitlines()
+        assert out == [
+            "the contracting_h draw of seed 1 breaks its bound on h",
+            "the nilpotent_h draw of seed 1 breaks its bound on h",
+        ]
+
     def test_bounds_validated(self):
         with pytest.raises(ValueError):
             generate_random_instance(0, 65, 1, "generic")
@@ -257,27 +286,38 @@ class TestRunVerification:
         assert len(ids) == len(set(ids))
 
     def test_criterion_and_conjugate_built_once_per_instance(self, monkeypatch):
-        # every orlicz_wct binding of the two functions is wrapped, so a call
-        # through any module counts; r3 plus 20 instances is 21 instances
-        counts = {"contraction_criterion": 0, "complementary": 0}
+        # r3 plus 20 instances is 21 instances. Each gets its contraction
+        # criterion exactly once, from one stacked pass per gauge object,
+        # which the structure pass then reads; every orlicz_wct binding of
+        # complementary is wrapped, so a call through any module counts
+        passes, counts = [], {"complementary": 0}
+        decide = wct._decide
+
+        def spy_decide(st, phi):
+            passes.append((phi, list(st.ts)))
+            return decide(st, phi)
+
+        monkeypatch.setattr(wct, "_decide", spy_decide)
         modules = [m for k, m in sys.modules.items() if k.startswith("orlicz_wct")]
-        for name in counts:
-            for module in modules:
-                if hasattr(module, name):
-                    original = getattr(module, name)
+        for module in modules:
+            if hasattr(module, "complementary"):
+                original = module.complementary
 
-                    def spy(*args, _name=name, _original=original, **kwargs):
-                        counts[_name] += 1
-                        return _original(*args, **kwargs)
+                def spy(*args, _original=original, **kwargs):
+                    counts["complementary"] += 1
+                    return _original(*args, **kwargs)
 
-                    monkeypatch.setattr(module, name, spy)
+                monkeypatch.setattr(module, "complementary", spy)
         path = Path(__file__).resolve().parents[1] / "scenarios" / "r3_contracting.json"
         argv = ["verify", "--scenario", str(path), "--instances", "20", "--seed", "1"]
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main(argv) == 0
-        assert counts["contraction_criterion"] == 21
-        # one conjugate per gauge: r3's, and one for each of the four gauges
-        # of the random rotation, which the draws of one call share
+        operators = [t for _, ts in passes for t in ts]
+        assert len(operators) == len({id(t) for t in operators}) == 21
+        # one pass per gauge: r3's, and each of the four gauges of the
+        # random rotation, which the draws of one call share
+        assert len(passes) == len({id(phi) for phi, _ in passes}) == 5
+        # one conjugate per gauge
         assert counts["complementary"] == 5
 
     def test_each_accepted_draw_builds_its_operator_once(self, monkeypatch):
@@ -1089,3 +1129,117 @@ class TestStackedStructurePass:
         assert rows["ergodic_cesaro_limit"].status == "fail"
         for rows in stacked[:1] + stacked[2:]:
             assert {r.status for r in rows[-4:]} == {"pass"}
+
+
+# a one-atom block (mu, u, w) under phi = |x|^3 / 3: |w|^3 overflows, so
+# the piece's norm is inf, while its symbol 1e-101 underflows to 0 from the
+# fourth power on, so its norms of T^5 and beyond are 0 * inf = NaN
+_NAN_NORM_BLOCK = (1.0, 1e-205, 1e104)
+# a gauge without closed forms, shared by every batch, so its numeric
+# conjugate is built once
+_EXP_TYPE = exp_type()
+
+
+@st.composite
+def _power_bounded_batches(draw):
+    """Runs (operator, gauge, sampling seed) of the power_bounded group:
+    1 to 12 atoms over the five profiles, under the four gauges of the
+    random rotation shared as in a verify call, some with a block of
+    ``_ONE_ATOM_BLOCKS``; two expanding_h instances, which fail the
+    criterion; a contracting one with w scaled by 1e100, whose norms
+    overflow; one with ``_NAN_NORM_BLOCK``; and one under exp_type, whose
+    norms are sampled. The order is shuffled; returns the runs and where
+    the last five went."""
+    seeds = st.integers(0, 2**31 - 1)
+    gauges = {}
+
+    def draw_instance(n, profile):
+        blocks = draw(st.integers(1, n))
+        return generate_random_instance(draw(seeds), n, blocks, profile, gauges)
+
+    batch = []
+    for n in draw(st.lists(st.integers(1, 12), min_size=6, max_size=12)):
+        s = draw_instance(n, draw(st.sampled_from(PROFILES)))
+        kind = draw(st.sampled_from([None, *_ONE_ATOM_BLOCKS]))
+        if kind is not None:
+            s = _with_one_atom_blocks(s, [_ONE_ATOM_BLOCKS[kind]])
+        batch.append(s)
+    batch += [draw_instance(draw(st.integers(1, 12)), "expanding_h") for _ in "ab"]
+    grown = draw_instance(draw(st.integers(1, 12)), "contracting_h")
+    batch.append(dataclasses.replace(grown, w=grown.w * 1e100))
+    cubic = gauges.setdefault(("power_scaled", 3.0), power_scaled(3.0))
+    nan = draw_instance(draw(st.integers(1, 11)), "generic")
+    nan = dataclasses.replace(nan, phi=cubic)
+    batch.append(_with_one_atom_blocks(nan, [_NAN_NORM_BLOCK]))
+    sampled = draw_instance(draw(st.integers(1, 12)), "generic")
+    batch.append(dataclasses.replace(sampled, phi=_EXP_TYPE))
+    order = draw(st.permutations(range(len(batch))))
+    runs = [(batch[i].operator(), batch[i].phi, draw(seeds)) for i in order]
+    return runs, [order.index(i) for i in range(len(batch) - 5, len(batch))]
+
+
+def _float_bits(values):
+    """The bytes of the values, every NaN as one NaN: the sign numpy gives
+    a NaN out of a max depends on the length of the array reduced."""
+    values = np.asarray(values, dtype=float)
+    return np.where(np.isnan(values), np.nan, values).tobytes()
+
+
+class TestStackedPowerBounded:
+    """The batch form of ``power_bounded_report`` (one pass over the stacked
+    blocks of the operators under each gauge object) against each operator
+    alone, row by row, and against the per-instance loop of
+    tests/oracles.py, bit for bit: a reduction of one operator's segment
+    that reads another's, or all of them, moves some operator's rows, and
+    one that drops a NaN moves the NaN norms. The overflowing instances
+    read alike alone, so the runs ignore floating-point warnings."""
+
+    @settings(max_examples=25, derandomize=True, deadline=None, database=None)
+    @given(_power_bounded_batches())
+    def test_each_instance_reads_as_if_alone(self, drawn):
+        runs, (up, up2, grown, nan, sampled) = drawn
+        ts, phis, seeds = zip(*runs)
+        with np.errstate(all="ignore"):
+            stacked = harness._power_bounded_claims(runs)
+            for run, rows in zip(runs, stacked):
+                alone = harness._power_bounded_claims([run])[0]
+                assert _row_bits(rows) == _row_bits(alone)
+            reports = list(wct.power_bounded_report(ts, phis, 20, 32, seeds))
+            for t, phi, rep in zip(ts, phis, reports):
+                support, holds, h_sup, norms = power_bounded_loop(t, phi, 20)
+                assert rep.criterion_support == support
+                assert rep.criterion_holds is holds
+                assert wct.contraction_criterion(t, phi) == (support, holds)
+                assert np.float64(rep.h_sup).tobytes() == np.float64(h_sup).tobytes()
+                assert rep.exact is (norms is not None)
+                if norms is not None:
+                    assert _float_bits(rep.norm_estimates) == _float_bits(norms)
+        for i in (up, up2):
+            row = stacked[i][0]
+            assert row.status == "pass"
+            assert row.detail == "criterion false, growth confirmed"
+        for i in (grown, nan):
+            row = stacked[i][0]
+            assert row.status == "not_checked" and row.residual is None
+            assert "overflow" in row.detail
+        assert np.isnan(reports[nan].norm_estimates[4:]).all()
+        assert not reports[sampled].exact
+
+    def test_a_nan_symbol_fails_alike_in_a_batch(self):
+        # u w overflows to +inf and -inf on the two atoms of a block, whose
+        # symbol is then NaN, beside a block with h = 0.5: sup|h| is not
+        # finite, alone or in a batch
+        s = generate_random_instance(4, 5, 2, "contracting_h")
+        nan = Scenario(
+            FiniteMeasureSpace.from_weights([1.0, 1.0, 1.0]),
+            Partition(((0, 1), (2,)), 3),
+            np.array([1e200, 1e200, 1.0]),
+            np.array([1e200, -1e200, 0.5]),
+            s.phi,
+        )
+        with np.errstate(all="ignore"):
+            runs = [(x.operator(), x.phi, 0) for x in (s, nan, s)]
+            assert np.isnan(runs[1][0].h).tolist() == [True, True, False]
+            for batch in (runs, runs[1:2]):
+                with pytest.raises(ValueError, match="finite"):
+                    harness._power_bounded_claims(batch)

@@ -31,7 +31,6 @@ from orlicz_wct import harness, subspace
 from orlicz_wct.subspace import (
     _block_spectra,
     _dense_spectra,
-    _ranks,
     block_powers_well_conditioned,
     powers_well_conditioned,
 )
@@ -42,8 +41,11 @@ from oracles import (
     dense_ascent,
     meet_dim,
     pairing_adjoint,
+    power_ranks,
     range_null,
     sum_dim,
+    thresholded,
+    well_conditioned_loop,
 )
 
 
@@ -118,7 +120,7 @@ class TestAscentDescent:
             t = random_operator(seed, well_conditioned=True)
             n = t.space.n_atoms
             spectra = _block_spectra(t.block_record, 8)
-            ranks = [n] + list(itertools.islice(_ranks(spectra, 1e-8), 8))
+            ranks = [n] + list(itertools.islice(power_ranks(spectra, 1e-8), 8))
             dims = [n - r for r in ranks]
             assert all(a <= b for a, b in zip(dims, dims[1:]))
             stable_at = None
@@ -335,7 +337,10 @@ class TestFactorOnce:
         def spy_pass(ts, phis, tols, seeds, criteria):
             before = len(shapes)
             rows = real_pass(ts, phis, tols, seeds, criteria)
-            met = any(holds for _, holds in criteria)
+            # the harness passes no criterion: the pass reads the one that
+            # the power_bounded pass recorded on each operator
+            assert criteria == (None,) * len(ts)
+            met = any(contraction_criterion(t, phi)[1] for t, phi in zip(ts, phis))
             calls.append((len(ts), met, len(shapes) - before))
             return rows
 
@@ -578,7 +583,7 @@ class TestCoreAgainstDensePowers:
             want, _, straddles = _dense_chain(a, tol)
             if straddles:
                 continue
-            ranks = _ranks(_dense_spectra(a), tol)
+            ranks = power_ranks(_dense_spectra(a), tol)
             assert [a.shape[0]] + list(itertools.islice(ranks, 6)) == want, (name, tol)
             checked += 1
         return checked
@@ -742,6 +747,96 @@ class TestConditioning:
             profile = PROFILES[i % 5]
             generate_well_conditioned_instance(300 + i, n_atoms, n_blocks, profile)
         assert len(draws) > 60
+
+
+def _both_rules(rows, tol, symbol):
+    """The draw filter's rule on the spectra rows of the powers 1..k_max at
+    once, which must decide as the loop over the powers in tests/oracles.py
+    does; returns the decision."""
+    rows = np.asarray(rows, dtype=float)
+    spectra = thresholded(iter(rows), tol)
+    want = well_conditioned_loop(spectra, len(rows), symbol)
+    assert subspace._well_conditioned(rows, tol, symbol) is want
+    return want
+
+
+class TestWellConditionedArrayRule:
+    """``subspace._well_conditioned`` reads the thresholds, noise floors,
+    band test and h_min floor of every power in one pass over an array;
+    ``oracles.well_conditioned_loop`` takes one power at a time. They
+    decide alike on random draws, block and dense, and on the edges: a
+    value exactly on a band edge, a symbol within ulps of the support cut,
+    spectra that overflow and an operator that is zero."""
+
+    @pytest.mark.parametrize("tol", [1e-8, 1e-3, 0.25])
+    def test_random_draws(self, tol):
+        rng = np.random.default_rng(29)
+        decisions = set()
+        for i in range(150):
+            n_atoms = int(rng.integers(1, 25))
+            n_blocks = int(rng.integers(1, n_atoms + 1))
+            s = generate_random_instance(8000 + i, n_atoms, n_blocks, PROFILES[i % 5])
+            t = s.operator()
+            block = _block_spectra(t.block_record, 7)
+            for symbol in (t.h, None):
+                decisions.add(_both_rules(block, tol, symbol))
+            if i % 5 == 0:
+                dense = itertools.islice(_dense_spectra(matrix_of(t)), 7)
+                decisions.add(_both_rules(list(dense), tol, t.h))
+        assert decisions == {True, False}
+
+    @pytest.mark.parametrize("top, k", [(1.0, 1), (1.0, 4), (3.229014507253627, 7)])
+    def test_values_on_the_band_edges(self, top, k):
+        # a value exactly on thr * 30 is in the band and one an ulp above it
+        # is not; exactly on thr / 30 it is not, and an ulp above it is. thr
+        # is tol times the largest value, top, or for k = 7 the noise floor
+        # 1e-11 top^7: a power that numpy builds with AVX-512 take an ulp
+        # away from C's pow when they raise an array
+        tol = 1e-8
+        thr = max(tol * top, 1e-11 * top**k)
+        edges = [
+            (thr * 30, False),
+            (np.nextafter(thr * 30, np.inf), True),
+            (thr / 30, True),
+            (np.nextafter(thr / 30, np.inf), False),
+        ]
+        for value, want in edges:
+            rows = np.zeros((7, 2))
+            rows[:, 0] = top
+            rows[k - 1, 1] = value
+            assert _both_rules(rows, tol, None) is want, value
+
+    @pytest.mark.parametrize("ulps", [-3, -1, 0, 1, 3])
+    def test_symbol_within_ulps_of_the_support_cut(self, ulps):
+        # one block of sigma 1 and h 0.5, and a symbol entry within ulps of
+        # the cut 1e-12 * (1 + 0.5): above it, its powers sink below every
+        # threshold, so the draw is flagged; at or below it the entry reads
+        # as zero
+        cut = entry = 1e-12 * (1.0 + 0.5)
+        for _ in range(abs(ulps)):
+            entry = np.nextafter(entry, np.inf if ulps > 0 else 0.0)
+        rows = [[0.5**k] for k in range(7)]
+        assert _both_rules(rows, 1e-8, np.array([0.5, entry, -entry])) is (ulps <= 0)
+        assert bool(entry > cut) is (ulps > 0)
+
+    def test_overflowing_and_zero_spectra(self):
+        # w scaled by 1e160: the powers from the second on overflow to inf,
+        # and with u by 1e10 and w by 1e300 sigma_B itself does. An operator
+        # whose u and w vanish has base norm 0, so every floor is 0
+        s = generate_random_instance(3, 6, 2, "contracting_h")
+        e = s.operator().e
+        for u, w in ((s.u, s.w * 1e160), (s.u * 1e10, s.w * 1e300)):
+            with np.errstate(over="ignore", invalid="ignore"):
+                t = WctOperator(u, w, e)
+                rows = np.array(_block_spectra(t.block_record, 7))
+            assert np.isinf(rows[1:]).all()
+            for tol in (1e-8, 0.25):
+                _both_rules(rows, tol, t.h)
+        zero = WctOperator(np.zeros(6), np.zeros(6), e)
+        rows = _block_spectra(zero.block_record, 7)
+        assert not np.any(rows)
+        assert _both_rules(rows, 1e-8, zero.h) and _both_rules(rows, 1e-8, None)
+        assert powers_well_conditioned(np.zeros((4, 4)), 7, symbol=np.zeros(4))
 
 
 def _cut_bases(p, base, k, tol):
