@@ -117,14 +117,18 @@ class CondExpLawReport:
     seed: int
 
 
-def _draw(rng: np.random.Generator, n: int) -> np.ndarray:
-    # magnitudes below 1e-2 round to exact zeros: near-threshold values are a
-    # float artifact for the support laws, and exact zeros are what exercise
-    # supports in the first place
-    f = rng.uniform(-3.0, 3.0, n)
-    f[rng.random(n) < 0.1] = 0.0
-    f[np.abs(f) < 1e-2] = 0.0
-    return f
+def _trial_columns(e: CondExp, trials: int, seed: int):
+    """(f, g) as (n_atoms, trials) columns of the doubles a loop over the
+    trials draws, in its order (f's n uniforms on (-3, 3), n zero-mask values,
+    g's k block values), C-contiguous as it fills them, for the same sums."""
+    n, k = e.space.n_atoms, e.partition.n_blocks
+    u = np.random.default_rng(seed).random((trials, 2 * n + k))
+    f = np.ascontiguousarray((-3.0 + 6.0 * u[:, :n]).T)
+    # exact zeros exercise the supports; magnitudes below 1e-2 round to zero,
+    # as near-threshold values are a float artifact for the support laws
+    f[(u[:, n : 2 * n] < 0.1).T | (np.abs(f) < 1e-2)] = 0.0
+    g = np.ascontiguousarray((-3.0 + 6.0 * u[:, 2 * n :]).T)[e._labels]
+    return f, g
 
 
 def check_condexp_laws(
@@ -142,13 +146,7 @@ def check_condexp_laws(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    rng = np.random.default_rng(seed)
-    f = np.empty((e.space.n_atoms, trials))
-    g_blocks = np.empty((e.partition.n_blocks, trials))
-    for t in range(trials):  # column t holds trial t: it draws f, then g
-        f[:, t] = _draw(rng, e.space.n_atoms)
-        g_blocks[:, t] = rng.uniform(-3.0, 3.0, e.partition.n_blocks)
-    g = g_blocks[e._labels]
+    f, g = _trial_columns(e, trials, seed)
     results = {}
 
     def settle(name, residuals, failed, **ce):
@@ -173,13 +171,14 @@ def check_condexp_laws(
     settle("condexp_product_pullout", r, r > tol, f=f, g=g)
     del g
 
+    fa = np.abs(f)
+    efa = cond_exp(e, fa)
+    ephi = cond_exp(e, phi(fa))  # phi(f) is phi(|f|)
     with np.errstate(invalid="ignore"):  # inf - inf where phi is infinite
-        gap = phi(ef) - cond_exp(e, phi(f))
+        gap = phi(ef) - ephi
     r = np.max(np.where(np.isfinite(gap), gap, -np.inf), axis=0)
     settle("condexp_jensen", r, r > tol, f=f)
 
-    fa = np.abs(f)
-    efa = cond_exp(e, fa)
     r = -np.min(efa, axis=0)
     settle("condexp_positivity", r, r > tol, f=fa)
 
@@ -194,7 +193,7 @@ def check_condexp_laws(
             None, 0.0, note="requires a gauge vanishing only at zero"
         )
     else:
-        failed = np.any(supp(efa) != supp(cond_exp(e, phi(fa))), axis=0)
+        failed = np.any(supp(efa) != supp(ephi), axis=0)
         settle("condexp_support_transfer", failed * 1.0, failed, f=fa)
 
     settle("condexp_norm_contraction", n_ef - n_f, n_ef > n_f + tol, f=f)

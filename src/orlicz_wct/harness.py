@@ -627,6 +627,8 @@ def _power_bounded_claims(runs):
 
 def _power_bounded_rows(t: WctOperator, rep):
     """The two power_bounded rows of an operator's report."""
+    if not np.isfinite(rep.h_sup):  # u w overflowed
+        return [overflow_claim(c) for c in EXPERIMENT_CLAIMS["power_bounded"]]
     n1 = rep.norm_estimates[0]
     if rep.criterion_holds and rep.exact:
         ok = _within(rep.sup_norm_estimate, n1)
@@ -862,9 +864,9 @@ def run_verification(
 
 
 def emit_report(report: VerificationReport, format: str = "json", path=None) -> str:
-    """Render a report as schema-stable JSON or an aligned text table."""
+    """Render a report as JSON, the bytes of ``to_dict()``, or a text table."""
     if format == "json":
-        text = json.dumps(report.to_dict(), sort_keys=True, indent=2)
+        text = json.dumps(report, default=vars, sort_keys=True, indent=2)
     elif format == "text":
         head = f"{'claim':34} {'status':16} {'hyp':8} {'residual':>12}  anchor"
         lines = [head, "-" * len(head)]

@@ -62,20 +62,20 @@ def _power_law_norms(
     N(f) = s * modular(f/s)^(1/p) for any s > 0; s = max|f| keeps the
     evaluation clear of overflow and underflow. A check pass then raises k
     by an ulp wherever rounding left modular(f/k) above 1 (or NaN, from a
-    k that underflowed to 0). Rows still not at most 1 after 16 ulps are
-    bisected instead; only weights near the ends of the float range, where
-    the evaluator loses accuracy, get there.
+    k that underflowed to 0), re-reading only the rows still over. Rows not
+    at most 1 after 16 ulps are bisected instead; only weights near the
+    ends of the float range, where the evaluator loses accuracy, get there.
     """
     p = ctx.phi._power[1]
     k = sup * _row_modulars(ctx, rows / sup[:, None]) ** (1.0 / p)
     # a k that underflowed to 0 gives inf or NaN here, which fails the check
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        over = ~(_row_modulars(ctx, rows / k[:, None]) <= 1.0)
+        over = np.flatnonzero(~(_row_modulars(ctx, rows / k[:, None]) <= 1.0))
         for _ in range(16):
-            if not over.any():
+            if not over.size:
                 return k
             k[over] = np.nextafter(k[over], np.inf)
-            over = ~(_row_modulars(ctx, rows / k[:, None]) <= 1.0)
+            over = over[~(_row_modulars(ctx, rows[over] / k[over, None]) <= 1.0)]
     k[over] = _bisected_norms(ctx, rows[over], sup[over])
     return k
 

@@ -638,9 +638,9 @@ def power_bounded_report(
     decides and records on the operator). The norms are
     ``exact_norm_powers`` wherever that is not None (then ``exact`` is set
     and ``samples`` and ``seed`` go unused). Other gauges get sampled lower
-    estimates: all powers share one sample set, so the horizon comparison
-    inherits the pointwise domination |T^n f| <= ||h||_inf^(n-1) |T f|
-    without estimator noise.
+    estimates, NaN where sup|h| is not finite: all powers share one sample
+    set, so the horizon comparison inherits the pointwise domination
+    |T^n f| <= ||h||_inf^(n-1) |T f| without estimator noise.
 
     The batch form takes sequences for t, phi and seed and returns an
     iterator over each operator's report, built as it is read: the
@@ -657,13 +657,11 @@ def power_bounded_report(
         st = _Stacked([t[i] for i in idx])
         _decide(st, gauge)
         h_sups = np.maximum.reduceat(np.abs(st.h), st.starts)
-        if not np.isfinite(h_sups).all():
-            raise ValueError("ess_sup requires finite values")
         exact = _exact_norms(st, gauge, n_max)
         for j, (i, h_sup) in enumerate(zip(idx, h_sups.tolist())):
-            norms = exact[j] if exact is not None else _sampled_norm_powers(
-                t[i], gauge, n_max, samples, seed[i]
-            )
+            norms = exact[j] if exact is not None else [np.nan] * n_max
+            if exact is None and np.isfinite(h_sup):
+                norms = _sampled_norm_powers(t[i], gauge, n_max, samples, seed[i])
             facts[i] = gauge, h_sup, norms
     return (_report(t[i], *facts[i], n_max) for i in range(len(t)))
 

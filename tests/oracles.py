@@ -6,15 +6,23 @@ by ``np.linalg.svd`` of the matrix, of its powers or of stacked bases, so
 the tests can check the package against them. Bases are plain arrays of
 orthonormal columns, and every sum is cut at an explicit tolerance. The
 package also reads many operators, or many powers, in one array pass; the
-loops here take one operator and one power at a time.
+loops here take one operator and one power at a time. Likewise the law
+suite draws its trials in one call and checks each law on all of them at
+once, where the loop here draws and checks one trial at a time.
 """
 
 import itertools
 
 import numpy as np
 
-from orlicz_wct.condexp import cond_exp
+from orlicz_wct.condexp import LawResult, cond_exp
 from orlicz_wct.measure import ess_sup, support
+from orlicz_wct.orlicz import (
+    OrliczContext,
+    _bisected_norms,
+    _row_modulars,
+    luxemburg_norm,
+)
 from orlicz_wct.subspace import _BAND, _ascent, _dense_spectra, _noise_floor
 from orlicz_wct.wct import BlockWalk
 from orlicz_wct.young import generalized_inverse
@@ -150,3 +158,122 @@ def power_bounded_loop(t, phi, n_max):
                 norms.append(float(np.max(hpow * block, initial=0.0)))
                 hpow = hpow * h
     return crit, holds, ess_sup(t.h), norms
+
+
+def law_draw(rng, n):
+    """One trial's f of the law suite: n uniforms on (-3, 3), then n more
+    draws that zero about a tenth of them; magnitudes below 1e-2 round to
+    exact zeros too."""
+    f = rng.uniform(-3.0, 3.0, n)
+    f[rng.random(n) < 0.1] = 0.0
+    f[np.abs(f) < 1e-2] = 0.0
+    return f
+
+
+def law_columns_loop(e, trials, seed):
+    """(f, g) of the law suite as (n_atoms, trials) columns, drawn one
+    trial at a time: f, then g's block values."""
+    rng = np.random.default_rng(seed)
+    f = np.empty((e.space.n_atoms, trials))
+    g_blocks = np.empty((e.partition.n_blocks, trials))
+    for t in range(trials):
+        f[:, t] = law_draw(rng, e.space.n_atoms)
+        g_blocks[:, t] = rng.uniform(-3.0, 3.0, e.partition.n_blocks)
+    return f, g_blocks[e._labels]
+
+
+def laws_by_trial(e, phi, trials, tol, seed):
+    """The law suite as one loop over the trials, each drawing f and then
+    g's block values."""
+    rng = np.random.default_rng(seed)
+    n = e.space.n_atoms
+    ctx = OrliczContext(e.space, phi)
+    names = (
+        "condexp_product_pullout",
+        "condexp_jensen",
+        "condexp_positivity",
+        "condexp_support_monotone",
+        "condexp_support_transfer",
+        "condexp_norm_contraction",
+    )
+    results = {name: LawResult(True, 0.0) for name in names}
+    if phi.a_phi > 0:
+        results["condexp_support_transfer"] = LawResult(
+            None, 0.0, note="requires a gauge vanishing only at zero"
+        )
+
+    def fail(name, residual, **ce):
+        if results[name].passed:
+            results[name] = LawResult(
+                False, float(residual), {k: np.asarray(v).tolist() for k, v in ce.items()}
+            )
+
+    def bump(name, residual):
+        res = results[name]
+        if res.passed:
+            res.max_residual = max(res.max_residual, float(residual))
+
+    for _ in range(trials):
+        f = law_draw(rng, n)
+        g_blocks = rng.uniform(-3.0, 3.0, e.partition.n_blocks)
+        g = np.empty(n)
+        for val, idx in zip(g_blocks, e.partition.index_arrays):
+            g[idx] = val
+
+        r = float(np.max(np.abs(cond_exp(e, f * g) - cond_exp(e, f) * g)))
+        bump("condexp_product_pullout", r)
+        if r > tol:
+            fail("condexp_product_pullout", r, f=f, g=g)
+
+        ef = cond_exp(e, f)
+        with np.errstate(invalid="ignore"):
+            gap = phi(ef) - cond_exp(e, phi(f))
+        r = float(np.max(gap[np.isfinite(gap)], initial=-np.inf))
+        bump("condexp_jensen", max(r, 0.0))
+        if r > tol:
+            fail("condexp_jensen", r, f=f)
+
+        fa = np.abs(f)
+        efa = cond_exp(e, fa)
+        bump("condexp_positivity", max(float(-np.min(efa, initial=0.0)), 0.0))
+        if np.min(efa) < -tol:
+            fail("condexp_positivity", -np.min(efa), f=fa)
+
+        if not support(fa, 1e-10) <= support(efa, 1e-10):
+            fail("condexp_support_monotone", 1.0, f=fa)
+
+        if results["condexp_support_transfer"].passed is not None:
+            if support(efa, 1e-10) != support(cond_exp(e, phi(fa)), 1e-10):
+                fail("condexp_support_transfer", 1.0, f=fa)
+
+        n_f = luxemburg_norm(ctx, f)
+        n_ef = luxemburg_norm(ctx, ef)
+        bump("condexp_norm_contraction", max(n_ef - n_f, 0.0))
+        if n_ef > n_f + tol:
+            fail("condexp_norm_contraction", n_ef - n_f, f=f)
+    return results
+
+
+def power_law_norms_whole(ctx, cols):
+    """Luxemburg norms of the columns under a power law c|x|^p, with every
+    ulp check on the whole array: the closed form k, then k raised by an
+    ulp wherever modular(f/k) <= 1 fails, re-checking all rows each time,
+    and bisection for rows still over after 16 ulps; zero columns map to 0."""
+    cols = np.asarray(cols, dtype=float)
+    out = np.zeros(cols.shape[1])
+    sup = np.max(np.abs(cols), axis=0)
+    active = sup > 0.0
+    rows, sup = np.ascontiguousarray(cols[:, active].T), sup[active]
+    p = ctx.phi._power[1]
+    k = sup * _row_modulars(ctx, rows / sup[:, None]) ** (1.0 / p)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        over = ~(_row_modulars(ctx, rows / k[:, None]) <= 1.0)
+        for _ in range(16):
+            if not over.any():
+                break
+            k[over] = np.nextafter(k[over], np.inf)
+            over = ~(_row_modulars(ctx, rows / k[:, None]) <= 1.0)
+    if over.any():
+        k[over] = _bisected_norms(ctx, rows[over], sup[over])
+    out[active] = k
+    return out

@@ -19,11 +19,11 @@ from orlicz_wct import (
     support,
 )
 from orlicz_wct import condexp
-from orlicz_wct.condexp import LawResult, _draw
 from orlicz_wct.harness import load_scenario
 from orlicz_wct.young import capped
 
 from conftest import random_operator
+from oracles import law_columns_loop, law_draw, laws_by_trial
 
 EPS = np.finfo(float).eps
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -214,78 +214,6 @@ class TestLaws:
             check_condexp_laws(e_one_block, power_scaled(2), trials=0)
 
 
-def laws_by_trial(e, phi, trials, tol, seed):
-    """Reference: the law suite as one loop over the trials, each drawing f
-    and then g's block values."""
-    rng = np.random.default_rng(seed)
-    n = e.space.n_atoms
-    ctx = OrliczContext(e.space, phi)
-    names = (
-        "condexp_product_pullout",
-        "condexp_jensen",
-        "condexp_positivity",
-        "condexp_support_monotone",
-        "condexp_support_transfer",
-        "condexp_norm_contraction",
-    )
-    results = {name: LawResult(True, 0.0) for name in names}
-    if phi.a_phi > 0:
-        results["condexp_support_transfer"] = LawResult(
-            None, 0.0, note="requires a gauge vanishing only at zero"
-        )
-
-    def fail(name, residual, **ce):
-        if results[name].passed:
-            results[name] = LawResult(
-                False, float(residual), {k: np.asarray(v).tolist() for k, v in ce.items()}
-            )
-
-    def bump(name, residual):
-        res = results[name]
-        if res.passed:
-            res.max_residual = max(res.max_residual, float(residual))
-
-    for _ in range(trials):
-        f = _draw(rng, n)
-        g_blocks = rng.uniform(-3.0, 3.0, e.partition.n_blocks)
-        g = np.empty(n)
-        for val, idx in zip(g_blocks, e.partition.index_arrays):
-            g[idx] = val
-
-        r = float(np.max(np.abs(cond_exp(e, f * g) - cond_exp(e, f) * g)))
-        bump("condexp_product_pullout", r)
-        if r > tol:
-            fail("condexp_product_pullout", r, f=f, g=g)
-
-        ef = cond_exp(e, f)
-        with np.errstate(invalid="ignore"):
-            gap = phi(ef) - cond_exp(e, phi(f))
-        r = float(np.max(gap[np.isfinite(gap)], initial=-np.inf))
-        bump("condexp_jensen", max(r, 0.0))
-        if r > tol:
-            fail("condexp_jensen", r, f=f)
-
-        fa = np.abs(f)
-        efa = cond_exp(e, fa)
-        bump("condexp_positivity", max(float(-np.min(efa, initial=0.0)), 0.0))
-        if np.min(efa) < -tol:
-            fail("condexp_positivity", -np.min(efa), f=fa)
-
-        if not support(fa, 1e-10) <= support(efa, 1e-10):
-            fail("condexp_support_monotone", 1.0, f=fa)
-
-        if results["condexp_support_transfer"].passed is not None:
-            if support(efa, 1e-10) != support(cond_exp(e, phi(fa)), 1e-10):
-                fail("condexp_support_transfer", 1.0, f=fa)
-
-        n_f = luxemburg_norm(ctx, f)
-        n_ef = luxemburg_norm(ctx, ef)
-        bump("condexp_norm_contraction", max(n_ef - n_f, 0.0))
-        if n_ef > n_f + tol:
-            fail("condexp_norm_contraction", n_ef - n_f, f=f)
-    return results
-
-
 def law_spaces():
     spaces = [
         (name, load_scenario(SCENARIOS / f"{name}.json").operator().e)
@@ -332,10 +260,27 @@ class TestBatchedLaws:
                     law.max_residual, rel=0.0, abs=atol
                 ), where
 
+    @pytest.mark.parametrize("trials", [1, 16, 200])
+    @pytest.mark.parametrize("n", [1, 2, 64])
+    @pytest.mark.parametrize("one_block", [True, False], ids=["1_block", "n_blocks"])
+    def test_one_draw_equals_the_trial_loop(self, trials, n, one_block):
+        # n one-atom blocks listed in reverse, so that g reads its block
+        # values through the labels
+        space = FiniteMeasureSpace.from_weights(np.linspace(0.5, 2.0, n))
+        blocks = ((tuple(range(n)),) if one_block
+                  else tuple((i,) for i in reversed(range(n))))
+        e = CondExp(space, Partition(blocks, n))
+        for seed in (0, 4):
+            f, g = condexp._trial_columns(e, trials, seed)
+            want_f, want_g = law_columns_loop(e, trials, seed)
+            assert f.flags.c_contiguous and g.flags.c_contiguous
+            assert f.tobytes() == want_f.tobytes()
+            assert g.tobytes() == want_g.tobytes()
+
     def test_negative_tolerance_fails_on_trial_zero(self):
         e = random_operator(3).e
         report = check_condexp_laws(e, power_scaled(2), trials=30, tol=-1.0, seed=2)
-        f = _draw(np.random.default_rng(2), e.space.n_atoms)
+        f = law_draw(np.random.default_rng(2), e.space.n_atoms)
         law = report.laws["condexp_product_pullout"]
         assert law.passed is False
         assert law.counterexample["f"] == f.tolist()
@@ -357,7 +302,7 @@ class TestBatchedLaws:
 
             monkeypatch.setattr(condexp, name, counted)
         check_condexp_laws(random_operator(1).e, power_scaled(2), trials=trials)
-        assert calls == {"cond_exp": 5, "luxemburg_norms": 2}
+        assert calls == {"cond_exp": 4, "luxemburg_norms": 2}
 
 
 class TestGchConstant:

@@ -285,6 +285,22 @@ class TestRunVerification:
         ids = [r.claim_id for r in report.entries]
         assert len(ids) == len(set(ids))
 
+    def test_overflowing_symbol_leaves_power_bounded_not_checked(self):
+        # r3 with u and w scaled by 1e200: h is inf, so sup|h| is not
+        # finite; the report is standard JSON, exits 0 and leaves both
+        # power_bounded rows not checked, as the other groups do
+        path = Path(__file__).resolve().parents[1] / "scenarios" / "r3_contracting.json"
+        s = load_scenario(path)
+        s = dataclasses.replace(s, u=s.u * 1e200, w=s.w * 1e200)
+        with np.errstate(all="ignore"):
+            report = run_verification(s, seed=1)
+        assert report.exit_status == 0
+        json.loads(emit_report(report), parse_constant=pytest.fail)
+        by_id = {r.claim_id: r for r in report.entries}
+        for cid in ("power_bounded_criterion", "symbol_power_sequence"):
+            assert by_id[cid].status == "not_checked"
+            assert by_id[cid].residual is None
+
     def test_criterion_and_conjugate_built_once_per_instance(self, monkeypatch):
         # r3 plus 20 instances is 21 instances. Each gets its contraction
         # criterion exactly once, from one stacked pass per gauge object,
@@ -812,6 +828,31 @@ class TestEmitReport:
             "fingerprint",
         }
 
+    def test_json_equals_the_dict_view(self):
+        # emit_report reads the dataclasses through their attributes, with
+        # no deep copy: its bytes must equal those of the asdict view, for
+        # failing rows with counterexample details, rows with residual null
+        # and a 200-instance suite
+        path = Path(__file__).resolve().parents[1] / "scenarios" / "r3_contracting.json"
+        r3 = load_scenario(path)
+        failing = dataclasses.replace(
+            r3, tolerances=dict(r3.tolerances, comparison=-1.0)
+        )
+        unchecked = dataclasses.replace(r3, u=r3.u * 1e200, w=r3.w * 1e200)
+        with np.errstate(all="ignore"):
+            reports = [
+                run_verification(failing, seed=1),
+                run_verification(unchecked, seed=1),
+                run_verification(r3, seed=1, instances=200),
+            ]
+        rows = [r for rep in reports[:2] for r in rep.entries]
+        assert any(r.status == "fail" and r.detail.startswith('{"f": [') for r in rows)
+        assert any(r.residual is None for r in rows)
+        assert reports[2].fingerprint["instances"] == 200
+        for report in reports:
+            want = json.dumps(dataclasses.asdict(report), sort_keys=True, indent=2)
+            assert emit_report(report) == want
+
     @pytest.mark.parametrize("instances", [0, 20])
     def test_determinism_apart_from_timestamp(self, r1_scenario_dict, instances):
         s = scenario_from_dict(r1_scenario_dict)
@@ -1225,11 +1266,17 @@ class TestStackedPowerBounded:
         assert np.isnan(reports[nan].norm_estimates[4:]).all()
         assert not reports[sampled].exact
 
-    def test_a_nan_symbol_fails_alike_in_a_batch(self):
+    def test_a_non_finite_symbol_is_not_checked_alike_in_a_batch(self):
         # u w overflows to +inf and -inf on the two atoms of a block, whose
-        # symbol is then NaN, beside a block with h = 0.5: sup|h| is not
-        # finite, alone or in a batch
+        # symbol is then NaN, beside a block with h = 0.5; and r3 with u and
+        # w scaled by 1e200, whose symbol is inf. sup|h| is not finite, so
+        # both rows are not checked, alone or in a batch, under a power law
+        # (exact norms) and under exp_type (sampled norms), and the other
+        # instances read as if alone
         s = generate_random_instance(4, 5, 2, "contracting_h")
+        r3 = load_scenario(
+            Path(__file__).resolve().parents[1] / "scenarios" / "r3_contracting.json"
+        )
         nan = Scenario(
             FiniteMeasureSpace.from_weights([1.0, 1.0, 1.0]),
             Partition(((0, 1), (2,)), 3),
@@ -1237,9 +1284,23 @@ class TestStackedPowerBounded:
             np.array([1e200, -1e200, 0.5]),
             s.phi,
         )
-        with np.errstate(all="ignore"):
-            runs = [(x.operator(), x.phi, 0) for x in (s, nan, s)]
-            assert np.isnan(runs[1][0].h).tolist() == [True, True, False]
-            for batch in (runs, runs[1:2]):
-                with pytest.raises(ValueError, match="finite"):
-                    harness._power_bounded_claims(batch)
+        inf = dataclasses.replace(r3, u=r3.u * 1e200, w=r3.w * 1e200)
+        for phi in (s.phi, _EXP_TYPE):
+            batch = [dataclasses.replace(x, phi=phi) for x in (s, nan, s, inf, r3)]
+            with np.errstate(all="ignore"):
+                runs = [(x.operator(), x.phi, 0) for x in batch]
+                assert np.isnan(runs[1][0].h).tolist() == [True, True, False]
+                assert np.isinf(runs[3][0].h).all()
+                stacked = harness._power_bounded_claims(list(runs))
+                for run, rows in zip(runs, stacked):
+                    alone = harness._power_bounded_claims([run])[0]
+                    assert _row_bits(rows) == _row_bits(alone)
+            for i in (1, 3):
+                assert [r.claim_id for r in stacked[i]] == [
+                    "power_bounded_criterion", "symbol_power_sequence"
+                ]
+                for row in stacked[i]:
+                    assert row.status == "not_checked" and row.residual is None
+                    assert "overflow" in row.detail
+            for i in (0, 2, 4):
+                assert {r.status for r in stacked[i]} == {"pass"}

@@ -17,6 +17,9 @@ from orlicz_wct import (
     power_plain,
     power_scaled,
 )
+from orlicz_wct import orlicz
+
+import oracles
 
 
 def _bare(phi):
@@ -214,6 +217,68 @@ class TestPowerLawNorms:
                 )
                 np.testing.assert_array_equal(exact, bisected)
                 assert np.all(exact > 0.0), (weights, phi, exact)
+
+
+class TestUnsettledRows:
+    """The ulp checks of the exact route against
+    ``oracles.power_law_norms_whole``, which re-checks every row on every
+    step: the norms bit for bit, and each later check reads only the rows
+    the one before left over 1."""
+
+    @staticmethod
+    def _case():
+        # four atoms of ordinary weight and two subnormal ones: columns on
+        # the first four settle after 0, 1 or 2 ulp steps, columns on the
+        # last two stay over 1 for 16 ulps and are bisected, and two are 0
+        rng = np.random.default_rng(5)
+        space = FiniteMeasureSpace.from_weights([1.0, 0.7, 1.3, 0.4, 1e-320, 5e-321])
+        cols = rng.uniform(-3.0, 3.0, (6, 612))
+        cols[4:, :600] = 0.0
+        cols[:4, 600:] = 0.0
+        cols[:, :2] = 0.0
+        return space, cols
+
+    @staticmethod
+    def _checks(monkeypatch, owner, route, ctx, cols):
+        """route(ctx, cols) and, for each call of ``_row_modulars`` through
+        owner, the rows it read and how many of them are not at most 1."""
+        seen, original = [], owner._row_modulars
+
+        def spy(ctx, rows):
+            out = original(ctx, rows)
+            seen.append((rows.shape[0], int(np.sum(~(out <= 1.0)))))
+            return out
+
+        monkeypatch.setattr(owner, "_row_modulars", spy)
+        try:
+            return route(ctx, cols), seen
+        finally:
+            monkeypatch.undo()
+
+    @pytest.mark.parametrize(
+        "phi",
+        [power_scaled(2), power_plain(1.5), power_plain(3),
+         complementary(power_plain(1.5)), power_scaled(1)],
+        ids=repr,
+    )
+    def test_checks_read_only_unsettled_rows(self, monkeypatch, phi):
+        space, cols = self._case()
+        ctx = OrliczContext(space, phi)
+        got, seen = self._checks(monkeypatch, orlicz, luxemburg_norms, ctx, cols)
+        want, whole = self._checks(
+            monkeypatch, oracles, oracles.power_law_norms_whole, ctx, cols
+        )
+        assert got.tobytes() == want.tobytes()
+        # the closed form, then the first check and 16 ulp steps, then the
+        # bisection of the 12 subnormal-weight columns
+        m = 610
+        checks, whole = seen[1:18], whole[1:18]
+        overs = [over for _, over in checks]
+        assert seen[0][0] == m and len(seen) > 18
+        assert whole == [(m, over) for over in overs]
+        assert [rows for rows, _ in checks] == [m, *overs[:-1]]
+        assert m > overs[0] > overs[1] > overs[2] and overs[2:] == [12] * 15
+        assert np.all(got[:2] == 0.0) and np.all(got[2:] > 0.0)
 
 
 class TestBisectionBracket:
