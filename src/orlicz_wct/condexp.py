@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .measure import FiniteMeasureSpace, Partition
+from .measure import FiniteMeasureSpace, Partition, block_masses
 from .orlicz import OrliczContext, luxemburg_norms
 from .young import YoungFunction, generalized_inverse
 
@@ -37,23 +37,19 @@ __all__ = [
 class CondExp:
     """Block-averaging projection attached to a space and a partition.
 
-    Construction fixes the atom -> block labels and the block masses, so no
-    call loops over blocks.
+    Construction takes the atom -> block labels of the partition and fixes
+    the block masses, so no call loops over blocks.
     """
 
     space: FiniteMeasureSpace
     partition: Partition
 
     def __post_init__(self):
-        if self.partition.n_atoms != self.space.n_atoms:
+        partition = self.partition
+        if partition.n_atoms != self.space.n_atoms:
             raise ValueError("partition and space disagree on the atom count")
-        index_arrays = self.partition.index_arrays
-        labels = np.empty(self.space.n_atoms, dtype=int)
-        labels[np.concatenate(index_arrays)] = np.repeat(
-            np.arange(len(index_arrays)), [idx.size for idx in index_arrays]
-        )
-        masses = np.array([self.space.weights[idx].sum() for idx in index_arrays])
-        object.__setattr__(self, "_labels", labels)
+        masses = block_masses(self.space.weights, partition.labels, partition.n_blocks)
+        object.__setattr__(self, "_labels", partition.labels)
         object.__setattr__(self, "_block_masses", masses)
 
     @cached_property

@@ -55,6 +55,7 @@ import itertools
 import json
 from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -67,13 +68,15 @@ from .claims import (
     overflow_claim,
 )
 from .condexp import CondExp, check_condexp_laws, gch_constant_report
-from .measure import FiniteMeasureSpace, Partition, ess_sup
+from .measure import FiniteMeasureSpace, Partition, block_masses, ess_sup
 from .orlicz import OrliczContext, luxemburg_norms
-from .subspace import block_powers_well_conditioned, verify_structure_theorems
+from .subspace import records_well_conditioned, verify_structure_theorems
 from .wct import (
     BlockLayout,
+    BlockRecord,
     BlockWalk,
     WctOperator,
+    _block_frame,
     b_n_operator,
     bound_constant,
     cesaro_mean,
@@ -347,20 +350,30 @@ _YOUNG_ROTATION = (
 )
 
 
-def generate_random_instance(
-    seed: int,
-    n_atoms: int,
-    n_blocks: int,
-    profile: str = "generic",
-    gauges: dict | None = None,
-) -> Scenario:
-    """Deterministic scenario per seed; profile post-conditions hold by
-    construction (contracting_h rescales w blockwise so sup|h| <= 0.9,
-    expanding_h so min h >= 1.1, nilpotent_h orthogonalizes w against u on
-    every block, sparse_support zeroes w outside a small atom set). The
-    scenario holds the operator that the draw builds. Draws that are given
-    one ``gauges`` dict share the gauge of each rotation entry, and so the
-    conjugate it builds: the dict keeps each gauge a draw builds."""
+class _Draw(NamedTuple):
+    """The arrays of one random draw: per atom its weight, block label, u,
+    w and symbol h = E(u w); per block its mass; the gauge rotation entry."""
+
+    seed: int
+    profile: str
+    entry: tuple[str, float]
+    weights: np.ndarray
+    labels: np.ndarray
+    masses: np.ndarray
+    u: np.ndarray
+    w: np.ndarray
+    h: np.ndarray
+
+
+def _draw(seed: int, n_atoms: int, n_blocks: int, profile: str) -> _Draw:
+    """The draw of a seed, as arrays, from one ``default_rng(seed)`` stream
+    (profile post-conditions hold by construction: contracting_h rescales w
+    blockwise so sup|h| <= 0.9, expanding_h so min h >= 1.1, nilpotent_h
+    orthogonalizes w against u on every block, sparse_support zeroes w
+    outside a small atom set). Block b holds the b-th chunk of a random
+    permutation of the atoms. Block masses and averages have the bits of
+    ``CondExp`` and ``cond_exp``, so the operator built from a draw has
+    its h."""
     if not 1 <= n_blocks <= n_atoms <= MAX_RANDOM_ATOMS:
         raise ValueError(f"require 1 <= n_blocks <= n_atoms <= {MAX_RANDOM_ATOMS}")
     if profile not in PROFILES:
@@ -368,26 +381,23 @@ def generate_random_instance(
     rng = np.random.default_rng(seed)
     weights = rng.uniform(0.5, 2.0, n_atoms)
     perm = rng.permutation(n_atoms)
+    cuts = np.zeros(0, dtype=int)
     if n_blocks > 1:
         cuts = np.sort(rng.choice(np.arange(1, n_atoms), n_blocks - 1, replace=False))
-    else:
-        cuts = np.asarray([], dtype=int)
-    blocks = tuple(
-        tuple(sorted(chunk.tolist())) for chunk in np.split(perm, cuts)
-    )
-    partition = Partition(blocks, n_atoms)
-    space = FiniteMeasureSpace.from_weights(weights)
-    e = CondExp(space, partition)
-
+    # the atom at place i of the permutation is in the chunk after the cuts
+    # at or below i
+    labels = np.empty(n_atoms, dtype=int)
+    labels[perm] = np.searchsorted(cuts, np.arange(n_atoms), side="right")
+    masses = block_masses(weights, labels, n_blocks)
     entry = _YOUNG_ROTATION[int(rng.integers(len(_YOUNG_ROTATION)))]
-    gauges = {} if gauges is None else gauges
-    if entry not in gauges:
-        gauges[entry] = _YOUNG_FACTORIES[entry[0]](entry[1])
-    phi = gauges[entry]
 
     def sprinkle_zeros(vec, frac=0.15):
         vec[rng.random(vec.size) < frac] = 0.0
         return vec
+
+    def average(f):
+        """E f on each block."""
+        return np.bincount(labels, weights * f, minlength=n_blocks) / masses
 
     if profile == "generic":
         u = sprinkle_zeros(rng.uniform(-2.0, 2.0, n_atoms))
@@ -395,7 +405,8 @@ def generate_random_instance(
     elif profile == "nilpotent_h":
         u = rng.uniform(0.5, 2.0, n_atoms) * rng.choice([-1.0, 1.0], n_atoms)
         w = rng.uniform(-2.0, 2.0, n_atoms)
-        for idx in partition.index_arrays:
+        for b in range(n_blocks):
+            idx = np.flatnonzero(labels == b)
             if idx.size == 1:
                 w[idx] = 0.0
                 continue
@@ -406,11 +417,9 @@ def generate_random_instance(
     elif profile in ("contracting_h", "expanding_h"):
         u = rng.uniform(0.5, 2.0, n_atoms)
         w = rng.uniform(0.5, 2.0, n_atoms)
-        h = e(u * w)
         lo, hi = (0.2, 0.9) if profile == "contracting_h" else (1.1, 1.5)
-        for idx in partition.index_arrays:
-            target = rng.uniform(lo, hi)
-            w[idx] *= target / h[idx[0]]
+        # one target per block, in block order
+        w *= (rng.uniform(lo, hi, n_blocks) / average(u * w))[labels]
     else:  # sparse_support
         u = sprinkle_zeros(rng.uniform(-2.0, 2.0, n_atoms))
         w = rng.uniform(-2.0, 2.0, n_atoms)
@@ -419,24 +428,117 @@ def generate_random_instance(
         mask[keep] = True
         w[~mask] = 0.0
 
-    t = WctOperator(u, w, e)
-    scenario = Scenario(
-        space=space,
-        partition=partition,
-        u=u,
-        w=w,
-        phi=phi,
-        profile=profile,
-        seed=seed,
-    )
+    h = average(u * w)[labels]
     holds = (
-        (profile != "contracting_h" or ess_sup(t.h) <= 0.9 + 1e-12)
-        and (profile != "expanding_h" or float(np.min(t.h)) >= 1.1 - 1e-12)
-        and (profile != "nilpotent_h" or ess_sup(t.h) <= 1e-10)
+        (profile != "contracting_h" or ess_sup(h) <= 0.9 + 1e-12)
+        and (profile != "expanding_h" or float(np.min(h)) >= 1.1 - 1e-12)
+        and (profile != "nilpotent_h" or ess_sup(h) <= 1e-10)
     )
     if not holds:
         raise RuntimeError(f"the {profile} draw of seed {seed} breaks its bound on h")
+    return _Draw(seed, profile, entry, weights, labels, masses, u, w, h)
+
+
+def _scenario(draw: _Draw, record: BlockRecord | None, gauges: dict) -> Scenario:
+    """The scenario of a draw, holding its operator, whose block record is
+    ``record`` when given. Draws given one ``gauges`` dict share the gauge
+    of each rotation entry, and so the conjugate it builds."""
+    if draw.entry not in gauges:
+        gauges[draw.entry] = _YOUNG_FACTORIES[draw.entry[0]](draw.entry[1])
+    space = FiniteMeasureSpace(draw.weights)
+    partition = Partition.from_labels(draw.labels, draw.masses.size)
+    t = WctOperator(draw.u, draw.w, CondExp(space, partition))
+    if record is not None:
+        vars(t)["block_record"] = record
+    scenario = Scenario(
+        space=space,
+        partition=partition,
+        u=t.u,
+        w=t.w,
+        phi=gauges[draw.entry],
+        profile=draw.profile,
+        seed=draw.seed,
+    )
     return _with_operator(scenario, t)
+
+
+def generate_random_instance(
+    seed: int,
+    n_atoms: int,
+    n_blocks: int,
+    profile: str = "generic",
+    gauges: dict | None = None,
+) -> Scenario:
+    """Deterministic scenario per seed: the draw of ``_draw``. The scenario
+    holds its operator. Draws that are given one ``gauges`` dict share the
+    gauge of each rotation entry, and so the conjugate it builds: the dict
+    keeps each gauge a draw builds."""
+    draw = _draw(seed, n_atoms, n_blocks, profile)
+    return _scenario(draw, None, {} if gauges is None else gauges)
+
+
+def _well_conditioned_draws(specs, tol: float) -> list[tuple[_Draw, BlockRecord]]:
+    """The accepted draw of each (seed, n_atoms, n_blocks, profile) spec and
+    its block record: the first of the seeds seed + 7919 j, j = 0, 1, ...,
+    below _ATTEMPTS, whose operator powers carry no singular value too close
+    to its rank threshold to classify (``records_well_conditioned``, read
+    from the block spectrum with no SVD).
+
+    The draws come in rounds: round j draws attempt j of every spec still
+    pending, and one stacked block record and one filter over it decide
+    them all. A block record is a per-block fact, and each block's sums keep
+    their atom order, so each draw's slice of the stacked record has the
+    bits of its record alone. ScenarioError, for the first spec in order,
+    when a spec's attempts all fail."""
+    accepted, pending = [None] * len(specs), list(range(len(specs)))
+    for j in range(_ATTEMPTS):
+        if not pending:
+            break
+        draws = [_draw(specs[i][0] + 7919 * j, *specs[i][1:]) for i in pending]
+        atoms = list(itertools.accumulate((d.labels.size for d in draws), initial=0))
+        blocks = list(itertools.accumulate((d.masses.size for d in draws), initial=0))
+        labels = np.concatenate([d.labels + b for d, b in zip(draws, blocks)])
+        weights = np.concatenate([d.weights for d in draws])
+        rec = _block_frame(
+            labels,
+            np.concatenate([d.masses for d in draws]),
+            np.concatenate([d.h for d in draws]),
+            np.concatenate([d.w for d in draws]),
+            np.concatenate([d.u for d in draws]) * weights,
+        )
+        starts = np.array(blocks[:-1])
+        ok = records_well_conditioned(rec, starts, 7, np.full(len(draws), tol))
+        still = []
+        for o, (i, d, good) in enumerate(zip(pending, draws, ok.tolist())):
+            if good:
+                accepted[i] = d, _record_slice(rec, atoms[o : o + 2], blocks[o : o + 2])
+            else:
+                still.append(i)
+        pending = still
+    if pending:
+        raise ScenarioError(
+            f"no well-conditioned instance within {_ATTEMPTS} draws from seed "
+            f"{specs[pending[0]][0]} at rank tolerance {tol:g}"
+        )
+    return accepted
+
+
+def _record_slice(rec: BlockRecord, atom_bounds, block_bounds) -> BlockRecord:
+    """The record of the operator whose atoms and blocks a direct sum record
+    holds from the first to the second of each pair of bounds."""
+    if block_bounds[1] - block_bounds[0] == rec.sizes.size:
+        return rec
+    atoms, blocks = slice(*atom_bounds), slice(*block_bounds)
+    b0 = block_bounds[0]
+    return BlockRecord(
+        rec.labels[atoms] - b0,
+        rec.sizes[blocks],
+        rec.h[blocks],
+        rec.sigma[blocks],
+        rec.rho[blocks],
+        rec.e1[atoms],
+        rec.e2[atoms],
+    )
 
 
 def generate_well_conditioned_instance(
@@ -447,22 +549,22 @@ def generate_well_conditioned_instance(
     tol: float = 1e-8,
     gauges: dict | None = None,
 ) -> Scenario:
-    """generate_random_instance, re-drawing (at most _ATTEMPTS times) while
-    any operator power carries a singular value too close to its rank
-    threshold to classify, read from the block spectrum with no SVD;
-    ScenarioError when every draw does. Every draw shares ``gauges``."""
+    """generate_random_instance of the first well-conditioned draw from
+    seed, re-drawing at most _ATTEMPTS times (``_well_conditioned_draws`` on
+    one spec, in rounds of one draw); ScenarioError when every draw fails.
+    Its operator holds the block record that the filter read.
+
+    ``gauges`` is state that the draws given one dict share: the gauge of
+    each rotation entry, and the (draw, block record) that a suite's
+    stacked rounds accepted, under (seed, n_atoms, n_blocks, profile, tol),
+    which this call takes from it in place of the round of one that would
+    draw and accept the same."""
     gauges = {} if gauges is None else gauges
-    scenario = generate_random_instance(seed, n_atoms, n_blocks, profile, gauges)
-    for j in range(1, _ATTEMPTS + 1):
-        if block_powers_well_conditioned(scenario.operator(), 7, tol):
-            return scenario
-        scenario = generate_random_instance(
-            seed + 7919 * j, n_atoms, n_blocks, profile, gauges
-        )
-    raise ScenarioError(
-        f"no well-conditioned instance within {_ATTEMPTS} draws from seed "
-        f"{seed} at rank tolerance {tol:g}"
-    )
+    spec = (seed, n_atoms, n_blocks, profile)
+    accepted = gauges.pop((*spec, tol), None)
+    if accepted is None:
+        (accepted,) = _well_conditioned_draws([spec], tol)
+    return _scenario(*accepted, gauges)
 
 
 @dataclass
@@ -805,32 +907,40 @@ _FAST_GROUPS = ("structure", "power_bounded", "iterate_formula", "cesaro_identit
 
 def _random_instances(scenario: Scenario, seed: int, instances: int):
     """(scenario, sampling seed, fingerprint) of each random instance of
-    ``run_verification``, drawn when it is asked for, with the tolerances
-    of scenario and those of its experiment groups that are fast."""
+    ``run_verification``, in order, with the tolerances of scenario and
+    those of its experiment groups that are fast. The stacked rounds of
+    ``_well_conditioned_draws`` accept a draw for every instance first;
+    each instance is then built when it is asked for."""
     fast = tuple(g for g in scenario.experiments if g in _FAST_GROUPS)
-    # the gauges of the rotation, and their conjugates, built once per call
-    gauges = {}
+    tol = scenario.tolerances["rank"]
+    specs = []
     for i in range(instances):
         child_seed = seed * 100003 + i
-        profile = PROFILES[i % len(PROFILES)]
         sizes = np.random.default_rng(child_seed)
         n_atoms = int(sizes.integers(2, 13))
         n_blocks = int(sizes.integers(1, n_atoms + 1))
-        child = generate_well_conditioned_instance(
-            child_seed,
-            n_atoms=n_atoms,
-            n_blocks=n_blocks,
-            profile=profile,
-            tol=scenario.tolerances["rank"],
-            gauges=gauges,
-        )
+        specs.append((child_seed, n_atoms, n_blocks, PROFILES[i % len(PROFILES)]))
+    accepted = _well_conditioned_draws(specs, tol)
+    # the gauges of the rotation, and their conjugates, built once per call
+    shared = {}
+    for k, (_, n_atoms, n_blocks, profile) in enumerate(specs):
         # keep the seed of the draw that was accepted: the fingerprint then
-        # rebuilds the instance that ran, and its claims sample with it. The
-        # new settings touch no input of the operator, so the accepted
-        # draw's operator carries over instead of being rebuilt
+        # rebuilds the instance that ran, and its claims sample with it.
+        # generate_well_conditioned_instance, the one builder of a
+        # well-conditioned instance (a trace counts its calls as the suite's
+        # accepted instances), takes the draw that the rounds accepted from
+        # the shared dict rather than drawing it again; it is let go there
+        draw_seed = accepted[k][0].seed
+        shared[draw_seed, n_atoms, n_blocks, profile, tol] = accepted[k]
+        accepted[k] = None
+        child = generate_well_conditioned_instance(
+            draw_seed, n_atoms, n_blocks, profile, tol, shared
+        )
+        # the new settings touch no input of the operator, so the
+        # accepted draw's operator carries over instead of being rebuilt
         operator = child.operator()
         child = replace(child, tolerances=scenario.tolerances, experiments=fast)
-        yield _with_operator(child, operator), child.seed, child.fingerprint()
+        yield _with_operator(child, operator), draw_seed, child.fingerprint()
 
 
 def run_verification(

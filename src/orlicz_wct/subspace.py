@@ -96,8 +96,9 @@ def _block_spectra(rec: BlockRecord, count: int) -> list[np.ndarray]:
     """The nonzero singular values of T^k, k = 1..count: sigma_B |h_B|^(k-1)
     per block, from the operator's ``BlockRecord``, with no SVD; a power
     that overflows holds inf."""
+    h = np.abs(rec.h)
     with np.errstate(over="ignore"):
-        return [rec.sigma * np.abs(rec.h) ** k for k in range(count)]
+        return [rec.sigma * h**k for k in range(count)]
 
 
 # a singular value within this factor of its rank threshold is unclassifiable
@@ -134,34 +135,68 @@ def block_powers_well_conditioned(
     """``powers_well_conditioned(matrix_of(t), k_max, tol, symbol=t.h)``
     with no SVD: the nonzero singular values of T^k are sigma_B |h_B|^(k-1)
     (``WctOperator.block_record``), and the zeros it leaves out never meet a
-    band or a floor. Random suites re-draw the instances it flags."""
-    spectra = np.array(_block_spectra(t.block_record, k_max))
-    return _well_conditioned(spectra, tol, t.h)
+    band or a floor. A batch of one of ``records_well_conditioned``."""
+    one, tol = np.zeros(1, dtype=int), np.array([tol])
+    return bool(records_well_conditioned(t.block_record, one, k_max, tol)[0])
 
 
-def _well_conditioned(spectra: np.ndarray, tol: float, symbol) -> bool:
+def records_well_conditioned(rec: BlockRecord, starts, k_max: int, tol) -> np.ndarray:
+    """Whether the powers 1..k_max of each operator of a direct sum of block
+    records (``BlockRecord.direct_sum``), whose blocks start at ``starts``,
+    are well conditioned at its rank tolerance ``tol``: the rule of
+    ``powers_well_conditioned`` on each operator's block spectrum and
+    symbol, read as reductions over its segment. Random suites re-draw the
+    instances it flags."""
+    spectra = np.array(_block_spectra(rec, k_max))
+    return _conditioned(spectra, starts, tol, np.abs(rec.h), starts)
+
+
+def _well_conditioned(spectra, tol: float, symbol) -> bool:
     """The rule of ``powers_well_conditioned`` on the singular values of the
-    powers 1..k_max, one row each, in one array pass: a power's threshold is
-    tol times its top value, at least its noise floor (base: the first
-    power's top); scalar powers are C's pow, which an array power is not."""
-    k_max = len(spectra)
+    powers 1..k_max of one operator, one row each (``_conditioned`` on one
+    segment)."""
+    spectra = np.asarray(spectra, dtype=float)
+    one = np.zeros(1, dtype=int)
+    h = None if symbol is None else np.abs(np.asarray(symbol, dtype=float))
+    return bool(_conditioned(spectra, one, np.array([tol]), h, one)[0])
+
+
+def _conditioned(spectra, starts, tol, h, h_starts) -> np.ndarray:
+    """The rule of ``powers_well_conditioned`` for several operators at once.
+
+    ``spectra`` (power, value) holds the singular values of the powers
+    1..k_max, one segment of values per operator from ``starts``, and
+    ``h`` the absolute symbol, one segment per operator from ``h_starts``
+    (or None). A power's threshold is that of ``_chain``. An operator is
+    flagged when one of its values lies within the factor ``_BAND`` of its
+    power's threshold, or, from the third power on, when min|h on S(h)|^(k-2)
+    times its smallest value above the square's threshold does not clear
+    the k-th threshold by ``_BAND``; S(h) is where |h| exceeds 1e-12 times
+    1 + max|h|. Scalar powers are C's pow, which an array power is not.
+    """
+    k_max = spectra.shape[0]
     if not k_max:
-        return True
-    realized = spectra.max(axis=1, initial=0.0)
-    floors = [_noise_floor(float(realized[0]), k) for k in range(1, k_max + 1)]
-    thr = np.maximum(tol * realized, floors)[:, None]
-    if np.any((thr > 0) & (spectra > thr / _BAND) & (spectra <= thr * _BAND)):
-        return False
-    if symbol is None or k_max < 3:
-        return True
-    above = spectra[1][spectra[1] > thr[1]]
-    h = np.abs(np.asarray(symbol, dtype=float))
-    supp = h > 1e-12 * (1.0 + float(np.max(h, initial=0.0)))
-    if not (above.size and supp.any()):
-        return True
-    h_min = float(np.min(h[supp]))
-    low = np.array([_power(h_min, k - 2) for k in range(3, k_max + 1)])
-    return not np.any(low * float(above.min()) <= _BAND * thr[2:, 0])
+        return np.ones(starts.size, dtype=bool)
+    thr = _thresholds(spectra, starts, tol)
+    owner = _owners(starts, spectra.shape[-1])
+    at = thr[:, owner]
+    # a zero threshold has an empty band
+    band = (spectra > at / _BAND) & (spectra <= at * _BAND)
+    ok = ~np.logical_or.reduceat(band.any(axis=0), starts)
+    if h is None or k_max < 3:
+        return ok
+    above = np.minimum.reduceat(np.where(spectra[1] > at[1], spectra[1], np.inf), starts)
+    top = _owner_max(h, h_starts)[_owners(h_starts, h.size)]
+    supp = h > 1e-12 * (1.0 + top)
+    h_min = np.minimum.reduceat(np.where(supp, h, np.inf), h_starts)
+    # an operator with no value above the square's threshold, or a symbol
+    # that vanishes, has no floor to check
+    check = np.flatnonzero(ok & (np.maximum(above, h_min) < np.inf))
+    if check.size:
+        mins = h_min[check].tolist()
+        low = np.array([[_power(x, k - 2) for x in mins] for k in range(3, k_max + 1)])
+        ok[check] = ~np.any(low * above[check] <= _BAND * thr[2:, check], axis=0)
+    return ok
 
 
 def _ascent(n: int, ranks, k_max: int):
@@ -187,27 +222,44 @@ def _owner_max(x, starts) -> np.ndarray:
     return np.maximum.reduceat(x, starts, axis=-1)
 
 
+def _owners(starts, size: int) -> np.ndarray:
+    """The owner of each of ``size`` entries, one segment per owner from
+    ``starts``."""
+    if starts.size == 1:
+        return np.zeros(size, dtype=int)
+    return np.searchsorted(starts, np.arange(size), side="right") - 1
+
+
+def _thresholds(spectra, starts, tol, ones=0) -> np.ndarray:
+    """The rank threshold per power and operator for ``spectra`` (...,
+    power, value), one segment per operator from ``starts``: tol (per
+    operator) times the power's largest value, at least its noise floor,
+    whose base is the first power's largest value; with ``ones`` further
+    values 1 per operator. The floors are C's pow, one scalar each."""
+    top = _owner_max(spectra, starts)
+    if np.any(ones):
+        top = np.where(ones > 0, np.maximum(top, 1.0), top)
+    powers = range(1, top.shape[-2] + 1)
+    base = top[..., 0, :].reshape(-1, top.shape[-1]).tolist()
+    floor = [[_noise_floor(b, k) for b in row] for row in base for k in powers]
+    return np.maximum(tol * top, np.reshape(floor, top.shape))
+
+
 def _chain(spectra, starts, tol, ones=0):
     """The rank chains of the powers A^1, A^2, ... of several operators.
 
     ``spectra`` (..., power, value) holds the singular values of each power,
     one segment of the last axis per operator from ``starts`` (zeros there
     count nowhere), and each operator has ``ones`` further values 1; the
-    thresholds are those of ``_well_conditioned``, with per-operator ``tol``.
+    thresholds are those of ``_thresholds``, with per-operator ``tol``.
     Returns whether each value clears its threshold, the rank per power and
     operator, and per operator the count of leading powers with a finite
     threshold, past which nothing is checked: a threshold is finite exactly
     when its spectrum is, as the largest value, which it reads, is inf or
     NaN as soon as one value is.
     """
-    top = _owner_max(spectra, starts)
-    top = np.where(ones > 0, np.maximum(top, 1.0), top)
-    powers = range(1, top.shape[-2] + 1)
-    base = top[..., 0, :].reshape(-1, top.shape[-1]).tolist()
-    floor = [[_noise_floor(b, k) for b in row] for row in base for k in powers]
-    thr = np.maximum(tol * top, np.reshape(floor, top.shape))
-    owner = np.repeat(np.arange(starts.size), np.diff(starts, append=spectra.shape[-1]))
-    live = spectra > thr[..., owner]
+    thr = _thresholds(spectra, starts, tol, ones)
+    live = spectra > thr[..., _owners(starts, spectra.shape[-1])]
     ranks = _owner_sum(live, starts) + ones * (thr < 1.0)
     return live, ranks, np.cumprod(np.isfinite(thr), axis=-2).sum(axis=-2)
 

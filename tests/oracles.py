@@ -8,23 +8,27 @@ orthonormal columns, and every sum is cut at an explicit tolerance. The
 package also reads many operators, or many powers, in one array pass; the
 loops here take one operator and one power at a time. Likewise the law
 suite draws its trials in one call and checks each law on all of them at
-once, where the loop here draws and checks one trial at a time.
+once, where the loop here draws and checks one trial at a time. Random
+suites draw their instances in rounds, as arrays, with one filter per
+round over the stacked draws; the loop here draws one instance at a time,
+building its objects as it goes, and filters each draw alone.
 """
 
 import itertools
 
 import numpy as np
 
-from orlicz_wct.condexp import LawResult, cond_exp
-from orlicz_wct.measure import ess_sup, support
+from orlicz_wct.condexp import CondExp, LawResult, cond_exp
+from orlicz_wct.harness import _ATTEMPTS, _YOUNG_FACTORIES, _YOUNG_ROTATION, ScenarioError
+from orlicz_wct.measure import FiniteMeasureSpace, Partition, ess_sup, support
 from orlicz_wct.orlicz import (
     OrliczContext,
     _bisected_norms,
     _row_modulars,
     luxemburg_norm,
 )
-from orlicz_wct.subspace import _BAND, _ascent, _dense_spectra, _noise_floor
-from orlicz_wct.wct import BlockWalk
+from orlicz_wct.subspace import _BAND, _ascent, _block_spectra, _dense_spectra, _noise_floor
+from orlicz_wct.wct import BlockWalk, WctOperator
 from orlicz_wct.young import generalized_inverse
 
 
@@ -277,3 +281,71 @@ def power_law_norms_whole(ctx, cols):
         k[over] = _bisected_norms(ctx, rows[over], sup[over])
     out[active] = k
     return out
+
+
+def random_draw_loop(seed, n_atoms, n_blocks, profile):
+    """(u, w, operator, rotation entry) of one random draw, built object by
+    object: the partition from the chunks of a permutation, the expectation
+    from it, and the per-block rescaling and orthogonalization one block at
+    a time."""
+    rng = np.random.default_rng(seed)
+    weights = rng.uniform(0.5, 2.0, n_atoms)
+    perm = rng.permutation(n_atoms)
+    if n_blocks > 1:
+        cuts = np.sort(rng.choice(np.arange(1, n_atoms), n_blocks - 1, replace=False))
+    else:
+        cuts = np.asarray([], dtype=int)
+    blocks = tuple(tuple(sorted(chunk.tolist())) for chunk in np.split(perm, cuts))
+    partition = Partition(blocks, n_atoms)
+    e = CondExp(FiniteMeasureSpace.from_weights(weights), partition)
+    entry = _YOUNG_ROTATION[int(rng.integers(len(_YOUNG_ROTATION)))]
+
+    def sprinkle_zeros(vec, frac=0.15):
+        vec[rng.random(vec.size) < frac] = 0.0
+        return vec
+
+    if profile == "generic":
+        u = sprinkle_zeros(rng.uniform(-2.0, 2.0, n_atoms))
+        w = sprinkle_zeros(rng.uniform(-2.0, 2.0, n_atoms))
+    elif profile == "nilpotent_h":
+        u = rng.uniform(0.5, 2.0, n_atoms) * rng.choice([-1.0, 1.0], n_atoms)
+        w = rng.uniform(-2.0, 2.0, n_atoms)
+        for idx in partition.index_arrays:
+            if idx.size == 1:
+                w[idx] = 0.0
+                continue
+            uu, mass = u[idx], weights[idx]
+            coeff = (mass * uu * w[idx]).sum() / (mass * uu * uu).sum()
+            w[idx] = w[idx] - coeff * uu
+    elif profile in ("contracting_h", "expanding_h"):
+        u = rng.uniform(0.5, 2.0, n_atoms)
+        w = rng.uniform(0.5, 2.0, n_atoms)
+        h = e(u * w)
+        lo, hi = (0.2, 0.9) if profile == "contracting_h" else (1.1, 1.5)
+        for idx in partition.index_arrays:
+            target = rng.uniform(lo, hi)
+            w[idx] *= target / h[idx[0]]
+    else:  # sparse_support
+        u = sprinkle_zeros(rng.uniform(-2.0, 2.0, n_atoms))
+        w = rng.uniform(-2.0, 2.0, n_atoms)
+        keep = rng.choice(n_atoms, size=max(1, n_atoms // 4), replace=False)
+        mask = np.zeros(n_atoms, dtype=bool)
+        mask[keep] = True
+        w[~mask] = 0.0
+    return u, w, WctOperator(u, w, e), entry
+
+
+def well_conditioned_draw_loop(seed, n_atoms, n_blocks, profile, tol):
+    """(accepted seed, u, w, operator, gauge) of the first draw from seed
+    whose block spectrum passes ``well_conditioned_loop`` at powers 1..7,
+    drawing seed + 7919 j for j = 0, 1, ... one at a time; ScenarioError
+    past _ATTEMPTS draws."""
+    for j in range(_ATTEMPTS):
+        u, w, t, entry = random_draw_loop(seed + 7919 * j, n_atoms, n_blocks, profile)
+        spectra = thresholded(iter(_block_spectra(t.block_record, 7)), tol)
+        if well_conditioned_loop(spectra, 7, t.h):
+            return seed + 7919 * j, u, w, t, _YOUNG_FACTORIES[entry[0]](entry[1])
+    raise ScenarioError(
+        f"no well-conditioned instance within {_ATTEMPTS} draws from seed "
+        f"{seed} at rank tolerance {tol:g}"
+    )

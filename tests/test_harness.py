@@ -38,7 +38,7 @@ from orlicz_wct import cli, harness, subspace, wct
 from orlicz_wct.claims import EXPERIMENT_CLAIMS, make_claim, merge_claims
 from orlicz_wct.harness import DEFAULT_EXPERIMENTS, PROFILES, Scenario
 
-from oracles import power_bounded_loop
+from oracles import power_bounded_loop, well_conditioned_draw_loop
 
 
 class TestLoadScenario:
@@ -257,6 +257,85 @@ class TestGenerator:
             generate_random_instance(0, 4, 2, "chaotic")
 
 
+class TestDrawRounds:
+    """A suite's draws come in rounds of array draws with one stacked filter
+    per round; ``oracles.well_conditioned_draw_loop`` draws each instance
+    alone, object by object, and filters each draw alone with the rule taken
+    one power at a time. They accept the same draws, bit for bit."""
+
+    @settings(max_examples=40, derandomize=True, deadline=None, database=None)
+    @given(
+        seed=st.integers(0, 10**6),
+        instances=st.integers(1, 30),
+        tol=st.sampled_from([1e-8, 1e-3, 0.25]),
+    )
+    def test_rounds_accept_what_the_loop_accepts(self, seed, instances, tol):
+        path = Path(__file__).resolve().parents[1] / "scenarios" / "r3_contracting.json"
+        s = load_scenario(path)
+        s = dataclasses.replace(s, tolerances={**s.tolerances, "rank": tol})
+        want = []
+        try:
+            for i in range(instances):
+                child = seed * 100003 + i
+                sizes = np.random.default_rng(child)
+                n_atoms = int(sizes.integers(2, 13))
+                n_blocks = int(sizes.integers(1, n_atoms + 1))
+                profile = PROFILES[i % len(PROFILES)]
+                want.append(
+                    well_conditioned_draw_loop(child, n_atoms, n_blocks, profile, tol)
+                )
+        except ScenarioError as exc:
+            with pytest.raises(ScenarioError) as info:
+                list(harness._random_instances(s, seed, instances))
+            assert str(info.value) == str(exc)
+            return
+        got = list(harness._random_instances(s, seed, instances))
+        assert len(got) == instances
+        for (child, sampling_seed, fp), (seed_j, u, w, t_loop, phi) in zip(got, want):
+            assert sampling_seed == child.seed == fp["seed"] == seed_j
+            t = child.operator()
+            for a, b in (
+                (child.u, u), (child.w, w), (t.u, u), (t.w, w), (t.h, t_loop.h),
+                (child.space.weights, t_loop.space.weights),
+                (t.e._block_masses, t_loop.e._block_masses),
+            ):
+                assert a.tobytes() == b.tobytes()
+            assert child.partition.blocks == t_loop.e.partition.blocks
+            assert child.partition == t_loop.e.partition
+            assert harness.young_to_spec(child.phi) == harness.young_to_spec(phi)
+            # the slice of the round's record equals the record built alone
+            for name, value in vars(t_loop.block_record).items():
+                assert getattr(t.block_record, name).tobytes() == value.tobytes(), name
+
+    def test_exhausted_instance_raises_the_same_error(self):
+        # with 31 blocks some block almost always lands in the band of its
+        # power's threshold, so every draw from this seed is flagged
+        with pytest.raises(ScenarioError) as info:
+            harness.generate_well_conditioned_instance(310, 52, 31, "generic")
+        assert str(info.value) == (
+            "no well-conditioned instance within 120 draws from seed 310 at "
+            "rank tolerance 1e-08"
+        )
+
+    def test_lowest_exhausted_instance_is_reported(self, monkeypatch):
+        # of four instances, 1 and 3 are flagged in every round, where they
+        # are the first two pending draws after the first round: the rounds
+        # run to the last attempt and raise for instance 1
+        rounds, decide = [], harness.records_well_conditioned
+
+        def flag(rec, starts, k_max, tol):
+            rounds.append(starts.size)
+            ok = decide(rec, starts, k_max, tol)
+            ok[[1, 3] if starts.size == 4 else [0, 1]] = False
+            return ok
+
+        monkeypatch.setattr(harness, "records_well_conditioned", flag)
+        specs = [(10 + i, 4, 2, "generic") for i in range(4)]
+        with pytest.raises(ScenarioError, match="from seed 11 at rank"):
+            harness._well_conditioned_draws(specs, 1e-8)
+        assert rounds == [4] + [2] * 119
+
+
 class TestRunVerification:
     def test_r1_full_suite_passes(self, r1_scenario_dict):
         s = scenario_from_dict(r1_scenario_dict)
@@ -337,14 +416,14 @@ class TestRunVerification:
         assert counts["complementary"] == 5
 
     def test_each_accepted_draw_builds_its_operator_once(self, monkeypatch):
-        # the primary scenario and every random draw build one operator and
-        # one conditional expectation each: a draw hands the operator it
-        # built to its scenario, and the accepted draw's copy with the
-        # suite's settings reuses it
+        # the primary scenario and each accepted draw build one operator and
+        # one conditional expectation each, and a rejected draw builds
+        # neither: draws are arrays, and the instance is built once its draw
+        # is accepted, with the suite's settings
         counts = {"operators": 0, "expectations": 0, "draws": 0}
         post_init = wct.WctOperator.__post_init__
         condexp_init = CondExp.__post_init__
-        draw = harness.generate_random_instance
+        draw = harness._draw
 
         def spy_operator(t):
             counts["operators"] += 1
@@ -360,33 +439,41 @@ class TestRunVerification:
 
         monkeypatch.setattr(wct.WctOperator, "__post_init__", spy_operator)
         monkeypatch.setattr(CondExp, "__post_init__", spy_condexp)
-        monkeypatch.setattr(harness, "generate_random_instance", spy_draw)
+        monkeypatch.setattr(harness, "_draw", spy_draw)
         path = Path(__file__).resolve().parents[1] / "scenarios" / "r3_contracting.json"
         argv = ["verify", "--scenario", str(path), "--instances", "20", "--seed", "1"]
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main(argv) == 0
-        assert counts["draws"] >= 20
-        assert counts["operators"] == counts["draws"] + 1
-        assert counts["expectations"] == counts["draws"] + 1
+        assert counts["draws"] > 20  # some draws were rejected
+        assert counts["operators"] == counts["expectations"] == 21
 
-    def test_one_block_frame_per_operator(self, monkeypatch):
-        # r3 with 200 instances at seed 1 builds 308 operators: r3 and 307
-        # draws. Each gets one (w, u mu) frame, its block record, which the
-        # draw filter and the accepted draw's structure pass both read; the
+    def test_one_block_frame_per_round(self, monkeypatch):
+        # r3 with 200 instances at seed 1 takes 307 draws in 18 rounds. Each
+        # round takes one (w, u mu) frame over its stacked draws, which its
+        # one filter reads, and each accepted operator holds its slice as
+        # its block record, equal to one built alone; r3 builds its own. The
         # adjoint's (u, w mu) frame is taken once per stacked pass that meets
         # the contraction criterion, over the u of the 130 operators that
         # meet it, one after another
-        operators, frames, batches = [], [], []
+        operators, frames, round_frames, rounds, batches = [], [], [], [], []
         post_init, frame = wct.WctOperator.__post_init__, wct._block_frame
         batch = subspace._structure_batch
+        decide = harness.records_well_conditioned
 
         def spy_post_init(t):
             post_init(t)
             operators.append(t)
 
-        def spy_frame(*args):
-            frames.append(args[-2])  # x of the pieces x_B y_B^T / mu(B)
-            return frame(*args)
+        def spy(record):
+            def spy_frame(*args):
+                record.append(args[-2])  # x of the pieces x_B y_B^T / mu(B)
+                return frame(*args)
+
+            return spy_frame
+
+        def spy_decide(rec, starts, k_max, tol):
+            rounds.append(starts.size)
+            return decide(rec, starts, k_max, tol)
 
         def spy_batch(runs):
             batches.append([t for t, _, _, met in runs if met])
@@ -394,18 +481,30 @@ class TestRunVerification:
 
         monkeypatch.setattr(wct.WctOperator, "__post_init__", spy_post_init)
         for module in (wct, subspace):
-            monkeypatch.setattr(module, "_block_frame", spy_frame)
+            monkeypatch.setattr(module, "_block_frame", spy(frames))
+        monkeypatch.setattr(harness, "_block_frame", spy(round_frames))
+        monkeypatch.setattr(harness, "records_well_conditioned", spy_decide)
         monkeypatch.setattr(subspace, "_structure_batch", spy_batch)
         path = Path(__file__).resolve().parents[1] / "scenarios" / "r3_contracting.json"
         report = run_verification(load_scenario(path), seed=1, instances=200)
         assert report.exit_status == 0
-        forward = [sum(x is t.w for x in frames) for t in operators]
-        assert len(operators) == 308 and set(forward) == {1}
-        adjoint = [x for x in frames if not any(x is t.w for t in operators)]
+        assert len(rounds) == len(round_frames) == 18
+        assert sum(rounds) == 307 and rounds[0] == 200
+        # the atoms of the 200 first draws, then of the 21 second ones
+        assert [x.size for x in round_frames[:2]] == [1435, 189]
+        assert len(operators) == 201
+        r3, drawn = operators[0], operators[1:]
+        for t in drawn:
+            e = t.e
+            alone = frame(e._labels, e._block_masses, t.h, t.w, t.u * t.space.weights)
+            for name, value in vars(alone).items():
+                np.testing.assert_array_equal(getattr(t.block_record, name), value)
+        # every other frame: r3's, and one adjoint frame per criterion pass
+        assert frames[0] is r3.w
         met = [ts for ts in batches if ts]
         assert sum(len(ts) for ts in met) == 130
-        assert len(adjoint) == len(met) and len(frames) == 308 + len(met)
-        for x, ts in zip(adjoint, met):
+        assert len(frames) == 1 + len(met)
+        for x, ts in zip(frames[1:], met):
             assert np.array_equal(x, np.concatenate([t.u for t in ts]))
 
     def test_experiment_subset(self, r1_scenario_dict):

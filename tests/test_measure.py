@@ -9,10 +9,6 @@ class TestFiniteMeasureSpace:
         with pytest.raises(ValueError, match="atom weight must be > 0"):
             FiniteMeasureSpace.from_weights([1.0, 0.0])
 
-    def test_rejects_duplicate_ids(self):
-        with pytest.raises(ValueError, match="pairwise distinct"):
-            FiniteMeasureSpace(("a", "a"), np.array([1.0, 2.0]))
-
     def test_function_length_check(self, two_atom_space):
         with pytest.raises(ValueError, match="shape"):
             two_atom_space.function([1.0, 2.0, 3.0])
@@ -42,6 +38,51 @@ class TestPartition:
     def test_helpers(self):
         assert Partition.single_block(3).n_blocks == 1
         assert Partition.finest(3).n_blocks == 3
+
+    @pytest.mark.parametrize(
+        "blocks, n_atoms, message",
+        [
+            (((0, True),), 2, "block index must be an integer, got True"),
+            (((0, 1.0),), 2, "block index must be an integer, got 1.0"),
+            (((0, "0"),), 2, "block index must be an integer, got '0'"),
+            (((0, 1), (1,)), 2, "blocks must be disjoint"),
+            (((0, 2**70), (2**70,)), 2, "blocks must be disjoint"),
+            (((0, 1), (-1,)), 2, "block index out of range"),
+            (((0, 1, 2**70),), 3, "block index out of range"),
+            (((0,),), 2, "blocks must cover every atom"),
+            (((0, 1), ()), 2, "blocks must be nonempty"),
+        ],
+        ids=[
+            "bool", "float", "string", "repeated", "repeated_huge", "negative",
+            "huge", "uncovered", "empty",
+        ],
+    )
+    def test_each_error_keeps_its_message(self, blocks, n_atoms, message):
+        with pytest.raises(ValueError) as info:
+            Partition(blocks, n_atoms)
+        assert str(info.value) == message
+
+    def test_labels_and_lazy_blocks(self):
+        # numpy indices are integers; blocks read back sorted, in label order
+        p = Partition(((np.int64(3), 1), (0, 2)), 4)
+        assert p.labels.tolist() == [1, 0, 1, 0] and not p.labels.flags.writeable
+        assert p.blocks == ((1, 3), (0, 2))
+        assert [idx.tolist() for idx in p.index_arrays] == [[1, 3], [0, 2]]
+        assert p == Partition.from_labels([1, 0, 1, 0], 2) != Partition.finest(4)
+        assert Partition.single_block(3) == Partition(((0, 1, 2),), 3)
+
+    @pytest.mark.parametrize(
+        "labels, n_blocks, message",
+        [
+            ([0, 2], 2, "block index out of range"),
+            ([0, -1], 2, "block index out of range"),
+            ([0, 0], 2, "blocks must be nonempty"),
+            ([0.0, 1.0], 2, "labels must be a one-dimensional integer array"),
+        ],
+    )
+    def test_from_labels_checks(self, labels, n_blocks, message):
+        with pytest.raises(ValueError, match=message):
+            Partition.from_labels(labels, n_blocks)
 
 
 class TestSupport:

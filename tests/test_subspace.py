@@ -731,14 +731,14 @@ class TestConditioning:
             raise AssertionError("an SVD in the draw loop")
 
         draws = []
-        draw = harness.generate_random_instance
+        draw = harness._draw
 
         def spy_draw(*args):
             draws.append(args)
             return draw(*args)
 
         monkeypatch.setattr(np.linalg, "svd", no_svd)
-        monkeypatch.setattr(harness, "generate_random_instance", spy_draw)
+        monkeypatch.setattr(harness, "_draw", spy_draw)
         # the sizes of random suites, 2-12 atoms: 74 draws for 60 instances,
         # so some draws were flagged and redrawn
         for i in range(60):
