@@ -405,8 +405,13 @@ def _structure_batch(runs) -> list[list[ClaimResult]]:
     weak = (np.abs(h_block) > 1e-12) & ~(np.abs(h_block) >= _DELTA)
     bounded_away = _owner_sum(weak, starts) == 0
 
-    met = [o for o, run in enumerate(runs) if run[3]]
+    # the rows under the criterion read I - T, which overflowed where T's own
+    # spectrum did: they are not checked there, and the rest take one pass
+    met = [o for o, run in enumerate(runs) if run[3] and reached[o] > 0]
     criterion = dict(zip(met, _criterion_rows([runs[o] for o in met]) if met else []))
+    for o, run in enumerate(runs):
+        if run[3] and o not in criterion:
+            criterion[o] = [overflow_claim(cid, "met") for cid in _CRITERION_CLAIMS]
     per_owner = zip(
         n.tolist(),
         ranks.T.tolist(),

@@ -685,7 +685,9 @@ def _sampled_norm_powers(
     t: WctOperator, phi: YoungFunction, n_max: int, samples: int, seed: int
 ) -> list[float]:
     """Largest N(T^n f)/N(f), n = 1..n_max, over the atom indicators and
-    ``samples`` uniform draws: lower estimates of the operator norms."""
+    ``samples`` uniform draws: lower estimates of the operator norms. A
+    power with an image that is not finite (T's entries overflowed) has no
+    estimate: NaN."""
     rng = np.random.default_rng(seed)
     n = t.space.n_atoms
     cols = np.hstack([np.eye(n), rng.uniform(-1.0, 1.0, (n, samples))])
@@ -696,8 +698,12 @@ def _sampled_norm_powers(
     m = matrix_of(t)
     images = []
     image = cols
-    for _ in range(n_max):
-        image = m @ image
-        images.append(image)
-    stacked_norms = luxemburg_norms(ctx, np.hstack(images)).reshape(n_max, -1)
-    return [float(v) for v in np.max(stacked_norms / base[None, :], axis=1)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(n_max):
+            image = m @ image
+            images.append(image)
+    images = np.hstack(images)
+    finite = np.isfinite(images).all(axis=0)
+    norms = np.full(images.shape[1], np.nan)
+    norms[finite] = luxemburg_norms(ctx, images[:, finite])
+    return [float(v) for v in np.max(norms.reshape(n_max, -1) / base, axis=1)]

@@ -380,6 +380,36 @@ class TestRunVerification:
             assert by_id[cid].status == "not_checked"
             assert by_id[cid].residual is None
 
+    @pytest.mark.parametrize(
+        "young",
+        [{"kind": "exp_type"}, {"kind": "power_scaled", "p": 2}],
+        ids=["exp_type", "power_scaled_2"],
+    )
+    def test_overflowing_entries_leave_their_rows_not_checked(self, young):
+        # one block of two unit atoms with u = (1e200, 1e-200) and w =
+        # (0.5e-200, 0.5e200): h = 0.5, so the contraction criterion holds,
+        # but the entry w_2 u_1 of T is inf. Every row that reads T or
+        # I - T is not checked: the sampled norms of exp_type and the six
+        # rows under the criterion, the Cesaro limit among them; the report
+        # is standard JSON and verify exits 0
+        data = {
+            "atoms": [1.0, 1.0], "blocks": [[0, 1]], "u": [1e200, 1e-200],
+            "w": [0.5e-200, 0.5e200], "young": young,
+        }
+        with np.errstate(all="ignore"):
+            report = run_verification(scenario_from_dict(data), seed=1)
+        assert report.exit_status == 0
+        json.loads(emit_report(report), parse_constant=pytest.fail)
+        by_id = {r.claim_id: r for r in report.entries}
+        overflowed = ["power_bounded_criterion", *subspace._CRITERION_CLAIMS]
+        for cid in overflowed:
+            assert by_id[cid].status == "not_checked", cid
+            assert by_id[cid].residual is None and "overflow" in by_id[cid].detail
+        for cid in subspace._CRITERION_CLAIMS:
+            assert by_id[cid].hypothesis == "met", cid
+        assert by_id["symbol_power_sequence"].status == "pass"
+        assert by_id["symbol_power_sequence"].residual == 0.5
+
     def test_criterion_and_conjugate_built_once_per_instance(self, monkeypatch):
         # r3 plus 20 instances is 21 instances. Each gets its contraction
         # criterion exactly once, from one stacked pass per gauge object,
