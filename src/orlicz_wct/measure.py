@@ -84,7 +84,12 @@ class Partition:
             index = np.array(flat, dtype=np.int64)
         except OverflowError:  # beyond int64: out of range unless repeated
             index = None
-        if len(set(flat) if index is None else np.unique(index)) != len(flat):
+        if index is None:
+            repeated = len(set(flat)) != len(flat)
+        else:
+            ordered = np.sort(index)
+            repeated = bool(np.any(ordered[1:] == ordered[:-1]))
+        if repeated:
             raise ValueError("blocks must be disjoint")
         if index is None or index.size and (index.min() < 0 or index.max() >= n_atoms):
             raise ValueError("block index out of range")
@@ -134,7 +139,8 @@ class Partition:
     def __eq__(self, other):
         if not isinstance(other, Partition):
             return NotImplemented
-        return self.n_atoms == other.n_atoms and np.array_equal(self.labels, other.labels)
+        same = self.n_atoms == other.n_atoms
+        return same and np.array_equal(self.labels, other.labels)
 
     def __hash__(self):
         return hash((self.n_atoms, self.labels.tobytes()))

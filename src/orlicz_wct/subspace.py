@@ -185,7 +185,8 @@ def _conditioned(spectra, starts, tol, h, h_starts) -> np.ndarray:
     ok = ~np.logical_or.reduceat(band.any(axis=0), starts)
     if h is None or k_max < 3:
         return ok
-    above = np.minimum.reduceat(np.where(spectra[1] > at[1], spectra[1], np.inf), starts)
+    above = np.where(spectra[1] > at[1], spectra[1], np.inf)
+    above = np.minimum.reduceat(above, starts)
     top = _owner_max(h, h_starts)[_owners(h_starts, h.size)]
     supp = h > 1e-12 * (1.0 + top)
     h_min = np.minimum.reduceat(np.where(supp, h, np.inf), h_starts)
@@ -225,8 +226,6 @@ def _owner_max(x, starts) -> np.ndarray:
 def _owners(starts, size: int) -> np.ndarray:
     """The owner of each of ``size`` entries, one segment per owner from
     ``starts``."""
-    if starts.size == 1:
-        return np.zeros(size, dtype=int)
     return np.searchsorted(starts, np.arange(size), side="right") - 1
 
 
@@ -237,8 +236,7 @@ def _thresholds(spectra, starts, tol, ones=0) -> np.ndarray:
     whose base is the first power's largest value; with ``ones`` further
     values 1 per operator. The floors are C's pow, one scalar each."""
     top = _owner_max(spectra, starts)
-    if np.any(ones):
-        top = np.where(ones > 0, np.maximum(top, 1.0), top)
+    top = np.where(ones > 0, np.maximum(top, 1.0), top)
     powers = range(1, top.shape[-2] + 1)
     base = top[..., 0, :].reshape(-1, top.shape[-1]).tolist()
     floor = [[_noise_floor(b, k) for b in row] for row in base for k in powers]

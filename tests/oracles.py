@@ -19,7 +19,12 @@ import itertools
 import numpy as np
 
 from orlicz_wct.condexp import CondExp, LawResult, cond_exp
-from orlicz_wct.harness import _ATTEMPTS, _YOUNG_FACTORIES, _YOUNG_ROTATION, ScenarioError
+from orlicz_wct.harness import (
+    _ATTEMPTS,
+    _YOUNG_FACTORIES,
+    _YOUNG_ROTATION,
+    ScenarioError,
+)
 from orlicz_wct.measure import FiniteMeasureSpace, Partition, ess_sup, support
 from orlicz_wct.orlicz import (
     OrliczContext,
@@ -27,7 +32,13 @@ from orlicz_wct.orlicz import (
     _row_modulars,
     luxemburg_norm,
 )
-from orlicz_wct.subspace import _BAND, _ascent, _block_spectra, _dense_spectra, _noise_floor
+from orlicz_wct.subspace import (
+    _BAND,
+    _ascent,
+    _block_spectra,
+    _dense_spectra,
+    _noise_floor,
+)
 from orlicz_wct.wct import BlockWalk, WctOperator
 from orlicz_wct.young import generalized_inverse
 

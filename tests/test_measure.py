@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -61,6 +66,24 @@ class TestPartition:
         with pytest.raises(ValueError) as info:
             Partition(blocks, n_atoms)
         assert str(info.value) == message
+
+    def test_checks_import_no_further_numpy_module(self):
+        # np.unique's first call imports numpy.ma, about 8 ms that every
+        # scenario load would pay
+        src = Path(__file__).resolve().parents[1] / "src"
+        code = (
+            "import sys\n"
+            "from orlicz_wct import Partition\n"
+            "before = set(sys.modules)\n"
+            "Partition(((1, 3), (0, 2)), 4).index_arrays\n"
+            "print(sorted(set(sys.modules) - before))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+            check=True,
+        ).stdout
+        assert out.strip() == "[]"
 
     def test_labels_and_lazy_blocks(self):
         # numpy indices are integers; blocks read back sorted, in label order
