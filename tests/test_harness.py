@@ -270,6 +270,9 @@ class TestDrawRounds:
         tol=st.sampled_from([1e-8, 1e-3, 0.25]),
     )
     def test_rounds_accept_what_the_loop_accepts(self, seed, instances, tol):
+        # at tol 0.25 the top value of every power lies within the band of
+        # its own threshold, so every draw is flagged: those examples
+        # compare the exhaustion error
         path = Path(__file__).resolve().parents[1] / "scenarios" / "r3_contracting.json"
         s = load_scenario(path)
         s = dataclasses.replace(s, tolerances={**s.tolerances, "rank": tol})
