@@ -1,9 +1,11 @@
 """The golden-report corpus: fixed ``orlicz-wct verify --format json`` runs
 and the sha256 of each report without ``generated_at``.
 
-Each run is a scenario (a shipped file, a benchmark workload's scenario, or
-r3 or a one-block overflow case with fields replaced), an instance count
-and a seed. ``digests.json`` keeps, per run id, the digest and the exit
+Each run is a scenario (a shipped file, a benchmark workload's scenario,
+r3 or a one-block overflow case with fields replaced, or a random draw with
+one block rescaled or appended), an instance count and a seed. Some runs
+fail rows on purpose, so that the first failing instance's fingerprint and
+detail are pinned too. ``digests.json`` keeps, per run id, the digest and the exit
 code; a run that ends in an uncaught exception keeps ``sha256: null`` and
 exit code 1. A change that leaves every report alone leaves every digest
 alone. ``python tests/golden/rewrite.py`` recomputes the file.
@@ -61,6 +63,34 @@ def overflow_scenario(kind: str, p=None) -> dict:
     }
 
 
+def _outside_block() -> dict:
+    """The 6-atom contracting draw of seed 3 with a one-atom block appended
+    whose symbol is -100 but whose u lies below the criterion support's cut:
+    the ergodic remainder sums overflow there, and its row of B_n holds
+    inf * 0 = NaN."""
+    from orlicz_wct.harness import generate_random_instance, scenario_to_dict
+
+    data = scenario_to_dict(generate_random_instance(3, 6, 2, "contracting_h"))
+    data["blocks"].append([len(data["atoms"])])
+    for key, value in (("atoms", 0.9), ("u", 1e-12), ("w", -1e14)):
+        data[key].append(value)
+    return data
+
+
+def _near_one() -> dict:
+    """The 64-atom contracting draw of seed 1 with its first block's symbol
+    rescaled to 1 - 1e-6: the ergodic horizons stop below its mixing time."""
+    from orlicz_wct.harness import generate_random_instance, scenario_to_dict
+
+    s = generate_random_instance(1, 64, 8, "contracting_h")
+    data = scenario_to_dict(s)
+    b = np.asarray(s.partition.blocks[0])
+    w = s.w.copy()
+    w[b] *= (1 - 1e-6) / s.operator().h[b[0]]
+    data["w"] = w.tolist()
+    return data
+
+
 def runs():
     """(run id, scenario thunk, instances, seed) of every run."""
     out = []
@@ -81,6 +111,17 @@ def runs():
     out.append(("overflow-exp_type", lambda: overflow_scenario("exp_type"), 0, 1))
     out.append(("overflow-power_scaled_2",
                 lambda: overflow_scenario("power_scaled", 2), 0, 1))
+    # failing rows: the first failing instance's fingerprint and detail
+    for instances in (20, 200):
+        out.append((f"r3-comparison1e-16-i{instances}-s1",
+                    lambda: dict(_shipped("r3_contracting"),
+                                 tolerances={"comparison": 1e-16}),
+                    instances, 1))
+    for instances in (0, 20):
+        out.append((f"outside-block-i{instances}-s1", _outside_block, instances, 1))
+    out.append(("wide256-rank1e-3-s1",
+                lambda: dict(_workload("wide256", 1), tolerances={"rank": 1e-3}), 0, 1))
+    out.append(("near-one-symbol-s1", _near_one, 0, 1))
     return out
 
 
