@@ -5,22 +5,32 @@ anchor string describing what the claim asserts. Both live once, in the
 nested table ``_CLAIM_TABLE`` ({experiment group: {claim id: anchor}}), from
 which ``CLAIM_REGISTRY`` and ``EXPERIMENT_CLAIMS`` are derived. Reports are lists of
 ``ClaimResult`` rows; a row whose hypothesis failed is never an error.
-Every row is built by ``make_claim``, with an empty fingerprint that the
-harness stamps with the instance that ran.
+A row is built by ``make_claim``, with an empty fingerprint, or read from a
+``ClaimColumn``, which holds one claim's rows on every instance of a batch
+as arrays; ``fold_claims`` folds a claim's rows on all the instances of a
+run into its report row, stamped with the fingerprint of the instance it
+names.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 __all__ = [
+    "ClaimColumn",
     "ClaimResult",
     "CLAIM_REGISTRY",
     "EXPERIMENT_CLAIMS",
+    "fold_claims",
     "make_claim",
-    "merge_claims",
     "overflow_claim",
 ]
+
+STATUSES = ("pass", "fail", "not_checked")
+HYPOTHESES = ("none", "met", "not_met")
+OVERFLOW_DETAIL = "not checked: a power overflowed, so a residual is not finite"
 
 
 @dataclass
@@ -158,48 +168,119 @@ def overflow_claim(claim_id, hypothesis="none"):
     """The not_checked row, with no residual, of a claim that reads a value
     which is not finite because a power overflowed: no bound holds on inf,
     and a NaN decides nothing."""
-    detail = "not checked: a power overflowed, so a residual is not finite"
-    return make_claim(claim_id, hypothesis, None, detail=detail)
+    return make_claim(claim_id, hypothesis, None, detail=OVERFLOW_DETAIL)
 
 
-def merge_claims(rows: list[ClaimResult]) -> ClaimResult:
-    """Aggregate per-instance results for one claim id into a single row.
+class ClaimColumn:
+    """One claim's rows on every operator of a batch, as arrays: per row a
+    status and a hypothesis (indices into ``STATUSES`` and ``HYPOTHESES``)
+    and a residual (NaN where there is none, as ``has_residual`` says).
 
-    The merged row fails when any contributing row with a met hypothesis
-    failed; its fingerprint points at the first failing instance, and its
-    residual is the worst one seen. Its hypothesis is met when some row was
-    checked or had its hypothesis met.
+    It is built as ``make_claim`` builds one row, with arrays for ok and
+    the residual and one detail for every row, a string, None, or a
+    function of the row index that is called only for the rows whose
+    detail is read; ``unchecked`` then makes some rows not_checked with
+    their own fixed detail. ``row`` gives the ``ClaimResult`` of one row,
+    and ``fold_claims`` folds a claim's columns into its report row.
     """
-    if not rows:
-        raise ValueError("cannot merge an empty claim list")
-    first = rows[0]
-    if any(r.claim_id != first.claim_id for r in rows):
-        raise ValueError("merge_claims requires a single claim id")
-    checked = [r for r in rows if r.status != "not_checked"]
-    failed = [r for r in rows if r.status == "fail"]
-    residuals = [r.residual for r in checked if r.residual is not None]
-    if failed:
-        status, fingerprint = "fail", failed[0].fingerprint
-        detail = failed[0].detail
-    elif checked:
-        status, fingerprint = "pass", first.fingerprint
-        detail = checked[0].detail if len(rows) == 1 else None
-    else:
-        status, fingerprint = "not_checked", first.fingerprint
-        detail = first.detail if len(rows) == 1 else None
-    hypothesis = first.hypothesis
-    if hypothesis != "none":
-        # a row can be not_checked with its hypothesis met (an overflow)
-        met = checked or any(r.hypothesis == "met" for r in rows)
-        hypothesis = "met" if met else "not_met"
-    n_checked = len(checked)
-    note = f"checked on {n_checked} of {len(rows)} instances"
+
+    def __init__(self, claim_id, hypothesis, ok, residual=None, detail=None):
+        ok = np.asarray(ok, dtype=bool)
+        self.claim_id = claim_id
+        self.status = np.where(ok, 0, 1).astype(np.int8)
+        if isinstance(hypothesis, str):
+            hypothesis = np.full(ok.shape, HYPOTHESES.index(hypothesis), dtype=np.int8)
+        self.hypothesis = hypothesis
+        self.has_residual = np.full(ok.shape, residual is not None)
+        self.residual = np.full(ok.shape, np.nan)
+        if residual is not None:
+            self.residual[:] = residual
+        self._detail, self._fixed = detail, []
+
+    @classmethod
+    def of_row(cls, row: ClaimResult) -> ClaimColumn:
+        """The column of one row."""
+        ok = row.status == "pass"
+        out = cls(row.claim_id, row.hypothesis, [ok], row.residual, row.detail)
+        if row.status == "not_checked":
+            out.unchecked([True], row.detail)
+            out.has_residual[:] = row.residual is not None
+        return out
+
+    def unchecked(self, rows, detail=None) -> ClaimColumn:
+        """Makes the rows (a mask) not_checked with no residual and the
+        given detail."""
+        rows = np.asarray(rows, dtype=bool)
+        self.status[rows] = 2
+        self.has_residual[rows] = False
+        self._fixed.append((rows, detail))
+        return self
+
+    def detail(self, k: int):
+        for rows, detail in reversed(self._fixed):
+            if rows[k]:
+                return detail
+        return self._detail(k) if callable(self._detail) else self._detail
+
+    def row(self, k: int) -> ClaimResult:
+        return ClaimResult(
+            claim_id=self.claim_id,
+            anchor=CLAIM_REGISTRY[self.claim_id],
+            hypothesis=HYPOTHESES[self.hypothesis[k]],
+            status=STATUSES[self.status[k]],
+            residual=float(self.residual[k]) if self.has_residual[k] else None,
+            detail=self.detail(k),
+        )
+
+
+def fold_claims(parts, fingerprint) -> ClaimResult:
+    """The report row of one claim from its rows on every instance: parts
+    are (instance indices, ``ClaimColumn``) pairs, the indices giving the
+    order of the instances, and ``fingerprint(i)`` that of instance i.
+
+    The row fails when any instance's row failed; its fingerprint and
+    detail are then the first failing instance's. Otherwise its fingerprint
+    is the first instance's, and its detail that instance's only when there
+    is one instance. Its residual is the worst of the checked rows, taken in
+    instance order as Python's ``max`` takes them (a NaN in first place
+    stays, a later one is passed over). Its hypothesis is met when some row
+    was checked or had its hypothesis met, unless the rows carry none. The
+    detail falls back to a count of the checked rows.
+    """
+    index = np.concatenate([runs for runs, _ in parts])
+    order = np.argsort(index, kind="stable")
+    index = index[order]
+    sizes = [col.status.size for _, col in parts]
+    where = np.repeat(np.arange(len(parts)), sizes)[order]
+    local = np.concatenate([np.arange(size) for size in sizes])[order]
+
+    def stacked(name):
+        return np.concatenate([getattr(col, name) for _, col in parts])[order]
+
+    def detail(i):
+        return parts[where[i]][1].detail(local[i])
+
+    status, hypothesis = stacked("status"), stacked("hypothesis")
+    residual = stacked("residual")[(status != 2) & stacked("has_residual")]
+    checked = status != 2
+    failed = np.flatnonzero(status == 1)
+    first = failed[0] if failed.size else 0
+    text = detail(first) if failed.size or status.size == 1 else None
+    top = int(hypothesis[0])
+    if top:
+        top = 1 if checked.any() or (hypothesis == 1).any() else 2
+    worst = None
+    if residual.size:
+        if not np.isnan(residual[0]):
+            residual = residual[~np.isnan(residual)]
+        worst = float(residual[np.argmax(residual)])
+    claim_id = parts[0][1].claim_id
     return ClaimResult(
-        claim_id=first.claim_id,
-        anchor=first.anchor,
-        hypothesis=hypothesis,
-        status=status,
-        residual=max(residuals) if residuals else None,
-        detail=detail if detail else note,
-        fingerprint=fingerprint,
+        claim_id=claim_id,
+        anchor=CLAIM_REGISTRY[claim_id],
+        hypothesis=HYPOTHESES[top],
+        status="fail" if failed.size else "pass" if checked.any() else "not_checked",
+        residual=worst,
+        detail=text or f"checked on {int(checked.sum())} of {status.size} instances",
+        fingerprint=fingerprint(int(index[first])),
     )

@@ -23,23 +23,22 @@ detail, fingerprint. A claim whose hypothesis is not met never affects the
 exit status. Each experiment group is one entry of ``_GROUPS``, a function
 of (scenario, operator, sampling seed) that returns the scenario's rows, or
 of ``_BATCH_GROUPS``: the power_bounded, structure, iterate and Cesaro
-groups, functions of a list of runs, one per instance that asks for them,
-which take stacked passes and return the rows of each run. The
-power_bounded group's runs (operator, gauge, sampling seed) go to the batch
-form of ``power_bounded_report``, one pass per gauge; the structure group's
-are the arguments of ``verify_structure_theorems`` (operator, gauge, rank
-tolerance, sampling seed, criterion), which it calls in its batch form once
-per instance size; the walk groups' runs are (block layout, comparison
-tolerance), which walk over the direct sum of the layouts. A verify call
-reads its instances one at a time and keeps of each only those runs, for
-the batch groups at the end. The harness stamps the fingerprint of the
-instance that ran onto every row, and library calls such as
-``verify_structure_theorems`` return rows whose fingerprint is ``{}``. A
-scenario builds its operator once (a random draw hands over the operator it
-built), and the groups share it; the operator keeps the contraction
-criterion under each gauge, which the power_bounded pass decides and the
-structure pass reads; the conjugate gauge is ``phi.conjugate``, which the
-gauge builds once.
+groups, functions of (operator table, sampling seed per row, tolerances)
+that return one ``ClaimColumn`` per claim, the claim's rows on every row of
+the table as arrays. A verify call makes one ``OperatorTable`` per instance
+size, from the scenario's operator and its random draws' arrays (a random
+instance builds no operator), and runs every batch group on it before the
+next is made: the power_bounded group through the table form of
+``power_bounded_report``, the structure group through that of
+``verify_structure_theorems``, and the walk groups over the table's one
+packed layout. ``fold_claims`` then folds each claim's rows on every
+instance into its report row, with the fingerprint of the instance it
+names, and builds a row's detail only where the report prints it; library
+calls such as ``verify_structure_theorems`` return rows whose fingerprint
+is ``{}``. A scenario builds its operator once, and the groups share it; a
+table decides the contraction criterion of all its rows once, which the
+power_bounded and structure passes both read; the conjugate gauge is
+``phi.conjugate``, which the gauge builds once.
 
 For power-law gauges (``exact_norm_powers`` is not None) the boundedness and
 power-boundedness rows use exact operator norms: ``operator_norm_bound`` is
@@ -53,7 +52,7 @@ from __future__ import annotations
 import datetime as _dt
 import itertools
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
@@ -62,9 +61,11 @@ import numpy as np
 from . import __version__
 from .claims import (
     EXPERIMENT_CLAIMS,
+    OVERFLOW_DETAIL,
+    ClaimColumn,
     ClaimResult,
+    fold_claims,
     make_claim,
-    merge_claims,
     overflow_claim,
 )
 from .condexp import CondExp, check_condexp_laws, gch_constant_report
@@ -73,8 +74,8 @@ from .orlicz import OrliczContext, luxemburg_norms
 from .subspace import records_well_conditioned, verify_structure_theorems
 from .wct import (
     BlockLayout,
-    BlockRecord,
     BlockWalk,
+    OperatorTable,
     WctOperator,
     _block_frame,
     b_n_operator,
@@ -216,13 +217,6 @@ class Scenario:
         if self.seed is not None:
             fp["seed"] = self.seed
         return fp
-
-
-def _with_operator(s: Scenario, t: WctOperator) -> Scenario:
-    """s holding t as its operator, which it then does not build: t must be
-    the operator of s's u, w, space and partition."""
-    vars(s)["_operator"] = t
-    return s
 
 
 def _finite(name: str, vals, ndim: int) -> np.ndarray:
@@ -439,27 +433,21 @@ def _draw(seed: int, n_atoms: int, n_blocks: int, profile: str) -> _Draw:
     return _Draw(seed, profile, entry, weights, labels, masses, u, w, h)
 
 
-def _scenario(draw: _Draw, record: BlockRecord | None, gauges: dict) -> Scenario:
-    """The scenario of a draw, holding its operator, whose block record is
-    ``record`` when given. Draws given one ``gauges`` dict share the gauge
-    of each rotation entry, and so the conjugate it builds."""
+def _scenario(draw: _Draw, gauges: dict) -> Scenario:
+    """The scenario of a draw; it builds its operator when first asked
+    for. Draws given one ``gauges`` dict share the gauge of each rotation
+    entry, and so the conjugate it builds."""
     if draw.entry not in gauges:
         gauges[draw.entry] = _YOUNG_FACTORIES[draw.entry[0]](draw.entry[1])
-    space = FiniteMeasureSpace(draw.weights)
-    partition = Partition.from_labels(draw.labels, draw.masses.size)
-    t = WctOperator(draw.u, draw.w, CondExp(space, partition))
-    if record is not None:
-        vars(t)["block_record"] = record
-    scenario = Scenario(
-        space=space,
-        partition=partition,
-        u=t.u,
-        w=t.w,
+    return Scenario(
+        space=FiniteMeasureSpace(draw.weights),
+        partition=Partition.from_labels(draw.labels, draw.masses.size),
+        u=draw.u,
+        w=draw.w,
         phi=gauges[draw.entry],
         profile=draw.profile,
         seed=draw.seed,
     )
-    return _with_operator(scenario, t)
 
 
 def generate_random_instance(
@@ -469,33 +457,32 @@ def generate_random_instance(
     profile: str = "generic",
     gauges: dict | None = None,
 ) -> Scenario:
-    """Deterministic scenario per seed: the draw of ``_draw``. The scenario
-    holds its operator. Draws that are given one ``gauges`` dict share the
-    gauge of each rotation entry, and so the conjugate it builds: the dict
-    keeps each gauge a draw builds."""
+    """Deterministic scenario per seed: the draw of ``_draw``. Draws that
+    are given one ``gauges`` dict share the gauge of each rotation entry,
+    and so the conjugate it builds: the dict keeps each gauge a draw
+    builds."""
     draw = _draw(seed, n_atoms, n_blocks, profile)
-    return _scenario(draw, None, {} if gauges is None else gauges)
+    return _scenario(draw, {} if gauges is None else gauges)
 
 
-def _well_conditioned_draws(specs, tol: float) -> list[tuple[_Draw, BlockRecord]]:
-    """The accepted draw of each (seed, n_atoms, n_blocks, profile) spec and
-    its block record: the first of the seeds seed + 7919 j, j = 0, 1, ...,
-    below _ATTEMPTS, whose operator powers carry no singular value too close
-    to its rank threshold to classify (``records_well_conditioned``, read
-    from the block spectrum with no SVD).
+def _well_conditioned_draws(specs, tol: float) -> list[_Draw]:
+    """The accepted draw of each (seed, n_atoms, n_blocks, profile) spec:
+    the first of the seeds seed + 7919 j, j = 0, 1, ..., below _ATTEMPTS,
+    whose operator powers carry no singular value too close to its rank
+    threshold to classify (``records_well_conditioned``, read from the block
+    spectrum with no SVD).
 
     The draws come in rounds: round j draws attempt j of every spec still
     pending, and one stacked block record and one filter over it decide
     them all. A block record is a per-block fact, and each block's sums keep
-    their atom order, so each draw's slice of the stacked record has the
-    bits of its record alone. ScenarioError, for the first spec in order,
-    when a spec's attempts all fail."""
+    their atom order, so each draw is decided as it would be alone.
+    ScenarioError, for the first spec in order, when a spec's attempts all
+    fail."""
     accepted, pending = [None] * len(specs), list(range(len(specs)))
     for j in range(_ATTEMPTS):
         if not pending:
             break
         draws = [_draw(specs[i][0] + 7919 * j, *specs[i][1:]) for i in pending]
-        atoms = list(itertools.accumulate((d.labels.size for d in draws), initial=0))
         blocks = list(itertools.accumulate((d.masses.size for d in draws), initial=0))
         labels = np.concatenate([d.labels + b for d, b in zip(draws, blocks)])
         weights = np.concatenate([d.weights for d in draws])
@@ -509,9 +496,9 @@ def _well_conditioned_draws(specs, tol: float) -> list[tuple[_Draw, BlockRecord]
         starts = np.array(blocks[:-1])
         ok = records_well_conditioned(rec, starts, 7, np.full(len(draws), tol))
         still = []
-        for o, (i, d, good) in enumerate(zip(pending, draws, ok.tolist())):
+        for i, d, good in zip(pending, draws, ok.tolist()):
             if good:
-                accepted[i] = d, _record_slice(rec, atoms[o : o + 2], blocks[o : o + 2])
+                accepted[i] = d
             else:
                 still.append(i)
         pending = still
@@ -521,24 +508,6 @@ def _well_conditioned_draws(specs, tol: float) -> list[tuple[_Draw, BlockRecord]
             f"{specs[pending[0]][0]} at rank tolerance {tol:g}"
         )
     return accepted
-
-
-def _record_slice(rec: BlockRecord, atom_bounds, block_bounds) -> BlockRecord:
-    """The record of the operator whose atoms and blocks a direct sum record
-    holds from the first to the second of each pair of bounds."""
-    if block_bounds[1] - block_bounds[0] == rec.sizes.size:
-        return rec
-    atoms, blocks = slice(*atom_bounds), slice(*block_bounds)
-    b0 = block_bounds[0]
-    return BlockRecord(
-        rec.labels[atoms] - b0,
-        rec.sizes[blocks],
-        rec.h[blocks],
-        rec.sigma[blocks],
-        rec.rho[blocks],
-        rec.e1[atoms],
-        rec.e2[atoms],
-    )
 
 
 def generate_well_conditioned_instance(
@@ -552,19 +521,18 @@ def generate_well_conditioned_instance(
     """generate_random_instance of the first well-conditioned draw from
     seed, re-drawing at most _ATTEMPTS times (``_well_conditioned_draws`` on
     one spec, in rounds of one draw); ScenarioError when every draw fails.
-    Its operator holds the block record that the filter read.
 
     ``gauges`` is state that the draws given one dict share: the gauge of
-    each rotation entry, and the (draw, block record) that a suite's
-    stacked rounds accepted, under (seed, n_atoms, n_blocks, profile, tol),
-    which this call takes from it in place of the round of one that would
-    draw and accept the same."""
+    each rotation entry, and the draw that a suite's stacked rounds
+    accepted, under (seed, n_atoms, n_blocks, profile, tol), which this
+    call takes from it in place of the round of one that would draw and
+    accept the same."""
     gauges = {} if gauges is None else gauges
     spec = (seed, n_atoms, n_blocks, profile)
     accepted = gauges.pop((*spec, tol), None)
     if accepted is None:
         (accepted,) = _well_conditioned_draws([spec], tol)
-    return _scenario(*accepted, gauges)
+    return _scenario(accepted, gauges)
 
 
 @dataclass
@@ -626,66 +594,26 @@ def identity_residuals(walk: BlockWalk, ns) -> dict[int, dict]:
     return out
 
 
-def _folded_claim(cid: str, residuals: np.ndarray, bound: float, detail: str):
-    """The row of the worst of a claim's residuals. A non-finite residual (a
-    power that overflowed) makes it not_checked with no residual: no bound
-    holds on inf, and a NaN decides nothing."""
-    if not np.isfinite(residuals).all():
-        return overflow_claim(cid)
-    worst = float(np.max(residuals))
-    return make_claim(cid, "none", worst <= bound, worst, detail)
-
-
-def _by_size(runs, size, batch) -> list:
-    """batch(runs) for the runs of each instance size (``size(run)``), so
-    that the stacked arrays of one size only are held at a time: one result
-    per run, in run order. ``runs`` is emptied, and the runs of each size
-    are let go once their batch ran."""
-    by_size, per_run = {}, [None] * len(runs)
-    for i, run in enumerate(runs):
-        by_size.setdefault(size(run), []).append((i, run))
-    runs.clear()
-    for key in list(by_size):
-        index, taken = zip(*by_size.pop(key))
-        for i, result in zip(index, batch(list(taken))):
-            per_run[i] = result
-    return per_run
-
-
-def _structure_claims(runs):
-    """The structure rows of each run of ``verify_structure_theorems``
-    arguments, from one batch call per instance size; ``runs`` is emptied,
-    so that the operators of each size are let go once their rows exist."""
-
-    def batch(runs):
-        return verify_structure_theorems(*zip(*runs))
-
-    return _by_size(runs, lambda run: run[0].space.n_atoms, batch)
-
-
-def _walk_claims(runs, residuals, detail, a_ns=(), b_ns=(), t_ns=()):
-    """The rows of each (block layout, comparison tolerance) run, from one
-    ``BlockWalk`` per instance size over the direct sum of the layouts of
-    that many atoms. ``residuals(walk)`` gives for every claim id one array
-    per power or horizon, one value per operator of the walk. An overflowing
-    power walks on as inf and NaN, which the fold reads as not_checked."""
-
-    def walked(batch):
-        walk = BlockWalk(BlockLayout.direct_sum(x for x, _ in batch), a_ns, b_ns, t_ns)
-        stacked = {cid: np.array(res) for cid, res in residuals(walk).items()}
-        return [
-            {cid: res[:, j] for cid, res in stacked.items()} for j in range(len(batch))
-        ]
-
+def _walk_columns(tab, tol, residuals, detail, a_ns=(), b_ns=(), t_ns=()):
+    """The columns of a table's rows from one ``BlockWalk`` over its
+    layout. ``residuals(walk)`` gives for every claim id one array per
+    power or horizon, one value per row; a row's residual is the worst of
+    them, and an overflowing power, which walks on as inf and NaN, leaves
+    the row not checked: no bound holds on inf, and a NaN decides
+    nothing."""
     with np.errstate(over="ignore", invalid="ignore"):
-        per_run = _by_size(list(runs), lambda run: run[0].n, walked)
-    return [
-        [_folded_claim(cid, res, tol, detail) for cid, res in folded.items()]
-        for (_, tol), folded in zip(runs, per_run)
-    ]
+        walk = BlockWalk(tab.layout, a_ns, b_ns, t_ns)
+        found = residuals(walk)
+    columns = []
+    for cid, res in found.items():
+        res = np.array(res)
+        worst = res.max(axis=0)
+        column = ClaimColumn(cid, "none", worst <= tol, residual=worst, detail=detail)
+        columns.append(column.unchecked(~np.isfinite(res).all(axis=0), OVERFLOW_DETAIL))
+    return columns
 
 
-def _iterate_claims(runs):
+def _iterate_columns(tab, seeds, tolerances):
     def residuals(walk):
         gaps = [
             _relative_gap(walk, walk.t[n] - iterate(walk, n), walk.t[n])
@@ -694,10 +622,12 @@ def _iterate_claims(runs):
         return {"iterate_closed_form": gaps}
 
     detail = "relative max-entry gap over powers 1..6"
-    return _walk_claims(runs, residuals, detail, t_ns=_ITERATE_POWERS)
+    return _walk_columns(
+        tab, tolerances["comparison"], residuals, detail, t_ns=_ITERATE_POWERS
+    )
 
 
-def _cesaro_claims(runs):
+def _cesaro_columns(tab, seeds, tolerances):
     def residuals(walk):
         folded = {cid: [] for cid in EXPERIMENT_CLAIMS["cesaro_identities"]}
         for n, gaps in identity_residuals(walk, _CESARO_HORIZONS).items():
@@ -714,67 +644,73 @@ def _cesaro_claims(runs):
 
     h = _CESARO_HORIZONS
     detail = "relative max-entry residual over n in {2,3,5,8,13,20}"
-    return _walk_claims(
-        runs, residuals, detail, a_ns=h + tuple(n + 1 for n in h), b_ns=h, t_ns=h
+    return _walk_columns(
+        tab, tolerances["comparison"], residuals, detail,
+        a_ns=h + tuple(n + 1 for n in h), b_ns=h, t_ns=h,
     )
 
 
-def _power_bounded_claims(runs):
-    """The power_bounded rows of each (operator, gauge, sampling seed) run,
-    from the batch form of ``power_bounded_report``, one pass per gauge."""
-    ts, phis, seeds = zip(*runs)
-    reports = power_bounded_report(ts, phis, n_max=20, samples=32, seed=seeds)
-    return [_power_bounded_rows(t, rep) for t, rep in zip(ts, reports)]
-
-
-def _power_bounded_rows(t: WctOperator, rep):
-    """The two power_bounded rows of an operator's report."""
-    if not np.isfinite(rep.h_sup):  # u w overflowed
-        return [overflow_claim(c) for c in EXPERIMENT_CLAIMS["power_bounded"]]
-    n1 = rep.norm_estimates[0]
-    if rep.criterion_holds and rep.exact:
-        ok = _within(rep.sup_norm_estimate, n1)
-        detail = (
-            f"criterion true; sup_n ||T^n|| {rep.sup_norm_estimate:.6g} vs "
-            f"||T|| {n1:.6g} (exact block norms)"
+def _power_bounded_columns(tab, seeds, tolerances):
+    """The two power_bounded columns of a table's rows, from the table form
+    of ``power_bounded_report``."""
+    holds, support, h_sup, norms, exact, bounded = power_bounded_report(
+        tab, None, n_max=20, samples=32, seed=seeds
+    )
+    n1 = norms[:, 0]
+    with np.errstate(invalid="ignore"):
+        sup = norms.max(axis=1)
+    # growth witness |h_i|^(n-1) = N(h^(n-1) T e_i) / N(T e_i): a violating
+    # block lies whole in the support and has u_j w_j != 0, so T e_j != 0
+    h = np.abs(tab.h)
+    grows = support & (h >= 1.0)
+    top = np.zeros(h.size)
+    with np.errstate(over="ignore"):
+        top[grows] = h[grows] ** (norms.shape[1] - 1)
+    top = np.maximum.reduceat(top, tab.atom_starts)
+    with np.errstate(invalid="ignore"):
+        ok = np.where(
+            holds,
+            np.where(exact, _within(sup, n1), sup <= n1 + 1e-6),
+            top >= 1.0 - 1e-9,
         )
-    elif rep.criterion_holds:
-        ok = rep.sup_norm_estimate <= n1 + 1e-6
-        detail = (
-            f"criterion true; sup_n estimate {rep.sup_norm_estimate:.6g} vs "
-            f"n=1 estimate {n1:.6g}"
-        )
-    else:
-        # growth witness |h_i|^(n-1) = N(h^(n-1) T e_i) / N(T e_i): a violating
-        # block lies whole in the support and has u_j w_j != 0, so T e_j != 0
-        h_crit = np.abs(t.h[rep.criterion_support])
-        with np.errstate(over="ignore"):
-            top = float(np.max(h_crit[h_crit >= 1.0] ** (rep.n_max - 1), initial=0.0))
-        ok = top >= 1.0 - 1e-9
-        if top >= 2.0:
-            detail = "criterion false, growth confirmed"
-        elif ok:
-            detail = (
+
+    def detail(k):
+        if holds[k] and exact[k]:
+            return (
+                f"criterion true; sup_n ||T^n|| {sup[k]:.6g} vs "
+                f"||T|| {n1[k]:.6g} (exact block norms)"
+            )
+        if holds[k]:
+            return (
+                f"criterion true; sup_n estimate {sup[k]:.6g} vs "
+                f"n=1 estimate {n1[k]:.6g}"
+            )
+        if top[k] >= 2.0:
+            return "criterion false, growth confirmed"
+        if ok[k]:
+            return (
                 "criterion false; growth consistent but the symbol is too "
                 "close to 1 to confirm it over the horizon"
             )
-        else:
-            detail = "criterion false but the violating blocks do not grow"
-    criterion_row = make_claim(
-        "power_bounded_criterion", "none", ok, rep.sup_norm_estimate, detail
+        return "criterion false but the violating blocks do not grow"
+
+    # u w overflowed where sup|h| is not finite, and T's entries where a
+    # norm is not
+    overflowed = ~np.isfinite(h_sup)
+    criterion = ClaimColumn("power_bounded_criterion", "none", ok, sup, detail)
+    criterion.unchecked(overflowed | ~np.isfinite(norms).all(axis=1), OVERFLOW_DETAIL)
+    sequence = ClaimColumn(
+        "symbol_power_sequence",
+        "none",
+        bounded == (h_sup <= 1.0 + 1e-12),
+        residual=h_sup,
+        detail=lambda k: f"sup|h|={h_sup[k]:.6g}, bounded over horizon={bounded[k]}",
     )
-    if not np.isfinite(rep.norm_estimates).all():
-        criterion_row = overflow_claim("power_bounded_criterion")
-    return [
-        criterion_row,
-        make_claim(
-            "symbol_power_sequence",
-            "none",
-            rep.horizon_equivalence_ok,
-            residual=rep.h_sup,
-            detail=f"sup|h|={rep.h_sup:.6g}, bounded over horizon={rep.horizon_bounded}",
-        ),
-    ]
+    return [criterion, sequence.unchecked(overflowed, OVERFLOW_DETAIL)]
+
+
+def _structure_columns(tab, seeds, tolerances):
+    return verify_structure_theorems(tab, None, tolerances["rank"], seeds)
 
 
 def _condexp_claims(s: Scenario, t: WctOperator, seed: int):
@@ -839,79 +775,27 @@ def _boundedness_claims(s: Scenario, t: WctOperator, seed: int):
     ]
 
 
-def _power_bounded_run(s: Scenario, t: WctOperator, seed: int):
-    return t, s.phi, seed
-
-
-def _structure_run(s: Scenario, t: WctOperator, seed: int):
-    return t, s.phi, s.tolerances["rank"], seed, None
-
-
-def _walk_run(s: Scenario, t: WctOperator, seed: int):
-    return t.block_layout, s.tolerances["comparison"]
-
-
 # experiment group -> its rows for (scenario, operator, sampling seed)
 _GROUPS = {
     "condexp_laws": _condexp_claims,
     "boundedness": _boundedness_claims,
 }
-# experiment group -> (the run it keeps of (scenario, operator, sampling
-# seed), the rows of each of a list of such runs), in the order the groups
-# run: power_bounded decides the criterion that the structure pass reads
+# experiment group -> its columns for (operator table, sampling seed per
+# row, tolerances), in the order the groups run: power_bounded decides the
+# criterion that the structure pass reads
 _BATCH_GROUPS = {
-    "power_bounded": (_power_bounded_run, _power_bounded_claims),
-    "structure": (_structure_run, _structure_claims),
-    "iterate_formula": (_walk_run, _iterate_claims),
-    "cesaro_identities": (_walk_run, _cesaro_claims),
+    "power_bounded": _power_bounded_columns,
+    "structure": _structure_columns,
+    "iterate_formula": _iterate_columns,
+    "cesaro_identities": _cesaro_columns,
 }
 
 
-def _suite_claims(runs) -> list[ClaimResult]:
-    """The rows of every group that each run of (scenario, sampling seed,
-    fingerprint) asks for, each stamped with its run's fingerprint.
-
-    The runs are read one at a time: the groups of ``_GROUPS`` take each run
-    as it comes, and of a run that asks for a batch group only what that
-    group reads is kept (the operator, or its block layout), so that the
-    batch groups take every such run at once, at the end, while the
-    instances themselves are let go.
-    """
-    rows, kept = [], {}
-
-    def stamped(group_rows, fp):
-        for row in group_rows:
-            row.fingerprint = fp
-        return group_rows
-
-    for s, seed, fp in runs:
-        t = s.operator()
-        for name in s.experiments:
-            if name in _BATCH_GROUPS:
-                group_runs, fps = kept.setdefault(name, ([], []))
-                group_runs.append(_BATCH_GROUPS[name][0](s, t, seed))
-                fps.append(fp)
-            else:
-                rows += stamped(_GROUPS[name](s, t, seed), fp)
-    # a group may empty its list of runs as it reads them, and each group's
-    # runs are let go before the next group runs
-    for name in [name for name in _BATCH_GROUPS if name in kept]:
-        group_runs, fps = kept.pop(name)
-        for fp, group_rows in zip(fps, _BATCH_GROUPS[name][1](group_runs)):
-            rows += stamped(group_rows, fp)
-    return rows
-
-
-_FAST_GROUPS = ("structure", "power_bounded", "iterate_formula", "cesaro_identities")
-
-
 def _random_instances(scenario: Scenario, seed: int, instances: int):
-    """(scenario, sampling seed, fingerprint) of each random instance of
-    ``run_verification``, in order, with the tolerances of scenario and
-    those of its experiment groups that are fast. The stacked rounds of
+    """(scenario, draw) of each random instance of ``run_verification``, in
+    order, at the rank tolerance of scenario. The stacked rounds of
     ``_well_conditioned_draws`` accept a draw for every instance first;
-    each instance is then built when it is asked for."""
-    fast = tuple(g for g in scenario.experiments if g in _FAST_GROUPS)
+    each instance's scenario is then made as it is asked for."""
     tol = scenario.tolerances["rank"]
     specs = []
     for i in range(instances):
@@ -923,24 +807,41 @@ def _random_instances(scenario: Scenario, seed: int, instances: int):
     accepted = _well_conditioned_draws(specs, tol)
     # the gauges of the rotation, and their conjugates, built once per call
     shared = {}
-    for k, (_, n_atoms, n_blocks, profile) in enumerate(specs):
-        # keep the seed of the draw that was accepted: the fingerprint then
-        # rebuilds the instance that ran, and its claims sample with it.
+    for draw, (_, n_atoms, n_blocks, profile) in zip(accepted, specs):
         # generate_well_conditioned_instance, the one builder of a
         # well-conditioned instance (a trace counts its calls as the suite's
         # accepted instances), takes the draw that the rounds accepted from
-        # the shared dict rather than drawing it again; it is let go there
-        draw_seed = accepted[k][0].seed
-        shared[draw_seed, n_atoms, n_blocks, profile, tol] = accepted[k]
-        accepted[k] = None
+        # the shared dict rather than drawing it again. The seed is the
+        # accepted draw's: the fingerprint then rebuilds the instance that
+        # ran, and its claims sample with it
+        shared[draw.seed, n_atoms, n_blocks, profile, tol] = draw
         child = generate_well_conditioned_instance(
-            draw_seed, n_atoms, n_blocks, profile, tol, shared
+            draw.seed, n_atoms, n_blocks, profile, tol, shared
         )
-        # the new settings touch no input of the operator, so the
-        # accepted draw's operator carries over instead of being rebuilt
-        operator = child.operator()
-        child = replace(child, tolerances=scenario.tolerances, experiments=fast)
-        yield _with_operator(child, operator), draw_seed, child.fingerprint()
+        yield child, draw
+
+
+def _tables(scenario: Scenario, seed: int, instances: int, fingerprints: list):
+    """(instance indices, operator table, sampling seed per row) of each
+    instance size of a verify call: the scenario (instance 0), then its
+    random instances, grouped by atom count, one table per size, each built
+    once from the draws' arrays and let go before the next is built. The
+    fingerprint of each random instance is appended to ``fingerprints``."""
+    t = scenario.operator()
+    by_size = {}
+
+    def add(n, *row):
+        by_size.setdefault(n, []).append(row)
+
+    add(t.space.n_atoms, 0, (t.space.weights, t.e._labels, t.e._block_masses,
+        t.u, t.w, t.h), scenario.phi, seed, t)
+    for i, (child, draw) in enumerate(_random_instances(scenario, seed, instances), 1):
+        fingerprints.append(child.fingerprint())
+        parts = draw.weights, draw.labels, draw.masses, draw.u, draw.w, draw.h
+        add(draw.labels.size, i, parts, child.phi, draw.seed, None)
+    for n in list(by_size):
+        index, parts, phis, seeds, ops = zip(*by_size.pop(n))
+        yield np.array(index), OperatorTable(parts, phis, ops), np.array(seeds)
 
 
 def run_verification(
@@ -955,18 +856,24 @@ def run_verification(
     across instances; the first failing instance's fingerprint is reported.
     """
     fp = {**scenario.fingerprint(), "seed": seed, "instances": instances}
-    primary = [(scenario, seed, dict(fp))]
-    rows = _suite_claims(
-        itertools.chain(primary, _random_instances(scenario, seed, instances))
-    )
-    # one entry per claim id, in group order
-    by_id = {
+    fingerprints = [dict(fp)]
+    # each claim id's (instance indices, column) parts, in group order
+    parts = {
         cid: [] for group in scenario.experiments for cid in EXPERIMENT_CLAIMS[group]
     }
-    for row in rows:
-        by_id[row.claim_id].append(row)
+    first = np.zeros(1, dtype=int)
+    for name in scenario.experiments:
+        if name in _GROUPS:
+            for row in _GROUPS[name](scenario, scenario.operator(), seed):
+                parts[row.claim_id].append((first, ClaimColumn.of_row(row)))
+    batch = [name for name in _BATCH_GROUPS if name in scenario.experiments]
+    if batch:
+        for index, tab, seeds in _tables(scenario, seed, instances, fingerprints):
+            for name in batch:
+                for column in _BATCH_GROUPS[name](tab, seeds, scenario.tolerances):
+                    parts[column.claim_id].append((index, column))
     return VerificationReport(
-        entries=[merge_claims(same) for same in by_id.values()],
+        entries=[fold_claims(p, fingerprints.__getitem__) for p in parts.values()],
         fingerprint=fp,
         version=__version__,
         generated_at=_dt.datetime.now(_dt.timezone.utc).isoformat(),

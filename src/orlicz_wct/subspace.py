@@ -18,13 +18,14 @@ to the realized largest singular value of each power with a noise floor that
 scales like the base norm to the k-th power, so kernel detection stays
 stable whether iterates grow or decay. ``ascent_of`` takes an operator and
 reads the same chain, with the same overflow cut. The ergodic rows check the
-split by solves and products on the operators' ``BlockLayout``.
+split by solves and products on the table's ``BlockLayout``.
 
-The pass is a batch: ``verify_structure_theorems`` takes one operator or a
-list of them, and runs over the direct sum of their block records and
-layouts; every per-operator quantity is a max, min or count over the
-operator's own segment of the stacked arrays, so each operator's rows equal
-its rows alone. ``ascent_of`` reads the same stacked chain for one
+The pass is a batch: ``verify_structure_theorems`` takes one operator, or
+an ``OperatorTable`` of many, and runs over the table's block record and
+layout; every per-operator quantity is a max, min or count over the
+operator's own segment of the table's arrays, so each operator's rows equal
+its rows alone, and the table form returns them as one ``ClaimColumn`` per
+claim. ``ascent_of`` reads the same stacked chain for one
 operator. Only ``powers_well_conditioned`` keeps a dense route, for bare
 matrices: one SVD of M compresses it to a core of at most 2r dimensions for
 r = rank M. "Dense" statements are read as subspace equality with the whole
@@ -40,12 +41,11 @@ import itertools
 
 import numpy as np
 
-from .claims import ClaimResult, make_claim, overflow_claim
+from .claims import OVERFLOW_DETAIL, ClaimColumn
 from .wct import (
-    WctOperator,
-    BlockLayout,
     BlockRecord,
-    _Stacked,
+    OperatorTable,
+    WctOperator,
     _block_frame,
     _power_sum,
     contraction_criterion,
@@ -310,12 +310,12 @@ _CRITERION_CLAIMS = (
 
 
 def verify_structure_theorems(
-    t: WctOperator,
-    phi: YoungFunction,
-    tol: float = DEFAULT_RANK_TOL,
-    seed: int = 0,
-    criterion: tuple[list[int], bool] | None = None,
-) -> list[ClaimResult]:
+    t,
+    phi: YoungFunction | None = None,
+    tol=DEFAULT_RANK_TOL,
+    seed=0,
+    criterion=None,
+):
     """One pass/fail row per structural claim, each under its own hypothesis.
 
     Claims about I - T and density use the bilinear pairing adjoint; rows
@@ -325,45 +325,32 @@ def verify_structure_theorems(
     ``contraction_criterion(t, phi)`` passes it as ``criterion``; otherwise
     the pass reads it from the operator, where it is decided once.
 
-    The batch form takes sequences in place of all five arguments, one
-    entry per operator, and returns the rows of each operator, from one
-    pass over the direct sum of their block records and one over that of
-    the block layouts of those whose criterion holds. Every array of the
-    pass grows with the number of operators, so callers hold a batch to
-    operators of one size.
+    The table form takes an ``OperatorTable`` whose rows carry their gauges
+    (phi None), a rank tolerance and a sampling seed per row, and whether
+    the criterion holds per row (or None: the table's ``criterion``), and
+    returns one ``ClaimColumn`` per claim, from one pass over the table's
+    block record and one over the layouts of the rows whose criterion
+    holds. Every array of the pass grows with the number of rows, so
+    callers hold a table to operators of one size.
     """
     if isinstance(t, WctOperator):
-        return verify_structure_theorems([t], [phi], [tol], [seed], [criterion])[0]
-    runs = []
-    for t_i, phi_i, tol_i, seed_i, crit_i in zip(
-        t, phi, tol, seed, criterion, strict=True
-    ):
-        if tol_i <= 0:
-            raise ValueError("tol must be > 0")
-        if crit_i is None:
-            crit_i = contraction_criterion(t_i, phi_i)
-        runs.append((t_i, tol_i, seed_i, crit_i[1]))
-    return _structure_batch(runs)
+        if criterion is None:
+            criterion = contraction_criterion(t, phi)
+        tab = OperatorTable.of([t])
+        columns = verify_structure_theorems(tab, None, [tol], [seed], [criterion[1]])
+        return [column.row(0) for column in columns]
+    tol = np.broadcast_to(np.asarray(tol, dtype=float), t.n.shape)
+    if np.any(tol <= 0):
+        raise ValueError("tol must be > 0")
+    holds = t.criterion[1] if criterion is None else np.asarray(criterion, dtype=bool)
+    return _structure_columns(t, tol, np.broadcast_to(seed, t.n.shape), holds)
 
 
-class _Stack(_Stacked):
-    """The operators of a list of runs, stacked (``_Stacked``), with the
-    direct sum of their block records and per operator its rank tolerance;
-    ``owner`` gives the operator of each block."""
-
-    def __init__(self, runs):
-        super().__init__([run[0] for run in runs])
-        self.rec = BlockRecord.direct_sum(t.block_record for t in self.ts)
-        counts = np.diff(self.starts, append=self.masses.size)
-        self.owner = np.repeat(np.arange(len(runs)), counts)
-        self.tol = np.array([run[1] for run in runs], dtype=float)
-
-
-def _structure_batch(runs) -> list[list[ClaimResult]]:
-    """The rows of each run of (operator, rank tolerance, sampling seed,
-    whether the contraction criterion holds) in one stacked pass."""
-    st = _Stack(runs)
-    rec, starts, owner, n, tol = st.rec, st.starts, st.owner, st.n, st.tol
+def _structure_columns(tab, tol, seeds, holds) -> list[ClaimColumn]:
+    """The columns of every row of a table, with its rank tolerance,
+    sampling seed and whether the contraction criterion holds, in one
+    stacked pass."""
+    rec, starts, owner, n = tab.record, tab.starts, tab.block_owner, tab.n
     sigma, h_block, pair = rec.sigma, rec.h, rec.sizes > 1
 
     # the live counts for k <= 9 give the chains to k = 6 and the ascent
@@ -381,10 +368,11 @@ def _structure_batch(runs) -> list[list[ClaimResult]]:
     # span(e1) and the block sqrt(2), 0 and n_B - 1 ones (a zero never
     # counts), and any other stack is orthonormal: all ones. The sums of
     # R(T^2) with N(T^k) and of R(T^k) with N(T^2), k = 1..4, at once
-    cos, sin = (
-        np.divide(v, sigma, out=np.zeros_like(sigma), where=sigma > 0)
-        for v in (rec.rho, np.abs(h_block))
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        cos, sin = (
+            np.divide(v, sigma, out=np.zeros_like(sigma), where=sigma > 0)
+            for v in (rec.rho, np.abs(h_block))
+        )
     root = np.sqrt(1.0 + cos)
     small = sin / root
     i, j = np.array([2, 2, 2, 2, 1, 3, 4]), np.array([1, 2, 3, 4, 2, 2, 2])
@@ -403,123 +391,163 @@ def _structure_batch(runs) -> list[list[ClaimResult]]:
     weak = (np.abs(h_block) > 1e-12) & ~(np.abs(h_block) >= _DELTA)
     bounded_away = _owner_sum(weak, starts) == 0
 
+    # the first k <= 8 with rank(T^k) = rank(T^(k+1)), -1 for None
+    same = ranks[1:] == ranks[:-1]
+    ascent = np.where(same.any(axis=0), same.argmax(axis=0), -1)
+    ascent_ok = (ascent >= 0) & (ascent <= 2)
+    ranks = ranks[:7]
+    null_dims = n - ranks
+    dims = ranks[2] + null_dims[1:5] - sums[:4]
+    worst = dims.max(axis=0).astype(float)
+    sum2 = sums[1]
+    hyp_b = np.where(bounded_away, 1, 2).astype(np.int8)
+
+    def found(k):
+        return None if ascent[k] < 0 else int(ascent[k])
+
+    def column(cid, hyp, powers, ok, gated=False, **kwargs):
+        """The column of a claim that reads powers 1..powers of T: not
+        checked where one of them overflowed, and, when gated, with no
+        detail where the symbol is not bounded away from zero."""
+        out = ClaimColumn(cid, hyp, ok, **kwargs)
+        out.unchecked(reached < powers, OVERFLOW_DETAIL)
+        return out.unchecked(~bounded_away) if gated else out
+
     # the rows under the criterion read I - T, which overflowed where T's own
     # spectrum did: they are not checked there, and the rest take one pass
-    met = [o for o, run in enumerate(runs) if run[3] and reached[o] > 0]
-    criterion = dict(zip(met, _criterion_rows([runs[o] for o in met]) if met else []))
-    for o, run in enumerate(runs):
-        if run[3] and o not in criterion:
-            criterion[o] = [overflow_claim(cid, "met") for cid in _CRITERION_CLAIMS]
-    per_owner = zip(
-        n.tolist(),
-        ranks.T.tolist(),
-        reached.tolist(),
-        bounded_away.tolist(),
-        sums.T.tolist(),
-    )
+    criterion = _criterion_columns(tab, tol, seeds, holds, holds & (reached > 0))
     return [
-        list(_owner_rows(*facts, criterion.get(o))) for o, facts in enumerate(per_owner)
+        column(
+            "ascent_bound", "none", 9, ascent_ok,
+            detail=lambda k: f"ascent={found(k)}, kernel dims {null_dims[:, k].tolist()}",
+        ),
+        column(
+            "null_chain_stabilization", "none", 6, (ranks[3:7] == ranks[2]).all(axis=0),
+            detail=lambda k: f"kernel dims {null_dims[:, k].tolist()}",
+        ),
+        column(
+            "descent_bound", hyp_b, 9, ascent_ok, gated=True,
+            detail=lambda k: f"descent={found(k)}, range dims {ranks[:, k].tolist()}, "
+            f"delta={_DELTA:g}",
+        ),
+        column(
+            "range_chain_stabilization", hyp_b, 6, (ranks[3:7] == ranks[2]).all(axis=0),
+            gated=True, detail=lambda k: f"range dims {ranks[:, k].tolist()}",
+        ),
+        column("range_square_null_intersection", "none", 4, worst == 0, residual=worst),
+        column(
+            "range_plus_null_square", hyp_b, 4, (sums[[4, 1, 5, 6]] == n).all(axis=0),
+            gated=True,
+        ),
+        # h*T = T^2 in closed form (h is constant on blocks), so its range
+        # and kernel at the power-2 cut are those of T^2
+        column("symbol_operator_decomposition", "none", 2, sum2 == n),
+        *criterion[:2],
+        # dense sum surrogate: equality with the whole space
+        column(
+            "square_sum_dense", "none", 2, (sum2 == n) & (dims[1] == 0),
+            detail=lambda k: f"dim sum={sum2[k]}, dim intersection={dims[1, k]} "
+            "(density read as equality in finite dimensions)",
+        ),
+        *criterion[2:],
     ]
 
 
-def _owner_rows(n, ranks, reached, bounded_away, sums, criterion):
-    """The rows of one operator from its facts in the stacked pass: its
-    ranks of T^0..T^9, how many powers are finite, its descent hypothesis,
-    the dimensions of R(T^2) + N(T^k) and of R(T^k) + N(T^2), k = 1..4, and
-    the rows under the contraction criterion (None when it fails)."""
-    ascent = _ascent(n, ranks[1:], 8)
-    ranks = ranks[:7]
-    null_dims = [n - r for r in ranks]
+def _criterion_columns(tab, tol, seeds, holds, met) -> list[ClaimColumn]:
+    """The columns under the strict contraction criterion, in the order of
+    ``_CRITERION_CLAIMS``: read on the rows ``met``, whose criterion holds
+    and whose powers are finite (``_criterion_facts``), overflow rows where
+    the criterion holds and a power overflowed, and not_met rows elsewhere."""
+    rows = np.flatnonzero(met)
+    f = {}
+    if rows.size:
+        met_tab = tab if rows.size == met.size else tab.take(rows)
+        f = _criterion_facts(met_tab, tol[rows], seeds[rows])
+    at = np.cumsum(met) - 1
 
-    def claim(cid: str, hyp: str, k: int, ok, **kwargs):
-        """The row of a claim that reads powers 1..k of T."""
-        if ok is not None and k > reached:
-            return overflow_claim(cid, hyp)
-        return make_claim(cid, hyp, ok, **kwargs)
+    def spread(name, fill=0):
+        out = np.full(met.size, fill, dtype=np.asarray(f.get(name, fill)).dtype)
+        if rows.size:
+            out[rows] = f[name]
+        return out
 
-    # ascent and the kernel chain
-    yield claim(
-        "ascent_bound",
-        "none",
-        9,
-        ascent is not None and ascent <= 2,
-        detail=f"ascent={ascent}, kernel dims {null_dims}",
+    a1, a2, split, dim_r, inv = (
+        spread(name) for name in ("a1", "a2", "split", "dim_r", "invertible")
     )
-    yield claim(
-        "null_chain_stabilization",
-        "none",
-        6,
-        all(null_dims[2] == null_dims[2 + j] for j in range(1, 5)),
-        detail=f"kernel dims {null_dims}",
-    )
+    low, top, horizon = spread("low", 0.0), spread("top", 0.0), spread("n_eff")
+    bn, inv_res = np.zeros((met.size, 3)), spread("inv_res", 0.0)
+    ces = np.zeros((met.size, 3))
+    if rows.size:
+        bn[rows], ces[rows] = f["bn_res"], f["ces_res"]
+    n = tab.n
+    full_rank = dim_r == n
 
-    hyp_b = "met" if bounded_away else "not_met"
-    if bounded_away:
-        yield claim(
-            "descent_bound",
-            hyp_b,
-            9,
-            ascent is not None and ascent <= 2,
-            detail=f"descent={ascent}, range dims {ranks}, delta={_DELTA:g}",
-        )
-        yield claim(
-            "range_chain_stabilization",
-            hyp_b,
-            6,
-            all(ranks[2 + j] == ranks[2] for j in range(1, 5)),
-            detail=f"range dims {ranks}",
-        )
-    else:
-        for cid in ("descent_bound", "range_chain_stabilization"):
-            yield make_claim(cid, hyp_b, None)
+    def ascent(a, k):
+        return None if a[k] < 0 else int(a[k])
 
-    dims = [ranks[2] + null_dims[k] - sums[k - 1] for k in range(1, 5)]
-    worst = float(max(dims))
-    yield claim(
-        "range_square_null_intersection", "none", 4, worst == 0, residual=worst
-    )
-    ok = None
-    if bounded_away:
-        ok = all(sums[k] == n for k in (4, 1, 5, 6))
-    yield claim("range_plus_null_square", hyp_b, 4, ok)
-
-    # h*T = T^2 in closed form (h is constant on blocks), so its range and
-    # kernel at the power-2 cut are those of T^2
-    sum2 = sums[1]
-    yield claim("symbol_operator_decomposition", "none", 2, sum2 == n)
-
-    if criterion is None:
-        criterion = [make_claim(cid, "not_met", None) for cid in _CRITERION_CLAIMS]
-    yield from criterion[:2]
-
-    # dense sum surrogate: equality with the whole space
-    yield claim(
-        "square_sum_dense",
-        "none",
-        2,
-        sum2 == n and dims[1] == 0,
-        detail=f"dim sum={sum2}, dim intersection={dims[1]} "
-        "(density read as equality in finite dimensions)",
-    )
-    yield from criterion[2:]
+    floor_bn = 1e-12 * (1.0 + spread("scale_bn", 0.0))
+    floor_ces = 1e-12 * (1.0 + spread("scale_ces", 0.0))
+    columns = [
+        ClaimColumn(
+            "one_minus_t_ascent", "met", (a1 >= 0) & (a1 <= 1),
+            detail=lambda k: f"ascent={ascent(a1, k)}",
+        ),
+        ClaimColumn(
+            "one_minus_t_adjoint_ascent", "met", (a2 >= 0) & (a2 <= 1),
+            detail=lambda k: f"ascent={ascent(a2, k)} (bilinear pairing adjoint)",
+        ),
+        ClaimColumn(
+            "one_minus_t_direct_sum", "met", split == n,
+            detail=lambda k: f"dims {dim_r[k]}+{n[k] - dim_r[k]} of {n[k]}",
+        ),
+        ClaimColumn(
+            "ergodic_invertibility", "met", inv == full_rank,
+            residual=np.divide(low, top, out=np.zeros_like(low), where=top > 0),
+            detail=lambda k: f"solve route invertible={bool(inv[k])}, "
+            f"full range at tolerance={bool(full_rank[k])}",
+        ),
+        ClaimColumn(
+            "ergodic_bn_convergence", "met", _decreasing_to_zero(bn, floor_bn),
+            residual=bn[:, -1],
+            detail=lambda k: f"sup residuals at n={horizon[k] // 4},"
+            f"{horizon[k] // 2},{horizon[k]}: {bn[k].tolist()}",
+        ).unchecked(met & ~inv, "I - T numerically singular"),
+        ClaimColumn(
+            "ergodic_cesaro_limit", "met",
+            (inv_res <= tol) & _decreasing_to_zero(ces, floor_ces),
+            residual=inv_res,
+            detail="limit taken as the projection onto null(I-T) along range(I-T)",
+        ),
+    ]
+    for out in columns:
+        out.hypothesis = np.where(holds, 1, 2).astype(np.int8)
+        out.unchecked(holds & ~met, OVERFLOW_DETAIL).unchecked(~holds)
+    return columns
 
 
-def _criterion_rows(runs) -> list[list[ClaimResult]]:
-    """The rows under the strict contraction criterion of each run, whose
-    criterion holds, in the order of ``_CRITERION_CLAIMS``.
+def _decreasing_to_zero(residuals: np.ndarray, floor: np.ndarray) -> np.ndarray:
+    """Per row of residuals along doubling n: whether they behave like C/n,
+    the last within floor or each at most 0.62 times the one before, plus
+    floor."""
+    steps = residuals[:, 1:] <= 0.62 * residuals[:, :-1] + floor[:, None]
+    return (residuals[:, -1] <= floor) | steps.all(axis=1)
+
+
+def _criterion_facts(tab, tol, seeds) -> dict:
+    """The facts under the strict contraction criterion of each row of a
+    table, whose criterion holds and whose powers are finite.
 
     (I - T_B)^k is the core [[(1-h_B)^k, -gamma_k rho_B], [0, 1]] with
     gamma_k = sum_{i<k} (1-h_B)^i, and the pairing adjoint u E(w .) has
     rho'_B from u_B and (w mu)_B in place of rho_B; one stacked SVD factors
-    powers 1-9 of both, for every block of every run. Solves and products
-    take the direct sum of the runs' block layouts; where a block is
-    singular, each run is taken alone.
+    powers 1-9 of both, for every block of every row. Solves and products
+    take the layouts of runs of rows; where a block is singular, each row
+    of its run is taken alone.
     """
-    st = _Stack(runs)
-    rec, starts, owner, n, tol, ts = st.rec, st.starts, st.owner, st.n, st.tol, st.ts
+    rec, starts, owner, n = tab.record, tab.starts, tab.block_owner, tab.n
     sigma, h_block, pair = rec.sigma, rec.h, rec.sizes > 1
-    y = st.w * st.weights
-    rho_adj = _block_frame(rec.labels, st.masses, h_block[rec.labels], st.u, y).rho
+    y = tab.w * tab.weights
+    rho_adj = _block_frame(rec.labels, tab.masses, h_block[rec.labels], tab.u, y).rho
     p = (1.0 - h_block)[:, None] ** np.arange(10)
     cores = np.zeros((2, sigma.size, 9, 2, 2))
     cores[..., 0, 0] = p[:, 1:]
@@ -533,6 +561,7 @@ def _criterion_rows(runs) -> list[list[ClaimResult]]:
     values = np.where(pair[:, None, None] | (np.arange(2) == 0), s, 0.0)
     values = values.transpose(0, 2, 1, 3).reshape(2, 9, -1)
     ascents = _chain(values, 2 * starts, tol, trivial)[1]
+    ascents_with_n = [np.vstack([n, ranks]) for ranks in ascents]
 
     # the split of I - T at its cut: a block's slot is in the range while
     # its singular value clears the cut, else in the kernel, and the trivial
@@ -564,59 +593,65 @@ def _criterion_rows(runs) -> list[list[ClaimResult]]:
 
     # ergodic chain: full range when the split leaves no kernel. The probe
     # columns hold a row per atom, so solves and products go over runs of
-    # operators of at most _PROBE_ATOMS atoms in all (or one operator), on
-    # the direct sum of their block layouts, and each array is let go, or
-    # overwritten, once read
+    # rows of at most _PROBE_ATOMS atoms in all (or one row), each on the
+    # layout of its run's table, and each array is let go, or overwritten,
+    # once read
     chunks, first, atoms = [], 0, 0
     for o, size in enumerate(n.tolist()):
         if atoms + size > _PROBE_ATOMS and o > first:
             chunks.append(range(first, o))
             first, atoms = o, 0
         atoms += size
-    chunks.append(range(first, len(runs)))
-    atom_starts = np.cumsum(n) - n
+    chunks.append(range(first, n.size))
+    atom_starts, atom_owner = tab.atom_starts, tab.atom_owner
     atom_bounds = np.append(atom_starts, n.sum())
     block_bounds = np.append(starts, sigma.size)
-    atom_owner = np.repeat(np.arange(len(runs)), n)
-    layouts = [BlockLayout.direct_sum(ts[o].block_layout for o in c) for c in chunks]
-    imts = [layout.eye - layout.m for layout in layouts]
 
     def owner_max(x, c):
-        """max |x| over the atoms (and columns) of each operator of the
-        chunk c; x is overwritten."""
+        """max |x| over the atoms (and columns) of each row of the run c; x
+        is overwritten."""
         x = np.abs(x, out=x)
         x = x.max(axis=1) if x.ndim > 1 else x
         return np.maximum.reduceat(x, atom_starts[c] - atom_starts[c.start])
 
     # independent route: a linear solve either reproduces the right-hand
-    # side or it does not
-    invertible = []
-    for c, layout, imt in zip(chunks, layouts, imts):
+    # side or it does not. A run with a singular block is split into runs
+    # of one row, and a row whose own solve fails is not invertible
+    runs, invertible = [], []
+    while chunks:
+        c = chunks.pop(0)
+        # a run of every row reads the table's own layout, which the walks
+        # share
+        layout = (tab if len(c) == n.size else tab.take(c)).layout
+        imt = layout.eye - layout.m
         probe = np.concatenate([
-            np.random.default_rng(runs[o][2] ^ 0x5EED).uniform(-1.0, 1.0, n[o])
-            for o in c
+            np.random.default_rng(seeds[o] ^ 0x5EED).uniform(-1.0, 1.0, n[o]) for o in c
         ])
         try:
             gap = owner_max(layout.apply(imt, layout.solve(imt, probe)) - probe, c)
         except np.linalg.LinAlgError:
-            if len(runs) > 1:
-                return [rows for run in runs for rows in _criterion_rows([run])]
+            if len(c) > 1:
+                chunks[:0] = [range(o, o + 1) for o in c]
+                continue
+            gap = None
+        runs.append((c, layout, imt))
+        if gap is None:
             invertible.append(False)
-            continue
-        invertible += (gap <= 1e-6 * (1.0 + owner_max(probe, c))).tolist()
+        else:
+            invertible += (gap <= 1e-6 * (1.0 + owner_max(probe, c))).tolist()
     invertible = np.array(invertible)
     # the 1/n regime starts past the mixing time of the symbol, so the
     # checkpoint horizon stretches when |h| approaches 1
-    n_eff = [
+    n_eff = np.array([
         int(min(1e5, max(_N_CESARO, 40.0 / max(1e-4, 1.0 - min(h_top, 1.0)))))
         for h_top in _owner_max(np.abs(h_block), starts).tolist()
-    ]
-    horizons = np.array([(k // 4, k // 2, k) for k in n_eff])
+    ])
+    horizons = np.stack([n_eff // 4, n_eff // 2, n_eff], axis=1)
 
     def closed_forms(on, terms, weighted):
         """Per horizon and atom, ``_power_sum`` of the atom's h_B over
-        terms(k) at its operator's k, for the operators ``on``; one sum per
-        distinct horizon."""
+        terms(k) at its row's k, for the rows ``on``; one sum per distinct
+        horizon."""
         sums = np.zeros((3, h_block.size))
         at_block = horizons[owner] * on[owner, None]
         for k in sorted(set(horizons[on].ravel().tolist())):
@@ -629,7 +664,7 @@ def _criterion_rows(runs) -> list[list[ClaimResult]]:
 
     k_atoms = horizons.T[:, atom_owner].astype(float)
     w_n = closed_forms(invertible, lambda k: k - 2, True)
-    v_n = closed_forms(np.ones(len(runs), dtype=bool), lambda k: k - 1, False)
+    v_n = closed_forms(np.ones(n.size, dtype=bool), lambda k: k - 1, False)
 
     # Cesaro limit: project each block's core coordinates onto N(I - T)
     # along R(I - T) (nothing, everything, or onto v2 along u1 on a mixed
@@ -641,22 +676,23 @@ def _criterion_rows(runs) -> list[list[ClaimResult]]:
     proj = proj - trivial_null[owner, None, None] * np.eye(2)
     frame = np.stack([rec.e1, rec.e2], axis=1)
     cols = 2 * _N_PROBES
-    bn_res, scale_bn, inv_res, ces_res, scale_ces = [], [], [], [], []
-    for c, layout, imt in zip(chunks, layouts, imts):
+    bn_res, scale_bn = np.zeros((n.size, 3)), np.zeros(n.size)
+    ces_res, inv_res, scale_ces = np.zeros((n.size, 3)), [], []
+    for c, layout, imt in runs:
         a = slice(atom_bounds[c.start], atom_bounds[c.stop])
         b = slice(block_bounds[c.start], block_bounds[c.stop])
         fs = np.concatenate([
-            np.random.default_rng(runs[o][2]).uniform(-1.0, 1.0, (n[o], _N_PROBES))
+            np.random.default_rng(seeds[o]).uniform(-1.0, 1.0, (n[o], _N_PROBES))
             for o in c
         ])
 
         def sup_gaps(packed, want):
-            """max |x @ fs - want| per operator for each packed x."""
+            """max |x @ fs - want| per row for each packed x."""
             gaps = []
             for x in packed:
                 image = layout.apply(x, fs)
                 gaps.append(owner_max(np.subtract(image, want, out=image), c))
-            return np.array(gaps).T.tolist()
+            return np.array(gaps).T
 
         on = invertible[c.start : c.stop]
         if on.any():
@@ -667,12 +703,9 @@ def _criterion_rows(runs) -> list[list[ClaimResult]]:
                 / layout.rows(k[a])
                 for k, w in zip(k_atoms, w_n)
             ]
-            bn_res += sup_gaps(bn, target)
-            scale_bn += owner_max(target, c).tolist()
+            bn_res[c.start : c.stop] = sup_gaps(bn, target)
+            scale_bn[c.start : c.stop] = owner_max(target, c)
             del target
-        else:
-            bn_res += [None] * len(c)
-            scale_bn += [None] * len(c)
         labels = rec.labels[a] - b.start
         coords = np.bincount(
             (labels[:, None] * cols + np.arange(cols)).ravel(),
@@ -690,56 +723,15 @@ def _criterion_rows(runs) -> list[list[ClaimResult]]:
             (layout.eye + layout.rows(v[a]) * layout.m) / layout.rows(k[a])
             for k, v in zip(k_atoms, v_n)
         ]
-        ces_res += sup_gaps(cesaro, limit)
+        ces_res[c.start : c.stop] = sup_gaps(cesaro, limit)
         scale_ces += owner_max(fs, c).tolist()
 
-    def met(cid, ok, **kwargs):
-        return make_claim(cid, "met", ok, **kwargs)
-
-    out = []
-    for o, n_o in enumerate(n.tolist()):
-        a1, a2 = (_ascent(n_o, ranks[:, o].tolist(), 8) for ranks in ascents)
-        inv, full_rank, horizon = bool(invertible[o]), bool(dim_r[o] == n_o), n_eff[o]
-        floor = 1e-12 * (1.0 + scale_bn[o]) if inv else None
-        res = bn_res[o]
-        out.append([
-            met(
-                "one_minus_t_ascent", a1 is not None and a1 <= 1, detail=f"ascent={a1}"
-            ),
-            met(
-                "one_minus_t_adjoint_ascent",
-                a2 is not None and a2 <= 1,
-                detail=f"ascent={a2} (bilinear pairing adjoint)",
-            ),
-            met(
-                "one_minus_t_direct_sum",
-                bool(split[o] == n_o),
-                detail=f"dims {dim_r[o]}+{n_o - dim_r[o]} of {n_o}",
-            ),
-            met(
-                "ergodic_invertibility",
-                inv == full_rank,
-                residual=float(low[o]) / float(top[o]) if top[o] > 0 else 0.0,
-                detail=f"solve route invertible={inv}, "
-                f"full range at tolerance={full_rank}",
-            ),
-            met(
-                "ergodic_bn_convergence",
-                _decreasing_to_zero(res, floor),
-                residual=res[-1],
-                detail=f"sup residuals at n={horizon // 4},{horizon // 2},{horizon}: "
-                f"{res}",
-            )
-            if inv
-            else met(
-                "ergodic_bn_convergence", None, detail="I - T numerically singular"
-            ),
-            met(
-                "ergodic_cesaro_limit",
-                inv_res[o] <= tol[o]
-                and _decreasing_to_zero(ces_res[o], 1e-12 * (1.0 + scale_ces[o])),
-                residual=inv_res[o],
-                detail="limit taken as the projection onto null(I-T) along range(I-T)",
-            ),
-        ])
-    return out
+    a1, a2 = (
+        np.where(same.any(axis=0), same.argmax(axis=0), -1)
+        for same in (ranks[1:] == ranks[:-1] for ranks in ascents_with_n)
+    )
+    return {
+        "a1": a1, "a2": a2, "split": split, "dim_r": dim_r, "invertible": invertible,
+        "low": low, "top": top, "n_eff": n_eff, "bn_res": bn_res, "scale_bn": scale_bn,
+        "inv_res": np.array(inv_res), "ces_res": ces_res, "scale_ces": np.array(scale_ces),
+    }

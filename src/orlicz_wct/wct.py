@@ -12,12 +12,14 @@ arrays). The matrix is block diagonal in the partition's atom order, and so
 is everything the walk, the closed forms and the solves with I - T produce,
 so they are held packed on a ``BlockLayout``, from _CORE_MIN_ATOMS = 32
 atoms on as the partition's blocks, and every product and solve is taken
-block by block, at a cost of sum n_B^3 in place of n^3. Its ``direct_sum``
-stacks the layouts of any number of operators, so that one walk and one
+block by block, at a cost of sum n_B^3 in place of n^3. An
+``OperatorTable`` holds any number of operators one after another as
+arrays, and its one layout packs all of them, so that one walk and one
 pass of each closed form serve them all, and ``owner_max`` reads a
-max-entry residual of each. ``contraction_criterion`` decides the strict
-contraction criterion |h| < 1 on the criterion support once per operator
-and gauge. It and ``bound_constant`` read a gauge phi together with its
+max-entry residual of each; an operator alone is a table of one row.
+``contraction_criterion`` decides the strict contraction criterion |h| < 1
+on the criterion support once per operator and gauge, and a table decides
+it for all its rows in one pass. It and ``bound_constant`` read a gauge phi together with its
 conjugate psi, and take phi alone: psi is ``phi.conjugate``, built once.
 
 The same block structure gives the singular values of every power in closed
@@ -29,20 +31,20 @@ block piece T_B = (w 1_B)(u mu 1_B)^T / mu(B) has rank one, the pieces have
 disjoint supports and the Luxemburg norm is c^(1/p) times the L^p(mu) norm,
 so ||T^n|| = max_B |h_B|^(n-1) (E_B|w|^p)^(1/p) (E_B|u|^q)^(1/q) with
 q = p/(p-1) (``exact_norm_powers``). ``power_bounded_report`` samples norm
-ratios only for the other gauges. Its batch form reads the criterion, sup|h|
-and the exact norms of many operators in one pass over their stacked blocks.
+ratios only for the other gauges. Its table form reads the criterion, sup|h|
+and the exact norms of every row of a table in one pass over its blocks.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .condexp import CondExp, cond_exp
-from .measure import ess_sup
+from .measure import FiniteMeasureSpace, Partition, ess_sup
 from .orlicz import OrliczContext, luxemburg_norms
 from .young import YoungFunction, generalized_inverse
 
@@ -107,12 +109,16 @@ class WctOperator:
 
     @functools.cached_property
     def block_layout(self) -> BlockLayout:
-        """The ``BlockLayout`` of T, built on first use and then shared."""
-        return BlockLayout(self)
+        """The ``BlockLayout`` of T (of its table of one row), built on first
+        use and then shared."""
+        return OperatorTable.of([self]).layout
 
     @functools.cached_property
     def _matrix(self) -> np.ndarray:
-        m = (self.w[:, None] * self.e.matrix) * self.u[None, :]
+        # an entry w_i u_j may overflow while h stays finite: the rows that
+        # read it are not checked
+        with np.errstate(over="ignore"):
+            m = (self.w[:, None] * self.e.matrix) * self.u[None, :]
         m.flags.writeable = False
         return m
 
@@ -158,99 +164,63 @@ def iterate(t, n: int) -> np.ndarray:
 
 
 class BlockLayout:
-    """The diagonal blocks of an operator T's partition, or of a direct sum
-    T_0 + T_1 + ... of operators (``direct_sum``), and arithmetic on them.
+    """The diagonal blocks of the operators of an ``OperatorTable``, T_0 +
+    T_1 + ... acting on the atoms of T_0, then on those of T_1, and so on,
+    and arithmetic on them.
 
     M = matrix_of(t) vanishes off the blocks, and so do I, every power, A_n,
     B_n, (I - T)^(-1) and their sums and products: each is held packed, one
     flat array of its diagonal blocks, row by row, the blocks ordered by
-    size. ``m`` (formed entry by entry, with the bits of the dense product)
-    and ``eye`` are M and I so packed; ``unpack`` gives n x n arrays.
-    ``matmul`` multiplies packed matrices; ``apply`` takes x @ f and
-    ``solve`` solves x y = f (LinAlgError on a singular block) for f of shape
-    (n,) or (n, m). Each takes one stack per run of equal-size blocks, at a
-    cost of sum n_B^3 in place of n^3; below _CORE_MIN_ATOMS atoms the one
-    block is the whole matrix. ``rows`` spreads an atom vector over the rows.
+    size, then by operator and partition order. ``m`` (formed entry by
+    entry, with the bits of the dense product) and ``eye`` are M and I so
+    packed; ``unpack`` gives n x n arrays. ``matmul`` multiplies packed
+    matrices; ``apply`` takes x @ f and ``solve`` solves x y = f
+    (LinAlgError on a singular block) for f of shape (n,) or (n, m). Each
+    takes one stack per run of equal-size blocks, at a cost of sum n_B^3 in
+    place of n^3; an operator of fewer than _CORE_MIN_ATOMS atoms is one
+    block, its whole matrix. ``rows`` spreads an atom vector over the rows.
     ``h``, ``block_h`` and ``labels`` are the symbol per atom and per block
-    of the partition, and the block of each atom, which the closed forms
-    read. A direct sum acts on the atoms of T_0, then on those of T_1, and
-    so on; each block records the operator that owns it, and ``owner_max``
-    reduces a packed array to one value per operator.
+    of the partitions, and the block of each atom, which the closed forms
+    read. Each block records the operator that owns it, and ``owner_max``
+    reduces a packed array to one value per operator. The layout is formed
+    in one array pass over the table, whatever its number of operators.
     """
 
-    def __init__(self, t: WctOperator):
-        n = self.n = t.space.n_atoms
-        blocks = sorted(t.e.partition.index_arrays, key=len)
-        blocks = [np.arange(n)] if n < _CORE_MIN_ATOMS else blocks
+    def __init__(self, tab: OperatorTable):
+        owner = tab.atom_owner
+        # the block of each atom: its operator's first partition block where
+        # the operator is one dense block, else its own partition block
+        block = np.where(
+            (tab.n < _CORE_MIN_ATOMS)[owner], tab.starts[owner], tab.labels
+        )
+        size = np.bincount(block, minlength=tab.masses.size)
+        used = np.flatnonzero(size)
+        order = used[np.argsort(size[used], kind="stable")]
+        rank = np.empty(size.size, dtype=int)
+        rank[order] = np.arange(order.size)
+        atoms = np.argsort(rank[block], kind="stable")
+        sizes, owners = size[order], tab.block_owner[order]
+        bounds = [0, *(np.flatnonzero(np.diff(sizes)) + 1).tolist(), sizes.size]
         # (packed entries, atoms, count, size) of each run of equal-size
         # blocks, and the operator that owns each of its blocks
-        self._runs, self._owners, stop = [], [], 0
-        for size, same in itertools.groupby(blocks, key=len):
-            atoms = np.concatenate(list(same))
-            entries = slice(stop, stop + atoms.size * size)
-            self._runs.append((entries, atoms, atoms.size // size, size))
-            self._owners.append(np.zeros(atoms.size // size, dtype=int))
-            stop = entries.stop
-        self.n_operators = 1
+        self._runs, self._owners, stop, first = [], [], 0, 0
+        for lo, hi in zip(bounds, bounds[1:]):
+            width, count = int(sizes[lo]), hi - lo
+            entries = slice(stop, stop + count * width * width)
+            self._runs.append((entries, atoms[first : first + count * width], count, width))
+            self._owners.append(owners[lo:hi])
+            stop, first = entries.stop, first + count * width
+        self.n, self.n_operators = tab.labels.size, tab.n.size
         self._rows, cols = self._entry_atoms()
-        rec = t.block_record
-        self.h, self.block_h, self.labels = t.h, rec.h, rec.labels
-        quotients = t.space.weights / t.e._block_masses[self.labels]
+        self.h, self.labels = tab.h, tab.labels
+        self.block_h = np.empty(tab.masses.size)
+        self.block_h[self.labels] = self.h
+        quotients = tab.weights / tab.masses[self.labels]
         same_block = self.labels[self._rows] == self.labels[cols]
         quotients = np.where(same_block, quotients[cols], 0.0)
-        self.m = (t.w[self._rows] * quotients) * t.u[cols]
+        with np.errstate(over="ignore"):
+            self.m = (tab.w[self._rows] * quotients) * tab.u[cols]
         self.eye = (self._rows == cols).astype(float)
-
-    @classmethod
-    def direct_sum(cls, layouts) -> BlockLayout:
-        """The layout of the direct sum of the layouts' operators, in order
-        (the one layout itself when there is one). Each block keeps its
-        packed entries, so the sum's M has the bits of each layout's M."""
-        layouts = tuple(layouts)
-        if len(layouts) == 1:
-            return layouts[0]
-
-        def starts(sizes):
-            return list(itertools.accumulate(sizes, initial=0))
-
-        atom0 = starts(x.n for x in layouts)
-        owner0 = starts(x.n_operators for x in layouts)
-        entry0 = starts(x.m.size for x in layouts)
-        def block_size(piece):
-            return piece[1][3]
-
-        # (layout, run, owners) of every run of every layout, by block size
-        pieces = sorted(
-            (
-                (k, run, owners)
-                for k, x in enumerate(layouts)
-                for run, owners in zip(x._runs, x._owners)
-            ),
-            key=block_size,
-        )
-        out = cls.__new__(cls)
-        out._runs, out._owners, order, stop = [], [], [], 0
-        for size, same in itertools.groupby(pieces, key=block_size):
-            same = list(same)
-            atoms = np.concatenate([run[1] + atom0[k] for k, run, _ in same])
-            entries = slice(stop, stop + atoms.size * size)
-            out._runs.append((entries, atoms, atoms.size // size, size))
-            out._owners.append(np.concatenate([o + owner0[k] for k, _, o in same]))
-            order += [
-                np.arange(run[0].start + entry0[k], run[0].stop + entry0[k])
-                for k, run, _ in same
-            ]
-            stop = entries.stop
-        order = np.concatenate(order)
-        out.n, out.n_operators = atom0[-1], owner0[-1]
-        out._rows = np.concatenate([x._rows + a for x, a in zip(layouts, atom0)])[order]
-        out.m = np.concatenate([x.m for x in layouts])[order]
-        out.eye = np.concatenate([x.eye for x in layouts])[order]
-        label0 = starts(x.block_h.size for x in layouts)
-        out.labels = np.concatenate([x.labels + b for x, b in zip(layouts, label0)])
-        out.h = np.concatenate([x.h for x in layouts])
-        out.block_h = np.concatenate([x.block_h for x in layouts])
-        return out
 
     @functools.cached_property
     def _owner_runs(self):
@@ -422,7 +392,8 @@ class BlockRecord:
     sigma_B = ||x_B|| ||y_B|| / mu(B) and rho_B = ||x_B|| ||y'_B|| / mu(B).
     In (e1, e2) the piece is [[h_B, rho_B], [0, 0]], or [h_B] on one atom,
     and T^k has the singular values sigma_B |h_B|^(k-1). Read-only.
-    ``direct_sum`` stacks the records of any number of operators."""
+    The record of an ``OperatorTable`` holds the blocks of every operator,
+    one after another."""
 
     labels: np.ndarray
     sizes: np.ndarray
@@ -435,21 +406,6 @@ class BlockRecord:
     def __post_init__(self):
         for value in vars(self).values():
             value.flags.writeable = False
-
-    @classmethod
-    def direct_sum(cls, records) -> BlockRecord:
-        """The record of the direct sum of the records' operators, in order
-        (the one record itself when there is one): their blocks, then their
-        atoms, one after another."""
-        records = tuple(records)
-        if len(records) == 1:
-            return records[0]
-        first = itertools.accumulate((r.sizes.size for r in records), initial=0)
-        labels = np.concatenate([r.labels + b for r, b in zip(records, first)])
-        return cls(labels, *(
-            np.concatenate([getattr(r, name) for r in records])
-            for name in ("sizes", "h", "sigma", "rho", "e1", "e2")
-        ))
 
 
 def _block_frame(labels, masses, h: np.ndarray, x: np.ndarray, y: np.ndarray):
@@ -471,7 +427,10 @@ def _block_frame(labels, masses, h: np.ndarray, x: np.ndarray, y: np.ndarray):
     yp = (y - coef[labels] * x) * (sizes > 1)[labels]
     xn, yn, pn = np.sqrt(xx), np.sqrt(sums(y * y)), np.sqrt(sums(yp * yp))
     e1, e2 = (v / np.where(vn > 0, vn, 1.0)[labels] for v, vn in ((x, xn), (yp, pn)))
-    scale = x_top * xn * y_top / masses
+    # a block whose entries overflow has sigma_B inf: its powers are not
+    # checked
+    with np.errstate(over="ignore"):
+        scale = x_top * xn * y_top / masses
     return BlockRecord(labels.view(), sizes, h_block, scale * yn, scale * pn, e1, e2)
 
 
@@ -488,7 +447,7 @@ def bound_constant(t: WctOperator, phi: YoungFunction, c_gch: float) -> float:
     weight = generalized_inverse(psi, cond_exp(t.e, psi(np.abs(t.u))))
     # psi(|u|), and so the weight, may overflow to inf (inf * 0 is NaN): the
     # bound is then inf, which the callers read as an overflow
-    with np.errstate(invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         values = t.w * weight
     if not np.isfinite(values).all():
         return np.inf
@@ -502,56 +461,179 @@ def _exact_p(phi: YoungFunction) -> float | None:
 
 
 def _by_gauge(phis) -> list[tuple[YoungFunction, list[int]]]:
-    """(gauge, indices) of the operators that one stacked pass takes: those
-    under one power-law gauge object with p > 1, and each other one alone,
-    as the bits of a numeric inverse depend on the whole array."""
+    """(gauge, indices) of the operators that one pass takes: those under
+    one power-law gauge object with p > 1, and each other one alone, as the
+    bits of a numeric inverse depend on the whole array."""
     groups = {}
     for i, phi in enumerate(phis):
         groups.setdefault(phi if _exact_p(phi) else -1 - i, (phi, []))[1].append(i)
     return list(groups.values())
 
 
-class _Stacked:
-    """Operators one after another: per atom its block (numbered past those
-    of the operators before), weight, u and w; per block its mass and h;
-    where each operator's blocks start. ``average`` is E per block with the
-    sums of ``cond_exp``, atom by atom, so each has the operator's bits."""
+class OperatorTable:
+    """Operators one after another, as arrays: per atom its block (numbered
+    past the blocks of the operators before), weight, u, w and symbol h;
+    per block its mass; per operator its atoms (``n``), its blocks, where
+    they start, and its gauge, when given.
 
-    def __init__(self, ts):
-        self.ts = ts
-        counts = np.array([t.e._block_masses.size for t in ts])
-        self.starts = np.cumsum(counts) - counts
-        self.n = np.array([t.space.n_atoms for t in ts])
-        self.labels = np.concatenate(
-            [t.e._labels + b for t, b in zip(ts, self.starts.tolist())]
+    ``average`` is E per block with the sums of ``cond_exp``, atom by atom,
+    so every operator keeps its own bits. ``record`` (the ``BlockRecord`` of
+    all the blocks), ``layout`` (one packed ``BlockLayout``) and
+    ``criterion`` are each formed in one array pass on first use. A random
+    suite builds one table per instance size from its draws' arrays; an
+    operator alone is a table of one row (``of``), and ``take`` gives the
+    table of some of the rows.
+    """
+
+    def __init__(self, parts, phis=None, ops=None):
+        """parts: (weights, labels, masses, u, w, h) of each operator, with
+        its labels from 0; phis and ops: its gauge and its ``WctOperator``
+        (None to build it only when a sampled norm needs it), if known."""
+        weights, labels, masses, u, w, h = zip(*parts)
+        self.n = np.array([x.size for x in weights])
+        self.blocks = np.array([x.size for x in masses])
+        self.starts = np.cumsum(self.blocks) - self.blocks
+        self.atom_starts = np.cumsum(self.n) - self.n
+        self.atom_owner = np.repeat(np.arange(self.n.size), self.n)
+        self.block_owner = np.repeat(np.arange(self.n.size), self.blocks)
+        self.labels = np.concatenate(labels) + self.starts[self.atom_owner]
+        self.weights, self.masses, self.u, self.w, self.h = (
+            np.concatenate(v) for v in (weights, masses, u, w, h)
         )
-        self.masses = np.concatenate([t.e._block_masses for t in ts])
-        self.weights, self.u, self.w = (
-            np.concatenate(v) for v in zip(*((t.space.weights, t.u, t.w) for t in ts))
+        self.phis = phis
+        self.ops = [None] * self.n.size if ops is None else list(ops)
+
+    @classmethod
+    def of(cls, ts, phis=None) -> OperatorTable:
+        """The table of the operators ts, in order."""
+        parts = [
+            (t.space.weights, t.e._labels, t.e._block_masses, t.u, t.w, t.h) for t in ts
+        ]
+        return cls(parts, phis, ts)
+
+    def take(self, rows) -> OperatorTable:
+        """The table of the given rows (indices in increasing order, or a
+        mask), with every array gathered: a record or a criterion already
+        formed is gathered too, not formed again."""
+        keep = np.zeros(self.n.size, dtype=bool)
+        keep[rows] = True
+        atoms, blocks = keep[self.atom_owner], keep[self.block_owner]
+        out = OperatorTable.__new__(OperatorTable)
+        for name in ("n", "blocks"):
+            setattr(out, name, getattr(self, name)[keep])
+        out.starts = np.cumsum(out.blocks) - out.blocks
+        out.atom_starts = np.cumsum(out.n) - out.n
+        out.atom_owner = np.repeat(np.arange(out.n.size), out.n)
+        out.block_owner = np.repeat(np.arange(out.n.size), out.blocks)
+        relabel = np.cumsum(blocks) - 1
+        out.labels = relabel[self.labels[atoms]]
+        out.weights, out.u, out.w, out.h = (
+            getattr(self, name)[atoms] for name in ("weights", "u", "w", "h")
         )
-        self.h = np.empty(self.masses.size)
-        self.h[self.labels] = np.concatenate([t.h for t in ts])
+        out.masses = self.masses[blocks]
+        index = np.flatnonzero(keep).tolist()
+        out.phis = None if self.phis is None else [self.phis[i] for i in index]
+        out.ops = [self.ops[i] for i in index]
+        if "record" in vars(self):
+            rec = self.record
+            out.record = BlockRecord(
+                out.labels, rec.sizes[blocks], rec.h[blocks], rec.sigma[blocks],
+                rec.rho[blocks], rec.e1[atoms], rec.e2[atoms],
+            )
+        if "criterion" in vars(self):
+            inside, holds = self.criterion
+            out.criterion = inside[atoms], holds[keep]
+        return out
 
     def average(self, f: np.ndarray) -> np.ndarray:
         sums = np.bincount(self.labels, self.weights * f, minlength=self.masses.size)
         return sums / self.masses
 
+    def operator(self, k: int) -> WctOperator:
+        """The operator of row k, built from its arrays if not given."""
+        if self.ops[k] is None:
+            atoms = slice(self.atom_starts[k], self.atom_starts[k] + self.n[k])
+            space = FiniteMeasureSpace(self.weights[atoms])
+            labels = self.labels[atoms] - self.starts[k]
+            partition = Partition.from_labels(labels, int(self.blocks[k]))
+            self.ops[k] = WctOperator(self.u[atoms], self.w[atoms], CondExp(space, partition))
+        return self.ops[k]
 
-def _decide(st: _Stacked, phi: YoungFunction) -> None:
-    """Records ``contraction_criterion`` under phi on every operator of st,
-    from one pass over their stacked blocks: the averaged gauges, and so
-    the support, are constant on blocks."""
-    psi = phi.conjugate
-    sw = generalized_inverse(phi, st.average(phi(np.abs(st.w))))
-    su = generalized_inverse(psi, st.average(psi(np.abs(st.u))))
-    inside = (np.abs(sw) > _SUPPORT_EPS) & (np.abs(su) > _SUPPORT_EPS)
-    broken = np.logical_or.reduceat(inside & ~(np.abs(st.h) < 1.0), st.starts)
-    atoms = np.flatnonzero(inside[st.labels])
-    first = np.cumsum(st.n) - st.n
-    local = (atoms - np.repeat(first, st.n)[atoms]).tolist()
-    ends = [0, *np.searchsorted(atoms, first + st.n).tolist()]
-    for t, a, b, bad in zip(st.ts, ends, ends[1:], broken.tolist()):
-        t._criteria[phi] = (local[a:b], not bad)
+    @functools.cached_property
+    def record(self) -> BlockRecord:
+        return _block_frame(
+            self.labels, self.masses, self.h, self.w, self.u * self.weights
+        )
+
+    @functools.cached_property
+    def layout(self) -> BlockLayout:
+        return BlockLayout(self)
+
+    def _gauge_groups(self):
+        """(gauge, atoms, blocks) of each pass of ``_by_gauge``: slices of
+        the whole table when it has one gauge object, else index arrays."""
+        groups = _by_gauge(self.phis)
+        if len(groups) == 1:
+            return [(groups[0][0], slice(None), slice(None))]
+        out = []
+        for phi, rows in groups:
+            keep = np.zeros(self.n.size, dtype=bool)
+            keep[rows] = True
+            atoms = np.flatnonzero(keep[self.atom_owner])
+            out.append((phi, atoms, np.flatnonzero(keep[self.block_owner])))
+        return out
+
+    @functools.cached_property
+    def criterion(self) -> tuple[np.ndarray, np.ndarray]:
+        """``contraction_criterion`` of every row under its gauge: whether
+        each atom is in its operator's criterion support, and whether |h| < 1
+        holds on it, per operator. The averaged gauges, and so the support,
+        are constant on blocks."""
+        groups = self._gauge_groups()
+        fw, fu = np.empty(self.w.size), np.empty(self.u.size)
+        for phi, atoms, _ in groups:
+            fw[atoms] = phi(np.abs(self.w[atoms]))
+            fu[atoms] = phi.conjugate(np.abs(self.u[atoms]))
+        aw, au = self.average(fw), self.average(fu)
+        sw, su = np.empty(aw.size), np.empty(au.size)
+        for phi, _, blocks in groups:
+            sw[blocks] = generalized_inverse(phi, aw[blocks])
+            su[blocks] = generalized_inverse(phi.conjugate, au[blocks])
+        inside = (np.abs(sw) > _SUPPORT_EPS) & (np.abs(su) > _SUPPORT_EPS)
+        h = np.empty(self.masses.size)
+        h[self.labels] = self.h
+        broken = np.logical_or.reduceat(inside & ~(np.abs(h) < 1.0), self.starts)
+        return inside[self.labels], ~broken
+
+    def exact_norms(self, n_max: int) -> np.ndarray:
+        """``exact_norm_powers`` of every row, one row of n_max norms each;
+        rows whose gauge is not a power law with p > 1 read 0."""
+        pw, qu = np.zeros(self.w.size), np.zeros(self.u.size)
+        exact = [(phi, atoms, blocks) for phi, atoms, blocks in self._gauge_groups()
+                 if _exact_p(phi)]
+        # |w|^p, and so a norm, may overflow to inf (inf * 0 is NaN): the
+        # callers read a non-finite norm as an overflow
+        with np.errstate(over="ignore", invalid="ignore"):
+            for phi, atoms, _ in exact:
+                p = _exact_p(phi)
+                pw[atoms] = np.abs(self.w[atoms]) ** p
+                qu[atoms] = np.abs(self.u[atoms]) ** (p / (p - 1.0))
+            aw, au = self.average(pw), self.average(qu)
+            block = np.zeros(aw.size)
+            for phi, _, blocks in exact:
+                p = _exact_p(phi)
+                q = p / (p - 1.0)
+                block[blocks] = aw[blocks] ** (1.0 / p) * au[blocks] ** (1.0 / q)
+            # only blocks with a nonzero piece count: elsewhere h = 0 as
+            # well, and an overflowing |h|^(n-1) must not meet a zero norm
+            live = block > 0
+            h = np.empty(block.size)
+            h[self.labels] = self.h
+            # |h_B|^(n-1) as the running product 1 * |h_B| * ... * |h_B|
+            hpow = np.empty((n_max, block.size))
+            hpow[0], hpow[1:] = 1.0, np.where(live, np.abs(h), 0.0)
+            terms = np.multiply.accumulate(hpow, axis=0) * np.where(live, block, 0.0)
+        return np.maximum.reduceat(terms, self.starts, axis=1).T
 
 
 def contraction_criterion(t: WctOperator, phi: YoungFunction) -> tuple[list[int], bool]:
@@ -560,36 +642,14 @@ def contraction_criterion(t: WctOperator, phi: YoungFunction) -> tuple[list[int]
 
     The support is the sorted list of atoms in S(phi_inv(E(phi|w|)))
     intersected with S(psi_inv(E(psi|u|))), psi = phi.conjugate. Decided
-    once per operator and gauge (``WctOperator``), here or by the pass of
-    ``power_bounded_report`` over many operators at once.
+    once per operator and gauge (``WctOperator``), here or by
+    ``power_bounded_report``; a table of many operators decides all of its
+    rows at once (``OperatorTable.criterion``).
     """
     if phi not in t._criteria:
-        _decide(_Stacked([t]), phi)
+        inside, holds = OperatorTable.of([t], [phi]).criterion
+        t._criteria[phi] = np.flatnonzero(inside).tolist(), bool(holds[0])
     return t._criteria[phi]
-
-
-def _exact_norms(st: _Stacked, phi: YoungFunction, n_max: int):
-    """``exact_norm_powers`` of every operator of st, one row each, or None
-    for a gauge it does not apply to."""
-    p = _exact_p(phi)
-    if p is None:
-        return None
-    q = p / (p - 1.0)
-    # |w|^p, and so a norm, may overflow to inf (inf * 0 is NaN): the
-    # callers read a non-finite norm as an overflow
-    with np.errstate(over="ignore", invalid="ignore"):
-        block = (
-            st.average(np.abs(st.w) ** p) ** (1.0 / p)
-            * st.average(np.abs(st.u) ** q) ** (1.0 / q)
-        )
-        # only blocks with a nonzero piece count: elsewhere h = 0 as well,
-        # and an overflowing |h|^(n-1) must not meet a zero norm
-        live = block > 0
-        # |h_B|^(n-1) as the running product 1 * |h_B| * ... * |h_B|
-        hpow = np.empty((n_max, block.size))
-        hpow[0], hpow[1:] = 1.0, np.where(live, np.abs(st.h), 0.0)
-        terms = np.multiply.accumulate(hpow, axis=0) * np.where(live, block, 0.0)
-    return np.maximum.reduceat(terms, st.starts, axis=1).T
 
 
 def exact_norm_powers(
@@ -608,7 +668,7 @@ def exact_norm_powers(
         raise ValueError("n_max must be >= 1")
     if _exact_p(phi) is None:
         return None
-    return _exact_norms(_Stacked([t]), phi, n_max)[0].tolist()
+    return OperatorTable.of([t], [phi]).exact_norms(n_max)[0].tolist()
 
 
 @dataclass
@@ -624,13 +684,27 @@ class PowerBoundedReport:
     exact: bool
 
 
+class PowerFacts(NamedTuple):
+    """The power_bounded facts of every row of a table: the contraction
+    criterion (per row), its support (per atom), sup|h|, the norms of
+    T^1..T^n_max (exact, or sampled), whether they are exact, and whether
+    sup_n |h|^n stays within 1 + 1e-9 over the horizon."""
+
+    holds: np.ndarray
+    support: np.ndarray
+    h_sup: np.ndarray
+    norms: np.ndarray
+    exact: np.ndarray
+    bounded: np.ndarray
+
+
 def power_bounded_report(
-    t: WctOperator,
-    phi: YoungFunction,
+    t,
+    phi: YoungFunction | None,
     n_max: int,
     samples: int = 64,
-    seed: int = 0,
-) -> PowerBoundedReport:
+    seed=0,
+):
     """Strict-contraction criterion plus horizon norms of the powers.
 
     The criterion asks |h| < 1 on the joint support of the inverted averaged
@@ -642,43 +716,48 @@ def power_bounded_report(
     set, so the horizon comparison inherits the pointwise domination
     |T^n f| <= ||h||_inf^(n-1) |T f| without estimator noise.
 
-    The batch form takes sequences for t, phi and seed and returns an
-    iterator over each operator's report, built as it is read: the
-    criterion, sup|h| and exact norms of all those under one gauge object
-    come from one pass over their stacked blocks (``_by_gauge``), with the
-    bits of each alone; sampled norms are taken one operator at a time.
+    The table form takes an ``OperatorTable`` whose rows carry their gauges
+    (phi None) and one sampling seed per row, and returns ``PowerFacts``:
+    the criterion, sup|h| and exact norms of every row come from one pass
+    over the table, with the bits of each row alone; sampled norms are taken
+    one operator at a time.
     """
-    if isinstance(t, WctOperator):
-        return next(power_bounded_report([t], [phi], n_max, samples, [seed]))
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
-    facts = [None] * len(t)
-    for gauge, idx in _by_gauge(phi):
-        st = _Stacked([t[i] for i in idx])
-        _decide(st, gauge)
-        h_sups = np.maximum.reduceat(np.abs(st.h), st.starts)
-        exact = _exact_norms(st, gauge, n_max)
-        for j, (i, h_sup) in enumerate(zip(idx, h_sups.tolist())):
-            norms = exact[j] if exact is not None else [np.nan] * n_max
-            if exact is None and np.isfinite(h_sup):
-                norms = _sampled_norm_powers(t[i], gauge, n_max, samples, seed[i])
-            facts[i] = gauge, h_sup, norms
-    return (_report(t[i], *facts[i], n_max) for i in range(len(t)))
+    if isinstance(t, WctOperator):
+        facts = power_bounded_report(OperatorTable.of([t], [phi]), None, n_max, samples, [seed])
+        support = np.flatnonzero(facts.support).tolist()
+        t._criteria[phi] = support, bool(facts.holds[0])
+        norms = facts.norms[0].tolist()
+        h_sup = float(facts.h_sup[0])
+        bounded = bool(facts.bounded[0])
+        return PowerBoundedReport(
+            t._criteria[phi][1], max(norms), h_sup, norms, support, bounded,
+            bounded == (h_sup <= 1.0 + 1e-12), n_max, bool(facts.exact[0]),
+        )
+    support, holds = t.criterion
+    h = np.empty(t.masses.size)
+    h[t.labels] = t.h
+    h_sup = np.maximum.reduceat(np.abs(h), t.starts)
+    norms = t.exact_norms(n_max)
+    exact = np.array([_exact_p(phi) is not None for phi in t.phis])
+    for k in np.flatnonzero(~exact).tolist():
+        norms[k] = np.nan
+        if np.isfinite(h_sup[k]):
+            norms[k] = _sampled_norm_powers(t.operator(k), t.phis[k], n_max, samples, seed[k])
+    return PowerFacts(holds, support, h_sup, norms, exact, _horizon_bounded(h_sup, n_max))
 
 
-def _report(t, phi, h_sup, norms, n_max) -> PowerBoundedReport:
-    """The report of T from its sup|h| and norms: a row of exact norms, or
-    a list of sampled ones."""
-    exact = isinstance(norms, np.ndarray)
-    norms = norms.tolist() if exact else norms
+def _horizon_bounded(h_sup: np.ndarray, n_max: int) -> np.ndarray:
+    """Whether max_k |h|^k over k = 1..n_max, as float64 powers, is at most
+    1 + 1e-9, per sup|h|: |h| itself below 1, and each power read only
+    where |h| lies in (1, 1 + 1e-9], the one range where it decides."""
+    bounded = h_sup <= 1.0 + 1e-9
     with np.errstate(over="ignore"):
-        hpow_sup = [np.float64(h_sup) ** k for k in range(1, n_max + 1)]
-    bounded = bool(max(hpow_sup) <= 1.0 + 1e-9)
-    support, holds = t._criteria[phi]
-    return PowerBoundedReport(
-        holds, max(norms), h_sup, norms, support, bounded,
-        bounded == (h_sup <= 1.0 + 1e-12), n_max, exact,
-    )
+        for k in np.flatnonzero(bounded & (h_sup > 1.0)).tolist():
+            top = max(np.float64(h_sup[k]) ** j for j in range(1, n_max + 1))
+            bounded[k] = top <= 1.0 + 1e-9
+    return bounded
 
 
 def _sampled_norm_powers(

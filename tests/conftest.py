@@ -89,3 +89,24 @@ def random_operator(seed, n_atoms=None, n_blocks=None, well_conditioned=False):
         attempt += 1
         t = _draw_operator(seed + 7919 * attempt, n_atoms, n_blocks)
     return t
+
+
+def table_rows(group, ts, phis, seeds=None, tolerances=None):
+    """The rows of a batch group of the harness (``_BATCH_GROUPS``) on each
+    operator under its gauge, from one table of all of them: one list of
+    rows per operator, read from the group's columns."""
+    from orlicz_wct import harness
+    from orlicz_wct.wct import OperatorTable
+
+    tab = OperatorTable.of(ts, phis)
+    seeds = np.zeros(len(ts), dtype=int) if seeds is None else np.asarray(seeds)
+    tolerances = harness.DEFAULT_TOLERANCES if tolerances is None else tolerances
+    columns = harness._BATCH_GROUPS[group](tab, seeds, tolerances)
+    return [[column.row(k) for column in columns] for k in range(len(ts))]
+
+
+def batch_rows(group, scenarios, seeds=None):
+    """``table_rows`` of the scenarios' operators and gauges, under the
+    first scenario's tolerances."""
+    ts, phis = [s.operator() for s in scenarios], [s.phi for s in scenarios]
+    return table_rows(group, ts, phis, seeds, scenarios[0].tolerances)

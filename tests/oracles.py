@@ -11,13 +11,16 @@ suite draws its trials in one call and checks each law on all of them at
 once, where the loop here draws and checks one trial at a time. Random
 suites draw their instances in rounds, as arrays, with one filter per
 round over the stacked draws; the loop here draws one instance at a time,
-building its objects as it goes, and filters each draw alone.
+building its objects as it goes, and filters each draw alone. A verify
+call folds each claim's rows on all its instances as arrays; the merge
+here takes one row object at a time.
 """
 
 import itertools
 
 import numpy as np
 
+from orlicz_wct.claims import ClaimResult
 from orlicz_wct.condexp import CondExp, LawResult, cond_exp
 from orlicz_wct.harness import (
     _ATTEMPTS,
@@ -359,4 +362,49 @@ def well_conditioned_draw_loop(seed, n_atoms, n_blocks, profile, tol):
     raise ScenarioError(
         f"no well-conditioned instance within {_ATTEMPTS} draws from seed "
         f"{seed} at rank tolerance {tol:g}"
+    )
+
+
+def merge_claims(rows: list[ClaimResult]) -> ClaimResult:
+    """Aggregate per-instance results for one claim id into a single row,
+    one row object at a time: the oracle of ``claims.fold_claims``, which
+    folds the same rows held as arrays.
+
+    The merged row fails when any contributing row with a met hypothesis
+    failed; its fingerprint points at the first failing instance, and its
+    residual is the worst one seen. Its hypothesis is met when some row was
+    checked or had its hypothesis met.
+    """
+    if not rows:
+        raise ValueError("cannot merge an empty claim list")
+    first = rows[0]
+    if any(r.claim_id != first.claim_id for r in rows):
+        raise ValueError("merge_claims requires a single claim id")
+    checked = [r for r in rows if r.status != "not_checked"]
+    failed = [r for r in rows if r.status == "fail"]
+    residuals = [r.residual for r in checked if r.residual is not None]
+    if failed:
+        status, fingerprint = "fail", failed[0].fingerprint
+        detail = failed[0].detail
+    elif checked:
+        status, fingerprint = "pass", first.fingerprint
+        detail = checked[0].detail if len(rows) == 1 else None
+    else:
+        status, fingerprint = "not_checked", first.fingerprint
+        detail = first.detail if len(rows) == 1 else None
+    hypothesis = first.hypothesis
+    if hypothesis != "none":
+        # a row can be not_checked with its hypothesis met (an overflow)
+        met = checked or any(r.hypothesis == "met" for r in rows)
+        hypothesis = "met" if met else "not_met"
+    n_checked = len(checked)
+    note = f"checked on {n_checked} of {len(rows)} instances"
+    return ClaimResult(
+        claim_id=first.claim_id,
+        anchor=first.anchor,
+        hypothesis=hypothesis,
+        status=status,
+        residual=max(residuals) if residuals else None,
+        detail=detail if detail else note,
+        fingerprint=fingerprint,
     )

@@ -1,10 +1,12 @@
 import contextlib
 import dataclasses
+import functools
 import io
 import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -34,11 +36,12 @@ from orlicz_wct import (
     support,
     verify_structure_theorems,
 )
-from orlicz_wct import cli, harness, subspace, wct
-from orlicz_wct.claims import EXPERIMENT_CLAIMS, make_claim, merge_claims
+from orlicz_wct import claims, cli, harness, subspace, wct
+from orlicz_wct.claims import EXPERIMENT_CLAIMS, make_claim
 from orlicz_wct.harness import DEFAULT_EXPERIMENTS, PROFILES, Scenario
 
-from oracles import power_bounded_loop, well_conditioned_draw_loop
+from conftest import batch_rows, table_rows
+from oracles import merge_claims, power_bounded_loop, well_conditioned_draw_loop
 
 
 class TestLoadScenario:
@@ -294,21 +297,34 @@ class TestDrawRounds:
             return
         got = list(harness._random_instances(s, seed, instances))
         assert len(got) == instances
-        for (child, sampling_seed, fp), (seed_j, u, w, t_loop, phi) in zip(got, want):
-            assert sampling_seed == child.seed == fp["seed"] == seed_j
+        for (child, draw), (seed_j, u, w, t_loop, phi) in zip(got, want):
+            assert child.seed == draw.seed == child.fingerprint()["seed"] == seed_j
             t = child.operator()
             for a, b in (
                 (child.u, u), (child.w, w), (t.u, u), (t.w, w), (t.h, t_loop.h),
+                (draw.u, u), (draw.w, w), (draw.h, t_loop.h),
+                (draw.weights, t_loop.space.weights),
                 (child.space.weights, t_loop.space.weights),
+                (draw.masses, t_loop.e._block_masses),
                 (t.e._block_masses, t_loop.e._block_masses),
             ):
                 assert a.tobytes() == b.tobytes()
             assert child.partition.blocks == t_loop.e.partition.blocks
             assert child.partition == t_loop.e.partition
             assert harness.young_to_spec(child.phi) == harness.young_to_spec(phi)
-            # the slice of the round's record equals the record built alone
             for name, value in vars(t_loop.block_record).items():
                 assert getattr(t.block_record, name).tobytes() == value.tobytes(), name
+        # the table of the draws holds each draw's record with its bits alone
+        if got:
+            tab = wct.OperatorTable(
+                [(d.weights, d.labels, d.masses, d.u, d.w, d.h) for _, d in got]
+            )
+            # formed once over every draw, then gathered per row
+            assert tab.record.sizes.size == sum(d.masses.size for _, d in got)
+            for k, (_, _, _, t_loop, _) in enumerate(want):
+                row = tab.take([k]).record
+                for name, value in vars(t_loop.block_record).items():
+                    assert getattr(row, name).tobytes() == value.tobytes(), name
 
     def test_exhausted_instance_raises_the_same_error(self):
         # with 31 blocks some block almost always lands in the band of its
@@ -413,19 +429,44 @@ class TestRunVerification:
         assert by_id["symbol_power_sequence"].status == "pass"
         assert by_id["symbol_power_sequence"].residual == 0.5
 
+    @pytest.mark.parametrize(
+        "young",
+        [{"kind": "exp_type"}, {"kind": "power_scaled", "p": 2}],
+        ids=["exp_type", "power_scaled_2"],
+    )
+    def test_overflowing_entries_warn_nothing(self, tmp_path, young):
+        # the overflows of the overflowing-entries scenario are expected and
+        # read as not_checked rows; each site that meets one scopes it, so
+        # verify raises no RuntimeWarning, with no np.errstate around the
+        # call, and exits 0
+        data = {
+            "atoms": [1.0, 1.0], "blocks": [[0, 1]], "u": [1e200, 1e-200],
+            "w": [0.5e-200, 0.5e200], "young": young,
+        }
+        path = tmp_path / "overflow_entries.json"
+        path.write_text(json.dumps(data))
+        argv = ["verify", "--scenario", str(path), "--format", "json"]
+        with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()):
+            warnings.simplefilter("error", RuntimeWarning)
+            assert cli.main(argv) == 0
+
     def test_criterion_and_conjugate_built_once_per_instance(self, monkeypatch):
-        # r3 plus 20 instances is 21 instances. Each gets its contraction
-        # criterion exactly once, from one stacked pass per gauge object,
-        # which the structure pass then reads; every orlicz_wct binding of
-        # complementary is wrapped, so a call through any module counts
+        # r3 plus 20 instances is 21 instances in one table per instance
+        # size. Each table decides the contraction criterion of all its rows
+        # in one pass, which the power_bounded and structure passes both
+        # read; every orlicz_wct binding of complementary is wrapped, so a
+        # call through any module counts
         passes, counts = [], {"complementary": 0}
-        decide = wct._decide
+        decide = wct.OperatorTable.criterion.func
 
-        def spy_decide(st, phi):
-            passes.append((phi, list(st.ts)))
-            return decide(st, phi)
+        def spy_decide(tab):
+            passes.append(tab)
+            return decide(tab)
 
-        monkeypatch.setattr(wct, "_decide", spy_decide)
+        monkeypatch.setattr(
+            wct.OperatorTable, "criterion", functools.cached_property(spy_decide)
+        )
+        wct.OperatorTable.criterion.__set_name__(wct.OperatorTable, "criterion")
         modules = [m for k, m in sys.modules.items() if k.startswith("orlicz_wct")]
         for module in modules:
             if hasattr(module, "complementary"):
@@ -440,19 +481,20 @@ class TestRunVerification:
         argv = ["verify", "--scenario", str(path), "--instances", "20", "--seed", "1"]
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main(argv) == 0
-        operators = [t for _, ts in passes for t in ts]
-        assert len(operators) == len({id(t) for t in operators}) == 21
-        # one pass per gauge: r3's, and each of the four gauges of the
-        # random rotation, which the draws of one call share
-        assert len(passes) == len({id(phi) for phi, _ in passes}) == 5
-        # one conjugate per gauge
+        # one pass per table, one table per instance size
+        sizes = [set(tab.n.tolist()) for tab in passes]
+        assert all(len(size) == 1 for size in sizes)
+        assert len({size.pop() for size in sizes}) == len(passes) == 8
+        assert sum(tab.n.size for tab in passes) == 21
+        # r3's gauge and the four of the random rotation, which the draws of
+        # one call share: one conjugate each
+        assert len({id(phi) for tab in passes for phi in tab.phis}) == 5
         assert counts["complementary"] == 5
 
-    def test_each_accepted_draw_builds_its_operator_once(self, monkeypatch):
-        # the primary scenario and each accepted draw build one operator and
-        # one conditional expectation each, and a rejected draw builds
-        # neither: draws are arrays, and the instance is built once its draw
-        # is accepted, with the suite's settings
+    def test_random_instances_build_no_operator(self, monkeypatch):
+        # the primary scenario builds one operator and one conditional
+        # expectation; a random instance builds neither, accepted or not:
+        # draws are arrays, and the tables of each instance size read them
         counts = {"operators": 0, "expectations": 0, "draws": 0}
         post_init = wct.WctOperator.__post_init__
         condexp_init = CondExp.__post_init__
@@ -478,20 +520,22 @@ class TestRunVerification:
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main(argv) == 0
         assert counts["draws"] > 20  # some draws were rejected
-        assert counts["operators"] == counts["expectations"] == 21
+        assert counts["operators"] == counts["expectations"] == 1
 
     def test_one_block_frame_per_round(self, monkeypatch):
         # r3 with 200 instances at seed 1 takes 307 draws in 18 rounds. Each
         # round takes one (w, u mu) frame over its stacked draws, which its
-        # one filter reads, and each accepted operator holds its slice as
-        # its block record, equal to one built alone; r3 builds its own. The
-        # adjoint's (u, w mu) frame is taken once per stacked pass that meets
-        # the contraction criterion, over the u of the 130 operators that
-        # meet it, one after another
-        operators, frames, round_frames, rounds, batches = [], [], [], [], []
+        # one filter reads. Each instance size's table takes one frame over
+        # its rows, r3 among the 2-atom ones, and the criterion pass one
+        # (u, w mu) frame of the adjoint over the u of the rows that meet
+        # the criterion, 130 in all, one after another. No operator but
+        # r3's is built, and r3's own record is never formed
+        operators, frames, round_frames, rounds, met = [], [], [], [], []
+        tables, walked = {}, []
         post_init, frame = wct.WctOperator.__post_init__, wct._block_frame
-        batch = subspace._structure_batch
+        facts = subspace._criterion_facts
         decide = harness.records_well_conditioned
+        layout_init, walk_init = wct.BlockLayout.__init__, wct.BlockWalk.__init__
 
         def spy_post_init(t):
             post_init(t)
@@ -508,16 +552,26 @@ class TestRunVerification:
             rounds.append(starts.size)
             return decide(rec, starts, k_max, tol)
 
-        def spy_batch(runs):
-            batches.append([t for t, _, _, met in runs if met])
-            return batch(runs)
+        def spy_facts(tab, tol, seeds):
+            met.append(tab)
+            return facts(tab, tol, seeds)
+
+        def spy_layout(self, tab):
+            tables[id(self)] = tab
+            layout_init(self, tab)
+
+        def spy_walk(self, layout, *args):
+            walked.append(tables[id(layout)])
+            walk_init(self, layout, *args)
 
         monkeypatch.setattr(wct.WctOperator, "__post_init__", spy_post_init)
         for module in (wct, subspace):
             monkeypatch.setattr(module, "_block_frame", spy(frames))
         monkeypatch.setattr(harness, "_block_frame", spy(round_frames))
         monkeypatch.setattr(harness, "records_well_conditioned", spy_decide)
-        monkeypatch.setattr(subspace, "_structure_batch", spy_batch)
+        monkeypatch.setattr(subspace, "_criterion_facts", spy_facts)
+        monkeypatch.setattr(wct.BlockLayout, "__init__", spy_layout)
+        monkeypatch.setattr(wct.BlockWalk, "__init__", spy_walk)
         path = Path(__file__).resolve().parents[1] / "scenarios" / "r3_contracting.json"
         report = run_verification(load_scenario(path), seed=1, instances=200)
         assert report.exit_status == 0
@@ -525,20 +579,23 @@ class TestRunVerification:
         assert sum(rounds) == 307 and rounds[0] == 200
         # the atoms of the 200 first draws, then of the 21 second ones
         assert [x.size for x in round_frames[:2]] == [1435, 189]
-        assert len(operators) == 201
-        r3, drawn = operators[0], operators[1:]
-        for t in drawn:
-            e = t.e
-            alone = frame(e._labels, e._block_masses, t.h, t.w, t.u * t.space.weights)
-            for name, value in vars(alone).items():
-                np.testing.assert_array_equal(getattr(t.block_record, name), value)
-        # every other frame: r3's, and one adjoint frame per criterion pass
-        assert frames[0] is r3.w
-        met = [ts for ts in batches if ts]
-        assert sum(len(ts) for ts in met) == 130
-        assert len(frames) == 1 + len(met)
-        for x, ts in zip(frames[1:], met):
-            assert np.array_equal(x, np.concatenate([t.u for t in ts]))
+        assert len(operators) == 1 and "block_record" not in vars(operators[0])
+        # the iterate and Cesaro walks of each instance size read the layout
+        # of that size's table, whose rows are every instance of that size
+        assert walked[::2] == walked[1::2]
+        walked = walked[::2]
+        assert len({tab.n[0] for tab in walked}) == len(walked) == 11
+        assert all(len(set(tab.n.tolist())) == 1 for tab in walked)
+        assert sum(tab.n.size for tab in walked) == 201
+        # one frame per table, then one adjoint frame per criterion pass
+        assert len(frames) == len(walked) + len(met)
+        assert sum(tab.n.size for tab in met) == 130
+        table_frames = [x for x in frames if not any(x is tab.u for tab in met)]
+        assert sorted(x.size for x in table_frames) == sorted(
+            tab.w.size for tab in walked
+        )
+        for tab in met:
+            assert sum(x is tab.u for x in frames) == 1
 
     def test_experiment_subset(self, r1_scenario_dict):
         s = scenario_from_dict(
@@ -594,30 +651,15 @@ class TestRunVerification:
         # at seed 2 the first random instance (seed 200006) is ill
         # conditioned and redrawn; fail the iterate claim on every random
         # instance so the report points at that one
-        ran, walked, sampling_seeds = [], [], []
+        tables = []
 
-        def failing_iterate_claims(runs):
-            walked.extend(layout for layout, _ in runs)
-            ok = [True] + [False] * (len(runs) - 1)
-            return [[harness.make_claim("iterate_closed_form", "none", x)] for x in ok]
+        def failing_iterate_columns(tab, seeds, tolerances):
+            tables.append((tab, seeds))
+            # the scenario samples with the call's seed, 2, and a random
+            # instance with its own draw's seed
+            return [claims.ClaimColumn("iterate_closed_form", "none", seeds == 2)]
 
-        suite_claims = harness._suite_claims
-
-        def recording_suite_claims(runs):
-            def recorded():
-                for s, seed, fp in runs:
-                    ran.append(s.operator())
-                    sampling_seeds.append(seed)
-                    yield s, seed, fp
-
-            return suite_claims(recorded())
-
-        monkeypatch.setitem(
-            harness._BATCH_GROUPS,
-            "iterate_formula",
-            (harness._walk_run, failing_iterate_claims),
-        )
-        monkeypatch.setattr(harness, "_suite_claims", recording_suite_claims)
+        monkeypatch.setitem(harness._BATCH_GROUPS, "iterate_formula", failing_iterate_columns)
         data = dict(r1_scenario_dict, experiments=["iterate_formula"])
         report = run_verification(scenario_from_dict(data), seed=2, instances=1)
         (row,) = report.entries
@@ -625,16 +667,17 @@ class TestRunVerification:
         fp = row.fingerprint
         assert fp["seed"] == 215844 != 2 * 100003
         # the redrawn instance's claims sample with the seed that rebuilds it
-        assert sampling_seeds == [2, fp["seed"]]
+        assert sorted(seed for _, seeds in tables for seed in seeds.tolist()) == [2, fp["seed"]]
+        (tab, k), = [(tab, k) for tab, seeds in tables
+                     for k, seed in enumerate(seeds.tolist()) if seed == fp["seed"]]
         rebuilt = generate_random_instance(
             fp["seed"], fp["n_atoms"], fp["n_blocks"], fp["profile"]
         ).operator()
-        child = ran[1]
-        assert walked[1] is child.block_layout
-        np.testing.assert_array_equal(rebuilt.u, child.u)
-        np.testing.assert_array_equal(rebuilt.w, child.w)
-        np.testing.assert_array_equal(rebuilt.space.weights, child.space.weights)
-        assert rebuilt.e.partition == child.e.partition
+        ran = tab.operator(k)
+        np.testing.assert_array_equal(rebuilt.u, ran.u)
+        np.testing.assert_array_equal(rebuilt.w, ran.w)
+        np.testing.assert_array_equal(rebuilt.space.weights, ran.space.weights)
+        assert rebuilt.e.partition == ran.e.partition
 
     @pytest.mark.parametrize(
         "n_atoms, n_blocks, scale, young, groups",
@@ -718,21 +761,25 @@ def _wide256(monkeypatch, seed=1):
     return scenario_from_dict(workloads.wide_scenario_dict(seed))
 
 
-def _walk_run(s):
-    """The (block layout, comparison tolerance) run of s that the walk
-    groups take."""
-    return s.operator().block_layout, s.tolerances["comparison"]
+def _walk_rows(scenarios):
+    """The iterate and Cesaro rows of each scenario, from one table of all
+    of them."""
+    groups = ("iterate_formula", "cesaro_identities")
+    with np.errstate(over="ignore", invalid="ignore"):
+        both = [batch_rows(group, scenarios) for group in groups]
+    return [a + b for a, b in zip(*both)]
 
 
 def _group_products(s):
     """Operand shapes of every matmul the iterate and Cesaro groups take on
-    a matrix derived from M, as the operator's block layout packs it."""
-    layout = s.operator().block_layout
-    layout.m = layout.m.view(_MatmulSpy)
+    a matrix derived from M, as the table's layout packs it."""
+    tab = wct.OperatorTable.of([s.operator()], [s.phi])
+    tab.layout.m = tab.layout.m.view(_MatmulSpy)
     _MatmulSpy.shapes = []
-    runs = [_walk_run(s)]
-    rows = harness._iterate_claims(runs)[0] + harness._cesaro_claims(runs)[0]
-    assert all(r.status == "pass" for r in rows)
+    seeds = np.zeros(1, dtype=int)
+    columns = harness._iterate_columns(tab, seeds, s.tolerances)
+    columns += harness._cesaro_columns(tab, seeds, s.tolerances)
+    assert all(column.row(0).status == "pass" for column in columns)
     return _MatmulSpy.shapes
 
 
@@ -759,58 +806,46 @@ class TestIterateAndCesaroGroups:
         assert all(pair == ((1, n, n), (1, n, n)) for pair in dense)
 
     def test_one_walk_per_instance_size(self, monkeypatch):
-        # each group walks once per instance size, over the direct sum of
-        # the layouts of that size; every verified operator builds its own
-        # layout once, which its structure pass and its walks share, and a
-        # rejected draw builds none
-        walked, own, sums, accepted = [], [], [], []
+        # each group walks once per instance size, over the one packed
+        # layout of that size's table, which the structure pass reads too
+        # where every row meets the criterion; no operator's own layout is
+        # built, and a rejected draw builds none
+        walked, built = [], {}
         init, layout_init = wct.BlockWalk.__init__, wct.BlockLayout.__init__
-        direct_sum = wct.BlockLayout.direct_sum
-        draw = harness.generate_well_conditioned_instance
 
         def spy(self, layout, *args):
             walked.append(layout)
             init(self, layout, *args)
 
-        def spy_layout(self, t):
-            own.append((self, t))
-            layout_init(self, t)
+        def spy_layout(self, tab):
+            built[id(self)] = tab
+            layout_init(self, tab)
 
-        def spy_sum(cls, layouts):
-            layouts = list(layouts)
-            sums.append((direct_sum(layouts), layouts))
-            return sums[-1][0]
-
-        def spy_draw(*args, **kwargs):
-            accepted.append(draw(*args, **kwargs))
-            return accepted[-1]
+        def no_own_layout(t):
+            raise AssertionError("an operator's own layout was built")
 
         monkeypatch.setattr(wct.BlockWalk, "__init__", spy)
         monkeypatch.setattr(wct.BlockLayout, "__init__", spy_layout)
-        monkeypatch.setattr(wct.BlockLayout, "direct_sum", classmethod(spy_sum))
-        monkeypatch.setattr(harness, "generate_well_conditioned_instance", spy_draw)
+        monkeypatch.setattr(wct.WctOperator, "block_layout", property(no_own_layout))
         s = _wide256(monkeypatch)
         run_verification(s, seed=1)
-        t = s.operator()
-        assert [x for _, x in own] == [t]
-        assert len(walked) == 2 and all(w is t.block_layout for w in walked)
-        # r3 and 20 random instances, of 8 sizes: 16 walks, two per size
+        # one layout of the one-row table, shared by the criterion pass and
+        # both walks
+        assert len(built) == 1 and len(walked) == 2
+        assert walked[0] is walked[1] and id(walked[0]) in built
+        (tab,) = built.values()
+        assert tab.n.tolist() == [256]
+        # r3 and 20 random instances, of 8 sizes: 16 walks, two per size,
+        # each over every instance of its size
         walked.clear()
-        own.clear()
-        sums.clear()
+        built.clear()
         path = Path(__file__).resolve().parents[1] / "scenarios" / "r3_contracting.json"
-        r3 = load_scenario(path)
-        run_verification(r3, seed=1, instances=20)
-        ops = [r3.operator()] + [child.operator() for child in accepted]
-        assert [id(x) for _, x in own] == [id(op) for op in ops]
-        owner = {id(layout): [id(x)] for layout, x in own}
-        for layout, parts in sums:
-            owner[id(layout)] = [i for part in parts for i in owner[id(part)]]
-        by_size = {}
-        for op in ops:
-            by_size.setdefault(op.space.n_atoms, []).append(id(op))
-        assert len(walked) == 2 * len(by_size) == 16
-        assert [owner[id(w)] for w in walked] == 2 * list(by_size.values())
+        run_verification(load_scenario(path), seed=1, instances=20)
+        assert len(walked) == 16 and walked[::2] == walked[1::2]
+        tabs = [built[id(layout)] for layout in walked[::2]]
+        assert all(len(set(tab.n.tolist())) == 1 for tab in tabs)
+        assert len({tab.n[0] for tab in tabs}) == 8
+        assert sum(tab.n.size for tab in tabs) == 21
 
     def test_iterate_powers_are_the_first_products_of_the_cesaro_walk(
         self, monkeypatch
@@ -844,9 +879,7 @@ class TestIterateAndCesaroGroups:
         # that dropped them
         s = generate_random_instance(3, 40, 5, "contracting_h")
         s = dataclasses.replace(s, w=s.w * 1e100)
-        runs = [_walk_run(s)]
-        with np.errstate(over="ignore", invalid="ignore"):
-            rows = harness._iterate_claims(runs)[0] + harness._cesaro_claims(runs)[0]
+        (rows,) = _walk_rows([s])
         assert len(rows) == 6
         for row in rows:
             assert row.status == "not_checked" and row.residual is None, row
@@ -876,12 +909,10 @@ def _stacked_batches(draw):
 
 def _rows(batch):
     """(claim id, status, residual, detail) of the iterate and Cesaro rows
-    of each scenario of the batch, walked together."""
-    runs = [_walk_run(s) for s in batch]
-    with np.errstate(over="ignore", invalid="ignore"):
-        both = zip(harness._iterate_claims(runs), harness._cesaro_claims(runs))
+    of each scenario of the batch, from one table of all of them."""
     return [
-        [(r.claim_id, r.status, r.residual, r.detail) for r in a + b] for a, b in both
+        [(r.claim_id, r.status, r.residual, r.detail) for r in rows]
+        for rows in _walk_rows(batch)
     ]
 
 
@@ -930,7 +961,7 @@ class TestStackedWalkGroups:
             return out
 
         with np.errstate(over="ignore", invalid="ignore"):
-            layout = wct.BlockLayout.direct_sum(t.block_layout for t in ts)
+            layout = wct.OperatorTable.of(ts).layout
             together = gaps(wct.BlockWalk(layout, a_ns, ns, t_ns))
             for k, t in enumerate(ts):
                 alone = gaps(wct.BlockWalk(t.block_layout, a_ns, ns, t_ns))
@@ -1140,10 +1171,11 @@ class TestClaimRows:
     def test_scenario_claims_stamps_every_row(self, r1_scenario_dict):
         s = scenario_from_dict(r1_scenario_dict)
         assert s.experiments == tuple(EXPERIMENT_CLAIMS)
+        report = run_verification(s, seed=5)
         fp = {"n_atoms": 2, "n_blocks": 1, "seed": 5, "instances": 0}
-        rows = harness._suite_claims([(s, 5, fp)])
-        assert sorted(r.claim_id for r in rows) == sorted(CLAIM_REGISTRY)
-        assert all(r.fingerprint is fp for r in rows)
+        assert report.fingerprint == fp
+        assert sorted(r.claim_id for r in report.entries) == sorted(CLAIM_REGISTRY)
+        assert all(r.fingerprint == fp for r in report.entries)
 
     def test_group_table_covers_every_experiment(self):
         groups = {**harness._GROUPS, **harness._BATCH_GROUPS}
@@ -1163,8 +1195,7 @@ class TestClaimRows:
         # the not-met branches of the hypothesis-gated rows
         s = scenario_from_dict(dict(r1_scenario_dict, w=w))
         if group in harness._BATCH_GROUPS:
-            keep, batch = harness._BATCH_GROUPS[group]
-            (rows,) = batch([keep(s, s.operator(), 0)])
+            (rows,) = batch_rows(group, [s])
         else:
             rows = harness._GROUPS[group](s, s.operator(), 0)
         assert [r.claim_id for r in rows] == list(EXPERIMENT_CLAIMS[group])
@@ -1239,6 +1270,16 @@ def _structure_batches(draw):
     return [batch[i] for i in order], *where
 
 
+def _structure_rows(runs):
+    """The structure rows of each run (operator, gauge, rank tolerance,
+    sampling seed, None) from one table of all of them, whose criterion
+    pass decides every row's criterion."""
+    ts, phis, tols, seeds, _ = zip(*runs)
+    tab = wct.OperatorTable.of(ts, phis)
+    columns = verify_structure_theorems(tab, None, tols, seeds)
+    return [[column.row(k) for column in columns] for k in range(len(ts))]
+
+
 def _row_bits(rows):
     """Each row's fields, with the residual as its bytes: NaN equals NaN
     and -0.0 differs from 0.0."""
@@ -1250,8 +1291,8 @@ def _row_bits(rows):
 
 
 class TestStackedStructurePass:
-    """The batch form of ``verify_structure_theorems`` (one pass over the
-    stacked block records of every operator) against each operator alone,
+    """The table form of ``verify_structure_theorems`` (one pass over the
+    block record of a table of every operator) against each operator alone,
     bit for bit: a max, min or count of one operator's segment that reads
     another's, or all of them, moves some operator's rows. The instances
     that overflow or hold a NaN read it as they do alone, so those runs
@@ -1262,7 +1303,7 @@ class TestStackedStructurePass:
     def test_each_instance_reads_as_if_alone(self, drawn):
         runs, grown, outside = drawn
         with np.errstate(all="ignore"):
-            stacked = verify_structure_theorems(*zip(*runs))
+            stacked = _structure_rows(runs)
             for run, rows in zip(runs, stacked):
                 assert _row_bits(rows) == _row_bits(verify_structure_theorems(*run))
         # w * 1e100: the chains read powers past the overflow
@@ -1292,7 +1333,7 @@ class TestStackedStructurePass:
         ]
         batch = [others[0], near, *others[1:]]
         runs = [(x.operator(), x.phi, 1e-8, i, None) for i, x in enumerate(batch)]
-        stacked = verify_structure_theorems(*zip(*runs))
+        stacked = _structure_rows(runs)
         for run, rows in zip(runs, stacked):
             assert _row_bits(rows) == _row_bits(verify_structure_theorems(*run))
         rows = {r.claim_id: r for r in stacked[1]}
@@ -1359,9 +1400,8 @@ def _float_bits(values):
 
 
 class TestStackedPowerBounded:
-    """The batch form of ``power_bounded_report`` (one pass over the stacked
-    blocks of the operators under each gauge object) against each operator
-    alone, row by row, and against the per-instance loop of
+    """The table form of ``power_bounded_report`` (one pass over a table of
+    the operators, gauge by gauge) against each operator alone, row by row, and against the per-instance loop of
     tests/oracles.py, bit for bit: a reduction of one operator's segment
     that reads another's, or all of them, moves some operator's rows, and
     one that drops a NaN moves the NaN norms. The overflowing instances
@@ -1373,18 +1413,26 @@ class TestStackedPowerBounded:
         runs, (up, up2, grown, nan, sampled) = drawn
         ts, phis, seeds = zip(*runs)
         with np.errstate(all="ignore"):
-            stacked = harness._power_bounded_claims(runs)
+            stacked = table_rows("power_bounded", ts, phis, seeds)
             for run, rows in zip(runs, stacked):
-                alone = harness._power_bounded_claims([run])[0]
+                alone = table_rows("power_bounded", *([x] for x in run))[0]
                 assert _row_bits(rows) == _row_bits(alone)
-            reports = list(wct.power_bounded_report(ts, phis, 20, 32, seeds))
-            for t, phi, rep in zip(ts, phis, reports):
+            tab = wct.OperatorTable.of(ts, phis)
+            facts = wct.power_bounded_report(tab, None, 20, 32, np.array(seeds))
+            reports = []
+            for k, (t, phi, seed) in enumerate(runs):
                 support, holds, h_sup, norms = power_bounded_loop(t, phi, 20)
+                rep = wct.power_bounded_report(t, phi, 20, 32, seed)
+                reports.append(rep)
+                atoms = slice(tab.atom_starts[k], tab.atom_starts[k] + tab.n[k])
+                assert np.flatnonzero(facts.support[atoms]).tolist() == support
                 assert rep.criterion_support == support
-                assert rep.criterion_holds is holds
+                assert rep.criterion_holds is holds is bool(facts.holds[k])
                 assert wct.contraction_criterion(t, phi) == (support, holds)
-                assert np.float64(rep.h_sup).tobytes() == np.float64(h_sup).tobytes()
-                assert rep.exact is (norms is not None)
+                for got in (rep.h_sup, facts.h_sup[k]):
+                    assert np.float64(got).tobytes() == np.float64(h_sup).tobytes()
+                assert rep.exact is (norms is not None) is bool(facts.exact[k])
+                assert _float_bits(rep.norm_estimates) == _float_bits(facts.norms[k])
                 if norms is not None:
                     assert _float_bits(rep.norm_estimates) == _float_bits(norms)
         for i in (up, up2):
@@ -1423,9 +1471,9 @@ class TestStackedPowerBounded:
                 runs = [(x.operator(), x.phi, 0) for x in batch]
                 assert np.isnan(runs[1][0].h).tolist() == [True, True, False]
                 assert np.isinf(runs[3][0].h).all()
-                stacked = harness._power_bounded_claims(list(runs))
+                stacked = table_rows("power_bounded", *zip(*runs))
                 for run, rows in zip(runs, stacked):
-                    alone = harness._power_bounded_claims([run])[0]
+                    alone = table_rows("power_bounded", *([x] for x in run))[0]
                     assert _row_bits(rows) == _row_bits(alone)
             for i in (1, 3):
                 assert [r.claim_id for r in stacked[i]] == [

@@ -34,7 +34,7 @@ from orlicz_wct.subspace import (
     block_powers_well_conditioned,
     powers_well_conditioned,
 )
-from orlicz_wct.wct import contraction_criterion
+from orlicz_wct.wct import OperatorTable, contraction_criterion
 
 from conftest import random_operator
 from oracles import (
@@ -296,18 +296,13 @@ class TestFactorOnce:
             assert not repeats, (t.h, repeats)
             assert len(keys) <= 1
         assert factored >= 2
-        # the batch form over all of them: one SVD, of the cores of every
-        # operator that meets the criterion
+        # the table of all of them: one SVD, of the cores of every operator
+        # that meets the criterion
         keys.clear()
-        k = len(operators)
-        phis = [power_scaled(2)] * k
-        batch = verify_structure_theorems(
-            operators, phis, [1e-8] * k, [0] * k, [None] * k
-        )
-        met = [
-            t for t, rows in zip(operators, batch)
-            if by_id(rows)["one_minus_t_direct_sum"].hypothesis == "met"
-        ]
+        tab = OperatorTable.of(operators, [power_scaled(2)] * len(operators))
+        columns = verify_structure_theorems(tab, None, 1e-8, 0)
+        (direct_sum,) = [c for c in columns if c.claim_id == "one_minus_t_direct_sum"]
+        met = [t for t, hyp in zip(operators, direct_sum.hypothesis) if hyp == 1]
         assert len(met) == factored
         blocks = sum(t.block_record.sizes.size for t in met)
         assert [key[1] for key in keys] == [(2, blocks, 9, 2, 2)]
@@ -334,15 +329,14 @@ class TestFactorOnce:
             shapes.append(np.shape(a))
             return real(a, *args, **kwargs)
 
-        def spy_pass(ts, phis, tols, seeds, criteria):
+        def spy_pass(tab, phi, tol, seeds, criterion=None):
             before = len(shapes)
-            rows = real_pass(ts, phis, tols, seeds, criteria)
-            # the harness passes no criterion: the pass reads the one that
-            # the power_bounded pass recorded on each operator
-            assert criteria == (None,) * len(ts)
-            met = any(contraction_criterion(t, phi)[1] for t, phi in zip(ts, phis))
-            calls.append((len(ts), met, len(shapes) - before))
-            return rows
+            columns = real_pass(tab, phi, tol, seeds, criterion)
+            # the harness passes no criterion: the pass reads the table's,
+            # which the power_bounded pass decided
+            assert criterion is None and "criterion" in vars(tab)
+            calls.append((tab.n.size, bool(tab.criterion[1].any()), len(shapes) - before))
+            return columns
 
         monkeypatch.setattr(np.linalg, "svd", spy)
         # np.linalg.norm(., 2) calls the svd bound in its own module
@@ -362,13 +356,13 @@ class TestFactorOnce:
         # the contraction criterion factors all their cores in one SVD, and
         # forms one _power_sum per distinct horizon and closed form
         batches = []
-        real_batch, real_svd = subspace._structure_batch, np.linalg.svd
+        real_batch, real_svd = subspace._structure_columns, np.linalg.svd
         real_sum = subspace._power_sum
 
-        def spy_batch(runs):
-            batches.append({"runs": runs, "svd": [], "sums": [], "open": True})
+        def spy_batch(tab, tol, seeds, holds):
+            batches.append({"tab": tab, "holds": holds, "svd": [], "sums": [], "open": True})
             try:
-                return real_batch(runs)
+                return real_batch(tab, tol, seeds, holds)
             finally:
                 batches[-1]["open"] = False
 
@@ -381,26 +375,26 @@ class TestFactorOnce:
             batches[-1]["sums"].append((n_terms, weighted))
             return real_sum(h, n_terms, weighted)
 
-        monkeypatch.setattr(subspace, "_structure_batch", spy_batch)
+        monkeypatch.setattr(subspace, "_structure_columns", spy_batch)
         monkeypatch.setattr(np.linalg, "svd", spy_svd)
         monkeypatch.setattr(subspace, "_power_sum", spy_sum)
         path = Path(__file__).resolve().parents[1] / "scenarios" / "r3_contracting.json"
         report = run_verification(load_scenario(path), seed=1, instances=20)
         assert report.exit_status == 0
-        sizes = [{t.space.n_atoms for t, *_ in b["runs"]} for b in batches]
+        sizes = [set(b["tab"].n.tolist()) for b in batches]
         assert all(len(size) == 1 for size in sizes)
         assert len({size.pop() for size in sizes}) == len(batches)
-        assert sum(len(b["runs"]) for b in batches) == 21
+        assert sum(b["tab"].n.size for b in batches) == 21
         met_total = 0
         for b in batches:
-            met = [t for t, _, _, holds in b["runs"] if holds]
-            met_total += len(met)
-            blocks = sum(t.block_record.sizes.size for t in met)
-            assert b["svd"] == ([(2, blocks, 9, 2, 2)] if met else [])
+            tab, holds = b["tab"], b["holds"]
+            met_total += int(holds.sum())
+            blocks = int(tab.blocks[holds].sum())
+            assert b["svd"] == ([(2, blocks, 9, 2, 2)] if holds.any() else [])
             assert len(b["sums"]) == len(set(b["sums"]))
             horizons = set()
-            for t in met:
-                h_top = float(np.max(np.abs(t.h)))
+            h_tops = np.maximum.reduceat(np.abs(tab.h), tab.atom_starts)[holds]
+            for h_top in h_tops.tolist():
                 n_eff = int(min(1e5, max(200, 40.0 / max(1e-4, 1.0 - min(h_top, 1.0)))))
                 horizons |= {n_eff // 4, n_eff // 2, n_eff}
             assert {k + 1 for k, weighted in b["sums"] if not weighted} == horizons

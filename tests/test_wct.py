@@ -34,7 +34,7 @@ from orlicz_wct.young import capped, deadzone, exp_type
 from orlicz_wct import harness, wct
 from orlicz_wct.harness import PROFILES, Scenario, generate_random_instance
 
-from conftest import random_operator
+from conftest import batch_rows, random_operator
 from oracles import pairing_adjoint, power_walk
 
 
@@ -406,8 +406,7 @@ def _block_operators(draw, huge=st.just(1.0), sizes=st.integers(32, 96)):
 
 
 def _group_rows(s):
-    runs = [(s.operator().block_layout, s.tolerances["comparison"])]
-    rows = harness._iterate_claims(runs)[0] + harness._cesaro_claims(runs)[0]
+    rows = [r for g in ("iterate_formula", "cesaro_identities") for r in batch_rows(g, [s])[0]]
     return {r.claim_id: (r.status, r.residual) for r in rows}
 
 
