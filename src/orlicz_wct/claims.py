@@ -24,6 +24,7 @@ __all__ = [
     "CLAIM_REGISTRY",
     "EXPERIMENT_CLAIMS",
     "fold_claims",
+    "fold_row",
     "make_claim",
     "overflow_claim",
 ]
@@ -175,41 +176,26 @@ class ClaimColumn:
     """One claim's rows on every operator of a batch, as arrays: per row a
     status and a hypothesis (indices into ``STATUSES`` and ``HYPOTHESES``)
     and a residual (NaN where there is none, as ``has_residual`` says).
-
-    It is built as ``make_claim`` builds one row, with arrays for ok and
-    the residual and one detail for every row, a string, None, or a
-    function of the row index that is called only for the rows whose
-    detail is read; ``unchecked`` then makes some rows not_checked with
-    their own fixed detail. ``row`` gives the ``ClaimResult`` of one row,
-    and ``fold_claims`` folds a claim's columns into its report row.
-    """
+    Built as ``make_claim`` builds a row, from arrays of ok and residuals
+    and one detail, a string, None, or a function of the row index, called
+    only for a row whose detail is read; ``unchecked`` then makes some rows
+    not_checked with a detail of their own. ``row`` gives one row."""
 
     def __init__(self, claim_id, hypothesis, ok, residual=None, detail=None):
         ok = np.asarray(ok, dtype=bool)
         self.claim_id = claim_id
-        self.status = np.where(ok, 0, 1).astype(np.int8)
+        self.status = (~ok).view(np.int8)
         if isinstance(hypothesis, str):
             hypothesis = np.full(ok.shape, HYPOTHESES.index(hypothesis), dtype=np.int8)
         self.hypothesis = hypothesis
         self.has_residual = np.full(ok.shape, residual is not None)
-        self.residual = np.full(ok.shape, np.nan)
-        if residual is not None:
-            self.residual[:] = residual
+        if residual is None:
+            residual = np.full(ok.shape, np.nan)
+        self.residual = np.asarray(residual, dtype=float)
         self._detail, self._fixed = detail, []
 
-    @classmethod
-    def of_row(cls, row: ClaimResult) -> ClaimColumn:
-        """The column of one row."""
-        ok = row.status == "pass"
-        out = cls(row.claim_id, row.hypothesis, [ok], row.residual, row.detail)
-        if row.status == "not_checked":
-            out.unchecked([True], row.detail)
-            out.has_residual[:] = row.residual is not None
-        return out
-
     def unchecked(self, rows, detail=None) -> ClaimColumn:
-        """Makes the rows (a mask) not_checked with no residual and the
-        given detail."""
+        """Makes the rows (a mask) not_checked with no residual and this detail."""
         rows = np.asarray(rows, dtype=bool)
         self.status[rows] = 2
         self.has_residual[rows] = False
@@ -234,19 +220,18 @@ class ClaimColumn:
 
 
 def fold_claims(parts, fingerprint) -> ClaimResult:
-    """The report row of one claim from its rows on every instance: parts
-    are (instance indices, ``ClaimColumn``) pairs, the indices giving the
-    order of the instances, and ``fingerprint(i)`` that of instance i.
-
-    The row fails when any instance's row failed; its fingerprint and
-    detail are then the first failing instance's. Otherwise its fingerprint
-    is the first instance's, and its detail that instance's only when there
-    is one instance. Its residual is the worst of the checked rows, taken in
-    instance order as Python's ``max`` takes them (a NaN in first place
-    stays, a later one is passed over). Its hypothesis is met when some row
-    was checked or had its hypothesis met, unless the rows carry none. The
-    detail falls back to a count of the checked rows.
-    """
+    """The report row of one claim from its (instance indices,
+    ``ClaimColumn``) parts; ``fingerprint(i)`` is that of instance i. It
+    fails when some row failed, with the first failing instance's
+    fingerprint and detail; else it has the first instance's fingerprint,
+    and its detail when that is the only one. Its residual is the worst of
+    the checked rows, in instance order as Python's ``max`` takes them (a
+    first NaN stays, a later one is passed over); its hypothesis is met when
+    some row was checked or met it, unless the rows carry none; the detail
+    falls back to a count of the checked rows."""
+    if len(parts) == 1 and parts[0][1].status.size == 1:
+        (index, column), = parts
+        return fold_row(column.row(0), fingerprint(int(index[0])))
     index = np.concatenate([runs for runs, _ in parts])
     order = np.argsort(index, kind="stable")
     index = index[order]
@@ -284,3 +269,17 @@ def fold_claims(parts, fingerprint) -> ClaimResult:
         detail=text or f"checked on {int(checked.sum())} of {status.size} instances",
         fingerprint=fingerprint(int(index[first])),
     )
+
+
+def fold_row(row: ClaimResult, fingerprint: dict) -> ClaimResult:
+    """``fold_claims`` of a claim's one row, on one instance: the row itself,
+    with its hypothesis met when it was checked, no residual when it was
+    not, and the instance's fingerprint."""
+    checked = row.status != "not_checked"
+    if row.hypothesis == "not_met" and checked:
+        row.hypothesis = "met"
+    if not checked:
+        row.residual = None
+    row.detail = row.detail or f"checked on {int(checked)} of 1 instances"
+    row.fingerprint = fingerprint
+    return row

@@ -65,6 +65,7 @@ from .claims import (
     ClaimColumn,
     ClaimResult,
     fold_claims,
+    fold_row,
     make_claim,
     overflow_claim,
 )
@@ -82,6 +83,7 @@ from .wct import (
     bound_constant,
     cesaro_mean,
     exact_norm_powers,
+    table_part,
     iterate,
     matrix_of,
     power_bounded_report,
@@ -596,11 +598,10 @@ def identity_residuals(walk: BlockWalk, ns) -> dict[int, dict]:
 
 def _walk_columns(tab, tol, residuals, detail, a_ns=(), b_ns=(), t_ns=()):
     """The columns of a table's rows from one ``BlockWalk`` over its
-    layout. ``residuals(walk)`` gives for every claim id one array per
-    power or horizon, one value per row; a row's residual is the worst of
-    them, and an overflowing power, which walks on as inf and NaN, leaves
-    the row not checked: no bound holds on inf, and a NaN decides
-    nothing."""
+    layout: ``residuals(walk)`` gives per claim id one array per power or
+    horizon, one value per row, and a row's residual is the worst of them.
+    A power that overflowed walks on as inf and NaN, and leaves the row not
+    checked: no bound holds on inf, and a NaN decides nothing."""
     with np.errstate(over="ignore", invalid="ignore"):
         walk = BlockWalk(tab.layout, a_ns, b_ns, t_ns)
         found = residuals(walk)
@@ -656,9 +657,7 @@ def _power_bounded_columns(tab, seeds, tolerances):
     holds, support, h_sup, norms, exact, bounded = power_bounded_report(
         tab, None, n_max=20, samples=32, seed=seeds
     )
-    n1 = norms[:, 0]
-    with np.errstate(invalid="ignore"):
-        sup = norms.max(axis=1)
+    n1, sup = norms[:, 0], norms.max(axis=1)
     # growth witness |h_i|^(n-1) = N(h^(n-1) T e_i) / N(T e_i): a violating
     # block lies whole in the support and has u_j w_j != 0, so T e_j != 0
     h = np.abs(tab.h)
@@ -667,24 +666,17 @@ def _power_bounded_columns(tab, seeds, tolerances):
     with np.errstate(over="ignore"):
         top[grows] = h[grows] ** (norms.shape[1] - 1)
     top = np.maximum.reduceat(top, tab.atom_starts)
-    with np.errstate(invalid="ignore"):
-        ok = np.where(
-            holds,
-            np.where(exact, _within(sup, n1), sup <= n1 + 1e-6),
-            top >= 1.0 - 1e-9,
-        )
+    ok = np.where(
+        holds, np.where(exact, _within(sup, n1), sup <= n1 + 1e-6), top >= 1.0 - 1e-9
+    )
 
     def detail(k):
-        if holds[k] and exact[k]:
-            return (
-                f"criterion true; sup_n ||T^n|| {sup[k]:.6g} vs "
-                f"||T|| {n1[k]:.6g} (exact block norms)"
-            )
         if holds[k]:
-            return (
-                f"criterion true; sup_n estimate {sup[k]:.6g} vs "
-                f"n=1 estimate {n1[k]:.6g}"
+            sup_n, one, how = (
+                ("sup_n ||T^n||", "||T||", " (exact block norms)") if exact[k]
+                else ("sup_n estimate", "n=1 estimate", "")
             )
+            return f"criterion true; {sup_n} {sup[k]:.6g} vs {one} {n1[k]:.6g}{how}"
         if top[k] >= 2.0:
             return "criterion false, growth confirmed"
         if ok[k]:
@@ -707,10 +699,6 @@ def _power_bounded_columns(tab, seeds, tolerances):
         detail=lambda k: f"sup|h|={h_sup[k]:.6g}, bounded over horizon={bounded[k]}",
     )
     return [criterion, sequence.unchecked(overflowed, OVERFLOW_DETAIL)]
-
-
-def _structure_columns(tab, seeds, tolerances):
-    return verify_structure_theorems(tab, None, tolerances["rank"], seeds)
 
 
 def _condexp_claims(s: Scenario, t: WctOperator, seed: int):
@@ -785,17 +773,21 @@ _GROUPS = {
 # criterion that the structure pass reads
 _BATCH_GROUPS = {
     "power_bounded": _power_bounded_columns,
-    "structure": _structure_columns,
+    "structure": lambda tab, seeds, tolerances: verify_structure_theorems(
+        tab, None, tolerances["rank"], seeds
+    ),
     "iterate_formula": _iterate_columns,
     "cesaro_identities": _cesaro_columns,
 }
 
 
-def _random_instances(scenario: Scenario, seed: int, instances: int):
-    """(scenario, draw) of each random instance of ``run_verification``, in
-    order, at the rank tolerance of scenario. The stacked rounds of
-    ``_well_conditioned_draws`` accept a draw for every instance first;
-    each instance's scenario is then made as it is asked for."""
+def _tables(scenario: Scenario, seed: int, instances: int, fingerprints: list):
+    """(instance indices, operator table, sampling seed per row) of each
+    instance size of a verify call: instance 0 is the scenario, then come
+    its random instances, at its rank tolerance, whose draws the rounds of
+    ``_well_conditioned_draws`` accept. Each table is built once from its
+    rows' arrays, and let go before the next is built. The fingerprint of
+    each random instance is appended to ``fingerprints``."""
     tol = scenario.tolerances["rank"]
     specs = []
     for i in range(instances):
@@ -805,40 +797,22 @@ def _random_instances(scenario: Scenario, seed: int, instances: int):
         n_blocks = int(sizes.integers(1, n_atoms + 1))
         specs.append((child_seed, n_atoms, n_blocks, PROFILES[i % len(PROFILES)]))
     accepted = _well_conditioned_draws(specs, tol)
+    t = scenario.operator()
+    by_size = {t.space.n_atoms: [(0, table_part(t), scenario.phi, seed, t)]}
     # the gauges of the rotation, and their conjugates, built once per call
     shared = {}
-    for draw, (_, n_atoms, n_blocks, profile) in zip(accepted, specs):
+    for i, (draw, spec) in enumerate(zip(accepted, specs), 1):
         # generate_well_conditioned_instance, the one builder of a
         # well-conditioned instance (a trace counts its calls as the suite's
-        # accepted instances), takes the draw that the rounds accepted from
-        # the shared dict rather than drawing it again. The seed is the
-        # accepted draw's: the fingerprint then rebuilds the instance that
-        # ran, and its claims sample with it
-        shared[draw.seed, n_atoms, n_blocks, profile, tol] = draw
-        child = generate_well_conditioned_instance(
-            draw.seed, n_atoms, n_blocks, profile, tol, shared
-        )
-        yield child, draw
-
-
-def _tables(scenario: Scenario, seed: int, instances: int, fingerprints: list):
-    """(instance indices, operator table, sampling seed per row) of each
-    instance size of a verify call: the scenario (instance 0), then its
-    random instances, grouped by atom count, one table per size, each built
-    once from the draws' arrays and let go before the next is built. The
-    fingerprint of each random instance is appended to ``fingerprints``."""
-    t = scenario.operator()
-    by_size = {}
-
-    def add(n, *row):
-        by_size.setdefault(n, []).append(row)
-
-    add(t.space.n_atoms, 0, (t.space.weights, t.e._labels, t.e._block_masses,
-        t.u, t.w, t.h), scenario.phi, seed, t)
-    for i, (child, draw) in enumerate(_random_instances(scenario, seed, instances), 1):
+        # accepted instances), takes the accepted draw from the shared dict.
+        # Its seed rebuilds the instance that ran, and its claims sample
+        # with it
+        shared[(draw.seed, *spec[1:], tol)] = draw
+        child = generate_well_conditioned_instance(draw.seed, *spec[1:], tol, shared)
         fingerprints.append(child.fingerprint())
-        parts = draw.weights, draw.labels, draw.masses, draw.u, draw.w, draw.h
-        add(draw.labels.size, i, parts, child.phi, draw.seed, None)
+        # (weights, labels, masses, u, w, h)
+        row = i, draw[3:], child.phi, draw.seed, None
+        by_size.setdefault(spec[1], []).append(row)
     for n in list(by_size):
         index, parts, phis, seeds, ops = zip(*by_size.pop(n))
         yield np.array(index), OperatorTable(parts, phis, ops), np.array(seeds)
@@ -857,23 +831,26 @@ def run_verification(
     """
     fp = {**scenario.fingerprint(), "seed": seed, "instances": instances}
     fingerprints = [dict(fp)]
-    # each claim id's (instance indices, column) parts, in group order
-    parts = {
+    # each claim id's report row, or its (instance indices, column) parts,
+    # in group order; the groups of _GROUPS run on the scenario only
+    entries = {
         cid: [] for group in scenario.experiments for cid in EXPERIMENT_CLAIMS[group]
     }
-    first = np.zeros(1, dtype=int)
     for name in scenario.experiments:
         if name in _GROUPS:
             for row in _GROUPS[name](scenario, scenario.operator(), seed):
-                parts[row.claim_id].append((first, ClaimColumn.of_row(row)))
+                entries[row.claim_id] = fold_row(row, fingerprints[0])
     batch = [name for name in _BATCH_GROUPS if name in scenario.experiments]
     if batch:
         for index, tab, seeds in _tables(scenario, seed, instances, fingerprints):
             for name in batch:
                 for column in _BATCH_GROUPS[name](tab, seeds, scenario.tolerances):
-                    parts[column.claim_id].append((index, column))
+                    entries[column.claim_id].append((index, column))
+    for cid, parts in entries.items():
+        if isinstance(parts, list):
+            entries[cid] = fold_claims(parts, fingerprints.__getitem__)
     return VerificationReport(
-        entries=[fold_claims(p, fingerprints.__getitem__) for p in parts.values()],
+        entries=list(entries.values()),
         fingerprint=fp,
         version=__version__,
         generated_at=_dt.datetime.now(_dt.timezone.utc).isoformat(),

@@ -141,9 +141,9 @@ def block_powers_well_conditioned(
 
 
 def records_well_conditioned(rec: BlockRecord, starts, k_max: int, tol) -> np.ndarray:
-    """Whether the powers 1..k_max of each operator of a direct sum of block
-    records (``BlockRecord.direct_sum``), whose blocks start at ``starts``,
-    are well conditioned at its rank tolerance ``tol``: the rule of
+    """Whether the powers 1..k_max of each operator of a block record that
+    holds the blocks of many, one after another from ``starts``, are well
+    conditioned at its rank tolerance ``tol``: the rule of
     ``powers_well_conditioned`` on each operator's block spectrum and
     symbol, read as reductions over its segment. Random suites re-draw the
     instances it flags."""
@@ -325,19 +325,16 @@ def verify_structure_theorems(
     ``contraction_criterion(t, phi)`` passes it as ``criterion``; otherwise
     the pass reads it from the operator, where it is decided once.
 
-    The table form takes an ``OperatorTable`` whose rows carry their gauges
-    (phi None), a rank tolerance and a sampling seed per row, and whether
-    the criterion holds per row (or None: the table's ``criterion``), and
-    returns one ``ClaimColumn`` per claim, from one pass over the table's
-    block record and one over the layouts of the rows whose criterion
-    holds. Every array of the pass grows with the number of rows, so
-    callers hold a table to operators of one size.
+    The table form takes an ``OperatorTable`` (phi None), a rank tolerance
+    and a sampling seed per row, and whether the criterion holds per row
+    (None: the table's ``criterion``), and returns one ``ClaimColumn`` per
+    claim from one pass over the table. Every array of the pass grows with
+    the number of rows, so callers hold a table to operators of one size.
     """
     if isinstance(t, WctOperator):
-        if criterion is None:
-            criterion = contraction_criterion(t, phi)
+        holds = (criterion or contraction_criterion(t, phi))[1]
         tab = OperatorTable.of([t])
-        columns = verify_structure_theorems(tab, None, [tol], [seed], [criterion[1]])
+        columns = verify_structure_theorems(tab, None, [tol], [seed], [holds])
         return [column.row(0) for column in columns]
     tol = np.broadcast_to(np.asarray(tol, dtype=float), t.n.shape)
     if np.any(tol <= 0):
@@ -391,9 +388,7 @@ def _structure_columns(tab, tol, seeds, holds) -> list[ClaimColumn]:
     weak = (np.abs(h_block) > 1e-12) & ~(np.abs(h_block) >= _DELTA)
     bounded_away = _owner_sum(weak, starts) == 0
 
-    # the first k <= 8 with rank(T^k) = rank(T^(k+1)), -1 for None
-    same = ranks[1:] == ranks[:-1]
-    ascent = np.where(same.any(axis=0), same.argmax(axis=0), -1)
+    ascent = _ascents(n, ranks[1:])
     ascent_ok = (ascent >= 0) & (ascent <= 2)
     ranks = ranks[:7]
     null_dims = n - ranks
@@ -401,9 +396,10 @@ def _structure_columns(tab, tol, seeds, holds) -> list[ClaimColumn]:
     worst = dims.max(axis=0).astype(float)
     sum2 = sums[1]
     hyp_b = np.where(bounded_away, 1, 2).astype(np.int8)
+    stable = (ranks[3:7] == ranks[2]).all(axis=0)
 
-    def found(k):
-        return None if ascent[k] < 0 else int(ascent[k])
+    def kernel(k):
+        return null_dims[:, k].tolist()
 
     def column(cid, hyp, powers, ok, gated=False, **kwargs):
         """The column of a claim that reads powers 1..powers of T: not
@@ -419,20 +415,20 @@ def _structure_columns(tab, tol, seeds, holds) -> list[ClaimColumn]:
     return [
         column(
             "ascent_bound", "none", 9, ascent_ok,
-            detail=lambda k: f"ascent={found(k)}, kernel dims {null_dims[:, k].tolist()}",
+            detail=lambda k: f"ascent={_found(ascent, k)}, kernel dims {kernel(k)}",
         ),
         column(
-            "null_chain_stabilization", "none", 6, (ranks[3:7] == ranks[2]).all(axis=0),
-            detail=lambda k: f"kernel dims {null_dims[:, k].tolist()}",
+            "null_chain_stabilization", "none", 6, stable,
+            detail=lambda k: f"kernel dims {kernel(k)}",
         ),
         column(
             "descent_bound", hyp_b, 9, ascent_ok, gated=True,
-            detail=lambda k: f"descent={found(k)}, range dims {ranks[:, k].tolist()}, "
-            f"delta={_DELTA:g}",
+            detail=lambda k: f"descent={_found(ascent, k)}, range dims "
+            f"{ranks[:, k].tolist()}, delta={_DELTA:g}",
         ),
         column(
-            "range_chain_stabilization", hyp_b, 6, (ranks[3:7] == ranks[2]).all(axis=0),
-            gated=True, detail=lambda k: f"range dims {ranks[:, k].tolist()}",
+            "range_chain_stabilization", hyp_b, 6, stable, gated=True,
+            detail=lambda k: f"range dims {ranks[:, k].tolist()}",
         ),
         column("range_square_null_intersection", "none", 4, worst == 0, residual=worst),
         column(
@@ -454,51 +450,41 @@ def _structure_columns(tab, tol, seeds, holds) -> list[ClaimColumn]:
 
 
 def _criterion_columns(tab, tol, seeds, holds, met) -> list[ClaimColumn]:
-    """The columns under the strict contraction criterion, in the order of
-    ``_CRITERION_CLAIMS``: read on the rows ``met``, whose criterion holds
-    and whose powers are finite (``_criterion_facts``), overflow rows where
-    the criterion holds and a power overflowed, and not_met rows elsewhere."""
+    """The columns of ``_CRITERION_CLAIMS``: read on the rows ``met``, whose
+    criterion holds and whose powers are finite (``_criterion_facts``),
+    overflow rows where a power overflowed, not_met rows elsewhere."""
     rows = np.flatnonzero(met)
     f = {}
     if rows.size:
         met_tab = tab if rows.size == met.size else tab.take(rows)
         f = _criterion_facts(met_tab, tol[rows], seeds[rows])
-    at = np.cumsum(met) - 1
 
-    def spread(name, fill=0):
-        out = np.full(met.size, fill, dtype=np.asarray(f.get(name, fill)).dtype)
-        if rows.size:
-            out[rows] = f[name]
+    def spread(name, *width):
+        """The fact on every row of the table, 0 off the rows met."""
+        out = np.zeros((met.size, *width))
+        out[rows] = f[name] if rows.size else 0.0
         return out
 
-    a1, a2, split, dim_r, inv = (
-        spread(name) for name in ("a1", "a2", "split", "dim_r", "invertible")
+    a1, a2, split, dim_r, inv, low, top, horizon, inv_res = (
+        spread(name) for name in
+        ("a1", "a2", "split", "dim_r", "invertible", "low", "top", "n_eff", "inv_res")
     )
-    low, top, horizon = spread("low", 0.0), spread("top", 0.0), spread("n_eff")
-    bn, inv_res = np.zeros((met.size, 3)), spread("inv_res", 0.0)
-    ces = np.zeros((met.size, 3))
-    if rows.size:
-        bn[rows], ces[rows] = f["bn_res"], f["ces_res"]
-    n = tab.n
+    bn, ces, inv, n = spread("bn_res", 3), spread("ces_res", 3), inv > 0, tab.n
     full_rank = dim_r == n
-
-    def ascent(a, k):
-        return None if a[k] < 0 else int(a[k])
-
-    floor_bn = 1e-12 * (1.0 + spread("scale_bn", 0.0))
-    floor_ces = 1e-12 * (1.0 + spread("scale_ces", 0.0))
+    floor_bn = 1e-12 * (1.0 + spread("scale_bn"))
+    floor_ces = 1e-12 * (1.0 + spread("scale_ces"))
     columns = [
         ClaimColumn(
             "one_minus_t_ascent", "met", (a1 >= 0) & (a1 <= 1),
-            detail=lambda k: f"ascent={ascent(a1, k)}",
+            detail=lambda k: f"ascent={_found(a1, k)}",
         ),
         ClaimColumn(
             "one_minus_t_adjoint_ascent", "met", (a2 >= 0) & (a2 <= 1),
-            detail=lambda k: f"ascent={ascent(a2, k)} (bilinear pairing adjoint)",
+            detail=lambda k: f"ascent={_found(a2, k)} (bilinear pairing adjoint)",
         ),
         ClaimColumn(
             "one_minus_t_direct_sum", "met", split == n,
-            detail=lambda k: f"dims {dim_r[k]}+{n[k] - dim_r[k]} of {n[k]}",
+            detail=lambda k: f"dims {int(dim_r[k])}+{n[k] - int(dim_r[k])} of {n[k]}",
         ),
         ClaimColumn(
             "ergodic_invertibility", "met", inv == full_rank,
@@ -509,8 +495,9 @@ def _criterion_columns(tab, tol, seeds, holds, met) -> list[ClaimColumn]:
         ClaimColumn(
             "ergodic_bn_convergence", "met", _decreasing_to_zero(bn, floor_bn),
             residual=bn[:, -1],
-            detail=lambda k: f"sup residuals at n={horizon[k] // 4},"
-            f"{horizon[k] // 2},{horizon[k]}: {bn[k].tolist()}",
+            detail=lambda k: "sup residuals at n={},{},{}: {}".format(
+                *(int(horizon[k]) // d for d in (4, 2, 1)), bn[k].tolist()
+            ),
         ).unchecked(met & ~inv, "I - T numerically singular"),
         ClaimColumn(
             "ergodic_cesaro_limit", "met",
@@ -523,6 +510,19 @@ def _criterion_columns(tab, tol, seeds, holds, met) -> list[ClaimColumn]:
         out.hypothesis = np.where(holds, 1, 2).astype(np.int8)
         out.unchecked(holds & ~met, OVERFLOW_DETAIL).unchecked(~holds)
     return columns
+
+
+def _ascents(n, ranks) -> np.ndarray:
+    """Per operator ``_ascent`` with k_max 8, -1 for None, from its n and
+    the ranks of A^1..A^9, one row per power."""
+    same = np.vstack([n, ranks])
+    same = same[1:] == same[:-1]
+    return np.where(same.any(axis=0), same.argmax(axis=0), -1)
+
+
+def _found(ascents: np.ndarray, k: int):
+    """The ascent of row k, or None where none was found (-1)."""
+    return None if ascents[k] < 0 else int(ascents[k])
 
 
 def _decreasing_to_zero(residuals: np.ndarray, floor: np.ndarray) -> np.ndarray:
@@ -561,7 +561,6 @@ def _criterion_facts(tab, tol, seeds) -> dict:
     values = np.where(pair[:, None, None] | (np.arange(2) == 0), s, 0.0)
     values = values.transpose(0, 2, 1, 3).reshape(2, 9, -1)
     ascents = _chain(values, 2 * starts, tol, trivial)[1]
-    ascents_with_n = [np.vstack([n, ranks]) for ranks in ascents]
 
     # the split of I - T at its cut: a block's slot is in the range while
     # its singular value clears the cut, else in the kernel, and the trivial
@@ -726,12 +725,10 @@ def _criterion_facts(tab, tol, seeds) -> dict:
         ces_res[c.start : c.stop] = sup_gaps(cesaro, limit)
         scale_ces += owner_max(fs, c).tolist()
 
-    a1, a2 = (
-        np.where(same.any(axis=0), same.argmax(axis=0), -1)
-        for same in (ranks[1:] == ranks[:-1] for ranks in ascents_with_n)
-    )
+    a1, a2 = (_ascents(n, ranks) for ranks in ascents)
     return {
-        "a1": a1, "a2": a2, "split": split, "dim_r": dim_r, "invertible": invertible,
-        "low": low, "top": top, "n_eff": n_eff, "bn_res": bn_res, "scale_bn": scale_bn,
-        "inv_res": np.array(inv_res), "ces_res": ces_res, "scale_ces": np.array(scale_ces),
+        "a1": a1, "a2": a2, "split": split, "dim_r": dim_r,
+        "invertible": invertible, "low": low, "top": top, "n_eff": n_eff,
+        "bn_res": bn_res, "scale_bn": scale_bn, "inv_res": np.array(inv_res),
+        "ces_res": ces_res, "scale_ces": np.array(scale_ces),
     }

@@ -18,8 +18,8 @@ arrays, and its one layout packs all of them, so that one walk and one
 pass of each closed form serve them all, and ``owner_max`` reads a
 max-entry residual of each; an operator alone is a table of one row.
 ``contraction_criterion`` decides the strict contraction criterion |h| < 1
-on the criterion support once per operator and gauge, and a table decides
-it for all its rows in one pass. It and ``bound_constant`` read a gauge phi together with its
+on the criterion support once per operator and gauge, and a table for all
+its rows in one pass. It and ``bound_constant`` read a gauge phi with its
 conjugate psi, and take phi alone: psi is ``phi.conjugate``, built once.
 
 The same block structure gives the singular values of every power in closed
@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -101,11 +100,9 @@ class WctOperator:
 
     @functools.cached_property
     def block_record(self) -> BlockRecord:
-        """The ``BlockRecord`` of T, built on first use and then shared."""
-        e = self.e
-        return _block_frame(
-            e._labels, e._block_masses, self.h, self.w, self.u * self.space.weights
-        )
+        """The ``BlockRecord`` of T (of its table of one row), built on first
+        use and then shared."""
+        return OperatorTable.of([self]).record
 
     @functools.cached_property
     def block_layout(self) -> BlockLayout:
@@ -206,15 +203,14 @@ class BlockLayout:
         self._runs, self._owners, stop, first = [], [], 0, 0
         for lo, hi in zip(bounds, bounds[1:]):
             width, count = int(sizes[lo]), hi - lo
-            entries = slice(stop, stop + count * width * width)
-            self._runs.append((entries, atoms[first : first + count * width], count, width))
+            run = atoms[first : first + count * width]
+            entries = slice(stop, stop + run.size * width)
+            self._runs.append((entries, run, count, width))
             self._owners.append(owners[lo:hi])
-            stop, first = entries.stop, first + count * width
+            stop, first = entries.stop, first + run.size
         self.n, self.n_operators = tab.labels.size, tab.n.size
         self._rows, cols = self._entry_atoms()
-        self.h, self.labels = tab.h, tab.labels
-        self.block_h = np.empty(tab.masses.size)
-        self.block_h[self.labels] = self.h
+        self.h, self.labels, self.block_h = tab.h, tab.labels, tab.block_h
         quotients = tab.weights / tab.masses[self.labels]
         same_block = self.labels[self._rows] == self.labels[cols]
         quotients = np.where(same_block, quotients[cols], 0.0)
@@ -460,42 +456,27 @@ def _exact_p(phi: YoungFunction) -> float | None:
     return phi._power[1] if phi._power is not None and phi._power[1] > 1 else None
 
 
-def _by_gauge(phis) -> list[tuple[YoungFunction, list[int]]]:
-    """(gauge, indices) of the operators that one pass takes: those under
-    one power-law gauge object with p > 1, and each other one alone, as the
-    bits of a numeric inverse depend on the whole array."""
-    groups = {}
-    for i, phi in enumerate(phis):
-        groups.setdefault(phi if _exact_p(phi) else -1 - i, (phi, []))[1].append(i)
-    return list(groups.values())
+def table_part(t: WctOperator) -> tuple:
+    """The (weights, labels, masses, u, w, h) of t that its table row holds."""
+    return t.space.weights, t.e._labels, t.e._block_masses, t.u, t.w, t.h
 
 
 class OperatorTable:
     """Operators one after another, as arrays: per atom its block (numbered
     past the blocks of the operators before), weight, u, w and symbol h;
-    per block its mass; per operator its atoms (``n``), its blocks, where
-    they start, and its gauge, when given.
-
-    ``average`` is E per block with the sums of ``cond_exp``, atom by atom,
-    so every operator keeps its own bits. ``record`` (the ``BlockRecord`` of
-    all the blocks), ``layout`` (one packed ``BlockLayout``) and
-    ``criterion`` are each formed in one array pass on first use. A random
-    suite builds one table per instance size from its draws' arrays; an
-    operator alone is a table of one row (``of``), and ``take`` gives the
-    table of some of the rows.
+    per block its mass; per operator (row) its atoms ``n``, its blocks,
+    where they start, and its gauge and ``WctOperator`` when given (parts:
+    the ``table_part`` of each). ``average`` is E per block with the sums of
+    ``cond_exp``, so every row keeps its own bits. ``record`` (the
+    ``BlockRecord`` of all the blocks), ``layout`` (one packed
+    ``BlockLayout``) and ``criterion`` are each formed in one array pass on
+    first use. ``of`` makes the table of some operators, and ``take`` that
+    of some rows.
     """
 
     def __init__(self, parts, phis=None, ops=None):
-        """parts: (weights, labels, masses, u, w, h) of each operator, with
-        its labels from 0; phis and ops: its gauge and its ``WctOperator``
-        (None to build it only when a sampled norm needs it), if known."""
         weights, labels, masses, u, w, h = zip(*parts)
-        self.n = np.array([x.size for x in weights])
-        self.blocks = np.array([x.size for x in masses])
-        self.starts = np.cumsum(self.blocks) - self.blocks
-        self.atom_starts = np.cumsum(self.n) - self.n
-        self.atom_owner = np.repeat(np.arange(self.n.size), self.n)
-        self.block_owner = np.repeat(np.arange(self.n.size), self.blocks)
+        self._index([x.size for x in weights], [x.size for x in masses])
         self.labels = np.concatenate(labels) + self.starts[self.atom_owner]
         self.weights, self.masses, self.u, self.w, self.h = (
             np.concatenate(v) for v in (weights, masses, u, w, h)
@@ -503,30 +484,30 @@ class OperatorTable:
         self.phis = phis
         self.ops = [None] * self.n.size if ops is None else list(ops)
 
+    def _index(self, n, blocks) -> None:
+        """The atoms and blocks of each row, where they start, and the row
+        of each atom and of each block."""
+        self.n, self.blocks = np.asarray(n, dtype=int), np.asarray(blocks, dtype=int)
+        self.starts = np.cumsum(self.blocks) - self.blocks
+        self.atom_starts = np.cumsum(self.n) - self.n
+        self.atom_owner = np.repeat(np.arange(self.n.size), self.n)
+        self.block_owner = np.repeat(np.arange(self.n.size), self.blocks)
+
     @classmethod
     def of(cls, ts, phis=None) -> OperatorTable:
         """The table of the operators ts, in order."""
-        parts = [
-            (t.space.weights, t.e._labels, t.e._block_masses, t.u, t.w, t.h) for t in ts
-        ]
-        return cls(parts, phis, ts)
+        return cls([table_part(t) for t in ts], phis, ts)
 
     def take(self, rows) -> OperatorTable:
         """The table of the given rows (indices in increasing order, or a
-        mask), with every array gathered: a record or a criterion already
-        formed is gathered too, not formed again."""
+        mask), with every array gathered: a record already formed is
+        gathered too, not formed again."""
         keep = np.zeros(self.n.size, dtype=bool)
         keep[rows] = True
         atoms, blocks = keep[self.atom_owner], keep[self.block_owner]
         out = OperatorTable.__new__(OperatorTable)
-        for name in ("n", "blocks"):
-            setattr(out, name, getattr(self, name)[keep])
-        out.starts = np.cumsum(out.blocks) - out.blocks
-        out.atom_starts = np.cumsum(out.n) - out.n
-        out.atom_owner = np.repeat(np.arange(out.n.size), out.n)
-        out.block_owner = np.repeat(np.arange(out.n.size), out.blocks)
-        relabel = np.cumsum(blocks) - 1
-        out.labels = relabel[self.labels[atoms]]
+        out._index(self.n[keep], self.blocks[keep])
+        out.labels = (np.cumsum(blocks) - 1)[self.labels[atoms]]
         out.weights, out.u, out.w, out.h = (
             getattr(self, name)[atoms] for name in ("weights", "u", "w", "h")
         )
@@ -540,9 +521,6 @@ class OperatorTable:
                 out.labels, rec.sizes[blocks], rec.h[blocks], rec.sigma[blocks],
                 rec.rho[blocks], rec.e1[atoms], rec.e2[atoms],
             )
-        if "criterion" in vars(self):
-            inside, holds = self.criterion
-            out.criterion = inside[atoms], holds[keep]
         return out
 
     def average(self, f: np.ndarray) -> np.ndarray:
@@ -552,11 +530,10 @@ class OperatorTable:
     def operator(self, k: int) -> WctOperator:
         """The operator of row k, built from its arrays if not given."""
         if self.ops[k] is None:
-            atoms = slice(self.atom_starts[k], self.atom_starts[k] + self.n[k])
-            space = FiniteMeasureSpace(self.weights[atoms])
-            labels = self.labels[atoms] - self.starts[k]
-            partition = Partition.from_labels(labels, int(self.blocks[k]))
-            self.ops[k] = WctOperator(self.u[atoms], self.w[atoms], CondExp(space, partition))
+            row = self.take([k])
+            partition = Partition.from_labels(row.labels, int(self.blocks[k]))
+            e = CondExp(FiniteMeasureSpace(row.weights), partition)
+            self.ops[k] = WctOperator(row.u, row.w, e)
         return self.ops[k]
 
     @functools.cached_property
@@ -569,14 +546,25 @@ class OperatorTable:
     def layout(self) -> BlockLayout:
         return BlockLayout(self)
 
+    @functools.cached_property
+    def block_h(self) -> np.ndarray:
+        """The symbol per block."""
+        h = np.empty(self.masses.size)
+        h[self.labels] = self.h
+        return h
+
     def _gauge_groups(self):
-        """(gauge, atoms, blocks) of each pass of ``_by_gauge``: slices of
-        the whole table when it has one gauge object, else index arrays."""
-        groups = _by_gauge(self.phis)
+        """(gauge, atoms, blocks) of each pass over the table (slices when
+        there is one): the rows under one power-law gauge object with p > 1
+        together, each other row alone, as a numeric inverse's bits depend
+        on the whole array."""
+        groups = {}
+        for i, phi in enumerate(self.phis):
+            groups.setdefault(phi if _exact_p(phi) else -1 - i, (phi, []))[1].append(i)
         if len(groups) == 1:
-            return [(groups[0][0], slice(None), slice(None))]
+            return [(phi, slice(None), slice(None)) for phi, _ in groups.values()]
         out = []
-        for phi, rows in groups:
+        for phi, rows in groups.values():
             keep = np.zeros(self.n.size, dtype=bool)
             keep[rows] = True
             atoms = np.flatnonzero(keep[self.atom_owner])
@@ -600,38 +588,35 @@ class OperatorTable:
             sw[blocks] = generalized_inverse(phi, aw[blocks])
             su[blocks] = generalized_inverse(phi.conjugate, au[blocks])
         inside = (np.abs(sw) > _SUPPORT_EPS) & (np.abs(su) > _SUPPORT_EPS)
-        h = np.empty(self.masses.size)
-        h[self.labels] = self.h
-        broken = np.logical_or.reduceat(inside & ~(np.abs(h) < 1.0), self.starts)
+        broken = inside & ~(np.abs(self.block_h) < 1.0)
+        broken = np.logical_or.reduceat(broken, self.starts)
         return inside[self.labels], ~broken
 
     def exact_norms(self, n_max: int) -> np.ndarray:
         """``exact_norm_powers`` of every row, one row of n_max norms each;
         rows whose gauge is not a power law with p > 1 read 0."""
         pw, qu = np.zeros(self.w.size), np.zeros(self.u.size)
-        exact = [(phi, atoms, blocks) for phi, atoms, blocks in self._gauge_groups()
-                 if _exact_p(phi)]
+        exact = [
+            (p, p / (p - 1.0), atoms, blocks)
+            for phi, atoms, blocks in self._gauge_groups()
+            if (p := _exact_p(phi))
+        ]
         # |w|^p, and so a norm, may overflow to inf (inf * 0 is NaN): the
         # callers read a non-finite norm as an overflow
         with np.errstate(over="ignore", invalid="ignore"):
-            for phi, atoms, _ in exact:
-                p = _exact_p(phi)
+            for p, q, atoms, _ in exact:
                 pw[atoms] = np.abs(self.w[atoms]) ** p
-                qu[atoms] = np.abs(self.u[atoms]) ** (p / (p - 1.0))
+                qu[atoms] = np.abs(self.u[atoms]) ** q
             aw, au = self.average(pw), self.average(qu)
             block = np.zeros(aw.size)
-            for phi, _, blocks in exact:
-                p = _exact_p(phi)
-                q = p / (p - 1.0)
+            for p, q, _, blocks in exact:
                 block[blocks] = aw[blocks] ** (1.0 / p) * au[blocks] ** (1.0 / q)
             # only blocks with a nonzero piece count: elsewhere h = 0 as
             # well, and an overflowing |h|^(n-1) must not meet a zero norm
             live = block > 0
-            h = np.empty(block.size)
-            h[self.labels] = self.h
             # |h_B|^(n-1) as the running product 1 * |h_B| * ... * |h_B|
             hpow = np.empty((n_max, block.size))
-            hpow[0], hpow[1:] = 1.0, np.where(live, np.abs(h), 0.0)
+            hpow[0], hpow[1:] = 1.0, np.where(live, np.abs(self.block_h), 0.0)
             terms = np.multiply.accumulate(hpow, axis=0) * np.where(live, block, 0.0)
         return np.maximum.reduceat(terms, self.starts, axis=1).T
 
@@ -684,20 +669,6 @@ class PowerBoundedReport:
     exact: bool
 
 
-class PowerFacts(NamedTuple):
-    """The power_bounded facts of every row of a table: the contraction
-    criterion (per row), its support (per atom), sup|h|, the norms of
-    T^1..T^n_max (exact, or sampled), whether they are exact, and whether
-    sup_n |h|^n stays within 1 + 1e-9 over the horizon."""
-
-    holds: np.ndarray
-    support: np.ndarray
-    h_sup: np.ndarray
-    norms: np.ndarray
-    exact: np.ndarray
-    bounded: np.ndarray
-
-
 def power_bounded_report(
     t,
     phi: YoungFunction | None,
@@ -717,47 +688,43 @@ def power_bounded_report(
     |T^n f| <= ||h||_inf^(n-1) |T f| without estimator noise.
 
     The table form takes an ``OperatorTable`` whose rows carry their gauges
-    (phi None) and one sampling seed per row, and returns ``PowerFacts``:
-    the criterion, sup|h| and exact norms of every row come from one pass
-    over the table, with the bits of each row alone; sampled norms are taken
-    one operator at a time.
+    (phi None) and one sampling seed per row, and returns arrays: per row
+    whether the criterion holds, per atom whether it is in its row's
+    support, then per row sup|h|, the norms of T^1..T^n_max, whether they
+    are exact, and whether max_k |h|^k over the horizon, as float64 powers,
+    is at most 1 + 1e-9. The criterion, sup|h| and exact norms of every row
+    come from one pass over the table, with the bits of each row alone;
+    sampled norms are taken one operator at a time.
     """
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
     if isinstance(t, WctOperator):
-        facts = power_bounded_report(OperatorTable.of([t], [phi]), None, n_max, samples, [seed])
-        support = np.flatnonzero(facts.support).tolist()
-        t._criteria[phi] = support, bool(facts.holds[0])
-        norms = facts.norms[0].tolist()
-        h_sup = float(facts.h_sup[0])
-        bounded = bool(facts.bounded[0])
+        holds, support, h_sup, norms, exact, bounded = power_bounded_report(
+            OperatorTable.of([t], [phi]), None, n_max, samples, [seed]
+        )
+        t._criteria[phi] = np.flatnonzero(support).tolist(), bool(holds[0])
+        norms, h_sup, bounded = norms[0].tolist(), float(h_sup[0]), bool(bounded[0])
         return PowerBoundedReport(
-            t._criteria[phi][1], max(norms), h_sup, norms, support, bounded,
-            bounded == (h_sup <= 1.0 + 1e-12), n_max, bool(facts.exact[0]),
+            bool(holds[0]), max(norms), h_sup, norms, t._criteria[phi][0], bounded,
+            bounded == (h_sup <= 1.0 + 1e-12), n_max, bool(exact[0]),
         )
     support, holds = t.criterion
-    h = np.empty(t.masses.size)
-    h[t.labels] = t.h
-    h_sup = np.maximum.reduceat(np.abs(h), t.starts)
+    h_sup = np.maximum.reduceat(np.abs(t.block_h), t.starts)
     norms = t.exact_norms(n_max)
     exact = np.array([_exact_p(phi) is not None for phi in t.phis])
     for k in np.flatnonzero(~exact).tolist():
         norms[k] = np.nan
         if np.isfinite(h_sup[k]):
-            norms[k] = _sampled_norm_powers(t.operator(k), t.phis[k], n_max, samples, seed[k])
-    return PowerFacts(holds, support, h_sup, norms, exact, _horizon_bounded(h_sup, n_max))
-
-
-def _horizon_bounded(h_sup: np.ndarray, n_max: int) -> np.ndarray:
-    """Whether max_k |h|^k over k = 1..n_max, as float64 powers, is at most
-    1 + 1e-9, per sup|h|: |h| itself below 1, and each power read only
-    where |h| lies in (1, 1 + 1e-9], the one range where it decides."""
+            op = t.operator(k)
+            norms[k] = _sampled_norm_powers(op, t.phis[k], n_max, samples, seed[k])
+    # |h| <= 1 is its own largest power; past 1 + 1e-9 its first power is
+    # over, and in between each power is read
     bounded = h_sup <= 1.0 + 1e-9
     with np.errstate(over="ignore"):
         for k in np.flatnonzero(bounded & (h_sup > 1.0)).tolist():
-            top = max(np.float64(h_sup[k]) ** j for j in range(1, n_max + 1))
-            bounded[k] = top <= 1.0 + 1e-9
-    return bounded
+            powers = [np.float64(h_sup[k]) ** j for j in range(1, n_max + 1)]
+            bounded[k] = max(powers) <= 1.0 + 1e-9
+    return holds, support, h_sup, norms, exact, bounded
 
 
 def _sampled_norm_powers(

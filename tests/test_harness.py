@@ -292,39 +292,33 @@ class TestDrawRounds:
                 )
         except ScenarioError as exc:
             with pytest.raises(ScenarioError) as info:
-                list(harness._random_instances(s, seed, instances))
+                list(harness._tables(s, seed, instances, []))
             assert str(info.value) == str(exc)
             return
-        got = list(harness._random_instances(s, seed, instances))
-        assert len(got) == instances
-        for (child, draw), (seed_j, u, w, t_loop, phi) in zip(got, want):
-            assert child.seed == draw.seed == child.fingerprint()["seed"] == seed_j
-            t = child.operator()
+        fingerprints, got = [None], {}
+        for index, tab, seeds in harness._tables(s, seed, instances, fingerprints):
+            assert tab.record.sizes.size == tab.blocks.sum()
+            for k, i in enumerate(index.tolist()):
+                got[i] = tab, k, int(seeds[k])
+        assert sorted(got) == list(range(instances + 1))
+        for i, (seed_j, u, w, t_loop, phi) in enumerate(want, 1):
+            tab, k, sampling_seed = got[i]
+            assert sampling_seed == fingerprints[i]["seed"] == seed_j
+            # the table's row, and the operator built from it, hold the
+            # loop's arrays, and the table's record, formed once over all its
+            # rows, holds the loop's record on the row's blocks
+            t, row = tab.operator(k), tab.take([k])
             for a, b in (
-                (child.u, u), (child.w, w), (t.u, u), (t.w, w), (t.h, t_loop.h),
-                (draw.u, u), (draw.w, w), (draw.h, t_loop.h),
-                (draw.weights, t_loop.space.weights),
-                (child.space.weights, t_loop.space.weights),
-                (draw.masses, t_loop.e._block_masses),
+                (t.u, u), (t.w, w), (t.h, t_loop.h), (row.u, u), (row.w, w),
+                (row.h, t_loop.h), (row.weights, t_loop.space.weights),
+                (row.masses, t_loop.e._block_masses),
                 (t.e._block_masses, t_loop.e._block_masses),
             ):
                 assert a.tobytes() == b.tobytes()
-            assert child.partition.blocks == t_loop.e.partition.blocks
-            assert child.partition == t_loop.e.partition
-            assert harness.young_to_spec(child.phi) == harness.young_to_spec(phi)
+            assert t.e.partition == t_loop.e.partition
+            assert harness.young_to_spec(tab.phis[k]) == harness.young_to_spec(phi)
             for name, value in vars(t_loop.block_record).items():
-                assert getattr(t.block_record, name).tobytes() == value.tobytes(), name
-        # the table of the draws holds each draw's record with its bits alone
-        if got:
-            tab = wct.OperatorTable(
-                [(d.weights, d.labels, d.masses, d.u, d.w, d.h) for _, d in got]
-            )
-            # formed once over every draw, then gathered per row
-            assert tab.record.sizes.size == sum(d.masses.size for _, d in got)
-            for k, (_, _, _, t_loop, _) in enumerate(want):
-                row = tab.take([k]).record
-                for name, value in vars(t_loop.block_record).items():
-                    assert getattr(row, name).tobytes() == value.tobytes(), name
+                assert getattr(row.record, name).tobytes() == value.tobytes(), name
 
     def test_exhausted_instance_raises_the_same_error(self):
         # with 31 blocks some block almost always lands in the band of its
@@ -1419,20 +1413,21 @@ class TestStackedPowerBounded:
                 assert _row_bits(rows) == _row_bits(alone)
             tab = wct.OperatorTable.of(ts, phis)
             facts = wct.power_bounded_report(tab, None, 20, 32, np.array(seeds))
+            tab_holds, tab_support, tab_h_sup, tab_norms, tab_exact, _ = facts
             reports = []
             for k, (t, phi, seed) in enumerate(runs):
                 support, holds, h_sup, norms = power_bounded_loop(t, phi, 20)
                 rep = wct.power_bounded_report(t, phi, 20, 32, seed)
                 reports.append(rep)
                 atoms = slice(tab.atom_starts[k], tab.atom_starts[k] + tab.n[k])
-                assert np.flatnonzero(facts.support[atoms]).tolist() == support
+                assert np.flatnonzero(tab_support[atoms]).tolist() == support
                 assert rep.criterion_support == support
-                assert rep.criterion_holds is holds is bool(facts.holds[k])
+                assert rep.criterion_holds is holds is bool(tab_holds[k])
                 assert wct.contraction_criterion(t, phi) == (support, holds)
-                for got in (rep.h_sup, facts.h_sup[k]):
+                for got in (rep.h_sup, tab_h_sup[k]):
                     assert np.float64(got).tobytes() == np.float64(h_sup).tobytes()
-                assert rep.exact is (norms is not None) is bool(facts.exact[k])
-                assert _float_bits(rep.norm_estimates) == _float_bits(facts.norms[k])
+                assert rep.exact is (norms is not None) is bool(tab_exact[k])
+                assert _float_bits(rep.norm_estimates) == _float_bits(tab_norms[k])
                 if norms is not None:
                     assert _float_bits(rep.norm_estimates) == _float_bits(norms)
         for i in (up, up2):
