@@ -83,10 +83,10 @@ from .wct import (
     bound_constant,
     cesaro_mean,
     exact_norm_powers,
-    table_part,
     iterate,
     matrix_of,
     power_bounded_report,
+    table_part,
 )
 from .young import (
     YoungFunction,
