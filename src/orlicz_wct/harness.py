@@ -50,7 +50,6 @@ other gauges keep the sampled estimates and the empirical constant.
 from __future__ import annotations
 
 import datetime as _dt
-import itertools
 import json
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
@@ -78,7 +77,6 @@ from .wct import (
     BlockWalk,
     OperatorTable,
     WctOperator,
-    _block_frame,
     b_n_operator,
     bound_constant,
     cesaro_mean,
@@ -475,8 +473,8 @@ def _well_conditioned_draws(specs, tol: float) -> list[_Draw]:
     spectrum with no SVD).
 
     The draws come in rounds: round j draws attempt j of every spec still
-    pending, and one stacked block record and one filter over it decide
-    them all. A block record is a per-block fact, and each block's sums keep
+    pending, and the block record of one table of them and one filter over
+    it decide them all. A block record is a per-block fact, and each block's sums keep
     their atom order, so each draw is decided as it would be alone.
     ScenarioError, for the first spec in order, when a spec's attempts all
     fail."""
@@ -485,18 +483,10 @@ def _well_conditioned_draws(specs, tol: float) -> list[_Draw]:
         if not pending:
             break
         draws = [_draw(specs[i][0] + 7919 * j, *specs[i][1:]) for i in pending]
-        blocks = list(itertools.accumulate((d.masses.size for d in draws), initial=0))
-        labels = np.concatenate([d.labels + b for d, b in zip(draws, blocks)])
-        weights = np.concatenate([d.weights for d in draws])
-        rec = _block_frame(
-            labels,
-            np.concatenate([d.masses for d in draws]),
-            np.concatenate([d.h for d in draws]),
-            np.concatenate([d.w for d in draws]),
-            np.concatenate([d.u for d in draws]) * weights,
-        )
-        starts = np.array(blocks[:-1])
-        ok = records_well_conditioned(rec, starts, 7, np.full(len(draws), tol))
+        # the round's table, of each draw's (weights, labels, masses, u, w, h)
+        tab = OperatorTable([d[3:] for d in draws])
+        tols = np.full(len(draws), tol)
+        ok = records_well_conditioned(tab.record, tab.starts, 7, tols)
         still = []
         for i, d, good in zip(pending, draws, ok.tolist()):
             if good:

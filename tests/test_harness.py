@@ -518,13 +518,13 @@ class TestRunVerification:
 
     def test_one_block_frame_per_round(self, monkeypatch):
         # r3 with 200 instances at seed 1 takes 307 draws in 18 rounds. Each
-        # round takes one (w, u mu) frame over its stacked draws, which its
-        # one filter reads. Each instance size's table takes one frame over
-        # its rows, r3 among the 2-atom ones, and the criterion pass one
-        # (u, w mu) frame of the adjoint over the u of the rows that meet
-        # the criterion, 130 in all, one after another. No operator but
+        # round takes one (w, u mu) frame over a table of its draws, which
+        # its one filter reads. Each instance size's table takes one frame
+        # over its rows, r3 among the 2-atom ones, and the criterion pass
+        # one (u, w mu) frame of the adjoint over the u of the rows that
+        # meet the criterion, 130 in all, one after another. No operator but
         # r3's is built, and r3's own record is never formed
-        operators, frames, round_frames, rounds, met = [], [], [], [], []
+        operators, frames, adjoint, rounds, met = [], [], [], [], []
         tables, walked = {}, []
         post_init, frame = wct.WctOperator.__post_init__, wct._block_frame
         facts = subspace._criterion_facts
@@ -543,7 +543,7 @@ class TestRunVerification:
             return spy_frame
 
         def spy_decide(rec, starts, k_max, tol):
-            rounds.append(starts.size)
+            rounds.append((starts.size, rec))
             return decide(rec, starts, k_max, tol)
 
         def spy_facts(tab, tol, seeds):
@@ -559,9 +559,8 @@ class TestRunVerification:
             walk_init(self, layout, *args)
 
         monkeypatch.setattr(wct.WctOperator, "__post_init__", spy_post_init)
-        for module in (wct, subspace):
-            monkeypatch.setattr(module, "_block_frame", spy(frames))
-        monkeypatch.setattr(harness, "_block_frame", spy(round_frames))
+        monkeypatch.setattr(wct, "_block_frame", spy(frames))
+        monkeypatch.setattr(subspace, "_block_frame", spy(adjoint))
         monkeypatch.setattr(harness, "records_well_conditioned", spy_decide)
         monkeypatch.setattr(subspace, "_criterion_facts", spy_facts)
         monkeypatch.setattr(wct.BlockLayout, "__init__", spy_layout)
@@ -569,10 +568,13 @@ class TestRunVerification:
         path = Path(__file__).resolve().parents[1] / "scenarios" / "r3_contracting.json"
         report = run_verification(load_scenario(path), seed=1, instances=200)
         assert report.exit_status == 0
-        assert len(rounds) == len(round_frames) == 18
-        assert sum(rounds) == 307 and rounds[0] == 200
-        # the atoms of the 200 first draws, then of the 21 second ones
+        assert len(rounds) == 18
+        assert sum(size for size, _ in rounds) == 307 and rounds[0][0] == 200
+        # the rounds' frames come first: the atoms of the 200 first draws,
+        # then of the 21 second ones
+        round_frames, frames = frames[:18], frames[18:]
         assert [x.size for x in round_frames[:2]] == [1435, 189]
+        assert [rec.e1.size for _, rec in rounds] == [x.size for x in round_frames]
         assert len(operators) == 1 and "block_record" not in vars(operators[0])
         # the iterate and Cesaro walks of each instance size read the layout
         # of that size's table, whose rows are every instance of that size
@@ -581,15 +583,11 @@ class TestRunVerification:
         assert len({tab.n[0] for tab in walked}) == len(walked) == 11
         assert all(len(set(tab.n.tolist())) == 1 for tab in walked)
         assert sum(tab.n.size for tab in walked) == 201
-        # one frame per table, then one adjoint frame per criterion pass
-        assert len(frames) == len(walked) + len(met)
+        # one frame per table, and one adjoint frame per criterion pass
+        assert sorted(x.size for x in frames) == sorted(tab.w.size for tab in walked)
         assert sum(tab.n.size for tab in met) == 130
-        table_frames = [x for x in frames if not any(x is tab.u for tab in met)]
-        assert sorted(x.size for x in table_frames) == sorted(
-            tab.w.size for tab in walked
-        )
-        for tab in met:
-            assert sum(x is tab.u for x in frames) == 1
+        assert len(adjoint) == len(met)
+        assert all(x is tab.u for x, tab in zip(adjoint, met))
 
     def test_experiment_subset(self, r1_scenario_dict):
         s = scenario_from_dict(
