@@ -186,17 +186,22 @@ class ClaimColumn:
         self.claim_id = claim_id
         self.status = (~ok).view(np.int8)
         if isinstance(hypothesis, str):
-            hypothesis = np.full(ok.shape, HYPOTHESES.index(hypothesis), dtype=np.int8)
+            code, hypothesis = HYPOTHESES.index(hypothesis), np.zeros(ok.shape, np.int8)
+            hypothesis[:] = code
         self.hypothesis = hypothesis
-        self.has_residual = np.full(ok.shape, residual is not None)
         if residual is None:
-            residual = np.full(ok.shape, np.nan)
+            self.has_residual, residual = np.zeros(ok.shape, bool), np.empty(ok.shape)
+            residual.fill(np.nan)
+        else:
+            self.has_residual = np.ones(ok.shape, bool)
         self.residual = np.asarray(residual, dtype=float)
         self._detail, self._fixed = detail, []
 
     def unchecked(self, rows, detail=None) -> ClaimColumn:
         """Makes the rows (a mask) not_checked with no residual and this detail."""
         rows = np.asarray(rows, dtype=bool)
+        if not rows.any():
+            return self
         self.status[rows] = 2
         self.has_residual[rows] = False
         self._fixed.append((rows, detail))

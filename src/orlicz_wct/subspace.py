@@ -388,7 +388,7 @@ def _structure_columns(tab, tol, seeds, holds) -> list[ClaimColumn]:
     weak = (np.abs(h_block) > 1e-12) & ~(np.abs(h_block) >= _DELTA)
     bounded_away = _owner_sum(weak, starts) == 0
 
-    ascent = _ascents(n, ranks[1:])
+    ascent = _ascents(ranks)
     ascent_ok = (ascent >= 0) & (ascent <= 2)
     ranks = ranks[:7]
     null_dims = n - ranks
@@ -461,6 +461,8 @@ def _criterion_columns(tab, tol, seeds, holds, met) -> list[ClaimColumn]:
 
     def spread(name, *width):
         """The fact on every row of the table, 0 off the rows met."""
+        if rows.size == met.size:
+            return np.asarray(f[name], dtype=float)
         out = np.zeros((met.size, *width))
         out[rows] = f[name] if rows.size else 0.0
         return out
@@ -473,50 +475,49 @@ def _criterion_columns(tab, tol, seeds, holds, met) -> list[ClaimColumn]:
     full_rank = dim_r == n
     floor_bn = 1e-12 * (1.0 + spread("scale_bn"))
     floor_ces = 1e-12 * (1.0 + spread("scale_ces"))
+    met_hyp = np.where(holds, 1, 2).astype(np.int8)
     columns = [
         ClaimColumn(
-            "one_minus_t_ascent", "met", (a1 >= 0) & (a1 <= 1),
+            "one_minus_t_ascent", met_hyp, (a1 >= 0) & (a1 <= 1),
             detail=lambda k: f"ascent={_found(a1, k)}",
         ),
         ClaimColumn(
-            "one_minus_t_adjoint_ascent", "met", (a2 >= 0) & (a2 <= 1),
+            "one_minus_t_adjoint_ascent", met_hyp, (a2 >= 0) & (a2 <= 1),
             detail=lambda k: f"ascent={_found(a2, k)} (bilinear pairing adjoint)",
         ),
         ClaimColumn(
-            "one_minus_t_direct_sum", "met", split == n,
+            "one_minus_t_direct_sum", met_hyp, split == n,
             detail=lambda k: f"dims {int(dim_r[k])}+{n[k] - int(dim_r[k])} of {n[k]}",
         ),
         ClaimColumn(
-            "ergodic_invertibility", "met", inv == full_rank,
+            "ergodic_invertibility", met_hyp, inv == full_rank,
             residual=np.divide(low, top, out=np.zeros_like(low), where=top > 0),
             detail=lambda k: f"solve route invertible={bool(inv[k])}, "
             f"full range at tolerance={bool(full_rank[k])}",
         ),
         ClaimColumn(
-            "ergodic_bn_convergence", "met", _decreasing_to_zero(bn, floor_bn),
+            "ergodic_bn_convergence", met_hyp, _decreasing_to_zero(bn, floor_bn),
             residual=bn[:, -1],
             detail=lambda k: "sup residuals at n={},{},{}: {}".format(
                 *(int(horizon[k]) // d for d in (4, 2, 1)), bn[k].tolist()
             ),
         ).unchecked(met & ~inv, "I - T numerically singular"),
         ClaimColumn(
-            "ergodic_cesaro_limit", "met",
+            "ergodic_cesaro_limit", met_hyp,
             (inv_res <= tol) & _decreasing_to_zero(ces, floor_ces),
             residual=inv_res,
             detail="limit taken as the projection onto null(I-T) along range(I-T)",
         ),
     ]
     for out in columns:
-        out.hypothesis = np.where(holds, 1, 2).astype(np.int8)
         out.unchecked(holds & ~met, OVERFLOW_DETAIL).unchecked(~holds)
     return columns
 
 
-def _ascents(n, ranks) -> np.ndarray:
-    """Per operator ``_ascent`` with k_max 8, -1 for None, from its n and
-    the ranks of A^1..A^9, one row per power."""
-    same = np.vstack([n, ranks])
-    same = same[1:] == same[:-1]
+def _ascents(ranks) -> np.ndarray:
+    """Per operator ``_ascent`` with k_max 8, -1 for None, from the ranks
+    of A^0..A^9, one row per power."""
+    same = ranks[1:] == ranks[:-1]
     return np.where(same.any(axis=0), same.argmax(axis=0), -1)
 
 
@@ -725,7 +726,7 @@ def _criterion_facts(tab, tol, seeds) -> dict:
         ces_res[c.start : c.stop] = sup_gaps(cesaro, limit)
         scale_ces += owner_max(fs, c).tolist()
 
-    a1, a2 = (_ascents(n, ranks) for ranks in ascents)
+    a1, a2 = (_ascents(np.vstack([n, ranks])) for ranks in ascents)
     return {
         "a1": a1, "a2": a2, "split": split, "dim_r": dim_r,
         "invertible": invertible, "low": low, "top": top, "n_eff": n_eff,
