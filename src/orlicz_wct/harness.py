@@ -346,7 +346,8 @@ _YOUNG_ROTATION = (
 
 class _Draw(NamedTuple):
     """The arrays of one random draw: per atom its weight, block label, u,
-    w and symbol h = E(u w); per block its mass; the gauge rotation entry."""
+    w and symbol h = E(u w); per block its mass; the gauge rotation entry.
+    Its last six fields, in order, are the draw's ``wct.table_part``."""
 
     seed: int
     profile: str
@@ -483,7 +484,6 @@ def _well_conditioned_draws(specs, tol: float) -> list[_Draw]:
         if not pending:
             break
         draws = [_draw(specs[i][0] + 7919 * j, *specs[i][1:]) for i in pending]
-        # the round's table, of each draw's (weights, labels, masses, u, w, h)
         tab = OperatorTable([d[3:] for d in draws])
         tols = np.full(len(draws), tol)
         ok = records_well_conditioned(tab.record, tab.starts, 7, tols)
@@ -800,7 +800,6 @@ def _tables(scenario: Scenario, seed: int, instances: int, fingerprints: list):
         shared[(draw.seed, *spec[1:], tol)] = draw
         child = generate_well_conditioned_instance(draw.seed, *spec[1:], tol, shared)
         fingerprints.append(child.fingerprint())
-        # (weights, labels, masses, u, w, h)
         row = i, draw[3:], child.phi, draw.seed, None
         by_size.setdefault(spec[1], []).append(row)
     for n in list(by_size):

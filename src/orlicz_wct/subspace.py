@@ -311,7 +311,7 @@ _CRITERION_CLAIMS = (
 
 def verify_structure_theorems(
     t,
-    phi: YoungFunction | None = None,
+    phi: YoungFunction | None,
     tol=DEFAULT_RANK_TOL,
     seed=0,
     criterion=None,
