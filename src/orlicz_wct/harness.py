@@ -829,12 +829,13 @@ def run_verification(
         if name in _GROUPS:
             for row in _GROUPS[name](scenario, scenario.operator(), seed):
                 entries[row.claim_id] = fold_row(row, fingerprints[0])
+    # the random instances are drawn even when no batch group asks for
+    # them, so a suite that cannot draw one is an input error either way
     batch = [name for name in _BATCH_GROUPS if name in scenario.experiments]
-    if batch:
-        for index, tab, seeds in _tables(scenario, seed, instances, fingerprints):
-            for name in batch:
-                for column in _BATCH_GROUPS[name](tab, seeds, scenario.tolerances):
-                    entries[column.claim_id].append((index, column))
+    for index, tab, seeds in _tables(scenario, seed, instances, fingerprints):
+        for name in batch:
+            for column in _BATCH_GROUPS[name](tab, seeds, scenario.tolerances):
+                entries[column.claim_id].append((index, column))
     for cid, parts in entries.items():
         if isinstance(parts, list):
             entries[cid] = fold_claims(parts, fingerprints.__getitem__)

@@ -589,6 +589,15 @@ class TestRunVerification:
         assert len(adjoint) == len(met)
         assert all(x is tab.u for x, tab in zip(adjoint, met))
 
+    def test_suite_without_batch_groups_still_draws(self, r1_scenario_dict):
+        # the random instances are drawn whichever groups run: at rank
+        # tolerance 1e-3 instance 25 of seed 3 has no well-conditioned draw,
+        # so a suite that asks only for the law group still fails to draw
+        data = dict(r1_scenario_dict, experiments=["condexp_laws"],
+                    tolerances={"rank": 1e-3})
+        with pytest.raises(ScenarioError, match="from seed 300034"):
+            run_verification(scenario_from_dict(data), seed=3, instances=50)
+
     def test_experiment_subset(self, r1_scenario_dict):
         s = scenario_from_dict(
             dict(r1_scenario_dict, experiments=["iterate_formula"])
