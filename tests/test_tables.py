@@ -128,7 +128,8 @@ class TestSuiteTables:
         assert np.isnan(outside["ergodic_bn_convergence"].residual)
         for i, got in enumerate(rows):
             if i not in where:
-                assert all(np.isfinite(r.residual) for r in got if r.residual is not None)
+                residuals = [r.residual for r in got if r.residual is not None]
+                assert np.isfinite(residuals).all(), i
 
     def test_suite_builds_no_per_instance_row_object(self, monkeypatch):
         # a verify call builds ClaimResult objects only for the report's
@@ -208,10 +209,11 @@ def _fold(rows, order, cuts):
 
 
 def _same(a, b):
+    """Whether two rows are equal, their residuals bit for bit."""
     bits = [None if r.residual is None else np.float64(r.residual).tobytes()
             for r in (a, b)]
-    return (dataclasses.replace(a, residual=None) == dataclasses.replace(b, residual=None)
-            and bits[0] == bits[1])
+    plain = [dataclasses.replace(r, residual=None) for r in (a, b)]
+    return plain[0] == plain[1] and bits[0] == bits[1]
 
 
 class TestFold:
@@ -261,5 +263,8 @@ class TestFold:
         for order in (list(range(n)), list(reversed(range(n)))):
             for cuts in ([], list(range(1, n))):
                 assert _same(_fold(rows, order, cuts), merge_claims(list(rows)))
-        if len(rows) > 1 and np.isnan(rows[1].residual or 0.0):
-            assert _fold(rows, list(range(n)), []).residual == 1.0
+
+    def test_a_later_nan_residual_is_passed_over(self):
+        rows = self._rows([("none", "pass", 1.0, None), ("none", "pass", np.nan, None)])
+        assert np.isnan(np.max([r.residual for r in rows]))
+        assert _fold(rows, [0, 1], []).residual == 1.0
