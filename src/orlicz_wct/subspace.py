@@ -10,15 +10,17 @@ one-atom block's core is [h_B], and every other direction is trivial,
 with value 0 for T and 1 for I - T. The pass reads the rank chains of T
 from sigma_B |h_B|^(k-1), the sums of ranges and kernels from the
 closed-form singular values of their stacked bases, and the chains of
-I - T and its pairing adjoint, the I - T split and the Cesaro projection
-from one stacked SVD of 2 x 2 cores. Sums count the singular values of
-stacked orthonormal bases above tol times the largest, and
-dim(a & b) = dim a + dim b - dim(a + b). Power chains use thresholds tied
-to the realized largest singular value of each power with a noise floor that
-scales like the base norm to the k-th power, so kernel detection stays
-stable whether iterates grow or decay. ``ascent_of`` takes an operator and
-reads the same chain, with the same overflow cut. The ergodic rows check the
-split by solves and products on the table's ``BlockLayout``.
+I - T and its pairing adjoint from the closed-form singular values of
+their 2 x 2 triangular cores; the I - T split and the Cesaro projection
+take the vectors of its first power's cores, from one stacked SVD. Sums
+count the singular values of stacked orthonormal bases above tol times
+the largest, and dim(a & b) = dim a + dim b - dim(a + b). Power chains
+use thresholds tied to the realized largest singular value of each power
+with a noise floor that scales like the base norm to the k-th power, so
+kernel detection stays stable whether iterates grow or decay.
+``ascent_of`` takes an operator and reads the same chain, with the same
+overflow cut. The ergodic rows check the split by solves and products on
+the table's ``BlockLayout``.
 
 The pass is a batch: ``verify_structure_theorems`` takes one operator, or
 an ``OperatorTable`` of many, and runs over the table's block record and
@@ -47,7 +49,7 @@ from .wct import (
     OperatorTable,
     WctOperator,
     _block_frame,
-    _power_sum,
+    _power_sums,
     contraction_criterion,
 )
 from .young import YoungFunction
@@ -99,6 +101,17 @@ def _block_spectra(rec: BlockRecord, count: int) -> list[np.ndarray]:
     h = np.abs(rec.h)
     with np.errstate(over="ignore"):
         return [rec.sigma * h**k for k in range(count)]
+
+
+def _triangular_values(a, b, c) -> np.ndarray:
+    """The singular values of [[a, b], [0, c]], larger first along a new
+    last axis, in closed form (Demmel and Kahan): sigma_1 is the mean of
+    hypot(a + c, b) and hypot(a - c, b), and sigma_2 = |a c| / sigma_1, 0
+    for the zero matrix."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        top = np.hypot(a + c, b) / 2 + np.hypot(a - c, b) / 2
+        low = np.divide(np.abs(a * c), top, out=np.zeros_like(top), where=top > 0)
+    return np.stack([top, low], axis=-1)
 
 
 # a singular value within this factor of its rank threshold is unclassifiable
@@ -234,13 +247,20 @@ def _thresholds(spectra, starts, tol, ones=0) -> np.ndarray:
     power, value), one segment per operator from ``starts``: tol (per
     operator) times the power's largest value, at least its noise floor,
     whose base is the first power's largest value; with ``ones`` further
-    values 1 per operator. The floors are C's pow, one scalar each."""
+    values 1 per operator. The floors are C's pow, one scalar each, where
+    numpy's power puts one within a factor 2 of tol times the largest
+    value, or off the finite floats; elsewhere the floor is below it."""
     top = _owner_max(spectra, starts)
     top = np.where(ones > 0, np.maximum(top, 1.0), top)
-    powers = range(1, top.shape[-2] + 1)
-    base = top[..., 0, :].reshape(-1, top.shape[-1]).tolist()
-    floor = [[_noise_floor(b, k) for b in row] for row in base for k in powers]
-    return np.maximum(tol * top, np.reshape(floor, top.shape))
+    thr = tol * top
+    base = np.broadcast_to(top[..., :1, :], top.shape)
+    k = np.broadcast_to(np.arange(1, top.shape[-2] + 1)[:, None], top.shape)
+    with np.errstate(over="ignore", invalid="ignore"):
+        near = ~(np.where(base > 0, _NOISE_COEFF * base**k, 0.0) <= thr / 2)
+    if near.any():
+        floor = map(_noise_floor, base[near].tolist(), k[near].tolist())
+        thr[near] = np.maximum(thr[near], list(floor))
+    return thr
 
 
 def _chain(spectra, starts, tol, ones=0):
@@ -279,16 +299,6 @@ def ascent_of(t: WctOperator, k_max: int = 8, tol: float = DEFAULT_RANK_TOL):
     if reached <= k_max:
         raise OverflowError(f"power {reached + 1} of the operator overflowed")
     return _ascent(t.space.n_atoms, ranks[:, 0].tolist(), k_max)
-
-
-def _decreasing_to_zero(residuals: list[float], floor: float) -> bool:
-    """True when a sequence of residuals behaves like C/n along doubling n."""
-    if residuals[-1] <= floor:
-        return True
-    return all(
-        later <= 0.62 * earlier + floor
-        for earlier, later in zip(residuals, residuals[1:])
-    )
 
 
 # descent hypothesis: |h| >= _DELTA on the support of h
@@ -540,35 +550,41 @@ def _criterion_facts(tab, tol, seeds) -> dict:
 
     (I - T_B)^k is the core [[(1-h_B)^k, -gamma_k rho_B], [0, 1]] with
     gamma_k = sum_{i<k} (1-h_B)^i, and the pairing adjoint u E(w .) has
-    rho'_B from u_B and (w mu)_B in place of rho_B; one stacked SVD factors
-    powers 1-9 of both, for every block of every row. Solves and products
-    take the layouts of runs of rows; where a block is singular, each row
-    of its run is taken alone.
+    rho'_B from u_B and (w mu)_B in place of rho_B. The rank chains of
+    powers 1-9 of both read the closed-form values of these cores
+    (``_triangular_values``); only the cores of I - T itself, whose vectors
+    and values the split, the invertibility residual and the Cesaro
+    projection read, take one stacked SVD, for every block of every row.
+    The ergodic rows take one solve of I - T per run of rows, for the
+    probe columns, which also decides invertibility; its products and
+    solves read the run's part of the table's layout. Where a block is
+    singular, each row of its run is taken alone. The closed forms' sums
+    of every horizon come from one ``_power_sums``.
     """
     rec, starts, owner, n = tab.record, tab.starts, tab.block_owner, tab.n
     sigma, h_block, pair = rec.sigma, rec.h, rec.sizes > 1
     y = tab.w * tab.weights
     rho_adj = _block_frame(rec.labels, tab.masses, h_block[rec.labels], tab.u, y).rho
-    p = (1.0 - h_block)[:, None] ** np.arange(10)
-    cores = np.zeros((2, sigma.size, 9, 2, 2))
-    cores[..., 0, 0] = p[:, 1:]
-    gamma = np.cumsum(p[:, :-1], axis=1)
-    cores[..., 0, 1] = -gamma * np.stack([rec.rho, rho_adj])[..., None]
-    cores[..., 1, 1] = pair[:, None]
-    u, s, vh = np.linalg.svd(cores)
+    # per power k = 1..9 and block the core [[a, b], [0, c]] of I - T and of
+    # the adjoint
+    p = ((1.0 - h_block)[:, None] ** np.arange(10)).T
+    a, c = p[1:], pair.astype(float)
+    b = -np.cumsum(p[:-1], axis=0) * np.stack([rec.rho, rho_adj])[:, None]
+    # only power 1 of I - T needs its vectors, and values to the last bit
+    core = np.stack([a[0], b[0, 0], np.zeros_like(c), c], axis=1)
+    u, s1, vh = np.linalg.svd(core.reshape(-1, 2, 2))
     trivial = n - _owner_sum(np.minimum(rec.sizes, 2), starts)
     # the spectra of I - T and the adjoint, per block the values of its
     # core, the second a 0 (which counts nowhere) on a one-atom block
-    values = np.where(pair[:, None, None] | (np.arange(2) == 0), s, 0.0)
-    values = values.transpose(0, 2, 1, 3).reshape(2, 9, -1)
-    ascents = _chain(values, 2 * starts, tol, trivial)[1]
+    values = _triangular_values(a, b, c)
+    values[0, 0] = np.where(pair[:, None] | (np.arange(2) == 0), s1, 0.0)
+    ascents = _chain(values.reshape(2, 9, -1), 2 * starts, tol, trivial)[1]
 
     # the split of I - T at its cut: a block's slot is in the range while
     # its singular value clears the cut, else in the kernel, and the trivial
     # directions join the kernel once the cut reaches 1. A mixed block has
     # range span(u1) and kernel span(v2), which stack to sqrt(1 +- |u1.v2|)
-    s1 = s[0, :, 0]
-    top = _owner_max(values[0, 0], 2 * starts)
+    top = _owner_max(values[0, 0].ravel(), 2 * starts)
     top = np.where(trivial > 0, np.maximum(top, 1.0), top)
     low = np.minimum(s1[:, 0], np.where(pair, s1[:, 1], np.inf))
     low = np.minimum.reduceat(low, starts)
@@ -579,7 +595,7 @@ def _criterion_facts(tab, tol, seeds) -> dict:
     dim_r = _owner_sum(above[:, 0], starts) + _owner_sum(above[:, 1] & pair, starts)
     dim_r += trivial * (cut < 1)
     mixed = pair & above[:, 0] & ~above[:, 1]
-    u1, v2 = u[0, :, 0, :, 0], vh[0, :, 0, 1]
+    u1, v2 = u[:, :, 0], vh[:, 1]
     root = np.sqrt(1.0 + np.abs(np.sum(u1 * v2, axis=1)))
     det = u1[:, 0] * v2[:, 1] - u1[:, 1] * v2[:, 0]
     small = np.abs(det) / root
@@ -594,8 +610,8 @@ def _criterion_facts(tab, tol, seeds) -> dict:
     # ergodic chain: full range when the split leaves no kernel. The probe
     # columns hold a row per atom, so solves and products go over runs of
     # rows of at most _PROBE_ATOMS atoms in all (or one row), each on the
-    # layout of its run's table, and each array is let go, or overwritten,
-    # once read
+    # table's layout or its part for the run, and each array is let go, or
+    # overwritten, once read
     chunks, first, atoms = [], 0, 0
     for o, size in enumerate(n.tolist()):
         if atoms + size > _PROBE_ATOMS and o > first:
@@ -614,32 +630,6 @@ def _criterion_facts(tab, tol, seeds) -> dict:
         x = x.max(axis=1) if x.ndim > 1 else x
         return np.maximum.reduceat(x, atom_starts[c] - atom_starts[c.start])
 
-    # independent route: a linear solve either reproduces the right-hand
-    # side or it does not. A run with a singular block is split into runs
-    # of one row, and a row whose own solve fails is not invertible
-    runs, invertible = [], []
-    while chunks:
-        c = chunks.pop(0)
-        # a run of every row reads the table's own layout, which the walks
-        # share
-        layout = (tab if len(c) == n.size else tab.take(c)).layout
-        imt = layout.eye - layout.m
-        probe = np.concatenate([
-            np.random.default_rng(seeds[o] ^ 0x5EED).uniform(-1.0, 1.0, n[o]) for o in c
-        ])
-        try:
-            gap = owner_max(layout.apply(imt, layout.solve(imt, probe)) - probe, c)
-        except np.linalg.LinAlgError:
-            if len(c) > 1:
-                chunks[:0] = [range(o, o + 1) for o in c]
-                continue
-            gap = None
-        runs.append((c, layout, imt))
-        if gap is None:
-            invertible.append(False)
-        else:
-            invertible += (gap <= 1e-6 * (1.0 + owner_max(probe, c))).tolist()
-    invertible = np.array(invertible)
     # the 1/n regime starts past the mixing time of the symbol, so the
     # checkpoint horizon stretches when |h| approaches 1
     n_eff = np.array([
@@ -648,23 +638,12 @@ def _criterion_facts(tab, tol, seeds) -> dict:
     ])
     horizons = np.stack([n_eff // 4, n_eff // 2, n_eff], axis=1)
 
-    def closed_forms(on, terms, weighted):
-        """Per horizon and atom, ``_power_sum`` of the atom's h_B over
-        terms(k) at its row's k, for the rows ``on``; one sum per distinct
-        horizon."""
-        sums = np.zeros((3, h_block.size))
-        at_block = horizons[owner] * on[owner, None]
-        for k in sorted(set(horizons[on].ravel().tolist())):
-            at = (at_block == k).T
-            full = np.zeros(h_block.size)
-            rows = at.any(axis=0)
-            full[rows] = _power_sum(h_block[rows], terms(k), weighted)
-            sums = np.where(at, full, sums)
-        return sums[:, rec.labels]
-
+    # per horizon k and atom the closed forms' sums of its h_B: w_n over
+    # k - 2 weighted terms and v_n over k - 1 terms, from one _power_sums
     k_atoms = horizons.T[:, atom_owner].astype(float)
-    w_n = closed_forms(invertible, lambda k: k - 2, True)
-    v_n = closed_forms(np.ones(n.size, dtype=bool), lambda k: k - 1, False)
+    counts = np.hstack([horizons - 2, horizons - 1])[owner]
+    sums = _power_sums(h_block, counts, np.arange(6) < 3).T[:, rec.labels]
+    w_n, v_n = sums[:3], sums[3:]
 
     # Cesaro limit: project each block's core coordinates onto N(I - T)
     # along R(I - T) (nothing, everything, or onto v2 along u1 on a mixed
@@ -676,15 +655,22 @@ def _criterion_facts(tab, tol, seeds) -> dict:
     proj = proj - trivial_null[owner, None, None] * np.eye(2)
     frame = np.stack([rec.e1, rec.e2], axis=1)
     cols = 2 * _N_PROBES
-    bn_res, scale_bn = np.zeros((n.size, 3)), np.zeros(n.size)
-    ces_res, inv_res, scale_ces = np.zeros((n.size, 3)), [], []
-    for c, layout, imt in runs:
+    invertible = np.zeros(n.size, dtype=bool)
+    bn_res, ces_res = np.zeros((n.size, 3)), np.zeros((n.size, 3))
+    scale_bn, inv_res, scale_ces = np.zeros(n.size), np.zeros(n.size), np.zeros(n.size)
+    while chunks:
+        c = chunks.pop(0)
         a = slice(atom_bounds[c.start], atom_bounds[c.stop])
         b = slice(block_bounds[c.start], block_bounds[c.stop])
+        # a run of every row reads the table's own layout, which the walks
+        # share, and another run its part of it
+        layout = tab.layout if len(c) == n.size else tab.layout.part(c, a, b)
+        imt = layout.eye - layout.m
         fs = np.concatenate([
             np.random.default_rng(seeds[o]).uniform(-1.0, 1.0, (n[o], _N_PROBES))
             for o in c
         ])
+        scale = owner_max(np.abs(fs), c)
 
         def sup_gaps(packed, want):
             """max |x @ fs - want| per row for each packed x."""
@@ -694,17 +680,30 @@ def _criterion_facts(tab, tol, seeds) -> dict:
                 gaps.append(owner_max(np.subtract(image, want, out=image), c))
             return np.array(gaps).T
 
-        on = invertible[c.start : c.stop]
-        if on.any():
+        # independent route: the solve for the probes either reproduces them
+        # or it does not. A run with a singular block is split into runs of
+        # one row, and a row whose own solve fails is not invertible
+        try:
             target = layout.solve(imt, fs)
-            target[~on[atom_owner[a] - c.start]] = 0.0
-            bn = [
-                (layout.rows(w[a]) * layout.m + (layout.rows(k[a]) - 1.0) * layout.eye)
-                / layout.rows(k[a])
-                for k, w in zip(k_atoms, w_n)
-            ]
-            bn_res[c.start : c.stop] = sup_gaps(bn, target)
-            scale_bn[c.start : c.stop] = owner_max(target, c)
+        except np.linalg.LinAlgError:
+            if len(c) > 1:
+                chunks[:0] = [range(o, o + 1) for o in c]
+                continue
+            target = None
+        if target is not None:
+            image = layout.apply(imt, target)
+            on = owner_max(np.subtract(image, fs, out=image), c) <= 1e-6 * (1.0 + scale)
+            del image
+            invertible[c.start : c.stop] = on
+            if on.any():
+                target[~on[atom_owner[a] - c.start]] = 0.0
+                bn = [
+                    (layout.rows(w[a]) * layout.m + (layout.rows(k[a]) - 1.0) * layout.eye)
+                    / layout.rows(k[a])
+                    for k, w in zip(k_atoms, w_n)
+                ]
+                bn_res[c.start : c.stop] = sup_gaps(bn, target)
+                scale_bn[c.start : c.stop] = owner_max(target, c)
             del target
         labels = rec.labels[a] - b.start
         coords = np.bincount(
@@ -717,19 +716,19 @@ def _criterion_facts(tab, tol, seeds) -> dict:
         del coords
         limit += trivial_null[atom_owner[a], None] * fs
         image = layout.apply(layout.m, limit)
-        inv_res += owner_max(np.subtract(image, limit, out=image), c).tolist()
+        inv_res[c.start : c.stop] = owner_max(np.subtract(image, limit, out=image), c)
         del image
         cesaro = [
             (layout.eye + layout.rows(v[a]) * layout.m) / layout.rows(k[a])
             for k, v in zip(k_atoms, v_n)
         ]
         ces_res[c.start : c.stop] = sup_gaps(cesaro, limit)
-        scale_ces += owner_max(fs, c).tolist()
+        scale_ces[c.start : c.stop] = scale
 
     a1, a2 = (_ascents(np.vstack([n, ranks])) for ranks in ascents)
     return {
         "a1": a1, "a2": a2, "split": split, "dim_r": dim_r,
         "invertible": invertible, "low": low, "top": top, "n_eff": n_eff,
-        "bn_res": bn_res, "scale_bn": scale_bn, "inv_res": np.array(inv_res),
-        "ces_res": ces_res, "scale_ces": np.array(scale_ces),
+        "bn_res": bn_res, "scale_bn": scale_bn, "inv_res": inv_res,
+        "ces_res": ces_res, "scale_ces": scale_ces,
     }

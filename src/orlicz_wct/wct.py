@@ -230,6 +230,35 @@ class BlockLayout:
         order = slice(None) if grouped else np.argsort(owner, kind="stable")
         return order, np.searchsorted(owner[order], np.arange(self.n_operators))
 
+    def part(self, rows: range, atoms: slice, blocks: slice) -> BlockLayout:
+        """The layout of the operators ``rows`` alone, whose atoms and blocks
+        are ``atoms`` and ``blocks`` here, cut from this one, not formed
+        again. A run's blocks go in operator order, so the operators' blocks
+        in each run lie together; where their entries do across the runs,
+        the packed arrays are views of this one's."""
+        out = BlockLayout.__new__(BlockLayout)
+        out._runs, out._owners, cuts, stop = [], [], [], 0
+        for (run, run_atoms, _, size), owners in zip(self._runs, self._owners):
+            i, j = np.searchsorted(owners, [rows.start, rows.stop]).tolist()
+            if j > i:
+                first, width = run.start + i * size * size, (j - i) * size * size
+                cuts.append(slice(first, first + width))
+                out._runs.append((
+                    slice(stop, stop + width),
+                    run_atoms[i * size : j * size] - atoms.start, j - i, size,
+                ))
+                out._owners.append(owners[i:j] - rows.start)
+                stop += width
+        entries = slice(cuts[0].start, cuts[-1].stop)
+        if entries.stop - entries.start > stop:
+            entries = np.concatenate([np.arange(cut.start, cut.stop) for cut in cuts])
+        out.n, out.n_operators = atoms.stop - atoms.start, len(rows)
+        out._rows = self._rows[entries] - atoms.start
+        out.m, out.eye = self.m[entries], self.eye[entries]
+        out.h, out.block_h = self.h[atoms], self.block_h[blocks]
+        out.labels = self.labels[atoms] - blocks.start
+        return out
+
     def _entry_atoms(self) -> tuple[np.ndarray, np.ndarray]:
         """The row atom and the column atom of every packed entry."""
         grids = [atoms.reshape(count, size) for _, atoms, count, size in self._runs]
@@ -351,6 +380,61 @@ def _power_sum(h: np.ndarray, n_terms: int, weighted: bool) -> np.ndarray:
         terms[:, 0] = total + terms[:, 0]
         total = np.add.accumulate(terms, axis=1)[:, -1]
     return total
+
+
+def _power_sums(h: np.ndarray, counts: np.ndarray, weighted) -> np.ndarray:
+    """``_power_sum(h[i:i + 1], counts[i, j], weighted[i, j])`` for every
+    row i and entry j (``weighted`` broadcast to the shape of ``counts``),
+    bit for bit, in one pass: the running product and the running sum are
+    sequential, so their bits do not depend on how the powers are chunked.
+
+    The rows go by decreasing largest count, so those still running are a
+    prefix, and a row's running product runs to its largest count, _BLOCK
+    powers at a time. A row's unweighted entries read its one running sum
+    at their counts; the weighted entries of one count, over all rows, form
+    one group, whose terms stop at that count. So a row forms fewer than
+    _BLOCK padding powers in all, and no entry sums one. Overflows are not
+    warned of: a sum that overflows is inf, or NaN, which the callers read.
+    """
+    reach = counts.max(axis=1, initial=0)
+    order = np.argsort(-reach, kind="stable")
+    h, counts, reach = h[order], counts[order], reach[order]
+    weighted = np.broadcast_to(weighted, counts.shape)
+    plain = ~weighted & (counts > 0)
+    groups = [
+        (k, np.nonzero(weighted & (counts == k)))
+        for k in sorted(set(counts[weighted & (counts > 0)].tolist()))
+    ]
+    out, sums, hpow = np.zeros(counts.shape), np.zeros(h.size), np.ones(h.size)
+    start, rows = 0, np.count_nonzero(reach > 0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        while rows:
+            width = min(_BLOCK, int(reach[0]) - start)
+            stop = start + width
+            terms = np.repeat(hpow[:rows, None], width, axis=1)
+            # as in _power_sum, a product that h maps to itself stays put
+            moving = hpow[:rows] * h[:rows] != hpow[:rows]
+            at = slice(None) if moving.all() else moving
+            terms[at, 1:] = h[:rows][at, None]
+            terms[at] = np.multiply.accumulate(terms[at], axis=1)
+            hpow[:rows] = terms[:, -1] * h[:rows]
+            for k, (i, j) in groups:
+                if k > start:
+                    part = terms[i, : min(width, k - start)]
+                    part *= np.arange(k - start, max(k - stop, 0), -1.0)
+                    part[:, 0] += out[i, j]
+                    out[i, j] = np.add.accumulate(part, axis=1)[:, -1]
+            running = plain[:rows] & (counts[:rows] > start)
+            if running.any():
+                terms[:, 0] += sums[:rows]
+                terms = np.add.accumulate(terms, axis=1, out=terms)
+                sums[:rows] = terms[:, -1]
+                i, j = np.nonzero(running & (counts[:rows] <= stop))
+                out[i, j] = terms[i, counts[i, j] - 1 - start]
+            start, rows = stop, np.count_nonzero(reach > stop)
+    result = np.empty_like(out)
+    result[order] = out
+    return result
 
 
 def cesaro_mean(t, n: int) -> np.ndarray:

@@ -34,7 +34,7 @@ from orlicz_wct.subspace import (
     block_powers_well_conditioned,
     powers_well_conditioned,
 )
-from orlicz_wct.wct import OperatorTable, contraction_criterion
+from orlicz_wct.wct import BlockLayout, OperatorTable, contraction_criterion
 
 from conftest import random_operator
 from oracles import (
@@ -287,8 +287,8 @@ class TestFactorOnce:
         for t in operators:
             keys.clear()
             rows = by_id(verify_structure_theorems(t, power_scaled(2)))
-            # the pass factors I - T (one stacked SVD of its 2 x 2 cores)
-            # exactly when the contraction criterion holds
+            # the pass factors I - T (one stacked SVD of the 2 x 2 cores of
+            # its first power) exactly when the contraction criterion holds
             met = rows["one_minus_t_direct_sum"].hypothesis == "met"
             assert bool(keys) == met, (t.h, len(keys))
             factored += met
@@ -296,8 +296,8 @@ class TestFactorOnce:
             assert not repeats, (t.h, repeats)
             assert len(keys) <= 1
         assert factored >= 2
-        # the table of all of them: one SVD, of the cores of every operator
-        # that meets the criterion
+        # the table of all of them: one SVD, of the power-1 cores of I - T of
+        # every operator that meets the criterion
         keys.clear()
         tab = OperatorTable.of(operators, [power_scaled(2)] * len(operators))
         columns = verify_structure_theorems(tab, None, 1e-8, 0)
@@ -305,14 +305,15 @@ class TestFactorOnce:
         met = [t for t, hyp in zip(operators, direct_sum.hypothesis) if hyp == 1]
         assert len(met) == factored
         blocks = sum(t.block_record.sizes.size for t in met)
-        assert [key[1] for key in keys] == [(2, blocks, 9, 2, 2)]
+        assert [key[1] for key in keys] == [(blocks, 2, 2)]
 
     def test_no_svd_of_more_than_two_rows_in_verify(self, monkeypatch):
         # every SVD that run_verification takes, on r1, r3, r4 (with ten
         # random instances each) and the 256-atom wide256 seed-1 scenario,
         # acts on 2 x 2 matrices, stacked; each structure pass, one batch of
         # the instances of one size, makes at most one such call, and one
-        # where the contraction criterion holds for an instance of the batch
+        # where the contraction criterion holds for an instance of the batch:
+        # wide256's, of the first power of I - T on its 32 blocks
         root = Path(__file__).resolve().parents[1]
         monkeypatch.syspath_prepend(root / "benchmarks")
         import workloads
@@ -348,16 +349,17 @@ class TestFactorOnce:
         assert all(svds == met for _, met, svds in calls)
         assert {svds for _, _, svds in calls} == {0, 1}
         assert shapes and all(len(a) >= 2 and max(a[-2:]) <= 2 for a in shapes)
-        assert any(a[:-2] == (2, 32, 9) for a in shapes)
+        assert (32, 2, 2) in shapes
 
     def test_one_core_svd_per_size_batch(self, monkeypatch):
         # a verify of r3 with 20 random instances takes one structure pass
         # per instance size; a pass whose batch holds instances that meet
-        # the contraction criterion factors all their cores in one SVD, and
-        # forms one _power_sum per distinct horizon and closed form
+        # the contraction criterion factors the power-1 cores of I - T of
+        # all their blocks in one SVD, and forms every closed-form sum of
+        # every horizon in one _power_sums
         batches = []
         real_batch, real_svd = subspace._structure_columns, np.linalg.svd
-        real_sum = subspace._power_sum
+        real_sums = subspace._power_sums
 
         def spy_batch(tab, tol, seeds, holds):
             batches.append({"tab": tab, "holds": holds, "svd": [], "sums": [], "open": True})
@@ -371,13 +373,13 @@ class TestFactorOnce:
                 batches[-1]["svd"].append(np.shape(a))
             return real_svd(a, *args, **kwargs)
 
-        def spy_sum(h, n_terms, weighted):
-            batches[-1]["sums"].append((n_terms, weighted))
-            return real_sum(h, n_terms, weighted)
+        def spy_sums(h, counts, weighted):
+            batches[-1]["sums"].append((h.size, counts, np.broadcast_to(weighted, counts.shape)))
+            return real_sums(h, counts, weighted)
 
         monkeypatch.setattr(subspace, "_structure_columns", spy_batch)
         monkeypatch.setattr(np.linalg, "svd", spy_svd)
-        monkeypatch.setattr(subspace, "_power_sum", spy_sum)
+        monkeypatch.setattr(subspace, "_power_sums", spy_sums)
         path = Path(__file__).resolve().parents[1] / "scenarios" / "r3_contracting.json"
         report = run_verification(load_scenario(path), seed=1, instances=20)
         assert report.exit_status == 0
@@ -390,17 +392,110 @@ class TestFactorOnce:
             tab, holds = b["tab"], b["holds"]
             met_total += int(holds.sum())
             blocks = int(tab.blocks[holds].sum())
-            assert b["svd"] == ([(2, blocks, 9, 2, 2)] if holds.any() else [])
-            assert len(b["sums"]) == len(set(b["sums"]))
+            assert b["svd"] == ([(blocks, 2, 2)] if holds.any() else [])
+            assert len(b["sums"]) == int(holds.any())
+            if not holds.any():
+                continue
+            ((rows, counts, weighted),) = b["sums"]
+            assert rows == blocks
             horizons = set()
             h_tops = np.maximum.reduceat(np.abs(tab.h), tab.atom_starts)[holds]
             for h_top in h_tops.tolist():
                 n_eff = int(min(1e5, max(200, 40.0 / max(1e-4, 1.0 - min(h_top, 1.0)))))
                 horizons |= {n_eff // 4, n_eff // 2, n_eff}
-            assert {k + 1 for k, weighted in b["sums"] if not weighted} == horizons
-            assert {k + 2 for k, weighted in b["sums"] if weighted} <= horizons
+            assert set((counts[~weighted] + 1).tolist()) == horizons
+            assert set((counts[weighted] + 2).tolist()) == horizons
         svds = sum(len(b["svd"]) for b in batches)
         assert met_total > svds > 0
+
+    @pytest.mark.parametrize("tol", [1e-8, 1e-3, 0.25])
+    def test_closed_form_core_values_match_the_svd(self, tol):
+        # the rank chains of I - T and its adjoint read the closed-form
+        # values of the cores [[(1-h)^k, -gamma_k rho], [0, c]]: against
+        # np.linalg.svd of the same cores they agree to rounding and give
+        # the same ranks and ascents, on one-atom blocks (c = 0, rho = 0),
+        # h_B within 1e-9 of 1, h_B = -100 and h_B = -1e34, where (1-h)^9
+        # is near 1e306
+        rng = np.random.default_rng(41)
+        kinds = {
+            "generic": lambda: rng.uniform(-0.95, 0.95),
+            "near_one": lambda: 1.0 + rng.uniform(-1e-9, 1e-9),
+            "minus_hundred": lambda: -100.0,
+            "near_overflow": lambda: -1e34 * rng.uniform(1.0, 1.5),
+        }
+        seen = set()
+        for trial in range(150):
+            blocks = rng.integers(1, 5, int(rng.integers(1, 6)))
+            starts = np.cumsum(blocks) - blocks
+            sizes = rng.integers(1, 4, blocks.sum())
+            names = rng.choice(list(kinds), sizes.size, p=[0.55, 0.15, 0.15, 0.15])
+            h = np.array([kinds[name]() for name in names])
+            pair = sizes > 1
+            rho = rng.lognormal(0.0, 2.0, (2, sizes.size)) * pair
+            seen |= {(name, bool(p)) for name, p in zip(names, pair)}
+            p = ((1.0 - h)[:, None] ** np.arange(10)).T
+            a, c = p[1:], pair.astype(float)
+            b = -np.cumsum(p[:-1], axis=0) * rho[:, None]
+            cores = np.zeros((2, 9, h.size, 2, 2))
+            cores[..., 0, 0], cores[..., 0, 1], cores[..., 1, 1] = a, b, c
+            closed = subspace._triangular_values(a, b, c)
+            dense = np.linalg.svd(cores, compute_uv=False)
+            dense[..., 1] *= pair
+            assert np.all(closed[..., 1] <= closed[..., 0])
+            np.testing.assert_allclose(closed, dense, rtol=1e-12, atol=0)
+            n = subspace._owner_sum(sizes, starts)
+            trivial = n - subspace._owner_sum(np.minimum(sizes, 2), starts)
+            tols = np.full(n.size, tol)
+            got, want = (
+                subspace._chain(v.reshape(2, 9, -1), 2 * starts, tols, trivial)
+                for v in (closed, dense)
+            )
+            for x, y in zip(got, want):
+                assert np.array_equal(x, y)
+            for x, y in zip(got[1], want[1]):
+                ascent = subspace._ascents(np.vstack([n, x]))
+                assert np.array_equal(ascent, subspace._ascents(np.vstack([n, y])))
+        assert seen == {(kind, p) for kind in kinds for p in (False, True)}
+
+    def test_one_solve_per_ergodic_run(self, monkeypatch):
+        # a table of 20 contracting 12-atom instances, every one meeting the
+        # criterion: the ergodic rows go over 4 runs of 5 rows (60 atoms,
+        # under _PROBE_ATOMS), each a part of the table's one layout, with
+        # one solve of I - T for the run's probe columns, drawn once per row
+        # from its own seed; no generator is seeded with seed ^ 0x5EED
+        ts = [
+            generate_well_conditioned_instance(900 + i, 12, 3, "contracting_h").operator()
+            for i in range(20)
+        ]
+        tab = OperatorTable.of(ts, [power_scaled(2)] * len(ts))
+        assert tab.criterion[1].all()
+        seeds = list(range(100, 120))
+        solves, builds, rngs = [], [], []
+        real_solve, real_init = BlockLayout.solve, BlockLayout.__init__
+        real_rng = np.random.default_rng
+
+        def spy_solve(layout, x, f):
+            solves.append(np.shape(f))
+            return real_solve(layout, x, f)
+
+        def spy_init(layout, table):
+            builds.append(table.n.size)
+            real_init(layout, table)
+
+        def spy_rng(seed=None):
+            rngs.append(seed)
+            return real_rng(seed)
+
+        monkeypatch.setattr(BlockLayout, "solve", spy_solve)
+        monkeypatch.setattr(BlockLayout, "__init__", spy_init)
+        monkeypatch.setattr(np.random, "default_rng", spy_rng)
+        columns = verify_structure_theorems(tab, None, 1e-8, seeds)
+        rows = {c.claim_id: c for c in columns}
+        assert (rows["ergodic_invertibility"].status == 0).all()
+        assert solves == [(60, 100)] * 4
+        assert builds == [20]
+        assert sorted(rngs) == seeds
+        assert not {seed ^ 0x5EED for seed in seeds} & set(rngs)
 
     @pytest.mark.parametrize("n_atoms, n_blocks", [(256, 32), (64, 8)])
     def test_no_dense_array_in_a_fast_groups_verify(
@@ -442,10 +537,11 @@ class TestFactorOnce:
         report = run_verification(s, seed=1)
         assert all(e.status == "pass" for e in report.entries)
         assert len(builds) == 0 and max(eyes) <= largest
-        # the probe solve and the target solve: one stack per run of
-        # equal-size blocks each
+        # the one solve of the ergodic rows, for the probe columns: one
+        # stack per run of equal-size blocks
         runs = len({len(b) for b in s.partition.blocks})
-        assert len(operands["solve"]) == 2 * runs
+        assert len(operands["solve"]) == runs
+        assert all(args[1][-1] == 100 for args in operands["solve"])
         shapes = [a for call in operands.values() for args in call for a in args]
         assert max(a[-2] if len(a) > 1 else a[0] for a in shapes) == largest
 
@@ -833,6 +929,65 @@ class TestWellConditionedArrayRule:
         assert powers_well_conditioned(np.zeros((4, 4)), 7, symbol=np.zeros(4))
 
 
+def _scalar_thresholds(spectra, starts, tol, ones=0):
+    """The rank thresholds with one C pow per operator and power: tol times
+    each power's largest value, at least 1e-11 times the first power's
+    largest value to the k-th power."""
+    top = subspace._owner_max(spectra, starts)
+    top = np.where(ones > 0, np.maximum(top, 1.0), top)
+    powers = range(1, top.shape[-2] + 1)
+    base = top[..., 0, :].reshape(-1, top.shape[-1]).tolist()
+    floor = [[subspace._noise_floor(b, k) for b in row] for row in base for k in powers]
+    return np.maximum(tol * top, np.reshape(floor, top.shape))
+
+
+class TestThresholds:
+    """``subspace._thresholds`` forms the noise floors with numpy's power
+    and takes C's pow only near a threshold; its thresholds equal the
+    scalar loop's bit for bit."""
+
+    def test_equal_the_scalar_loop_bit_for_bit(self):
+        # random spectra over 80 decades, with bases of 0, negative, NaN,
+        # inf, subnormal, and 1e40, whose 8th power overflows; for one and
+        # two chains, with and without further values 1
+        rng = np.random.default_rng(5)
+        specials = [0.0, -1.0, -1e40, np.nan, np.inf, 1e40, 1e300, 5e-324, 1.0]
+        near = 0
+        for trial in range(400):
+            sizes = rng.integers(1, 5, int(rng.integers(1, 6)))
+            starts = np.cumsum(sizes) - sizes
+            spectra = rng.lognormal(0.0, rng.uniform(0.0, 40.0), (9, sizes.sum()))
+            spectra[rng.random(spectra.shape) < 0.1] = rng.choice(specials)
+            # a first power of one value: the special is the base itself
+            spectra[:, starts[trial % sizes.size]] = rng.choice(specials)
+            if trial % 3 == 0:
+                spectra = np.stack([spectra, spectra[::-1]])
+            tol = rng.choice([1e-16, 1e-8, 1e-3, 0.25], sizes.size)
+            ones = rng.integers(0, 3, sizes.size) * (trial % 2)
+            with np.errstate(over="ignore", invalid="ignore"):
+                want = _scalar_thresholds(spectra, starts, tol, ones)
+            got = subspace._thresholds(spectra, starts, tol, ones)
+            assert np.array_equal(got, want, equal_nan=True), trial
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+            near += np.count_nonzero(got != tol * subspace._owner_max(spectra, starts))
+        assert near > 0
+
+    def test_named_bases(self):
+        # one operator per base, one value per power: its floor decides
+        # where it clears tol times the value, including an overflow to inf
+        # at k = 9 (1e35^9), and 0 for a base of 0 or negative, NaN for NaN
+        bases = np.array([0.0, -2.0, np.nan, 1e35, 1e-3, 1.0, 1e5])
+        spectra = np.tile(bases, (9, 1))
+        starts = np.arange(bases.size)
+        got = subspace._thresholds(spectra, starts, np.full(bases.size, 1e-8))
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = _scalar_thresholds(spectra, starts, np.full(bases.size, 1e-8))
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.isinf(got[8, 3]) and np.isfinite(got[7, 3])
+        assert not got[:, :2].any()
+        assert np.isnan(got[:, 2]).all()
+
+
 def _cut_bases(p, base, k, tol):
     # range and kernel of p at the rank cut of a k-th power: tol times the
     # 2-norm of p, never below 1e-11 times the k-th power of the base norm
@@ -937,14 +1092,14 @@ def reference_rows(t, ctx, tol, seed):
     direct = dim_r + nul_imt.shape[1] == n and meet_dim(rng_imt, nul_imt, tol) == 0
     s = np.linalg.svd(imt, compute_uv=False)
     full_rank = bool(s[-1] > tol * s[0]) if s[0] > 0 else False
-    probe = np.random.default_rng(seed ^ 0x5EED).uniform(-1.0, 1.0, n)
+    # the solve for the probe columns either reproduces them or it does not
+    fs = np.random.default_rng(seed).uniform(-1.0, 1.0, (n, 100))
     try:
-        sol = np.linalg.solve(imt, probe)
-        gap = np.max(np.abs(imt @ sol - probe))
-        invertible = bool(gap <= 1e-6 * (1.0 + np.max(np.abs(probe))))
+        sol = np.linalg.solve(imt, fs)
+        gap = np.max(np.abs(imt @ sol - fs))
+        invertible = bool(gap <= 1e-6 * (1.0 + np.max(np.abs(fs))))
     except np.linalg.LinAlgError:
         invertible = False
-    fs = np.random.default_rng(seed).uniform(-1.0, 1.0, (n, 100))
     basis = np.hstack([rng_imt, nul_imt])
     limit_residual = None
     if basis.shape[1] == n:

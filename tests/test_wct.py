@@ -311,6 +311,38 @@ class TestSinglePassRoutes:
                 assert _same_bits(wct._power_sum(h, n - 1, False), _loop_v_n(h, n))
                 assert _same_bits(wct._power_sum(h, n - 2, True), _loop_w_n(h, n))
 
+    def test_power_sums_equal_the_per_call_sums_bit_for_bit(self):
+        # one batched pass against one _power_sum per entry, at counts on
+        # either side of a chunk edge, for symbols whose powers are fixed
+        # points (0, +-1, inf, a subnormal that rounds back), flip sign,
+        # overflow, or are NaN; rows share a count, and a row's entries
+        # are weighted, unweighted or both
+        h = np.array([0.0, -0.0, 0.3, -0.3, 0.999, 1 - 1e-9, -1.0, 1.0, 1.5,
+                      -1.5, -100.0, 1e10, 5e-324, -5e-324, np.nan, np.inf,
+                      -np.inf, 0.5, -0.5])
+        block = wct._BLOCK
+        levels = np.array([0, 1, block - 1, block, block + 1, 5000])
+        rng = np.random.default_rng(0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for trial in range(20):
+                counts = rng.choice(levels, (h.size, 1 + trial % 4))
+                counts[trial % h.size] = levels[trial % levels.size]
+                flags = rng.random(counts.shape[1]) < 0.5
+                for weighted in (False, True, flags):
+                    got = wct._power_sums(h, counts, weighted)
+                    per_entry = np.broadcast_to(weighted, counts.shape)
+                    want = [
+                        [wct._power_sum(h[i : i + 1], int(k), bool(w))[0]
+                         for k, w in zip(counts[i], per_entry[i])]
+                        for i in range(h.size)
+                    ]
+                    assert _same_bits(got, np.array(want)), (trial, weighted)
+            # one count for every row is the one call
+            for n in levels.tolist():
+                for weighted in (False, True):
+                    got = wct._power_sums(h, np.full((h.size, 1), n), weighted)
+                    assert _same_bits(got[:, 0], wct._power_sum(h, n, weighted))
+
     def test_walk_equals_the_per_n_loops_bit_for_bit(self):
         ns = (2, 3, 5, 8, 13, 20)
         sizes = set()
@@ -539,6 +571,48 @@ class TestBlockLayoutAgainstDense:
             layout.solve(x, f)
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.solve(layout.unpack(x), f)
+
+    def test_a_part_is_the_layout_of_its_rows(self):
+        # every run of rows of a table takes its part of the table's
+        # layout, with the arrays and runs of the layout of the run's own
+        # table: views where the run's entries lie together (rows of one
+        # size under _CORE_MIN_ATOMS atoms, or one row), gathered where the
+        # blocks of several sizes of rows of 2-64 atoms interleave
+        def same_layout(a, b):
+            assert a.n == b.n and a.n_operators == b.n_operators
+            for name in ("m", "eye", "_rows", "h", "block_h", "labels"):
+                assert _same_bits(getattr(a, name), getattr(b, name)), name
+            assert len(a._runs) == len(b._runs)
+            for (e1, x1, c1, s1), (e2, x2, c2, s2) in zip(a._runs, b._runs):
+                assert (e1, c1, s1) == (e2, c2, s2) and np.array_equal(x1, x2)
+            for o1, o2 in zip(a._owners, b._owners):
+                assert np.array_equal(o1, o2)
+
+        tables = [
+            wct.OperatorTable.of([_instance(i) for i in range(k, 200, 21)])
+            for k in (1, 2)
+        ]
+        tables += [
+            wct.OperatorTable.of([generate_random_instance(i, n, 3).operator()
+                                  for i in range(7)])
+            for n in (5, 12)
+        ]
+        tables.append(wct.OperatorTable.of([_instance(8)]))  # 42 atoms
+        views = 0
+        for tab in tables:
+            layout = tab.layout
+            ends = np.append(tab.atom_starts, tab.n.sum())
+            blocks = np.append(tab.starts, tab.blocks.sum())
+            for lo in range(tab.n.size):
+                for hi in range(lo + 1, tab.n.size + 1):
+                    rows = range(lo, hi)
+                    part = layout.part(
+                        rows, slice(ends[lo], ends[hi]), slice(blocks[lo], blocks[hi])
+                    )
+                    same_layout(part, tab.take(rows).layout)
+                    views += np.shares_memory(part.m, layout.m)
+        # the runs of the one-size tables and of the one row are views
+        assert views >= 2 * 28 + 1
 
     def test_block_power_sums_equal_the_atom_sums_bit_for_bit(self):
         # _power_sum acts elementwise, so one value per block spread by the
