@@ -122,6 +122,9 @@ def runs():
     out.append(("wide256-rank1e-3-s1",
                 lambda: dict(_workload("wide256", 1), tolerances={"rank": 1e-3}), 0, 1))
     out.append(("near-one-symbol-s1", _near_one, 0, 1))
+    # suites large enough to be cut into several operator tables
+    out.append(("r3_contracting-i2000-s1", lambda: _shipped("r3_contracting"), 2000, 1))
+    out.append(("r4_expanding-i1000-s2", lambda: _shipped("r4_expanding"), 1000, 2))
     return out
 
 
