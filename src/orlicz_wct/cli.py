@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 
@@ -64,6 +65,7 @@ def _rank_tolerance(text: str) -> float:
 _rank_tolerance.__name__ = "float"
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="orlicz-wct",
@@ -216,15 +218,16 @@ def _cmd_cesaro(args) -> int:
     # an overflowing power walks on as inf and NaN, as in verify's iterate
     # and Cesaro groups
     with np.errstate(over="ignore", invalid="ignore"):
-        walk = BlockWalk(t.block_layout, (n, n + 1), (n,) if n >= 2 else (), (n,))
+        walk = BlockWalk(t.block_layout, (n,))
+        (step,) = walk
         for mode in modes:
             direct = mode == "direct"
-            a_n = walk.unpack(walk.a[n]) if direct else cesaro_mean(t, n)
+            a_n = walk.unpack(step.a) if direct else cesaro_mean(t, n)
             payload[f"a_n_{mode}"] = a_n
             if n >= 2:
-                b_n = walk.unpack(walk.b[n]) if direct else b_n_operator(t, n)
+                b_n = walk.unpack(step.b) if direct else b_n_operator(t, n)
                 payload[f"b_n_{mode}"] = b_n
-        residuals = identity_residuals(walk, (n,))[n]
+        residuals = identity_residuals(walk, step)
     # each residual holds one value, of the walk's one operator
     residuals = {c: float(r[0]) for c, r in residuals.items()}
     # a residual that is not finite is not checked, and JSON prints null

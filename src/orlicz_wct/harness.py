@@ -25,10 +25,11 @@ of (scenario, operator, sampling seed) that returns the scenario's rows, or
 of ``_BATCH_GROUPS``: the power_bounded, structure, iterate and Cesaro
 groups, functions of (operator table, sampling seed per row, tolerances)
 that return one ``ClaimColumn`` per claim, the claim's rows on every row of
-the table as arrays. A verify call makes one ``OperatorTable`` per instance
-size, from the scenario's operator and its random draws' arrays (a random
-instance builds no operator), and runs every batch group on it before the
-next is made: the power_bounded group through the table form of
+the table as arrays. A verify call orders its instances by atom count and
+cuts them into ``OperatorTable``s of at most _TABLE_ATOMS atoms, from the
+scenario's operator and its random draws' arrays (a random instance builds
+no operator), and runs every batch group on each table before the next is
+made: the power_bounded group through the table form of
 ``power_bounded_report``, the structure group through that of
 ``verify_structure_theorems``, and the walk groups over the table's one
 packed layout. ``fold_claims`` then folds each claim's rows on every
@@ -75,6 +76,7 @@ from .subspace import records_well_conditioned, verify_structure_theorems
 from .wct import (
     BlockLayout,
     BlockWalk,
+    Horizon,
     OperatorTable,
     WctOperator,
     b_n_operator,
@@ -143,6 +145,9 @@ _CONDEXP_TRIALS = 200
 # of the Cesaro group, read from a walk to T^20
 _ITERATE_POWERS = (1, 2, 3, 4, 5, 6)
 _CESARO_HORIZONS = (2, 3, 5, 8, 13, 20)
+# the most atoms one operator table of a verify call holds, unless one row
+# has more: a 200-instance suite is one table
+_TABLE_ATOMS = 2048
 # relative slack of the comparisons between exact norms: r1, r3 and r4 reach
 # ||T|| = M, and the two sides round differently
 _EXACT_SLACK = 1e-12
@@ -553,48 +558,49 @@ def _relative_gap(layout: BlockLayout, diff, scale) -> np.ndarray:
     return layout.owner_max(diff) / (1.0 + layout.owner_max(scale))
 
 
-def identity_residuals(walk: BlockWalk, ns) -> dict[int, dict]:
-    """The Cesaro identity residuals at every n in ns, from one ``BlockWalk``,
-    each an array with one value per operator of the walk's direct sum.
+def identity_residuals(walk: BlockWalk, step: Horizon) -> dict:
+    """The Cesaro identity residuals at a horizon that a ``BlockWalk`` with
+    sums hands on, each an array with one value per operator of the walk's
+    direct sum.
 
-    The walk holds A_n, A_(n+1) and T^n, and B_n when n >= 2. Each residual
-    is a max-entry gap relative to 1 + max|scale|, with T^n/n the scale of
-    the power-over-n and telescoping identities and B_n that of the
+    The horizon holds A_n, A_(n+1) and T^n, and B_n when n >= 2. Each
+    residual is a max-entry gap relative to 1 + max|scale|, with T^n/n the
+    scale of the power-over-n and telescoping identities and B_n that of the
     remainder factorization, so expanding symbols do not read as failures.
     Every matrix involved vanishes off the partitions' blocks, so the gaps
-    are taken on the packed blocks, and the products block by block. The
-    remainder entry is present only when B_n is. The Cesaro group and
-    ``orlicz-wct cesaro`` both report these values.
+    are taken on the packed blocks, and the products with the walk's I - T
+    block by block. The remainder entry is present only when B_n is. The
+    Cesaro group and ``orlicz-wct cesaro`` both report these values.
     """
-    eye = walk.eye
-    imt = eye - walk.m
-    out = {}
-    for n in ns:
-        a_n, tn = walk.a[n], walk.t[n]
-        out[n] = {
-            "power_over_n_identity": _relative_gap(
-                walk, tn / n - ((n + 1) / n) * walk.a[n + 1] + a_n, tn / n
-            ),
-            "telescoping_identity": _relative_gap(
-                walk, walk.matmul(imt, a_n) - (eye - tn) / n, tn / n
-            ),
-        }
-        if n in walk.b:
-            out[n]["remainder_factorization_identity"] = _relative_gap(
-                walk, eye - a_n - walk.matmul(imt, walk.b[n]), walk.b[n]
-            )
+    n, eye, tn, a_n = step.n, walk.eye, step.t, step.a
+    out = {
+        "power_over_n_identity": _relative_gap(
+            walk, tn / n - ((n + 1) / n) * step.a_next + a_n, tn / n
+        ),
+        "telescoping_identity": _relative_gap(
+            walk, walk.matmul(walk.imt, a_n) - (eye - tn) / n, tn / n
+        ),
+    }
+    if step.b is not None:
+        out["remainder_factorization_identity"] = _relative_gap(
+            walk, eye - a_n - walk.matmul(walk.imt, step.b), step.b
+        )
     return out
 
 
-def _walk_columns(tab, tol, residuals, detail, a_ns=(), b_ns=(), t_ns=()):
-    """The columns of a table's rows from one ``BlockWalk`` over its
-    layout: ``residuals(walk)`` gives per claim id one array per power or
-    horizon, one value per row, and a row's residual is the worst of them.
-    A power that overflowed walks on as inf and NaN, and leaves the row not
-    checked: no bound holds on inf, and a NaN decides nothing."""
+def _walk_columns(tab, tol, gaps, detail, ns, sums):
+    """The columns of a table's rows from one ``BlockWalk`` over its layout
+    to the horizons ``ns``: ``gaps(walk, horizon)`` gives per claim id one
+    array, one value per row, at each horizon as the walk hands it on, and a
+    row's residual is the worst of them. A power that overflowed walks on as
+    inf and NaN, and leaves the row not checked: no bound holds on inf, and
+    a NaN decides nothing."""
+    found = {}
     with np.errstate(over="ignore", invalid="ignore"):
-        walk = BlockWalk(tab.layout, a_ns, b_ns, t_ns)
-        found = residuals(walk)
+        walk = BlockWalk(tab.layout, ns, sums)
+        for step in walk:
+            for cid, gap in gaps(walk, step).items():
+                found.setdefault(cid, []).append(gap)
     columns = []
     for cid, res in found.items():
         res = np.array(res)
@@ -605,39 +611,30 @@ def _walk_columns(tab, tol, residuals, detail, a_ns=(), b_ns=(), t_ns=()):
 
 
 def _iterate_columns(tab, seeds, tolerances):
-    def residuals(walk):
-        gaps = [
-            _relative_gap(walk, walk.t[n] - iterate(walk, n), walk.t[n])
-            for n in _ITERATE_POWERS
-        ]
-        return {"iterate_closed_form": gaps}
+    def gaps(walk, step):
+        closed = iterate(walk, step.n)
+        return {"iterate_closed_form": _relative_gap(walk, step.t - closed, step.t)}
 
     detail = "relative max-entry gap over powers 1..6"
     return _walk_columns(
-        tab, tolerances["comparison"], residuals, detail, t_ns=_ITERATE_POWERS
+        tab, tolerances["comparison"], gaps, detail, _ITERATE_POWERS, sums=False
     )
 
 
 def _cesaro_columns(tab, seeds, tolerances):
-    def residuals(walk):
-        folded = {cid: [] for cid in EXPERIMENT_CLAIMS["cesaro_identities"]}
-        for n, gaps in identity_residuals(walk, _CESARO_HORIZONS).items():
-            a_n, b_n = walk.a[n], walk.b[n]
-            gaps["cesaro_closed_form"] = _relative_gap(
-                walk, a_n - cesaro_mean(walk, n), a_n
-            )
-            gaps["remainder_closed_form"] = _relative_gap(
+    def gaps(walk, step):
+        n, a_n, b_n = step.n, step.a, step.b
+        return {
+            "cesaro_closed_form": _relative_gap(walk, a_n - cesaro_mean(walk, n), a_n),
+            "remainder_closed_form": _relative_gap(
                 walk, b_n - b_n_operator(walk, n), b_n
-            )
-            for cid, gap in gaps.items():
-                folded[cid].append(gap)
-        return folded
+            ),
+            **identity_residuals(walk, step),
+        }
 
-    h = _CESARO_HORIZONS
     detail = "relative max-entry residual over n in {2,3,5,8,13,20}"
     return _walk_columns(
-        tab, tolerances["comparison"], residuals, detail,
-        a_ns=h + tuple(n + 1 for n in h), b_ns=h, t_ns=h,
+        tab, tolerances["comparison"], gaps, detail, _CESARO_HORIZONS, sums=True
     )
 
 
@@ -773,11 +770,13 @@ _BATCH_GROUPS = {
 
 def _tables(scenario: Scenario, seed: int, instances: int, fingerprints: list):
     """(instance indices, operator table, sampling seed per row) of each
-    instance size of a verify call: instance 0 is the scenario, then come
-    its random instances, at its rank tolerance, whose draws the rounds of
-    ``_well_conditioned_draws`` accept. Each table is built once from its
-    rows' arrays, and let go before the next is built. The fingerprint of
-    each random instance is appended to ``fingerprints``."""
+    table of a verify call: instance 0 is the scenario, then come its random
+    instances, at its rank tolerance, whose draws the rounds of
+    ``_well_conditioned_draws`` accept. The rows go by atom count, then by
+    instance, cut into consecutive tables of at most _TABLE_ATOMS atoms (or
+    one row). Each table is built once from its rows' arrays, and let go
+    before the next is built. The fingerprint of each random instance is
+    appended to ``fingerprints``."""
     tol = scenario.tolerances["rank"]
     specs = []
     for i in range(instances):
@@ -788,7 +787,7 @@ def _tables(scenario: Scenario, seed: int, instances: int, fingerprints: list):
         specs.append((child_seed, n_atoms, n_blocks, PROFILES[i % len(PROFILES)]))
     accepted = _well_conditioned_draws(specs, tol)
     t = scenario.operator()
-    by_size = {t.space.n_atoms: [(0, table_part(t), scenario.phi, seed, t)]}
+    rows = [(t.space.n_atoms, 0, table_part(t), scenario.phi, seed, t)]
     # the gauges of the rotation, and their conjugates, built once per call
     shared = {}
     for i, (draw, spec) in enumerate(zip(accepted, specs), 1):
@@ -800,10 +799,17 @@ def _tables(scenario: Scenario, seed: int, instances: int, fingerprints: list):
         shared[(draw.seed, *spec[1:], tol)] = draw
         child = generate_well_conditioned_instance(draw.seed, *spec[1:], tol, shared)
         fingerprints.append(child.fingerprint())
-        row = i, draw[3:], child.phi, draw.seed, None
-        by_size.setdefault(spec[1], []).append(row)
-    for n in list(by_size):
-        index, parts, phis, seeds, ops = zip(*by_size.pop(n))
+        rows.append((spec[1], i, draw[3:], child.phi, draw.seed, None))
+    rows.sort(key=lambda row: row[:2])
+    cuts, atoms = [0], 0
+    for k, size in enumerate(row[0] for row in rows):
+        if atoms + size > _TABLE_ATOMS and k > cuts[-1]:
+            cuts.append(k)
+            atoms = 0
+        atoms += size
+    cuts.append(len(rows))
+    for lo, hi in zip(cuts, cuts[1:]):
+        _, index, parts, phis, seeds, ops = zip(*rows[lo:hi])
         yield np.array(index), OperatorTable(parts, phis, ops), np.array(seeds)
 
 

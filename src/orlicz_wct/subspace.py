@@ -339,7 +339,8 @@ def verify_structure_theorems(
     and a sampling seed per row, and whether the criterion holds per row
     (None: the table's ``criterion``), and returns one ``ClaimColumn`` per
     claim from one pass over the table. Every array of the pass grows with
-    the number of rows, so callers hold a table to operators of one size.
+    the number of rows, so a verify call cuts its suite into tables of a
+    bounded number of atoms, its rows ordered by atom count.
     """
     if isinstance(t, WctOperator):
         holds = (criterion or contraction_criterion(t, phi))[1]
@@ -555,11 +556,13 @@ def _criterion_facts(tab, tol, seeds) -> dict:
     (``_triangular_values``); only the cores of I - T itself, whose vectors
     and values the split, the invertibility residual and the Cesaro
     projection read, take one stacked SVD, for every block of every row.
-    The ergodic rows take one solve of I - T per run of rows, for the
-    probe columns, which also decides invertibility; its products and
-    solves read the run's part of the table's layout. Where a block is
-    singular, each row of its run is taken alone. The closed forms' sums
-    of every horizon come from one ``_power_sums``.
+    The ergodic rows take one solve of I - T per run of rows of at most
+    _PROBE_ATOMS atoms, for the probe columns, which also decides
+    invertibility; its products and solves read the run's part of the
+    table's layout, one stack per size of block, few where the rows go by
+    atom count. Where a block is singular, each row of its run is taken
+    alone. The closed forms' sums of every horizon come from one
+    ``_power_sums``.
     """
     rec, starts, owner, n = tab.record, tab.starts, tab.block_owner, tab.n
     sigma, h_block, pair = rec.sigma, rec.h, rec.sizes > 1

@@ -6,13 +6,13 @@ n-th power multiplies the operator by h^(n-1), and the Cesaro data are
 geometric sums in h, accumulated with numpy in blocks of a fixed number of
 powers, so that their memory does not grow with n. The one direct route is
 ``BlockWalk``: a single walk I, T, T^2, ... of sequential products that
-serves T^n, A_n and B_n for every requested n at once, and against which the
-closed forms are checked (``BlockWalk.unpack`` returns its results as n x n
-arrays). The matrix is block diagonal in the partition's atom order, and so
-is everything the walk, the closed forms and the solves with I - T produce,
-so they are held packed on a ``BlockLayout``, from _CORE_MIN_ATOMS = 32
-atoms on as the partition's blocks, and every product and solve is taken
-block by block, at a cost of sum n_B^3 in place of n^3. An
+hands on T^n, A_n and B_n at each horizon n as soon as it reaches it, and
+against which the closed forms are checked (``BlockWalk.unpack`` returns a
+result as an n x n array). The matrix is block diagonal in the partition's
+atom order, and so is everything the walk, the closed forms and the solves
+with I - T produce, so they are held packed on a ``BlockLayout``, from
+_CORE_MIN_ATOMS = 32 atoms on as the partition's blocks, and every product
+and solve is taken block by block, at a cost of sum n_B^3 in place of n^3. An
 ``OperatorTable`` holds any number of operators one after another as
 arrays, and its one layout packs all of them, so that one walk and one
 pass of each closed form serve them all, and ``owner_max`` reads a
@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,6 +57,7 @@ __all__ = [
     "b_n_operator",
     "BlockLayout",
     "BlockWalk",
+    "Horizon",
     "BlockRecord",
     "bound_constant",
     "contraction_criterion",
@@ -312,46 +314,69 @@ class BlockLayout:
         return out
 
 
-class BlockWalk(BlockLayout):
-    """A_n for n in a_ns, B_n for n in b_ns and T^n for n in t_ns, by one walk,
-    packed on ``layout``, which it shares: for every operator of the layout's
-    direct sum at once.
+class Horizon(NamedTuple):
+    """What a ``BlockWalk`` hands on at the horizon n, packed on its layout:
+    T^n, and, when the walk forms the sums, A_n, A_(n+1) and B_n (None at
+    n = 1)."""
 
-    The walk forms P_0 = I, P_(k+1) = P_k @ M once, up to the largest power
-    any result needs; T^n is P_n. A_n sums P_0, ..., P_(n-1) onto zeros;
-    B_n adds (n-1-k) P_k onto (n-1) I for k = 1, ..., n-2. Each result gets
+    n: int
+    t: np.ndarray
+    a: np.ndarray | None
+    a_next: np.ndarray | None
+    b: np.ndarray | None
+
+
+class BlockWalk(BlockLayout):
+    """One walk I, T, T^2, ... over the horizons ``ns``, packed on
+    ``layout``, which it shares: for every operator of the layout's direct
+    sum at once. Iterating it walks, and hands on a ``Horizon`` for each n
+    in ns, in increasing order, as soon as it reaches T^n.
+
+    The walk forms P_0 = I, P_(k+1) = P_k @ M once, up to the largest
+    horizon; T^n is P_n. With ``sums``, A_n sums P_0, ..., P_(n-1) onto
+    zeros and is divided by n, and B_n adds (n-1-k) P_k onto (n-1) I for
+    k = 1, ..., n-2 and is divided by n at its last term. Each result gets
     the products and additions of its own per-n loop, run on each block, in
-    the same order, so it equals that loop bit for bit.
+    the same order, so it equals that loop bit for bit. The walk holds P_k,
+    the running sum, the A_n that a later horizon hands on and the B_n not
+    yet handed on; each result is let go once handed on. ``imt``, I - T, is
+    formed once per walk, on first use.
     """
 
-    def __init__(self, layout: BlockLayout, a_ns=(), b_ns=(), t_ns=()):
-        if min(a_ns, default=1) < 1 or min(t_ns, default=1) < 1:
-            raise ValueError("A_n and T^n need n >= 1")
-        if min(b_ns, default=2) < 2:
-            raise ValueError("B_n needs n >= 2")
+    def __init__(self, layout: BlockLayout, ns, sums: bool = True):
+        if min(ns, default=1) < 1:
+            raise ValueError("a horizon needs n >= 1")
         vars(self).update(vars(layout))
-        top = max([k - 1 for k in a_ns] + [k - 2 for k in b_ns] + list(t_ns))
-        total = np.zeros_like(self.eye)
-        b_acc = {k: (k - 1) * self.eye for k in b_ns}
-        self.a, self.t = {}, {}
-        power = self.eye
-        for k in range(top + 1):
+        self.ns, self.sums = sorted(set(ns)), sums
+
+    @functools.cached_property
+    def imt(self) -> np.ndarray:
+        return self.eye - self.m
+
+    def __iter__(self):
+        ns, sums = self.ns, self.sums
+        # B_j from (j - 1) I, divided by j at its last term, k = j - 2
+        b = {j: (j - 1) * self.eye for j in ns if j >= 2} if sums else {}
+        power, total, a_n = self.eye, np.zeros_like(self.eye), None
+        for k in range(max(ns, default=-1) + 1):
             if k:
                 power = self.matmul(power, self.m)
-                for j, acc in b_acc.items():
-                    if k <= j - 2:
-                        acc += (j - 1 - k) * power
-                if k in t_ns:
-                    self.t[k] = power
-            total += power
-            if k + 1 in a_ns:
-                self.a[k + 1] = total / (k + 1)
-        for k, acc in b_acc.items():
-            acc /= k
-        self.b = b_acc
+            for j, acc in b.items():
+                if 0 < k <= j - 2:
+                    acc += (j - 1 - k) * power
+                if k == j - 2:
+                    acc /= j
+            if sums:
+                total += power
+            a_next = total / (k + 1) if sums and (k in ns or k + 1 in ns) else None
+            if k in ns:
+                yield Horizon(k, power, a_n, a_next, b.pop(k, None))
+            a_n = a_next if k + 1 in ns else None
 
 
 _BLOCK = 512
+# the most entries one chunk of the running products of _power_sums holds
+_SUM_ELEMENTS = 1 << 16
 
 
 def _power_sum(h: np.ndarray, n_terms: int, weighted: bool) -> np.ndarray:
@@ -389,9 +414,10 @@ def _power_sums(h: np.ndarray, counts: np.ndarray, weighted) -> np.ndarray:
     sequential, so their bits do not depend on how the powers are chunked.
 
     The rows go by decreasing largest count, so those still running are a
-    prefix, and a row's running product runs to its largest count, _BLOCK
-    powers at a time. A row's unweighted entries read its one running sum
-    at their counts; the weighted entries of one count, over all rows, form
+    prefix, and a row's running product runs to its largest count, in
+    chunks of at most _BLOCK powers and _SUM_ELEMENTS entries over the
+    running rows. A row's unweighted entries read its one running sum at
+    their counts; the weighted entries of one count, over all rows, form
     one group, whose terms stop at that count. So a row forms fewer than
     _BLOCK padding powers in all, and no entry sums one. Overflows are not
     warned of: a sum that overflows is inf, or NaN, which the callers read.
@@ -409,7 +435,8 @@ def _power_sums(h: np.ndarray, counts: np.ndarray, weighted) -> np.ndarray:
     start, rows = 0, np.count_nonzero(reach > 0)
     with np.errstate(over="ignore", invalid="ignore"):
         while rows:
-            width = min(_BLOCK, int(reach[0]) - start)
+            cap = max(1, _SUM_ELEMENTS // rows)
+            width = min(_BLOCK, cap, int(reach[0]) - start)
             stop = start + width
             terms = np.repeat(hpow[:rows, None], width, axis=1)
             # as in _power_sum, a product that h maps to itself stays put
@@ -555,7 +582,8 @@ class OperatorTable:
     ``BlockRecord`` of all the blocks), ``layout`` (one packed
     ``BlockLayout``) and ``criterion`` are each formed in one array pass on
     first use. ``of`` makes the table of some operators, and ``take`` that
-    of some rows.
+    of some rows. Rows of any sizes may share a table: every per-row fact
+    is read from the row's own segment of the arrays.
     """
 
     def __init__(self, parts, phis=None, ops=None):

@@ -115,12 +115,46 @@ def pairing_adjoint(matrix, weights):
 
 
 def power_walk(t, a_ns=(), b_ns=(), t_ns=()):
-    """The results of ``BlockWalk(t.block_layout, a_ns, b_ns, t_ns)`` as
-    n x n arrays in atom order, with exact zeros off the blocks."""
-    walk = BlockWalk(t.block_layout, a_ns, b_ns, t_ns)
-    return tuple(
-        {k: walk.unpack(x) for k, x in d.items()} for d in (walk.a, walk.b, walk.t)
-    )
+    """A_n for n in a_ns, B_n for n in b_ns and T^n for n in t_ns, read from
+    the horizons that one ``BlockWalk`` over t's layout hands on (A_n at
+    horizon n, or A_(n+1) at horizon n - 1 past n = 1), as n x n arrays in
+    atom order, with exact zeros off the blocks."""
+    walk = BlockWalk(t.block_layout, {max(n - 1, 1) for n in a_ns} | {*b_ns, *t_ns})
+    a, b, powers = {}, {}, {}
+    for step in walk:
+        for n, x in ((step.n, step.a), (step.n + 1, step.a_next)):
+            if n in a_ns:
+                a[n] = walk.unpack(x)
+        if step.n in b_ns:
+            b[step.n] = walk.unpack(step.b)
+        if step.n in t_ns:
+            powers[step.n] = walk.unpack(step.t)
+    return a, b, powers
+
+
+def held_walk(layout, a_ns=(), b_ns=(), t_ns=()):
+    """The packed A_n, B_n and T^n of a walk that holds every result to its
+    end: a verbatim copy of the loop that ``BlockWalk`` streams, which the
+    streamed results must equal bit for bit."""
+    top = max([k - 1 for k in a_ns] + [k - 2 for k in b_ns] + list(t_ns))
+    total = np.zeros_like(layout.eye)
+    b_acc = {k: (k - 1) * layout.eye for k in b_ns}
+    a, powers = {}, {}
+    power = layout.eye
+    for k in range(top + 1):
+        if k:
+            power = layout.matmul(power, layout.m)
+            for j, acc in b_acc.items():
+                if k <= j - 2:
+                    acc += (j - 1 - k) * power
+            if k in t_ns:
+                powers[k] = power
+        total += power
+        if k + 1 in a_ns:
+            a[k + 1] = total / (k + 1)
+    for k, acc in b_acc.items():
+        acc /= k
+    return a, b_acc, powers
 
 
 def well_conditioned_loop(spectra, k_max, symbol):

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from orlicz_wct import cli
 from orlicz_wct.cli import main
 
 
@@ -433,6 +434,45 @@ class TestFlags:
         monkeypatch.setenv("ORLICZ_WCT_SEED", "123")
         code, out, err = run_cli(capsys, *argv)
         assert (code, out, err) == (0, expected, "")
+
+    def test_one_parser_serves_calls_of_several_subcommands(
+        self, capsys, monkeypatch, scenario_path
+    ):
+        # main builds its parser once per process: a run, the --n-blocks
+        # check, parse errors and a help text, one subcommand after another,
+        # print what a parser built afresh for each call prints
+        calls = [
+            ["cesaro", "--scenario", scenario_path, "--n", "3", "--format", "json"],
+            ["random", "--n-atoms", "3", "--n-blocks", "4"],
+            ["verify", "--scenario", scenario_path, "--instances", "-1"],
+            ["ascent", "--scenario", scenario_path, "--seed", "3"],
+            ["verify"],
+            ["norm", "--help"],
+        ]
+
+        def run_all():
+            out = []
+            for argv in calls:
+                try:
+                    code = main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+                captured = capsys.readouterr()
+                out.append((code, captured.out, captured.err))
+            return out
+
+        cached = run_all()
+        assert cli._build_parser() is cli._build_parser()
+        monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+        assert run_all() == cached
+        assert [code for code, _, _ in cached] == [0, 2, 2, 2, 2, 0]
+        assert '"residuals"' in cached[0][1]
+        assert cached[1][2].startswith("usage: orlicz-wct [-h]")
+        assert cached[2][2].startswith("usage: orlicz-wct verify")
+        assert cached[4][2].startswith("usage: orlicz-wct verify")
+        assert "argument --n-blocks: must be <= --n-atoms" in cached[1][2]
+        assert "unrecognized arguments: --seed 3" in cached[3][2]
+        assert cached[5][1].startswith("usage: orlicz-wct norm")
 
     def test_retired_tol_norm_flag_rejected(self, capsys, scenario_path):
         argv = ["norm", "--scenario", scenario_path, "--function", "[1, 1]"]

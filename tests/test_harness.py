@@ -445,9 +445,9 @@ class TestRunVerification:
             assert cli.main(argv) == 0
 
     def test_criterion_and_conjugate_built_once_per_instance(self, monkeypatch):
-        # r3 plus 20 instances is 21 instances in one table per instance
-        # size. Each table decides the contraction criterion of all its rows
-        # in one pass, which the power_bounded and structure passes both
+        # r3 plus 20 instances, 148 atoms, cut into tables of at most 40
+        # atoms. Each table decides the contraction criterion of all its
+        # rows in one pass, which the power_bounded and structure passes both
         # read; every orlicz_wct binding of complementary is wrapped, so a
         # call through any module counts
         passes, counts = [], {"complementary": 0}
@@ -471,24 +471,25 @@ class TestRunVerification:
                     return _original(*args, **kwargs)
 
                 monkeypatch.setattr(module, "complementary", spy)
+        monkeypatch.setattr(harness, "_TABLE_ATOMS", 40)
         path = Path(__file__).resolve().parents[1] / "scenarios" / "r3_contracting.json"
         argv = ["verify", "--scenario", str(path), "--instances", "20", "--seed", "1"]
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main(argv) == 0
-        # one pass per table, one table per instance size
-        sizes = [set(tab.n.tolist()) for tab in passes]
-        assert all(len(size) == 1 for size in sizes)
-        assert len({size.pop() for size in sizes}) == len(passes) == 8
-        assert sum(tab.n.size for tab in passes) == 21
+        # one pass per table, over every row of every table once, in the
+        # order of atom counts
+        assert len(passes) == 4 and all(tab.n.sum() <= 40 for tab in passes)
+        sizes = np.concatenate([tab.n for tab in passes])
+        assert sizes.size == 21 and sizes.sum() == 148 and np.all(np.diff(sizes) >= 0)
         # r3's gauge and the four of the random rotation, which the draws of
-        # one call share: one conjugate each
+        # one call share across its tables: one conjugate each
         assert len({id(phi) for tab in passes for phi in tab.phis}) == 5
         assert counts["complementary"] == 5
 
     def test_random_instances_build_no_operator(self, monkeypatch):
         # the primary scenario builds one operator and one conditional
         # expectation; a random instance builds neither, accepted or not:
-        # draws are arrays, and the tables of each instance size read them
+        # draws are arrays, and the suite's tables read them
         counts = {"operators": 0, "expectations": 0, "draws": 0}
         post_init = wct.WctOperator.__post_init__
         condexp_init = CondExp.__post_init__
@@ -519,11 +520,11 @@ class TestRunVerification:
     def test_one_block_frame_per_round(self, monkeypatch):
         # r3 with 200 instances at seed 1 takes 307 draws in 18 rounds. Each
         # round takes one (w, u mu) frame over a table of its draws, which
-        # its one filter reads. Each instance size's table takes one frame
-        # over its rows, r3 among the 2-atom ones, and the criterion pass
-        # one (u, w mu) frame of the adjoint over the u of the rows that
-        # meet the criterion, 130 in all, one after another. No operator but
-        # r3's is built, and r3's own record is never formed
+        # its one filter reads. The suite, 1,437 atoms, is one table, which
+        # takes one frame over its rows, and its criterion pass one (u, w mu)
+        # frame of the adjoint over the u of the rows that meet the
+        # criterion, 130 in all. No operator but r3's is built, and r3's own
+        # record is never formed
         operators, frames, adjoint, rounds, met = [], [], [], [], []
         tables, walked = {}, []
         post_init, frame = wct.WctOperator.__post_init__, wct._block_frame
@@ -576,18 +577,17 @@ class TestRunVerification:
         assert [x.size for x in round_frames[:2]] == [1435, 189]
         assert [rec.e1.size for _, rec in rounds] == [x.size for x in round_frames]
         assert len(operators) == 1 and "block_record" not in vars(operators[0])
-        # the iterate and Cesaro walks of each instance size read the layout
-        # of that size's table, whose rows are every instance of that size
-        assert walked[::2] == walked[1::2]
-        walked = walked[::2]
-        assert len({tab.n[0] for tab in walked}) == len(walked) == 11
-        assert all(len(set(tab.n.tolist())) == 1 for tab in walked)
-        assert sum(tab.n.size for tab in walked) == 201
-        # one frame per table, and one adjoint frame per criterion pass
-        assert sorted(x.size for x in frames) == sorted(tab.w.size for tab in walked)
-        assert sum(tab.n.size for tab in met) == 130
-        assert len(adjoint) == len(met)
-        assert all(x is tab.u for x, tab in zip(adjoint, met))
+        # the iterate and Cesaro walks read the layout of the one table,
+        # whose rows are r3 and every instance, by atom count
+        assert len(walked) == 2 and walked[0] is walked[1]
+        tab = walked[0]
+        assert tab.n.size == 201 and tab.n.sum() == 1437
+        assert np.all(np.diff(tab.n) >= 0)
+        # one frame for the table, and one adjoint frame for its criterion
+        # pass
+        assert [x.size for x in frames] == [tab.w.size]
+        assert len(met) == len(adjoint) == 1 and met[0].n.size == 130
+        assert adjoint[0] is met[0].u
 
     def test_suite_without_batch_groups_still_draws(self, r1_scenario_dict):
         # the random instances are drawn whichever groups run: at rank
@@ -732,6 +732,56 @@ class TestRunVerification:
             assert a is not None and a <= 2, s.fingerprint()
 
 
+def _report_json(scenario, seed, instances):
+    report = run_verification(scenario, seed=seed, instances=instances)
+    report.generated_at = ""
+    return emit_report(report, format="json")
+
+
+class TestTableCuts:
+    """A verify call orders its instances by atom count, then by instance,
+    and cuts them into consecutive tables of at most ``_TABLE_ATOMS``
+    atoms, unless one row has more; the reports do not depend on the cut."""
+
+    @pytest.mark.parametrize("name, seed", [("r3_contracting", 1), ("r4_expanding", 2)])
+    def test_reports_are_byte_identical_at_any_budget(self, monkeypatch, name, seed):
+        s = load_scenario(Path(__file__).resolve().parents[1] / "scenarios" / f"{name}.json")
+        want = _report_json(s, seed, 40)
+        # one row per table, tables of at most 64 atoms
+        for budget in (1, 64):
+            monkeypatch.setattr(harness, "_TABLE_ATOMS", budget)
+            assert _report_json(s, seed, 40) == want, budget
+
+    def test_no_table_exceeds_the_budget_unless_one_row_does(self, monkeypatch):
+        cuts = []
+        tables = harness._tables
+
+        def spy(*args):
+            for index, tab, seeds in tables(*args):
+                cuts.append((index, tab.n))
+                yield index, tab, seeds
+
+        monkeypatch.setattr(harness, "_tables", spy)
+        monkeypatch.setattr(harness, "_TABLE_ATOMS", 50)
+        # wide256's 256 atoms are a row over the budget
+        s = dataclasses.replace(
+            _wide256(monkeypatch), experiments=("power_bounded", "iterate_formula")
+        )
+        run_verification(s, seed=1, instances=60)
+        index = np.concatenate([i for i, _ in cuts])
+        n = np.concatenate([n for _, n in cuts])
+        assert sorted(index.tolist()) == list(range(61))
+        # by atom count, then by instance
+        order = np.lexsort((index, n))
+        assert np.array_equal(order, np.arange(n.size))
+        for k, (_, sizes) in enumerate(cuts):
+            assert sizes.sum() <= 50 or sizes.tolist() == [256]
+            # a table ends only where its next row would pass the budget
+            if k + 1 < len(cuts):
+                assert sizes.sum() + cuts[k + 1][1][0] > 50
+        assert cuts[-1][1].tolist() == [256] and len(cuts) > 5
+
+
 class _MatmulSpy(np.ndarray):
     """An array that records the operand shapes of every matmul it takes part
     in, by ``@`` or ``np.matmul``, and passes itself on to ufunc results."""
@@ -785,9 +835,9 @@ def _group_products(s):
 
 
 class TestIterateAndCesaroGroups:
-    """Each group walks once per instance size, over the direct sum of the
-    operators of that size held on their diagonal blocks, and makes no
-    n x n product from 32 atoms on."""
+    """Each group walks once per table, over the direct sum of its
+    operators held on their diagonal blocks, and makes no n x n product
+    from 32 atoms on."""
 
     def test_wide256_groups_make_no_dense_product(self, monkeypatch):
         s = _wide256(monkeypatch)
@@ -806,11 +856,10 @@ class TestIterateAndCesaroGroups:
         assert len(dense) == 38
         assert all(pair == ((1, n, n), (1, n, n)) for pair in dense)
 
-    def test_one_walk_per_instance_size(self, monkeypatch):
-        # each group walks once per instance size, over the one packed
-        # layout of that size's table, which the structure pass reads too
-        # where every row meets the criterion; no operator's own layout is
-        # built, and a rejected draw builds none
+    def test_one_walk_per_table(self, monkeypatch):
+        # each group walks once per table, over its one packed layout, which
+        # the structure pass reads too where every row meets the criterion;
+        # no operator's own layout is built, and a rejected draw builds none
         walked, built = [], {}
         init, layout_init = wct.BlockWalk.__init__, wct.BlockLayout.__init__
 
@@ -836,43 +885,54 @@ class TestIterateAndCesaroGroups:
         assert walked[0] is walked[1] and id(walked[0]) in built
         (tab,) = built.values()
         assert tab.n.tolist() == [256]
-        # r3 and 20 random instances, of 8 sizes: 16 walks, two per size,
-        # each over every instance of its size
-        walked.clear()
-        built.clear()
+        # r3 and 20 random instances, 148 atoms of 8 sizes: one table, and
+        # one walk of each group over its layout; cut at 40 atoms, four
+        # tables and two walks over each
         path = Path(__file__).resolve().parents[1] / "scenarios" / "r3_contracting.json"
-        run_verification(load_scenario(path), seed=1, instances=20)
-        assert len(walked) == 16 and walked[::2] == walked[1::2]
-        tabs = [built[id(layout)] for layout in walked[::2]]
-        assert all(len(set(tab.n.tolist())) == 1 for tab in tabs)
-        assert len({tab.n[0] for tab in tabs}) == 8
-        assert sum(tab.n.size for tab in tabs) == 21
+        for budget, count in ((harness._TABLE_ATOMS, 1), (40, 4)):
+            walked.clear()
+            built.clear()
+            monkeypatch.setattr(harness, "_TABLE_ATOMS", budget)
+            run_verification(load_scenario(path), seed=1, instances=20)
+            assert len(walked) == 2 * count and walked[::2] == walked[1::2]
+            tabs = [built[id(layout)] for layout in walked[::2]]
+            sizes = np.concatenate([tab.n for tab in tabs])
+            assert sizes.size == 21 and len(set(sizes.tolist())) == 8
+            assert np.all(np.diff(sizes) >= 0)
 
     def test_iterate_powers_are_the_first_products_of_the_cesaro_walk(
         self, monkeypatch
     ):
         # the iterate group walks to T^6 and the Cesaro group to T^20, both
         # by the products P_(k+1) = P_k @ M, so the powers they share have
-        # the same bits
+        # the same bits; each walk hands on its horizons in order, the
+        # iterate walk with no sums
         walks = []
-        init = wct.BlockWalk.__init__
+        walk = wct.BlockWalk.__iter__
 
-        def spy(self, *args):
-            init(self, *args)
-            walks.append(self)
+        def spy(self):
+            steps = []
+            walks.append(steps)
+            for step in walk(self):
+                steps.append(step)
+                yield step
 
-        monkeypatch.setattr(wct.BlockWalk, "__init__", spy)
+        monkeypatch.setattr(wct.BlockWalk, "__iter__", spy)
         s = generate_random_instance(3, 40, 5, "contracting_h")
         s = dataclasses.replace(s, experiments=("iterate_formula", "cesaro_identities"))
         run_verification(s, seed=0)
         powers, cesaro = walks
-        assert sorted(powers.t) == [1, 2, 3, 4, 5, 6]
-        assert not powers.a and not powers.b
-        assert sorted(cesaro.t) == [2, 3, 5, 8, 13, 20]
-        assert sorted(cesaro.b) == [2, 3, 5, 8, 13, 20]
-        assert sorted(cesaro.a) == [2, 3, 4, 5, 6, 8, 9, 13, 14, 20, 21]
-        for n in (2, 3, 5):
-            assert np.array_equal(powers.t[n], cesaro.t[n])
+        assert [step.n for step in powers] == [1, 2, 3, 4, 5, 6]
+        assert all(step.a is step.a_next is step.b is None for step in powers)
+        assert [step.n for step in cesaro] == [2, 3, 5, 8, 13, 20]
+        assert all(x is not None for step in cesaro for x in step)
+        # A_(n+1) of the horizon 2 is A_n of the horizon 3, handed on again
+        assert cesaro[0].a_next is cesaro[1].a
+        by_n = {step.n: step.t for step in powers}
+        shared = [step for step in cesaro if step.n in by_n]
+        assert [step.n for step in shared] == [2, 3, 5]
+        for step in shared:
+            assert np.array_equal(by_n[step.n], step.t)
 
     def test_overflowing_powers_are_not_checked(self):
         # a 40-atom contracting draw with w scaled by 1e100: T^4 is inf
@@ -918,8 +978,8 @@ def _rows(batch):
 
 
 class TestStackedWalkGroups:
-    """The iterate and Cesaro groups over a batch of instances, stacked by
-    instance size, against each instance run alone."""
+    """The iterate and Cesaro groups over a batch of instances in one
+    table, against each instance run alone."""
 
     @settings(max_examples=40, derandomize=True, deadline=None, database=None)
     @given(_stacked_batches())
@@ -943,29 +1003,28 @@ class TestStackedWalkGroups:
         # interleave, and an owner's entries span several runs
         batch, grown = drawn
         ts = [s.operator() for s in batch]
-        ns = (2, 3, 5)
-        a_ns, t_ns = ns + tuple(n + 1 for n in ns), (1, 4) + ns
+        ns, horizons = (2, 3, 5), (1, 2, 3, 4, 5)
 
         def gaps(walk):
-            out = harness.identity_residuals(walk, ns)
-            for n in t_ns:
-                closed = wct.iterate(walk, n)
-                gap = harness._relative_gap(walk, walk.t[n] - closed, walk.t[n])
-                out[-n] = {"iterate": gap}
-            for n in ns:
-                out[n]["cesaro"] = harness._relative_gap(
-                    walk, walk.a[n] - wct.cesaro_mean(walk, n), walk.a[n]
-                )
-                out[n]["remainder"] = harness._relative_gap(
-                    walk, walk.b[n] - wct.b_n_operator(walk, n), walk.b[n]
-                )
+            out = {}
+            for step in walk:
+                n, closed = step.n, wct.iterate(walk, step.n)
+                out[n] = {"iterate": harness._relative_gap(walk, step.t - closed, step.t)}
+                if n in ns:
+                    out[n].update(harness.identity_residuals(walk, step))
+                    out[n]["cesaro"] = harness._relative_gap(
+                        walk, step.a - wct.cesaro_mean(walk, n), step.a
+                    )
+                    out[n]["remainder"] = harness._relative_gap(
+                        walk, step.b - wct.b_n_operator(walk, n), step.b
+                    )
             return out
 
         with np.errstate(over="ignore", invalid="ignore"):
             layout = wct.OperatorTable.of(ts).layout
-            together = gaps(wct.BlockWalk(layout, a_ns, ns, t_ns))
+            together = gaps(wct.BlockWalk(layout, horizons))
             for k, t in enumerate(ts):
-                alone = gaps(wct.BlockWalk(t.block_layout, a_ns, ns, t_ns))
+                alone = gaps(wct.BlockWalk(t.block_layout, horizons))
                 for n, residuals in alone.items():
                     for cid, res in residuals.items():
                         got = together[n][cid][k]

@@ -309,11 +309,11 @@ class TestFactorOnce:
 
     def test_no_svd_of_more_than_two_rows_in_verify(self, monkeypatch):
         # every SVD that run_verification takes, on r1, r3, r4 (with ten
-        # random instances each) and the 256-atom wide256 seed-1 scenario,
-        # acts on 2 x 2 matrices, stacked; each structure pass, one batch of
-        # the instances of one size, makes at most one such call, and one
-        # where the contraction criterion holds for an instance of the batch:
-        # wide256's, of the first power of I - T on its 32 blocks
+        # random instances each, and r4 alone) and the 256-atom wide256
+        # seed-1 scenario, acts on 2 x 2 matrices, stacked; each structure
+        # pass, one table of a call, makes at most one such call, and one
+        # where the contraction criterion holds for an instance of the
+        # table: wide256's, of the first power of I - T on its 32 blocks
         root = Path(__file__).resolve().parents[1]
         monkeypatch.syspath_prepend(root / "benchmarks")
         import workloads
@@ -322,6 +322,7 @@ class TestFactorOnce:
             (load_scenario(root / "scenarios" / f"{name}.json"), 10)
             for name in ("r1_nilpotent", "r3_contracting", "r4_expanding")
         ]
+        runs.append((runs[-1][0], 0))
         runs.append((scenario_from_dict(workloads.wide_scenario_dict(1)), 0))
         real, real_pass = np.linalg.svd, harness.verify_structure_theorems
         shapes, calls = [], []
@@ -345,18 +346,19 @@ class TestFactorOnce:
         monkeypatch.setattr(harness, "verify_structure_theorems", spy_pass)
         for scenario, instances in runs:
             run_verification(scenario, seed=1, instances=instances)
-        assert sum(count for count, _, _ in calls) == 3 * 11 + 1
+        # one table per call: 11 rows each, then r4's and wide256's one
+        assert [count for count, _, _ in calls] == [11, 11, 11, 1, 1]
         assert all(svds == met for _, met, svds in calls)
         assert {svds for _, _, svds in calls} == {0, 1}
         assert shapes and all(len(a) >= 2 and max(a[-2:]) <= 2 for a in shapes)
         assert (32, 2, 2) in shapes
 
-    def test_one_core_svd_per_size_batch(self, monkeypatch):
-        # a verify of r3 with 20 random instances takes one structure pass
-        # per instance size; a pass whose batch holds instances that meet
-        # the contraction criterion factors the power-1 cores of I - T of
-        # all their blocks in one SVD, and forms every closed-form sum of
-        # every horizon in one _power_sums
+    def test_one_core_svd_per_table(self, monkeypatch):
+        # a verify of r3 with 20 random instances, cut into tables of at
+        # most 40 atoms, takes one structure pass per table; a pass whose
+        # table holds instances that meet the contraction criterion factors
+        # the power-1 cores of I - T of all their blocks in one SVD, and
+        # forms every closed-form sum of every horizon in one _power_sums
         batches = []
         real_batch, real_svd = subspace._structure_columns, np.linalg.svd
         real_sums = subspace._power_sums
@@ -380,13 +382,13 @@ class TestFactorOnce:
         monkeypatch.setattr(subspace, "_structure_columns", spy_batch)
         monkeypatch.setattr(np.linalg, "svd", spy_svd)
         monkeypatch.setattr(subspace, "_power_sums", spy_sums)
+        monkeypatch.setattr(harness, "_TABLE_ATOMS", 40)
         path = Path(__file__).resolve().parents[1] / "scenarios" / "r3_contracting.json"
         report = run_verification(load_scenario(path), seed=1, instances=20)
         assert report.exit_status == 0
-        sizes = [set(b["tab"].n.tolist()) for b in batches]
-        assert all(len(size) == 1 for size in sizes)
-        assert len({size.pop() for size in sizes}) == len(batches)
-        assert sum(b["tab"].n.size for b in batches) == 21
+        assert len(batches) == 4 and all(b["tab"].n.sum() <= 40 for b in batches)
+        sizes = np.concatenate([b["tab"].n for b in batches])
+        assert sizes.size == 21 and np.all(np.diff(sizes) >= 0)
         met_total = 0
         for b in batches:
             tab, holds = b["tab"], b["holds"]

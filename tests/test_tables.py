@@ -1,8 +1,9 @@
-"""A verify call's batch groups run on one operator table per instance size
-and return their rows as arrays, which ``fold_claims`` folds into the
-report. Here each instance's rows from a per-size table are checked against
-its rows alone, bit for bit, and the fold against ``merge_claims`` of
-tests/oracles.py, which folds one row object at a time."""
+"""A verify call's batch groups run on operator tables of instances of
+mixed sizes, ordered by atom count and cut at an atom budget, and return
+their rows as arrays, which ``fold_claims`` folds into the report. Here each
+instance's rows from such a table are checked against its rows alone, bit
+for bit, and the fold against ``merge_claims`` of tests/oracles.py, which
+folds one row object at a time."""
 
 import contextlib
 import dataclasses
@@ -76,21 +77,27 @@ def _bits(rows):
 
 
 class TestSuiteTables:
-    """Every batch group on one table per instance size, as a verify call
-    runs them, against each instance alone: through the one-operator entry
-    points where the group has one, and through a table of one row."""
+    """Every batch group on tables of instances ordered by atom count and
+    cut at 24 atoms, as a verify call cuts them at its budget, against each
+    instance alone: through the one-operator entry points where the group
+    has one, and through a table of one row."""
 
     @settings(max_examples=20, derandomize=True, deadline=None, database=None)
     @given(_instance_sets())
     def test_each_instance_reads_as_if_alone(self, drawn):
         batch, seeds, where = drawn
         tolerances = harness.DEFAULT_TOLERANCES
-        by_size = {}
-        for i, s in enumerate(batch):
-            by_size.setdefault(s.space.n_atoms, []).append(i)
+        tables, atoms = [[]], 0
+        for i in sorted(range(len(batch)), key=lambda i: (batch[i].space.n_atoms, i)):
+            if atoms + batch[i].space.n_atoms > 24 and tables[-1]:
+                tables.append([])
+                atoms = 0
+            tables[-1].append(i)
+            atoms += batch[i].space.n_atoms
+        assert any(len({batch[i].space.n_atoms for i in t}) > 1 for t in tables)
         rows = [[] for _ in batch]
         with np.errstate(all="ignore"):
-            for index in by_size.values():
+            for index in tables:
                 tab = wct.OperatorTable.of(
                     [batch[i].operator() for i in index], [batch[i].phi for i in index]
                 )

@@ -1,4 +1,5 @@
 import tracemalloc
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -35,7 +36,7 @@ from orlicz_wct import harness, wct
 from orlicz_wct.harness import PROFILES, Scenario, generate_random_instance
 
 from conftest import batch_rows, random_operator
-from oracles import pairing_adjoint, power_walk
+from oracles import held_walk, pairing_adjoint, power_walk
 
 
 class TestApply:
@@ -190,8 +191,9 @@ class TestRemainderOperator:
     def test_validation(self, r3):
         with pytest.raises(ValueError):
             b_n_operator(r3, 1)
-        with pytest.raises(ValueError):
-            power_walk(r3, b_ns=(1,))
+        # the walk hands on B_n from n = 2 on: none at the horizon 1
+        (step,) = wct.BlockWalk(r3.block_layout, (1,))
+        assert step.n == 1 and step.b is None and step.a is not None
 
 
 # Verbatim copies of the per-n loops that the single walk and the blockwise
@@ -365,6 +367,82 @@ class TestSinglePassRoutes:
             assert _same_bits(power_walk(t, a_ns=(13,))[0][13], a_walk[13])
         # both routes: dense below wct._CORE_MIN_ATOMS atoms, blockwise above
         assert min(sizes) < wct._CORE_MIN_ATOMS <= max(sizes)
+
+    def test_streamed_walk_equals_the_held_walk_bit_for_bit(self):
+        # one table of operators of 1 to 57 atoms, so blocks of many sizes,
+        # dense and blockwise, with one-atom blocks (a draw of singletons and
+        # a one-atom draw) and a 40-atom draw whose w is scaled by 1e100, so
+        # that its powers overflow to inf and NaN: every result the walk
+        # hands on equals that of the walk that held them all, bit for bit,
+        # and the walk keeps no array of a horizon that the next one does
+        # not hand on again
+        ts = [_instance(i) for i in range(0, 60, 6)]
+        ts += [generate_random_instance(5, 9, 9, "generic").operator(),
+               generate_random_instance(6, 1, 1, "generic").operator()]
+        big = generate_random_instance(7, 40, 5, "contracting_h").operator()
+        ts.append(WctOperator(big.u, big.w * 1e100, big.e))
+        layout = wct.OperatorTable.of(ts).layout
+        # both routes: dense below wct._CORE_MIN_ATOMS atoms, blockwise above
+        atoms = [t.space.n_atoms for t in ts]
+        assert min(atoms) < wct._CORE_MIN_ATOMS <= max(atoms)
+        assert len(layout._runs) > 10 and layout._runs[0][3] == 1
+        with np.errstate(over="ignore", invalid="ignore"):
+            for ns, sums in (
+                ((2, 3, 5, 8, 13, 20), True), ((1, 2, 3, 4, 5, 6), False),
+                ((1,), True), (tuple(range(1, 22)), True), ((20, 7), True),
+            ):
+                a, b, powers = held_walk(
+                    layout, {*ns, *(n + 1 for n in ns)} if sums else (),
+                    [n for n in ns if n >= 2] if sums else (), ns,
+                )
+                walk = wct.BlockWalk(layout, ns, sums)
+                seen, before = [], []
+                for step in walk:
+                    now = [x for x in step[1:] if x is not None]
+                    assert all(ref() is None or any(ref() is x for x in now)
+                               for ref in before), (ns, step.n)
+                    before = [weakref.ref(x) for x in now]
+                    seen.append(step.n)
+                    n = step.n
+                    assert _same_bits(step.t, powers[n]), (ns, n)
+                    if not sums:
+                        assert step.a is step.a_next is step.b is None
+                        continue
+                    assert _same_bits(step.a, a[n]) and _same_bits(step.a_next, a[n + 1])
+                    assert step.b is None if n == 1 else _same_bits(step.b, b[n])
+                assert seen == sorted(ns)
+        assert not np.isfinite(powers[20]).all()
+
+    def test_power_sums_over_many_rows_equal_the_per_row_sums_bit_for_bit(self):
+        # 6,000 rows: the element cap narrows each chunk of running products
+        # far below _BLOCK powers, so the chunks end at other powers than
+        # those of _power_sum; symbols as in the test above, and counts on
+        # either side of a _BLOCK edge
+        rows = 6000
+        assert rows * wct._BLOCK > wct._SUM_ELEMENTS
+        rng = np.random.default_rng(11)
+        special = np.array([0.0, -0.0, 1.0, -1.0, 1.5, -100.0, 5e-324, np.nan, np.inf])
+        h = rng.uniform(-1.2, 1.2, rows)
+        picked = rng.random(rows) < 0.1
+        h[picked] = rng.choice(special, int(picked.sum()))
+        h[: special.size] = special
+        levels = np.array([0, 1, 2, 7, 199, 511, 512, 513, 1300])
+        counts = rng.choice(levels, (rows, 3))
+        weighted = np.array([False, True, True])
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = wct._power_sums(h, counts, weighted)
+            # _power_sum takes each entry of h on its own, so one call over
+            # the rows that share a count gives each row's own sum
+            want = np.empty(counts.shape)
+            for j, w in enumerate(weighted.tolist()):
+                for k in levels.tolist():
+                    at = counts[:, j] == k
+                    want[at, j] = wct._power_sum(h[at], k, w)
+            assert _same_bits(got, want)
+            for i in [*range(special.size), *rng.choice(rows, 40).tolist()]:
+                for j, w in enumerate(weighted.tolist()):
+                    one = wct._power_sum(h[i : i + 1], int(counts[i, j]), w)
+                    assert _same_bits(got[i, j], one[0]), (i, j)
 
     def test_closed_form_memory_does_not_grow_with_n(self):
         t = generate_random_instance(3, 64, 8, "contracting_h").operator()
