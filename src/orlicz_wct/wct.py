@@ -375,8 +375,9 @@ class BlockWalk(BlockLayout):
 
 
 _BLOCK = 512
-# the most entries one chunk of the running products of _power_sums holds
-_SUM_ELEMENTS = 1 << 16
+# the most entries (rows x powers) of one chunk of the running products of
+# _power_sums: on a large table wider chunks save little time and hold more
+_SUM_ELEMENTS = 1 << 15
 
 
 def _power_sum(h: np.ndarray, n_terms: int, weighted: bool) -> np.ndarray:
