@@ -560,8 +560,7 @@ def _relative_gap(layout: BlockLayout, diff, scale) -> np.ndarray:
 
 def identity_residuals(walk: BlockWalk, step: Horizon) -> dict:
     """The Cesaro identity residuals at a horizon that a ``BlockWalk`` with
-    sums hands on, each an array with one value per operator of the walk's
-    direct sum.
+    sums hands on, one value per operator of the walk's direct sum.
 
     The horizon holds A_n, A_(n+1) and T^n, and B_n when n >= 2. Each
     residual is a max-entry gap relative to 1 + max|scale|, with T^n/n the
@@ -589,12 +588,11 @@ def identity_residuals(walk: BlockWalk, step: Horizon) -> dict:
 
 
 def _walk_columns(tab, tol, gaps, detail, ns, sums):
-    """The columns of a table's rows from one ``BlockWalk`` over its layout
-    to the horizons ``ns``: ``gaps(walk, horizon)`` gives per claim id one
-    array, one value per row, at each horizon as the walk hands it on, and a
-    row's residual is the worst of them. A power that overflowed walks on as
-    inf and NaN, and leaves the row not checked: no bound holds on inf, and
-    a NaN decides nothing."""
+    """The columns of a table's rows from one ``BlockWalk`` over its layout:
+    ``gaps(walk, horizon)`` gives per claim id one value per row at each
+    horizon ``ns`` as the walk hands it on, and a row's residual is the
+    worst. A power that overflowed walks on as inf and NaN, and leaves the
+    row not checked: no bound holds on inf, and a NaN decides nothing."""
     found = {}
     with np.errstate(over="ignore", invalid="ignore"):
         walk = BlockWalk(tab.layout, ns, sums)
@@ -801,15 +799,12 @@ def _tables(scenario: Scenario, seed: int, instances: int, fingerprints: list):
         fingerprints.append(child.fingerprint())
         rows.append((spec[1], i, draw[3:], child.phi, draw.seed, None))
     rows.sort(key=lambda row: row[:2])
-    cuts, atoms = [0], 0
-    for k, size in enumerate(row[0] for row in rows):
-        if atoms + size > _TABLE_ATOMS and k > cuts[-1]:
-            cuts.append(k)
-            atoms = 0
-        atoms += size
-    cuts.append(len(rows))
-    for lo, hi in zip(cuts, cuts[1:]):
-        _, index, parts, phis, seeds, ops = zip(*rows[lo:hi])
+    while rows:
+        k, atoms = 1, rows[0][0]
+        while k < len(rows) and atoms + rows[k][0] <= _TABLE_ATOMS:
+            k, atoms = k + 1, atoms + rows[k][0]
+        _, index, parts, phis, seeds, ops = zip(*rows[:k])
+        del rows[:k]
         yield np.array(index), OperatorTable(parts, phis, ops), np.array(seeds)
 
 

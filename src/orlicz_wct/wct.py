@@ -332,15 +332,12 @@ class BlockWalk(BlockLayout):
     sum at once. Iterating it walks, and hands on a ``Horizon`` for each n
     in ns, in increasing order, as soon as it reaches T^n.
 
-    The walk forms P_0 = I, P_(k+1) = P_k @ M once, up to the largest
-    horizon; T^n is P_n. With ``sums``, A_n sums P_0, ..., P_(n-1) onto
-    zeros and is divided by n, and B_n adds (n-1-k) P_k onto (n-1) I for
-    k = 1, ..., n-2 and is divided by n at its last term. Each result gets
-    the products and additions of its own per-n loop, run on each block, in
-    the same order, so it equals that loop bit for bit. The walk holds P_k,
-    the running sum, the A_n that a later horizon hands on and the B_n not
-    yet handed on; each result is let go once handed on. ``imt``, I - T, is
-    formed once per walk, on first use.
+    The walk forms P_0 = I, P_(k+1) = P_k @ M once; T^n is P_n. With
+    ``sums``, A_n sums P_0, ..., P_(n-1) onto zeros and is divided by n, and
+    B_n adds (n-1-k) P_k onto (n-1) I for k = 1, ..., n-2 and is divided by
+    n at its last term: each with the products and additions of its own
+    per-n loop, run on each block, in the same order, so bit for bit. No
+    result is held past its horizon. ``imt``, I - T, is formed once.
     """
 
     def __init__(self, layout: BlockLayout, ns, sums: bool = True):
@@ -375,9 +372,10 @@ class BlockWalk(BlockLayout):
 
 
 _BLOCK = 512
-# the most entries (rows x powers) of one chunk of the running products of
-# _power_sums: on a large table wider chunks save little time and hold more
-_SUM_ELEMENTS = 1 << 15
+# the most rows whose running products _power_sums forms together, _BLOCK
+# powers at a time (256 KB): more rows save no time on a large table, and
+# fewer powers per row cost one pass over every group per chunk
+_SUM_ROWS = 64
 
 
 def _power_sum(h: np.ndarray, n_terms: int, weighted: bool) -> np.ndarray:
@@ -414,55 +412,62 @@ def _power_sums(h: np.ndarray, counts: np.ndarray, weighted) -> np.ndarray:
     bit for bit, in one pass: the running product and the running sum are
     sequential, so their bits do not depend on how the powers are chunked.
 
-    The rows go by decreasing largest count, so those still running are a
-    prefix, and a row's running product runs to its largest count, in
-    chunks of at most _BLOCK powers and _SUM_ELEMENTS entries over the
-    running rows. A row's unweighted entries read its one running sum at
-    their counts; the weighted entries of one count, over all rows, form
-    one group, whose terms stop at that count. So a row forms fewer than
+    The rows go by decreasing largest count and are taken _SUM_ROWS at a
+    time, so those still running are a prefix, and a row's running product
+    runs to its largest count, _BLOCK powers at a time. A row's unweighted
+    entries read its one running sum at their counts; the weighted entries
+    of one count, over the rows taken together, form one group, whose
+    terms stop at that count. So a row forms fewer than
     _BLOCK padding powers in all, and no entry sums one. Overflows are not
     warned of: a sum that overflows is inf, or NaN, which the callers read.
     """
     reach = counts.max(axis=1, initial=0)
     order = np.argsort(-reach, kind="stable")
+    weighted = np.broadcast_to(weighted, counts.shape)[order]
     h, counts, reach = h[order], counts[order], reach[order]
-    weighted = np.broadcast_to(weighted, counts.shape)
+    out = np.zeros(counts.shape)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, np.count_nonzero(reach), _SUM_ROWS):
+            at = slice(lo, lo + _SUM_ROWS)
+            _running_sums(h[at], counts[at], weighted[at], reach[at], out[at])
+    result = np.empty_like(out)
+    result[order] = out
+    return result
+
+
+def _running_sums(h, counts, weighted, reach, out) -> None:
+    """``_power_sums`` into ``out``, for rows by decreasing ``reach``."""
     plain = ~weighted & (counts > 0)
     groups = [
         (k, np.nonzero(weighted & (counts == k)))
         for k in sorted(set(counts[weighted & (counts > 0)].tolist()))
     ]
-    out, sums, hpow = np.zeros(counts.shape), np.zeros(h.size), np.ones(h.size)
+    sums, hpow = np.zeros(h.size), np.ones(h.size)
     start, rows = 0, np.count_nonzero(reach > 0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        while rows:
-            cap = max(1, _SUM_ELEMENTS // rows)
-            width = min(_BLOCK, cap, int(reach[0]) - start)
-            stop = start + width
-            terms = np.repeat(hpow[:rows, None], width, axis=1)
-            # as in _power_sum, a product that h maps to itself stays put
-            moving = hpow[:rows] * h[:rows] != hpow[:rows]
-            at = slice(None) if moving.all() else moving
-            terms[at, 1:] = h[:rows][at, None]
-            terms[at] = np.multiply.accumulate(terms[at], axis=1)
-            hpow[:rows] = terms[:, -1] * h[:rows]
-            for k, (i, j) in groups:
-                if k > start:
-                    part = terms[i, : min(width, k - start)]
-                    part *= np.arange(k - start, max(k - stop, 0), -1.0)
-                    part[:, 0] += out[i, j]
-                    out[i, j] = np.add.accumulate(part, axis=1)[:, -1]
-            running = plain[:rows] & (counts[:rows] > start)
-            if running.any():
-                terms[:, 0] += sums[:rows]
-                terms = np.add.accumulate(terms, axis=1, out=terms)
-                sums[:rows] = terms[:, -1]
-                i, j = np.nonzero(running & (counts[:rows] <= stop))
-                out[i, j] = terms[i, counts[i, j] - 1 - start]
-            start, rows = stop, np.count_nonzero(reach > stop)
-    result = np.empty_like(out)
-    result[order] = out
-    return result
+    while rows:
+        width = min(_BLOCK, int(reach[0]) - start)
+        stop = start + width
+        terms = np.repeat(hpow[:rows, None], width, axis=1)
+        # as in _power_sum, a product that h maps to itself stays put
+        moving = hpow[:rows] * h[:rows] != hpow[:rows]
+        at = slice(None) if moving.all() else moving
+        terms[at, 1:] = h[:rows][at, None]
+        terms[at] = np.multiply.accumulate(terms[at], axis=1)
+        hpow[:rows] = terms[:, -1] * h[:rows]
+        for k, (i, j) in groups:
+            if k > start:
+                part = terms[i, : min(width, k - start)]
+                part *= np.arange(k - start, max(k - stop, 0), -1.0)
+                part[:, 0] += out[i, j]
+                out[i, j] = np.add.accumulate(part, axis=1)[:, -1]
+        running = plain[:rows] & (counts[:rows] > start)
+        if running.any():
+            terms[:, 0] += sums[:rows]
+            terms = np.add.accumulate(terms, axis=1, out=terms)
+            sums[:rows] = terms[:, -1]
+            i, j = np.nonzero(running & (counts[:rows] <= stop))
+            out[i, j] = terms[i, counts[i, j] - 1 - start]
+        start, rows = stop, np.count_nonzero(reach > stop)
 
 
 def cesaro_mean(t, n: int) -> np.ndarray:

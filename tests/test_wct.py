@@ -414,12 +414,11 @@ class TestSinglePassRoutes:
         assert not np.isfinite(powers[20]).all()
 
     def test_power_sums_over_many_rows_equal_the_per_row_sums_bit_for_bit(self):
-        # 6,000 rows: the element cap narrows each chunk of running products
-        # far below _BLOCK powers, so the chunks end at other powers than
-        # those of _power_sum; symbols as in the test above, and counts on
-        # either side of a _BLOCK edge
+        # 6,000 rows, taken _SUM_ROWS at a time, each batch with its own
+        # groups of weighted counts; symbols as in the test above, and counts
+        # on either side of a _BLOCK edge
         rows = 6000
-        assert rows * wct._BLOCK > wct._SUM_ELEMENTS
+        assert rows > 50 * wct._SUM_ROWS
         rng = np.random.default_rng(11)
         special = np.array([0.0, -0.0, 1.0, -1.0, 1.5, -100.0, 5e-324, np.nan, np.inf])
         h = rng.uniform(-1.2, 1.2, rows)
